@@ -8,6 +8,7 @@
 //
 // Run: ./build/bench/bench_table1 [scale_divisor]
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -171,12 +172,28 @@ Row RunOnePoint(uint64_t packets) {
   return out;
 }
 
+// The scale divisor: decimal digits only, greater than 0 (the sweep
+// divides by it).
+bool ParseDivisor(const char* arg, uint64_t* divisor) {
+  if (*arg == '\0') return false;
+  for (const char* p = arg; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+  }
+  errno = 0;
+  *divisor = std::strtoull(arg, nullptr, 10);
+  return errno == 0 && *divisor > 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // Default sweep: the paper's packet counts divided by 2000 (sized so
   // the simulated cluster's page store fits in laptop RAM).
-  uint64_t divisor = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 2000;
+  uint64_t divisor = 2000;
+  if (argc > 2 || (argc == 2 && !ParseDivisor(argv[1], &divisor))) {
+    std::fprintf(stderr, "usage: bench_table1 [scale_divisor > 0]\n");
+    return 2;
+  }
   std::vector<uint64_t> sweep = {10'000'000 / divisor, 50'000'000 / divisor,
                                  100'000'000 / divisor, 500'000'000 / divisor,
                                  1'000'000'000 / divisor};

@@ -98,6 +98,9 @@ enum class LockRank : uint16_t {
   kMetricsRegistry = 2,  // metric name->object map; registration is lazy
                          // (function-local statics on hot paths), so this
                          // must be acquirable under any other held lock
+  kParallelFor = 3,      // one ParallelFor call's completion barrier; leaf
+                         // — a job takes it only after its work, the
+                         // caller only to wait, so nothing nests under it
   kTokenBucket = 4,      // one quota bucket's refill state; leaf — bucket
                          // methods never call out, so it is acquirable
                          // under the admission lock (and any module lock)
@@ -123,12 +126,7 @@ enum class LockRank : uint16_t {
   kTableBlockCache = 41,  // decoded row-group LRU (leaf; commit/compaction/
                           // migration invalidate under their own locks)
   kTableAccess = 42,      // partition access counters (leaf)
-  kTableScanBarrier = 43, // per-Select fan-out completion barrier; scan jobs
-                          // and the waiting query thread hold nothing else
   kTableCommit = 44,      // commit protocol; held across metadata/KV/object IO
-  kQueryFragmentSink = 45,// per-query join build/probe fragment sinks, fed
-                          // concurrently by scan-pool jobs; a job holds
-                          // nothing else while appending its fragment
   kLakehouse = 46,        // catalog of open tables
 
   // ---- stream: stream objects over PLogs ----

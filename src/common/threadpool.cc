@@ -76,4 +76,24 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (pool == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  Mutex mu{LockRank::kParallelFor, "common.parallel_for"};
+  CondVar done;
+  size_t remaining = n;  // guarded by mu
+  for (size_t i = 0; i < n; ++i) {
+    pool->Submit([&, i] {
+      fn(i);
+      MutexLock lock(&mu);
+      if (--remaining == 0) done.NotifyAll();
+    });
+  }
+  MutexLock lock(&mu);
+  while (remaining > 0) done.Wait(&mu);
+}
+
 }  // namespace streamlake

@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_COMMON_THREADPOOL_H_
 #define STREAMLAKE_COMMON_THREADPOOL_H_
 
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <thread>
@@ -49,6 +50,17 @@ class ThreadPool {
   int active_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
 };
+
+/// Run fn(0) .. fn(n - 1) and return once every call has finished. With a
+/// pool and more than one index, each call is a task on `pool` and the
+/// caller waits on a barrier private to this call — not ThreadPool::Wait,
+/// which on a shared pool would also wait for other callers' tasks.
+/// Without a pool, or for n <= 1, the calls run inline on the calling
+/// thread in index order. Calls may run concurrently, so `fn` must only
+/// touch per-index state or synchronize itself. Must not be called from a
+/// task of the same pool: the caller would hold a worker while it waits.
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace streamlake
 

@@ -273,22 +273,9 @@ Result<uint64_t> StreamObject::AppendBatch(std::vector<StreamRecord> records)
   // Phase 2: device I/O with no stream lock held. Slices of this batch
   // hash to different PLog shards, so the pool's workers land on
   // different store stripes and genuinely overlap.
-  if (io_pool_ != nullptr && jobs.size() > 1) {
-    size_t remaining = jobs.size();  // guarded by mu_ below
-    for (SliceJob& job : jobs) {
-      io_pool_->Submit([this, &job, &remaining] {
-        RunSliceJob(&job);
-        MutexLock done(&mu_);
-        --remaining;
-        batch_cv_.NotifyAll();
-      });
-    }
-    mu_.Lock();
-    while (remaining > 0) batch_cv_.Wait(&mu_);
-  } else {
-    for (SliceJob& job : jobs) RunSliceJob(&job);
-    mu_.Lock();
-  }
+  ParallelFor(io_pool_, jobs.size(),
+              [this, &jobs](size_t i) { RunSliceJob(&jobs[i]); });
+  mu_.Lock();
 
   // Phase 3: commit. All-or-nothing across the batch's PLog appends.
   Status failure = Status::OK();

@@ -27,22 +27,7 @@ struct CacheMetrics {
   }
 };
 
-uint64_t ApproxValueBytes(const format::Value& v) {
-  // variant header + payload; strings add their heap allocation.
-  uint64_t bytes = sizeof(format::Value);
-  if (const auto* s = std::get_if<std::string>(&v)) bytes += s->capacity();
-  return bytes;
-}
-
 }  // namespace
-
-uint64_t ApproxRowsBytes(const std::vector<format::Row>& rows) {
-  uint64_t bytes = sizeof(rows[0]) * rows.capacity();
-  for (const format::Row& row : rows) {
-    for (const format::Value& v : row.fields) bytes += ApproxValueBytes(v);
-  }
-  return bytes;
-}
 
 uint64_t ApproxColumnBytes(const format::ColumnChunkData& chunk) {
   uint64_t bytes = sizeof(format::ColumnChunkData);
@@ -217,29 +202,6 @@ Result<DecodedBlockCache::ColumnPtr> CachedFileReader::ReadColumnChunk(
       std::move(chunk));
   if (cache_ != nullptr) cache_->PutColumn(path_, group, column, shared);
   return shared;
-}
-
-Result<std::vector<format::Row>> CachedFileReader::ReadGroupRows(
-    size_t group) {
-  const format::RowGroupMeta& meta = footer_->groups[group];
-  std::vector<format::Row> rows(meta.num_rows);
-  for (format::Row& r : rows) r.fields.resize(meta.columns.size());
-  for (size_t col = 0; col < meta.columns.size(); ++col) {
-    SL_ASSIGN_OR_RETURN(ColumnPtr chunk, ReadColumnChunk(group, col));
-    for (size_t i = 0; i < meta.num_rows; ++i) {
-      rows[i].fields[col] = chunk->ValueAt(i);
-    }
-  }
-  return rows;
-}
-
-Result<std::vector<format::Row>> CachedFileReader::ReadAllRows() {
-  std::vector<format::Row> all;
-  for (size_t g = 0; g < num_row_groups(); ++g) {
-    SL_ASSIGN_OR_RETURN(std::vector<format::Row> rows, ReadGroupRows(g));
-    for (format::Row& r : rows) all.push_back(std::move(r));
-  }
-  return all;
 }
 
 Status CachedFileReader::EnsureFileLoaded() {

@@ -110,16 +110,13 @@ class DecodedBlockCache {
   Stats stats_ GUARDED_BY(mu_);
 };
 
-/// Approximate heap footprint of decoded rows, for the cache byte budget.
-uint64_t ApproxRowsBytes(const std::vector<format::Row>& rows);
-
 /// Approximate heap footprint of one decoded column chunk.
 uint64_t ApproxColumnBytes(const format::ColumnChunkData& chunk);
 
 /// \brief Cache-aware reader over one immutable data file.
 ///
-/// The single helper behind Table's Select scan jobs and its
-/// delete-count / rewrite / compaction full-file scans: serves footers and
+/// The file access of Table::ScanFileRows, the one scan behind reads,
+/// delete counts, rewrites and compaction: serves footers and
 /// decoded column chunks from the DecodedBlockCache when one is attached
 /// (cache == nullptr degrades to a plain read-and-decode), reading the
 /// file from the object store only on miss and back-filling the cache.
@@ -143,12 +140,6 @@ class CachedFileReader {
   /// One decoded column chunk, before delete masking.
   Result<DecodedBlockCache::ColumnPtr> ReadColumnChunk(size_t group,
                                                        size_t column);
-
-  /// Decoded rows of one row group (all columns), before delete masking.
-  Result<std::vector<format::Row>> ReadGroupRows(size_t group);
-
-  /// All rows of the file, concatenated in row-group order.
-  Result<std::vector<format::Row>> ReadAllRows();
 
   /// Bytes actually read from the object store (0 on a full cache hit).
   uint64_t storage_bytes_read() const { return storage_bytes_read_; }

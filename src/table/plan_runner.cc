@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/metrics.h"
-#include "common/mutex.h"
 #include "query/row_less.h"
 
 namespace streamlake::table {
@@ -20,58 +19,47 @@ uint64_t MonotonicNanos() {
           .count());
 }
 
-/// Collects scan fragments delivered concurrently by pool jobs and hands
-/// them back in deterministic file order. The lock ranks below the scan
-/// barrier so a job appends its fragment while the query thread waits.
-class FragmentSink : public RowSink {
+/// Collects a build-side scan per fragment. Each fragment's rows are
+/// written only by its own scan job, so no lock is needed; the caller reads
+/// them in file order once ScanInto has returned.
+class CollectSink : public RowSink {
  public:
-  Status ConsumeFragment(size_t fragment,
-                         std::vector<format::Row> rows) override {
-    MutexLock lock(&mu_);
-    fragments_[fragment] = std::move(rows);
+  void Open(size_t n) override { fragments.assign(n, {}); }
+  Status Consume(size_t fragment, std::vector<format::Row> rows,
+                 uint64_t /*visible_rows*/) override {
+    std::vector<format::Row>& out = fragments[fragment];
+    out.insert(out.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
     return Status::OK();
   }
 
-  /// Drain all fragments ordered by index (call after the scan barrier —
-  /// no jobs are appending anymore).
-  std::vector<std::vector<format::Row>> TakeOrdered() {
-    MutexLock lock(&mu_);
-    std::vector<std::vector<format::Row>> ordered;
-    ordered.reserve(fragments_.size());
-    for (auto& [index, rows] : fragments_) {
-      ordered.push_back(std::move(rows));
-    }
-    fragments_.clear();
-    return ordered;
-  }
-
- private:
-  Mutex mu_{LockRank::kQueryFragmentSink, "query.fragment.sink"};
-  std::map<size_t, std::vector<format::Row>> fragments_ GUARDED_BY(mu_);
+  std::vector<std::vector<format::Row>> fragments;
 };
 
 /// Applies a pure row transform (the join chain + residual filters) to
-/// each probe fragment on the delivering pool thread, then forwards the
-/// joined fragment downstream. The transform only reads const build maps,
-/// so fragments run concurrently without locks.
+/// each probe row group on the delivering pool thread, then feeds the
+/// joined rows to the final-stage ExecutorSink as that stage's scanned
+/// rows. The transform only reads const build maps, so fragments run
+/// concurrently without locks.
 class JoinProbeSink : public RowSink {
  public:
   using Transform =
-      std::function<Result<std::vector<format::Row>>(std::vector<format::Row>)>;
+      std::function<std::vector<format::Row>(std::vector<format::Row>)>;
 
-  JoinProbeSink(Transform transform, FragmentSink* out)
+  JoinProbeSink(Transform transform, ExecutorSink* out)
       : transform_(std::move(transform)), out_(out) {}
 
-  Status ConsumeFragment(size_t fragment,
-                         std::vector<format::Row> rows) override {
-    Result<std::vector<format::Row>> joined = transform_(std::move(rows));
-    SL_RETURN_NOT_OK(joined.status());
-    return out_->ConsumeFragment(fragment, std::move(*joined));
+  void Open(size_t fragments) override { out_->Open(fragments); }
+  Status Consume(size_t fragment, std::vector<format::Row> rows,
+                 uint64_t /*visible_rows*/) override {
+    std::vector<format::Row> joined = transform_(std::move(rows));
+    uint64_t joined_rows = joined.size();
+    return out_->Consume(fragment, std::move(joined), joined_rows);
   }
 
  private:
   Transform transform_;
-  FragmentSink* out_;
+  ExecutorSink* out_;
 };
 
 /// The root-to-source operator chain of a plan:
@@ -305,9 +293,9 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
   uint64_t total_scanned = 0;
   uint64_t total_matched = 0;
 
-  // Build phase: each build table scans through the pool into an ordered
-  // fragment sink; the key map itself is built serially in fragment order
-  // so duplicate-key bucket order (hence inner-join output order) is
+  // Build phase: each build table scans through the pool into per-fragment
+  // buffers; the key map itself is built serially in fragment order so
+  // duplicate-key bucket order (hence inner-join output order) is
   // deterministic.
   using BuildMap =
       std::map<format::Value, std::vector<format::Row>, query::ValueLess>;
@@ -317,7 +305,7 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
   for (size_t j = 0; j < joins.size(); ++j) {
     const query::HashJoinNode& join = *joins[j];
     const query::ScanNode& build_scan = *build_scans[j];
-    FragmentSink sink;
+    CollectSink sink;
     SL_ASSIGN_OR_RETURN(
         ScanTotals totals,
         tables_[build_scan.table_index].table->ScanInto(
@@ -326,7 +314,7 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
     total_scanned += totals.rows_scanned;
     total_matched += totals.rows_matched;
     build_rows += totals.rows_matched;
-    for (std::vector<format::Row>& fragment : sink.TakeOrdered()) {
+    for (std::vector<format::Row>& fragment : sink.fragments) {
       for (format::Row& row : fragment) {
         format::Value key = row.fields[join.build_col];
         build_maps[j][std::move(key)].push_back(std::move(row));
@@ -336,10 +324,10 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
   build_ns_counter->Increment(MonotonicNanos() - build_start_ns);
   build_rows_counter->Increment(build_rows);
 
-  // Probe phase: fragments stream through the join chain on the pool
-  // threads (pure reads of the const build maps), collect in file order.
-  auto transform = [&](std::vector<format::Row> rows)
-      -> Result<std::vector<format::Row>> {
+  // Probe phase: row groups stream through the join chain on the pool
+  // threads (pure reads of the const build maps) into one final-stage
+  // executor per fragment, merged in file order by Finalize.
+  auto transform = [&](std::vector<format::Row> rows) {
     for (const query::FilterNode* filter : probe_filters) {
       std::vector<format::Row> kept;
       kept.reserve(rows.size());
@@ -383,8 +371,8 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
     return rows;
   };
 
-  FragmentSink joined_sink;
-  JoinProbeSink probe_sink(transform, &joined_sink);
+  ExecutorSink final_stage(joined_schema, FinalSpec(shape));
+  JoinProbeSink probe_sink(transform, &final_stage);
   uint64_t probe_start_ns = MonotonicNanos();
   SL_ASSIGN_OR_RETURN(
       ScanTotals probe_totals,
@@ -397,18 +385,10 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
   total_matched += probe_totals.rows_matched;
   scan_rows_counter->Increment(total_scanned);
 
-  // Final stage: one executor over the joined fragments, consumed in
-  // deterministic fragment order (serial — identical to a serial run).
-  query::Executor executor(joined_schema, FinalSpec(shape));
-  uint64_t joined_rows = 0;
-  for (std::vector<format::Row>& fragment : joined_sink.TakeOrdered()) {
-    joined_rows += fragment.size();
-    SL_RETURN_NOT_OK(executor.Consume(fragment));
-  }
-  join_rows_counter->Increment(joined_rows);
-  SL_ASSIGN_OR_RETURN(query::QueryResult result, executor.Finalize());
-  // The executor saw joined rows; the query-level counters report what the
-  // scans read and matched across every table of the query.
+  SL_ASSIGN_OR_RETURN(query::QueryResult result, final_stage.Finalize());
+  // The final stage saw joined rows; the query-level counters report what
+  // the scans read and matched across every table of the query.
+  join_rows_counter->Increment(result.rows_scanned);
   result.rows_scanned = total_scanned;
   result.rows_matched = total_matched;
   return result;

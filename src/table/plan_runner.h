@@ -10,16 +10,14 @@ namespace streamlake::table {
 
 /// \brief Executes a query plan tree against pinned table snapshots.
 ///
-/// A single-scan plan collapses back into Table::Select (the scan-fragment
-/// + aggregate operators there ARE the plan's operators), so single-table
-/// SQL keeps its pre-plan-tree behavior byte-for-byte. Join plans run the
-/// hash-join pipeline: every build side is scanned through the shared scan
-/// pool into an ordered fragment sink, its key map is built serially in
-/// fragment order (deterministic float accumulation downstream), then the
-/// probe scan streams fragments through the join chain concurrently —
-/// probe matching happens on the pool threads — and the final aggregate /
-/// sort runs once over fragments merged in file order, mirroring the
-/// parallel-Select merge discipline.
+/// Every scan goes through Table::ScanInto. A single-scan plan collapses
+/// into Table::Select, which is ScanInto an ExecutorSink of the plan's
+/// operators. Join plans run the hash-join pipeline: every build side is
+/// scanned into per-fragment buffers and its key map is built serially in
+/// fragment order (deterministic bucket order), then the probe scan
+/// streams each row group through the join chain on the pool threads into
+/// the same ExecutorSink Select uses, whose per-fragment executors merge
+/// in file order — so a parallel join is byte-identical to a serial one.
 class PlanRunner {
  public:
   struct PinnedTable {

@@ -199,7 +199,7 @@ Result<DataFileMeta> Table::WriteDataFile(const TableInfo& info,
   meta.path = info.path + "/data/" + dir + "f-" +
               std::to_string(info.table_id) + "-" +
               std::to_string(clock_->NowNanos()) + "-" +
-              std::to_string(reinterpret_cast<uintptr_t>(&meta) & 0xFFFF);
+              std::to_string(next_file_seq_.fetch_add(1));
   SL_RETURN_NOT_OK(objects_->Write(meta.path, ByteView(file)));
   return meta;
 }
@@ -386,15 +386,6 @@ Result<std::vector<DataFileMeta>> Table::ReplaySnapshot(
   return files;
 }
 
-bool Table::RowMasked(const std::vector<DeleteRecord>& deletes,
-                      uint64_t added_seq, const format::Schema& schema,
-                      const format::Row& row) {
-  for (const DeleteRecord& d : deletes) {
-    if (d.seq > added_seq && d.predicate.Matches(schema, row)) return true;
-  }
-  return false;
-}
-
 bool Table::FileMayMatch(const TableInfo& info, const DataFileMeta& file,
                          const query::Conjunction& where) const {
   // Partition-range pruning.
@@ -435,6 +426,45 @@ bool Table::PartitionFullyCovered(const TableInfo& info,
   return true;
 }
 
+void SelectMetrics::Merge(const SelectMetrics& other) {
+  files_scanned += other.files_scanned;
+  files_skipped += other.files_skipped;
+  row_groups_scanned += other.row_groups_scanned;
+  row_groups_skipped += other.row_groups_skipped;
+  data_bytes_read += other.data_bytes_read;
+  data_bytes_skipped += other.data_bytes_skipped;
+  bytes_to_compute += other.bytes_to_compute;
+  peak_memory_bytes = std::max(peak_memory_bytes, other.peak_memory_bytes);
+  bytes_decoded += other.bytes_decoded;
+  columns_decoded += other.columns_decoded;
+  rows_materialized += other.rows_materialized;
+  dict_code_prunes += other.dict_code_prunes;
+}
+
+ExecutorSink::ExecutorSink(const format::Schema& schema,
+                           const query::QuerySpec& spec)
+    : schema_(schema), spec_(spec) {}
+
+void ExecutorSink::Open(size_t fragments) {
+  fragments_.reserve(fragments);
+  for (size_t i = 0; i < fragments; ++i) {
+    fragments_.emplace_back(schema_, spec_);
+  }
+}
+
+Status ExecutorSink::Consume(size_t fragment, std::vector<format::Row> rows,
+                             uint64_t visible_rows) {
+  return fragments_[fragment].ConsumeFiltered(std::move(rows), visible_rows);
+}
+
+Result<query::QueryResult> ExecutorSink::Finalize() {
+  query::Executor executor(schema_, spec_);
+  for (query::Executor& fragment : fragments_) {
+    SL_RETURN_NOT_OK(executor.MergeFrom(std::move(fragment)));
+  }
+  return executor.Finalize();
+}
+
 Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
                                          const SelectOptions& options,
                                          SelectMetrics* metrics) {
@@ -451,177 +481,27 @@ Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
       MetricsRegistry::Global().GetHistogram("table.select.sim_ns");
   selects->Increment();
 
-  // 1. Catalog: table profile + snapshot descriptions.
-  SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name_));
-  if (info.soft_deleted) return Status::NotFound("table dropped");
-
-  SL_ASSIGN_OR_RETURN(uint64_t snapshot_id, ResolveSnapshotId(info, options));
-
-  query::Executor executor(info.schema, spec);
-  if (snapshot_id == 0) {
-    m->metadata = MetadataCounters::Capture() - metadata_start;
-    m->elapsed_ns = clock_->NowNanos() - start_ns;
-    select_sim_ns->Record(m->elapsed_ns);
-    return executor.Finalize();  // empty table
-  }
-
-  // 2+3. Snapshot + commits -> live file list + outstanding merge-on-read
-  // deletes. File-based catalogs hold every commit in compute memory at
-  // once; acceleration streams them.
-  uint64_t commit_sum = 0, commit_max = 0;
-  std::vector<DeleteRecord> delete_records;
-  SL_ASSIGN_OR_RETURN(std::vector<DataFileMeta> files,
-                      ReplaySnapshot(info, snapshot_id, &commit_sum,
-                                     &commit_max, &delete_records));
-  m->metadata = MetadataCounters::Capture() - metadata_start;
-  uint64_t metadata_memory =
-      meta_->mode() == MetadataMode::kFileBased ? commit_sum : commit_max;
-  m->peak_memory_bytes = std::max(m->peak_memory_bytes, metadata_memory);
-  if (options.memory_budget_bytes > 0 &&
-      m->peak_memory_bytes > options.memory_budget_bytes) {
-    return Status::OutOfMemory("metadata working set " +
-                               std::to_string(m->peak_memory_bytes) +
-                               "B exceeds compute memory");
-  }
-
-  // 4. Prune by partition + file stats.
-  std::vector<const DataFileMeta*> scan_files;
-  for (const DataFileMeta& file : files) {
-    if (!FileMayMatch(info, file, spec.where)) {
-      ++m->files_skipped;
-      m->data_bytes_skipped += file.file_bytes;
-      continue;
-    }
-    scan_files.push_back(&file);
-  }
-  static Histogram* fanout =
-      MetricsRegistry::Global().GetHistogram("table.select.fanout");
-  fanout->Record(scan_files.size());
-
-  // 5. Scan survivors, one job per file: fanned out on the shared scan
-  // pool when the facade configured one, inline otherwise. A job holds no
-  // table lock across the simulated device I/O (same discipline as
-  // StreamObject::AppendBatch) and runs a private fragment executor, so
-  // jobs never contend on query state.
-  struct ScanJob {
-    std::unique_ptr<query::Executor> executor;
-    SelectMetrics metrics;
-    Status status;
-  };
-  ColumnSelection required = RequiredColumns(info.schema, spec);
-  std::vector<ScanJob> jobs(scan_files.size());
-  auto run_job = [&](size_t i) {
-    ScanJob& job = jobs[i];
-    ++job.metrics.files_scanned;
-    job.executor = std::make_unique<query::Executor>(info.schema, spec);
-    job.status =
-        ScanOneFile(info, spec, options, delete_records, *scan_files[i],
-                    metadata_memory, required, job.executor.get(),
-                    &job.metrics);
-  };
-  if (scan_pool_ != nullptr && jobs.size() > 1) {
-    static Counter* parallel_jobs =
-        MetricsRegistry::Global().GetCounter("table.select.parallel_jobs");
-    parallel_jobs->Increment(jobs.size());
-    // Per-query completion barrier: the pool is shared across queries, so
-    // a pool-wide Wait() would also wait on other queries' jobs.
-    Mutex barrier_mu{LockRank::kTableScanBarrier, "table.select.barrier"};
-    CondVar done_cv;
-    size_t remaining = jobs.size();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      scan_pool_->Submit([&, i]() {
-        run_job(i);
-        MutexLock done(&barrier_mu);
-        --remaining;
-        done_cv.NotifyAll();
-      });
-    }
-    MutexLock wait(&barrier_mu);
-    while (remaining > 0) done_cv.Wait(&barrier_mu);
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) run_job(i);
-  }
-
-  // 6. Merge fragments deterministically in file order: first failure wins
-  // (where the serial loop would have stopped), float SUMs accumulate in
-  // file order, and ORDER BY / LIMIT run once in Finalize below, after the
-  // merge — so the result is byte-identical to the serial path.
-  for (ScanJob& job : jobs) {
-    SL_RETURN_NOT_OK(job.status);
-    m->files_scanned += job.metrics.files_scanned;
-    m->row_groups_scanned += job.metrics.row_groups_scanned;
-    m->row_groups_skipped += job.metrics.row_groups_skipped;
-    m->data_bytes_read += job.metrics.data_bytes_read;
-    m->bytes_to_compute += job.metrics.bytes_to_compute;
-    m->bytes_decoded += job.metrics.bytes_decoded;
-    m->columns_decoded += job.metrics.columns_decoded;
-    m->rows_materialized += job.metrics.rows_materialized;
-    m->dict_code_prunes += job.metrics.dict_code_prunes;
-    m->peak_memory_bytes =
-        std::max(m->peak_memory_bytes, job.metrics.peak_memory_bytes);
-    SL_RETURN_NOT_OK(executor.MergeFrom(std::move(*job.executor)));
-  }
-  static Counter* bytes_decoded =
-      MetricsRegistry::Global().GetCounter("table.select.bytes_decoded");
-  static Counter* columns_decoded =
-      MetricsRegistry::Global().GetCounter("table.select.columns_decoded");
-  static Counter* rows_materialized =
-      MetricsRegistry::Global().GetCounter("table.select.rows_materialized");
-  static Counter* dict_code_prunes =
-      MetricsRegistry::Global().GetCounter("table.select.dict_code_prunes");
-  bytes_decoded->Increment(m->bytes_decoded);
-  columns_decoded->Increment(m->columns_decoded);
-  rows_materialized->Increment(m->rows_materialized);
-  dict_code_prunes->Increment(m->dict_code_prunes);
-  SL_ASSIGN_OR_RETURN(query::QueryResult result, executor.Finalize());
+  SL_ASSIGN_OR_RETURN(TableInfo info, Info());
+  ExecutorSink sink(info.schema, spec);
+  SL_RETURN_NOT_OK(ScanInto(info, spec.where, options,
+                            RequiredColumns(info.schema, spec), &sink, m)
+                       .status());
+  SL_ASSIGN_OR_RETURN(query::QueryResult result, sink.Finalize());
   m->metadata = MetadataCounters::Capture() - metadata_start;
   m->elapsed_ns = clock_->NowNanos() - start_ns;
   select_sim_ns->Record(m->elapsed_ns);
   return result;
 }
 
-Status Table::ScanOneFile(const TableInfo& info, const query::QuerySpec& spec,
-                          const SelectOptions& options,
-                          const std::vector<DeleteRecord>& delete_records,
-                          const DataFileMeta& file, uint64_t metadata_memory,
-                          const ColumnSelection& required,
-                          query::Executor* executor, SelectMetrics* m) {
-  return ScanFileRows(
-      info, spec.where, options, delete_records, file, metadata_memory,
-      required,
-      [executor](std::vector<format::Row> rows, uint64_t scanned) {
-        return executor->ConsumeFiltered(std::move(rows), scanned);
-      },
-      m);
-}
-
-Status Table::ScanFileRows(
-    const TableInfo& info, const query::Conjunction& where,
-    const SelectOptions& options,
-    const std::vector<DeleteRecord>& delete_records, const DataFileMeta& file,
-    uint64_t metadata_memory, const ColumnSelection& required,
-    const std::function<Status(std::vector<format::Row>, uint64_t)>& consume,
-    SelectMetrics* m) {
-  {
-    MutexLock access_lock(&access_mu_);
-    ++partition_access_[file.partition];
-  }
+Status Table::ScanFileRows(const TableInfo& info,
+                           const query::Conjunction& where,
+                           const std::vector<DeleteRecord>& delete_records,
+                           const DataFileMeta& file,
+                           const ColumnSelection& required,
+                           const std::function<Status(ScannedGroup)>& consume,
+                           SelectMetrics* m) {
   CachedFileReader reader(objects_, block_cache_, file.path);
   SL_RETURN_NOT_OK(reader.Init());
-
-  if (!options.pushdown) {
-    // Whole file crosses the network to the compute engine and sits in
-    // its memory during the scan. A cache hit still pays the transfer —
-    // the cache sits storage-side, saving PLog I/O and decode only.
-    compute_link_->ChargeTransfer(reader.file_bytes());
-    m->bytes_to_compute += reader.file_bytes();
-    m->peak_memory_bytes =
-        std::max(m->peak_memory_bytes, metadata_memory + reader.file_bytes());
-    if (options.memory_budget_bytes > 0 &&
-        m->peak_memory_bytes > options.memory_budget_bytes) {
-      return Status::OutOfMemory("file scan exceeds compute memory");
-    }
-  }
 
   const format::Schema& schema = info.schema;
   const size_t num_fields = schema.num_fields();
@@ -731,17 +611,12 @@ Status Table::ScanFileRows(
       }
     }
 
-    if (impossible) {
-      SL_RETURN_NOT_OK(consume({}, visible_rows));
-      continue;
-    }
-
     // Selection vector: AND each conjunct in, column at a time. Dictionary
     // chunks are evaluated in code space — |dict| predicate evaluations
     // instead of |rows|, and a literal absent from the dictionary
     // short-circuits the whole group without touching the value stream.
     std::vector<char> selected = visible;
-    uint64_t selected_rows = visible_rows;
+    uint64_t selected_rows = impossible ? 0 : visible_rows;
     for (const auto& [p, idx] : preds) {
       if (selected_rows == 0) break;
       SL_ASSIGN_OR_RETURN(const format::ColumnChunkData* chunk,
@@ -814,22 +689,16 @@ Status Table::ScanFileRows(
     }
     m->rows_materialized += matched.size();
 
-    if (options.pushdown) {
-      // Storage-side filter: only matched rows cross the network, charged
-      // at their actual average width from the footer stats rather than a
-      // flat per-row constant.
-      double row_width = 0.0;
-      for (size_t c = 0; c < num_fields; ++c) {
-        if (!(output_col[c] || filter_col[c])) continue;
-        const format::ColumnStats& cs = group.columns[c].stats;
-        row_width += cs.has_extended ? cs.avg_width : 8.0;
-      }
-      uint64_t matched_bytes = static_cast<uint64_t>(
-          row_width * static_cast<double>(matched.size()));
-      compute_link_->ChargeTransfer(matched_bytes);
-      m->bytes_to_compute += matched_bytes;
+    // Actual average width of a delivered row from the footer stats, for
+    // the caller's transfer charge.
+    double row_width = 0.0;
+    for (size_t c = 0; c < num_fields; ++c) {
+      if (!(output_col[c] || filter_col[c])) continue;
+      const format::ColumnStats& cs = group.columns[c].stats;
+      row_width += cs.has_extended ? cs.avg_width : 8.0;
     }
-    SL_RETURN_NOT_OK(consume(std::move(matched), visible_rows));
+    SL_RETURN_NOT_OK(
+        consume(ScannedGroup{std::move(matched), visible_rows, row_width}));
   }
   m->data_bytes_read += reader.storage_bytes_read();
   m->bytes_decoded += reader.bytes_decoded();
@@ -867,14 +736,21 @@ Result<ScanTotals> Table::ScanInto(const query::Conjunction& where,
                                    const ColumnSelection& required,
                                    RowSink* sink, SelectMetrics* metrics) {
   SelectMetrics local_metrics;
-  SelectMetrics* m = metrics != nullptr ? metrics : &local_metrics;
+  SL_ASSIGN_OR_RETURN(TableInfo info, Info());
+  return ScanInto(info, where, options, required, sink,
+                  metrics != nullptr ? metrics : &local_metrics);
+}
 
-  SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name_));
-  if (info.soft_deleted) return Status::NotFound("table dropped");
+Result<ScanTotals> Table::ScanInto(const TableInfo& info,
+                                   const query::Conjunction& where,
+                                   const SelectOptions& options,
+                                   const ColumnSelection& required,
+                                   RowSink* sink, SelectMetrics* m) {
   SL_ASSIGN_OR_RETURN(uint64_t snapshot_id, ResolveSnapshotId(info, options));
-  ScanTotals totals;
-  if (snapshot_id == 0) return totals;  // empty table
 
+  // Snapshot + commits -> live file list + outstanding merge-on-read
+  // deletes (none of either for an empty table). File-based catalogs hold
+  // every commit in compute memory at once; acceleration streams them.
   uint64_t commit_sum = 0, commit_max = 0;
   std::vector<DeleteRecord> delete_records;
   SL_ASSIGN_OR_RETURN(std::vector<DataFileMeta> files,
@@ -890,6 +766,7 @@ Result<ScanTotals> Table::ScanInto(const query::Conjunction& where,
                                "B exceeds compute memory");
   }
 
+  // Prune by partition + file stats.
   std::vector<const DataFileMeta*> scan_files;
   for (const DataFileMeta& file : files) {
     if (!FileMayMatch(info, file, where)) {
@@ -899,93 +776,78 @@ Result<ScanTotals> Table::ScanInto(const query::Conjunction& where,
     }
     scan_files.push_back(&file);
   }
+  static Histogram* fanout =
+      MetricsRegistry::Global().GetHistogram("table.select.fanout");
+  fanout->Record(scan_files.size());
 
-  // One job per surviving file, fanned out like Select. Each job filters
-  // its rows locally, then hands the finished fragment to the sink from
-  // the pool thread — so a join probe can run concurrently per fragment —
-  // and only then joins the barrier. Totals merge in file order below, so
-  // the fragment numbering (and every downstream merge) is deterministic.
+  // One job per surviving file. A job holds no table lock across the
+  // simulated device I/O (same discipline as StreamObject::AppendBatch)
+  // and hands each row group to the sink as soon as it is scanned. Totals
+  // and metrics merge in file order below, with the first failure winning.
   struct ScanJob {
     ScanTotals totals;
     SelectMetrics metrics;
     Status status;
   };
   std::vector<ScanJob> jobs(scan_files.size());
-  auto run_job = [&](size_t i) {
-    ScanJob& job = jobs[i];
-    ++job.metrics.files_scanned;
-    std::vector<format::Row> matched;
-    job.status = ScanFileRows(
-        info, where, options, delete_records, *scan_files[i], metadata_memory,
-        required,
-        [&](std::vector<format::Row> rows, uint64_t scanned) {
-          // The scan already filtered column-at-a-time; just count.
-          job.totals.rows_scanned += scanned;
-          job.totals.rows_matched += rows.size();
-          if (matched.empty()) {
-            matched = std::move(rows);
-          } else {
-            matched.insert(matched.end(),
-                           std::make_move_iterator(rows.begin()),
-                           std::make_move_iterator(rows.end()));
-          }
-          return Status::OK();
-        },
-        &job.metrics);
-    if (job.status.ok()) {
-      job.status = sink->ConsumeFragment(i, std::move(matched));
-    }
-  };
   if (scan_pool_ != nullptr && jobs.size() > 1) {
     static Counter* parallel_jobs =
         MetricsRegistry::Global().GetCounter("table.select.parallel_jobs");
     parallel_jobs->Increment(jobs.size());
-    Mutex barrier_mu{LockRank::kTableScanBarrier, "table.select.barrier"};
-    CondVar done_cv;
-    size_t remaining = jobs.size();
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      scan_pool_->Submit([&, i]() {
-        run_job(i);
-        MutexLock done(&barrier_mu);
-        --remaining;
-        done_cv.NotifyAll();
-      });
-    }
-    MutexLock wait(&barrier_mu);
-    while (remaining > 0) done_cv.Wait(&barrier_mu);
-  } else {
-    for (size_t i = 0; i < jobs.size(); ++i) run_job(i);
   }
+  sink->Open(jobs.size());
+  ParallelFor(scan_pool_, jobs.size(), [&](size_t i) {
+    ScanJob& job = jobs[i];
+    const DataFileMeta& file = *scan_files[i];
+    ++job.metrics.files_scanned;
+    {
+      MutexLock access_lock(&access_mu_);
+      ++partition_access_[file.partition];
+    }
+    if (!options.pushdown) {
+      // Whole file crosses the network to the compute engine and sits in
+      // its memory during the scan. A cache hit still pays the transfer —
+      // the cache sits storage-side, saving PLog I/O and decode only.
+      compute_link_->ChargeTransfer(file.file_bytes);
+      job.metrics.bytes_to_compute += file.file_bytes;
+      job.metrics.peak_memory_bytes = metadata_memory + file.file_bytes;
+      if (options.memory_budget_bytes > 0 &&
+          job.metrics.peak_memory_bytes > options.memory_budget_bytes) {
+        job.status = Status::OutOfMemory("file scan exceeds compute memory");
+        return;
+      }
+    }
+    job.status = ScanFileRows(
+        info, where, delete_records, file, required,
+        [&](ScannedGroup group) {
+          if (options.pushdown) {
+            // Storage-side filter: only matched rows cross the network,
+            // charged at their actual average width rather than a flat
+            // per-row constant.
+            uint64_t bytes = static_cast<uint64_t>(
+                group.row_width * static_cast<double>(group.rows.size()));
+            compute_link_->ChargeTransfer(bytes);
+            job.metrics.bytes_to_compute += bytes;
+          }
+          job.totals.rows_scanned += group.visible_rows;
+          job.totals.rows_matched += group.rows.size();
+          return sink->Consume(i, std::move(group.rows), group.visible_rows);
+        },
+        &job.metrics);
+  });
 
+  ScanTotals totals;
   totals.fragments = jobs.size();
   // `m` accumulates across calls (plan_runner shares one capture), so the
   // registry counters get this call's delta, not the running totals.
   SelectMetrics delta;
-  for (ScanJob& job : jobs) {
+  for (const ScanJob& job : jobs) {
     SL_RETURN_NOT_OK(job.status);
     totals.rows_scanned += job.totals.rows_scanned;
     totals.rows_matched += job.totals.rows_matched;
-    delta.files_scanned += job.metrics.files_scanned;
-    delta.row_groups_scanned += job.metrics.row_groups_scanned;
-    delta.row_groups_skipped += job.metrics.row_groups_skipped;
-    delta.data_bytes_read += job.metrics.data_bytes_read;
-    delta.bytes_to_compute += job.metrics.bytes_to_compute;
-    delta.bytes_decoded += job.metrics.bytes_decoded;
-    delta.columns_decoded += job.metrics.columns_decoded;
-    delta.rows_materialized += job.metrics.rows_materialized;
-    delta.dict_code_prunes += job.metrics.dict_code_prunes;
-    m->peak_memory_bytes =
-        std::max(m->peak_memory_bytes, job.metrics.peak_memory_bytes);
+    delta.Merge(job.metrics);
   }
-  m->files_scanned += delta.files_scanned;
-  m->row_groups_scanned += delta.row_groups_scanned;
-  m->row_groups_skipped += delta.row_groups_skipped;
-  m->data_bytes_read += delta.data_bytes_read;
-  m->bytes_to_compute += delta.bytes_to_compute;
-  m->bytes_decoded += delta.bytes_decoded;
-  m->columns_decoded += delta.columns_decoded;
-  m->rows_materialized += delta.rows_materialized;
-  m->dict_code_prunes += delta.dict_code_prunes;
+  m->Merge(delta);
   static Counter* bytes_decoded =
       MetricsRegistry::Global().GetCounter("table.select.bytes_decoded");
   static Counter* columns_decoded =
@@ -999,13 +861,6 @@ Result<ScanTotals> Table::ScanInto(const query::Conjunction& where,
   rows_materialized->Increment(delta.rows_materialized);
   dict_code_prunes->Increment(delta.dict_code_prunes);
   return totals;
-}
-
-Result<std::vector<format::Row>> Table::ReadDataFileRows(
-    const DataFileMeta& file) {
-  CachedFileReader reader(objects_, block_cache_, file.path);
-  SL_RETURN_NOT_OK(reader.Init());
-  return reader.ReadAllRows();
 }
 
 Result<std::vector<ColumnFooterStats>> Table::AggregateFooterStats() {
@@ -1089,17 +944,18 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
   if (touched.empty()) return deleted_rows;
 
   if (options_.delete_mode == DeleteMode::kMergeOnRead) {
-    // Count the rows the predicate will mask (a read-only scan), then
-    // record the delete; no data files are rewritten.
+    // Count the visible rows the predicate will mask (a read-only scan
+    // that materializes only the filter columns), then record the delete;
+    // no data files are rewritten.
+    SelectMetrics scan_metrics;
     for (const DataFileMeta& file : touched) {
-      SL_ASSIGN_OR_RETURN(std::vector<format::Row> rows,
-                          ReadDataFileRows(file));
-      for (const format::Row& row : rows) {
-        if (where.Matches(info.schema, row) &&
-            !RowMasked(prior_deletes, file.added_seq, info.schema, row)) {
-          ++deleted_rows;
-        }
-      }
+      SL_RETURN_NOT_OK(ScanFileRows(
+          info, where, prior_deletes, file, ColumnSelection::Of({}),
+          [&](ScannedGroup group) {
+            deleted_rows += group.rows.size();
+            return Status::OK();
+          },
+          &scan_metrics));
     }
     CommitRequest request;
     request.base_snapshot_id = info.current_snapshot_id;
@@ -1144,37 +1000,34 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
   request.base_snapshot_id = info.current_snapshot_id;
   request.is_rewrite = true;
   uint64_t affected = 0;
+  SelectMetrics scan_metrics;
   Status s = Status::OK();
   for (const DataFileMeta& file : files) {
     if (!FileMayMatch(info, file, where)) continue;
-    auto rows_or = ReadDataFileRows(file);
-    if (!rows_or.ok()) {
-      s = rows_or.status();
-      break;
-    }
-    std::vector<format::Row> rows = std::move(*rows_or);
+    // Rewriting physically applies outstanding merge-on-read deletes: the
+    // scan delivers only visible rows, so masked rows are dropped, never
+    // resurrected.
     std::vector<format::Row> rewritten;
-    rewritten.reserve(rows.size());
+    uint64_t visible = 0;
     uint64_t matched = 0;
-    uint64_t masked = 0;
-    for (format::Row& row : rows) {
-      // Rewriting physically applies outstanding merge-on-read deletes:
-      // masked rows are dropped, never resurrected.
-      if (RowMasked(prior_deletes, file.added_seq, info.schema, row)) {
-        ++masked;
-        continue;
-      }
-      if (where.Matches(info.schema, row)) {
-        ++matched;
-        if (keep_rewritten) {
-          row.fields[set_col] = *set_value;
-          rewritten.push_back(std::move(row));
-        }
-      } else {
-        rewritten.push_back(std::move(row));
-      }
-    }
-    if (matched == 0 && masked == 0) {
+    s = ScanFileRows(
+        info, query::Conjunction(), prior_deletes, file,
+        ColumnSelection::All(),
+        [&](ScannedGroup group) {
+          visible += group.visible_rows;
+          for (format::Row& row : group.rows) {
+            if (where.Matches(info.schema, row)) {
+              ++matched;
+              if (!keep_rewritten) continue;
+              row.fields[set_col] = *set_value;
+            }
+            rewritten.push_back(std::move(row));
+          }
+          return Status::OK();
+        },
+        &scan_metrics);
+    if (!s.ok()) break;
+    if (matched == 0 && visible == file.record_count) {
       continue;  // stats were conservative; file untouched
     }
     affected += matched;
@@ -1245,21 +1098,23 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
     bin_bytes = 0;
     return Status::OK();
   };
+  SelectMetrics scan_metrics;
   Status s = Status::OK();
   for (const DataFileMeta& file : small) {
-    auto rows_or = ReadDataFileRows(file);
-    if (!rows_or.ok()) {
-      s = rows_or.status();
-      break;
-    }
+    // Compaction physically applies outstanding merge-on-read deletes: the
+    // scan delivers only visible rows.
+    s = ScanFileRows(
+        info, query::Conjunction(), prior_deletes, file,
+        ColumnSelection::All(),
+        [&](ScannedGroup group) {
+          bin_rows.insert(bin_rows.end(),
+                          std::make_move_iterator(group.rows.begin()),
+                          std::make_move_iterator(group.rows.end()));
+          return Status::OK();
+        },
+        &scan_metrics);
+    if (!s.ok()) break;
     result.bytes_rewritten += file.file_bytes;
-    for (format::Row& row : *rows_or) {
-      // Compaction physically applies outstanding merge-on-read deletes.
-      if (RowMasked(prior_deletes, file.added_seq, info.schema, row)) {
-        continue;
-      }
-      bin_rows.push_back(std::move(row));
-    }
     bin_bytes += file.file_bytes;
     request.removed.push_back(file);
     if (bin_bytes >= options_.target_file_bytes) {

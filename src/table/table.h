@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_TABLE_TABLE_H_
 #define STREAMLAKE_TABLE_TABLE_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -75,6 +76,11 @@ struct SelectMetrics {
   uint64_t columns_decoded = 0;    // column chunks decoded
   uint64_t rows_materialized = 0;  // rows materialized after selection
   uint64_t dict_code_prunes = 0;   // groups short-circuited in code space
+
+  /// Fold in the scan counters of `other` (one scan job, or one ScanInto
+  /// pass): counts add, peak memory takes the max. `metadata` and
+  /// `elapsed_ns` are per-query captures and are left alone.
+  void Merge(const SelectMetrics& other);
 };
 
 struct CompactionResult {
@@ -108,16 +114,43 @@ struct ColumnFooterStats {
   double avg_width = 0.0;
 };
 
-/// \brief Receiver of filtered scan fragments (ScanInto). One fragment per
-/// pruned-in data file, identified by its deterministic file-order index.
-/// ConsumeFragment is called concurrently from scan-pool jobs — the sink
-/// synchronizes internally (its lock ranks below kTableScanBarrier so a
-/// job can append while the query thread waits on the barrier).
+/// \brief Receiver of ScanInto's output. One fragment per pruned-in data
+/// file, identified by its deterministic file-order index.
 class RowSink {
  public:
   virtual ~RowSink() = default;
-  virtual Status ConsumeFragment(size_t fragment,
-                                 std::vector<format::Row> rows) = 0;
+  /// Called once per ScanInto, before any Consume, with the number of
+  /// fragments the scan will deliver.
+  virtual void Open(size_t fragments) = 0;
+  /// One scanned row group of `fragment`: the rows that passed the filter,
+  /// out of `visible_rows` rows left after merge-on-read masking. A
+  /// fragment's calls come serially, in row-group order, from its scan
+  /// job; different fragments' calls run concurrently on the scan pool, so
+  /// an implementation touches only per-fragment state here.
+  virtual Status Consume(size_t fragment, std::vector<format::Row> rows,
+                         uint64_t visible_rows) = 0;
+};
+
+/// \brief The sink every query result comes from (Table::Select and the
+/// plan runner's joins): one query::Executor per fragment, fed by that
+/// fragment's scan job, folded with MergeFrom in file order by Finalize.
+/// ORDER BY / LIMIT run once after the merge and float SUMs fold in file
+/// order, so the result is byte-identical however the jobs were scheduled.
+class ExecutorSink : public RowSink {
+ public:
+  ExecutorSink(const format::Schema& schema, const query::QuerySpec& spec);
+
+  void Open(size_t fragments) override;
+  Status Consume(size_t fragment, std::vector<format::Row> rows,
+                 uint64_t visible_rows) override;
+
+  /// Merge the fragments in file order and produce the result.
+  Result<query::QueryResult> Finalize();
+
+ private:
+  const format::Schema schema_;
+  const query::QuerySpec spec_;
+  std::vector<query::Executor> fragments_;
 };
 
 /// Row counters of one ScanInto pass, merged in fragment order.
@@ -136,7 +169,7 @@ struct ScanTotals {
 /// Conflict when a commit after their base touched the same partitions.
 class Table {
  public:
-  /// `scan_pool` (optional) parallelizes Select across data files;
+  /// `scan_pool` (optional) parallelizes scans across data files;
   /// `block_cache` (optional) serves repeat reads of decoded row groups.
   /// Both are shared across tables and owned by the core facade.
   Table(std::string name, MetadataStore* meta, storage::ObjectStore* objects,
@@ -150,7 +183,9 @@ class Table {
   /// commit (metadata caching per Fig. 9 when accelerated).
   Status Insert(const std::vector<format::Row>& rows);
 
-  /// SELECT with pruning, optional pushdown, optional time travel.
+  /// SELECT with pruning, optional pushdown, optional time travel: a
+  /// ScanInto an ExecutorSink of `spec`, plus the per-query metrics
+  /// capture (`metrics` is reset, then filled).
   Result<query::QueryResult> Select(const query::QuerySpec& spec,
                                     const SelectOptions& options = {},
                                     SelectMetrics* metrics = nullptr);
@@ -160,14 +195,14 @@ class Table {
   /// up front so no scan observes a torn cross-table state.
   Result<uint64_t> ResolveSnapshot(const SelectOptions& options) const;
 
-  /// Plan-tree scan leaf: stream the rows matching `where` into `sink`,
-  /// one fragment per surviving data file, with the same pruning,
-  /// parallel fan-out, and deterministic fragment order as Select.
-  /// Fragments are delivered concurrently from scan-pool jobs; totals and
-  /// `metrics` (accumulated, not reset — callers own per-query capture)
-  /// merge in file order with first failure winning. Only `required`
-  /// columns (plus predicate columns) are decoded and materialized;
-  /// omitted fields of delivered rows are NULL.
+  /// The scan pipeline behind every read: catalog -> snapshot replay ->
+  /// partition/file-stats pruning -> one job per surviving data file,
+  /// fanned out on the scan pool with ParallelFor -> `sink`. Each job
+  /// hands every row group's matched rows straight to the sink. Totals
+  /// and `metrics` (accumulated, not reset — callers own per-query
+  /// capture) merge in file order with first failure winning. Only
+  /// `required` columns (plus predicate columns) are decoded and
+  /// materialized; omitted fields of delivered rows are NULL.
   Result<ScanTotals> ScanInto(const query::Conjunction& where,
                               const SelectOptions& options,
                               const ColumnSelection& required, RowSink* sink,
@@ -206,7 +241,7 @@ class Table {
 
   Result<TableInfo> Info() const;
 
-  /// How often each partition's files were scanned by SELECTs — the "data
+  /// How often each partition's files were scanned by reads — the "data
   /// access frequency" partition feature of the LakeBrain state
   /// (Section VI-A).
   std::map<std::string, uint64_t> PartitionAccessCounts() const;
@@ -244,11 +279,6 @@ class Table {
       uint64_t* commit_meta_bytes_sum, uint64_t* commit_meta_bytes_max,
       std::vector<DeleteRecord>* deletes = nullptr);
 
-  /// Is `row` of a file added at `added_seq` masked by a later delete?
-  static bool RowMasked(const std::vector<DeleteRecord>& deletes,
-                        uint64_t added_seq, const format::Schema& schema,
-                        const format::Row& row);
-
   /// Can a file possibly contain matching rows?
   bool FileMayMatch(const TableInfo& info, const DataFileMeta& file,
                     const query::Conjunction& where) const;
@@ -268,39 +298,36 @@ class Table {
                                    const std::string& set_column,
                                    const format::Value* set_value);
 
-  /// One Select scan job: open/decode/execute a single pruned-in file into
-  /// the job's private `executor` + `m`. Runs on the scan pool (or inline
-  /// when there is none); holds no table lock across the simulated device
-  /// I/O except the brief access-counter bump.
-  Status ScanOneFile(const TableInfo& info, const query::QuerySpec& spec,
-                     const SelectOptions& options,
-                     const std::vector<DeleteRecord>& delete_records,
-                     const DataFileMeta& file, uint64_t metadata_memory,
-                     const ColumnSelection& required,
-                     query::Executor* executor, SelectMetrics* m);
+  /// ScanInto against an already-read catalog entry.
+  Result<ScanTotals> ScanInto(const TableInfo& info,
+                              const query::Conjunction& where,
+                              const SelectOptions& options,
+                              const ColumnSelection& required, RowSink* sink,
+                              SelectMetrics* m);
 
-  /// Shared body of ScanOneFile/ScanInto jobs — the late-materialization
-  /// pipeline: open one file through the per-column block cache, skip row
-  /// groups by stats against `where` (checking only predicate-referenced
-  /// columns), evaluate each conjunct column-at-a-time into a selection
-  /// vector (dictionary chunks compare codes without decoding values),
-  /// compose the merge-on-read delete mask, decode only surviving
-  /// `required` columns, and hand each group's matched rows to `consume`
-  /// along with the group's visible (unmasked) row count.
-  Status ScanFileRows(
-      const TableInfo& info, const query::Conjunction& where,
-      const SelectOptions& options,
-      const std::vector<DeleteRecord>& delete_records,
-      const DataFileMeta& file, uint64_t metadata_memory,
-      const ColumnSelection& required,
-      const std::function<Status(std::vector<format::Row>, uint64_t)>&
-          consume,
-      SelectMetrics* m);
+  /// One row group's output of ScanFileRows.
+  struct ScannedGroup {
+    std::vector<format::Row> rows;  // visible rows that match `where`
+    uint64_t visible_rows = 0;      // rows left after merge-on-read masking
+    double row_width = 0.0;         // footer-stats width of a delivered row
+  };
 
-  /// Every row of one data file, through the block cache when attached —
-  /// the shared read helper of the delete-count / rewrite / compaction
-  /// full-file scans.
-  Result<std::vector<format::Row>> ReadDataFileRows(const DataFileMeta& file);
+  /// The one scan of one data file, shared by ScanInto jobs and the
+  /// delete-count / rewrite / compaction paths: open the file through the
+  /// per-column block cache, skip row groups by stats against `where`
+  /// (checking only predicate-referenced columns), compose the
+  /// merge-on-read mask of `delete_records` newer than the file, evaluate
+  /// each conjunct column-at-a-time into a selection vector (dictionary
+  /// chunks compare codes without decoding values), decode only surviving
+  /// `required` columns, and hand each scanned group to `consume`. It has
+  /// no side effect beyond `m`, the block cache and storage reads: access
+  /// counts, compute-link charges and the memory budget are the caller's.
+  Status ScanFileRows(const TableInfo& info, const query::Conjunction& where,
+                      const std::vector<DeleteRecord>& delete_records,
+                      const DataFileMeta& file,
+                      const ColumnSelection& required,
+                      const std::function<Status(ScannedGroup)>& consume,
+                      SelectMetrics* m);
 
   const std::string name_;
   MetadataStore* meta_;
@@ -308,8 +335,11 @@ class Table {
   sim::SimClock* clock_;
   sim::NetworkModel* compute_link_;
   TableOptions options_;
-  ThreadPool* scan_pool_;           // may be nullptr: Select scans serially
+  ThreadPool* scan_pool_;           // may be nullptr: scans run serially
   DecodedBlockCache* block_cache_;  // may be nullptr: reads are uncached
+  // Per-table data-file sequence: with the sim-clock time it makes every
+  // path this table writes unique, and the same inputs name the same files.
+  std::atomic<uint64_t> next_file_seq_{0};
   // Serializes the optimistic-commit protocol (validate + publish); the
   // committed state itself lives in the metadata store.
   Mutex commit_mu_{LockRank::kTableCommit, "table.commit"};

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/coding.h"
@@ -264,6 +268,64 @@ TEST(ThreadPoolDeathTest, SubmitAfterShutdownAborts) {
   // Submit must fail loudly with a report naming the pool.
   EXPECT_DEATH(pool.Submit([] {}),
                "ThreadPool misuse.*test\\.doomed_pool");
+}
+
+TEST(ParallelForTest, RunsEachIndexExactlyOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> runs(kN);
+  ParallelFor(&pool, kN, [&runs](size_t i) { runs[i].fetch_add(1); });
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForTest, RunsInlineWithoutPoolOrForOneIndex) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  auto record = [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  };
+  ParallelFor(nullptr, 3, record);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
+  ParallelFor(&pool, 1, record);
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 0}));
+  ParallelFor(&pool, 0, [](size_t) { ADD_FAILURE() << "no index to run"; });
+}
+
+TEST(ParallelForTest, CallersSharingAPoolWaitOnlyForTheirOwnTasks) {
+  ThreadPool pool(2);
+  std::promise<void> a_started;
+  std::promise<void> release_a;
+  std::shared_future<void> released = release_a.get_future().share();
+  std::atomic<bool> a_done{false};
+  std::thread a([&] {
+    ParallelFor(&pool, 2, [&](size_t i) {
+      if (i != 0) return;
+      a_started.set_value();
+      released.wait();
+    });
+    a_done = true;
+  });
+  // A's first task now blocks one of the two workers.
+  a_started.get_future().wait();
+  auto b = std::async(std::launch::async, [&pool] {
+    std::atomic<int> ran{0};
+    ParallelFor(&pool, 4, [&ran](size_t) { ran.fetch_add(1); });
+    return ran.load();
+  });
+  // B's tasks run on the other worker, and B returns without waiting for
+  // A's blocked task.
+  bool b_returned =
+      b.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  EXPECT_TRUE(b_returned);
+  EXPECT_FALSE(a_done.load());
+  release_a.set_value();
+  a.join();
+  EXPECT_TRUE(a_done.load());
+  EXPECT_EQ(b.get(), 4);
 }
 
 }  // namespace

@@ -15,9 +15,10 @@ matched to this codebase's idioms:
     checker's catch).
 
 Lambdas are analyzed where they run: a lambda passed to ThreadPool::Submit
-executes later on a worker with an empty held-set, so its body is excised
-into a synthetic function; every other lambda body stays inline in its
-enclosing function.
+or ParallelFor executes on a worker with an empty held-set, so its body is
+excised into a synthetic deferred function; every other lambda body stays
+inline in its enclosing function. ParallelFor itself is modelled at its
+call sites (a blocking call, like Submit + Wait), not through its body.
 
 Call resolution is by qualified-name heuristics: receiver member/local/param
 type first, own class second, globally unique name third. Anything else
@@ -46,6 +47,7 @@ _SLEEP = re.compile(
 _JOIN = re.compile(r"\.join\s*\(\s*\)")
 _POOL_WAIT = re.compile(r"(?:\.|->)\s*Wait\s*\(\s*\)")
 _SUBMIT = re.compile(r"(?:\.|->)\s*Submit\s*\(")
+_PARALLEL_FOR = re.compile(r"(?<![\w.>])(?:\w+::)*ParallelFor\s*\(")
 _CONDVAR_WAIT = re.compile(
     r"(?:\.|->)\s*Wait(?:For)?\s*\(\s*&\s*([\w.\[\]*>-]+?)\s*[,)]")
 _ASSERT_HELD = re.compile(r"([\w.\[\]*>-]+?)\s*(?:\.|->)\s*AssertHeld\s*\(")
@@ -262,7 +264,8 @@ class Analysis:
     # -- body scanning -----------------------------------------------------
 
     def _run(self):
-        # Excise Submit-lambdas into synthetic deferred functions first,
+        # Excise Submit / ParallelFor lambdas into synthetic deferred
+        # functions first,
         # then summarize everything. Call-argument lambdas are synthesized
         # and summarized on the fly by _lambda_args.
         self._lambda_cache = {}
@@ -383,6 +386,9 @@ class Analysis:
                                held_at(m.start())))
         for m in _SUBMIT.finditer(body):
             s.blocking.append(("submit", "ThreadPool::Submit", m.start(),
+                               held_at(m.start())))
+        for m in _PARALLEL_FOR.finditer(body):
+            s.blocking.append(("parallel-for", "ParallelFor", m.start(),
                                held_at(m.start())))
         for m in _DEVICE_HOOK.finditer(body):
             s.blocking.append(("device-io", m.group(0).rstrip("( \t"),
@@ -522,8 +528,9 @@ class Analysis:
 
     def blocking_closure(self, fn, _stack=None):
         """{(kind, detail): witness_chain} of blocking roots reachable from
-        `fn`. ThreadPool's own internals are excluded: its blocking
-        behaviour is modelled by the submit/pool-wait call-site patterns."""
+        `fn`. ThreadPool's and ParallelFor's own internals are excluded:
+        their blocking behaviour is modelled by the submit / pool-wait /
+        parallel-for call-site patterns."""
         if fn.qualname in self._blocking_cache:
             return self._blocking_cache[fn.qualname]
         _stack = _stack or set()
@@ -531,7 +538,8 @@ class Analysis:
             return {}
         _stack.add(fn.qualname)
         out = {}
-        if fn.cls != "ThreadPool":
+        if fn.cls != "ThreadPool" and \
+                not (fn.cls is None and fn.name == "ParallelFor"):
             for kind, detail, pos, _ in fn.summary.blocking:
                 out.setdefault((kind, detail),
                                [f"{fn.qualname} [{fn.path}:"
@@ -643,7 +651,7 @@ class Analysis:
         """{class_name: reason} for every class whose instances are
         thread-shared: it owns synchronization state (a mutex, condvar, or
         atomic member — the class itself declares concurrent entry), or
-        its methods are reachable from a deferred ThreadPool::Submit
+        its methods are reachable from a deferred Submit / ParallelFor
         lambda through non-local receivers (the instance escapes onto a
         pool worker)."""
         if self._escaped_cache is not None:
@@ -930,15 +938,21 @@ def _close_brace(body, open_brace):
 
 
 def _excise_submit_lambdas(analysis, fn):
-    """Cut lambda bodies passed to Submit() out of `fn`'s body (replaced by
-    spaces, newlines kept) and register them as synthetic deferred
-    functions analyzed with an empty entry held-set."""
+    """Cut lambda bodies passed to Submit() or ParallelFor() out of `fn`'s
+    body (replaced by spaces, newlines kept) and register them as
+    synthetic deferred functions analyzed with an empty entry held-set."""
     from .parsing import FunctionInfo  # local import to avoid cycle
     body = fn.body
     excised = []
     lams = []
-    for m in _SUBMIT.finditer(body):
-        lm = _LAMBDA.search(body, m.end(), min(len(body), m.end() + 80))
+    calls = sorted(list(_SUBMIT.finditer(body)) +
+                   list(_PARALLEL_FOR.finditer(body)),
+                   key=lambda m: m.start())
+    for m in calls:
+        close_paren = _match_paren(body, m.end() - 1)
+        lm = _LAMBDA.search(body, m.end(),
+                            close_paren if close_paren is not None
+                            else len(body))
         if lm is None:
             continue
         open_brace = lm.end() - 1

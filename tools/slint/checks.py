@@ -155,6 +155,7 @@ _BLOCK_DESC = {
     "join": "a thread join",
     "pool-wait": "ThreadPool::Wait (drains the whole queue)",
     "submit": "ThreadPool::Submit (takes the pool lock, can wake workers)",
+    "parallel-for": "ParallelFor (submits jobs to a pool and waits for them)",
     "condvar": "a condition wait",
     "device-io": "device I/O (reaches the io_delay_hook fault point)",
 }

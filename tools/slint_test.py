@@ -208,6 +208,32 @@ void Waiter::WaitHoldingForeign() {
         # Waiting with a FOREIGN lock also held parks that lock: flagged.
         self.assertIn(("S2", "Waiter::WaitHoldingForeign:condvar"), s2)
 
+    def test_parallel_for_under_a_held_lock_is_found(self):
+        # ParallelFor submits jobs and waits for all of them, so calling it
+        # with a lock held parks that lock for the whole fan-out. Its job
+        # runs on a worker with nothing held: no low -> high edge.
+        _, _, findings, edges = analyze({
+            "widget.h": WIDGET_H,
+            "widget.cc": """
+#include "widget.h"
+void Widget::SleepTwoFramesDown() {
+  MutexLock lock(&low_);
+  ParallelFor(pool_, 4, [this](size_t i) {
+    MutexLock inner(&high_);
+  });
+}
+void Widget::GuardedWrite() {
+  ParallelFor(pool_, 4, [this](size_t i) { (void)i; });
+  MutexLock lock(&low_);
+  count_ = 1;
+}
+""",
+        })
+        s2 = keys(findings, "S2")
+        self.assertIn(("S2", "Widget::SleepTwoFramesDown:parallel-for"), s2)
+        self.assertNotIn(("S2", "Widget::GuardedWrite:parallel-for"), s2)
+        self.assertNotIn(("fix.low", "fix.high"), edges)
+
     def test_no_lock_held_means_no_finding(self):
         _, _, findings, _ = analyze({
             "widget.h": WIDGET_H,
@@ -304,6 +330,29 @@ class Tracker {
 #include "tracker.h"
 void Tracker::Kick() {
   pool_->Submit([this] { hits_ = hits_ + 1; });
+}
+""",
+        })
+        self.assertIn(("S5", "Tracker:hits_"), keys(findings, "S5"))
+
+    def test_parallel_for_job_write_to_unannotated_member_is_found(self):
+        # A ParallelFor job is deferred like a Submit lambda: what it
+        # writes is seen by the escape pass.
+        _, _, findings, _ = analyze({
+            "tracker.h": """
+#pragma once
+class Tracker {
+ public:
+  void Kick();
+ private:
+  ThreadPool* pool_;
+  int hits_ = 0;
+};
+""",
+            "tracker.cc": """
+#include "tracker.h"
+void Tracker::Kick() {
+  ParallelFor(pool_, 2, [this](size_t i) { hits_ = hits_ + 1; });
 }
 """,
         })
