@@ -401,6 +401,13 @@ struct StreamParamCase {
   bool erasure_coded;
 };
 
+// Names each case by its fields. Without it gtest prints the struct's raw
+// bytes, padding included, so the test names changed from run to run.
+void PrintTo(const StreamParamCase& c, std::ostream* os) {
+  *os << (c.io_aggregation ? "aggregated" : "direct") << "_slice"
+      << c.records_per_slice << (c.erasure_coded ? "_ec" : "_replicated");
+}
+
 class StreamObjectParam : public ::testing::TestWithParam<StreamParamCase> {};
 
 TEST_P(StreamObjectParam, OrderingAndReadbackInvariant) {
