@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "core/streamlake.h"
-#include "sql/engine.h"
 #include "workload/dpi_log.h"
 
 using namespace streamlake;
@@ -58,9 +57,8 @@ int main() {
               converted->table_name.c_str());
 
   // 5. Query it with the Fig. 13 SQL, pushed down into storage.
-  sql::Engine engine(&lake.lakehouse());
   table::SelectMetrics metrics;
-  auto result = engine.Execute(
+  auto result = lake.Query(
       "SELECT COUNT(*) AS DAU "
       "FROM dpi_logs "
       "WHERE url = 'http://streamlake_fin_app.com' "

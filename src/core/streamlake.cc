@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "sql/engine.h"
 #include "table/block_cache.h"
 
 namespace streamlake::core {
@@ -174,8 +173,8 @@ std::string StreamLake::ClusterReport::ToString() const {
 
 Result<query::QueryResult> StreamLake::Query(const std::string& sql,
                                              table::SelectMetrics* metrics) {
-  sql::Engine engine(lakehouse_.get());
-  return engine.Execute(sql, metrics);
+  SL_ASSIGN_OR_RETURN(query::SqlStatement statement, query::ParseSql(sql));
+  return lakehouse_->Query(statement, {}, metrics);
 }
 
 Status StreamLake::RunBackgroundWork() {

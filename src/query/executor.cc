@@ -12,24 +12,11 @@ Executor::Executor(const format::Schema& schema, const QuerySpec& spec)
 }
 
 Status Executor::Consume(const std::vector<format::Row>& rows) {
-  SL_RETURN_NOT_OK(init_status_);
+  std::vector<format::Row> matched;
   for (const format::Row& row : rows) {
-    ++rows_scanned_;
-    if (!spec_.where.Matches(schema_, row)) continue;
-    ++rows_matched_;
-
-    if (spec_.aggregates.empty()) {
-      if (!project_.active()) {
-        plain_rows_.push_back(row);
-      } else {
-        plain_rows_.push_back(project_.Apply(row));
-      }
-      continue;
-    }
-
-    aggregate_.Consume(row);
+    if (spec_.where.Matches(schema_, row)) matched.push_back(row);
   }
-  return Status::OK();
+  return ConsumeFiltered(std::move(matched), rows.size());
 }
 
 Status Executor::ConsumeFiltered(std::vector<format::Row> rows,
@@ -38,15 +25,13 @@ Status Executor::ConsumeFiltered(std::vector<format::Row> rows,
   rows_scanned_ += scanned;
   rows_matched_ += rows.size();
   for (format::Row& row : rows) {
-    if (spec_.aggregates.empty()) {
-      if (!project_.active()) {
-        plain_rows_.push_back(std::move(row));
-      } else {
-        plain_rows_.push_back(project_.Apply(row));
-      }
-      continue;
+    if (!spec_.aggregates.empty()) {
+      aggregate_.Consume(row);
+    } else if (project_.active()) {
+      plain_rows_.push_back(project_.Apply(row));
+    } else {
+      plain_rows_.push_back(std::move(row));
     }
-    aggregate_.Consume(row);
   }
   return Status::OK();
 }
@@ -89,20 +74,12 @@ Result<QueryResult> Executor::Finalize() {
       }
     }
     result.rows = std::move(plain_rows_);
-    if (!spec_.order_by.empty()) {
-      static Counter* sort_rows =
-          MetricsRegistry::Global().GetCounter("query.op.sort.rows");
-      sort_rows->Increment(result.rows.size());
-    }
-    SL_RETURN_NOT_OK(ApplySortLimit(spec_.order_by, spec_.order_descending,
-                                    spec_.limit, &result));
-    return result;
+  } else {
+    static Counter* aggregate_rows =
+        MetricsRegistry::Global().GetCounter("query.op.aggregate.rows");
+    aggregate_rows->Increment(aggregate_.rows_consumed());
+    aggregate_.Finalize(&result);
   }
-
-  static Counter* aggregate_rows =
-      MetricsRegistry::Global().GetCounter("query.op.aggregate.rows");
-  aggregate_rows->Increment(aggregate_.rows_consumed());
-  aggregate_.Finalize(&result);
   if (!spec_.order_by.empty()) {
     static Counter* sort_rows =
         MetricsRegistry::Global().GetCounter("query.op.sort.rows");

@@ -11,16 +11,18 @@ namespace streamlake::query {
 
 /// \brief In-memory relational executor used both at the "compute engine"
 /// side and storage-side when computation pushdown is enabled. A thin
-/// facade over the composable operators (filter -> project | aggregate ->
-/// sort/limit): it keeps the scan-fragment contract the parallel Select
-/// path relies on (Consume per fragment, MergeFrom in deterministic file
-/// order, Finalize once).
+/// facade over the composable operators (project | aggregate ->
+/// sort/limit): it keeps the scan-fragment contract the scan pipeline
+/// relies on (ConsumeFiltered per fragment, MergeFrom in deterministic
+/// file order, Finalize once).
 class Executor {
  public:
-  /// Run `spec` over `rows`; append results/counters into `result`
-  /// (callable once per file/fragment, then Finalize).
+  /// Executes `spec` over the rows consumed (once per file/fragment, then
+  /// Finalize).
   Executor(const format::Schema& schema, const QuerySpec& spec);
 
+  /// The row-at-a-time reference: evaluate `spec.where` on every row, then
+  /// ConsumeFiltered the matches.
   Status Consume(const std::vector<format::Row>& rows);
 
   /// Consume rows the scan already filtered column-at-a-time: `rows` are

@@ -158,8 +158,9 @@ std::unique_ptr<PlanNode> AttachOutputOperators(
 }
 
 /// Single-table lowering: strip the table's own qualifier off every
-/// column reference; the executor validates names against the table
-/// schema at run time (keeping pre-refactor error messages byte-exact).
+/// column reference. WHERE literals are checked against the schema here;
+/// the executor validates output names at run time (keeping its error
+/// messages byte-exact).
 Result<std::unique_ptr<PlanNode>> PlanSingleTable(
     const SqlStatement& statement, const PlanTableRef& ref) {
   auto strip = [&](const std::string& name) -> Result<std::string> {
@@ -177,11 +178,13 @@ Result<std::unique_ptr<PlanNode>> PlanSingleTable(
   scan->alias = ref.alias;
   scan->table_index = 0;
   scan->output_schema = *ref.schema;
+  Conjunction where;
   for (const Predicate& p : statement.select.where.predicates()) {
     Predicate stripped = p;
     SL_ASSIGN_OR_RETURN(stripped.column, strip(p.column));
-    scan->filter.Add(std::move(stripped));
+    where.Add(std::move(stripped));
   }
+  SL_ASSIGN_OR_RETURN(scan->filter, CoerceConjunction(*ref.schema, where));
 
   QuerySpec spec;
   for (const std::string& c : statement.select.projection) {
@@ -256,6 +259,11 @@ Result<std::unique_ptr<PlanNode>> PlanMultiTable(
       routed.column = field;
       scan_filters[j + 1].Add(std::move(routed));
     }
+  }
+
+  for (size_t i = 0; i < refs.size(); ++i) {
+    SL_ASSIGN_OR_RETURN(scan_filters[i],
+                        CoerceConjunction(*refs[i].schema, scan_filters[i]));
   }
 
   auto probe_scan = std::make_unique<ScanNode>();

@@ -156,6 +156,39 @@ Result<Conjunction> Conjunction::DecodeFrom(Decoder* dec) {
   return Conjunction(std::move(predicates));
 }
 
+Result<format::Value> CoerceLiteral(const format::Schema& schema,
+                                    const std::string& column,
+                                    format::Value literal) {
+  int idx = schema.FieldIndex(column);
+  if (idx < 0) {
+    return Status::InvalidArgument("unknown column '" + column + "'");
+  }
+  const format::DataType type = schema.field(idx).type;
+  const format::DataType given = format::TypeOf(literal);
+  if (format::IsNull(literal) || given == type) return literal;
+  if (type == format::DataType::kDouble && given == format::DataType::kInt64) {
+    return format::Value(static_cast<double>(std::get<int64_t>(literal)));
+  }
+  return Status::InvalidArgument(
+      "column '" + column + "' is " + format::DataTypeName(type) +
+      " but literal " + format::ValueToString(literal) + " is " +
+      format::DataTypeName(given));
+}
+
+Result<Conjunction> CoerceConjunction(const format::Schema& schema,
+                                      const Conjunction& where) {
+  Conjunction out;
+  for (Predicate p : where.predicates()) {
+    SL_ASSIGN_OR_RETURN(p.literal,
+                        CoerceLiteral(schema, p.column, std::move(p.literal)));
+    for (format::Value& v : p.in_list) {
+      SL_ASSIGN_OR_RETURN(v, CoerceLiteral(schema, p.column, std::move(v)));
+    }
+    out.Add(std::move(p));
+  }
+  return out;
+}
+
 bool PredicateMayMatchRange(const Predicate& predicate,
                             const format::Value& min,
                             const format::Value& max) {

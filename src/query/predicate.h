@@ -81,6 +81,20 @@ class Conjunction {
   std::vector<Predicate> predicates_;
 };
 
+/// The type check every SQL literal passes before it can reach
+/// CompareValues (which aborts on mixed types): `literal` must fit
+/// `column` of `schema`. NULL fits any column and an INT64 literal on a
+/// DOUBLE column becomes a DOUBLE; an unknown column or any other type
+/// mismatch is InvalidArgument naming the column and both types.
+Result<format::Value> CoerceLiteral(const format::Schema& schema,
+                                    const std::string& column,
+                                    format::Value literal);
+
+/// CoerceLiteral over every predicate of `where`: its column must exist and
+/// its literal (or each IN-list value) fit the column.
+Result<Conjunction> CoerceConjunction(const format::Schema& schema,
+                                      const Conjunction& where);
+
 /// May a single predicate match some value in [min, max]?
 bool PredicateMayMatchRange(const Predicate& predicate,
                             const format::Value& min,

@@ -2,9 +2,23 @@
 
 #include "query/plan.h"
 #include "table/block_cache.h"
-#include "table/plan_runner.h"
 
 namespace streamlake::table {
+
+namespace {
+
+/// The result of a DML statement: one row with the affected-row count.
+Result<query::QueryResult> AffectedRows(Result<uint64_t> count) {
+  SL_RETURN_NOT_OK(count.status());
+  query::QueryResult result;
+  result.column_names = {"affected"};
+  format::Row row;
+  row.fields = {format::Value(static_cast<int64_t>(*count))};
+  result.rows.push_back(std::move(row));
+  return result;
+}
+
+}  // namespace
 
 LakehouseService::LakehouseService(MetadataStore* meta,
                                    storage::ObjectStore* objects,
@@ -69,6 +83,12 @@ Result<Table*> LakehouseService::CreateTable(const std::string& name,
 }
 
 Result<Table*> LakehouseService::GetTable(const std::string& name) {
+  SL_ASSIGN_OR_RETURN(PlanRunner::PinnedTable pinned, PinTable(name));
+  return pinned.table;
+}
+
+Result<PlanRunner::PinnedTable> LakehouseService::PinTable(
+    const std::string& name) {
   MutexLock lock(&mu_);
   SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name));
   if (info.soft_deleted) return Status::NotFound("table " + name + " dropped");
@@ -79,7 +99,7 @@ Result<Table*> LakehouseService::GetTable(const std::string& name) {
                                          scan_pool_, block_cache_);
     it = tables_.emplace(name, std::move(table)).first;
   }
-  return it->second.get();
+  return PlanRunner::PinnedTable{it->second.get(), std::move(info)};
 }
 
 Status LakehouseService::DropTableSoft(const std::string& name) {
@@ -118,74 +138,81 @@ Status LakehouseService::DropTableHard(const std::string& name) {
 Result<query::QueryResult> LakehouseService::Query(
     const query::SqlStatement& statement, const SelectOptions& options,
     SelectMetrics* metrics) {
-  if (statement.kind != query::SqlStatement::Kind::kSelect) {
-    return Status::InvalidArgument("Query executes SELECT statements only");
-  }
-  SL_ASSIGN_OR_RETURN(Table* from, GetTable(statement.table));
-  const std::string& from_alias = statement.table_alias.empty()
-                                      ? statement.table
-                                      : statement.table_alias;
-
-  if (statement.joins.empty()) {
-    // Single-table: the plan collapses back into Table::Select, which
-    // resolves its own snapshot and captures its own metrics — exactly
-    // the pre-plan-tree behavior.
-    SL_ASSIGN_OR_RETURN(TableInfo info, from->Info());
-    std::vector<query::PlanTableRef> refs{
-        {statement.table, from_alias, &info.schema}};
-    SL_ASSIGN_OR_RETURN(std::unique_ptr<query::PlanNode> root,
-                        query::PlanSelect(statement, refs));
-    PlanRunner runner({{from, 0}}, options);
-    return runner.Run(*root, metrics);
-  }
-
-  if (options.snapshot_id != 0) {
-    return Status::InvalidArgument(
-        "snapshot_id cannot be combined with joins: snapshot ids are "
-        "per-table");
-  }
-  SelectMetrics local_metrics;
-  SelectMetrics* m = metrics != nullptr ? metrics : &local_metrics;
-  *m = SelectMetrics();
-  uint64_t start_ns = clock_->NowNanos();
-  MetadataCounters metadata_start = MetadataCounters::Capture();
-
-  std::vector<Table*> tables{from};
-  for (const query::JoinSpec& join : statement.joins) {
-    SL_ASSIGN_OR_RETURN(Table* joined, GetTable(join.table));
-    tables.push_back(joined);
-  }
-  // Pin one snapshot per table in a single tight pass BEFORE any scan
-  // starts: a commit landing after this point affects none of the scans,
-  // so the join never observes a torn cross-table state. Per-table
-  // as_of_timestamp resolution = one consistent point in time.
-  std::vector<PlanRunner::PinnedTable> pinned;
-  std::vector<TableInfo> infos;
-  pinned.reserve(tables.size());
-  infos.reserve(tables.size());  // refs hold schema pointers: no realloc
-  for (Table* t : tables) {
-    SL_ASSIGN_OR_RETURN(uint64_t snapshot_id, t->ResolveSnapshot(options));
-    pinned.push_back({t, snapshot_id});
-    SL_ASSIGN_OR_RETURN(TableInfo info, t->Info());
-    infos.push_back(std::move(info));
+  using Kind = query::SqlStatement::Kind;
+  if (statement.kind == Kind::kSelect) {
+    return CaptureQuery(
+        clock_, metrics, [&](SelectMetrics* m) -> Result<query::QueryResult> {
+          if (options.snapshot_id != 0 && !statement.joins.empty()) {
+            return Status::InvalidArgument(
+                "snapshot_id cannot be combined with joins: snapshot ids "
+                "are per-table");
+          }
+          // The pin pass: one catalog read per referenced table, all before
+          // any scan starts. Per-table as_of_timestamp resolution against
+          // these entries = one consistent point in time.
+          std::vector<query::PlanTableRef> refs{
+              {statement.table, statement.table_alias, nullptr}};
+          for (const query::JoinSpec& join : statement.joins) {
+            refs.push_back({join.table, join.alias, nullptr});
+          }
+          std::vector<PlanRunner::PinnedTable> pinned;
+          for (query::PlanTableRef& ref : refs) {
+            if (ref.alias.empty()) ref.alias = ref.table;
+            SL_ASSIGN_OR_RETURN(PlanRunner::PinnedTable table,
+                                PinTable(ref.table));
+            pinned.push_back(std::move(table));
+          }
+          for (size_t i = 0; i < refs.size(); ++i) {
+            refs[i].schema = &pinned[i].info.schema;
+          }
+          SL_ASSIGN_OR_RETURN(std::unique_ptr<query::PlanNode> root,
+                              query::PlanSelect(statement, refs));
+          PlanRunner runner(std::move(pinned), options);
+          return runner.Run(*root, m);
+        });
   }
 
-  std::vector<query::PlanTableRef> refs;
-  refs.push_back({statement.table, from_alias, &infos[0].schema});
-  for (size_t j = 0; j < statement.joins.size(); ++j) {
-    const query::JoinSpec& join = statement.joins[j];
-    refs.push_back({join.table,
-                    join.alias.empty() ? join.table : join.alias,
-                    &infos[j + 1].schema});
+  // DML: check every literal against the pinned schema, then run the
+  // statement's single commit.
+  SL_ASSIGN_OR_RETURN(PlanRunner::PinnedTable pinned,
+                      PinTable(statement.table));
+  const format::Schema& schema = pinned.info.schema;
+  SL_ASSIGN_OR_RETURN(query::Conjunction where,
+                      query::CoerceConjunction(schema, statement.where));
+  switch (statement.kind) {
+    case Kind::kInsert: {
+      std::vector<format::Row> rows;
+      rows.reserve(statement.insert_rows.size());
+      for (const std::vector<format::Value>& values : statement.insert_rows) {
+        format::Row row;
+        row.fields = values;
+        // Arity mismatches are left to Table::Insert's row validation.
+        for (size_t c = 0; c < row.fields.size() && c < schema.num_fields();
+             ++c) {
+          SL_ASSIGN_OR_RETURN(row.fields[c],
+                              query::CoerceLiteral(schema,
+                                                   schema.field(c).name,
+                                                   std::move(row.fields[c])));
+        }
+        rows.push_back(std::move(row));
+      }
+      SL_RETURN_NOT_OK(pinned.table->Insert(rows));
+      return AffectedRows(rows.size());
+    }
+    case Kind::kDelete:
+      return AffectedRows(pinned.table->Delete(where));
+    case Kind::kUpdate: {
+      SL_ASSIGN_OR_RETURN(
+          format::Value value,
+          query::CoerceLiteral(schema, statement.set_column,
+                               statement.set_value));
+      return AffectedRows(
+          pinned.table->Update(where, statement.set_column, value));
+    }
+    case Kind::kSelect:
+      break;  // handled above
   }
-
-  SL_ASSIGN_OR_RETURN(std::unique_ptr<query::PlanNode> root,
-                      query::PlanSelect(statement, refs));
-  PlanRunner runner(std::move(pinned), options);
-  SL_ASSIGN_OR_RETURN(query::QueryResult result, runner.Run(*root, m));
-  m->metadata = MetadataCounters::Capture() - metadata_start;
-  m->elapsed_ns = clock_->NowNanos() - start_ns;
-  return result;
+  return Status::InvalidArgument("unknown statement kind");
 }
 
 Result<Table*> LakehouseService::RestoreTable(const std::string& name) {

@@ -7,6 +7,7 @@
 
 #include "common/mutex.h"
 #include "query/sql_parser.h"
+#include "table/plan_runner.h"
 #include "table/table.h"
 
 namespace streamlake::table {
@@ -34,13 +35,20 @@ class LakehouseService {
   /// Resolve a live table.
   Result<Table*> GetTable(const std::string& name);
 
-  /// Execute a parsed SELECT — the multi-table read entry point. Every
-  /// referenced table is resolved and its snapshot pinned in one pass
-  /// BEFORE any scan starts, so a join never observes a torn cross-table
-  /// state (a commit landing mid-query affects either all of its scans or
-  /// none). Single-table statements keep Table::Select's exact behavior.
-  /// `options.snapshot_id` cannot be combined with joins: snapshot ids
-  /// are per-table.
+  /// Execute one parsed SQL statement — the executor of all SQL.
+  ///
+  /// SELECT, joined or not, takes one path: a pin pass reads each
+  /// referenced table's catalog entry once, BEFORE any scan starts, so a
+  /// join never observes a torn cross-table state (a commit landing
+  /// mid-query affects either all of its scans or none); then the plan runs
+  /// on PlanRunner under CaptureQuery. A single-table SELECT does exactly
+  /// the work of Table::Select of the same spec. `options.snapshot_id`
+  /// cannot be combined with joins: snapshot ids are per-table.
+  ///
+  /// INSERT / DELETE / UPDATE return one row with the affected-row count
+  /// (column "affected"); `options` and `metrics` apply to SELECT only.
+  /// Every SQL literal is checked against its column (query::CoerceLiteral)
+  /// before anything is scanned or written.
   Result<query::QueryResult> Query(const query::SqlStatement& statement,
                                    const SelectOptions& options = {},
                                    SelectMetrics* metrics = nullptr);
@@ -64,6 +72,9 @@ class LakehouseService {
   MetadataStore* metadata_store() { return meta_; }
 
  private:
+  /// Resolve a live table and its catalog entry with one catalog read.
+  Result<PlanRunner::PinnedTable> PinTable(const std::string& name);
+
   MetadataStore* meta_;
   storage::ObjectStore* objects_;
   sim::SimClock* clock_;

@@ -36,40 +36,61 @@ class CollectSink : public RowSink {
   std::vector<std::vector<format::Row>> fragments;
 };
 
-/// Applies a pure row transform (the join chain + residual filters) to
-/// each probe row group on the delivering pool thread, then feeds the
-/// joined rows to the final-stage ExecutorSink as that stage's scanned
-/// rows. The transform only reads const build maps, so fragments run
-/// concurrently without locks.
-class JoinProbeSink : public RowSink {
+/// Applies a pure row transform (filters + the join chain) to each probe
+/// row group on the delivering pool thread, then feeds the result to the
+/// final-stage ExecutorSink. After a join the joined rows are that stage's
+/// scanned rows; without one it sees the scan's own visible rows, exactly
+/// as under Table::Select. The transform only reads const build maps, so
+/// fragments run concurrently without locks.
+class ProbeSink : public RowSink {
  public:
   using Transform =
       std::function<std::vector<format::Row>(std::vector<format::Row>)>;
 
-  JoinProbeSink(Transform transform, ExecutorSink* out)
-      : transform_(std::move(transform)), out_(out) {}
+  ProbeSink(Transform transform, bool joins, ExecutorSink* out)
+      : transform_(std::move(transform)), joins_(joins), out_(out) {}
 
   void Open(size_t fragments) override { out_->Open(fragments); }
   Status Consume(size_t fragment, std::vector<format::Row> rows,
-                 uint64_t /*visible_rows*/) override {
-    std::vector<format::Row> joined = transform_(std::move(rows));
-    uint64_t joined_rows = joined.size();
-    return out_->Consume(fragment, std::move(joined), joined_rows);
+                 uint64_t visible_rows) override {
+    std::vector<format::Row> out = transform_(std::move(rows));
+    uint64_t scanned = joins_ ? out.size() : visible_rows;
+    return out_->Consume(fragment, std::move(out), scanned);
   }
 
  private:
   Transform transform_;
+  bool joins_;
   ExecutorSink* out_;
 };
 
-/// The root-to-source operator chain of a plan:
-/// SortLimit? -> (Aggregate | Project)? -> Filter* -> source.
+/// Keep the rows of `rows` matching `filter` over `schema`.
+std::vector<format::Row> FilterRows(const query::Conjunction& filter,
+                                    const format::Schema& schema,
+                                    std::vector<format::Row> rows) {
+  std::vector<format::Row> kept;
+  kept.reserve(rows.size());
+  for (format::Row& row : rows) {
+    if (filter.Matches(schema, row)) kept.push_back(std::move(row));
+  }
+  return kept;
+}
+
+/// The operator chain of a plan, root to leaves: SortLimit? ->
+/// (Aggregate | Project)? -> Filter* -> HashJoin* -> Filter* -> Scan, where
+/// every HashJoin's second child is its build-side Scan.
 struct PlanShape {
   const query::SortLimitNode* sort = nullptr;
   const query::AggregateNode* aggregate = nullptr;
   const query::ProjectNode* project = nullptr;
   std::vector<const query::FilterNode*> post_filters;
+  /// The top join, or the probe scan when the chain is empty.
   const query::PlanNode* source = nullptr;
+  // Bottom-up (nearest the probe scan first): application order.
+  std::vector<const query::HashJoinNode*> joins;
+  std::vector<const query::ScanNode*> build_scans;  // parallel to joins
+  std::vector<const query::FilterNode*> probe_filters;
+  const query::ScanNode* probe = nullptr;
 };
 
 Result<PlanShape> WalkShape(const query::PlanNode& root) {
@@ -97,11 +118,29 @@ Result<PlanShape> WalkShape(const query::PlanNode& root) {
     shape.post_filters.push_back(static_cast<const query::FilterNode*>(cur));
     SL_RETURN_NOT_OK(descend());
   }
-  if (cur->kind != query::PlanNode::Kind::kScan &&
-      cur->kind != query::PlanNode::Kind::kHashJoin) {
+  shape.source = cur;
+  while (cur->kind == query::PlanNode::Kind::kHashJoin) {
+    if (cur->children.size() != 2 ||
+        cur->children[1]->kind != query::PlanNode::Kind::kScan) {
+      return Status::InvalidArgument(
+          "hash join needs a probe child and a build-side scan");
+    }
+    shape.joins.insert(shape.joins.begin(),
+                       static_cast<const query::HashJoinNode*>(cur));
+    shape.build_scans.insert(
+        shape.build_scans.begin(),
+        static_cast<const query::ScanNode*>(cur->children[1].get()));
+    cur = cur->children[0].get();
+  }
+  while (cur->kind == query::PlanNode::Kind::kFilter) {
+    shape.probe_filters.insert(shape.probe_filters.begin(),
+                               static_cast<const query::FilterNode*>(cur));
+    SL_RETURN_NOT_OK(descend());
+  }
+  if (cur->kind != query::PlanNode::Kind::kScan) {
     return Status::InvalidArgument("unsupported plan shape");
   }
-  shape.source = cur;
+  shape.probe = static_cast<const query::ScanNode*>(cur);
   return shape;
 }
 
@@ -128,167 +167,77 @@ query::QuerySpec FinalSpec(const PlanShape& shape) {
 PlanRunner::PlanRunner(std::vector<PinnedTable> tables, SelectOptions options)
     : tables_(std::move(tables)), options_(options) {}
 
-SelectOptions PlanRunner::OptionsFor(size_t table_index) const {
-  SelectOptions options = options_;
-  if (tables_[table_index].snapshot_id != 0) {
-    options.snapshot_id = tables_[table_index].snapshot_id;
-    options.as_of_timestamp = -1;
-  }
-  return options;
-}
-
 Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
                                            SelectMetrics* metrics) {
   SelectMetrics local_metrics;
   SelectMetrics* m = metrics != nullptr ? metrics : &local_metrics;
   SL_ASSIGN_OR_RETURN(PlanShape shape, WalkShape(root));
-
-  if (shape.source->kind == query::PlanNode::Kind::kScan) {
-    // Single-scan plan: collapse into Table::Select — its pipeline IS
-    // scan -> filter -> (aggregate | project) -> sort/limit, fragment-
-    // merged exactly as before the plan-tree refactor.
-    const auto& scan = static_cast<const query::ScanNode&>(*shape.source);
-    if (scan.table_index >= tables_.size()) {
+  const std::vector<const query::HashJoinNode*>& joins = shape.joins;
+  const std::vector<const query::ScanNode*>& build_scans = shape.build_scans;
+  const query::ScanNode& probe_scan = *shape.probe;
+  for (const query::ScanNode* scan : build_scans) {
+    if (scan->table_index >= tables_.size()) {
       return Status::InvalidArgument("scan table index out of range");
     }
-    query::QuerySpec spec = FinalSpec(shape);
-    spec.where = scan.filter;
-    for (const query::FilterNode* filter : shape.post_filters) {
-      for (const query::Predicate& p : filter->filter.predicates()) {
-        spec.where.Add(p);
-      }
-    }
-    return tables_[scan.table_index].table->Select(
-        spec, OptionsFor(scan.table_index), metrics);
   }
-
-  // Hash-join pipeline. Flatten the left-deep join chain; application
-  // order is bottom-up (nearest the probe scan first).
-  std::vector<const query::HashJoinNode*> joins;
-  const query::PlanNode* cur = shape.source;
-  while (cur->kind == query::PlanNode::Kind::kHashJoin) {
-    joins.insert(joins.begin(),
-                 static_cast<const query::HashJoinNode*>(cur));
-    if (cur->children.size() != 2) {
-      return Status::InvalidArgument("hash join needs two children");
-    }
-    cur = cur->children[0].get();
-  }
-  std::vector<const query::FilterNode*> probe_filters;
-  while (cur->kind == query::PlanNode::Kind::kFilter) {
-    probe_filters.insert(
-        probe_filters.begin(),
-        static_cast<const query::FilterNode*>(cur));
-    if (cur->children.size() != 1) {
-      return Status::InvalidArgument("plan operator needs exactly one child");
-    }
-    cur = cur->children[0].get();
-  }
-  if (cur->kind != query::PlanNode::Kind::kScan) {
-    return Status::InvalidArgument("join probe side must end in a scan");
-  }
-  const auto& probe_scan = static_cast<const query::ScanNode&>(*cur);
   if (probe_scan.table_index >= tables_.size()) {
     return Status::InvalidArgument("scan table index out of range");
   }
   const format::Schema& probe_schema = probe_scan.output_schema;
   const format::Schema& joined_schema = shape.source->output_schema;
 
-  // Joined-row layout: probe columns first, then each non-semi build
-  // table's columns in join order (semi joins do not extend the row).
-  const size_t probe_fields = probe_schema.num_fields();
-  std::vector<const query::ScanNode*> build_scans(joins.size(), nullptr);
-  std::vector<size_t> build_offset(joins.size(), 0);
-  {
-    size_t width = probe_fields;
-    for (size_t j = 0; j < joins.size(); ++j) {
-      if (joins[j]->children[1]->kind != query::PlanNode::Kind::kScan) {
-        return Status::InvalidArgument("join build side must be a scan");
-      }
-      build_scans[j] =
-          static_cast<const query::ScanNode*>(joins[j]->children[1].get());
-      if (build_scans[j]->table_index >= tables_.size()) {
-        return Status::InvalidArgument("scan table index out of range");
-      }
-      build_offset[j] = width;
-      if (joins[j]->join_kind != query::HashJoinNode::JoinKind::kSemi) {
-        width += build_scans[j]->output_schema.num_fields();
-      }
+  // Scan k of the chain: 0 = the probe scan, j + 1 = the build side of
+  // joins[j]. origin[i] = (scan, column) producing column i of a joined
+  // row: probe columns first, then each non-semi build table's columns in
+  // join order (semi joins do not extend the row).
+  std::vector<std::pair<size_t, int>> origin;
+  for (size_t c = 0; c < probe_schema.num_fields(); ++c) {
+    origin.emplace_back(0, static_cast<int>(c));
+  }
+  for (size_t j = 0; j < joins.size(); ++j) {
+    if (joins[j]->join_kind == query::HashJoinNode::JoinKind::kSemi) continue;
+    for (size_t c = 0; c < build_scans[j]->output_schema.num_fields(); ++c) {
+      origin.emplace_back(j + 1, static_cast<int>(c));
     }
   }
 
   // Late materialization: each scan decodes only the columns the pipeline
-  // above it touches — join keys, probe/post filters, and the final
-  // aggregate/projection inputs. A SELECT * plan (no aggregate, no
-  // projection) needs every column of every table.
-  query::QuerySpec final_spec = FinalSpec(shape);
-  ColumnSelection probe_required = ColumnSelection::All();
-  std::vector<ColumnSelection> build_required(joins.size(),
-                                              ColumnSelection::All());
-  if (!final_spec.aggregates.empty() || !final_spec.projection.empty()) {
-    std::set<int> probe_cols;
-    std::vector<std::set<int>> build_cols(joins.size());
-    // Route a joined-schema column index to the scan that produces it.
-    auto add_joined = [&](size_t idx) {
-      if (idx < probe_fields) {
-        probe_cols.insert(static_cast<int>(idx));
-        return;
-      }
-      for (size_t j = 0; j < joins.size(); ++j) {
-        if (joins[j]->join_kind == query::HashJoinNode::JoinKind::kSemi) {
-          continue;
-        }
-        size_t fields = build_scans[j]->output_schema.num_fields();
-        if (idx >= build_offset[j] && idx < build_offset[j] + fields) {
-          build_cols[j].insert(static_cast<int>(idx - build_offset[j]));
-          return;
-        }
-      }
-    };
-    auto add_joined_name = [&](const std::string& name) {
-      int idx = joined_schema.FieldIndex(name);
-      if (idx >= 0) add_joined(static_cast<size_t>(idx));
-    };
-    for (const std::string& c : final_spec.group_by) add_joined_name(c);
-    for (const query::AggregateSpec& a : final_spec.aggregates) {
-      if (!a.column.empty()) add_joined_name(a.column);
-    }
-    for (const std::string& c : final_spec.projection) add_joined_name(c);
+  // above it touches — the final stage's inputs (the same RequiredColumns
+  // Table::Select uses, over the joined schema), post-filter and probe
+  // filter columns, and join keys. The scans add their own filter columns.
+  const query::QuerySpec final_spec = FinalSpec(shape);
+  const ColumnSelection final_required =
+      RequiredColumns(joined_schema, final_spec);
+  std::vector<ColumnSelection> required(joins.size() + 1,
+                                        ColumnSelection::All());
+  if (!final_required.all) {
+    std::set<int> joined_cols(final_required.columns.begin(),
+                              final_required.columns.end());
+    std::vector<std::set<int>> cols(joins.size() + 1);
     for (const query::FilterNode* f : shape.post_filters) {
       for (const query::Predicate& p : f->filter.predicates()) {
-        add_joined_name(p.column);
+        joined_cols.insert(joined_schema.FieldIndex(p.column));
       }
     }
-    for (const query::FilterNode* f : probe_filters) {
+    for (const query::FilterNode* f : shape.probe_filters) {
       for (const query::Predicate& p : f->filter.predicates()) {
-        int idx = probe_schema.FieldIndex(p.column);
-        if (idx >= 0) probe_cols.insert(idx);
+        cols[0].insert(probe_schema.FieldIndex(p.column));
       }
     }
     for (size_t j = 0; j < joins.size(); ++j) {
-      add_joined(static_cast<size_t>(joins[j]->probe_col));
-      build_cols[j].insert(static_cast<int>(joins[j]->build_col));
+      joined_cols.insert(joins[j]->probe_col);
+      cols[j + 1].insert(joins[j]->build_col);
     }
-    probe_required = ColumnSelection::Of(
-        std::vector<int>(probe_cols.begin(), probe_cols.end()));
-    for (size_t j = 0; j < joins.size(); ++j) {
-      build_required[j] = ColumnSelection::Of(
-          std::vector<int>(build_cols[j].begin(), build_cols[j].end()));
+    for (int idx : joined_cols) {
+      if (idx < 0 || static_cast<size_t>(idx) >= origin.size()) continue;
+      cols[origin[idx].first].insert(origin[idx].second);
+    }
+    for (size_t k = 0; k < cols.size(); ++k) {
+      cols[k].erase(-1);  // unknown filter columns
+      required[k] =
+          ColumnSelection::Of(std::vector<int>(cols[k].begin(), cols[k].end()));
     }
   }
-
-  static Counter* build_rows_counter =
-      MetricsRegistry::Global().GetCounter("query.join.build_rows");
-  static Counter* probe_rows_counter =
-      MetricsRegistry::Global().GetCounter("query.join.probe_rows");
-  static Counter* build_ns_counter =
-      MetricsRegistry::Global().GetCounter("query.join.build_ns");
-  static Counter* probe_ns_counter =
-      MetricsRegistry::Global().GetCounter("query.join.probe_ns");
-  static Counter* scan_rows_counter =
-      MetricsRegistry::Global().GetCounter("query.op.scan.rows");
-  static Counter* join_rows_counter =
-      MetricsRegistry::Global().GetCounter("query.op.join.rows");
 
   uint64_t total_scanned = 0;
   uint64_t total_matched = 0;
@@ -305,12 +254,12 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
   for (size_t j = 0; j < joins.size(); ++j) {
     const query::HashJoinNode& join = *joins[j];
     const query::ScanNode& build_scan = *build_scans[j];
+    const PinnedTable& pinned = tables_[build_scan.table_index];
     CollectSink sink;
     SL_ASSIGN_OR_RETURN(
         ScanTotals totals,
-        tables_[build_scan.table_index].table->ScanInto(
-            build_scan.filter, OptionsFor(build_scan.table_index),
-            build_required[j], &sink, m));
+        pinned.table->ScanInto(pinned.info, build_scan.filter, options_,
+                               required[j + 1], &sink, m));
     total_scanned += totals.rows_scanned;
     total_matched += totals.rows_matched;
     build_rows += totals.rows_matched;
@@ -321,22 +270,14 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
       }
     }
   }
-  build_ns_counter->Increment(MonotonicNanos() - build_start_ns);
-  build_rows_counter->Increment(build_rows);
+  uint64_t build_ns = MonotonicNanos() - build_start_ns;
 
-  // Probe phase: row groups stream through the join chain on the pool
-  // threads (pure reads of the const build maps) into one final-stage
-  // executor per fragment, merged in file order by Finalize.
+  // Probe phase: row groups stream through the chain on the pool threads
+  // (pure reads of the const build maps) into one final-stage executor
+  // per fragment, merged in file order by Finalize.
   auto transform = [&](std::vector<format::Row> rows) {
-    for (const query::FilterNode* filter : probe_filters) {
-      std::vector<format::Row> kept;
-      kept.reserve(rows.size());
-      for (format::Row& row : rows) {
-        if (filter->filter.Matches(probe_schema, row)) {
-          kept.push_back(std::move(row));
-        }
-      }
-      rows = std::move(kept);
+    for (const query::FilterNode* filter : shape.probe_filters) {
+      rows = FilterRows(filter->filter, probe_schema, std::move(rows));
     }
     for (size_t j = 0; j < joins.size(); ++j) {
       const query::HashJoinNode& join = *joins[j];
@@ -359,36 +300,46 @@ Result<query::QueryResult> PlanRunner::Run(const query::PlanNode& root,
       rows = std::move(out);
     }
     for (const query::FilterNode* filter : shape.post_filters) {
-      std::vector<format::Row> kept;
-      kept.reserve(rows.size());
-      for (format::Row& row : rows) {
-        if (filter->filter.Matches(joined_schema, row)) {
-          kept.push_back(std::move(row));
-        }
-      }
-      rows = std::move(kept);
+      rows = FilterRows(filter->filter, joined_schema, std::move(rows));
     }
     return rows;
   };
 
-  ExecutorSink final_stage(joined_schema, FinalSpec(shape));
-  JoinProbeSink probe_sink(transform, &final_stage);
+  ExecutorSink final_stage(joined_schema, final_spec);
+  ProbeSink probe_sink(transform, !joins.empty(), &final_stage);
+  const PinnedTable& probe = tables_[probe_scan.table_index];
   uint64_t probe_start_ns = MonotonicNanos();
   SL_ASSIGN_OR_RETURN(
       ScanTotals probe_totals,
-      tables_[probe_scan.table_index].table->ScanInto(
-          probe_scan.filter, OptionsFor(probe_scan.table_index),
-          probe_required, &probe_sink, m));
-  probe_ns_counter->Increment(MonotonicNanos() - probe_start_ns);
-  probe_rows_counter->Increment(probe_totals.rows_matched);
+      probe.table->ScanInto(probe.info, probe_scan.filter, options_,
+                            required[0], &probe_sink, m));
+  uint64_t probe_ns = MonotonicNanos() - probe_start_ns;
   total_scanned += probe_totals.rows_scanned;
   total_matched += probe_totals.rows_matched;
-  scan_rows_counter->Increment(total_scanned);
 
   SL_ASSIGN_OR_RETURN(query::QueryResult result, final_stage.Finalize());
+  if (!joins.empty()) {
+    static Counter* build_rows_counter =
+        MetricsRegistry::Global().GetCounter("query.join.build_rows");
+    static Counter* probe_rows_counter =
+        MetricsRegistry::Global().GetCounter("query.join.probe_rows");
+    static Counter* build_ns_counter =
+        MetricsRegistry::Global().GetCounter("query.join.build_ns");
+    static Counter* probe_ns_counter =
+        MetricsRegistry::Global().GetCounter("query.join.probe_ns");
+    static Counter* scan_rows_counter =
+        MetricsRegistry::Global().GetCounter("query.op.scan.rows");
+    static Counter* join_rows_counter =
+        MetricsRegistry::Global().GetCounter("query.op.join.rows");
+    build_rows_counter->Increment(build_rows);
+    probe_rows_counter->Increment(probe_totals.rows_matched);
+    build_ns_counter->Increment(build_ns);
+    probe_ns_counter->Increment(probe_ns);
+    scan_rows_counter->Increment(total_scanned);
+    join_rows_counter->Increment(result.rows_scanned);
+  }
   // The final stage saw joined rows; the query-level counters report what
   // the scans read and matched across every table of the query.
-  join_rows_counter->Increment(result.rows_scanned);
   result.rows_scanned = total_scanned;
   result.rows_matched = total_matched;
   return result;

@@ -10,36 +10,34 @@ namespace streamlake::table {
 
 /// \brief Executes a query plan tree against pinned table snapshots.
 ///
-/// Every scan goes through Table::ScanInto. A single-scan plan collapses
-/// into Table::Select, which is ScanInto an ExecutorSink of the plan's
-/// operators. Join plans run the hash-join pipeline: every build side is
-/// scanned into per-fragment buffers and its key map is built serially in
-/// fragment order (deterministic bucket order), then the probe scan
-/// streams each row group through the join chain on the pool threads into
-/// the same ExecutorSink Select uses, whose per-fragment executors merge
-/// in file order — so a parallel join is byte-identical to a serial one.
+/// Every plan runs the same way: one probe scan, a join chain that may be
+/// empty, then the ExecutorSink Table::Select uses. Every scan is
+/// Table::ScanInto against the pinned TableInfo, so no scan re-reads the
+/// catalog. Each build side of the chain is scanned into per-fragment
+/// buffers and its key map is built serially in fragment order
+/// (deterministic bucket order); the probe scan then streams each row group
+/// through the chain on the pool threads into the sink, whose per-fragment
+/// executors merge in file order — so a parallel run is byte-identical to
+/// a serial one. A single-scan plan does exactly Table::Select's work.
 class PlanRunner {
  public:
   struct PinnedTable {
     Table* table = nullptr;
-    /// Snapshot resolved before any scan started; 0 = let the scan
-    /// resolve (single-table path keeps Select's own resolution).
-    uint64_t snapshot_id = 0;
+    /// The catalog entry read once, before any scan started. It is the
+    /// pin: every scan of this table resolves its snapshot (explicit id,
+    /// time travel, or this entry's head) against it.
+    TableInfo info;
   };
 
   PlanRunner(std::vector<PinnedTable> tables, SelectOptions options);
 
   /// Walk the plan and produce its result. `metrics` accumulates scan
-  /// metrics across all tables (not reset here; the caller owns per-query
-  /// capture of metadata counters and elapsed time for join plans).
+  /// metrics across all tables (not reset here; the caller owns the
+  /// per-query capture, see CaptureQuery).
   Result<query::QueryResult> Run(const query::PlanNode& root,
                                  SelectMetrics* metrics = nullptr);
 
  private:
-  /// Per-table scan options: the query-wide options with the pinned
-  /// snapshot substituted.
-  SelectOptions OptionsFor(size_t table_index) const;
-
   std::vector<PinnedTable> tables_;
   SelectOptions options_;
 };

@@ -62,30 +62,6 @@ std::map<std::string, format::ColumnStats> ComputeStats(
   return stats;
 }
 
-/// Columns a Select must materialize: group-by + aggregate inputs, or the
-/// projection. SELECT * (no aggregates, no projection) needs every column.
-/// Unknown names are dropped — the executor reports them as errors.
-ColumnSelection RequiredColumns(const format::Schema& schema,
-                                const query::QuerySpec& spec) {
-  if (spec.aggregates.empty() && spec.projection.empty()) {
-    return ColumnSelection::All();
-  }
-  std::set<int> cols;
-  auto add = [&](const std::string& name) {
-    int idx = schema.FieldIndex(name);
-    if (idx >= 0) cols.insert(idx);
-  };
-  if (spec.aggregates.empty()) {
-    for (const std::string& c : spec.projection) add(c);
-  } else {
-    for (const std::string& c : spec.group_by) add(c);
-    for (const query::AggregateSpec& agg : spec.aggregates) {
-      if (!agg.column.empty()) add(agg.column);
-    }
-  }
-  return ColumnSelection::Of(std::vector<int>(cols.begin(), cols.end()));
-}
-
 /// One merge-on-read delete applicable to the file being scanned, with its
 /// predicate columns resolved to schema indices up front.
 struct ApplicableDelete {
@@ -161,6 +137,27 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
 }
 
 }  // namespace
+
+ColumnSelection RequiredColumns(const format::Schema& schema,
+                                const query::QuerySpec& spec) {
+  if (spec.aggregates.empty() && spec.projection.empty()) {
+    return ColumnSelection::All();
+  }
+  std::set<int> cols;
+  auto add = [&](const std::string& name) {
+    int idx = schema.FieldIndex(name);
+    if (idx >= 0) cols.insert(idx);
+  };
+  if (spec.aggregates.empty()) {
+    for (const std::string& c : spec.projection) add(c);
+  } else {
+    for (const std::string& c : spec.group_by) add(c);
+    for (const query::AggregateSpec& agg : spec.aggregates) {
+      if (!agg.column.empty()) add(agg.column);
+    }
+  }
+  return ColumnSelection::Of(std::vector<int>(cols.begin(), cols.end()));
+}
 
 Table::Table(std::string name, MetadataStore* meta,
              storage::ObjectStore* objects, sim::SimClock* clock,
@@ -465,32 +462,39 @@ Result<query::QueryResult> ExecutorSink::Finalize() {
   return executor.Finalize();
 }
 
-Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
-                                         const SelectOptions& options,
-                                         SelectMetrics* metrics) {
-  SelectMetrics local_metrics;
-  SelectMetrics* m = metrics != nullptr ? metrics : &local_metrics;
-  *m = SelectMetrics();
-  uint64_t start_ns = clock_->NowNanos();
-  // Per-query metadata I/O is the delta of the process-wide counters over
-  // the query (exact when single-threaded, an upper bound otherwise).
-  MetadataCounters metadata_start = MetadataCounters::Capture();
+Result<query::QueryResult> CaptureQuery(
+    sim::SimClock* clock, SelectMetrics* metrics,
+    const std::function<Result<query::QueryResult>(SelectMetrics*)>& query) {
   static Counter* selects =
       MetricsRegistry::Global().GetCounter("table.select.queries");
   static Histogram* select_sim_ns =
       MetricsRegistry::Global().GetHistogram("table.select.sim_ns");
+  SelectMetrics local_metrics;
+  SelectMetrics* m = metrics != nullptr ? metrics : &local_metrics;
+  *m = SelectMetrics();
+  uint64_t start_ns = clock->NowNanos();
+  MetadataCounters metadata_start = MetadataCounters::Capture();
   selects->Increment();
-
-  SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-  ExecutorSink sink(info.schema, spec);
-  SL_RETURN_NOT_OK(ScanInto(info, spec.where, options,
-                            RequiredColumns(info.schema, spec), &sink, m)
-                       .status());
-  SL_ASSIGN_OR_RETURN(query::QueryResult result, sink.Finalize());
+  SL_ASSIGN_OR_RETURN(query::QueryResult result, query(m));
   m->metadata = MetadataCounters::Capture() - metadata_start;
-  m->elapsed_ns = clock_->NowNanos() - start_ns;
+  m->elapsed_ns = clock->NowNanos() - start_ns;
   select_sim_ns->Record(m->elapsed_ns);
   return result;
+}
+
+Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
+                                         const SelectOptions& options,
+                                         SelectMetrics* metrics) {
+  return CaptureQuery(
+      clock_, metrics, [&](SelectMetrics* m) -> Result<query::QueryResult> {
+        SL_ASSIGN_OR_RETURN(TableInfo info, Info());
+        ExecutorSink sink(info.schema, spec);
+        SL_RETURN_NOT_OK(ScanInto(info, spec.where, options,
+                                  RequiredColumns(info.schema, spec), &sink,
+                                  m)
+                             .status());
+        return sink.Finalize();
+      });
 }
 
 Status Table::ScanFileRows(const TableInfo& info,
@@ -723,22 +727,6 @@ Result<uint64_t> Table::ResolveSnapshotId(const TableInfo& info,
     }
   }
   return snapshot_id;
-}
-
-Result<uint64_t> Table::ResolveSnapshot(const SelectOptions& options) const {
-  SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name_));
-  if (info.soft_deleted) return Status::NotFound("table dropped");
-  return ResolveSnapshotId(info, options);
-}
-
-Result<ScanTotals> Table::ScanInto(const query::Conjunction& where,
-                                   const SelectOptions& options,
-                                   const ColumnSelection& required,
-                                   RowSink* sink, SelectMetrics* metrics) {
-  SelectMetrics local_metrics;
-  SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-  return ScanInto(info, where, options, required, sink,
-                  metrics != nullptr ? metrics : &local_metrics);
 }
 
 Result<ScanTotals> Table::ScanInto(const TableInfo& info,

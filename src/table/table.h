@@ -103,6 +103,13 @@ struct ColumnSelection {
   }
 };
 
+/// Columns the final stage of `spec` reads from rows of `schema`: group-by
+/// + aggregate inputs, or the projection; SELECT * (no aggregates, no
+/// projection) needs every column. Unknown names are dropped — the
+/// executor reports them as errors. A scan adds its own filter columns.
+ColumnSelection RequiredColumns(const format::Schema& schema,
+                                const query::QuerySpec& spec);
+
 /// Aggregated per-column footer statistics over the live files of the head
 /// snapshot; index parallels the table schema. `ndv` is an upper-bound
 /// estimate (per-chunk exact NDVs summed, capped at the non-NULL row
@@ -131,8 +138,8 @@ class RowSink {
                          uint64_t visible_rows) = 0;
 };
 
-/// \brief The sink every query result comes from (Table::Select and the
-/// plan runner's joins): one query::Executor per fragment, fed by that
+/// \brief The sink every query result comes from (Table::Select and
+/// PlanRunner): one query::Executor per fragment, fed by that
 /// fragment's scan job, folded with MergeFrom in file order by Finalize.
 /// ORDER BY / LIMIT run once after the merge and float SUMs fold in file
 /// order, so the result is byte-identical however the jobs were scheduled.
@@ -160,6 +167,16 @@ struct ScanTotals {
   size_t fragments = 0;       // pruned-in data files
 };
 
+/// The per-query metrics capture of every SELECT, Table::Select and
+/// LakehouseService::Query alike: reset `metrics` (a local when null), run
+/// `query` against it, then fill in the `table.metadata.*` counter delta
+/// (exact when single-threaded, an upper bound otherwise) and the
+/// simulated `elapsed_ns`. Counts the query in `table.select.queries` and,
+/// when it succeeds, `table.select.sim_ns`.
+Result<query::QueryResult> CaptureQuery(
+    sim::SimClock* clock, SelectMetrics* metrics,
+    const std::function<Result<query::QueryResult>(SelectMetrics*)>& query);
+
 /// \brief One lakehouse table object (Section V-B): ACID inserts, reads
 /// with data skipping and pushdown, deletes/updates, snapshots with time
 /// travel, and the compaction primitive LakeBrain drives.
@@ -183,30 +200,30 @@ class Table {
   /// commit (metadata caching per Fig. 9 when accelerated).
   Status Insert(const std::vector<format::Row>& rows);
 
-  /// SELECT with pruning, optional pushdown, optional time travel: a
-  /// ScanInto an ExecutorSink of `spec`, plus the per-query metrics
-  /// capture (`metrics` is reset, then filled).
+  /// SELECT with pruning, optional pushdown, optional time travel, for
+  /// callers holding a QuerySpec rather than SQL: one catalog read, then
+  /// ScanInto an ExecutorSink of `spec`, under CaptureQuery (`metrics` is
+  /// reset, then filled). SQL SELECTs run the same scan through
+  /// LakehouseService::Query and PlanRunner.
   Result<query::QueryResult> Select(const query::QuerySpec& spec,
                                     const SelectOptions& options = {},
                                     SelectMetrics* metrics = nullptr);
 
-  /// Resolve the snapshot a Select with `options` would read (explicit id,
-  /// time travel, or head). Multi-table queries pin one snapshot per table
-  /// up front so no scan observes a torn cross-table state.
-  Result<uint64_t> ResolveSnapshot(const SelectOptions& options) const;
-
-  /// The scan pipeline behind every read: catalog -> snapshot replay ->
-  /// partition/file-stats pruning -> one job per surviving data file,
-  /// fanned out on the scan pool with ParallelFor -> `sink`. Each job
-  /// hands every row group's matched rows straight to the sink. Totals
-  /// and `metrics` (accumulated, not reset — callers own per-query
-  /// capture) merge in file order with first failure winning. Only
-  /// `required` columns (plus predicate columns) are decoded and
+  /// The scan pipeline behind every read, against `info` — the catalog
+  /// entry the caller already read, so the scan never re-reads it:
+  /// snapshot resolution (explicit id, time travel, or `info`'s head) ->
+  /// snapshot replay -> partition/file-stats pruning -> one job per
+  /// surviving data file, fanned out on the scan pool with ParallelFor ->
+  /// `sink`. Each job hands every row group's matched rows straight to the
+  /// sink. Totals and `m` (non-null; accumulated, not reset — callers own
+  /// per-query capture) merge in file order with first failure winning.
+  /// Only `required` columns (plus predicate columns) are decoded and
   /// materialized; omitted fields of delivered rows are NULL.
-  Result<ScanTotals> ScanInto(const query::Conjunction& where,
+  Result<ScanTotals> ScanInto(const TableInfo& info,
+                              const query::Conjunction& where,
                               const SelectOptions& options,
                               const ColumnSelection& required, RowSink* sink,
-                              SelectMetrics* metrics = nullptr);
+                              SelectMetrics* m);
 
   /// DELETE: metadata-only for fully-covered partitions, file rewrite
   /// otherwise. Returns rows deleted.
@@ -283,8 +300,8 @@ class Table {
   bool FileMayMatch(const TableInfo& info, const DataFileMeta& file,
                     const query::Conjunction& where) const;
 
-  /// Snapshot a Select/ScanInto with `options` reads: explicit id wins,
-  /// then time travel, then head. 0 means the table has no snapshot yet.
+  /// Snapshot a ScanInto with `options` reads: explicit id wins, then time
+  /// travel, then head. 0 means the table has no snapshot yet.
   static Result<uint64_t> ResolveSnapshotId(const TableInfo& info,
                                             const SelectOptions& options);
 
@@ -297,13 +314,6 @@ class Table {
                                    bool keep_rewritten,
                                    const std::string& set_column,
                                    const format::Value* set_value);
-
-  /// ScanInto against an already-read catalog entry.
-  Result<ScanTotals> ScanInto(const TableInfo& info,
-                              const query::Conjunction& where,
-                              const SelectOptions& options,
-                              const ColumnSelection& required, RowSink* sink,
-                              SelectMetrics* m);
 
   /// One row group's output of ScanFileRows.
   struct ScannedGroup {

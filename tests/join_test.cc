@@ -559,7 +559,7 @@ TEST(JoinTest, DirectPlanWithFilterNodeAndToString) {
   EXPECT_NE(rendered.find("Filter("), std::string::npos) << rendered;
   EXPECT_NE(rendered.find("Scan(logs"), std::string::npos) << rendered;
 
-  PlanRunner runner({{*logs_table, 0}}, SelectOptions{});
+  PlanRunner runner({{*logs_table, *info}}, SelectOptions{});
   auto result = runner.Run(*project);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->column_names, (std::vector<std::string>{"url"}));

@@ -2,7 +2,6 @@
 
 #include "core/streamlake.h"
 #include "query/sql_parser.h"
-#include "sql/engine.h"
 
 namespace streamlake {
 namespace {
@@ -107,7 +106,6 @@ TEST(SqlParserTest, ErrorsAreDiagnosed) {
 
 struct SqlFixture {
   core::StreamLake lake;
-  std::unique_ptr<sql::Engine> engine;
 
   SqlFixture() {
     auto created = lake.lakehouse().CreateTable(
@@ -118,7 +116,6 @@ struct SqlFixture {
                        {"bytes", format::DataType::kInt64}},
         table::PartitionSpec::Identity("province"));
     EXPECT_TRUE(created.ok());
-    engine = std::make_unique<sql::Engine>(&lake.lakehouse());
   }
 };
 
@@ -128,13 +125,13 @@ TEST(SqlEngineTest, EndToEndDau) {
   for (int i = 0; i < 40; ++i) {
     std::string url = i % 2 ? "'http://streamlake_fin_app.com'" : "'http://x'";
     std::string province = i % 4 ? "'beijing'" : "'hubei'";
-    auto inserted = f.engine->Execute(
+    auto inserted = f.lake.Query(
         "INSERT INTO TB_DPI_LOG_HOURS VALUES (" + url + ", " +
         std::to_string(1656806400 + i) + ", " + province + ", 100)");
     ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
   }
   // The Fig. 13 query verbatim.
-  auto dau = f.engine->Execute(
+  auto dau = f.lake.Query(
       "SELECT COUNT(*) AS DAU FROM TB_DPI_LOG_HOURS "
       "WHERE url = 'http://streamlake_fin_app.com' "
       "AND start_time >= 1656806400 AND start_time < 1656892800 "
@@ -149,17 +146,17 @@ TEST(SqlEngineTest, EndToEndDau) {
   EXPECT_EQ(total, 20);
 
   // UPDATE + DELETE through SQL.
-  auto updated = f.engine->Execute(
+  auto updated = f.lake.Query(
       "UPDATE TB_DPI_LOG_HOURS SET bytes = 999 WHERE start_time < 1656806410");
   ASSERT_TRUE(updated.ok());
   EXPECT_EQ(std::get<int64_t>(updated->rows[0].fields[0]), 10);
 
-  auto deleted = f.engine->Execute(
+  auto deleted = f.lake.Query(
       "DELETE FROM TB_DPI_LOG_HOURS WHERE province = 'hubei'");
   ASSERT_TRUE(deleted.ok());
   EXPECT_EQ(std::get<int64_t>(deleted->rows[0].fields[0]), 10);
 
-  auto remaining = f.engine->Execute(
+  auto remaining = f.lake.Query(
       "SELECT COUNT(*) FROM TB_DPI_LOG_HOURS");
   ASSERT_TRUE(remaining.ok());
   EXPECT_EQ(std::get<int64_t>(remaining->rows[0].fields[0]), 30);
@@ -168,15 +165,15 @@ TEST(SqlEngineTest, EndToEndDau) {
 TEST(SqlEngineTest, SelectWithOrderLimitAndMetrics) {
   SqlFixture f;
   for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(f.engine
-                    ->Execute("INSERT INTO TB_DPI_LOG_HOURS VALUES ('u', " +
-                              std::to_string(i) + ", 'p" +
-                              std::to_string(i % 3) + "', " +
-                              std::to_string(i * 10) + ")")
+    ASSERT_TRUE(f.lake
+                    .Query("INSERT INTO TB_DPI_LOG_HOURS VALUES ('u', " +
+                           std::to_string(i) + ", 'p" +
+                           std::to_string(i % 3) + "', " +
+                           std::to_string(i * 10) + ")")
                     .ok());
   }
   table::SelectMetrics metrics;
-  auto top = f.engine->Execute(
+  auto top = f.lake.Query(
       "SELECT province, SUM(bytes) AS total FROM TB_DPI_LOG_HOURS "
       "GROUP BY province ORDER BY total DESC LIMIT 2",
       &metrics);
@@ -186,8 +183,228 @@ TEST(SqlEngineTest, SelectWithOrderLimitAndMetrics) {
             std::get<double>(top->rows[1].fields[1]));
   EXPECT_GT(metrics.files_scanned, 0u);
 
-  EXPECT_TRUE(f.engine->Execute("SELECT * FROM missing_table").status()
+  EXPECT_TRUE(f.lake.Query("SELECT * FROM missing_table").status()
                   .IsNotFound());
+}
+
+TEST(SqlEngineTest, BadLiteralsAndUnknownColumnsReturnStatus) {
+  SqlFixture f;
+  ASSERT_TRUE(f.lake
+                  .Query("INSERT INTO TB_DPI_LOG_HOURS VALUES "
+                         "('u', 1, 'beijing', 100), ('u', 2, 'hubei', 200)")
+                  .ok());
+  ASSERT_TRUE(f.lake.lakehouse()
+                  .CreateTable("m",
+                               format::Schema{{"k", format::DataType::kInt64},
+                                              {"d", format::DataType::kDouble}},
+                               table::PartitionSpec())
+                  .ok());
+  ASSERT_TRUE(f.lake.Query("INSERT INTO m VALUES (100, 0.5), (200, 2)").ok());
+
+  // An int literal on a DOUBLE column is a double, in WHERE and in SET.
+  auto doubles = f.lake.Query("SELECT * FROM m WHERE d > 1");
+  ASSERT_TRUE(doubles.ok()) << doubles.status().ToString();
+  ASSERT_EQ(doubles->rows.size(), 1u);
+  EXPECT_EQ(std::get<double>(doubles->rows[0].fields[1]), 2.0);
+  auto set = f.lake.Query("UPDATE m SET d = 7 WHERE k = 100");
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(set->rows[0].fields[0]), 1);
+  auto seven = f.lake.Query("SELECT COUNT(*) AS c FROM m WHERE d = 7.0");
+  ASSERT_TRUE(seven.ok()) << seven.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(seven->rows[0].fields[0]), 1);
+
+  // Every other mismatch, and every unknown WHERE column, is
+  // InvalidArgument naming the column — never an abort, never 0 rows.
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"SELECT * FROM TB_DPI_LOG_HOURS WHERE bytes = 'x'", "bytes"},
+      {"SELECT * FROM TB_DPI_LOG_HOURS WHERE bytes IN (1, 'a')", "bytes"},
+      {"SELECT * FROM TB_DPI_LOG_HOURS WHERE bytes BETWEEN 1 AND 2.5",
+       "bytes"},
+      {"SELECT * FROM TB_DPI_LOG_HOURS t JOIN m ON t.bytes = m.k "
+       "WHERE t.bytes = 'x'",
+       "bytes"},
+      {"DELETE FROM TB_DPI_LOG_HOURS WHERE bytes = 'x'", "bytes"},
+      {"UPDATE m SET d = 'x' WHERE k = 100", "d"},
+      {"UPDATE m SET k = 1.5", "k"},
+      {"SELECT * FROM TB_DPI_LOG_HOURS WHERE nosuch = 1", "nosuch"},
+      {"DELETE FROM TB_DPI_LOG_HOURS WHERE nosuch = 1", "nosuch"},
+      {"UPDATE TB_DPI_LOG_HOURS SET bytes = 1 WHERE nosuch = 1", "nosuch"},
+  };
+  for (const auto& [sql, column] : rejected) {
+    auto result = f.lake.Query(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << sql << ": " << result.status().ToString();
+    EXPECT_NE(result.status().ToString().find("'" + column + "'"),
+              std::string::npos)
+        << sql << ": " << result.status().ToString();
+  }
+
+  // Nothing was changed by the rejected statements.
+  auto count = f.lake.Query("SELECT COUNT(*) AS c FROM TB_DPI_LOG_HOURS");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(count->rows[0].fields[0]), 2);
+}
+
+/// Scan and catalog work of one query: every SelectMetrics scan counter
+/// plus the metadata reads.
+void ExpectSameWork(const table::SelectMetrics& sql,
+                    const table::SelectMetrics& select,
+                    const std::string& what) {
+  EXPECT_EQ(sql.metadata.reads, select.metadata.reads) << what;
+  EXPECT_EQ(sql.metadata.bytes_read, select.metadata.bytes_read) << what;
+  EXPECT_EQ(sql.files_scanned, select.files_scanned) << what;
+  EXPECT_EQ(sql.files_skipped, select.files_skipped) << what;
+  EXPECT_EQ(sql.row_groups_scanned, select.row_groups_scanned) << what;
+  EXPECT_EQ(sql.row_groups_skipped, select.row_groups_skipped) << what;
+  EXPECT_EQ(sql.data_bytes_read, select.data_bytes_read) << what;
+  EXPECT_EQ(sql.data_bytes_skipped, select.data_bytes_skipped) << what;
+  EXPECT_EQ(sql.bytes_to_compute, select.bytes_to_compute) << what;
+  EXPECT_EQ(sql.peak_memory_bytes, select.peak_memory_bytes) << what;
+  EXPECT_EQ(sql.bytes_decoded, select.bytes_decoded) << what;
+  EXPECT_EQ(sql.columns_decoded, select.columns_decoded) << what;
+  EXPECT_EQ(sql.rows_materialized, select.rows_materialized) << what;
+  EXPECT_EQ(sql.dict_code_prunes, select.dict_code_prunes) << what;
+}
+
+/// Catalog reads since process start, counted outside any per-query
+/// capture: a query's own SelectMetrics can only report what happened
+/// inside its capture.
+uint64_t MetadataReads() {
+  return table::MetadataCounters::Capture().reads;
+}
+
+TEST(SqlEngineTest, SqlDoesTheWorkOfTableSelect) {
+  SqlFixture f;
+  auto t = f.lake.lakehouse().GetTable("TB_DPI_LOG_HOURS");
+  ASSERT_TRUE(t.ok());
+  int64_t first_commit = 0;
+  for (int batch = 0; batch < 3; ++batch) {
+    std::vector<format::Row> rows;
+    for (int i = 0; i < 40; ++i) {
+      format::Row row;
+      row.fields = {format::Value(std::string(i % 2 ? "a" : "b")),
+                    format::Value(int64_t{batch * 40 + i}),
+                    format::Value("p" + std::to_string(i % 3)),
+                    format::Value(int64_t{i * 10})};
+      rows.push_back(std::move(row));
+    }
+    ASSERT_TRUE((*t)->Insert(rows).ok());
+    if (batch == 0) {
+      first_commit = static_cast<int64_t>(f.lake.clock().NowSeconds());
+    }
+    f.lake.clock().Advance(10 * sim::kSecond);
+  }
+
+  struct Case {
+    std::string sql;
+    query::QuerySpec spec;
+    table::SelectOptions options;
+  };
+  std::vector<Case> cases;
+  {
+    Case c{"SELECT * FROM TB_DPI_LOG_HOURS "
+           "WHERE bytes >= 100 AND province = 'p1'",
+           {}, {}};
+    c.spec.where = query::Conjunction{
+        query::Predicate::Ge("bytes", format::Value(int64_t{100})),
+        query::Predicate::Eq("province", format::Value(std::string("p1")))};
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"SELECT province, COUNT(*) AS c, SUM(bytes) AS s "
+           "FROM TB_DPI_LOG_HOURS GROUP BY province",
+           {}, {}};
+    c.spec.group_by = {"province"};
+    c.spec.aggregates = {query::AggregateSpec::CountStar("c"),
+                         query::AggregateSpec::Sum("bytes", "s")};
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"SELECT url, bytes FROM TB_DPI_LOG_HOURS WHERE start_time < 50",
+           {}, {}};
+    c.spec.projection = {"url", "bytes"};
+    c.spec.where = query::Conjunction{
+        query::Predicate::Lt("start_time", format::Value(int64_t{50}))};
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"SELECT * FROM TB_DPI_LOG_HOURS ORDER BY start_time DESC LIMIT 5",
+           {}, {}};
+    c.spec.order_by = "start_time";
+    c.spec.order_descending = true;
+    c.spec.limit = 5;
+    cases.push_back(std::move(c));
+  }
+  {
+    Case c{"SELECT COUNT(*) AS c FROM TB_DPI_LOG_HOURS", {}, {}};
+    c.spec.aggregates = {query::AggregateSpec::CountStar("c")};
+    c.options.as_of_timestamp = first_commit;
+    cases.push_back(std::move(c));
+  }
+
+  for (const Case& c : cases) {
+    auto parsed = ParseSql(c.sql);
+    ASSERT_TRUE(parsed.ok()) << c.sql;
+    auto run_sql = [&](table::SelectMetrics* m) {
+      return f.lake.lakehouse().Query(*parsed, c.options, m);
+    };
+    table::SelectMetrics sql_metrics, select_metrics;
+    ASSERT_TRUE(run_sql(&sql_metrics).ok()) << c.sql;  // warm the caches
+    uint64_t start = MetadataReads();
+    auto via_sql = run_sql(&sql_metrics);
+    uint64_t sql_reads = MetadataReads() - start;
+    ASSERT_TRUE(via_sql.ok()) << c.sql << ": " << via_sql.status().ToString();
+    start = MetadataReads();
+    auto via_select = (*t)->Select(c.spec, c.options, &select_metrics);
+    uint64_t select_reads = MetadataReads() - start;
+    ASSERT_TRUE(via_select.ok()) << c.sql;
+    EXPECT_EQ(sql_reads, select_reads) << c.sql;
+    EXPECT_EQ(sql_metrics.metadata.reads, sql_reads) << c.sql;
+
+    EXPECT_EQ(via_sql->column_names, via_select->column_names) << c.sql;
+    EXPECT_EQ(via_sql->rows, via_select->rows) << c.sql;
+    EXPECT_EQ(via_sql->rows_scanned, via_select->rows_scanned) << c.sql;
+    EXPECT_EQ(via_sql->rows_matched, via_select->rows_matched) << c.sql;
+    ExpectSameWork(sql_metrics, select_metrics, c.sql);
+    EXPECT_GT(sql_metrics.metadata.reads, 0u) << c.sql;
+  }
+
+  // StreamLake::Query is the same call.
+  table::SelectMetrics lake_metrics, select_metrics;
+  auto via_lake = f.lake.Query(cases[0].sql, &lake_metrics);
+  ASSERT_TRUE(via_lake.ok());
+  auto via_select = (*t)->Select(cases[0].spec, {}, &select_metrics);
+  ASSERT_TRUE(via_select.ok());
+  EXPECT_EQ(via_lake->rows, via_select->rows);
+  ExpectSameWork(lake_metrics, select_metrics, "StreamLake::Query");
+
+  // A join reads each table's catalog entry once: exactly what its tables'
+  // own Selects read together.
+  auto regions = f.lake.lakehouse().CreateTable(
+      "regions",
+      format::Schema{{"province", format::DataType::kString},
+                     {"region", format::DataType::kString}},
+      table::PartitionSpec());
+  ASSERT_TRUE(regions.ok());
+  ASSERT_TRUE(f.lake
+                  .Query("INSERT INTO regions VALUES ('p0', 'north'), "
+                         "('p1', 'south')")
+                  .ok());
+  table::SelectMetrics join_metrics, logs_metrics, regions_metrics;
+  uint64_t start = MetadataReads();
+  auto join = f.lake.Query(
+      "SELECT r.region, COUNT(*) AS c FROM TB_DPI_LOG_HOURS t "
+      "JOIN regions r ON t.province = r.province GROUP BY r.region",
+      &join_metrics);
+  uint64_t join_reads = MetadataReads() - start;
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  ASSERT_EQ(join->rows.size(), 2u);
+  ASSERT_TRUE((*t)->Select({}, {}, &logs_metrics).ok());
+  ASSERT_TRUE((*regions)->Select({}, {}, &regions_metrics).ok());
+  EXPECT_EQ(join_reads,
+            logs_metrics.metadata.reads + regions_metrics.metadata.reads);
+  EXPECT_EQ(join_metrics.metadata.reads, join_reads);
 }
 
 }  // namespace
