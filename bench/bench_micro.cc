@@ -48,13 +48,17 @@ void BM_Hash64(benchmark::State& state) {
 }
 BENCHMARK(BM_Hash64)->Arg(16)->Arg(1024);
 
-void BM_LzCompressLogs(benchmark::State& state) {
-  // Log-like repetitive text.
+// Log-like repetitive text.
+Bytes LogText(size_t n) {
   std::string s;
-  while (s.size() < static_cast<size_t>(state.range(0))) {
+  while (s.size() < n) {
     s += "ts=1656806400 level=INFO module=dpi msg=packet accepted ";
   }
-  Bytes data = ToBytes(s);
+  return ToBytes(s);
+}
+
+void BM_LzCompressLogs(benchmark::State& state) {
+  Bytes data = LogText(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         codec::Compress(codec::Compression::kLz, ByteView(data)));
@@ -62,6 +66,31 @@ void BM_LzCompressLogs(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * data.size());
 }
 BENCHMARK(BM_LzCompressLogs)->Arg(64 << 10);
+
+void BM_LzCompressRandomText(benchmark::State& state) {
+  // Printable random bytes, like the DPI payload column: essentially
+  // incompressible, so nearly every position is a rejected candidate.
+  Random rng(3);
+  Bytes data(state.range(0));
+  for (uint8_t& b : data) b = static_cast<uint8_t>('!' + rng.Uniform(94));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec::Compress(codec::Compression::kLz, ByteView(data)));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_LzCompressRandomText)->Arg(64 << 10);
+
+void BM_LzDecompress(benchmark::State& state) {
+  Bytes data = LogText(state.range(0));
+  Bytes compressed = codec::Compress(codec::Compression::kLz, ByteView(data));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(codec::Decompress(
+        codec::Compression::kLz, ByteView(compressed), data.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_LzDecompress)->Arg(64 << 10);
 
 void BM_ReedSolomonEncode(benchmark::State& state) {
   storage::ReedSolomon rs(8, static_cast<int>(state.range(0)));

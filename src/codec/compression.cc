@@ -1,6 +1,10 @@
 #include "codec/compression.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/coding.h"
@@ -12,56 +16,101 @@ namespace {
 // LZ77 with greedy hash-table matching. Token stream:
 //   [literal_len varint][literals][match_len varint][match_dist varint]
 // repeated; match_len == 0 terminates a token pair (trailing literals only).
-// Minimum profitable match is 4 bytes; window is 64 KiB.
+// Minimum profitable match is 4 bytes, maximum 64 KiB; window is 64 KiB.
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 1 << 16;
 constexpr size_t kWindow = 1 << 16;
 constexpr size_t kHashBits = 15;
 
-inline uint32_t HashFour(const uint8_t* p) {
+// A maximal match costs at least 5 token bytes (1-byte literal length,
+// 3-byte match length, 1-byte distance), so no token stream decodes to more
+// than this many bytes per input byte.
+constexpr size_t kMaxExpansion = kMaxMatch / 5 + 1;
+
+inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kHashBits);
+  return v;
 }
 
-Bytes LzCompress(ByteView input) {
+inline uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+inline uint32_t HashFour(const uint8_t* p) {
+  return (Load32(p) * 2654435761u) >> (32 - kHashBits);
+}
+
+// Length of the common prefix of `a` and `b`, at most `limit`; the caller
+// has already matched the first kMinMatch bytes. Compares 8 bytes at a time
+// and locates the first differing byte from the XOR of the two words.
+inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = kMinMatch;
+  while (len + 8 <= limit) {
+    const uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + std::countr_zero(diff) / 8;
+      } else {
+        return len + std::countl_zero(diff) / 8;
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+// Head-table entries are positions biased by kBias, with 0 for an empty
+// slot, so one unsigned compare of the distance rejects both an empty slot
+// and a candidate outside the window.
+constexpr size_t kBias = kWindow + 1;
+
+// The greedy parse. `Pos` is the head table's entry type: uint32_t halves
+// the table for every input shorter than 4 GiB, uint64_t covers the rest.
+// Both produce the same token stream.
+template <typename Pos>
+Bytes LzCompressWith(ByteView input) {
   Bytes out;
   out.reserve(input.size() / 2 + 16);
   const uint8_t* base = input.data();
   const size_t n = input.size();
-  std::vector<int64_t> head(1 << kHashBits, -1);
+  std::vector<Pos> head(size_t{1} << kHashBits, 0);
 
   size_t pos = 0;
   size_t literal_start = 0;
   while (pos + kMinMatch <= n) {
-    uint32_t h = HashFour(base + pos);
-    int64_t candidate = head[h];
-    head[h] = static_cast<int64_t>(pos);
+    const uint32_t h = HashFour(base + pos);
+    const size_t dist = pos + kBias - head[h];
+    head[h] = static_cast<Pos>(pos + kBias);
 
-    size_t match_len = 0;
-    if (candidate >= 0 && pos - static_cast<size_t>(candidate) <= kWindow) {
-      const uint8_t* a = base + candidate;
-      const uint8_t* b = base + pos;
-      size_t limit = std::min(n - pos, kMaxMatch);
-      while (match_len < limit && a[match_len] == b[match_len]) ++match_len;
-    }
-
-    if (match_len >= kMinMatch) {
-      // Emit pending literals, then the match.
-      PutVarint64(&out, pos - literal_start);
-      out.insert(out.end(), base + literal_start, base + pos);
-      PutVarint64(&out, match_len);
-      PutVarint64(&out, pos - static_cast<size_t>(candidate));
-      // Index a few positions inside the match so later data can refer to it.
-      size_t end = pos + match_len;
-      for (size_t i = pos + 1; i + kMinMatch <= end && i < pos + 8; ++i) {
-        head[HashFour(base + i)] = static_cast<int64_t>(i);
-      }
-      pos = end;
-      literal_start = pos;
-    } else {
+    // Reject the candidate without branching on whether it is in the
+    // window (on incompressible text that is a coin flip the predictor
+    // loses): an out-of-window candidate is replaced by `pos` itself and
+    // vetoed by `far`, leaving one rarely-taken branch on the 4-byte
+    // compare.
+    const size_t far = dist > kWindow;
+    const size_t candidate = pos - (dist & (far - 1));
+    if (((Load32(base + candidate) ^ Load32(base + pos)) | far) != 0) {
       ++pos;
+      continue;
     }
+    const size_t match_len = MatchLength(base + candidate, base + pos,
+                                         std::min(n - pos, kMaxMatch));
+    // Emit pending literals, then the match.
+    PutVarint64(&out, pos - literal_start);
+    out.insert(out.end(), base + literal_start, base + pos);
+    PutVarint64(&out, match_len);
+    PutVarint64(&out, dist);
+    // Index a few positions inside the match so later data can refer to it.
+    const size_t end = pos + match_len;
+    for (size_t i = pos + 1; i + kMinMatch <= end && i < pos + 8; ++i) {
+      head[HashFour(base + i)] = static_cast<Pos>(i + kBias);
+    }
+    pos = end;
+    literal_start = pos;
   }
   // Trailing literals with a zero-length match terminator.
   PutVarint64(&out, n - literal_start);
@@ -70,9 +119,23 @@ Bytes LzCompress(ByteView input) {
   return out;
 }
 
+Bytes LzCompress(ByteView input) {
+  // Every biased position of a shorter input fits in a uint32_t.
+  if (input.size() <= std::numeric_limits<uint32_t>::max() - kBias) {
+    return LzCompressWith<uint32_t>(input);
+  }
+  return LzCompressWith<uint64_t>(input);
+}
+
 Result<Bytes> LzDecompress(ByteView input, size_t uncompressed_size) {
+  // Every literal and match is bounded by the bytes still expected, and the
+  // reservation by what the input can expand to, so a forged size or token
+  // is rejected rather than allocated.
   Bytes out;
-  out.reserve(uncompressed_size);
+  const size_t expandable = input.size() > SIZE_MAX / kMaxExpansion
+                                ? SIZE_MAX
+                                : input.size() * kMaxExpansion;
+  out.reserve(std::min(uncompressed_size, expandable));
   const uint8_t* p = input.data();
   const uint8_t* limit = p + input.size();
   while (true) {
@@ -83,6 +146,9 @@ Result<Bytes> LzDecompress(ByteView input, size_t uncompressed_size) {
     if (static_cast<uint64_t>(limit - p) < literal_len) {
       return Status::Corruption("lz: truncated literals");
     }
+    if (literal_len > uncompressed_size - out.size()) {
+      return Status::Corruption("lz: literals overrun expected size");
+    }
     out.insert(out.end(), p, p + literal_len);
     p += literal_len;
 
@@ -91,6 +157,10 @@ Result<Bytes> LzDecompress(ByteView input, size_t uncompressed_size) {
       return Status::Corruption("lz: truncated match length");
     }
     if (match_len == 0) break;
+    if (match_len > kMaxMatch ||
+        match_len > uncompressed_size - out.size()) {
+      return Status::Corruption("lz: match overruns expected size");
+    }
     uint64_t dist;
     if (!GetVarint64(&p, limit, &dist)) {
       return Status::Corruption("lz: truncated match distance");
@@ -98,11 +168,16 @@ Result<Bytes> LzDecompress(ByteView input, size_t uncompressed_size) {
     if (dist == 0 || dist > out.size()) {
       return Status::Corruption("lz: bad match distance");
     }
-    // Byte-by-byte copy: overlapping matches (dist < len) are legal and
-    // implement run-length behaviour.
-    size_t src = out.size() - static_cast<size_t>(dist);
-    for (uint64_t i = 0; i < match_len; ++i) {
-      out.push_back(out[src + i]);
+    const size_t dst = out.size();
+    const size_t src = dst - static_cast<size_t>(dist);
+    out.resize(dst + match_len);
+    uint8_t* o = out.data();
+    if (dist >= match_len) {
+      std::memcpy(o + dst, o + src, match_len);
+    } else {
+      // Overlapping match (dist < len): the byte copy re-reads bytes it
+      // just wrote, which implements run-length behaviour.
+      for (size_t i = 0; i < match_len; ++i) o[dst + i] = o[src + i];
     }
   }
   if (out.size() != uncompressed_size) {

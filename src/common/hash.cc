@@ -1,6 +1,11 @@
 #include "common/hash.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace streamlake {
 
@@ -35,15 +40,49 @@ std::array<uint32_t, 256> MakeCrc32cTable() {
   return table;
 }
 
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(ByteView data,
+                                                        uint32_t seed) {
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  uint64_t crc = ~seed;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);  // unaligned load
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; ++p, --n) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+
+bool CpuHasSse42() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2");
+}
+#endif
+
 }  // namespace
 
-uint32_t Crc32c(ByteView data, uint32_t seed) {
+namespace internal {
+
+uint32_t Crc32cPortable(ByteView data, uint32_t seed) {
   static const std::array<uint32_t, 256> kTable = MakeCrc32cTable();
   uint32_t crc = ~seed;
   for (size_t i = 0; i < data.size(); ++i) {
     crc = kTable[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+}  // namespace internal
+
+uint32_t Crc32c(ByteView data, uint32_t seed) {
+#if defined(__x86_64__)
+  static const bool kSse42 = CpuHasSse42();
+  if (kSse42) return Crc32cSse42(data, seed);
+#endif
+  return internal::Crc32cPortable(data, seed);
 }
 
 }  // namespace streamlake

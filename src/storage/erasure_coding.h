@@ -1,6 +1,8 @@
 #ifndef STREAMLAKE_STORAGE_ERASURE_CODING_H_
 #define STREAMLAKE_STORAGE_ERASURE_CODING_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -42,6 +44,21 @@ class ReedSolomon {
   /// top k rows are the identity. Any k rows are invertible (MDS).
   std::vector<std::vector<uint8_t>> generator_;
 };
+
+namespace internal {
+
+/// GF(2^8) region multiply-add, dst[i] ^= coeff * src[i] for i < n: the
+/// inner loop of Encode and Decode. On a CPU that reports AVX2 it looks up
+/// split-nibble product tables 32 bytes at a time; elsewhere it runs
+/// MulAddPortable. Both produce the same bytes.
+void MulAdd(uint8_t coeff, const uint8_t* src, uint8_t* dst, size_t n);
+
+/// One lookup in a 256-entry product table per byte: the fallback of
+/// MulAdd and the reference the tests hold it to.
+void MulAddPortable(uint8_t coeff, const uint8_t* src, uint8_t* dst,
+                    size_t n);
+
+}  // namespace internal
 
 /// Gauss–Jordan inversion over GF(2^8); exposed for tests.
 /// Returns an error for singular matrices.

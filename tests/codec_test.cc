@@ -3,6 +3,7 @@
 #include "codec/compression.h"
 #include "codec/encoding.h"
 #include "common/coding.h"
+#include "common/hash.h"
 #include "common/random.h"
 
 namespace streamlake::codec {
@@ -71,6 +72,134 @@ TEST(LzTest, DecompressRejectsCorruptStream) {
   Bytes truncated(compressed.begin(), compressed.begin() + compressed.size() / 2);
   EXPECT_FALSE(
       Decompress(Compression::kLz, ByteView(truncated), in.size()).ok());
+}
+
+TEST(LzTest, DecompressRejectsForgedUncompressedSize) {
+  // A valid stream with an absurd expected size: nothing may be reserved
+  // beyond what the stream can expand to.
+  Bytes in = ToBytes(std::string(4096, 'q') + "tail variation 123");
+  Bytes compressed = Compress(Compression::kLz, ByteView(in));
+  EXPECT_TRUE(Decompress(Compression::kLz, ByteView(compressed),
+                         size_t{1} << 62)
+                  .status()
+                  .IsCorruption());
+}
+
+TEST(LzTest, DecompressRejectsTokensBeyondExpectedSize) {
+  // [lit 1]['x'][match_len 2^40][dist 1]: the match must be refused before
+  // any byte of it is produced.
+  Bytes stream;
+  PutVarint64(&stream, 1);
+  stream.push_back('x');
+  PutVarint64(&stream, uint64_t{1} << 40);
+  PutVarint64(&stream, 1);
+  EXPECT_TRUE(
+      Decompress(Compression::kLz, ByteView(stream), 16).status().IsCorruption());
+  // The same holds when the match fits the expected size but is longer
+  // than any match Compress emits.
+  Bytes long_match;
+  PutVarint64(&long_match, 1);
+  long_match.push_back('x');
+  PutVarint64(&long_match, (uint64_t{1} << 16) + 1);
+  PutVarint64(&long_match, 1);
+  PutVarint64(&long_match, 0);
+  PutVarint64(&long_match, 0);
+  EXPECT_TRUE(Decompress(Compression::kLz, ByteView(long_match),
+                         (size_t{1} << 16) + 2)
+                  .status()
+                  .IsCorruption());
+  // Literals beyond the expected size.
+  Bytes literals;
+  PutVarint64(&literals, 8);
+  literals.insert(literals.end(), 8, 'y');
+  PutVarint64(&literals, 0);
+  EXPECT_TRUE(Decompress(Compression::kLz, ByteView(literals), 4)
+                  .status()
+                  .IsCorruption());
+}
+
+// Inputs of the frozen token streams below.
+Bytes GoldenLogLines() {
+  std::string s;
+  for (int i = 0; i < 3000; ++i) {
+    s += "ts=" + std::to_string(1656806400 + i) +
+         " level=INFO module=dpi url=http://a.com/" + std::to_string(i % 97) +
+         " msg=packet accepted\n";
+  }
+  return ToBytes(s);
+}
+
+Bytes GoldenPrintableText() {
+  Random rng(7);
+  Bytes out(100000);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(32 + rng.Uniform(95));
+  return out;
+}
+
+// A 200000-byte run (longer than the window and than the longest match),
+// then one random block repeated at distances 65536 (inside the window),
+// 65537 and 70000 (outside), then another run.
+Bytes GoldenLongRuns() {
+  Random rng(8);
+  Bytes block(4096);
+  for (uint8_t& b : block) b = static_cast<uint8_t>(rng.Uniform(256));
+  Bytes out(200000, 'z');
+  for (size_t gap : {65536 - 4096, 65537 - 4096, 70000}) {
+    out.insert(out.end(), block.begin(), block.end());
+    for (size_t i = 0; i < gap; ++i) {
+      out.push_back(static_cast<uint8_t>(rng.Uniform(256)));
+    }
+  }
+  out.insert(out.end(), block.begin(), block.end());
+  out.insert(out.end(), 70000, 'q');
+  return out;
+}
+
+TEST(LzTest, TokenStreamIsFrozen) {
+  // Compressed bytes are stored on disk, so the parse must never drift:
+  // (size, CRC-32C) of Compress output, recorded from the byte-at-a-time
+  // matcher.
+  const struct {
+    const char* name;
+    Bytes input;
+    size_t size;
+    uint32_t crc;
+  } kCases[] = {
+      {"logs", GoldenLogLines(), 25374, 0xb8ad24e5u},
+      {"printable", GoldenPrintableText(), 100046, 0xc7255047u},
+      {"runs", GoldenLongRuns(), 205238, 0x41af7761u},
+  };
+  for (const auto& c : kCases) {
+    Bytes compressed = Compress(Compression::kLz, ByteView(c.input));
+    EXPECT_EQ(compressed.size(), c.size) << c.name;
+    EXPECT_EQ(Crc32c(ByteView(compressed)), c.crc) << c.name;
+    auto out = Decompress(Compression::kLz, ByteView(compressed),
+                          c.input.size());
+    ASSERT_TRUE(out.ok()) << c.name << ": " << out.status().ToString();
+    EXPECT_EQ(*out, c.input) << c.name;
+  }
+
+  // Sizes 0-9 of a one-byte run and of a period-3 pattern.
+  const uint32_t kRunCrc[] = {0xf16177d2u, 0x561b8c75u, 0xe75e3c84u,
+                              0xbcd973d7u, 0x40af4ebeu, 0x7291044bu,
+                              0xafd4aef3u, 0xcdf627cau, 0x10b38d72u,
+                              0xfff7565eu};
+  const size_t kRunSize[] = {2, 3, 4, 5, 6, 6, 6, 6, 6, 6};
+  const uint32_t kPatternCrc[] = {0xf16177d2u, 0x561b8c75u, 0xd3b9941du,
+                                  0x71b2834au, 0x6de2958au, 0x74de9ba4u,
+                                  0x58e7a585u, 0xdd39eec4u, 0x007c447cu,
+                                  0x625ecd45u};
+  const size_t kPatternSize[] = {2, 3, 4, 5, 6, 7, 8, 8, 8, 8};
+  for (size_t n = 0; n <= 9; ++n) {
+    Bytes run = Compress(Compression::kLz,
+                         ByteView(std::string("aaaaaaaaa").substr(0, n)));
+    EXPECT_EQ(run.size(), kRunSize[n]) << "run " << n;
+    EXPECT_EQ(Crc32c(ByteView(run)), kRunCrc[n]) << "run " << n;
+    Bytes pattern = Compress(Compression::kLz,
+                             ByteView(std::string("abcabcabc").substr(0, n)));
+    EXPECT_EQ(pattern.size(), kPatternSize[n]) << "pattern " << n;
+    EXPECT_EQ(Crc32c(ByteView(pattern)), kPatternCrc[n]) << "pattern " << n;
+  }
 }
 
 TEST(Int64EncodingTest, PlainDeltaRleRoundTrip) {

@@ -206,6 +206,37 @@ TEST(HashTest, Crc32cDetectsBitFlip) {
   EXPECT_NE(Crc32c(ByteView(data)), before);
 }
 
+TEST(HashTest, Crc32cMatchesPortableAtEveryLengthAndOffset) {
+  // The word-at-a-time kernel must agree with the bytewise reference on
+  // every tail length and every load misalignment.
+  Random rng(21);
+  Bytes data(1024 + 8);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ByteView view(data.data() + offset, len);
+      const uint32_t seed = static_cast<uint32_t>(len * 2654435761u);
+      ASSERT_EQ(Crc32c(view), internal::Crc32cPortable(view))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32c(view, seed), internal::Crc32cPortable(view, seed))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(HashTest, Crc32cChains) {
+  Random rng(22);
+  Bytes data(777);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Uniform(256));
+  const uint32_t whole = Crc32c(ByteView(data));
+  for (size_t split : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                       size_t{300}, data.size()}) {
+    ByteView a(data.data(), split);
+    ByteView b(data.data() + split, data.size() - split);
+    EXPECT_EQ(Crc32c(b, Crc32c(a)), whole) << "split " << split;
+  }
+}
+
 TEST(RandomTest, DeterministicForSeed) {
   Random a(7), b(7), c(8);
   EXPECT_EQ(a.Next(), b.Next());

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <thread>
 
+#include "common/coding.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "core/streamlake.h"
 #include "format/lakefile.h"
@@ -71,6 +73,75 @@ TEST(FuzzTest, LakeFileOpenNeverCrashes) {
     for (size_t g = 0; g < reader->num_row_groups(); ++g) {
       auto rows = reader->ReadRowGroup(g);
       (void)rows;  // either outcome acceptable; must not crash
+    }
+  }
+}
+
+/// Overwrite the chunk at `meta` in place with an LZ chunk of the same
+/// size that declares `raw_len` and carries `stream` (zero-padded; the LZ
+/// decoder ignores bytes after the terminator) under a valid CRC, so the
+/// forged length is what reaches the decompressor.
+Bytes ForgeLzChunk(Bytes file, const format::ChunkMeta& meta, uint64_t raw_len,
+                   const Bytes& stream) {
+  Bytes header;
+  header.push_back(file[meta.offset]);  // encoding
+  header.push_back(static_cast<uint8_t>(codec::Compression::kLz));
+  PutVarint64(&header, raw_len);
+  const size_t room = meta.size - header.size() - 4;  // data_len + data
+  Bytes len_bytes;
+  PutVarint64(&len_bytes, room);
+  const size_t data_len = room - len_bytes.size();
+  len_bytes.clear();
+  PutVarint64(&len_bytes, data_len);
+  Bytes payload = stream;
+  EXPECT_LE(payload.size(), data_len);
+  payload.resize(data_len, 0);
+  Bytes chunk = header;
+  AppendBytes(&chunk, ByteView(len_bytes));
+  AppendBytes(&chunk, ByteView(payload));
+  PutFixed32(&chunk, Crc32c(ByteView(payload)));
+  EXPECT_EQ(chunk.size(), meta.size);
+  std::copy(chunk.begin(), chunk.end(), file.begin() + meta.offset);
+  return file;
+}
+
+TEST(FuzzTest, ForgedChunkRawLenIsRejected) {
+  // raw_len sits outside the chunk CRC; a forged one must surface as
+  // Corruption, never as an allocation failure.
+  format::Schema schema{{"s", format::DataType::kString}};
+  format::LakeFileWriter writer(schema);
+  for (int i = 0; i < 2000; ++i) {
+    format::Row row;
+    row.fields = {format::Value("province=guangdong|seq=" +
+                                std::to_string(i % 50))};
+    ASSERT_TRUE(writer.Append(row).ok());
+  }
+  Bytes valid = *writer.Finish();
+  auto reader = format::LakeFileReader::Open(valid);
+  ASSERT_TRUE(reader.ok());
+  const format::ChunkMeta meta = reader->row_group(0).columns[0];
+  ASSERT_GT(meta.size, 64u);
+
+  Bytes empty_stream;  // [lit 0][match 0]: a valid stream of zero bytes
+  PutVarint64(&empty_stream, 0);
+  PutVarint64(&empty_stream, 0);
+  Bytes long_match;  // [lit 1]['x'][match 2^40][dist 1][lit 0][match 0]
+  PutVarint64(&long_match, 1);
+  long_match.push_back('x');
+  PutVarint64(&long_match, uint64_t{1} << 40);
+  PutVarint64(&long_match, 1);
+  AppendBytes(&long_match, ByteView(empty_stream));
+
+  const uint64_t kRawLens[] = {uint64_t{1} << 62, uint64_t{1} << 40, 16,
+                               ~uint64_t{0}};
+  for (const Bytes* stream : {&empty_stream, &long_match}) {
+    for (uint64_t raw_len : kRawLens) {
+      auto forged = format::LakeFileReader::Open(
+          ForgeLzChunk(valid, meta, raw_len, *stream));
+      ASSERT_TRUE(forged.ok());
+      auto chunk = forged->ReadColumnChunk(0, 0);
+      EXPECT_TRUE(chunk.status().IsCorruption())
+          << "raw_len " << raw_len << ": " << chunk.status().ToString();
     }
   }
 }
