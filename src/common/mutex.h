@@ -131,7 +131,7 @@ enum class LockRank : uint16_t {
 
   // ---- stream: stream objects over PLogs ----
   kScmSliceCache = 50,       // SCM slice LRU (leaf within stream)
-  kStreamObject = 52,        // held across PLog append + KV index update
+  kStreamObject = 52,        // held across KV index commit, not PLog append
   kStreamObjectManager = 54, // object directory; held across object calls
 
   // ---- streaming: dispatcher / workers / transactions ----

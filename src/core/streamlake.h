@@ -38,8 +38,8 @@ struct StreamLakeOptions {
   // Data service layer.
   uint32_t stream_workers = 3;
   /// Worker threads of the shared stream I/O pool that fans out
-  /// StreamObject::AppendBatch slice persists; 0 disables the pool
-  /// (batches persist inline).
+  /// StreamObject::Append slice persists; 0 disables the pool (slices
+  /// persist inline).
   uint32_t stream_io_threads = 4;
   table::MetadataMode metadata_mode = table::MetadataMode::kAccelerated;
   table::TableOptions table_options;

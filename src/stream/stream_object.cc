@@ -142,46 +142,8 @@ Status StreamObject::CheckQuotaLocked(size_t incoming) {
   return Status::OK();
 }
 
-void StreamObject::WaitBatchIdleLocked() {
-  while (batch_inflight_) batch_cv_.Wait(&mu_);
-}
-
-Result<uint64_t> StreamObject::Append(std::vector<StreamRecord> records) {
-  static Counter* append_batches =
-      MetricsRegistry::Global().GetCounter("stream.object.append_batches");
-  static Counter* append_records =
-      MetricsRegistry::Global().GetCounter("stream.object.append_records");
-  static Counter* append_bytes =
-      MetricsRegistry::Global().GetCounter("stream.object.append_bytes");
-  MutexLock lock(&mu_);
-  WaitBatchIdleLocked();
-  if (destroyed_) return Status::InvalidArgument("stream object destroyed");
-  SL_RETURN_NOT_OK(CheckQuotaLocked(records.size()));
-
-  append_batches->Increment();
-  uint64_t start_offset = frontier_;
-  for (StreamRecord& record : records) {
-    // Idempotent writes: drop producer retries ("duplicate messages sent
-    // by the producer can be identified").
-    if (record.producer_id != 0) {
-      auto [it, inserted] =
-          producer_last_seq_.emplace(record.producer_id, record.producer_seq);
-      if (!inserted) {
-        if (record.producer_seq <= it->second) continue;  // duplicate
-        it->second = record.producer_seq;
-      }
-    }
-    append_records->Increment();
-    append_bytes->Increment(record.key.size() + record.value.size());
-    active_.push_back(std::move(record));
-    ++frontier_;
-    if (active_.size() >= options_.records_per_slice ||
-        !options_.io_aggregation) {
-      SL_RETURN_NOT_OK(PersistSliceLocked(std::move(active_)));
-      active_.clear();
-    }
-  }
-  return start_offset;
+void StreamObject::WaitAppendIdleLocked() {
+  while (append_inflight_) append_cv_.Wait(&mu_);
 }
 
 void StreamObject::RunSliceJob(SliceJob* job) {
@@ -206,13 +168,17 @@ void StreamObject::RunSliceJob(SliceJob* job) {
 
 // Three phases under explicit lock management (the static analysis cannot
 // follow a lock released mid-function; the runtime checker still can):
-//   1. mu_ held:    dedupe into active_, carve slice jobs, set inflight.
+//   1. mu_ held:     dedupe into active_, carve slice jobs, set inflight.
 //   2. mu_ RELEASED: encode + PLog-append every job, fanned out on the
 //                    shared I/O pool when available.
-//   3. mu_ held:    commit index entries in slice order (or roll back),
+//   3. mu_ held:     commit index entries in slice order (or roll back),
 //                    clear inflight, wake queued mutators.
-Result<uint64_t> StreamObject::AppendBatch(std::vector<StreamRecord> records)
-    NO_THREAD_SAFETY_ANALYSIS {
+Result<uint64_t> StreamObject::Append(std::vector<StreamRecord> records,
+                                      bool flush) NO_THREAD_SAFETY_ANALYSIS {
+  // Unflushed and flushed appends keep separate counters: per-message
+  // produces versus SendBatch's per-stream-object group appends.
+  static Counter* append_batches =
+      MetricsRegistry::Global().GetCounter("stream.object.append_batches");
   static Counter* group_appends =
       MetricsRegistry::Global().GetCounter("stream.object.group_appends");
   static Counter* append_records =
@@ -221,21 +187,23 @@ Result<uint64_t> StreamObject::AppendBatch(std::vector<StreamRecord> records)
       MetricsRegistry::Global().GetCounter("stream.object.append_bytes");
 
   mu_.Lock();
-  WaitBatchIdleLocked();
+  WaitAppendIdleLocked();
   if (destroyed_) {
     mu_.Unlock();
     return Status::InvalidArgument("stream object destroyed");
   }
-  {
+  if (!records.empty()) {
     Status quota = CheckQuotaLocked(records.size());
     if (!quota.ok()) {
       mu_.Unlock();
       return quota;
     }
+    (flush ? group_appends : append_batches)->Increment();
   }
-  group_appends->Increment();
   const uint64_t start_offset = frontier_;
   for (StreamRecord& record : records) {
+    // Idempotent writes: drop producer retries ("duplicate messages sent
+    // by the producer can be identified").
     if (record.producer_id != 0) {
       auto [it, inserted] =
           producer_last_seq_.emplace(record.producer_id, record.producer_seq);
@@ -249,137 +217,87 @@ Result<uint64_t> StreamObject::AppendBatch(std::vector<StreamRecord> records)
     active_.push_back(std::move(record));
     ++frontier_;
   }
-  // Carve the whole unpersisted tail into slice jobs. Jobs COPY their
-  // records out of active_, which keeps holding them until commit: reads
-  // of the in-flight window stay valid, and a failed batch simply leaves
-  // everything buffered for a later retry.
-  std::vector<SliceJob> jobs;
+  // Carve the unpersisted tail into slice jobs: every full slice, plus the
+  // partial last one when flushing. Jobs view their records in place;
+  // active_ keeps holding them until commit, so reads of the in-flight
+  // window stay valid and a failed persist leaves them buffered.
   const size_t per_slice =
-      options_.records_per_slice == 0 ? 1 : options_.records_per_slice;
-  for (size_t begin = 0; begin < active_.size(); begin += per_slice) {
-    size_t end = std::min(begin + per_slice, active_.size());
+      options_.io_aggregation && options_.records_per_slice > 0
+          ? options_.records_per_slice
+          : 1;
+  const size_t carved =
+      flush ? active_.size() : active_.size() - active_.size() % per_slice;
+  std::vector<SliceJob> jobs;
+  for (size_t begin = 0; begin < carved; begin += per_slice) {
     SliceJob job;
     job.seq = next_slice_seq_++;
-    job.records.assign(active_.begin() + begin, active_.begin() + end);
-    jobs.push_back(std::move(job));
+    job.records = std::span<const StreamRecord>(active_).subspan(
+        begin, std::min(per_slice, carved - begin));
+    jobs.push_back(job);
   }
   if (jobs.empty()) {
     mu_.Unlock();
     return start_offset;
   }
-  batch_inflight_ = true;
+  append_inflight_ = true;
   mu_.Unlock();
 
-  // Phase 2: device I/O with no stream lock held. Slices of this batch
-  // hash to different PLog shards, so the pool's workers land on
-  // different store stripes and genuinely overlap.
+  // Phase 2: device I/O with no stream lock held. Slices hash to different
+  // PLog shards, so the pool's workers land on different store stripes
+  // and genuinely overlap.
   ParallelFor(io_pool_, jobs.size(),
               [this, &jobs](size_t i) { RunSliceJob(&jobs[i]); });
   mu_.Lock();
 
-  // Phase 3: commit. All-or-nothing across the batch's PLog appends.
-  Status failure = Status::OK();
-  for (const SliceJob& job : jobs) {
-    if (!job.status.ok()) {
-      failure = job.status;
-      break;
-    }
-  }
+  // Phase 3: commit in slice order up to the first failure. The durable
+  // slice index ("we use key-value databases to serve as indexes for
+  // PLogs for fast record lookup") makes a slice readable after recovery.
+  Status status = Status::OK();
   size_t committed = 0;
   size_t committed_records = 0;
-  if (failure.ok()) {
-    for (SliceJob& job : jobs) {
-      SliceMeta meta;
-      meta.seq = job.seq;
-      meta.start_offset = persisted_;
-      meta.count = static_cast<uint32_t>(job.records.size());
-      meta.address = job.address;
-      meta.payload_bytes = job.payload_bytes;
-      Bytes index_value;
-      PutVarint64(&index_value, meta.start_offset);
-      PutVarint64(&index_value, meta.count);
-      PutVarint64(&index_value, meta.address.shard);
-      PutVarint64(&index_value, meta.address.plog_index);
-      PutVarint64(&index_value, meta.address.offset);
-      failure = index_->Put(IndexKey(meta.seq), BytesToString(index_value));
-      if (!failure.ok()) break;
-      persisted_ += meta.count;
-      committed_records += meta.count;
-      if (cache_ != nullptr) {
-        cache_->Put(id_, meta.seq, std::move(job.records));
-      }
-      slices_.push_back(meta);
-      ++committed;
+  for (; committed < jobs.size(); ++committed) {
+    const SliceJob& job = jobs[committed];
+    status = job.status;
+    if (!status.ok()) break;
+    SliceMeta meta{job.seq, persisted_,
+                   static_cast<uint32_t>(job.records.size()), job.address,
+                   job.payload_bytes};
+    Bytes index_value;
+    PutVarint64(&index_value, meta.start_offset);
+    PutVarint64(&index_value, meta.count);
+    PutVarint64(&index_value, meta.address.shard);
+    PutVarint64(&index_value, meta.address.plog_index);
+    PutVarint64(&index_value, meta.address.offset);
+    status = index_->Put(IndexKey(meta.seq), BytesToString(index_value));
+    if (!status.ok()) break;
+    persisted_ += meta.count;
+    if (cache_ != nullptr) {
+      auto first = active_.begin() + static_cast<long>(committed_records);
+      cache_->Put(id_, meta.seq,
+                  std::vector<StreamRecord>(
+                      std::make_move_iterator(first),
+                      std::make_move_iterator(first + meta.count)));
+    }
+    committed_records += meta.count;
+    slices_.push_back(meta);
+  }
+  active_.erase(active_.begin(),
+                active_.begin() + static_cast<long>(committed_records));
+  // Roll back: orphan the PLog appends of every uncommitted slice, so no
+  // slice half-exists (payload durable but unreachable through the
+  // index). Its records stay in active_, and the next Append or Flush
+  // re-persists them under fresh slice seqs.
+  for (size_t i = committed; i < jobs.size(); ++i) {
+    if (jobs[i].status.ok()) {
+      plogs_->MarkGarbage(jobs[i].address, jobs[i].payload_bytes)
+          .LogIgnored("slice rollback");
     }
   }
-  if (failure.ok()) {
-    active_.clear();
-  } else {
-    // Roll back: orphan the PLog appends of every uncommitted slice. The
-    // records stay in active_, so nothing is lost — a later Flush or
-    // AppendBatch re-persists them under fresh slice seqs.
-    for (size_t i = committed; i < jobs.size(); ++i) {
-      if (jobs[i].status.ok()) {
-        plogs_->MarkGarbage(jobs[i].address, jobs[i].payload_bytes)
-            .LogIgnored("batch slice rollback");
-      }
-    }
-    // Committed slices stay; drop their records from the buffered tail.
-    active_.erase(active_.begin(),
-                  active_.begin() + static_cast<long>(committed_records));
-  }
-  batch_inflight_ = false;
-  batch_cv_.NotifyAll();
+  append_inflight_ = false;
+  append_cv_.NotifyAll();
   mu_.Unlock();
-  if (!failure.ok()) return failure;
+  if (!status.ok()) return status;
   return start_offset;
-}
-
-Status StreamObject::PersistSliceLocked(std::vector<StreamRecord> records) {
-  if (records.empty()) return Status::OK();
-  static Counter* slices_persisted =
-      MetricsRegistry::Global().GetCounter("stream.object.slices_persisted");
-  static Histogram* slice_bytes =
-      MetricsRegistry::Global().GetHistogram("stream.object.slice_bytes");
-  Bytes encoded;
-  EncodeSlice(&encoded, records);
-  slices_persisted->Increment();
-  slice_bytes->Record(encoded.size());
-
-  SliceMeta meta;
-  meta.seq = next_slice_seq_++;
-  meta.start_offset = persisted_;
-  meta.count = static_cast<uint32_t>(records.size());
-  meta.payload_bytes = encoded.size();
-  std::string route =
-      "so/" + std::to_string(id_) + "/" + std::to_string(meta.seq);
-  SL_ASSIGN_OR_RETURN(meta.address,
-                      plogs_->AppendKeyed(ByteView(route), ByteView(encoded)));
-
-  // Durable slice index ("we use key-value databases to serve as indexes
-  // for PLogs for fast record lookup").
-  Bytes index_value;
-  PutVarint64(&index_value, meta.start_offset);
-  PutVarint64(&index_value, meta.count);
-  PutVarint64(&index_value, meta.address.shard);
-  PutVarint64(&index_value, meta.address.plog_index);
-  PutVarint64(&index_value, meta.address.offset);
-  Status put = index_->Put(IndexKey(meta.seq), BytesToString(index_value));
-  if (!put.ok()) {
-    // Roll back: orphan the PLog append so the slice never half-exists
-    // (payload durable but unreachable through the index); the producer
-    // retry then re-persists under a fresh slice seq.
-    plogs_->MarkGarbage(meta.address, meta.payload_bytes)
-        .LogIgnored("slice index rollback");
-    return put;
-  }
-
-  persisted_ += records.size();
-  if (cache_ != nullptr) {
-    cache_->Put(id_, meta.seq, std::move(records));
-  }
-  slices_.push_back(meta);
-  return Status::OK();
 }
 
 Result<std::vector<StreamRecord>> StreamObject::Read(
@@ -485,18 +403,11 @@ uint64_t StreamObject::persisted() const {
   return persisted_;
 }
 
-Status StreamObject::Flush() {
-  MutexLock lock(&mu_);
-  WaitBatchIdleLocked();
-  if (destroyed_) return Status::InvalidArgument("stream object destroyed");
-  Status s = PersistSliceLocked(std::move(active_));
-  active_.clear();
-  return s;
-}
+Status StreamObject::Flush() { return Append({}, /*flush=*/true).status(); }
 
 Status StreamObject::RecoverFromIndex() {
   MutexLock lock(&mu_);
-  WaitBatchIdleLocked();
+  WaitAppendIdleLocked();
   if (destroyed_) return Status::InvalidArgument("stream object destroyed");
   if (!slices_.empty() || frontier_ != 0) {
     return Status::InvalidArgument("recovery requires a fresh object");
@@ -535,7 +446,7 @@ Status StreamObject::RecoverFromIndex() {
 
 Status StreamObject::TrimTo(uint64_t offset) {
   MutexLock lock(&mu_);
-  WaitBatchIdleLocked();
+  WaitAppendIdleLocked();
   if (destroyed_) return Status::InvalidArgument("stream object destroyed");
   if (offset > persisted_) {
     // Only persisted slices can be reclaimed; cap at the persisted bound.
@@ -560,7 +471,7 @@ uint64_t StreamObject::trimmed_until() const {
 
 Status StreamObject::Destroy() {
   MutexLock lock(&mu_);
-  WaitBatchIdleLocked();
+  WaitAppendIdleLocked();
   if (destroyed_) return Status::OK();
   destroyed_ = true;
   for (size_t i = first_live_slice_; i < slices_.size(); ++i) {
@@ -632,7 +543,7 @@ StreamObject* StreamObjectManager::GetObject(uint64_t object_id) {
 
 Status StreamObjectManager::DestroyObject(uint64_t object_id) {
   // Detach the object under the manager lock, destroy it outside:
-  // Destroy() waits for in-flight batch appends (a condition wait) and
+  // Destroy() waits for an in-flight append (a condition wait) and
   // issues index deletes, and doing that under mu_ would park every other
   // manager operation behind one object's drain.
   std::unique_ptr<StreamObject> object;

@@ -4,6 +4,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "common/mutex.h"
@@ -91,23 +92,19 @@ class StreamObject {
 
   /// Append records; returns the offset of the first appended record
   /// (AppendServerStreamObject). Duplicates from producer retries are
-  /// skipped; quota overruns return QuotaExceeded. Takes the batch by
-  /// value so callers on the hot path can move it in.
-  Result<uint64_t> Append(std::vector<StreamRecord> records);
-
-  /// Group append (the batched write path of the shard-parallel design):
-  /// appends `records`, then persists the whole unpersisted tail —
-  /// buffered records included — as records_per_slice-sized slices whose
-  /// PLog appends fan out over the shared I/O pool (sequential when no
-  /// pool was supplied). The stream lock is NOT held across the device
-  /// I/O: readers and other stream objects proceed while slices persist;
-  /// mutating operations queue behind the in-flight batch. Slice index
-  /// entries commit in slice order only after every PLog append succeeded,
-  /// so a failed batch leaves the records buffered (re-flushable) and
-  /// garbage-collects any orphaned PLog appends. Returns the offset of the
-  /// first appended record. Idempotence and quota behave exactly like
-  /// Append.
-  Result<uint64_t> AppendBatch(std::vector<StreamRecord> records);
+  /// skipped; quota overruns return QuotaExceeded. Every full slice of the
+  /// unpersisted tail persists before this returns, and with `flush` the
+  /// partial final slice does too (the group append of SendBatch); with
+  /// io_aggregation off every record is its own slice. Slice PLog appends
+  /// fan out over the shared I/O pool (inline when no pool was supplied)
+  /// with the stream lock released: readers proceed, mutating calls queue
+  /// behind the in-flight append. Index entries then commit in slice order;
+  /// a failed persist rolls back the uncommitted PLog appends and leaves
+  /// their records buffered and readable, for the next Append or Flush to
+  /// re-persist. Takes the batch by value so callers on the hot path can
+  /// move it in.
+  Result<uint64_t> Append(std::vector<StreamRecord> records,
+                          bool flush = false);
 
   /// Read up to `max_records` records starting at `offset`
   /// (ReadServerStreamObject). Reading at the frontier returns an empty
@@ -127,7 +124,7 @@ class StreamObject {
   /// Number of records already persisted to PLogs.
   uint64_t persisted() const;
 
-  /// Force the buffered tail slice out to storage.
+  /// Force the buffered tail slice out to storage: Append({}, true).
   Status Flush();
 
   /// Mark all persisted slices as garbage (DestroyServerStreamObject).
@@ -157,25 +154,24 @@ class StreamObject {
     uint64_t payload_bytes = 0;
   };
 
-  /// One slice's worth of work for AppendBatch: encoded and appended to
-  /// the PLog store with no stream lock held (possibly on an I/O pool
-  /// thread), then committed to the slice index under mu_.
+  /// One slice of an Append: encoded and appended to the PLog store with
+  /// no stream lock held (possibly on an I/O pool thread), then committed
+  /// to the slice index under mu_. `records` views active_, which nothing
+  /// mutates while the append is in flight.
   struct SliceJob {
     uint64_t seq = 0;
-    std::vector<StreamRecord> records;
+    std::span<const StreamRecord> records;
     storage::PlogAddress address;
     uint64_t payload_bytes = 0;
     Status status = Status::OK();
   };
 
-  Status PersistSliceLocked(std::vector<StreamRecord> records)
-      REQUIRES(mu_);
   Status CheckQuotaLocked(size_t incoming) REQUIRES(mu_);
-  /// Blocks until no AppendBatch persist phase is in flight. Every
-  /// mutating entry point calls this right after taking mu_; read paths
-  /// need not (the in-flight state is always readable: active_ keeps the
-  /// unpersisted tail until the batch commits).
-  void WaitBatchIdleLocked() REQUIRES(mu_);
+  /// Blocks until no Append persist phase is in flight. Every mutating
+  /// entry point calls this right after taking mu_; read paths need not
+  /// (the in-flight state is always readable: active_ keeps the
+  /// unpersisted tail until the append commits).
+  void WaitAppendIdleLocked() REQUIRES(mu_);
   /// Encode + PLog-append one slice. Takes no locks on the stream object;
   /// called with mu_ released.
   void RunSliceJob(SliceJob* job);
@@ -187,13 +183,13 @@ class StreamObject {
   sim::SimClock* clock_;
   StreamObjectOptions options_;
   ScmSliceCache* cache_;    // may be nullptr
-  ThreadPool* io_pool_;     // may be nullptr (AppendBatch persists inline)
+  ThreadPool* io_pool_;     // may be nullptr (slices persist inline)
 
   mutable Mutex mu_{LockRank::kStreamObject, "stream.object"};
-  /// True while an AppendBatch holds slices in flight with mu_ released;
-  /// paired with batch_cv_. Mutators wait; readers do not.
-  bool batch_inflight_ GUARDED_BY(mu_) = false;
-  CondVar batch_cv_;
+  /// True while an Append holds slices in flight with mu_ released;
+  /// paired with append_cv_. Mutators wait; readers do not.
+  bool append_inflight_ GUARDED_BY(mu_) = false;
+  CondVar append_cv_;
   std::vector<SliceMeta> slices_ GUARDED_BY(mu_);
   std::vector<StreamRecord> active_ GUARDED_BY(mu_);  // buffered tail
   uint64_t frontier_ GUARDED_BY(mu_) = 0;
@@ -214,7 +210,7 @@ class StreamObject {
 class StreamObjectManager {
  public:
   /// `io_pool` (optional) is handed to every stream object as the shared
-  /// AppendBatch persist pool; the caller owns it and must keep it alive
+  /// slice persist pool of Append; the caller owns it and must keep it alive
   /// for the manager's lifetime.
   StreamObjectManager(storage::PlogStore* plogs, kv::KvStore* index,
                       sim::SimClock* clock,

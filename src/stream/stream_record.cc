@@ -23,7 +23,7 @@ Result<StreamRecord> DecodeStreamRecord(Decoder* dec) {
   return record;
 }
 
-void EncodeSlice(Bytes* dst, const std::vector<StreamRecord>& records) {
+void EncodeSlice(Bytes* dst, std::span<const StreamRecord> records) {
   PutVarint64(dst, records.size());
   for (const StreamRecord& record : records) {
     EncodeStreamRecord(dst, record);

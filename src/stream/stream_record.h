@@ -2,6 +2,7 @@
 #define STREAMLAKE_STREAM_STREAM_RECORD_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,7 @@ void EncodeStreamRecord(Bytes* dst, const StreamRecord& record);
 Result<StreamRecord> DecodeStreamRecord(Decoder* dec);
 
 /// Serialize a whole slice of records (the persistence unit of Fig. 4).
-void EncodeSlice(Bytes* dst, const std::vector<StreamRecord>& records);
+void EncodeSlice(Bytes* dst, std::span<const StreamRecord> records);
 Result<std::vector<StreamRecord>> DecodeSlice(ByteView data);
 
 }  // namespace streamlake::stream

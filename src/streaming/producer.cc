@@ -17,13 +17,10 @@ Status Producer::Gate(uint64_t ops, uint64_t bytes) {
 Result<uint64_t> Producer::Deliver(const std::string& topic,
                                    StreamDispatcher::Route route,
                                    const std::vector<Message>& messages,
-                                   uint64_t first_seq, bool batch) {
+                                   uint64_t first_seq, bool flush) {
   auto produce = [&] {
-    return batch ? route.worker->ProduceBatch(route.stream_object_id,
-                                              messages, producer_id_,
-                                              first_seq)
-                 : route.worker->Produce(route.stream_object_id, messages,
-                                         producer_id_, first_seq);
+    return route.worker->Produce(route.stream_object_id, messages,
+                                 producer_id_, first_seq, flush);
   };
   auto offset = produce();
   for (int reroutes = 0; reroutes < kMaxReroutes && !offset.ok() &&
@@ -47,7 +44,7 @@ Result<uint64_t> Producer::Send(const std::string& topic,
                       dispatcher_->RouteProduce(topic, message.key));
   uint64_t& next = next_seq_[route.stream_object_id];
   uint64_t seq = ++next;
-  auto offset = Deliver(topic, route, {message}, seq, /*batch=*/false);
+  auto offset = Deliver(topic, route, {message}, seq, /*flush=*/false);
   if (offset.ok()) {
     last_ = LastSend{topic, message, seq};
     has_last_ = true;
@@ -67,9 +64,8 @@ Status Producer::SendBatch(const std::string& topic,
   SL_RETURN_NOT_OK(Gate(messages.size(), batch_bytes));
   // Group by the stream object each key routes to (preserving per-object
   // message order), reserve a contiguous producer-sequence block per
-  // group, and publish every group through the batched worker path: one
-  // AppendBatch per stream object instead of one storage round trip per
-  // message.
+  // group, and publish every group as one flushed append per stream object
+  // instead of one storage round trip per message.
   struct Group {
     StreamDispatcher::Route route;
     std::vector<Message> messages;
@@ -89,7 +85,7 @@ Status Producer::SendBatch(const std::string& topic,
     SL_ASSIGN_OR_RETURN(
         [[maybe_unused]] uint64_t offset,
         Deliver(topic, group.route, group.messages, first_seq,
-                /*batch=*/true));
+                /*flush=*/true));
     sends->Increment(group.messages.size());
   }
   return Status::OK();
@@ -101,7 +97,7 @@ Result<uint64_t> Producer::ResendLast() {
                       dispatcher_->RouteProduce(last_.topic, last_.message.key));
   // Same (producer_id, seq): the stream object identifies the duplicate.
   return Deliver(last_.topic, route, {last_.message}, last_.seq,
-                 /*batch=*/false);
+                 /*flush=*/false);
 }
 
 }  // namespace streamlake::streaming

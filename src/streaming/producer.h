@@ -53,16 +53,16 @@ class Producer {
   /// Pass the admission gate for `ops` messages totalling `bytes`.
   Status Gate(uint64_t ops, uint64_t bytes);
 
-  /// Hand `messages` (sequenced from `first_seq`) to `route`'s worker —
-  /// ProduceBatch when `batch`, else Produce. A concurrent ResizeWorkers
-  /// can move the stream off that worker after routing, and the worker
-  /// then refuses it with NotFound before appending anything; like a Kafka
-  /// client on a stale leader, re-route by stream index and retry with the
-  /// same sequence numbers, up to kMaxReroutes times.
+  /// Hand `messages` (sequenced from `first_seq`) to `route`'s worker,
+  /// persisting the partial final slice when `flush`. A concurrent
+  /// ResizeWorkers can move the stream off that worker after routing, and
+  /// the worker then refuses it with NotFound before appending anything;
+  /// like a Kafka client on a stale leader, re-route by stream index and
+  /// retry with the same sequence numbers, up to kMaxReroutes times.
   Result<uint64_t> Deliver(const std::string& topic,
                            StreamDispatcher::Route route,
                            const std::vector<Message>& messages,
-                           uint64_t first_seq, bool batch);
+                           uint64_t first_seq, bool flush);
   static constexpr int kMaxReroutes = 8;
 
   struct LastSend {

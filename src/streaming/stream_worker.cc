@@ -47,65 +47,44 @@ uint64_t WrapMessages(const std::vector<Message>& messages,
 
 }  // namespace
 
-Result<uint64_t> StreamWorker::Produce(uint64_t stream_object_id,
-                                       const std::vector<Message>& messages,
-                                       uint64_t producer_id,
-                                       uint64_t first_seq) {
+Result<stream::StreamObject*> StreamWorker::ObjectFor(
+    uint64_t stream_object_id) const {
   if (!HandlesStream(stream_object_id)) {
     return Status::NotFound("worker " + std::to_string(id_) +
                             " does not handle stream " +
-                            std::to_string(stream_object_id));
-  }
-  stream::StreamObject* object = objects_->GetObject(stream_object_id);
-  if (object == nullptr) {
-    return Status::NotFound("stream object gone");
-  }
-  std::vector<stream::StreamRecord> records;
-  bus_->ChargeTransfer(
-      WrapMessages(messages, producer_id, first_seq, &records));
-  return object->Append(std::move(records));
-}
-
-Result<uint64_t> StreamWorker::ProduceBatch(
-    uint64_t stream_object_id, const std::vector<Message>& messages,
-    uint64_t producer_id, uint64_t first_seq) {
-  if (!HandlesStream(stream_object_id)) {
-    return Status::NotFound("worker " + std::to_string(id_) +
-                            " does not handle stream " +
-                            std::to_string(stream_object_id));
-  }
-  stream::StreamObject* object = objects_->GetObject(stream_object_id);
-  if (object == nullptr) {
-    return Status::NotFound("stream object gone");
-  }
-  std::vector<stream::StreamRecord> records;
-  bus_->ChargeTransfer(
-      WrapMessages(messages, producer_id, first_seq, &records));
-  return object->AppendBatch(std::move(records));
-}
-
-Result<uint64_t> StreamWorker::FindOffsetByTimestamp(uint64_t stream_object_id,
-                                                     int64_t timestamp) {
-  if (!HandlesStream(stream_object_id)) {
-    return Status::NotFound("worker does not handle stream " +
                             std::to_string(stream_object_id));
   }
   stream::StreamObject* object = objects_->GetObject(stream_object_id);
   if (object == nullptr) return Status::NotFound("stream object gone");
+  return object;
+}
+
+Result<uint64_t> StreamWorker::Produce(uint64_t stream_object_id,
+                                       const std::vector<Message>& messages,
+                                       uint64_t producer_id,
+                                       uint64_t first_seq, bool flush) {
+  auto found = ObjectFor(stream_object_id);
+  if (!found.ok()) return found.status();
+  stream::StreamObject* object = *found;
+  std::vector<stream::StreamRecord> records;
+  bus_->ChargeTransfer(
+      WrapMessages(messages, producer_id, first_seq, &records));
+  return object->Append(std::move(records), flush);
+}
+
+Result<uint64_t> StreamWorker::FindOffsetByTimestamp(uint64_t stream_object_id,
+                                                     int64_t timestamp) {
+  auto found = ObjectFor(stream_object_id);
+  if (!found.ok()) return found.status();
+  stream::StreamObject* object = *found;
   return object->FindOffsetByTimestamp(timestamp);
 }
 
 Result<std::vector<stream::StreamRecord>> StreamWorker::Fetch(
     uint64_t stream_object_id, uint64_t offset, size_t max_records) {
-  if (!HandlesStream(stream_object_id)) {
-    return Status::NotFound("worker " + std::to_string(id_) +
-                            " does not handle stream " +
-                            std::to_string(stream_object_id));
-  }
-  stream::StreamObject* object = objects_->GetObject(stream_object_id);
-  if (object == nullptr) {
-    return Status::NotFound("stream object gone");
-  }
+  auto found = ObjectFor(stream_object_id);
+  if (!found.ok()) return found.status();
+  stream::StreamObject* object = *found;
   SL_ASSIGN_OR_RETURN(auto records, object->Read(offset, max_records));
   uint64_t bytes = 0;
   for (const auto& record : records) bytes += record.ByteSize();

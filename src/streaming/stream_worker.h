@@ -33,18 +33,12 @@ class StreamWorker {
   bool HandlesStream(uint64_t stream_object_id) const;
 
   /// Publish messages into one stream object. Charges the data-bus
-  /// transfer (client -> worker -> stream object) and appends.
+  /// transfer (client -> worker -> stream object) and appends; `flush`
+  /// persists the partial final slice too (StreamObject::Append).
   Result<uint64_t> Produce(uint64_t stream_object_id,
                            const std::vector<Message>& messages,
-                           uint64_t producer_id, uint64_t first_seq);
-
-  /// Like Produce but lands through StreamObject::AppendBatch: the whole
-  /// group persists as parallel slice appends without holding the stream
-  /// lock across device I/O, so dispatcher workers on different topics no
-  /// longer serialize on storage.
-  Result<uint64_t> ProduceBatch(uint64_t stream_object_id,
-                                const std::vector<Message>& messages,
-                                uint64_t producer_id, uint64_t first_seq);
+                           uint64_t producer_id, uint64_t first_seq,
+                           bool flush = false);
 
   /// Fetch up to `max_records` messages from a stream at `offset`.
   Result<std::vector<stream::StreamRecord>> Fetch(uint64_t stream_object_id,
@@ -56,6 +50,10 @@ class StreamWorker {
                                          int64_t timestamp);
 
  private:
+  /// The object of a stream this worker handles. NotFound otherwise, or
+  /// when the object is gone: Producer::Deliver re-routes on NotFound.
+  Result<stream::StreamObject*> ObjectFor(uint64_t stream_object_id) const;
+
   const uint32_t id_;
   stream::StreamObjectManager* objects_;
   sim::NetworkModel* bus_;

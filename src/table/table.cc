@@ -769,7 +769,7 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
   fanout->Record(scan_files.size());
 
   // One job per surviving file. A job holds no table lock across the
-  // simulated device I/O (same discipline as StreamObject::AppendBatch)
+  // simulated device I/O (same discipline as StreamObject::Append)
   // and hands each row group to the sink as soon as it is scanned. Totals
   // and metrics merge in file order below, with the first failure winning.
   struct ScanJob {

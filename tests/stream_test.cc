@@ -18,11 +18,12 @@ struct StreamFixture {
   std::unique_ptr<ThreadPool> io_pool;
   std::unique_ptr<StreamObjectManager> manager;
 
-  explicit StreamFixture(bool with_pmem = false, int io_threads = 0) {
+  explicit StreamFixture(bool with_pmem = false, int io_threads = 0,
+                         uint64_t plog_capacity = 8 << 20) {
     pool.AddCluster(3, 2, 64 << 20);
     storage::PlogStoreConfig config;
     config.num_shards = 8;
-    config.plog.capacity = 8 << 20;
+    config.plog.capacity = plog_capacity;
     config.plog.stripe_unit = 4096;
     config.plog.redundancy = storage::RedundancyConfig::Replication(3);
     plogs = std::make_unique<storage::PlogStore>(&pool, config, &clock);
@@ -122,7 +123,7 @@ TEST(StreamObjectTest, SlicesPersistAt256Records) {
   EXPECT_EQ(read->size(), 100u);
 }
 
-// ---------------- AppendBatch (group appends) ----------------
+// ---------------- Flushed appends (group appends) ----------------
 
 TEST(StreamObjectTest, AppendBatchPersistsWholeTailInParallel) {
   StreamFixture f(/*with_pmem=*/false, /*io_threads=*/4);
@@ -134,7 +135,7 @@ TEST(StreamObjectTest, AppendBatchPersistsWholeTailInParallel) {
   for (int i = 0; i < 100; ++i) {
     batch.push_back(MakeRecord("k", "msg-" + std::to_string(i)));
   }
-  auto offset = object->AppendBatch(std::move(batch));
+  auto offset = object->Append(std::move(batch), /*flush=*/true);
   ASSERT_TRUE(offset.ok()) << offset.status().ToString();
   EXPECT_EQ(*offset, 0u);
   // Unlike Append, a group append persists the partial final slice too:
@@ -150,7 +151,7 @@ TEST(StreamObjectTest, AppendBatchPersistsWholeTailInParallel) {
   }
 
   // The next batch lands at the current frontier.
-  auto next = object->AppendBatch({MakeRecord("k", "tail")});
+  auto next = object->Append({MakeRecord("k", "tail")}, /*flush=*/true);
   ASSERT_TRUE(next.ok());
   EXPECT_EQ(*next, 100u);
   EXPECT_EQ(object->persisted(), 101u);
@@ -176,7 +177,7 @@ TEST(StreamObjectTest, AppendBatchFlushesPreviouslyBufferedRecords) {
   for (int i = 0; i < 10; ++i) {
     batch.push_back(MakeRecord("k", "grp-" + std::to_string(i)));
   }
-  auto offset = object->AppendBatch(std::move(batch));
+  auto offset = object->Append(std::move(batch), /*flush=*/true);
   ASSERT_TRUE(offset.ok());
   EXPECT_EQ(*offset, 10u);
   EXPECT_EQ(object->persisted(), 20u);
@@ -193,13 +194,15 @@ TEST(StreamObjectTest, AppendBatchDropsProducerDuplicates) {
   StreamFixture f(/*with_pmem=*/false, /*io_threads=*/2);
   StreamObject* object = f.NewObject();
   ASSERT_TRUE(object
-                  ->AppendBatch({MakeRecord("k", "v1", 42, 1),
-                                 MakeRecord("k", "v2", 42, 2)})
+                  ->Append({MakeRecord("k", "v1", 42, 1),
+                            MakeRecord("k", "v2", 42, 2)},
+                           /*flush=*/true)
                   .ok());
   // Retry overlaps the already-accepted tail of the previous batch.
   ASSERT_TRUE(object
-                  ->AppendBatch({MakeRecord("k", "v2-dup", 42, 2),
-                                 MakeRecord("k", "v3", 42, 3)})
+                  ->Append({MakeRecord("k", "v2-dup", 42, 2),
+                            MakeRecord("k", "v3", 42, 3)},
+                           /*flush=*/true)
                   .ok());
   EXPECT_EQ(object->frontier(), 3u);
   auto read = object->Read(0, 10);
@@ -219,7 +222,7 @@ TEST(StreamObjectTest, AppendBatchInterleavesWithAppendAndFlush) {
   for (int i = 0; i < 40; ++i) {
     batch.push_back(MakeRecord("k", "b" + std::to_string(i)));
   }
-  ASSERT_TRUE(object->AppendBatch(std::move(batch)).ok());
+  ASSERT_TRUE(object->Append(std::move(batch), /*flush=*/true).ok());
   ASSERT_TRUE(object->Append({MakeRecord("k", "a1")}).ok());
   ASSERT_TRUE(object->Flush().ok());
   EXPECT_EQ(object->frontier(), 42u);
@@ -231,6 +234,106 @@ TEST(StreamObjectTest, AppendBatchInterleavesWithAppendAndFlush) {
   EXPECT_EQ(BytesToString((*read)[0].value), "a0");
   EXPECT_EQ(BytesToString((*read)[1].value), "b0");
   EXPECT_EQ(BytesToString((*read)[41].value), "a1");
+}
+
+// Records of a slice whose persist fails stay buffered: readable at their
+// offsets, and re-persisted (so the failure is reported again) by the next
+// append, even one whose records are all producer duplicates.
+TEST(StreamObjectTest, FailedSlicePersistKeepsRecordsBuffered) {
+  StreamFixture f(/*with_pmem=*/false, /*io_threads=*/0,
+                  /*plog_capacity=*/4 << 10);
+  StreamObjectOptions options;
+  options.records_per_slice = 4;
+  StreamObject* object = f.NewObject(options);
+  auto batch = [] {
+    std::vector<StreamRecord> records;
+    for (int i = 0; i < 4; ++i) {
+      records.push_back(
+          MakeRecord("k", std::string(2048, static_cast<char>('a' + i)), 7,
+                     static_cast<uint64_t>(i) + 1));
+    }
+    return records;
+  };
+  // Four 2 KiB records make one slice larger than a 4 KiB PLog.
+  auto first = object->Append(batch());
+  EXPECT_TRUE(first.status().IsResourceExhausted())
+      << first.status().ToString();
+  EXPECT_EQ(object->frontier(), 4u);
+  EXPECT_EQ(object->persisted(), 0u);
+
+  // The producer's retry is deduplicated, but the buffered slice is
+  // persisted again and fails again rather than reporting OK.
+  auto retry = object->Append(batch());
+  EXPECT_TRUE(retry.status().IsResourceExhausted())
+      << retry.status().ToString();
+  EXPECT_EQ(object->frontier(), 4u);
+  EXPECT_EQ(object->persisted(), 0u);
+
+  auto read = object->Read(0, 10);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->size(), 4u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(BytesToString((*read)[i].value),
+              std::string(2048, static_cast<char>('a' + i)));
+  }
+  EXPECT_EQ(f.plogs->TotalLiveBytes(), 0u);
+}
+
+TEST(StreamObjectTest, FailedFlushKeepsBufferedTail) {
+  StreamFixture f(/*with_pmem=*/false, /*io_threads=*/0,
+                  /*plog_capacity=*/4 << 10);
+  StreamObjectOptions options;
+  options.records_per_slice = 4;
+  StreamObject* object = f.NewObject(options);
+  ASSERT_TRUE(object
+                  ->Append({MakeRecord("k", std::string(3072, 'x'), 7, 1),
+                            MakeRecord("k", std::string(3072, 'y'), 7, 2)})
+                  .ok());
+  EXPECT_EQ(object->persisted(), 0u);
+
+  // The two-record tail slice does not fit a 4 KiB PLog.
+  EXPECT_TRUE(object->Flush().IsResourceExhausted());
+  EXPECT_TRUE(object->Flush().IsResourceExhausted());
+  EXPECT_EQ(object->frontier(), 2u);
+  EXPECT_EQ(object->persisted(), 0u);
+  auto read = object->Read(0, 10);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->size(), 2u);
+  EXPECT_EQ(BytesToString((*read)[0].value), std::string(3072, 'x'));
+  EXPECT_EQ(BytesToString((*read)[1].value), std::string(3072, 'y'));
+}
+
+// Slices commit in order up to the first failed one; the PLog appends of
+// later slices are rolled back, and all of their records stay buffered.
+TEST(StreamObjectTest, FailedSliceCommitsPrefixAndRollsBackTheRest) {
+  StreamFixture f(/*with_pmem=*/false, /*io_threads=*/2,
+                  /*plog_capacity=*/4 << 10);
+  StreamObjectOptions options;
+  options.records_per_slice = 2;
+  StreamObject* object = f.NewObject(options);
+  std::vector<StreamRecord> batch = {
+      MakeRecord("k", "s0-a"), MakeRecord("k", "s0-b"),
+      MakeRecord("k", std::string(3072, 'x')),
+      MakeRecord("k", std::string(3072, 'y')),
+      MakeRecord("k", "s2-a"), MakeRecord("k", "s2-b")};
+  Bytes first_slice;
+  EncodeSlice(&first_slice, std::span<const StreamRecord>(batch).first(2));
+
+  auto offset = object->Append(batch, /*flush=*/true);
+  EXPECT_TRUE(offset.status().IsResourceExhausted())
+      << offset.status().ToString();
+  EXPECT_EQ(object->frontier(), 6u);
+  EXPECT_EQ(object->persisted(), 2u);
+  // Only the committed first slice is live; the third slice's append was
+  // marked garbage.
+  EXPECT_EQ(f.plogs->TotalLiveBytes(), first_slice.size());
+
+  auto read = object->Read(0, 10);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->size(), 6u);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ((*read)[i], batch[i]);
+  }
 }
 
 TEST(StreamObjectTest, IoAggregationReducesStorageOps) {
@@ -253,6 +356,14 @@ TEST(StreamObjectTest, IoAggregationReducesStorageOps) {
   uint64_t direct_ops = run(f_direct, direct);
   // One aggregated slice write (x3 replicas) vs 256 per-record writes.
   EXPECT_LT(agg_ops * 50, direct_ops);
+
+  // Without aggregation a flushed append also writes one record per slice.
+  StreamFixture f_flushed;
+  StreamObject* object = f_flushed.NewObject(direct);
+  std::vector<StreamRecord> batch(256, MakeRecord("k", std::string(100, 'x')));
+  ASSERT_TRUE(object->Append(std::move(batch), /*flush=*/true).ok());
+  EXPECT_EQ(object->persisted(), 256u);
+  EXPECT_EQ(f_flushed.pool.AggregateStats().write_ops, direct_ops);
 }
 
 TEST(StreamObjectTest, IdempotentProducerDropsDuplicates) {

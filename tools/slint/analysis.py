@@ -9,7 +9,7 @@ matched to this codebase's idioms:
 
   * an Unlock in a deeper block that exits (return/break/continue before
     the block closes) is an early-out release and does not end the
-    main-path region (StreamObject::AppendBatch's error returns);
+    main-path region (StreamObject::Append's error returns);
   * re-acquiring a name already held is skipped (the re-lock after a
     branch-dependent release; true recursive locking is the runtime
     checker's catch).

@@ -68,7 +68,7 @@ class MutexInfo:
 class FunctionInfo:
     def __init__(self, qualname, cls, name, path, header, body, body_line,
                  requires, no_tsa, param_types, ret=""):
-        self.qualname = qualname      # "StreamObject::AppendBatch"
+        self.qualname = qualname      # "StreamObject::Append"
         self.cls = cls                # "StreamObject" or None
         self.name = name
         self.path = path
