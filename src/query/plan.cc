@@ -19,7 +19,7 @@ bool RefMatches(const PlanTableRef& ref, const std::string& qualifier) {
 }
 
 /// Column-name resolution over the tables of one statement. `contributes`
-/// marks refs whose columns appear in the join output (the FROM table and
+/// marks refs whose columns appear in the joined row (the FROM table and
 /// inner joins; semi joins only filter).
 class Resolver {
  public:
@@ -27,13 +27,15 @@ class Resolver {
            std::vector<bool> contributes)
       : refs_(refs), contributes_(std::move(contributes)) {}
 
-  /// Resolve to any referenced table (used to route WHERE predicates to
-  /// per-table scan filters; semi-joined tables are legal targets).
-  Result<std::pair<size_t, std::string>> ResolveAnyRef(
-      const std::string& name) const {
+  /// Resolve `name` among the first `count` refs to {ref index, column}: a
+  /// qualified name against the first ref it names, an unqualified one
+  /// against the only ref with that column. Semi-joined tables are legal
+  /// targets (WHERE predicates route to their scans).
+  Result<std::pair<size_t, std::string>> Resolve(const std::string& name,
+                                                 size_t count) const {
     auto [qualifier, field] = SplitQualifier(name);
     if (!qualifier.empty()) {
-      for (size_t i = 0; i < refs_.size(); ++i) {
+      for (size_t i = 0; i < count; ++i) {
         if (!RefMatches(refs_[i], qualifier)) continue;
         if (refs_[i].schema->FieldIndex(field) < 0) {
           return Status::InvalidArgument("unknown column '" + name + "'");
@@ -44,7 +46,7 @@ class Resolver {
                                      "' in column '" + name + "'");
     }
     std::optional<size_t> found;
-    for (size_t i = 0; i < refs_.size(); ++i) {
+    for (size_t i = 0; i < count; ++i) {
       if (refs_[i].schema->FieldIndex(field) < 0) continue;
       if (found) {
         return Status::InvalidArgument("ambiguous column '" + name + "'");
@@ -57,172 +59,58 @@ class Resolver {
     return std::make_pair(*found, field);
   }
 
-  /// Resolve an output column (projection / GROUP BY / aggregate / join
-  /// probe key) to its qualified `alias.field` spelling. Only
-  /// contributing tables qualify.
-  Result<std::string> ResolveOutput(const std::string& name) const {
-    SL_ASSIGN_OR_RETURN(auto resolved, ResolveAnyRef(name));
-    auto [ref_idx, field] = resolved;
-    if (!contributes_[ref_idx]) {
+  /// Resolve a column of the joined row (projection, GROUP BY, aggregate
+  /// input, join probe key) among the first `count` refs.
+  Result<std::pair<size_t, std::string>> ResolveRowColumn(
+      const std::string& name, size_t count) const {
+    SL_ASSIGN_OR_RETURN(auto resolved, Resolve(name, count));
+    if (!contributes_[resolved.first]) {
       return Status::InvalidArgument(
           "column '" + name + "' references semi-joined table '" +
-          refs_[ref_idx].alias + "' which has no output columns");
+          refs_[resolved.first].alias + "' which has no output columns");
     }
-    return refs_[ref_idx].alias + "." + field;
+    return resolved;
   }
 
-  const PlanTableRef& ref(size_t i) const { return refs_[i]; }
-  size_t num_refs() const { return refs_.size(); }
+  /// The output spelling of a joined-row column: `alias.column` when the
+  /// statement references more than one table, else the bare column.
+  Result<std::string> ResolveOutput(const std::string& name) const {
+    SL_ASSIGN_OR_RETURN(auto resolved, ResolveRowColumn(name, refs_.size()));
+    if (refs_.size() == 1) return resolved.second;
+    return refs_[resolved.first].alias + "." + resolved.second;
+  }
 
  private:
   const std::vector<PlanTableRef>& refs_;
   std::vector<bool> contributes_;
 };
 
-format::DataType AggregateOutputType(const AggregateSpec& agg,
-                                     const format::Schema& input) {
-  switch (agg.func) {
-    case AggregateSpec::Func::kCount:
-      return format::DataType::kInt64;
-    case AggregateSpec::Func::kSum:
-    case AggregateSpec::Func::kAvg:
-      return format::DataType::kDouble;
-    case AggregateSpec::Func::kMin:
-    case AggregateSpec::Func::kMax: {
-      int idx = input.FieldIndex(agg.column);
-      return idx < 0 ? format::DataType::kInt64 : input.field(idx).type;
-    }
-  }
-  return format::DataType::kInt64;
+void AppendScanString(const Plan::Scan& scan, std::string* out) {
+  *out += "Scan(" + scan.table;
+  if (scan.alias != scan.table) *out += " AS " + scan.alias;
+  if (!scan.filter.empty()) *out += ", filter: " + scan.filter.ToString();
+  *out += ")\n";
 }
 
-format::Schema AggregateOutputSchema(
-    const std::vector<std::string>& group_by,
-    const std::vector<AggregateSpec>& aggregates,
-    const format::Schema& input) {
-  std::vector<format::Field> fields;
-  for (const std::string& g : group_by) {
-    int idx = input.FieldIndex(g);
-    fields.push_back(format::Field{
-        g, idx < 0 ? format::DataType::kInt64 : input.field(idx).type});
+void AppendNames(const std::vector<std::string>& names, std::string* out) {
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (i) *out += ", ";
+    *out += names[i];
   }
-  for (const AggregateSpec& agg : aggregates) {
-    fields.push_back(
-        format::Field{agg.alias, AggregateOutputType(agg, input)});
-  }
-  return format::Schema(std::move(fields));
 }
 
-format::Schema ProjectOutputSchema(const std::vector<std::string>& columns,
-                                   const format::Schema& input) {
-  std::vector<format::Field> fields;
-  for (const std::string& c : columns) {
-    int idx = input.FieldIndex(c);
-    fields.push_back(format::Field{
-        c, idx < 0 ? format::DataType::kInt64 : input.field(idx).type});
-  }
-  return format::Schema(std::move(fields));
-}
+}  // namespace
 
-/// Wrap `child` in the aggregate/project + sort/limit chain of `spec`.
-/// Column names in `spec` must already be resolved for the child's output
-/// schema.
-std::unique_ptr<PlanNode> AttachOutputOperators(
-    std::unique_ptr<PlanNode> child, const QuerySpec& spec) {
-  if (!spec.aggregates.empty()) {
-    auto agg = std::make_unique<AggregateNode>();
-    agg->group_by = spec.group_by;
-    agg->aggregates = spec.aggregates;
-    agg->output_schema = AggregateOutputSchema(
-        spec.group_by, spec.aggregates, child->output_schema);
-    agg->children.push_back(std::move(child));
-    child = std::move(agg);
-  } else if (!spec.projection.empty()) {
-    auto project = std::make_unique<ProjectNode>();
-    project->columns = spec.projection;
-    project->output_schema =
-        ProjectOutputSchema(spec.projection, child->output_schema);
-    project->children.push_back(std::move(child));
-    child = std::move(project);
+Result<Plan> PlanSelect(const SqlStatement& statement,
+                        const std::vector<PlanTableRef>& refs) {
+  if (statement.kind != SqlStatement::Kind::kSelect) {
+    return Status::InvalidArgument("PlanSelect needs a SELECT statement");
   }
-  if (!spec.order_by.empty() || spec.limit > 0) {
-    auto sort = std::make_unique<SortLimitNode>();
-    sort->order_by = spec.order_by;
-    sort->order_descending = spec.order_descending;
-    sort->limit = spec.limit;
-    sort->output_schema = child->output_schema;
-    sort->children.push_back(std::move(child));
-    child = std::move(sort);
+  if (refs.size() != statement.joins.size() + 1) {
+    return Status::InvalidArgument(
+        "planner given " + std::to_string(refs.size()) + " tables for " +
+        std::to_string(statement.joins.size() + 1) + " references");
   }
-  return child;
-}
-
-/// Single-table lowering: strip the table's own qualifier off every
-/// column reference. WHERE literals are checked against the schema here;
-/// the executor validates output names at run time (keeping its error
-/// messages byte-exact).
-Result<std::unique_ptr<PlanNode>> PlanSingleTable(
-    const SqlStatement& statement, const PlanTableRef& ref) {
-  auto strip = [&](const std::string& name) -> Result<std::string> {
-    auto [qualifier, field] = SplitQualifier(name);
-    if (qualifier.empty()) return name;
-    if (!RefMatches(ref, qualifier)) {
-      return Status::InvalidArgument("unknown table alias '" + qualifier +
-                                     "' in column '" + name + "'");
-    }
-    return field;
-  };
-
-  auto scan = std::make_unique<ScanNode>();
-  scan->table = ref.table;
-  scan->alias = ref.alias;
-  scan->table_index = 0;
-  scan->output_schema = *ref.schema;
-  Conjunction where;
-  for (const Predicate& p : statement.select.where.predicates()) {
-    Predicate stripped = p;
-    SL_ASSIGN_OR_RETURN(stripped.column, strip(p.column));
-    where.Add(std::move(stripped));
-  }
-  SL_ASSIGN_OR_RETURN(scan->filter, CoerceConjunction(*ref.schema, where));
-
-  QuerySpec spec;
-  for (const std::string& c : statement.select.projection) {
-    SL_ASSIGN_OR_RETURN(std::string name, strip(c));
-    spec.projection.push_back(std::move(name));
-  }
-  for (const std::string& g : statement.select.group_by) {
-    SL_ASSIGN_OR_RETURN(std::string name, strip(g));
-    spec.group_by.push_back(std::move(name));
-  }
-  for (const AggregateSpec& agg : statement.select.aggregates) {
-    AggregateSpec resolved = agg;
-    if (!agg.column.empty()) {
-      SL_ASSIGN_OR_RETURN(resolved.column, strip(agg.column));
-    }
-    spec.aggregates.push_back(std::move(resolved));
-  }
-  // ORDER BY names an output column (aggregate aliases included), so an
-  // unmatched qualifier is left for the executor to diagnose.
-  spec.order_by = statement.select.order_by;
-  auto [oq, ofield] = SplitQualifier(spec.order_by);
-  if (!oq.empty() && RefMatches(ref, oq)) spec.order_by = ofield;
-  spec.order_descending = statement.select.order_descending;
-  spec.limit = statement.select.limit;
-
-  return AttachOutputOperators(std::move(scan), spec);
-}
-
-format::Schema QualifiedSchema(const PlanTableRef& ref) {
-  std::vector<format::Field> fields;
-  for (const format::Field& f : ref.schema->fields()) {
-    fields.push_back(format::Field{ref.alias + "." + f.name, f.type});
-  }
-  return format::Schema(std::move(fields));
-}
-
-Result<std::unique_ptr<PlanNode>> PlanMultiTable(
-    const SqlStatement& statement, const std::vector<PlanTableRef>& refs) {
   std::vector<bool> contributes(refs.size(), false);
   contributes[0] = true;
   for (size_t j = 0; j < statement.joins.size(); ++j) {
@@ -230,14 +118,17 @@ Result<std::unique_ptr<PlanNode>> PlanMultiTable(
   }
   Resolver resolver(refs, contributes);
 
-  // Route every WHERE predicate to its owning table's scan filter
-  // (full pushdown: the scan evaluates it with the unqualified name).
-  std::vector<Conjunction> scan_filters(refs.size());
+  Plan plan;
+  for (const PlanTableRef& ref : refs) {
+    plan.scans.push_back({ref.table, ref.alias, {}});
+  }
+  // Route every WHERE predicate to its owning table's scan filter (full
+  // pushdown: the scan evaluates it with the unqualified name).
   for (const Predicate& p : statement.select.where.predicates()) {
-    SL_ASSIGN_OR_RETURN(auto target, resolver.ResolveAnyRef(p.column));
+    SL_ASSIGN_OR_RETURN(auto target, resolver.Resolve(p.column, refs.size()));
     Predicate routed = p;
     routed.column = target.second;
-    scan_filters[target.first].Add(std::move(routed));
+    plan.scans[target.first].filter.Add(std::move(routed));
   }
   // Subquery WHERE clauses are scoped to their own table.
   for (size_t j = 0; j < statement.joins.size(); ++j) {
@@ -257,258 +148,178 @@ Result<std::unique_ptr<PlanNode>> PlanMultiTable(
       }
       Predicate routed = p;
       routed.column = field;
-      scan_filters[j + 1].Add(std::move(routed));
+      plan.scans[j + 1].filter.Add(std::move(routed));
     }
   }
-
   for (size_t i = 0; i < refs.size(); ++i) {
-    SL_ASSIGN_OR_RETURN(scan_filters[i],
-                        CoerceConjunction(*refs[i].schema, scan_filters[i]));
+    SL_ASSIGN_OR_RETURN(plan.scans[i].filter,
+                        CoerceConjunction(*refs[i].schema,
+                                          plan.scans[i].filter));
   }
 
-  auto probe_scan = std::make_unique<ScanNode>();
-  probe_scan->table = refs[0].table;
-  probe_scan->alias = refs[0].alias;
-  probe_scan->table_index = 0;
-  probe_scan->filter = std::move(scan_filters[0]);
-  probe_scan->output_schema = QualifiedSchema(refs[0]);
-
-  std::unique_ptr<PlanNode> probe = std::move(probe_scan);
+  // The joined row: the probe table's columns, then each inner join's
+  // build columns; ref i's columns start at offset[i].
+  std::vector<format::Field> row_fields;
+  std::vector<size_t> offset(refs.size(), 0);
+  auto append_columns = [&](size_t i) {
+    offset[i] = row_fields.size();
+    for (const format::Field& f : refs[i].schema->fields()) {
+      row_fields.push_back(format::Field{
+          refs.size() == 1 ? f.name : refs[i].alias + "." + f.name, f.type});
+    }
+  };
+  append_columns(0);
   for (size_t j = 0; j < statement.joins.size(); ++j) {
     const JoinSpec& join = statement.joins[j];
     const PlanTableRef& ref = refs[j + 1];
 
     // Classify the ON / correlation keys: exactly one side must belong to
-    // the newly joined table, the other to the probe subtree built so far.
+    // the newly joined table, the other to a table joined before it.
     auto build_side = [&](const std::string& key)
         -> std::optional<std::string> {  // unqualified build column
       auto [qualifier, field] = SplitQualifier(key);
-      if (!qualifier.empty()) {
-        if (!RefMatches(ref, qualifier)) return std::nullopt;
-        if (ref.schema->FieldIndex(field) < 0) return std::nullopt;
-        return field;
+      if (!qualifier.empty() && !RefMatches(ref, qualifier)) {
+        return std::nullopt;
       }
       if (ref.schema->FieldIndex(field) < 0) return std::nullopt;
       return field;
     };
-    auto probe_side = [&](const std::string& key)
-        -> std::optional<std::string> {  // qualified probe column
+    auto probe_side = [&](const std::string& key) {
       auto [qualifier, field] = SplitQualifier(key);
       for (size_t i = 0; i <= j; ++i) {
         if (!contributes[i]) continue;
         if (!qualifier.empty() && !RefMatches(refs[i], qualifier)) continue;
-        if (refs[i].schema->FieldIndex(field) < 0) continue;
-        return refs[i].alias + "." + field;
+        if (refs[i].schema->FieldIndex(field) >= 0) return true;
       }
-      return std::nullopt;
+      return false;
     };
 
-    std::string build_key;
-    std::string probe_key;
+    std::optional<std::string> build_key;
+    const std::string* probe_key = nullptr;  // as spelled in the statement
     if (join.kind == JoinSpec::Kind::kSemi) {
       // IN / EXISTS desugaring is directional — the left key is the
       // outer column, the right key the subquery's — so there is no
       // symmetric ambiguity to resolve.
-      std::optional<std::string> semi_build = build_side(join.right_key);
-      std::optional<std::string> semi_probe = probe_side(join.left_key);
-      if (!semi_build || !semi_probe) {
-        return Status::InvalidArgument(
-            "join keys '" + join.left_key + "' = '" + join.right_key +
-            "' must reference the joined table '" + ref.alias +
-            "' on one side and an earlier table on the other");
-      }
-      build_key = *semi_build;
-      probe_key = *semi_probe;
+      build_key = build_side(join.right_key);
+      if (build_key && probe_side(join.left_key)) probe_key = &join.left_key;
     } else {
       std::optional<std::string> left_build = build_side(join.left_key);
       std::optional<std::string> right_build = build_side(join.right_key);
-      std::optional<std::string> left_probe = probe_side(join.left_key);
-      std::optional<std::string> right_probe = probe_side(join.right_key);
-
-      if (right_build && left_probe && !(left_build && right_probe)) {
-        build_key = *right_build;
-        probe_key = *left_probe;
-      } else if (left_build && right_probe && !(right_build && left_probe)) {
-        build_key = *left_build;
-        probe_key = *right_probe;
-      } else if (left_build && right_probe && right_build && left_probe) {
+      bool left_probe = probe_side(join.left_key);
+      bool right_probe = probe_side(join.right_key);
+      if (left_build && right_probe && right_build && left_probe) {
         return Status::InvalidArgument(
             "ambiguous join keys '" + join.left_key + "' = '" +
             join.right_key + "'; qualify them with table aliases");
-      } else {
-        return Status::InvalidArgument(
-            "join keys '" + join.left_key + "' = '" + join.right_key +
-            "' must reference the joined table '" + ref.alias +
-            "' on one side and an earlier table on the other");
+      }
+      if (right_build && left_probe) {
+        build_key = right_build;
+        probe_key = &join.left_key;
+      } else if (left_build && right_probe) {
+        build_key = left_build;
+        probe_key = &join.right_key;
       }
     }
-
-    int probe_col = probe->output_schema.FieldIndex(probe_key);
-    int build_col = ref.schema->FieldIndex(build_key);
-    // Both resolved above; verify the key types agree, because the
-    // value-compare path used by the hash map aborts on mixed types.
-    if (probe->output_schema.field(probe_col).type !=
+    if (probe_key == nullptr) {
+      return Status::InvalidArgument(
+          "join keys '" + join.left_key + "' = '" + join.right_key +
+          "' must reference the joined table '" + ref.alias +
+          "' on one side and an earlier table on the other");
+    }
+    // The probe key binds like any other column of the rows joined so far.
+    SL_ASSIGN_OR_RETURN(auto probe, resolver.ResolveRowColumn(*probe_key,
+                                                              j + 1));
+    const format::Schema& probe_schema = *refs[probe.first].schema;
+    int probe_col = probe_schema.FieldIndex(probe.second);
+    int build_col = ref.schema->FieldIndex(*build_key);
+    // The value-compare path used by the hash map aborts on mixed types.
+    if (probe_schema.field(probe_col).type !=
         ref.schema->field(build_col).type) {
       return Status::InvalidArgument(
-          "join key type mismatch between '" + probe_key + "' and '" +
-          ref.alias + "." + build_key + "'");
+          "join key type mismatch between '" + refs[probe.first].alias +
+          "." + probe.second + "' and '" + ref.alias + "." + *build_key +
+          "'");
     }
-
-    auto build_scan = std::make_unique<ScanNode>();
-    build_scan->table = ref.table;
-    build_scan->alias = ref.alias;
-    build_scan->table_index = j + 1;
-    build_scan->filter = std::move(scan_filters[j + 1]);
-    build_scan->output_schema = *ref.schema;
-
-    auto node = std::make_unique<HashJoinNode>();
-    node->join_kind = join.kind == JoinSpec::Kind::kInner
-                          ? HashJoinNode::JoinKind::kInner
-                          : HashJoinNode::JoinKind::kSemi;
-    node->probe_key = probe_key;
-    node->build_key = build_key;
-    node->probe_col = probe_col;
-    node->build_col = build_col;
-    std::vector<format::Field> out_fields = probe->output_schema.fields();
-    if (join.kind == JoinSpec::Kind::kInner) {
-      const format::Schema qualified = QualifiedSchema(ref);
-      for (const format::Field& f : qualified.fields()) {
-        out_fields.push_back(f);
-      }
-    }
-    node->output_schema = format::Schema(std::move(out_fields));
-    node->children.push_back(std::move(probe));
-    node->children.push_back(std::move(build_scan));
-    probe = std::move(node);
+    plan.joins.push_back(
+        {join.kind == JoinSpec::Kind::kSemi,
+         static_cast<int>(offset[probe.first]) + probe_col, build_col});
+    if (join.kind == JoinSpec::Kind::kInner) append_columns(j + 1);
   }
+  plan.row_schema = format::Schema(std::move(row_fields));
 
-  // Rewrite the output clauses to qualified names against the join output.
-  QuerySpec spec;
+  QuerySpec& output = plan.output;
   for (const std::string& c : statement.select.projection) {
     SL_ASSIGN_OR_RETURN(std::string name, resolver.ResolveOutput(c));
-    spec.projection.push_back(std::move(name));
+    output.projection.push_back(std::move(name));
   }
   for (const std::string& g : statement.select.group_by) {
     SL_ASSIGN_OR_RETURN(std::string name, resolver.ResolveOutput(g));
-    spec.group_by.push_back(std::move(name));
+    output.group_by.push_back(std::move(name));
   }
   for (const AggregateSpec& agg : statement.select.aggregates) {
     AggregateSpec resolved = agg;
     if (!agg.column.empty()) {
-      SL_ASSIGN_OR_RETURN(resolved.column,
-                          resolver.ResolveOutput(agg.column));
+      SL_ASSIGN_OR_RETURN(resolved.column, resolver.ResolveOutput(agg.column));
     }
-    spec.aggregates.push_back(std::move(resolved));
+    output.aggregates.push_back(std::move(resolved));
   }
-  // ORDER BY may name an aggregate alias; otherwise qualify it if it
-  // resolves, else leave it for the executor's diagnostic.
-  spec.order_by = statement.select.order_by;
-  if (!spec.order_by.empty()) {
+  // ORDER BY may name an aggregate alias; otherwise resolve it when it
+  // names a column, else leave it for the executor's diagnostic.
+  output.order_by = statement.select.order_by;
+  if (!output.order_by.empty()) {
     bool is_alias = false;
-    for (const AggregateSpec& agg : spec.aggregates) {
-      if (agg.alias == spec.order_by) is_alias = true;
+    for (const AggregateSpec& agg : output.aggregates) {
+      if (agg.alias == output.order_by) is_alias = true;
     }
     if (!is_alias) {
-      Result<std::string> resolved = resolver.ResolveOutput(spec.order_by);
-      if (resolved.ok()) spec.order_by = *resolved;
+      Result<std::string> resolved = resolver.ResolveOutput(output.order_by);
+      if (resolved.ok()) output.order_by = *resolved;
     }
   }
-  spec.order_descending = statement.select.order_descending;
-  spec.limit = statement.select.limit;
-
-  return AttachOutputOperators(std::move(probe), spec);
+  output.order_descending = statement.select.order_descending;
+  output.limit = statement.select.limit;
+  return plan;
 }
 
-void AppendPlanString(const PlanNode& node, int depth, std::string* out) {
-  out->append(static_cast<size_t>(depth) * 2, ' ');
-  switch (node.kind) {
-    case PlanNode::Kind::kScan: {
-      const auto& scan = static_cast<const ScanNode&>(node);
-      *out += "Scan(" + scan.table;
-      if (scan.alias != scan.table) *out += " AS " + scan.alias;
-      if (!scan.filter.empty()) *out += ", filter: " + scan.filter.ToString();
-      *out += ")";
-      break;
-    }
-    case PlanNode::Kind::kFilter: {
-      const auto& filter = static_cast<const FilterNode&>(node);
-      *out += "Filter(" + filter.filter.ToString() + ")";
-      break;
-    }
-    case PlanNode::Kind::kProject: {
-      const auto& project = static_cast<const ProjectNode&>(node);
-      *out += "Project(";
-      for (size_t i = 0; i < project.columns.size(); ++i) {
-        if (i) *out += ", ";
-        *out += project.columns[i];
-      }
-      *out += ")";
-      break;
-    }
-    case PlanNode::Kind::kHashJoin: {
-      const auto& join = static_cast<const HashJoinNode&>(node);
-      *out += join.join_kind == HashJoinNode::JoinKind::kInner
-                  ? "HashJoin(inner, "
-                  : "HashJoin(semi, ";
-      *out += join.probe_key + " = " + join.build_key + ")";
-      break;
-    }
-    case PlanNode::Kind::kAggregate: {
-      const auto& agg = static_cast<const AggregateNode&>(node);
-      *out += "Aggregate(";
-      for (size_t i = 0; i < agg.group_by.size(); ++i) {
-        if (i) *out += ", ";
-        *out += agg.group_by[i];
-      }
-      if (!agg.group_by.empty() && !agg.aggregates.empty()) *out += "; ";
-      for (size_t i = 0; i < agg.aggregates.size(); ++i) {
-        if (i) *out += ", ";
-        *out += agg.aggregates[i].alias;
-      }
-      *out += ")";
-      break;
-    }
-    case PlanNode::Kind::kSortLimit: {
-      const auto& sort = static_cast<const SortLimitNode&>(node);
-      *out += "SortLimit(";
-      if (!sort.order_by.empty()) {
-        *out += "order by " + sort.order_by +
-                (sort.order_descending ? " desc" : " asc");
-      }
-      if (sort.limit > 0) {
-        if (!sort.order_by.empty()) *out += ", ";
-        *out += "limit " + std::to_string(sort.limit);
-      }
-      *out += ")";
-      break;
-    }
-  }
-  *out += "\n";
-  for (const auto& child : node.children) {
-    AppendPlanString(*child, depth + 1, out);
-  }
-}
-
-}  // namespace
-
-Result<std::unique_ptr<PlanNode>> PlanSelect(
-    const SqlStatement& statement,
-    const std::vector<PlanTableRef>& refs) {
-  if (statement.kind != SqlStatement::Kind::kSelect) {
-    return Status::InvalidArgument("PlanSelect needs a SELECT statement");
-  }
-  if (refs.size() != statement.joins.size() + 1) {
-    return Status::InvalidArgument(
-        "planner given " + std::to_string(refs.size()) + " tables for " +
-        std::to_string(statement.joins.size() + 1) + " references");
-  }
-  if (refs.size() == 1) return PlanSingleTable(statement, refs[0]);
-  return PlanMultiTable(statement, refs);
-}
-
-std::string PlanToString(const PlanNode& root) {
+std::string PlanToString(const Plan& plan,
+                         const std::vector<PlanTableRef>& refs) {
   std::string out;
-  AppendPlanString(root, 0, &out);
+  AppendScanString(plan.scans[0], &out);
+  for (size_t j = 0; j < plan.joins.size(); ++j) {
+    const Plan::Join& join = plan.joins[j];
+    const Plan::Scan& build = plan.scans[j + 1];
+    out += join.semi ? "HashJoin(semi, " : "HashJoin(inner, ";
+    out += plan.row_schema.field(join.probe_col).name + " = " + build.alias +
+           "." + refs[j + 1].schema->field(join.build_col).name + ")\n  ";
+    AppendScanString(build, &out);
+  }
+  const QuerySpec& output = plan.output;
+  if (!output.aggregates.empty()) {
+    out += "Aggregate(";
+    AppendNames(output.group_by, &out);
+    if (!output.group_by.empty()) out += "; ";
+    for (size_t i = 0; i < output.aggregates.size(); ++i) {
+      if (i) out += ", ";
+      out += output.aggregates[i].alias;
+    }
+    out += ")\n";
+  } else if (!output.projection.empty()) {
+    out += "Project(";
+    AppendNames(output.projection, &out);
+    out += ")\n";
+  }
+  if (!output.order_by.empty() || output.limit > 0) {
+    out += "SortLimit(";
+    if (!output.order_by.empty()) {
+      out += "order by " + output.order_by +
+             (output.order_descending ? " desc" : " asc");
+    }
+    if (output.limit > 0) {
+      if (!output.order_by.empty()) out += ", ";
+      out += "limit " + std::to_string(output.limit);
+    }
+    out += ")\n";
+  }
   return out;
 }
 

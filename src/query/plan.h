@@ -1,7 +1,6 @@
 #ifndef STREAMLAKE_QUERY_PLAN_H_
 #define STREAMLAKE_QUERY_PLAN_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,79 +10,42 @@
 
 namespace streamlake::query {
 
-/// \brief A query plan: a tree of composable relational operators the
-/// planner lowers a parsed SqlStatement into, and the table-side runner
-/// walks. Leaf ScanNodes carry per-table pushdown filters; HashJoinNode
-/// children are [probe subtree, build scan]; the root chain is
-/// SortLimit -> (Aggregate | Project) -> joins/scans.
-struct PlanNode {
-  enum class Kind { kScan, kFilter, kProject, kHashJoin, kAggregate,
-                    kSortLimit };
+/// \brief A query plan, exactly as table::RunPlan executes it: one probe
+/// scan, a left-deep chain of hash joins (possibly empty) whose build sides
+/// are scans too, then one output stage over the joined rows.
+struct Plan {
+  /// One table scan with its pushdown filter. Column names in `filter` are
+  /// unqualified: they address the table's own schema.
+  struct Scan {
+    std::string table;
+    std::string alias;
+    Conjunction filter;
+  };
 
-  explicit PlanNode(Kind k) : kind(k) {}
-  virtual ~PlanNode() = default;
+  /// Hash join of the rows so far with the build scan `scans[j + 1]`. An
+  /// inner join appends each matching build row's columns to the probe row
+  /// (once per match); a semi join (IN / EXISTS) keeps the probe row once
+  /// when its key is present and appends nothing.
+  struct Join {
+    bool semi = false;
+    /// Key column of the rows so far, an index into `row_schema` (the rows
+    /// a join sees are a prefix of the final joined row).
+    int probe_col = -1;
+    /// Key column of the build table's schema.
+    int build_col = -1;
+  };
 
-  Kind kind;
-  /// Schema of the rows this node emits. For multi-table plans the field
-  /// names are `alias.column` qualified.
-  format::Schema output_schema;
-  std::vector<std::unique_ptr<PlanNode>> children;
-};
-
-/// Leaf: scan one table's files (through the parallel Select machinery)
-/// with a pushdown filter. Column names in `filter` are unqualified —
-/// they address the table's own schema.
-struct ScanNode : PlanNode {
-  ScanNode() : PlanNode(Kind::kScan) {}
-  /// Index into the pinned-table list the runner executes against.
-  size_t table_index = 0;
-  std::string table;
-  std::string alias;
-  Conjunction filter;
-};
-
-/// Row filter on qualified output columns of the child. The planner pushes
-/// all SQL predicates into scans; FilterNode exists for plans built
-/// directly (e.g. post-join residual filters).
-struct FilterNode : PlanNode {
-  FilterNode() : PlanNode(Kind::kFilter) {}
-  Conjunction filter;
-};
-
-/// Column projection over the child's output (by qualified name).
-struct ProjectNode : PlanNode {
-  ProjectNode() : PlanNode(Kind::kProject) {}
-  std::vector<std::string> columns;
-};
-
-/// Hash join: children[0] is the probe subtree, children[1] the build
-/// scan. The build side is materialized into a key -> rows map; probe
-/// rows stream through it. kSemi emits the probe row once when its key is
-/// present (IN / EXISTS desugaring); kInner emits probe+build row concat
-/// per match.
-struct HashJoinNode : PlanNode {
-  enum class JoinKind { kInner, kSemi };
-  HashJoinNode() : PlanNode(Kind::kHashJoin) {}
-  JoinKind join_kind = JoinKind::kInner;
-  std::string probe_key;  // qualified column in children[0]'s output
-  std::string build_key;  // unqualified column in the build table schema
-  int probe_col = -1;     // resolved indices
-  int build_col = -1;
-};
-
-/// Group-by + aggregates over the child's output (qualified names).
-struct AggregateNode : PlanNode {
-  AggregateNode() : PlanNode(Kind::kAggregate) {}
-  std::vector<std::string> group_by;
-  std::vector<AggregateSpec> aggregates;
-};
-
-/// ORDER BY an output column name (aggregate aliases included) + LIMIT.
-struct SortLimitNode : PlanNode {
-  SortLimitNode() : PlanNode(Kind::kSortLimit) {}
-  std::string order_by;
-  bool order_descending = false;
-  uint64_t limit = 0;
+  /// `scans[0]` is the probe scan; `scans[j + 1]` is the build side of
+  /// `joins[j]`. Scan k runs against the k-th pinned table.
+  std::vector<Scan> scans;
+  std::vector<Join> joins;
+  /// The schema `output` reads: the table's own schema for a single scan,
+  /// else the probe table's columns then each inner join's build columns,
+  /// named `alias.column`.
+  format::Schema row_schema;
+  /// The output stage (projection or GROUP BY + aggregates, ORDER BY,
+  /// LIMIT). Its `where` is empty: every predicate runs in a scan.
+  QuerySpec output;
 };
 
 /// One table referenced by a statement, already resolved against the
@@ -94,15 +56,21 @@ struct PlanTableRef {
   const format::Schema* schema = nullptr;
 };
 
-/// Lower a parsed SELECT into a plan tree. `refs[0]` is the FROM table,
-/// refs[1..] the joined tables in statement order. Column references are
-/// resolved (qualified names checked against aliases, unqualified names
-/// required to be unambiguous) and join key types are verified to match.
-Result<std::unique_ptr<PlanNode>> PlanSelect(
-    const SqlStatement& statement, const std::vector<PlanTableRef>& refs);
+/// Lower a parsed SELECT into a plan. `refs[0]` is the FROM table, refs[1..]
+/// the joined tables in statement order. Every column reference goes
+/// through one resolver: a qualified name must match a table's alias or
+/// name, an unqualified one must name a column of exactly one table. Output
+/// names are `alias.column` exactly when the statement references more than
+/// one table (a semi join counts). Every WHERE literal is checked against
+/// its column, and join key types must match.
+Result<Plan> PlanSelect(const SqlStatement& statement,
+                        const std::vector<PlanTableRef>& refs);
 
-/// Render the plan as an indented tree (debugging / tests).
-std::string PlanToString(const PlanNode& root);
+/// Render the plan one operator per line, in execution order: the probe
+/// scan, each join with its build scan indented below it, then the output
+/// operators. `refs[k]` gives the schema scan k reads (build key names).
+std::string PlanToString(const Plan& plan,
+                         const std::vector<PlanTableRef>& refs);
 
 }  // namespace streamlake::query
 

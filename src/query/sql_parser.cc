@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 namespace streamlake::query {
 
@@ -243,15 +244,33 @@ class Parser {
            Peek(1).text != "FALSE";
   }
 
+  /// The value of the current numeric token, which must parse as a whole
+  /// and fit in T: `1.2.3`, an out-of-range number and a negative LIMIT are
+  /// errors at the token's position.
+  template <typename T>
+  Result<T> ParseNumber() {
+    const std::string& text = Peek().text;
+    const char* end = text.data() + text.size();
+    T value{};
+    auto [parsed_end, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || parsed_end != end) {
+      return ErrorHere("invalid number");
+    }
+    ++pos_;
+    return value;
+  }
+
   Result<format::Value> ParseLiteral() {
     const Token& token = Peek();
     switch (token.kind) {
       case TokenKind::kInteger: {
-        int64_t v = std::stoll(Next().text);
+        SL_ASSIGN_OR_RETURN(int64_t v, ParseNumber<int64_t>());
         return format::Value(v);
       }
-      case TokenKind::kDouble:
-        return format::Value(std::stod(Next().text));
+      case TokenKind::kDouble: {
+        SL_ASSIGN_OR_RETURN(double v, ParseNumber<double>());
+        return format::Value(v);
+      }
       case TokenKind::kString:
         return format::Value(Next().raw);
       case TokenKind::kIdent:
@@ -518,7 +537,7 @@ class Parser {
       if (Peek().kind != TokenKind::kInteger) {
         return ErrorHere("LIMIT needs an integer");
       }
-      statement->select.limit = std::stoull(Next().text);
+      SL_ASSIGN_OR_RETURN(statement->select.limit, ParseNumber<uint64_t>());
     }
     // GROUP BY columns are part of the aggregate output; a projection of
     // the same names is implied and must not also be requested.

@@ -83,12 +83,11 @@ Result<Table*> LakehouseService::CreateTable(const std::string& name,
 }
 
 Result<Table*> LakehouseService::GetTable(const std::string& name) {
-  SL_ASSIGN_OR_RETURN(PlanRunner::PinnedTable pinned, PinTable(name));
+  SL_ASSIGN_OR_RETURN(PinnedTable pinned, PinTable(name));
   return pinned.table;
 }
 
-Result<PlanRunner::PinnedTable> LakehouseService::PinTable(
-    const std::string& name) {
+Result<PinnedTable> LakehouseService::PinTable(const std::string& name) {
   MutexLock lock(&mu_);
   SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name));
   if (info.soft_deleted) return Status::NotFound("table " + name + " dropped");
@@ -99,7 +98,7 @@ Result<PlanRunner::PinnedTable> LakehouseService::PinTable(
                                          scan_pool_, block_cache_);
     it = tables_.emplace(name, std::move(table)).first;
   }
-  return PlanRunner::PinnedTable{it->second.get(), std::move(info)};
+  return PinnedTable{it->second.get(), std::move(info)};
 }
 
 Status LakehouseService::DropTableSoft(const std::string& name) {
@@ -155,27 +154,24 @@ Result<query::QueryResult> LakehouseService::Query(
           for (const query::JoinSpec& join : statement.joins) {
             refs.push_back({join.table, join.alias, nullptr});
           }
-          std::vector<PlanRunner::PinnedTable> pinned;
+          std::vector<PinnedTable> pinned;
           for (query::PlanTableRef& ref : refs) {
             if (ref.alias.empty()) ref.alias = ref.table;
-            SL_ASSIGN_OR_RETURN(PlanRunner::PinnedTable table,
-                                PinTable(ref.table));
+            SL_ASSIGN_OR_RETURN(PinnedTable table, PinTable(ref.table));
             pinned.push_back(std::move(table));
           }
           for (size_t i = 0; i < refs.size(); ++i) {
             refs[i].schema = &pinned[i].info.schema;
           }
-          SL_ASSIGN_OR_RETURN(std::unique_ptr<query::PlanNode> root,
+          SL_ASSIGN_OR_RETURN(query::Plan plan,
                               query::PlanSelect(statement, refs));
-          PlanRunner runner(std::move(pinned), options);
-          return runner.Run(*root, m);
+          return RunPlan(pinned, plan, options, m);
         });
   }
 
   // DML: check every literal against the pinned schema, then run the
   // statement's single commit.
-  SL_ASSIGN_OR_RETURN(PlanRunner::PinnedTable pinned,
-                      PinTable(statement.table));
+  SL_ASSIGN_OR_RETURN(PinnedTable pinned, PinTable(statement.table));
   const format::Schema& schema = pinned.info.schema;
   SL_ASSIGN_OR_RETURN(query::Conjunction where,
                       query::CoerceConjunction(schema, statement.where));

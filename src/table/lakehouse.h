@@ -40,10 +40,12 @@ class LakehouseService {
   /// SELECT, joined or not, takes one path: a pin pass reads each
   /// referenced table's catalog entry once, BEFORE any scan starts, so a
   /// join never observes a torn cross-table state (a commit landing
-  /// mid-query affects either all of its scans or none); then the plan runs
-  /// on PlanRunner under CaptureQuery. A single-table SELECT does exactly
-  /// the work of Table::Select of the same spec. `options.snapshot_id`
-  /// cannot be combined with joins: snapshot ids are per-table.
+  /// mid-query affects either all of its scans or none); query::PlanSelect
+  /// lowers the statement to a query::Plan, and RunPlan executes it under
+  /// CaptureQuery. A single-table SELECT is the same one-scan plan
+  /// Table::Select runs for the same spec, so it does exactly that work.
+  /// `options.snapshot_id` cannot be combined with joins: snapshot ids are
+  /// per-table.
   ///
   /// INSERT / DELETE / UPDATE return one row with the affected-row count
   /// (column "affected"); `options` and `metrics` apply to SELECT only.
@@ -73,7 +75,7 @@ class LakehouseService {
 
  private:
   /// Resolve a live table and its catalog entry with one catalog read.
-  Result<PlanRunner::PinnedTable> PinTable(const std::string& name);
+  Result<PinnedTable> PinTable(const std::string& name);
 
   MetadataStore* meta_;
   storage::ObjectStore* objects_;

@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/threadpool.h"
 #include "table/block_cache.h"
+#include "table/plan_runner.h"
 
 namespace streamlake::table {
 
@@ -137,27 +138,6 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
 }
 
 }  // namespace
-
-ColumnSelection RequiredColumns(const format::Schema& schema,
-                                const query::QuerySpec& spec) {
-  if (spec.aggregates.empty() && spec.projection.empty()) {
-    return ColumnSelection::All();
-  }
-  std::set<int> cols;
-  auto add = [&](const std::string& name) {
-    int idx = schema.FieldIndex(name);
-    if (idx >= 0) cols.insert(idx);
-  };
-  if (spec.aggregates.empty()) {
-    for (const std::string& c : spec.projection) add(c);
-  } else {
-    for (const std::string& c : spec.group_by) add(c);
-    for (const query::AggregateSpec& agg : spec.aggregates) {
-      if (!agg.column.empty()) add(agg.column);
-    }
-  }
-  return ColumnSelection::Of(std::vector<int>(cols.begin(), cols.end()));
-}
 
 Table::Table(std::string name, MetadataStore* meta,
              storage::ObjectStore* objects, sim::SimClock* clock,
@@ -438,30 +418,6 @@ void SelectMetrics::Merge(const SelectMetrics& other) {
   dict_code_prunes += other.dict_code_prunes;
 }
 
-ExecutorSink::ExecutorSink(const format::Schema& schema,
-                           const query::QuerySpec& spec)
-    : schema_(schema), spec_(spec) {}
-
-void ExecutorSink::Open(size_t fragments) {
-  fragments_.reserve(fragments);
-  for (size_t i = 0; i < fragments; ++i) {
-    fragments_.emplace_back(schema_, spec_);
-  }
-}
-
-Status ExecutorSink::Consume(size_t fragment, std::vector<format::Row> rows,
-                             uint64_t visible_rows) {
-  return fragments_[fragment].ConsumeFiltered(std::move(rows), visible_rows);
-}
-
-Result<query::QueryResult> ExecutorSink::Finalize() {
-  query::Executor executor(schema_, spec_);
-  for (query::Executor& fragment : fragments_) {
-    SL_RETURN_NOT_OK(executor.MergeFrom(std::move(fragment)));
-  }
-  return executor.Finalize();
-}
-
 Result<query::QueryResult> CaptureQuery(
     sim::SimClock* clock, SelectMetrics* metrics,
     const std::function<Result<query::QueryResult>(SelectMetrics*)>& query) {
@@ -488,12 +444,13 @@ Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
   return CaptureQuery(
       clock_, metrics, [&](SelectMetrics* m) -> Result<query::QueryResult> {
         SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-        ExecutorSink sink(info.schema, spec);
-        SL_RETURN_NOT_OK(ScanInto(info, spec.where, options,
-                                  RequiredColumns(info.schema, spec), &sink,
-                                  m)
-                             .status());
-        return sink.Finalize();
+        query::Plan plan;
+        plan.scans.push_back({name_, name_, spec.where});
+        plan.row_schema = info.schema;
+        plan.output = spec;
+        plan.output.where = query::Conjunction();
+        const PinnedTable pinned{this, std::move(info)};
+        return RunPlan({&pinned, 1}, plan, options, m);
       });
 }
 

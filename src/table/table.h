@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "query/executor.h"
+#include "query/spec.h"
 #include "sim/clock.h"
 #include "sim/network_model.h"
 #include "storage/object_store.h"
@@ -103,13 +103,6 @@ struct ColumnSelection {
   }
 };
 
-/// Columns the final stage of `spec` reads from rows of `schema`: group-by
-/// + aggregate inputs, or the projection; SELECT * (no aggregates, no
-/// projection) needs every column. Unknown names are dropped — the
-/// executor reports them as errors. A scan adds its own filter columns.
-ColumnSelection RequiredColumns(const format::Schema& schema,
-                                const query::QuerySpec& spec);
-
 /// Aggregated per-column footer statistics over the live files of the head
 /// snapshot; index parallels the table schema. `ndv` is an upper-bound
 /// estimate (per-chunk exact NDVs summed, capped at the non-NULL row
@@ -136,28 +129,6 @@ class RowSink {
   /// an implementation touches only per-fragment state here.
   virtual Status Consume(size_t fragment, std::vector<format::Row> rows,
                          uint64_t visible_rows) = 0;
-};
-
-/// \brief The sink every query result comes from (Table::Select and
-/// PlanRunner): one query::Executor per fragment, fed by that
-/// fragment's scan job, folded with MergeFrom in file order by Finalize.
-/// ORDER BY / LIMIT run once after the merge and float SUMs fold in file
-/// order, so the result is byte-identical however the jobs were scheduled.
-class ExecutorSink : public RowSink {
- public:
-  ExecutorSink(const format::Schema& schema, const query::QuerySpec& spec);
-
-  void Open(size_t fragments) override;
-  Status Consume(size_t fragment, std::vector<format::Row> rows,
-                 uint64_t visible_rows) override;
-
-  /// Merge the fragments in file order and produce the result.
-  Result<query::QueryResult> Finalize();
-
- private:
-  const format::Schema schema_;
-  const query::QuerySpec spec_;
-  std::vector<query::Executor> fragments_;
 };
 
 /// Row counters of one ScanInto pass, merged in fragment order.
@@ -202,9 +173,10 @@ class Table {
 
   /// SELECT with pruning, optional pushdown, optional time travel, for
   /// callers holding a QuerySpec rather than SQL: one catalog read, then
-  /// ScanInto an ExecutorSink of `spec`, under CaptureQuery (`metrics` is
-  /// reset, then filled). SQL SELECTs run the same scan through
-  /// LakehouseService::Query and PlanRunner.
+  /// RunPlan of a one-scan plan (`spec.where` is the scan filter, the rest
+  /// of `spec` the output stage), under CaptureQuery (`metrics` is reset,
+  /// then filled). A single-table SQL SELECT runs the same plan through
+  /// LakehouseService::Query.
   Result<query::QueryResult> Select(const query::QuerySpec& spec,
                                     const SelectOptions& options = {},
                                     SelectMetrics* metrics = nullptr);

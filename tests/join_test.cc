@@ -1,5 +1,5 @@
-// The plan-tree query path: parser extensions (joins, subqueries, !=,
-// BETWEEN, positioned errors), planner lowering, and the hash-join
+// The query path: parser extensions (joins, subqueries, !=, BETWEEN,
+// positioned errors), planner lowering to query::Plan, and the hash-join
 // pipeline — golden results against hand-computed joins, parallel ==
 // serial byte-identity, and multi-table snapshot pinning.
 
@@ -530,7 +530,69 @@ TEST(JoinTest, QualifiedSingleTableSelect) {
   EXPECT_EQ(std::get<int64_t>(result->rows[0].fields[1]), 32);
 }
 
-TEST(JoinTest, DirectPlanWithFilterNodeAndToString) {
+TEST(JoinTest, UnqualifiedProbeKeyMustBeUnambiguous) {
+  JoinFixture f;
+  f.CreateAndFill();
+  // `user_id` names a column of both logs and u, so as the probe key of
+  // the second join it is as ambiguous as in WHERE or the projection.
+  auto ambiguous = f.Sql(
+      "SELECT l.url FROM logs l JOIN users u ON l.user_id = u.user_id "
+      "JOIN users u2 ON user_id = u2.user_id");
+  ASSERT_FALSE(ambiguous.ok());
+  EXPECT_TRUE(ambiguous.status().IsInvalidArgument());
+  EXPECT_NE(ambiguous.status().ToString().find("ambiguous column 'user_id'"),
+            std::string::npos)
+      << ambiguous.status().ToString();
+
+  // Qualified, the self-join runs: each log row matches every (u, u2) pair
+  // of users rows carrying its id.
+  auto qualified = f.Sql(
+      "SELECT COUNT(*) AS c FROM logs l JOIN users u ON l.user_id = u.user_id "
+      "JOIN users u2 ON u.user_id = u2.user_id");
+  ASSERT_TRUE(qualified.ok()) << qualified.status().ToString();
+  // An unqualified key naming a column of exactly one earlier table binds.
+  auto two_tables = f.Sql(
+      "SELECT COUNT(*) AS c FROM logs l JOIN users u ON user_id = u.user_id");
+  ASSERT_TRUE(two_tables.ok()) << two_tables.status().ToString();
+  int64_t pairs = 0;
+  int64_t matches = 0;
+  for (const LogRow& log : MakeLogs()) {
+    int64_t same_id = 0;
+    for (const UserRow& user : MakeUsers()) {
+      if (user.user_id == log.user_id) ++same_id;
+    }
+    pairs += same_id * same_id;
+    matches += same_id;
+  }
+  EXPECT_EQ(std::get<int64_t>(qualified->rows[0].fields[0]), pairs);
+  EXPECT_EQ(std::get<int64_t>(two_tables->rows[0].fields[0]), matches);
+}
+
+TEST(JoinTest, PlanToStringGolden) {
+  const format::Schema logs = LogsSchema();
+  const format::Schema users = UsersSchema();
+  auto parsed = query::ParseSql(
+      "SELECT u.tier, COUNT(*) AS c FROM logs l "
+      "JOIN users u ON l.user_id = u.user_id "
+      "WHERE l.bytes > 20 AND l.user_id IN "
+      "(SELECT user_id FROM users WHERE tier = 'gold') "
+      "GROUP BY u.tier ORDER BY c DESC LIMIT 1");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::vector<query::PlanTableRef> refs = {
+      {"logs", "l", &logs}, {"users", "u", &users}, {"users", "users", &users}};
+  auto plan = query::PlanSelect(*parsed, refs);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(query::PlanToString(*plan, refs),
+            "Scan(logs AS l, filter: bytes > 20)\n"
+            "HashJoin(inner, l.user_id = u.user_id)\n"
+            "  Scan(users AS u)\n"
+            "HashJoin(semi, l.user_id = users.user_id)\n"
+            "  Scan(users, filter: tier = gold)\n"
+            "Aggregate(u.tier; c)\n"
+            "SortLimit(order by c desc, limit 1)\n");
+}
+
+TEST(JoinTest, DirectPlanWithScanFilterAndToString) {
   JoinFixture f;
   f.CreateAndFill();
   auto logs_table = f.lakehouse->GetTable("logs");
@@ -538,29 +600,22 @@ TEST(JoinTest, DirectPlanWithFilterNodeAndToString) {
   auto info = (*logs_table)->Info();
   ASSERT_TRUE(info.ok());
 
-  // Hand-built plan: Project(url) -> Filter(province = beijing) -> Scan.
-  auto scan = std::make_unique<query::ScanNode>();
-  scan->table = "logs";
-  scan->alias = "logs";
-  scan->table_index = 0;
-  scan->output_schema = info->schema;
-  auto filter = std::make_unique<query::FilterNode>();
-  filter->filter.Add(query::Predicate::Eq(
+  // Hand-built plan: Scan(logs, filter: province = beijing) -> Project(url).
+  query::Plan plan;
+  plan.scans.push_back({"logs", "logs", {}});
+  plan.scans[0].filter.Add(query::Predicate::Eq(
       "province", format::Value(std::string("beijing"))));
-  filter->output_schema = info->schema;
-  filter->children.push_back(std::move(scan));
-  auto project = std::make_unique<query::ProjectNode>();
-  project->columns = {"url"};
-  project->output_schema = format::Schema{{"url", format::DataType::kString}};
-  project->children.push_back(std::move(filter));
+  plan.row_schema = info->schema;
+  plan.output.projection = {"url"};
 
-  std::string rendered = query::PlanToString(*project);
-  EXPECT_NE(rendered.find("Project(url)"), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("Filter("), std::string::npos) << rendered;
-  EXPECT_NE(rendered.find("Scan(logs"), std::string::npos) << rendered;
+  std::string rendered =
+      query::PlanToString(plan, {{"logs", "logs", &info->schema}});
+  EXPECT_EQ(rendered,
+            "Scan(logs, filter: province = beijing)\nProject(url)\n");
 
-  PlanRunner runner({{*logs_table, *info}}, SelectOptions{});
-  auto result = runner.Run(*project);
+  const PinnedTable pinned{*logs_table, *info};
+  SelectMetrics metrics;
+  auto result = RunPlan({&pinned, 1}, plan, SelectOptions{}, &metrics);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->column_names, (std::vector<std::string>{"url"}));
   EXPECT_EQ(result->rows.size(), 32u);

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/coding.h"
 #include "common/hash.h"
@@ -15,6 +17,7 @@
 #include "format/lakefile.h"
 #include "format/row_codec.h"
 #include "kv/write_batch.h"
+#include "query/sql_parser.h"
 #include "stream/stream_record.h"
 #include "table/metadata.h"
 
@@ -190,6 +193,104 @@ TEST(FuzzTest, MutatedCommitsRoundTripOrReject) {
     Bytes mutated = Mutate(valid, &rng);
     (void)table::CommitFile::DecodeFrom(ByteView(mutated));
   }
+}
+
+/// Split SQL into words at spaces, parentheses and commas (the
+/// punctuation kept as words of its own): the unit the SQL fuzzer inserts,
+/// deletes and replaces.
+std::vector<std::string> SqlWords(const std::string& sql) {
+  std::vector<std::string> words;
+  std::string word;
+  for (char c : sql) {
+    if (c != ' ' && c != '(' && c != ')' && c != ',') {
+      word += c;
+      continue;
+    }
+    if (!word.empty()) words.push_back(std::move(word));
+    word.clear();
+    if (c != ' ') words.emplace_back(1, c);
+  }
+  if (!word.empty()) words.push_back(std::move(word));
+  return words;
+}
+
+TEST(FuzzTest, SqlNeverCrashes) {
+  core::StreamLake lake;
+  const format::Schema t_schema{{"k", format::DataType::kInt64},
+                                {"v", format::DataType::kInt64},
+                                {"d", format::DataType::kDouble},
+                                {"s", format::DataType::kString}};
+  const format::Schema r_schema{{"k", format::DataType::kInt64},
+                                {"name", format::DataType::kString}};
+  ASSERT_TRUE(lake.lakehouse()
+                  .CreateTable("t", t_schema,
+                               table::PartitionSpec::Identity("s"))
+                  .ok());
+  ASSERT_TRUE(
+      lake.lakehouse().CreateTable("r", r_schema, table::PartitionSpec()).ok());
+  ASSERT_TRUE(lake.Query("INSERT INTO t VALUES (1, 2, 0.5, 'a'), "
+                         "(2, 5, 1.5, 'b'), (3, 9, 0.25, 'a')")
+                  .ok());
+  ASSERT_TRUE(lake.Query("INSERT INTO r VALUES (1, 'x'), (3, 'y')").ok());
+
+  const std::vector<std::string> seeds = {
+      "SELECT t.s, r.name FROM t JOIN r ON t.k = r.k WHERE t.v > 3",
+      "SELECT * FROM t WHERE k IN (SELECT k FROM r WHERE name = 'x')",
+      "SELECT COUNT(*) AS c FROM t WHERE EXISTS "
+      "(SELECT * FROM r WHERE r.k = t.k)",
+      "SELECT s, COUNT(*) AS c, SUM(d) AS total FROM t GROUP BY s",
+      "SELECT k, v FROM t WHERE v BETWEEN 2 AND 8 AND d <= 0.5",
+      "SELECT k, s FROM t WHERE s != 'x' ORDER BY k DESC LIMIT 2",
+  };
+  std::vector<std::string> vocabulary = {
+      "SELECT", "FROM", "WHERE", "JOIN", "INNER", "ON", "IN", "EXISTS",
+      "GROUP", "ORDER", "BY", "LIMIT", "AND", "BETWEEN", "AS", "DESC",
+      "COUNT", "SUM", "MIN", "AVG", "*", ".", "=", "<>", "<=", ">", "(",
+      ")", ",", "TRUE", "0", "-1", "1.2.3", "0.5", "'z'", "'", "t", "r",
+      "x.k", "t.nosuch", "99999999999999999999", "-99999999999999999999",
+      "1" + std::string(400, '0') + ".0", "--"};
+  for (const std::string& seed : seeds) {
+    auto result = lake.Query(seed);
+    ASSERT_TRUE(result.ok()) << seed << ": " << result.status().ToString();
+    for (std::string& word : SqlWords(seed)) vocabulary.push_back(word);
+  }
+
+  Random rng(4242);
+  int planned = 0;
+  int succeeded = 0;
+  for (const std::string& seed : seeds) {
+    const std::vector<std::string> seed_words = SqlWords(seed);
+    for (int trial = 0; trial < 5000; ++trial) {
+      std::vector<std::string> words = seed_words;
+      for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+        const std::string& word = vocabulary[rng.Uniform(vocabulary.size())];
+        size_t at = rng.Uniform(words.size() + 1);
+        switch (rng.Uniform(3)) {
+          case 0:  // insert
+            words.insert(words.begin() + static_cast<ptrdiff_t>(at), word);
+            break;
+          case 1:  // delete
+            if (at < words.size()) {
+              words.erase(words.begin() + static_cast<ptrdiff_t>(at));
+            }
+            break;
+          case 2:  // replace
+            if (at < words.size()) words[at] = word;
+            break;
+        }
+      }
+      std::string sql;
+      for (const std::string& word : words) sql += word + " ";
+      // Any Status is fine; the process must not abort.
+      auto parsed = query::ParseSql(sql);
+      if (!parsed.ok()) continue;
+      ++planned;
+      if (lake.lakehouse().Query(*parsed).ok()) ++succeeded;
+    }
+  }
+  // The mutations reach the planner and the runner, not just the parser.
+  EXPECT_GT(planned, 1000);
+  EXPECT_GT(succeeded, 500);
 }
 
 TEST(ConcurrencyTest, ParallelInsertersAndReaders) {

@@ -100,6 +100,29 @@ TEST(SqlParserTest, ErrorsAreDiagnosed) {
                   .IsInvalidArgument());
   EXPECT_TRUE(ParseSql("SELECT * FROM t garbage").status()
                   .IsInvalidArgument());
+
+  // A numeric literal must parse as a whole and fit its type: never an
+  // abort, a truncation or a wrap-around. The error names the token and
+  // its position.
+  const std::string huge_double = "1" + std::string(400, '0') + ".0";
+  const std::vector<std::pair<std::string, std::string>> bad_numbers = {
+      {"SELECT * FROM t WHERE v = 99999999999999999999",
+       "99999999999999999999"},
+      {"SELECT * FROM t LIMIT 99999999999999999999", "99999999999999999999"},
+      {"SELECT * FROM t WHERE d = " + huge_double, huge_double},
+      {"SELECT * FROM t WHERE d = 1.2.3", "1.2.3"},
+      {"SELECT * FROM t LIMIT -1", "-1"},
+  };
+  for (const auto& [sql, token] : bad_numbers) {
+    auto parsed = ParseSql(sql);
+    ASSERT_FALSE(parsed.ok()) << sql;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << sql;
+    EXPECT_NE(parsed.status().ToString().find(
+                  "'" + token + "' at position " +
+                  std::to_string(sql.find(token))),
+              std::string::npos)
+        << sql << ": " << parsed.status().ToString();
+  }
 }
 
 // ---------------- engine ----------------
