@@ -17,6 +17,7 @@
 #include "storage/plog_store.h"
 #include "stream/stream_object.h"
 #include "workload/dpi_log.h"
+#include "workload/tpch.h"
 
 namespace streamlake {
 namespace {
@@ -65,7 +66,13 @@ void BM_LzCompressLogs(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }
-BENCHMARK(BM_LzCompressLogs)->Arg(64 << 10);
+// The small sizes are typical LakeFile column chunks, where a per-call
+// fixed cost (such as clearing the match table) would show.
+BENCHMARK(BM_LzCompressLogs)
+    ->Arg(256)
+    ->Arg(1 << 10)
+    ->Arg(4 << 10)
+    ->Arg(64 << 10);
 
 void BM_LzCompressRandomText(benchmark::State& state) {
   // Printable random bytes, like the DPI payload column: essentially
@@ -222,6 +229,24 @@ void BM_LakeFileWriteScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
 BENCHMARK(BM_LakeFileWriteScan);
+
+// One data file of a 500-row TPC-H lineitem batch, the shape of a
+// lakehouse_mixed insert: the bytes and the file-level stats, encoded from
+// the caller's rows in place.
+void BM_LakeFileWrite(benchmark::State& state) {
+  workload::TpchLineitemGenerator gen;
+  const std::vector<format::Row> rows = gen.NextBatch(500);
+  std::vector<const format::Row*> pointers;
+  pointers.reserve(rows.size());
+  for (const format::Row& row : rows) pointers.push_back(&row);
+  const format::Schema schema = workload::TpchLineitemGenerator::Schema();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        format::EncodeLakeFile(schema, pointers, format::LakeFileOptions()));
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_LakeFileWrite);
 
 // Uncontended lock/unlock round trip. The interesting comparison is the
 // default preset (lock-order checking on) against the release preset

@@ -6,15 +6,21 @@
 //   * message processing throughput (messages/second),
 //   * batch processing time (simulated seconds).
 //
-// Run: ./build/bench/bench_table1 [scale_divisor]
+// Run: ./build/bench/bench_table1 [scale_divisor] [--json_out=PATH]
+//
+// --json_out reports the rows that repeat exactly from run to run — both
+// storage rows and both batch-time rows (simulated seconds) — as
+// "p<packets>.<row>"; the wall-clock msg/s rows are printed only.
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "baselines/mini_hdfs.h"
+#include "bench_report.h"
 #include "baselines/mini_kafka.h"
 #include "core/streamlake.h"
 #include "format/row_codec.h"
@@ -187,6 +193,7 @@ bool ParseDivisor(const char* arg, uint64_t* divisor) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::BenchReport report("table1", &argc, argv);
   // Default sweep: the paper's packet counts divided by 2000 (sized so
   // the simulated cluster's page store fits in laptop RAM).
   uint64_t divisor = 2000;
@@ -221,5 +228,12 @@ int main(int argc, char** argv) {
   print_row("Batch    StreamLake (s)", [](const Row& r) { return r.s_batch_sec; }, " %12.2f");
   print_row("Process  HDFS (s)", [](const Row& r) { return r.h_batch_sec; }, " %12.2f");
   print_row("         Ratio (H/S)", [](const Row& r) { return r.h_batch_sec / r.s_batch_sec; }, " %12.2f");
-  return 0;
+  for (const Row& r : results) {
+    const std::string point = "p" + std::to_string(r.packets) + ".";
+    report.Add(point + "streamlake_storage_mb", r.s_storage_mb);
+    report.Add(point + "hdfs_kafka_storage_mb", r.hk_storage_mb);
+    report.Add(point + "streamlake_batch_s", r.s_batch_sec);
+    report.Add(point + "hdfs_batch_s", r.h_batch_sec);
+  }
+  return report.WriteIfRequested() ? 0 : 1;
 }

@@ -63,28 +63,31 @@ inline size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
   return len;
 }
 
-// Head-table entries are positions biased by kBias, with 0 for an empty
-// slot, so one unsigned compare of the distance rejects both an empty slot
-// and a candidate outside the window.
+// Head-table entries are positions biased by at least kBias, with 0 for
+// an empty slot, so one unsigned compare of the distance rejects both an
+// empty slot and a candidate outside the window.
 constexpr size_t kBias = kWindow + 1;
 
-// The greedy parse. `Pos` is the head table's entry type: uint32_t halves
-// the table for every input shorter than 4 GiB, uint64_t covers the rest.
-// Both produce the same token stream.
+// The greedy parse over `head`, whose entries this call writes as
+// `pos + bias`. Every entry already in the table must be at most
+// `bias - kBias`: it is then at least one window away from every position
+// of this call and is rejected exactly like an empty slot, so the token
+// stream never depends on what the table held before. `Pos` is the entry
+// type: uint32_t halves the table for every input shorter than 4 GiB,
+// uint64_t covers the rest. Both produce the same token stream.
 template <typename Pos>
-Bytes LzCompressWith(ByteView input) {
+Bytes LzCompressWith(ByteView input, Pos* head, size_t bias) {
   Bytes out;
   out.reserve(input.size() / 2 + 16);
   const uint8_t* base = input.data();
   const size_t n = input.size();
-  std::vector<Pos> head(size_t{1} << kHashBits, 0);
 
   size_t pos = 0;
   size_t literal_start = 0;
   while (pos + kMinMatch <= n) {
     const uint32_t h = HashFour(base + pos);
-    const size_t dist = pos + kBias - head[h];
-    head[h] = static_cast<Pos>(pos + kBias);
+    const size_t dist = pos + bias - head[h];
+    head[h] = static_cast<Pos>(pos + bias);
 
     // Reject the candidate without branching on whether it is in the
     // window (on incompressible text that is a coin flip the predictor
@@ -107,7 +110,7 @@ Bytes LzCompressWith(ByteView input) {
     // Index a few positions inside the match so later data can refer to it.
     const size_t end = pos + match_len;
     for (size_t i = pos + 1; i + kMinMatch <= end && i < pos + 8; ++i) {
-      head[HashFour(base + i)] = static_cast<Pos>(i + kBias);
+      head[HashFour(base + i)] = static_cast<Pos>(i + bias);
     }
     pos = end;
     literal_start = pos;
@@ -119,12 +122,32 @@ Bytes LzCompressWith(ByteView input) {
   return out;
 }
 
+// One thread's head table, kept across calls instead of cleared per call
+// (as LZ4's currentOffset does): each call biases its positions past every
+// entry an earlier call wrote, and only when the biased positions would
+// overflow a uint32_t is the table zeroed and the bias restarted.
+struct LzHeadTable {
+  std::vector<uint32_t> head = std::vector<uint32_t>(size_t{1} << kHashBits);
+  size_t bias = kBias;  // the next call's bias
+};
+
 Bytes LzCompress(ByteView input) {
-  // Every biased position of a shorter input fits in a uint32_t.
-  if (input.size() <= std::numeric_limits<uint32_t>::max() - kBias) {
-    return LzCompressWith<uint32_t>(input);
+  const size_t n = input.size();
+  constexpr size_t kMaxEntry = std::numeric_limits<uint32_t>::max();
+  if (n > kMaxEntry - kBias) {
+    std::vector<uint64_t> head(size_t{1} << kHashBits, 0);
+    return LzCompressWith<uint64_t>(input, head.data(), kBias);
   }
-  return LzCompressWith<uint64_t>(input);
+  thread_local LzHeadTable table;
+  if (table.bias > kMaxEntry - n) {
+    std::fill(table.head.begin(), table.head.end(), 0);
+    table.bias = kBias;
+  }
+  Bytes out = LzCompressWith<uint32_t>(input, table.head.data(), table.bias);
+  // This call wrote entries up to bias + n - 1; the next starts a window
+  // past them.
+  table.bias += n + kBias;
+  return out;
 }
 
 Result<Bytes> LzDecompress(ByteView input, size_t uncompressed_size) {

@@ -1,7 +1,9 @@
 #include "format/lakefile.h"
 
 #include <algorithm>
-#include <set>
+#include <cmath>
+#include <iterator>
+#include <type_traits>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -60,168 +62,280 @@ Result<ColumnStats> DecodeStats(Decoder* dec) {
   return stats;
 }
 
-/// Encodes one column of `rows` into a chunk appended to `file`.
-///
-/// The chunk's raw payload is `[null_count][null bitmap iff null_count > 0]
-/// [encoded values]` where NULL rows carry the type's default in the value
-/// stream. Stats (null count, exact NDV, average width, min/max over
-/// non-NULLs) are computed first so the encoding choice can use the distinct
-/// count instead of re-sampling.
-ChunkMeta WriteChunk(const Schema& schema, const std::vector<Row>& rows,
-                     size_t col, const LakeFileOptions& options, Bytes* file) {
-  ChunkMeta meta;
-  meta.offset = file->size();
+/// How one column type is gathered and summarized. `Stored` is the element
+/// of the typed vector the codec encodes (NULL rows carry its default);
+/// `Key` is how a non-NULL value is compared and counted — for strings a
+/// view into the caller's row, so a file's distinct set can span its row
+/// groups without copying a value.
+template <typename T>
+struct ColumnType {
+  using Stored = T;
+  using Key = T;
+};
+template <>
+struct ColumnType<bool> {
+  using Stored = uint8_t;
+  using Key = uint8_t;
+};
+template <>
+struct ColumnType<std::string> {
+  using Stored = std::string;
+  using Key = std::string_view;
+};
 
+// Plain-encoded width of a non-NULL value (the avg_width stat).
+uint64_t Width(bool) { return 1; }
+uint64_t Width(int64_t) { return 8; }
+uint64_t Width(double) { return 8; }
+uint64_t Width(const std::string& s) { return s.size(); }
+uint64_t Width(std::monostate) { return 0; }
+
+Value ToValue(uint8_t key) { return Value(key != 0); }  // bool keys
+Value ToValue(int64_t key) { return Value(key); }
+Value ToValue(double key) { return Value(key); }
+Value ToValue(std::string_view key) { return Value(std::string(key)); }
+Value ToValue(std::monostate key) { return Value(key); }
+
+codec::Encoding EncodeValues(const std::vector<uint8_t>& vals, uint64_t,
+                             Bytes* raw) {
+  codec::EncodeBools(vals, raw);
+  return codec::Encoding::kBitPack;
+}
+codec::Encoding EncodeValues(const std::vector<int64_t>& vals, uint64_t ndv,
+                             Bytes* raw) {
+  const codec::Encoding encoding = codec::ChooseInt64Encoding(vals, ndv);
+  codec::EncodeInt64s(vals, encoding, raw);
+  return encoding;
+}
+codec::Encoding EncodeValues(const std::vector<double>& vals, uint64_t,
+                             Bytes* raw) {
+  codec::EncodeDoubles(vals, raw);
+  return codec::Encoding::kPlain;
+}
+codec::Encoding EncodeValues(const std::vector<std::string>& vals,
+                             uint64_t ndv, Bytes* raw) {
+  const codec::Encoding encoding = codec::ChooseStringEncoding(vals, ndv);
+  codec::EncodeStrings(vals, encoding, raw);
+  return encoding;
+}
+codec::Encoding EncodeValues(const std::vector<std::monostate>&, uint64_t,
+                             Bytes*) {
+  return codec::Encoding::kPlain;  // a kNull field has no value stream
+}
+
+/// Stats of one column over consecutive rows: a chunk, then a whole file.
+template <typename Key>
+struct Summary {
+  uint64_t rows = 0;
   uint64_t null_count = 0;
-  std::vector<uint8_t> nulls(rows.size(), 0);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (IsNull(rows[i].fields[col])) {
-      nulls[i] = 1;
-      ++null_count;
+  uint64_t width = 0;  // summed plain-encoded width of the non-NULLs
+  bool has_nan = false;
+  // Over non-NULL, non-NaN values; of equal values the first wins, as in a
+  // linear scan (so -0.0 and +0.0 keep their order of arrival).
+  std::optional<Key> min;
+  std::optional<Key> max;
+  std::vector<Key> distinct;  // sorted, unique, NaN excluded
+
+  uint64_t ndv() const { return distinct.size() + (has_nan ? 1 : 0); }
+
+  /// Fold in the summary of the rows that follow these.
+  void Merge(Summary&& next) {
+    rows += next.rows;
+    null_count += next.null_count;
+    width += next.width;
+    has_nan = has_nan || next.has_nan;
+    if (next.min.has_value() && (!min.has_value() || *next.min < *min)) {
+      min = next.min;
+    }
+    if (next.max.has_value() && (!max.has_value() || *max < *next.max)) {
+      max = next.max;
+    }
+    if (distinct.empty()) {
+      distinct = std::move(next.distinct);
+    } else if (!next.distinct.empty()) {
+      std::vector<Key> merged;
+      merged.reserve(distinct.size() + next.distinct.size());
+      std::set_union(distinct.begin(), distinct.end(), next.distinct.begin(),
+                     next.distinct.end(), std::back_inserter(merged));
+      distinct = std::move(merged);
     }
   }
 
-  Bytes raw;
-  PutVarint64(&raw, null_count);
-  if (null_count > 0) codec::EncodeBools(nulls, &raw);
+  /// A NaN leaves min/max out: every comparison with it is false, so no
+  /// range can bound it.
+  ColumnStats ToStats(bool with_min_max) const {
+    ColumnStats stats;
+    if (with_min_max && !has_nan && min.has_value()) {
+      stats.min = ToValue(*min);
+      stats.max = ToValue(*max);
+    }
+    stats.has_extended = true;
+    stats.null_count = null_count;
+    stats.ndv = ndv();
+    const uint64_t non_null = rows - null_count;
+    stats.avg_width = non_null > 0 ? static_cast<double>(width) /
+                                         static_cast<double>(non_null)
+                                   : 0.0;
+    return stats;
+  }
+};
 
-  uint64_t ndv = 0;
-  double total_width = 0.0;
+/// One column chunk, encoded and compressed, waiting for its file offset.
+struct EncodedChunk {
   codec::Encoding encoding = codec::Encoding::kPlain;
-  const DataType type = schema.field(col).type;
-  switch (type) {
-    case DataType::kBool: {
-      std::vector<uint8_t> vals;
-      vals.reserve(rows.size());
-      std::set<uint8_t> distinct;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        uint8_t v = nulls[i] ? 0 : (std::get<bool>(rows[i].fields[col]) ? 1 : 0);
-        vals.push_back(v);
-        if (!nulls[i]) distinct.insert(v);
-      }
-      ndv = distinct.size();
-      total_width = static_cast<double>(rows.size() - null_count);
-      encoding = codec::Encoding::kBitPack;
-      codec::EncodeBools(vals, &raw);
-      break;
-    }
-    case DataType::kInt64: {
-      std::vector<int64_t> vals;
-      vals.reserve(rows.size());
-      std::set<int64_t> distinct;
-      std::optional<int64_t> mn, mx;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        int64_t v = nulls[i] ? 0 : std::get<int64_t>(rows[i].fields[col]);
-        vals.push_back(v);
-        if (nulls[i]) continue;
-        distinct.insert(v);
-        mn = mn ? std::min(*mn, v) : v;
-        mx = mx ? std::max(*mx, v) : v;
-      }
-      ndv = distinct.size();
-      total_width = 8.0 * static_cast<double>(rows.size() - null_count);
-      encoding = codec::ChooseInt64Encoding(vals, ndv);
-      codec::EncodeInt64s(vals, encoding, &raw);
-      if (options.enable_stats && mn.has_value()) {
-        meta.stats.min = Value(*mn);
-        meta.stats.max = Value(*mx);
-      }
-      break;
-    }
-    case DataType::kDouble: {
-      std::vector<double> vals;
-      vals.reserve(rows.size());
-      std::set<double> distinct;
-      std::optional<double> mn, mx;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        double v = nulls[i] ? 0.0 : std::get<double>(rows[i].fields[col]);
-        vals.push_back(v);
-        if (nulls[i]) continue;
-        distinct.insert(v);
-        mn = mn ? std::min(*mn, v) : v;
-        mx = mx ? std::max(*mx, v) : v;
-      }
-      ndv = distinct.size();
-      total_width = 8.0 * static_cast<double>(rows.size() - null_count);
-      codec::EncodeDoubles(vals, &raw);
-      if (options.enable_stats && mn.has_value()) {
-        meta.stats.min = Value(*mn);
-        meta.stats.max = Value(*mx);
-      }
-      break;
-    }
-    case DataType::kString: {
-      std::vector<std::string> vals;
-      vals.reserve(rows.size());
-      std::set<std::string_view> distinct;
-      const std::string* mn = nullptr;
-      const std::string* mx = nullptr;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        vals.push_back(nulls[i] ? std::string()
-                                : std::get<std::string>(rows[i].fields[col]));
-      }
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (nulls[i]) continue;
-        distinct.insert(vals[i]);
-        total_width += static_cast<double>(vals[i].size());
-        if (mn == nullptr || vals[i] < *mn) mn = &vals[i];
-        if (mx == nullptr || vals[i] > *mx) mx = &vals[i];
-      }
-      ndv = distinct.size();
-      encoding = codec::ChooseStringEncoding(vals, ndv);
-      codec::EncodeStrings(vals, encoding, &raw);
-      if (options.enable_stats && mn != nullptr) {
-        meta.stats.min = Value(*mn);
-        meta.stats.max = Value(*mx);
-      }
-      break;
-    }
-    case DataType::kNull:
-      break;  // schemas never carry kNull fields
-  }
-  if (options.enable_stats) {
-    meta.stats.has_extended = true;
-    meta.stats.null_count = null_count;
-    meta.stats.ndv = ndv;
-    const uint64_t non_null = rows.size() - null_count;
-    meta.stats.avg_width =
-        non_null > 0 ? total_width / static_cast<double>(non_null) : 0.0;
-  }
+  codec::Compression compression = codec::Compression::kNone;
+  uint64_t raw_size = 0;
+  Bytes data;
+  ColumnStats stats;
+};
 
-  Bytes compressed = codec::Compress(options.compression, ByteView(raw));
-  codec::Compression codec_used = options.compression;
-  if (compressed.size() >= raw.size()) {
-    // Incompressible chunk: store raw to avoid negative savings.
-    compressed = raw;
-    codec_used = codec::Compression::kNone;
+/// Encodes column `col` of each `per_group`-row group of `rows` into
+/// `chunks`, one per group, and returns the column's file-level stats.
+///
+/// A chunk's raw payload is `[null_count][null bitmap iff null_count > 0]
+/// [encoded values]`. One pass over the group gathers the typed vector and
+/// the stats; the exact distinct count (sort + unique) also picks the
+/// encoding.
+template <typename T>
+ColumnStats EncodeColumn(std::span<const Row* const> rows, size_t col,
+                         size_t per_group, const LakeFileOptions& options,
+                         std::vector<EncodedChunk>* chunks) {
+  using Stored = typename ColumnType<T>::Stored;
+  using Key = typename ColumnType<T>::Key;
+  Summary<Key> file;
+  for (size_t begin = 0; begin < rows.size(); begin += per_group) {
+    const std::span<const Row* const> group =
+        rows.subspan(begin, std::min(per_group, rows.size() - begin));
+    Summary<Key> chunk;
+    chunk.rows = group.size();
+    chunk.distinct.reserve(group.size());
+    std::vector<uint8_t> nulls(group.size(), 0);
+    std::vector<Stored> vals;
+    vals.reserve(group.size());
+    for (size_t i = 0; i < group.size(); ++i) {
+      const Value& cell = group[i]->fields[col];
+      if (IsNull(cell)) {
+        nulls[i] = 1;
+        ++chunk.null_count;
+        vals.emplace_back();
+        continue;
+      }
+      const T& v = std::get<T>(cell);
+      vals.push_back(static_cast<Stored>(v));
+      chunk.width += Width(v);
+      const Key key(v);
+      if constexpr (std::is_same_v<T, double>) {
+        if (std::isnan(key)) {
+          chunk.has_nan = true;
+          continue;
+        }
+      }
+      if (!chunk.min.has_value() || key < *chunk.min) chunk.min = key;
+      if (!chunk.max.has_value() || *chunk.max < key) chunk.max = key;
+      chunk.distinct.push_back(key);
+    }
+    std::sort(chunk.distinct.begin(), chunk.distinct.end());
+    chunk.distinct.erase(
+        std::unique(chunk.distinct.begin(), chunk.distinct.end()),
+        chunk.distinct.end());
+
+    EncodedChunk out;
+    Bytes raw;
+    PutVarint64(&raw, chunk.null_count);
+    if (chunk.null_count > 0) codec::EncodeBools(nulls, &raw);
+    out.encoding = EncodeValues(vals, chunk.ndv(), &raw);
+    out.raw_size = raw.size();
+    out.compression = options.compression;
+    out.data = codec::Compress(options.compression, ByteView(raw));
+    if (out.data.size() >= raw.size()) {
+      // Incompressible chunk: store raw to avoid negative savings.
+      out.data = std::move(raw);
+      out.compression = codec::Compression::kNone;
+    }
+    // Bool chunks carry no min/max in the footer.
+    if (options.enable_stats) {
+      out.stats = chunk.ToStats(/*with_min_max=*/!std::is_same_v<T, bool>);
+    }
+    chunks->push_back(std::move(out));
+    file.Merge(std::move(chunk));
   }
-
-  file->push_back(static_cast<uint8_t>(encoding));
-  file->push_back(static_cast<uint8_t>(codec_used));
-  PutVarint64(file, raw.size());
-  PutVarint64(file, compressed.size());
-  AppendBytes(file, ByteView(compressed));
-  PutFixed32(file, Crc32c(ByteView(compressed)));
-
-  meta.size = file->size() - meta.offset;
-  return meta;
+  return file.ToStats(/*with_min_max=*/true);
 }
 
 }  // namespace
 
-LakeFileWriter::LakeFileWriter(Schema schema, LakeFileOptions options)
-    : schema_(std::move(schema)), options_(options) {
-  file_.insert(file_.end(), kMagic, kMagic + 4);
+EncodedLakeFile EncodeLakeFile(const Schema& schema,
+                               std::span<const Row* const> rows,
+                               const LakeFileOptions& options) {
+  // Column-major: each column's chunks of every group, then laid out
+  // group-major as [magic][g0c0][g0c1]...[g1c0]...[footer].
+  const size_t num_fields = schema.num_fields();
+  const size_t per_group = std::max<size_t>(options.rows_per_group, 1);
+  const size_t num_groups = (rows.size() + per_group - 1) / per_group;
+  std::vector<std::vector<EncodedChunk>> chunks(num_fields);
+  EncodedLakeFile out;
+  out.column_stats.reserve(num_fields);
+  for (size_t col = 0; col < num_fields; ++col) {
+    ColumnStats stats;
+    switch (schema.field(col).type) {
+      case DataType::kBool:
+        stats = EncodeColumn<bool>(rows, col, per_group, options,
+                                   &chunks[col]);
+        break;
+      case DataType::kInt64:
+        stats = EncodeColumn<int64_t>(rows, col, per_group, options,
+                                      &chunks[col]);
+        break;
+      case DataType::kDouble:
+        stats = EncodeColumn<double>(rows, col, per_group, options,
+                                     &chunks[col]);
+        break;
+      case DataType::kString:
+        stats = EncodeColumn<std::string>(rows, col, per_group, options,
+                                          &chunks[col]);
+        break;
+      case DataType::kNull:  // only NULL cells validate against it
+        stats = EncodeColumn<std::monostate>(rows, col, per_group, options,
+                                             &chunks[col]);
+        break;
+    }
+    out.column_stats.push_back(std::move(stats));
+  }
+
+  Bytes& file = out.bytes;
+  file.insert(file.end(), kMagic, kMagic + 4);
+  Bytes footer;
+  schema.EncodeTo(&footer);
+  PutVarint64(&footer, num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    PutVarint64(&footer, std::min(per_group, rows.size() - g * per_group));
+    for (size_t col = 0; col < num_fields; ++col) {
+      const EncodedChunk& chunk = chunks[col][g];
+      const uint64_t offset = file.size();
+      file.push_back(static_cast<uint8_t>(chunk.encoding));
+      file.push_back(static_cast<uint8_t>(chunk.compression));
+      PutVarint64(&file, chunk.raw_size);
+      PutVarint64(&file, chunk.data.size());
+      AppendBytes(&file, ByteView(chunk.data));
+      PutFixed32(&file, Crc32c(ByteView(chunk.data)));
+      PutVarint64(&footer, offset);
+      PutVarint64(&footer, file.size() - offset);
+      EncodeStats(&footer, chunk.stats);
+    }
+  }
+  AppendBytes(&file, ByteView(footer));
+  PutFixed32(&file, static_cast<uint32_t>(footer.size()));
+  file.insert(file.end(), kMagic, kMagic + 4);
+  return out;
 }
+
+LakeFileWriter::LakeFileWriter(Schema schema, LakeFileOptions options)
+    : schema_(std::move(schema)), options_(options) {}
 
 Status LakeFileWriter::Append(const Row& row) {
   if (finished_) return Status::InvalidArgument("writer already finished");
   SL_RETURN_NOT_OK(schema_.ValidateRow(row));
-  pending_.push_back(row);
-  ++rows_written_;
-  if (pending_.size() >= options_.rows_per_group) {
-    return FlushRowGroup();
-  }
+  rows_.push_back(row);
   return Status::OK();
 }
 
@@ -230,39 +344,15 @@ Status LakeFileWriter::AppendBatch(const std::vector<Row>& rows) {
   return Status::OK();
 }
 
-Status LakeFileWriter::FlushRowGroup() {
-  if (pending_.empty()) return Status::OK();
-  RowGroupMeta group;
-  group.num_rows = pending_.size();
-  for (size_t col = 0; col < schema_.num_fields(); ++col) {
-    group.columns.push_back(
-        WriteChunk(schema_, pending_, col, options_, &file_));
-  }
-  groups_.push_back(std::move(group));
-  pending_.clear();
-  return Status::OK();
-}
-
 Result<Bytes> LakeFileWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
-  SL_RETURN_NOT_OK(FlushRowGroup());
   finished_ = true;
-
-  Bytes footer;
-  schema_.EncodeTo(&footer);
-  PutVarint64(&footer, groups_.size());
-  for (const RowGroupMeta& group : groups_) {
-    PutVarint64(&footer, group.num_rows);
-    for (const ChunkMeta& chunk : group.columns) {
-      PutVarint64(&footer, chunk.offset);
-      PutVarint64(&footer, chunk.size);
-      EncodeStats(&footer, chunk.stats);
-    }
-  }
-  AppendBytes(&file_, ByteView(footer));
-  PutFixed32(&file_, static_cast<uint32_t>(footer.size()));
-  file_.insert(file_.end(), kMagic, kMagic + 4);
-  return std::move(file_);
+  std::vector<const Row*> rows;
+  rows.reserve(rows_.size());
+  for (const Row& row : rows_) rows.push_back(&row);
+  Bytes file = EncodeLakeFile(schema_, rows, options_).bytes;
+  rows_ = std::vector<Row>();
+  return file;
 }
 
 Result<LakeFileReader> LakeFileReader::Open(Bytes file) {

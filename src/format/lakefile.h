@@ -2,6 +2,7 @@
 #define STREAMLAKE_FORMAT_LAKEFILE_H_
 
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -82,8 +83,28 @@ struct ColumnChunkData {
   Value ValueAt(size_t row) const;
 };
 
-/// Streaming writer; buffer rows, cut a row group every rows_per_group,
-/// Finish() returns the complete file bytes.
+/// One encoded LakeFile and the file-level stats of its rows.
+struct EncodedLakeFile {
+  Bytes bytes;
+  /// One entry per schema column, from the same pass that builds the
+  /// chunks, whatever `enable_stats` says (that flag governs the footer's
+  /// per-chunk stats only): null_count, ndv exact across every row group
+  /// (a NaN counts as one value), avg_width, and min/max over the non-NULL
+  /// values — absent when there are none, or when a double column holds a
+  /// NaN, which no range can bound.
+  std::vector<ColumnStats> column_stats;
+};
+
+/// Encodes `rows` as one LakeFile, cutting a row group every
+/// `options.rows_per_group` rows. Rows are read in place, never copied, and
+/// must already be valid for `schema` (Schema::ValidateRow). A chunk holding
+/// a NaN records no min/max in the footer either, so it is never pruned.
+EncodedLakeFile EncodeLakeFile(const Schema& schema,
+                               std::span<const Row* const> rows,
+                               const LakeFileOptions& options);
+
+/// Buffering writer: validates and keeps each appended row, then Finish()
+/// encodes them all with EncodeLakeFile.
 class LakeFileWriter {
  public:
   LakeFileWriter(Schema schema, LakeFileOptions options = LakeFileOptions());
@@ -91,21 +112,14 @@ class LakeFileWriter {
   Status Append(const Row& row);
   Status AppendBatch(const std::vector<Row>& rows);
 
-  uint64_t rows_written() const { return rows_written_; }
-
-  /// Flush pending rows and return the serialized file. The writer cannot
-  /// be reused afterwards.
+  /// Encode the buffered rows and return the serialized file. The writer
+  /// cannot be reused afterwards.
   Result<Bytes> Finish();
 
  private:
-  Status FlushRowGroup();
-
   Schema schema_;
   LakeFileOptions options_;
-  std::vector<Row> pending_;
-  Bytes file_;
-  std::vector<RowGroupMeta> groups_;
-  uint64_t rows_written_ = 0;
+  std::vector<Row> rows_;
   bool finished_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 
 #include "common/metrics.h"
 #include "common/threadpool.h"
@@ -13,55 +14,6 @@
 namespace streamlake::table {
 
 namespace {
-
-/// File-level stats of every column of `rows`: min/max over non-NULL
-/// values plus the extended null_count / ndv / avg_width triple that
-/// file pruning and LakeBrain's priors consume.
-std::map<std::string, format::ColumnStats> ComputeStats(
-    const format::Schema& schema, const std::vector<format::Row>& rows) {
-  std::map<std::string, format::ColumnStats> stats;
-  if (rows.empty()) return stats;
-  for (size_t c = 0; c < schema.num_fields(); ++c) {
-    format::ColumnStats s;
-    s.has_extended = true;
-    std::set<format::Value> distinct;
-    double total_width = 0.0;
-    for (const format::Row& row : rows) {
-      const format::Value& v = row.fields[c];
-      if (format::IsNull(v)) {
-        ++s.null_count;
-        continue;
-      }
-      if (!s.min.has_value() || format::CompareValues(v, *s.min) < 0) {
-        s.min = v;
-      }
-      if (!s.max.has_value() || format::CompareValues(v, *s.max) > 0) {
-        s.max = v;
-      }
-      distinct.insert(v);
-      switch (schema.field(c).type) {
-        case format::DataType::kBool:
-          total_width += 1.0;
-          break;
-        case format::DataType::kInt64:
-        case format::DataType::kDouble:
-          total_width += 8.0;
-          break;
-        case format::DataType::kString:
-          total_width += static_cast<double>(std::get<std::string>(v).size());
-          break;
-        case format::DataType::kNull:
-          break;  // unreachable: schemas never carry kNull fields
-      }
-    }
-    s.ndv = distinct.size();
-    uint64_t non_null = rows.size() - s.null_count;
-    s.avg_width = non_null > 0 ? total_width / static_cast<double>(non_null)
-                               : 0.0;
-    stats[schema.field(c).name] = std::move(s);
-  }
-  return stats;
-}
 
 /// One merge-on-read delete applicable to the file being scanned, with its
 /// predicate columns resolved to schema indices up front.
@@ -160,24 +112,35 @@ Result<TableInfo> Table::Info() const {
   return info;
 }
 
-Result<DataFileMeta> Table::WriteDataFile(const TableInfo& info,
-                                          const std::string& partition,
-                                          const std::vector<format::Row>& rows) {
-  format::LakeFileWriter writer(info.schema, options_.file_options);
-  SL_RETURN_NOT_OK(writer.AppendBatch(rows));
-  SL_ASSIGN_OR_RETURN(Bytes file, writer.Finish());
+Result<DataFileMeta> Table::WriteDataFile(
+    const TableInfo& info, const std::string& partition,
+    const std::vector<format::Row>& rows) {
+  std::vector<const format::Row*> pointers;
+  pointers.reserve(rows.size());
+  for (const format::Row& row : rows) pointers.push_back(&row);
+  return PublishDataFile(
+      info, partition, rows.size(),
+      format::EncodeLakeFile(info.schema, pointers, options_.file_options));
+}
 
+Result<DataFileMeta> Table::PublishDataFile(const TableInfo& info,
+                                            const std::string& partition,
+                                            uint64_t record_count,
+                                            format::EncodedLakeFile file) {
   DataFileMeta meta;
   meta.partition = partition;
-  meta.record_count = rows.size();
-  meta.file_bytes = file.size();
-  meta.column_stats = ComputeStats(info.schema, rows);
+  meta.record_count = record_count;
+  meta.file_bytes = file.bytes.size();
+  for (size_t c = 0; c < file.column_stats.size(); ++c) {
+    meta.column_stats[info.schema.field(c).name] =
+        std::move(file.column_stats[c]);
+  }
   std::string dir = partition.empty() ? "" : partition + "/";
   meta.path = info.path + "/data/" + dir + "f-" +
               std::to_string(info.table_id) + "-" +
               std::to_string(clock_->NowNanos()) + "-" +
               std::to_string(next_file_seq_.fetch_add(1));
-  SL_RETURN_NOT_OK(objects_->Write(meta.path, ByteView(file)));
+  SL_RETURN_NOT_OK(objects_->Write(meta.path, ByteView(file.bytes)));
   return meta;
 }
 
@@ -298,31 +261,57 @@ Status Table::Insert(const std::vector<format::Row>& rows) {
   for (const format::Row& row : rows) {
     SL_RETURN_NOT_OK(info.schema.ValidateRow(row));
   }
-  // Group rows by partition, then write files of at most
+  // Group row pointers by partition, then cut files of at most
   // max_rows_per_file rows each.
-  std::map<std::string, std::vector<format::Row>> by_partition;
+  std::map<std::string, std::vector<const format::Row*>> by_partition;
   for (const format::Row& row : rows) {
     SL_ASSIGN_OR_RETURN(std::string partition,
                         info.partition_spec.PartitionOf(info.schema, row));
-    by_partition[partition].push_back(row);
+    by_partition[partition].push_back(&row);
   }
+  struct PendingFile {
+    const std::string* partition;
+    std::span<const format::Row* const> rows;
+    format::EncodedLakeFile encoded;
+  };
+  std::vector<PendingFile> files;
+  for (const auto& [partition, part_rows] : by_partition) {
+    const std::span<const format::Row* const> all(part_rows);
+    for (size_t begin = 0; begin < all.size();
+         begin += options_.max_rows_per_file) {
+      files.push_back(
+          {&partition,
+           all.subspan(begin, std::min(options_.max_rows_per_file,
+                                       all.size() - begin)),
+           {}});
+    }
+  }
+  // Encoding never touches the sim clock, so the files may encode in
+  // parallel; they are then named and written one at a time, in partition
+  // order, so paths, sim charges and the commit match a serial insert. The
+  // largest file bounds the gain: when it holds over half the rows, the
+  // hand-off to the pool costs more than the overlap saves (a 450 + 50 row
+  // insert ran 12% slower at the median on a 4-core machine), so the
+  // calling thread encodes them all.
+  size_t largest = 0;
+  for (const PendingFile& file : files) {
+    largest = std::max(largest, file.rows.size());
+  }
+  ThreadPool* pool = largest * 2 <= rows.size() ? scan_pool_ : nullptr;
+  ParallelFor(pool, files.size(), [&](size_t i) {
+    files[i].encoded = format::EncodeLakeFile(info.schema, files[i].rows,
+                                              options_.file_options);
+  });
   CommitRequest request;
   Status s = Status::OK();
-  for (auto& [partition, part_rows] : by_partition) {
-    for (size_t begin = 0; s.ok() && begin < part_rows.size();
-         begin += options_.max_rows_per_file) {
-      size_t end =
-          std::min(begin + options_.max_rows_per_file, part_rows.size());
-      std::vector<format::Row> chunk(part_rows.begin() + begin,
-                                     part_rows.begin() + end);
-      auto meta = WriteDataFile(info, partition, chunk);
-      if (!meta.ok()) {
-        s = meta.status();
-        break;
-      }
-      request.added.push_back(std::move(*meta));
+  for (PendingFile& file : files) {
+    auto meta = PublishDataFile(info, *file.partition, file.rows.size(),
+                                std::move(file.encoded));
+    if (!meta.ok()) {
+      s = meta.status();
+      break;
     }
-    if (!s.ok()) break;
+    request.added.push_back(std::move(*meta));
   }
   if (!s.ok()) {
     // None of the files ever reached a commit; delete them (best-effort)

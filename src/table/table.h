@@ -255,10 +255,19 @@ class Table {
   /// Apply a commit with optimistic validation; advances the snapshot.
   Status CommitChanges(const CommitRequest& request);
 
-  /// Write one data file; returns its metadata.
+  /// Encode `rows` (valid for the schema) as one data file and write it;
+  /// returns its metadata.
   Result<DataFileMeta> WriteDataFile(const TableInfo& info,
                                      const std::string& partition,
                                      const std::vector<format::Row>& rows);
+
+  /// Name and write one encoded data file of `record_count` rows: the
+  /// sim-clock time and the table's file sequence make its path, and its
+  /// file-level stats become the metadata's column stats.
+  Result<DataFileMeta> PublishDataFile(const TableInfo& info,
+                                       const std::string& partition,
+                                       uint64_t record_count,
+                                       format::EncodedLakeFile file);
 
   /// Reconstruct the live file set (and, when `deletes` is non-null, the
   /// outstanding merge-on-read deletes) of a snapshot by replaying

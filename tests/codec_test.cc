@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "codec/compression.h"
 #include "codec/encoding.h"
 #include "common/coding.h"
@@ -199,6 +202,79 @@ TEST(LzTest, TokenStreamIsFrozen) {
                              ByteView(std::string("abcabcabc").substr(0, n)));
     EXPECT_EQ(pattern.size(), kPatternSize[n]) << "pattern " << n;
     EXPECT_EQ(Crc32c(ByteView(pattern)), kPatternCrc[n]) << "pattern " << n;
+  }
+}
+
+// Each thread reuses one match table across calls, so a call's output must
+// not depend on what the thread compressed before: every input compresses
+// to the bytes a first call on a fresh thread produces.
+Bytes CompressOnFreshThread(const Bytes& input) {
+  Bytes out;
+  std::thread([&] { out = Compress(Compression::kLz, ByteView(input)); })
+      .join();
+  return out;
+}
+
+TEST(LzTest, OutputIsIndependentOfCallHistory) {
+  const Bytes logs = GoldenLogLines();
+  ASSERT_GE(logs.size(), size_t{64} << 10);
+  const std::vector<Bytes> inputs = {
+      Bytes(logs.begin(), logs.begin() + 256),
+      Bytes(logs.begin(), logs.begin() + 1024),
+      Bytes(logs.begin() + 100, logs.begin() + 4196),
+      GoldenPrintableText(),
+      GoldenLongRuns(),
+      logs,
+      Bytes(),
+  };
+  std::vector<Bytes> expected;
+  expected.reserve(inputs.size());
+  for (const Bytes& in : inputs) expected.push_back(CompressOnFreshThread(in));
+  auto matches = [&](size_t i) {
+    return Compress(Compression::kLz, ByteView(inputs[i])) == expected[i];
+  };
+
+  std::thread([&] {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      // After a >= 64 KiB input that shares every input's content.
+      Compress(Compression::kLz, ByteView(logs));
+      EXPECT_TRUE(matches(i)) << "after 64 KiB, input " << i;
+      // After an empty input.
+      Compress(Compression::kLz, ByteView());
+      EXPECT_TRUE(matches(i)) << "after empty, input " << i;
+      // The same input twice in a row.
+      EXPECT_TRUE(matches(i)) << "repeated, input " << i;
+    }
+    // Interleaved with the other inputs, in both orders.
+    for (int round = 0; round < 3; ++round) {
+      for (size_t k = 0; k < inputs.size(); ++k) {
+        const size_t i = round % 2 == 0 ? k : inputs.size() - 1 - k;
+        EXPECT_TRUE(matches(i)) << "interleaved, input " << i;
+      }
+    }
+    // Once the positions of earlier calls pass 4 GiB the table restarts
+    // (empty calls are enough to get there).
+    for (int i = 0; i < 70000; ++i) Compress(Compression::kLz, ByteView());
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      EXPECT_TRUE(matches(i)) << "after the restart, input " << i;
+    }
+  }).join();
+
+  // Four threads at once, each cycling through the inputs from its own
+  // starting point.
+  std::vector<int> mismatches(4, 0);
+  std::vector<std::thread> threads;
+  threads.reserve(mismatches.size());
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 3 * inputs.size(); ++round) {
+        if (!matches((t + round) % inputs.size())) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < mismatches.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 

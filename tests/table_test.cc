@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <tuple>
 
+#include "common/hash.h"
 #include "common/random.h"
+#include "format/lakefile.h"
 #include "table/lakehouse.h"
 
 namespace streamlake::table {
@@ -828,6 +832,301 @@ TEST(TableTest, DataFilePathsAreDeterministicAndDistinct) {
   EXPECT_EQ(std::set<std::string>(runs[0].begin(), runs[0].end()).size(),
             runs[0].size());
   EXPECT_EQ(runs[0], runs[1]);
+}
+
+
+// ---- File-level stats: the writer's single pass ----
+
+/// The oracle: the second pass over a data file's rows that computed its
+/// file-level stats before the writer produced them, with a std::set per
+/// column. Valid for NaN-free rows only (std::set<Value> needs a strict
+/// weak order).
+std::map<std::string, format::ColumnStats> OracleStats(
+    const format::Schema& schema, const std::vector<format::Row>& rows) {
+  std::map<std::string, format::ColumnStats> stats;
+  if (rows.empty()) return stats;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    format::ColumnStats s;
+    s.has_extended = true;
+    std::set<format::Value> distinct;
+    double total_width = 0.0;
+    for (const format::Row& row : rows) {
+      const format::Value& v = row.fields[c];
+      if (format::IsNull(v)) {
+        ++s.null_count;
+        continue;
+      }
+      if (!s.min.has_value() || format::CompareValues(v, *s.min) < 0) {
+        s.min = v;
+      }
+      if (!s.max.has_value() || format::CompareValues(v, *s.max) > 0) {
+        s.max = v;
+      }
+      distinct.insert(v);
+      switch (schema.field(c).type) {
+        case format::DataType::kBool:
+          total_width += 1.0;
+          break;
+        case format::DataType::kInt64:
+        case format::DataType::kDouble:
+          total_width += 8.0;
+          break;
+        case format::DataType::kString:
+          total_width += static_cast<double>(std::get<std::string>(v).size());
+          break;
+        case format::DataType::kNull:
+          break;
+      }
+    }
+    s.ndv = distinct.size();
+    uint64_t non_null = rows.size() - s.null_count;
+    s.avg_width = non_null > 0 ? total_width / static_cast<double>(non_null)
+                               : 0.0;
+    stats[schema.field(c).name] = std::move(s);
+  }
+  return stats;
+}
+
+std::vector<const format::Row*> PointersTo(
+    const std::vector<format::Row>& rows) {
+  std::vector<const format::Row*> out;
+  out.reserve(rows.size());
+  for (const format::Row& row : rows) out.push_back(&row);
+  return out;
+}
+
+/// The metadata a table records for `file`, named `path`.
+DataFileMeta MetaOf(const format::Schema& schema,
+                    const format::EncodedLakeFile& file, uint64_t rows) {
+  DataFileMeta meta;
+  meta.path = "golden";
+  meta.record_count = rows;
+  meta.file_bytes = file.bytes.size();
+  for (size_t c = 0; c < file.column_stats.size(); ++c) {
+    meta.column_stats[schema.field(c).name] = file.column_stats[c];
+  }
+  return meta;
+}
+
+Bytes Encoded(const DataFileMeta& meta) {
+  Bytes out;
+  meta.EncodeTo(&out);
+  return out;
+}
+
+/// Random NaN-free rows over every column type: each column is NULL-free,
+/// NULL-only, or mixed; doubles include -0.0 and +0.0; strings include
+/// the empty string; low cardinalities make duplicates common.
+std::vector<format::Row> RandomStatsRows(Random* rng,
+                                         const format::Schema& schema,
+                                         size_t num_rows) {
+  std::vector<int> null_mode;  // 0 = none, 1 = some, 2 = all
+  null_mode.reserve(schema.num_fields());
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    null_mode.push_back(static_cast<int>(rng->Uniform(3)));
+  }
+  const int64_t card = 1 + static_cast<int64_t>(rng->Uniform(40));
+  std::vector<format::Row> rows(num_rows);
+  for (format::Row& row : rows) {
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      if (null_mode[c] == 2 || (null_mode[c] == 1 && rng->OneIn(3))) {
+        row.fields.emplace_back(std::monostate{});
+        continue;
+      }
+      const int64_t k = static_cast<int64_t>(rng->Uniform(card + 2));
+      switch (schema.field(c).type) {
+        case format::DataType::kBool:
+          row.fields.emplace_back(k % 2 == 0);
+          break;
+        case format::DataType::kInt64:
+          row.fields.emplace_back(k - card / 2);
+          break;
+        case format::DataType::kDouble: {
+          const double v = static_cast<double>(k - card / 2) / 4;
+          row.fields.emplace_back(k == 0 ? -0.0 : k == 1 ? 0.0 : v);
+          break;
+        }
+        case format::DataType::kString:
+          row.fields.emplace_back(
+              k == 0 ? std::string()
+                     : std::string(static_cast<size_t>(k % 5), 'x') +
+                           std::to_string(k));
+          break;
+        case format::DataType::kNull:
+          break;
+      }
+    }
+  }
+  return rows;
+}
+
+TEST(FileStatsTest, WriterStatsMatchTwoPassOracle) {
+  Random rng(2026);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t num_fields = 4 + rng.Uniform(5);
+    std::vector<format::Field> fields;
+    fields.reserve(num_fields);
+    for (size_t c = 0; c < num_fields; ++c) {
+      fields.push_back({"c" + std::to_string(c),
+                        static_cast<format::DataType>(c % 4)});
+    }
+    const format::Schema schema(fields);
+    const std::vector<format::Row> rows =
+        RandomStatsRows(&rng, schema, 1 + rng.Uniform(400));
+    format::LakeFileOptions options;
+    options.rows_per_group = 1 + rng.Uniform(trial % 2 == 0 ? 50 : 8192);
+    options.enable_stats = !rng.OneIn(4);
+    const format::EncodedLakeFile file =
+        format::EncodeLakeFile(schema, PointersTo(rows), options);
+    DataFileMeta got = MetaOf(schema, file, rows.size());
+    DataFileMeta want = got;
+    want.column_stats = OracleStats(schema, rows);
+    for (const auto& [column, expected] : want.column_stats) {
+      const format::ColumnStats& actual = got.column_stats[column];
+      EXPECT_EQ(actual.min, expected.min) << trial << " " << column;
+      EXPECT_EQ(actual.max, expected.max) << trial << " " << column;
+      EXPECT_EQ(actual.null_count, expected.null_count) << trial << column;
+      EXPECT_EQ(actual.ndv, expected.ndv) << trial << " " << column;
+      EXPECT_EQ(actual.avg_width, expected.avg_width) << trial << column;
+    }
+    // Byte equality also pins which of -0.0 and +0.0 is the min/max.
+    EXPECT_EQ(Encoded(got), Encoded(want)) << "trial " << trial;
+  }
+}
+
+TEST(FileStatsTest, InsertRecordsTheWritersStats) {
+  LakehouseFixture f;
+  TableOptions options;
+  options.file_options.rows_per_group = 7;
+  auto table = f.lakehouse->CreateTable("t", DpiSchema(),
+                                        PartitionSpec::None(), &options);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Random rng(5);
+  const std::vector<format::Row> rows =
+      RandomStatsRows(&rng, DpiSchema(), 100);
+  ASSERT_TRUE((*table)->Insert(rows).ok());
+  auto files = (*table)->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files->size(), 1u);
+  DataFileMeta want = (*files)[0];
+  want.column_stats = OracleStats(DpiSchema(), rows);
+  EXPECT_EQ(Encoded((*files)[0]), Encoded(want));
+}
+
+/// Fixed rows over every column type, NULLs, -0.0 and empty strings.
+std::vector<format::Row> GoldenStatsRows() {
+  std::vector<format::Row> rows;
+  rows.reserve(100);
+  for (int64_t i = 0; i < 100; ++i) {
+    format::Row row;
+    row.fields.emplace_back(i % 3 == 0);
+    if (i % 11 == 0) {
+      row.fields.emplace_back(std::monostate{});
+    } else {
+      row.fields.emplace_back(i * 7 % 23 - 5);
+    }
+    row.fields.emplace_back(i % 13 == 0 ? -0.0
+                                        : static_cast<double>(i % 9) / 8);
+    row.fields.emplace_back(i % 17 == 0 ? std::string()
+                                        : "v" + std::to_string(i % 6));
+    row.fields.emplace_back(std::monostate{});
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(FileStatsTest, EncodingIsFrozen) {
+  // Data files are stored, and their metadata is committed, so both
+  // encodings must never drift: (size, CRC-32C) of a LakeFile of fixed rows
+  // and of its DataFileMeta.
+  const format::Schema schema{{"b", format::DataType::kBool},
+                              {"i", format::DataType::kInt64},
+                              {"d", format::DataType::kDouble},
+                              {"s", format::DataType::kString},
+                              {"n", format::DataType::kInt64}};
+  const std::vector<format::Row> rows = GoldenStatsRows();
+  format::LakeFileOptions options;
+  options.rows_per_group = 16;
+  const format::EncodedLakeFile file =
+      format::EncodeLakeFile(schema, PointersTo(rows), options);
+  EXPECT_EQ(file.bytes.size(), 1716u);
+  EXPECT_EQ(Crc32c(ByteView(file.bytes)), 0x54f17f7du);
+  const Bytes meta = Encoded(MetaOf(schema, file, rows.size()));
+  EXPECT_EQ(meta.size(), 110u);
+  EXPECT_EQ(Crc32c(ByteView(meta)), 0xb5fe87b5u);
+}
+
+TEST(FileStatsTest, NanLeavesMinMaxOutAndCountsOnce) {
+  const format::Schema schema{{"x", format::DataType::kDouble}};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<format::Row> rows;
+  rows.reserve(6);
+  for (double v : {nan, 10.0, -nan, 10.0, -0.0, 0.0}) {
+    rows.push_back(format::Row{{format::Value(v)}});
+  }
+  format::LakeFileOptions options;
+  options.rows_per_group = 4;  // groups [nan 10 nan 10] and [-0 +0]
+  const format::EncodedLakeFile file =
+      format::EncodeLakeFile(schema, PointersTo(rows), options);
+  const format::ColumnStats& stats = file.column_stats[0];
+  EXPECT_FALSE(stats.min.has_value());
+  EXPECT_FALSE(stats.max.has_value());
+  EXPECT_EQ(stats.ndv, 3u);  // NaN, 10, and the zeros
+  EXPECT_EQ(stats.avg_width, 8.0);
+
+  auto reader = format::LakeFileReader::Open(file.bytes);
+  ASSERT_TRUE(reader.ok());
+  ASSERT_EQ(reader->num_row_groups(), 2u);
+  const format::ColumnStats& with_nan = reader->row_group(0).columns[0].stats;
+  EXPECT_FALSE(with_nan.min.has_value());
+  EXPECT_EQ(with_nan.ndv, 2u);
+  const format::ColumnStats& zeros = reader->row_group(1).columns[0].stats;
+  ASSERT_TRUE(zeros.min.has_value());
+  EXPECT_TRUE(std::signbit(std::get<double>(*zeros.min)));  // first wins
+  EXPECT_EQ(zeros.ndv, 1u);
+}
+
+// A double column whose values include NaN must never be pruned by a range
+// that NaN broke: every predicate returns what an unpruned scan (every row,
+// filtered one by one) returns.
+TEST(TableTest, NanNeverHidesMatchingRows) {
+  LakehouseFixture f;
+  const format::Schema schema{{"x", format::DataType::kDouble}};
+  auto table = f.lakehouse->CreateTable("t", schema, PartitionSpec::None());
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // One file per batch: NaN first, NaN later, NaN only, no NaN.
+  const std::vector<std::vector<double>> files = {
+      {nan, 10.0}, {3.0, nan, -1.0}, {nan}, {1.0, 2.0}};
+  for (const std::vector<double>& values : files) {
+    std::vector<format::Row> rows;
+    rows.reserve(values.size());
+    for (double v : values) rows.push_back(format::Row{{format::Value(v)}});
+    ASSERT_TRUE((*table)->Insert(rows).ok());
+  }
+  auto all = (*table)->Select(query::QuerySpec());
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->rows.size(), 8u);
+
+  const format::Value five(5.0);
+  const std::vector<query::Predicate> predicates = {
+      query::Predicate::Lt("x", five),  query::Predicate::Le("x", five),
+      query::Predicate::Gt("x", five),  query::Predicate::Ge("x", five),
+      query::Predicate::Eq("x", five),  query::Predicate::Ne("x", five),
+      query::Predicate::In("x", {format::Value(10.0), format::Value(2.0)})};
+  for (const query::Predicate& p : predicates) {
+    query::QuerySpec spec;
+    spec.where.Add(p);
+    spec.aggregates = {query::AggregateSpec::CountStar()};
+    auto got = (*table)->Select(spec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    int64_t unpruned = 0;
+    for (const format::Row& row : all->rows) {
+      if (spec.where.Matches(schema, row)) ++unpruned;
+    }
+    EXPECT_EQ(std::get<int64_t>(got->rows[0].fields[0]), unpruned)
+        << p.ToString();
+  }
 }
 
 }  // namespace
