@@ -8,10 +8,15 @@
 //   * query time after the deletes (COW wins: no masking work),
 //   * query time after compaction (MOR recovers: deletes applied
 //     physically) — the LakeBrain story in one table.
+//
+// Every figure is simulated time, so --json_out=PATH (bench_report.h)
+// reports deterministic values; CI gates the delete-side ones.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/streamlake.h"
 #include "workload/tpch.h"
 
@@ -74,7 +79,8 @@ ModeResult Run(table::DeleteMode mode, int num_deletes) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchReport report("ablation_mor", &argc, argv);
   std::printf("Ablation: copy-on-write vs merge-on-read deletes "
               "(40k-row lineitem)\n\n");
   std::printf("%9s | %12s %12s %15s | %12s %12s %15s | %10s\n", "#deletes",
@@ -88,6 +94,14 @@ int main() {
                 cow.query_after_compaction_ms, mor.delete_time_ms,
                 mor.query_after_deletes_ms, mor.query_after_compaction_ms,
                 cow.final_count == mor.final_count ? "yes" : "NO");
+    const std::string d = "d" + std::to_string(deletes) + ".";
+    report.Add(d + "cow_delete_ms", cow.delete_time_ms);
+    report.Add(d + "cow_query_ms", cow.query_after_deletes_ms);
+    report.Add(d + "cow_query_compacted_ms", cow.query_after_compaction_ms);
+    report.Add(d + "mor_delete_ms", mor.delete_time_ms);
+    report.Add(d + "mor_query_ms", mor.query_after_deletes_ms);
+    report.Add(d + "mor_query_compacted_ms", mor.query_after_compaction_ms);
+    report.Add(d + "rows_agree", cow.final_count == mor.final_count ? 1 : 0);
   }
-  return 0;
+  return report.WriteIfRequested() ? 0 : 1;
 }

@@ -177,9 +177,25 @@ Status Table::CommitChanges(const CommitRequest& request) {
                                   "' changed since base snapshot");
         }
       }
+      // A merge-on-read delete touches no files, but rewriting a file it
+      // may match would copy its masked rows into a file newer than the
+      // delete, which then no longer masks them.
+      for (const DeleteRecord& d : commit.deletes) {
+        for (const DataFileMeta& f : request.removed) {
+          if (FileMayMatch(info, f, d.predicate)) {
+            return Status::Conflict("a delete since base snapshot may match " +
+                                    f.path);
+          }
+        }
+      }
     }
   }
 
+  SnapshotMeta snap;
+  if (info.current_snapshot_id != 0) {
+    SL_ASSIGN_OR_RETURN(
+        snap, meta_->GetSnapshot(info.path, info.current_snapshot_id));
+  }
   CommitFile commit;
   commit.commit_seq = info.next_commit_seq++;
   commit.timestamp = static_cast<int64_t>(clock_->NowSeconds());
@@ -191,58 +207,18 @@ Status Table::CommitChanges(const CommitRequest& request) {
   for (const query::Conjunction& predicate : request.delete_predicates) {
     commit.deletes.push_back(DeleteRecord{commit.commit_seq, predicate});
   }
-  SL_RETURN_NOT_OK(meta_->PutCommit(info.path, commit));
-
-  SnapshotMeta snap;
-  Status s = Status::OK();
-  if (info.current_snapshot_id != 0) {
-    auto head = meta_->GetSnapshot(info.path, info.current_snapshot_id);
-    if (head.ok()) {
-      snap = std::move(*head);
-    } else {
-      s = head.status();
-    }
+  snap.commit_seqs.push_back(commit.commit_seq);
+  snap.added_files = commit.added.size();
+  snap.removed_files = commit.removed.size();
+  snap.added_rows = 0;
+  snap.removed_rows = 0;
+  for (const DataFileMeta& f : commit.added) snap.added_rows += f.record_count;
+  for (const DataFileMeta& f : commit.removed) {
+    snap.removed_rows += f.record_count;
   }
-  bool snap_written = false;
-  if (s.ok()) {
-    snap.snapshot_id = info.next_snapshot_id++;
-    snap.timestamp = commit.timestamp;
-    snap.commit_seqs.push_back(commit.commit_seq);
-    snap.added_files = commit.added.size();
-    snap.removed_files = commit.removed.size();
-    snap.added_rows = 0;
-    snap.removed_rows = 0;
-    for (const DataFileMeta& f : commit.added) {
-      snap.added_rows += f.record_count;
-    }
-    for (const DataFileMeta& f : commit.removed) {
-      snap.removed_rows += f.record_count;
-    }
-    snap.total_files += commit.added.size() - commit.removed.size();
-    snap.total_rows += snap.added_rows - snap.removed_rows;
-    s = meta_->PutSnapshot(info.path, snap);
-    snap_written = s.ok();
-  }
-  if (s.ok()) {
-    // Readers at the old snapshot keep their view; this flips visibility
-    // ("changes made by a writer will not be visible to readers until they
-    // are committed and recorded in a snapshot").
-    info.current_snapshot_id = snap.snapshot_id;
-    info.modified_at = commit.timestamp;
-    info.snapshot_log.emplace_back(snap.snapshot_id, snap.timestamp);
-    s = meta_->PutTableInfo(info);
-  }
-  if (!s.ok()) {
-    // Retract the commit/snapshot records: the catalog still points at
-    // the old head, so they must not linger as half-committed state.
-    if (snap_written) {
-      meta_->DeleteSnapshot(info.path, snap.snapshot_id)
-          .LogIgnored("commit rollback");
-    }
-    meta_->DeleteCommit(info.path, commit.commit_seq)
-        .LogIgnored("commit rollback");
-    return s;
-  }
+  snap.total_files += commit.added.size() - commit.removed.size();
+  snap.total_rows += snap.added_rows - snap.removed_rows;
+  SL_RETURN_NOT_OK(PublishCommit(std::move(info), commit, std::move(snap)));
   // The removed files can no longer serve the new head; drop their cached
   // blocks now instead of waiting for LRU churn (time-travel readers of
   // older snapshots simply repopulate them). kTableBlockCache ranks below
@@ -253,6 +229,46 @@ Status Table::CommitChanges(const CommitRequest& request) {
     }
   }
   return Status::OK();
+}
+
+Status Table::PublishCommit(TableInfo info, const CommitFile& commit,
+                            SnapshotMeta snap) {
+  SL_RETURN_NOT_OK(meta_->PutCommit(info.path, commit));
+  snap.snapshot_id = info.next_snapshot_id++;
+  snap.timestamp = commit.timestamp;
+  Status s = meta_->PutSnapshot(info.path, snap);
+  if (s.ok()) {
+    // Readers at the old snapshot keep their view; this flips visibility
+    // ("changes made by a writer will not be visible to readers until they
+    // are committed and recorded in a snapshot").
+    info.current_snapshot_id = snap.snapshot_id;
+    info.modified_at = snap.timestamp;
+    info.snapshot_log.emplace_back(snap.snapshot_id, snap.timestamp);
+    s = meta_->PutTableInfo(info);
+    if (!s.ok()) {
+      meta_->DeleteSnapshot(info.path, snap.snapshot_id)
+          .LogIgnored("commit rollback");
+    }
+  }
+  if (!s.ok()) {
+    // The catalog still points at the old head; retract the records so
+    // they never linger as half-committed state.
+    meta_->DeleteCommit(info.path, commit.commit_seq)
+        .LogIgnored("commit rollback");
+  }
+  return s;
+}
+
+Status Table::CommitOrDiscard(const CommitRequest& request, Status written) {
+  if (written.ok()) written = CommitChanges(request);
+  if (!written.ok()) {
+    // Best-effort: a leaked orphan file is preferable to masking the
+    // original error.
+    for (const DataFileMeta& f : request.added) {
+      objects_->Delete(f.path).LogIgnored("commit rollback");
+    }
+  }
+  return written;
 }
 
 Status Table::Insert(const std::vector<format::Row>& rows) {
@@ -313,43 +329,30 @@ Status Table::Insert(const std::vector<format::Row>& rows) {
     }
     request.added.push_back(std::move(*meta));
   }
-  if (!s.ok()) {
-    // None of the files ever reached a commit; delete them (best-effort)
-    // instead of leaving orphans in the object namespace.
-    for (const DataFileMeta& f : request.added) {
-      objects_->Delete(f.path).LogIgnored("insert rollback");
-    }
-    return s;
-  }
-  return CommitChanges(request);
+  return CommitOrDiscard(request, std::move(s));
 }
 
-Result<std::vector<DataFileMeta>> Table::ReplaySnapshot(
-    const TableInfo& info, uint64_t snapshot_id,
-    uint64_t* commit_meta_bytes_sum, uint64_t* commit_meta_bytes_max,
-    std::vector<DeleteRecord>* deletes) {
-  std::map<std::string, DataFileMeta> live;
-  if (snapshot_id == 0) return std::vector<DataFileMeta>();
+Result<Table::SnapshotFiles> Table::ReadSnapshot(const TableInfo& info,
+                                                uint64_t snapshot_id) {
+  SnapshotFiles out;
+  if (snapshot_id == 0) return out;
   SL_ASSIGN_OR_RETURN(SnapshotMeta snap,
                       meta_->GetSnapshot(info.path, snapshot_id));
+  const bool file_based = meta_->mode() == MetadataMode::kFileBased;
+  std::map<std::string, DataFileMeta> live;
   for (uint64_t seq : snap.commit_seqs) {
     SL_ASSIGN_OR_RETURN(CommitFile commit,
                         meta_->GetCommit(info.path, seq));
-    size_t bytes = commit.ByteSize();
-    if (commit_meta_bytes_sum != nullptr) *commit_meta_bytes_sum += bytes;
-    if (commit_meta_bytes_max != nullptr) {
-      *commit_meta_bytes_max = std::max<uint64_t>(*commit_meta_bytes_max, bytes);
-    }
+    const uint64_t bytes = commit.ByteSize();
+    out.metadata_memory = file_based ? out.metadata_memory + bytes
+                                     : std::max(out.metadata_memory, bytes);
     for (const DataFileMeta& f : commit.removed) live.erase(f.path);
-    for (const DataFileMeta& f : commit.added) live[f.path] = f;
-    if (deletes != nullptr) {
-      for (const DeleteRecord& d : commit.deletes) deletes->push_back(d);
-    }
+    for (DataFileMeta& f : commit.added) live[f.path] = std::move(f);
+    for (DeleteRecord& d : commit.deletes) out.deletes.push_back(std::move(d));
   }
-  std::vector<DataFileMeta> files;
-  files.reserve(live.size());
-  for (auto& [path, meta] : live) files.push_back(std::move(meta));
-  return files;
+  out.files.reserve(live.size());
+  for (auto& [path, meta] : live) out.files.push_back(std::move(meta));
+  return out;
 }
 
 bool Table::FileMayMatch(const TableInfo& info, const DataFileMeta& file,
@@ -683,15 +686,10 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
   SL_ASSIGN_OR_RETURN(uint64_t snapshot_id, ResolveSnapshotId(info, options));
 
   // Snapshot + commits -> live file list + outstanding merge-on-read
-  // deletes (none of either for an empty table). File-based catalogs hold
-  // every commit in compute memory at once; acceleration streams them.
-  uint64_t commit_sum = 0, commit_max = 0;
-  std::vector<DeleteRecord> delete_records;
-  SL_ASSIGN_OR_RETURN(std::vector<DataFileMeta> files,
-                      ReplaySnapshot(info, snapshot_id, &commit_sum,
-                                     &commit_max, &delete_records));
-  uint64_t metadata_memory =
-      meta_->mode() == MetadataMode::kFileBased ? commit_sum : commit_max;
+  // deletes (none of either for an empty table).
+  SL_ASSIGN_OR_RETURN(SnapshotFiles snapshot,
+                      ReadSnapshot(info, snapshot_id));
+  const uint64_t metadata_memory = snapshot.metadata_memory;
   m->peak_memory_bytes = std::max(m->peak_memory_bytes, metadata_memory);
   if (options.memory_budget_bytes > 0 &&
       m->peak_memory_bytes > options.memory_budget_bytes) {
@@ -702,7 +700,7 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
 
   // Prune by partition + file stats.
   std::vector<const DataFileMeta*> scan_files;
-  for (const DataFileMeta& file : files) {
+  for (const DataFileMeta& file : snapshot.files) {
     if (!FileMayMatch(info, file, where)) {
       ++m->files_skipped;
       m->data_bytes_skipped += file.file_bytes;
@@ -752,7 +750,7 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
       }
     }
     job.status = ScanFileRows(
-        info, where, delete_records, file, required,
+        info, where, snapshot.deletes, file, required,
         [&](ScannedGroup group) {
           if (options.pushdown) {
             // Storage-side filter: only matched rows cross the network,
@@ -801,13 +799,12 @@ Result<std::vector<ColumnFooterStats>> Table::AggregateFooterStats() {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
   std::vector<ColumnFooterStats> out(info.schema.num_fields());
   if (info.current_snapshot_id == 0) return out;
-  SL_ASSIGN_OR_RETURN(
-      std::vector<DataFileMeta> files,
-      ReplaySnapshot(info, info.current_snapshot_id, nullptr, nullptr));
+  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
+                      ReadSnapshot(info, info.current_snapshot_id));
   // Row-weighted avg_width merge: weight each chunk by its non-NULL rows.
   std::vector<double> width_sum(out.size(), 0.0);
   std::vector<uint64_t> width_rows(out.size(), 0);
-  for (const DataFileMeta& file : files) {
+  for (const DataFileMeta& file : head.files) {
     CachedFileReader reader(objects_, block_cache_, file.path);
     SL_RETURN_NOT_OK(reader.Init());
     for (size_t g = 0; g < reader.num_row_groups(); ++g) {
@@ -840,19 +837,17 @@ std::map<std::string, uint64_t> Table::PartitionAccessCounts() const {
   return partition_access_;
 }
 
-Result<std::vector<DataFileMeta>> Table::LiveFiles(uint64_t snapshot_id) {
+Result<std::vector<DataFileMeta>> Table::LiveFiles() {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-  uint64_t id = snapshot_id == 0 ? info.current_snapshot_id : snapshot_id;
-  return ReplaySnapshot(info, id, nullptr, nullptr);
+  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
+                      ReadSnapshot(info, info.current_snapshot_id));
+  return std::move(head.files);
 }
 
 Result<uint64_t> Table::Delete(const query::Conjunction& where) {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-  std::vector<DeleteRecord> prior_deletes;
-  SL_ASSIGN_OR_RETURN(
-      std::vector<DataFileMeta> files,
-      ReplaySnapshot(info, info.current_snapshot_id, nullptr, nullptr,
-                     &prior_deletes));
+  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
+                      ReadSnapshot(info, info.current_snapshot_id));
 
   // Split candidates: fully-covered partitions drop by metadata only; the
   // rest need the rewrite (copy-on-write) or delete-predicate
@@ -862,7 +857,7 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
   metadata_only.is_rewrite = true;
   uint64_t deleted_rows = 0;
   std::vector<DataFileMeta> touched;
-  for (const DataFileMeta& file : files) {
+  for (const DataFileMeta& file : head.files) {
     if (!FileMayMatch(info, file, where)) continue;
     if (PartitionFullyCovered(info, file.partition, where)) {
       metadata_only.removed.push_back(file);
@@ -884,7 +879,7 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
     SelectMetrics scan_metrics;
     for (const DataFileMeta& file : touched) {
       SL_RETURN_NOT_OK(ScanFileRows(
-          info, where, prior_deletes, file, ColumnSelection::Of({}),
+          info, where, head.deletes, file, ColumnSelection::Of({}),
           [&](ScannedGroup group) {
             deleted_rows += group.rows.size();
             return Status::OK();
@@ -898,20 +893,17 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
     return deleted_rows;
   }
 
-  SL_ASSIGN_OR_RETURN(uint64_t rewritten,
-                      RewriteMatching(where, /*keep_rewritten=*/false, "",
-                                      nullptr));
+  SL_ASSIGN_OR_RETURN(uint64_t rewritten, RewriteMatching(where, "", nullptr));
   return deleted_rows + rewritten;
 }
 
 Result<uint64_t> Table::Update(const query::Conjunction& where,
                                const std::string& column,
                                const format::Value& value) {
-  return RewriteMatching(where, /*keep_rewritten=*/true, column, &value);
+  return RewriteMatching(where, column, &value);
 }
 
 Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
-                                        bool keep_rewritten,
                                         const std::string& set_column,
                                         const format::Value* set_value) {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
@@ -925,18 +917,15 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
       return Status::InvalidArgument("SET value type mismatch");
     }
   }
-  std::vector<DeleteRecord> prior_deletes;
-  SL_ASSIGN_OR_RETURN(
-      std::vector<DataFileMeta> files,
-      ReplaySnapshot(info, info.current_snapshot_id, nullptr, nullptr,
-                     &prior_deletes));
+  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
+                      ReadSnapshot(info, info.current_snapshot_id));
   CommitRequest request;
   request.base_snapshot_id = info.current_snapshot_id;
   request.is_rewrite = true;
   uint64_t affected = 0;
   SelectMetrics scan_metrics;
   Status s = Status::OK();
-  for (const DataFileMeta& file : files) {
+  for (const DataFileMeta& file : head.files) {
     if (!FileMayMatch(info, file, where)) continue;
     // Rewriting physically applies outstanding merge-on-read deletes: the
     // scan delivers only visible rows, so masked rows are dropped, never
@@ -945,14 +934,14 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
     uint64_t visible = 0;
     uint64_t matched = 0;
     s = ScanFileRows(
-        info, query::Conjunction(), prior_deletes, file,
+        info, query::Conjunction(), head.deletes, file,
         ColumnSelection::All(),
         [&](ScannedGroup group) {
           visible += group.visible_rows;
           for (format::Row& row : group.rows) {
             if (where.Matches(info.schema, row)) {
               ++matched;
-              if (!keep_rewritten) continue;
+              if (set_value == nullptr) continue;
               row.fields[set_col] = *set_value;
             }
             rewritten.push_back(std::move(row));
@@ -977,14 +966,8 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
   }
   if (s.ok() && request.removed.empty()) return affected;
   // Replaced files stay on disk for time travel until snapshot expiration.
-  if (s.ok()) s = CommitChanges(request);
-  if (!s.ok()) {
-    // The replacement files never became visible; reclaim them.
-    for (const DataFileMeta& f : request.added) {
-      objects_->Delete(f.path).LogIgnored("rewrite rollback");
-    }
-    return s;
-  }
+  s = CommitOrDiscard(request, std::move(s));
+  if (!s.ok()) return s;
   return affected;
 }
 
@@ -993,15 +976,12 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
   uint64_t base = base_snapshot_id == 0 ? info.current_snapshot_id
                                         : base_snapshot_id;
-  std::vector<DeleteRecord> prior_deletes;
-  SL_ASSIGN_OR_RETURN(std::vector<DataFileMeta> files,
-                      ReplaySnapshot(info, base, nullptr, nullptr,
-                                     &prior_deletes));
+  SL_ASSIGN_OR_RETURN(SnapshotFiles planned, ReadSnapshot(info, base));
 
   // Binpack: gather the partition's small files, largest first, into bins
   // of ~target_file_bytes.
   std::vector<DataFileMeta> small;
-  for (const DataFileMeta& file : files) {
+  for (const DataFileMeta& file : planned.files) {
     if (file.partition == partition &&
         file.file_bytes < options_.target_file_bytes) {
       small.push_back(file);
@@ -1038,7 +1018,7 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
     // Compaction physically applies outstanding merge-on-read deletes: the
     // scan delivers only visible rows.
     s = ScanFileRows(
-        info, query::Conjunction(), prior_deletes, file,
+        info, query::Conjunction(), planned.deletes, file,
         ColumnSelection::All(),
         [&](ScannedGroup group) {
           bin_rows.insert(bin_rows.end(),
@@ -1058,18 +1038,9 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
   }
   if (s.ok()) s = flush_bin();
   result.files_after = request.added.size();
-
-  if (s.ok()) s = CommitChanges(request);
-  if (!s.ok()) {
-    // Roll back the bins we wrote; the commit never became visible.
-    // Best-effort: a leaked orphan file is preferable to masking the
-    // original error.
-    for (const DataFileMeta& f : request.added) {
-      objects_->Delete(f.path).LogIgnored("compaction rollback");
-    }
-    return s;
-  }
   // Merged-away files stay for time travel until snapshot expiration.
+  s = CommitOrDiscard(request, std::move(s));
+  if (!s.ok()) return s;
   return result;
 }
 
@@ -1087,46 +1058,21 @@ Result<size_t> Table::RewriteManifest() {
   // Files keep their original added_seq and outstanding merge-on-read
   // deletes carry over with their original sequences, so read-time
   // masking is unchanged.
-  std::vector<DeleteRecord> outstanding;
-  SL_ASSIGN_OR_RETURN(std::vector<DataFileMeta> files,
-                      ReplaySnapshot(info, info.current_snapshot_id, nullptr,
-                                     nullptr, &outstanding));
-  size_t squashed = head.commit_seqs.size();
-
+  SL_ASSIGN_OR_RETURN(SnapshotFiles live,
+                      ReadSnapshot(info, info.current_snapshot_id));
+  const size_t squashed = head.commit_seqs.size();
   CommitFile consolidated;
   consolidated.commit_seq = info.next_commit_seq++;
   consolidated.timestamp = static_cast<int64_t>(clock_->NowSeconds());
-  consolidated.added = files;
-  consolidated.deletes = std::move(outstanding);
-  SL_RETURN_NOT_OK(meta_->PutCommit(info.path, consolidated));
-
-  SnapshotMeta snap = head;
-  snap.snapshot_id = info.next_snapshot_id++;
-  snap.timestamp = consolidated.timestamp;
-  snap.commit_seqs = {consolidated.commit_seq};
-  snap.added_files = 0;
-  snap.removed_files = 0;
-  snap.added_rows = 0;
-  snap.removed_rows = 0;
-  Status s = meta_->PutSnapshot(info.path, snap);
-  bool snap_written = s.ok();
-  if (s.ok()) {
-    info.current_snapshot_id = snap.snapshot_id;
-    info.modified_at = snap.timestamp;
-    info.snapshot_log.emplace_back(snap.snapshot_id, snap.timestamp);
-    s = meta_->PutTableInfo(info);
-  }
-  if (!s.ok()) {
-    // The catalog still points at the old head; retract the consolidated
-    // records so they never linger half-committed.
-    if (snap_written) {
-      meta_->DeleteSnapshot(info.path, snap.snapshot_id)
-          .LogIgnored("manifest rollback");
-    }
-    meta_->DeleteCommit(info.path, consolidated.commit_seq)
-        .LogIgnored("manifest rollback");
-    return s;
-  }
+  consolidated.added = std::move(live.files);
+  consolidated.deletes = std::move(live.deletes);
+  head.commit_seqs = {consolidated.commit_seq};
+  head.added_files = 0;
+  head.removed_files = 0;
+  head.added_rows = 0;
+  head.removed_rows = 0;
+  SL_RETURN_NOT_OK(
+      PublishCommit(std::move(info), consolidated, std::move(head)));
   return squashed;
 }
 
@@ -1142,17 +1088,19 @@ Status Table::ExpireSnapshots(int64_t before_timestamp) {
     bool expires = ts < before_timestamp && id != info.current_snapshot_id;
     auto snap = meta_->GetSnapshot(info.path, id);
     if (expires) {
+      // Tolerated: a retry after a partial expiry (snapshots deleted, log
+      // not yet rewritten) finds them gone.
       expired.push_back(id);
       if (snap.ok()) {
         expired_commits.insert(snap->commit_seqs.begin(),
                                snap->commit_seqs.end());
       }
     } else {
+      // Not tolerated: the GC below keeps only what retained snapshots
+      // reference, so an unreadable one would lose its files.
+      if (!snap.ok()) return snap.status();
       kept.emplace_back(id, ts);
-      if (snap.ok()) {
-        kept_commits.insert(snap->commit_seqs.begin(),
-                            snap->commit_seqs.end());
-      }
+      kept_commits.insert(snap->commit_seqs.begin(), snap->commit_seqs.end());
     }
   }
   for (uint64_t id : expired) {
@@ -1172,9 +1120,8 @@ Status Table::ExpireSnapshots(int64_t before_timestamp) {
   // where that space comes back).
   std::set<std::string> referenced;
   for (const auto& [id, ts] : info.snapshot_log) {
-    auto files = ReplaySnapshot(info, id, nullptr, nullptr);
-    if (!files.ok()) continue;
-    for (const DataFileMeta& f : *files) referenced.insert(f.path);
+    SL_ASSIGN_OR_RETURN(SnapshotFiles snap, ReadSnapshot(info, id));
+    for (const DataFileMeta& f : snap.files) referenced.insert(f.path);
   }
   for (const std::string& path : objects_->List(info.path + "/data/")) {
     if (path.ends_with("/.dir")) continue;  // directory marker

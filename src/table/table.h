@@ -154,7 +154,8 @@ Result<query::QueryResult> CaptureQuery(
 ///
 /// Concurrency: multiple readers + one writer per commit, with optimistic
 /// validation — rewrite commits (delete/update/compaction) fail with
-/// Conflict when a commit after their base touched the same partitions.
+/// Conflict when a commit after their base touched the same partitions or
+/// recorded a merge-on-read delete that may match a file they replace.
 class Table {
  public:
   /// `scan_pool` (optional) parallelizes scans across data files;
@@ -206,9 +207,9 @@ class Table {
                           const std::string& column,
                           const format::Value& value);
 
-  /// Live data files of a snapshot (0 = head). LakeBrain's state features
-  /// come from here.
-  Result<std::vector<DataFileMeta>> LiveFiles(uint64_t snapshot_id = 0);
+  /// Live data files of the head snapshot. LakeBrain's state features come
+  /// from here.
+  Result<std::vector<DataFileMeta>> LiveFiles();
 
   /// Binpack-merge the files of `partition` smaller than the target file
   /// size into ~target-size files. `base_snapshot_id` is the snapshot the
@@ -218,7 +219,9 @@ class Table {
                                             uint64_t base_snapshot_id = 0);
 
   /// Drop snapshots (and commits only they reference) older than
-  /// `before_timestamp`, bounding time travel.
+  /// `before_timestamp`, bounding time travel, then delete the data files
+  /// no retained snapshot references. A retained snapshot that cannot be
+  /// read fails the call before any data file is deleted.
   Status ExpireSnapshots(int64_t before_timestamp);
 
   /// Metadata compaction: squash the current snapshot's commit chain into
@@ -252,8 +255,36 @@ class Table {
     bool is_rewrite = false;
   };
 
+  /// What one snapshot's commit chain replays to.
+  struct SnapshotFiles {
+    std::vector<DataFileMeta> files;    // live data files, in path order
+    std::vector<DeleteRecord> deletes;  // outstanding merge-on-read deletes
+    /// Compute memory the replay needs (Fig. 15b): the file-based catalog
+    /// holds every commit at once (the sum of their bytes), acceleration
+    /// streams them (the largest).
+    uint64_t metadata_memory = 0;
+  };
+
+  /// The one snapshot reader: replay the commits of `snapshot_id` (0, an
+  /// empty table, replays nothing).
+  Result<SnapshotFiles> ReadSnapshot(const TableInfo& info,
+                                     uint64_t snapshot_id);
+
   /// Apply a commit with optimistic validation; advances the snapshot.
   Status CommitChanges(const CommitRequest& request);
+
+  /// The one publish step of every commit, called under the commit lock:
+  /// PutCommit, then PutSnapshot of `snap` as the next snapshot id, then
+  /// the catalog flip of `info` to it. A failed write retracts the
+  /// snapshot and commit records already written, so the catalog's old
+  /// head stays the whole story.
+  Status PublishCommit(TableInfo info, const CommitFile& commit,
+                       SnapshotMeta snap);
+
+  /// Commit `request` if `written` (the status of writing its data files)
+  /// is OK. On any failure, delete `request.added` — no snapshot references
+  /// them — and return the failure.
+  Status CommitOrDiscard(const CommitRequest& request, Status written);
 
   /// Encode `rows` (valid for the schema) as one data file and write it;
   /// returns its metadata.
@@ -269,14 +300,6 @@ class Table {
                                        uint64_t record_count,
                                        format::EncodedLakeFile file);
 
-  /// Reconstruct the live file set (and, when `deletes` is non-null, the
-  /// outstanding merge-on-read deletes) of a snapshot by replaying
-  /// commits.
-  Result<std::vector<DataFileMeta>> ReplaySnapshot(
-      const TableInfo& info, uint64_t snapshot_id,
-      uint64_t* commit_meta_bytes_sum, uint64_t* commit_meta_bytes_max,
-      std::vector<DeleteRecord>* deletes = nullptr);
-
   /// Can a file possibly contain matching rows?
   bool FileMayMatch(const TableInfo& info, const DataFileMeta& file,
                     const query::Conjunction& where) const;
@@ -291,8 +314,10 @@ class Table {
                              const std::string& partition,
                              const query::Conjunction& where) const;
 
+  /// Rewrite the files that may hold rows matching `where`: matched rows
+  /// take `set_column = *set_value` (UPDATE), or are dropped when
+  /// `set_value` is null (copy-on-write DELETE). Returns rows matched.
   Result<uint64_t> RewriteMatching(const query::Conjunction& where,
-                                   bool keep_rewritten,
                                    const std::string& set_column,
                                    const format::Value* set_value);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -581,6 +582,37 @@ TEST(MergeOnReadTest, ManifestRewriteKeepsMasking) {
   EXPECT_EQ(f.Count(), 12);  // masking survives the squash
 }
 
+// A rewrite planned on a snapshot before a merge-on-read delete would copy
+// the rows the delete masks into files newer than it, unmasking them.
+TEST(MergeOnReadTest, RewritePlannedBeforeADeleteConflicts) {
+  MorFixture f;
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(f.table->Insert({DpiRow("u", i, "beijing")}).ok());
+  }
+  ASSERT_TRUE(f.table->Insert({DpiRow("u", 5, "hubei")}).ok());
+  uint64_t planned = f.table->Info()->current_snapshot_id;
+  ASSERT_TRUE(f.table
+                  ->Delete(query::Conjunction{query::Predicate::Eq(
+                      "start_time", format::Value(int64_t{1}))})
+                  .ok());
+  EXPECT_EQ(f.Count(), 4);
+  auto result = f.table->CompactPartition("beijing", planned);
+  EXPECT_TRUE(result.status().IsConflict()) << result.status().ToString();
+  EXPECT_EQ(f.Count(), 4);
+
+  // A delete no beijing file can match does not block the compaction.
+  planned = f.table->Info()->current_snapshot_id;
+  auto deleted = f.table->Delete(query::Conjunction{
+      query::Predicate::Eq("province", format::Value(std::string("hubei"))),
+      query::Predicate::Eq("start_time", format::Value(int64_t{5}))});
+  ASSERT_TRUE(deleted.ok());
+  EXPECT_EQ(*deleted, 1u);
+  auto compacted = f.table->CompactPartition("beijing", planned);
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->files_after, 1u);
+  EXPECT_EQ(f.Count(), 3);
+}
+
 TEST(TableTest, RewriteManifestSquashesCommitChain) {
   LakehouseFixture f;
   Table* table = f.CreateDpiTable();
@@ -660,6 +692,110 @@ TEST(TableTest, ExpireSnapshotsBoundsTimeTravel) {
   stale.snapshot_id = 1;
   EXPECT_FALSE(table->Select(spec, stale).ok());
 }
+
+// GC keeps what the retained snapshots reference, so one it cannot read
+// must fail the expiry instead of losing its files.
+TEST(TableTest, ExpireSnapshotsFailsOnAnUnreadableRetainedSnapshot) {
+  LakehouseFixture f;
+  Table* table = f.CreateDpiTable();
+  ASSERT_TRUE(table->Insert({DpiRow("u", 1, "beijing")}).ok());
+  f.clock.Advance(100 * sim::kSecond);
+  ASSERT_TRUE(table->Insert({DpiRow("u", 2, "beijing")}).ok());
+  auto info = table->Info();
+  ASSERT_TRUE(info.ok());
+  const uint64_t unreadable = info->current_snapshot_id;
+  auto files = table->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  ASSERT_EQ(files->size(), 2u);
+  f.clock.Advance(100 * sim::kSecond);
+  ASSERT_TRUE(table->CompactPartition("beijing").ok());
+  ASSERT_TRUE(f.meta->DeleteSnapshot(info->path, unreadable).ok());
+
+  EXPECT_FALSE(table->ExpireSnapshots(50).ok());
+  for (const DataFileMeta& file : *files) {
+    EXPECT_TRUE(f.objects->Exists(file.path)) << file.path;
+  }
+  info = table->Info();
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->snapshot_log.size(), 3u);
+}
+
+// Every commit failure leaves no trace: with the catalog entry made
+// immutable, PutTableInfo fails after PutCommit and PutSnapshot succeeded,
+// and the operation must retract both records and delete any data file it
+// wrote.
+struct FailedCommitCase {
+  const char* name;
+  DeleteMode delete_mode;
+  std::function<Status(Table*)> run;
+};
+
+void PrintTo(const FailedCommitCase& c, std::ostream* os) { *os << c.name; }
+
+class FailedCommitTest : public ::testing::TestWithParam<FailedCommitCase> {};
+
+TEST_P(FailedCommitTest, LeavesNoTrace) {
+  LakehouseFixture f(MetadataMode::kFileBased);
+  TableOptions options;
+  options.delete_mode = GetParam().delete_mode;
+  auto created = f.lakehouse->CreateTable(
+      "dpi", DpiSchema(), PartitionSpec::Identity("province"), &options);
+  ASSERT_TRUE(created.ok());
+  Table* table = *created;
+  // Two small files in one partition, two commits in the head's chain.
+  ASSERT_TRUE(table->Insert({DpiRow("u", 1, "beijing")}).ok());
+  ASSERT_TRUE(table->Insert({DpiRow("u", 2, "beijing")}).ok());
+  auto before = table->Info();
+  ASSERT_TRUE(before.ok());
+  const auto metadata = f.objects->List(before->path + "/metadata/");
+  const auto data = f.objects->List(before->path + "/data/");
+
+  f.objects->SetWormPrefix("/catalog/");
+  EXPECT_FALSE(GetParam().run(table).ok());
+
+  auto after = table->Info();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->current_snapshot_id, before->current_snapshot_id);
+  EXPECT_EQ(f.objects->List(before->path + "/metadata/"), metadata);
+  EXPECT_EQ(f.objects->List(before->path + "/data/"), data);
+}
+
+const query::Conjunction kFirstRow{
+    query::Predicate::Eq("start_time", format::Value(int64_t{1}))};
+
+INSTANTIATE_TEST_SUITE_P(
+    Operations, FailedCommitTest,
+    ::testing::Values(
+        FailedCommitCase{"Insert", DeleteMode::kCopyOnWrite,
+                         [](Table* t) {
+                           return t->Insert({DpiRow("u", 3, "beijing")});
+                         }},
+        FailedCommitCase{"Update", DeleteMode::kCopyOnWrite,
+                         [](Table* t) {
+                           return t
+                               ->Update(kFirstRow, "url",
+                                        format::Value(std::string("v")))
+                               .status();
+                         }},
+        FailedCommitCase{"CowDelete", DeleteMode::kCopyOnWrite,
+                         [](Table* t) {
+                           return t->Delete(kFirstRow).status();
+                         }},
+        FailedCommitCase{"MorDelete", DeleteMode::kMergeOnRead,
+                         [](Table* t) {
+                           return t->Delete(kFirstRow).status();
+                         }},
+        FailedCommitCase{"CompactPartition", DeleteMode::kCopyOnWrite,
+                         [](Table* t) {
+                           return t->CompactPartition("beijing").status();
+                         }},
+        FailedCommitCase{"RewriteManifest", DeleteMode::kCopyOnWrite,
+                         [](Table* t) {
+                           return t->RewriteManifest().status();
+                         }}),
+    [](const ::testing::TestParamInfo<FailedCommitCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // Property: every historical snapshot keeps returning exactly the count
 // it had when it was the head, no matter what happens afterwards.

@@ -20,6 +20,8 @@ build-release/bench/bench_fig15_metadata "--json_out=$out/BENCH_fig15_metadata.j
 build-release/bench/bench_fig14_throughput "--json_out=$out/BENCH_fig14_throughput.json"
 build-release/bench/bench_table1 20000 "--json_out=$out/BENCH_table1.json" \
     >/dev/null
+build-release/bench/bench_ablation_mor \
+    "--json_out=$out/BENCH_ablation_mor.json" >/dev/null
 build-release/bench/bench_micro "--json_out=$out/BENCH_micro.json" \
     --benchmark_min_time=0.01 >/dev/null
 
