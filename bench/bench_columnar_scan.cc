@@ -18,7 +18,12 @@
 //   * warm_bytes_read == 0 and warm_bytes_decoded == 0 (a repeat query
 //     through the per-column block cache touches neither storage nor the
 //     decoder), and
-//   * identical == 1 (cached and uncached runs agree byte-for-byte).
+//   * identical == 1 (cached and uncached runs agree byte-for-byte), and
+//   * for SELECT tag, COUNT(*), SUM(ts) WHERE ts >= 1000 GROUP BY tag,
+//     aggregate_identical == 1 (the batch aggregate, folded from decoded
+//     chunks through the selection vector, equals query::Execute over the
+//     decoded rows) and aggregate_rows_materialized == 0 (no row is
+//     built for it).
 
 #include <cstdio>
 #include <memory>
@@ -26,6 +31,7 @@
 #include <vector>
 
 #include "bench_report.h"
+#include "query/executor.h"
 #include "table/block_cache.h"
 #include "table/lakehouse.h"
 
@@ -117,6 +123,15 @@ query::QuerySpec SelectiveSpec() {
   return spec;
 }
 
+query::QuerySpec GroupBySpec() {
+  query::QuerySpec spec;
+  spec.where.Add(query::Predicate::Ge("ts", format::Value(int64_t{1000})));
+  spec.group_by = {"tag"};
+  spec.aggregates = {query::AggregateSpec::CountStar("c"),
+                     query::AggregateSpec::Sum("ts", "s")};
+  return spec;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -169,6 +184,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(warm_m.bytes_decoded),
               identical);
 
+  // GROUP BY over the same fixture: the batch aggregate against the row
+  // executor over the decoded rows of the SELECT * above.
+  table::SelectMetrics agg_m;
+  auto agg = plain.table->Select(GroupBySpec(), {}, &agg_m);
+  SL_CHECK_OK(agg.status());
+  auto oracle = query::Execute(WideSchema(), all->rows, GroupBySpec());
+  SL_CHECK_OK(oracle.status());
+  bool agg_identical = agg->rows == oracle->rows &&
+                       agg->column_names == oracle->column_names;
+  std::printf("group by tag: groups=%zu rows_materialized=%llu "
+              "identical=%d\n",
+              agg->rows.size(),
+              static_cast<unsigned long long>(agg_m.rows_materialized),
+              agg_identical);
+
   report.Add("bytes_decoded", static_cast<double>(sel_m.bytes_decoded));
   report.Add("columns_decoded", static_cast<double>(sel_m.columns_decoded));
   report.Add("rows_materialized",
@@ -179,5 +209,8 @@ int main(int argc, char** argv) {
   report.Add("warm_bytes_read", static_cast<double>(warm_m.data_bytes_read));
   report.Add("warm_bytes_decoded", static_cast<double>(warm_m.bytes_decoded));
   report.Add("identical", identical ? 1.0 : 0.0);
+  report.Add("aggregate_identical", agg_identical ? 1.0 : 0.0);
+  report.Add("aggregate_rows_materialized",
+             static_cast<double>(agg_m.rows_materialized));
   return report.WriteIfRequested() ? 0 : 1;
 }

@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of StreamLake's building blocks:
 // checksums, compression, encodings, erasure coding, KV, PLog appends,
-// stream-object appends, and LakeFile scans. These back the cost-model
-// calibration and catch performance regressions in the hot paths.
+// stream-object appends, LakeFile scans, and a GROUP BY Select. These back
+// the cost-model calibration and catch performance regressions in the hot
+// paths.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,8 @@
 #include "storage/erasure_coding.h"
 #include "storage/plog_store.h"
 #include "stream/stream_object.h"
+#include "table/block_cache.h"
+#include "table/lakehouse.h"
 #include "workload/dpi_log.h"
 #include "workload/tpch.h"
 
@@ -247,6 +250,48 @@ void BM_LakeFileWrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
 BENCHMARK(BM_LakeFileWrite);
+
+// The per-query CPU of a warm aggregate Select: GROUP BY a dictionary
+// column over a 4-file TPC-H lineitem table whose decoded chunks all sit
+// in the block cache, so the time is filter + aggregate, not I/O.
+void BM_SelectGroupBy(benchmark::State& state) {
+  sim::SimClock clock;
+  storage::StoragePool pool{"ssd", sim::MediaType::kNvmeSsd, &clock};
+  pool.AddCluster(3, 2, 512 << 20);
+  sim::NetworkModel compute_link{sim::NetworkProfile::Rdma(), &clock};
+  storage::PlogStoreConfig config;
+  config.num_shards = 8;
+  config.plog.capacity = 64 << 20;
+  config.plog.redundancy = storage::RedundancyConfig::Replication(3);
+  storage::PlogStore plogs(&pool, config, &clock);
+  kv::KvStore object_index;
+  kv::KvStore meta_cache;
+  storage::ObjectStore objects(&plogs, &object_index);
+  table::MetadataStore meta(&objects, &meta_cache,
+                            table::MetadataMode::kAccelerated);
+  table::DecodedBlockCache cache(64ULL << 20);
+  table::TableOptions options;
+  options.max_rows_per_file = 4096;
+  table::LakehouseService lakehouse(&meta, &objects, &clock, &compute_link,
+                                    options, /*scan_pool=*/nullptr, &cache);
+  auto created = lakehouse.CreateTable(
+      "lineitem", workload::TpchLineitemGenerator::Schema(),
+      table::PartitionSpec::None());
+  SL_CHECK_OK(created.status());
+  workload::TpchLineitemGenerator gen;
+  SL_CHECK_OK((*created)->Insert(gen.NextBatch(4 * 4096)));
+  query::QuerySpec spec;
+  spec.where.Add(query::Predicate::Le("l_discount", format::Value(0.05)));
+  spec.group_by = {"l_shipmode"};
+  spec.aggregates = {query::AggregateSpec::CountStar("c"),
+                     query::AggregateSpec::Sum("l_quantity", "q")};
+  SL_CHECK_OK((*created)->Select(spec).status());  // warm the cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((*created)->Select(spec));
+  }
+  state.SetItemsProcessed(state.iterations() * 4 * 4096);
+}
+BENCHMARK(BM_SelectGroupBy);
 
 // Uncontended lock/unlock round trip. The interesting comparison is the
 // default preset (lock-order checking on) against the release preset

@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_FORMAT_LAKEFILE_H_
 #define STREAMLAKE_FORMAT_LAKEFILE_H_
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <variant>
@@ -82,6 +83,10 @@ struct ColumnChunkData {
   /// dict views).
   Value ValueAt(size_t row) const;
 };
+
+/// A decoded chunk, shared by the block cache and every scan batch that
+/// reads it.
+using ColumnChunkPtr = std::shared_ptr<const ColumnChunkData>;
 
 /// One encoded LakeFile and the file-level stats of its rows.
 struct EncodedLakeFile {

@@ -36,6 +36,19 @@ Status Executor::ConsumeFiltered(std::vector<format::Row> rows,
   return Status::OK();
 }
 
+Status Executor::ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
+                              std::span<const uint32_t> selection,
+                              uint64_t scanned) {
+  SL_RETURN_NOT_OK(init_status_);
+  if (spec_.aggregates.empty()) {
+    return Status::InvalidArgument("only an aggregate query folds batches");
+  }
+  rows_scanned_ += scanned;
+  rows_matched_ += selection.size();
+  aggregate_.ConsumeBatch(columns, selection);
+  return Status::OK();
+}
+
 Status Executor::MergeFrom(Executor&& other) {
   SL_RETURN_NOT_OK(init_status_);
   SL_RETURN_NOT_OK(other.init_status_);

@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_QUERY_EXECUTOR_H_
 #define STREAMLAKE_QUERY_EXECUTOR_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,8 +14,8 @@ namespace streamlake::query {
 /// side and storage-side when computation pushdown is enabled. A thin
 /// facade over the composable operators (project | aggregate ->
 /// sort/limit): it keeps the scan-fragment contract the scan pipeline
-/// relies on (ConsumeFiltered per fragment, MergeFrom in deterministic
-/// file order, Finalize once).
+/// relies on (ConsumeFiltered or ConsumeBatch per fragment, MergeFrom in
+/// deterministic file order, Finalize once).
 class Executor {
  public:
   /// Executes `spec` over the rows consumed (once per file/fragment, then
@@ -29,6 +30,13 @@ class Executor {
   /// the matches out of `scanned` visible rows, so the WHERE clause is not
   /// re-evaluated (late-materialized rows only carry the required columns).
   Status ConsumeFiltered(std::vector<format::Row> rows, uint64_t scanned);
+
+  /// Consume a scanned batch without building rows: the rows `selection`
+  /// picks out of `columns` (decoded chunks by schema index) matched, out
+  /// of `scanned` visible rows. Only an aggregate query folds batches
+  /// (AggregateOperator::ConsumeBatch); any other spec is InvalidArgument.
+  Status ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
+                      std::span<const uint32_t> selection, uint64_t scanned);
 
   /// Fold another executor's partial state into this one. Both must have
   /// been built from the same schema and spec; `other` is consumed. Used

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,14 +35,30 @@ class ProjectOperator {
 /// parallel scan fragments. Merging is order-insensitive except for
 /// floating-point SUM/AVG rounding, which is why the parallel Select path
 /// merges fragments in deterministic file order.
+///
+/// SQL NULL semantics: COUNT(*) counts rows; COUNT(col), SUM, MIN, MAX and
+/// AVG skip NULL inputs. AVG divides by the non-NULL count (0 when there
+/// is none); MIN and MAX over no non-NULL input are NULL.
 class AggregateOperator {
  public:
   Status Init(const format::Schema& schema,
               const std::vector<std::string>& group_by,
               const std::vector<AggregateSpec>& aggregates);
 
-  /// Accumulate one (already filtered) row.
+  /// Accumulate one (already filtered) row. The row-at-a-time entry point:
+  /// joined rows come through here, and it is the oracle ConsumeBatch is
+  /// tested against.
   void Consume(const format::Row& row);
+
+  /// Accumulate the rows `selection` picks out of decoded column chunks
+  /// (`columns` by schema index; a null chunk reads as all NULL), in
+  /// selection order — the same group states, additions and comparisons,
+  /// in the same order, as Consume over the rows those chunks make, so a
+  /// double SUM stays bit-identical. Group state is resolved once per
+  /// dictionary code for a single dictionary-encoded group column, and
+  /// through one reused key buffer otherwise.
+  void ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
+                    std::span<const uint32_t> selection);
 
   /// Fold another operator's partial state into this one. Both must have
   /// been Init-ed from the same schema and specs; `other` is consumed.
@@ -57,17 +74,25 @@ class AggregateOperator {
 
  private:
   struct GroupState {
-    std::vector<int64_t> counts;
+    std::vector<int64_t> counts;  // rows (COUNT(*)) or non-NULL inputs
     std::vector<double> sums;
     std::vector<std::optional<format::Value>> mins;
     std::vector<std::optional<format::Value>> maxs;
   };
+  struct Cell;
+
+  /// The group state of `key`, created empty on first sight.
+  GroupState& StateOf(const std::vector<format::Value>& key);
+  /// The one accumulate step of both entry points: fold input `cell` of
+  /// aggregate `a` into `state`.
+  void Accumulate(GroupState& state, size_t a, const Cell& cell) const;
 
   std::vector<std::string> group_by_;
   std::vector<AggregateSpec> aggregates_;
   std::vector<int> group_cols_;
   std::vector<int> agg_cols_;
   std::map<std::vector<format::Value>, GroupState, RowLess> groups_;
+  std::vector<format::Value> key_;  // reused group-key buffer
   uint64_t rows_consumed_ = 0;
 };
 

@@ -2,6 +2,98 @@
 
 namespace streamlake::query {
 
+namespace {
+
+/// Clear `sel[r]` wherever `keep(values[r])` is false or row r is NULL;
+/// branch-free so the compiler can vectorize it. Returns rows deselected.
+template <typename T, typename Keep>
+uint64_t AndTyped(const std::vector<T>& values,
+                  const std::vector<uint8_t>& nulls, Keep keep,
+                  std::vector<char>* selected) {
+  char* sel = selected->data();
+  const size_t n = values.size();
+  uint64_t dropped = 0;
+  if (nulls.empty()) {
+    for (size_t r = 0; r < n; ++r) {
+      const char k = keep(values[r]) ? 1 : 0;
+      dropped += static_cast<uint64_t>(sel[r] & (k ^ 1));
+      sel[r] &= k;
+    }
+  } else {
+    for (size_t r = 0; r < n; ++r) {
+      const char k = (keep(values[r]) && nulls[r] == 0) ? 1 : 0;
+      dropped += static_cast<uint64_t>(sel[r] & (k ^ 1));
+      sel[r] &= k;
+    }
+  }
+  return dropped;
+}
+
+/// The typed kernel of `p` over a plain vector of T (int64_t or double),
+/// when every literal it compares against holds a T. The comparisons
+/// spell out CompareValues' three-way result (x < y ? -1 : x > y ? 1 : 0),
+/// so NaN and signed zeros order exactly as Predicate::Matches orders them.
+/// Returns false, touching nothing, when a literal has another type.
+template <typename T>
+bool AndTypedMatches(const Predicate& p, const format::ColumnChunkData& chunk,
+                     std::vector<char>* selected, uint64_t* dropped) {
+  const auto& values = std::get<std::vector<T>>(chunk.values);
+  if (p.op == CompareOp::kIn) {
+    std::vector<T> candidates;
+    for (const format::Value& v : p.in_list) {
+      if (format::IsNull(v)) continue;  // NULL never equals a value
+      const T* c = std::get_if<T>(&v);
+      if (c == nullptr) return false;
+      candidates.push_back(*c);
+    }
+    *dropped = AndTyped(
+        values, chunk.null_mask,
+        [&candidates](T x) {
+          for (T c : candidates) {
+            if (!(x < c) && !(x > c)) return true;
+          }
+          return false;
+        },
+        selected);
+    return true;
+  }
+  const T* lit = std::get_if<T>(&p.literal);
+  if (lit == nullptr) return false;
+  const T y = *lit;
+  const std::vector<uint8_t>& nulls = chunk.null_mask;
+  switch (p.op) {
+    case CompareOp::kLe:
+      *dropped = AndTyped(values, nulls, [y](T x) { return !(x > y); },
+                          selected);
+      return true;
+    case CompareOp::kGe:
+      *dropped = AndTyped(values, nulls, [y](T x) { return !(x < y); },
+                          selected);
+      return true;
+    case CompareOp::kLt:
+      *dropped = AndTyped(values, nulls, [y](T x) { return x < y; },
+                          selected);
+      return true;
+    case CompareOp::kGt:
+      *dropped = AndTyped(values, nulls, [y](T x) { return x > y; },
+                          selected);
+      return true;
+    case CompareOp::kEq:
+      *dropped = AndTyped(values, nulls,
+                          [y](T x) { return !(x < y) && !(x > y); },
+                          selected);
+      return true;
+    case CompareOp::kNe:
+      *dropped = AndTyped(values, nulls,
+                          [y](T x) { return x < y || x > y; }, selected);
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 const char* CompareOpName(CompareOp op) {
   switch (op) {
     case CompareOp::kLe:
@@ -268,6 +360,73 @@ std::string Conjunction::ToString() const {
     s += predicates_[i].ToString();
   }
   return s;
+}
+
+std::vector<char> DictMatchTable(const Predicate& p,
+                                 const format::ColumnChunkData& chunk) {
+  std::vector<char> table;
+  if (chunk.type == format::DataType::kInt64) {
+    const auto& dict = std::get<std::vector<int64_t>>(chunk.dict);
+    table.resize(dict.size(), 0);
+    for (size_t i = 0; i < dict.size(); ++i) {
+      table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
+    }
+  } else {
+    const auto& dict = std::get<std::vector<std::string>>(chunk.dict);
+    table.resize(dict.size(), 0);
+    for (size_t i = 0; i < dict.size(); ++i) {
+      table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
+    }
+  }
+  return table;
+}
+
+uint64_t AndCodeMatches(const std::vector<char>& match,
+                        const format::ColumnChunkData& chunk,
+                        std::vector<char>* selected) {
+  std::vector<char>& sel = *selected;
+  uint64_t dropped = 0;
+  for (size_t r = 0; r < sel.size(); ++r) {
+    if (sel[r] && (chunk.IsNullAt(r) || !match[chunk.codes[r]])) {
+      sel[r] = 0;
+      ++dropped;
+    }
+  }
+  return dropped;
+}
+
+uint64_t AndMatches(const Predicate& p, const format::ColumnChunkData& chunk,
+                    std::vector<char>* selected) {
+  std::vector<char>& sel = *selected;
+  uint64_t dropped = 0;
+  if (p.op == CompareOp::kIsNull || p.op == CompareOp::kIsNotNull) {
+    const bool want_null = p.op == CompareOp::kIsNull;
+    for (size_t r = 0; r < sel.size(); ++r) {
+      if (sel[r] && chunk.IsNullAt(r) != want_null) {
+        sel[r] = 0;
+        ++dropped;
+      }
+    }
+    return dropped;
+  }
+  if (chunk.dict_view) {
+    return AndCodeMatches(DictMatchTable(p, chunk), chunk, selected);
+  }
+  if (chunk.type == format::DataType::kInt64 &&
+      AndTypedMatches<int64_t>(p, chunk, selected, &dropped)) {
+    return dropped;
+  }
+  if (chunk.type == format::DataType::kDouble &&
+      AndTypedMatches<double>(p, chunk, selected, &dropped)) {
+    return dropped;
+  }
+  for (size_t r = 0; r < sel.size(); ++r) {
+    if (sel[r] && !p.Matches(chunk.ValueAt(r))) {
+      sel[r] = 0;
+      ++dropped;
+    }
+  }
+  return dropped;
 }
 
 }  // namespace streamlake::query

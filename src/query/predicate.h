@@ -100,6 +100,30 @@ bool PredicateMayMatchRange(const Predicate& predicate,
                             const format::Value& min,
                             const format::Value& max);
 
+/// Evaluate `p` against every dictionary entry of a dict-view chunk:
+/// `table[code]` says whether rows carrying `code` match. This is the
+/// compute-on-compressed step — |dict| evaluations instead of |rows|.
+std::vector<char> DictMatchTable(const Predicate& p,
+                                 const format::ColumnChunkData& chunk);
+
+/// Clear `(*selected)[r]` (one 0/1 flag per row of a dict-view `chunk`)
+/// where row r is NULL or its code maps to 0 in `match` (DictMatchTable).
+/// Returns the number of rows it deselected.
+uint64_t AndCodeMatches(const std::vector<char>& match,
+                        const format::ColumnChunkData& chunk,
+                        std::vector<char>* selected);
+
+/// The column-at-a-time form of `p.Matches(chunk.ValueAt(r))`: clear
+/// `(*selected)[r]` for every selected row r of `chunk` that `p` rejects,
+/// and return the number of rows it deselected. IS [NOT] NULL reads the
+/// null mask, a dict-view chunk goes through DictMatchTable, and a plain
+/// int64 or double chunk compared against literals of its own type runs a
+/// typed kernel over the value vector with CompareValues' ordering (a NaN
+/// compares equal to everything, -0.0 equals 0.0). Anything else falls
+/// back to Predicate::Matches per row.
+uint64_t AndMatches(const Predicate& p, const format::ColumnChunkData& chunk,
+                    std::vector<char>* selected);
+
 }  // namespace streamlake::query
 
 #endif  // STREAMLAKE_QUERY_PREDICATE_H_

@@ -52,7 +52,7 @@ class DecodedBlockCache {
     uint64_t file_bytes = 0;
   };
 
-  using ColumnPtr = std::shared_ptr<const format::ColumnChunkData>;
+  using ColumnPtr = format::ColumnChunkPtr;
   using FooterPtr = std::shared_ptr<const Footer>;
 
   struct Stats {

@@ -156,12 +156,6 @@ std::vector<std::string> CommitFile::TouchedPartitions() const {
   return std::vector<std::string>(partitions.begin(), partitions.end());
 }
 
-size_t CommitFile::ByteSize() const {
-  Bytes tmp;
-  EncodeTo(&tmp);
-  return tmp.size();
-}
-
 void CommitFile::EncodeTo(Bytes* dst) const {
   PutVarint64(dst, commit_seq);
   PutVarint64Signed(dst, timestamp);

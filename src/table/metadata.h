@@ -86,8 +86,6 @@ struct CommitFile {
 
   void EncodeTo(Bytes* dst) const;
   static Result<CommitFile> DecodeFrom(ByteView data);
-
-  size_t ByteSize() const;
 };
 
 /// A snapshot: "index files that index valid commit files for a specified

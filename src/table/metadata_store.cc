@@ -192,9 +192,11 @@ Status MetadataStore::PutCommit(const std::string& table_path,
 }
 
 Result<CommitFile> MetadataStore::GetCommit(const std::string& table_path,
-                                            uint64_t seq) {
+                                            uint64_t seq,
+                                            uint64_t* encoded_bytes) {
   SL_ASSIGN_OR_RETURN(Bytes data, ReadEntry(CommitKey(table_path, seq),
                                             CommitFilePath(table_path, seq)));
+  if (encoded_bytes != nullptr) *encoded_bytes = data.size();
   return CommitFile::DecodeFrom(ByteView(data));
 }
 

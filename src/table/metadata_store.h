@@ -62,7 +62,10 @@ class MetadataStore {
 
   // ---- commits ----
   Status PutCommit(const std::string& table_path, const CommitFile& commit);
-  Result<CommitFile> GetCommit(const std::string& table_path, uint64_t seq);
+  /// Read commit `seq`; `encoded_bytes` (optional) receives the length of
+  /// its stored encoding.
+  Result<CommitFile> GetCommit(const std::string& table_path, uint64_t seq,
+                               uint64_t* encoded_bytes = nullptr);
   Status DeleteCommit(const std::string& table_path, uint64_t seq);
 
   // ---- snapshots ----

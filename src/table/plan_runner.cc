@@ -49,6 +49,8 @@ ColumnSelection RequiredColumns(const format::Schema& schema,
 /// fragment's scan job, folded with MergeFrom in file order by Finalize.
 /// ORDER BY / LIMIT run once after the merge and float SUMs fold in file
 /// order, so the result is byte-identical however the jobs were scheduled.
+/// Fed by a scan, an aggregate query folds each batch straight from its
+/// chunks and selection vector; a projection or SELECT * builds rows.
 class ExecutorSink : public RowSink {
  public:
   ExecutorSink(const format::Schema& schema, const query::QuerySpec& spec)
@@ -60,10 +62,19 @@ class ExecutorSink : public RowSink {
       fragments_.emplace_back(schema_, spec_);
     }
   }
-  Status Consume(size_t fragment, std::vector<format::Row> rows,
-                 uint64_t visible_rows) override {
-    return fragments_[fragment].ConsumeFiltered(std::move(rows),
-                                                visible_rows);
+  Status Consume(size_t fragment, const ScannedGroup& group) override {
+    if (!spec_.aggregates.empty()) {
+      return fragments_[fragment].ConsumeBatch(group.chunks, group.selection,
+                                               group.visible_rows);
+    }
+    return ConsumeRows(fragment, group.Rows(), group.visible_rows);
+  }
+
+  /// Rows that passed the filter (joined rows, from ProbeSink), out of
+  /// `scanned`.
+  Status ConsumeRows(size_t fragment, std::vector<format::Row> rows,
+                     uint64_t scanned) {
+    return fragments_[fragment].ConsumeFiltered(std::move(rows), scanned);
   }
 
   /// Merge the fragments in file order and produce the result.
@@ -87,8 +98,8 @@ class ExecutorSink : public RowSink {
 class CollectSink : public RowSink {
  public:
   void Open(size_t n) override { fragments.assign(n, {}); }
-  Status Consume(size_t fragment, std::vector<format::Row> rows,
-                 uint64_t /*visible_rows*/) override {
+  Status Consume(size_t fragment, const ScannedGroup& group) override {
+    std::vector<format::Row> rows = group.Rows();
     std::vector<format::Row>& out = fragments[fragment];
     out.insert(out.end(), std::make_move_iterator(rows.begin()),
                std::make_move_iterator(rows.end()));
@@ -112,8 +123,8 @@ class ProbeSink : public RowSink {
       : joins_(joins), build_maps_(build_maps), out_(out) {}
 
   void Open(size_t fragments) override { out_->Open(fragments); }
-  Status Consume(size_t fragment, std::vector<format::Row> rows,
-                 uint64_t /*visible_rows*/) override {
+  Status Consume(size_t fragment, const ScannedGroup& group) override {
+    std::vector<format::Row> rows = group.Rows();
     for (size_t j = 0; j < joins_.size(); ++j) {
       const query::Plan::Join& join = joins_[j];
       const BuildMap& map = build_maps_[j];
@@ -135,7 +146,7 @@ class ProbeSink : public RowSink {
       rows = std::move(out);
     }
     uint64_t joined_rows = rows.size();
-    return out_->Consume(fragment, std::move(rows), joined_rows);
+    return out_->ConsumeRows(fragment, std::move(rows), joined_rows);
   }
 
  private:

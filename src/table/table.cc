@@ -1,10 +1,13 @@
 #include "table/table.h"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
+#include <string_view>
 
 #include "common/metrics.h"
 #include "common/threadpool.h"
@@ -21,37 +24,41 @@ struct ApplicableDelete {
   std::vector<std::pair<const query::Predicate*, size_t>> preds;
 };
 
-/// Evaluate `p` against every dictionary entry of a dict-view chunk:
-/// `table[code]` says whether rows carrying `code` match. This is the
-/// compute-on-compressed step — |dict| evaluations instead of |rows|.
-std::vector<char> DictMatchTable(const query::Predicate& p,
-                                 const format::ColumnChunkData& chunk) {
-  std::vector<char> table;
-  if (chunk.type == format::DataType::kInt64) {
-    const auto& dict = std::get<std::vector<int64_t>>(chunk.dict);
-    table.resize(dict.size(), 0);
-    for (size_t i = 0; i < dict.size(); ++i) {
-      table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
-    }
-  } else {
-    const auto& dict = std::get<std::vector<std::string>>(chunk.dict);
-    table.resize(dict.size(), 0);
-    for (size_t i = 0; i < dict.size(); ++i) {
-      table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
-    }
+/// The whole of `text` as a decimal int64, or nothing.
+std::optional<int64_t> ParseInt64(std::string_view text) {
+  int64_t v = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// The seconds [n * width, (n + 1) * width - 1] of bucket `n` of a
+/// `width`-second transform, when that range fits int64.
+bool BucketRange(std::optional<int64_t> n, int64_t width, format::Value* min,
+                 format::Value* max) {
+  int64_t lo = 0;
+  int64_t next = 0;
+  if (!n || __builtin_mul_overflow(*n, width, &lo) ||
+      __builtin_add_overflow(lo, width, &next)) {
+    return false;
   }
-  return table;
+  *min = lo;
+  *max = next - 1;
+  return true;
 }
 
 /// Value range covered by a partition string under `spec`, for pruning:
 /// identity -> [v, v]; day=N -> [N*86400, (N+1)*86400 - 1] on the source
-/// column.
+/// column. A partition string that does not parse (a NULL key is written
+/// as "NULL") or whose range overflows int64 gives no range.
 bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
                     const std::string& partition, format::Value* min,
                     format::Value* max) {
   if (!spec.partitioned() || partition.empty()) return false;
   int col = schema.FieldIndex(spec.column);
   if (col < 0) return false;
+  const std::string_view text(partition);
   switch (spec.transform) {
     case PartitionSpec::Transform::kIdentity: {
       switch (schema.field(col).type) {
@@ -60,29 +67,22 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
           *max = partition;
           return true;
         case format::DataType::kInt64: {
-          int64_t v = std::stoll(partition);
-          *min = v;
-          *max = v;
+          std::optional<int64_t> v = ParseInt64(text);
+          if (!v) return false;
+          *min = *v;
+          *max = *v;
           return true;
         }
         default:
           return false;
       }
     }
-    case PartitionSpec::Transform::kDay: {
-      if (partition.rfind("day=", 0) != 0) return false;
-      int64_t day = std::stoll(partition.substr(4));
-      *min = day * 86400;
-      *max = (day + 1) * 86400 - 1;
-      return true;
-    }
-    case PartitionSpec::Transform::kMonth: {
-      if (partition.rfind("month=", 0) != 0) return false;
-      int64_t month = std::stoll(partition.substr(6));
-      *min = month * (86400 * 30);
-      *max = (month + 1) * (86400 * 30) - 1;
-      return true;
-    }
+    case PartitionSpec::Transform::kDay:
+      if (!text.starts_with("day=")) return false;
+      return BucketRange(ParseInt64(text.substr(4)), 86400, min, max);
+    case PartitionSpec::Transform::kMonth:
+      if (!text.starts_with("month=")) return false;
+      return BucketRange(ParseInt64(text.substr(6)), 86400 * 30, min, max);
     case PartitionSpec::Transform::kNone:
       return false;
   }
@@ -341,9 +341,9 @@ Result<Table::SnapshotFiles> Table::ReadSnapshot(const TableInfo& info,
   const bool file_based = meta_->mode() == MetadataMode::kFileBased;
   std::map<std::string, DataFileMeta> live;
   for (uint64_t seq : snap.commit_seqs) {
+    uint64_t bytes = 0;
     SL_ASSIGN_OR_RETURN(CommitFile commit,
-                        meta_->GetCommit(info.path, seq));
-    const uint64_t bytes = commit.ByteSize();
+                        meta_->GetCommit(info.path, seq, &bytes));
     out.metadata_memory = file_based ? out.metadata_memory + bytes
                                      : std::max(out.metadata_memory, bytes);
     for (const DataFileMeta& f : commit.removed) live.erase(f.path);
@@ -374,14 +374,21 @@ bool Table::FileMayMatch(const TableInfo& info, const DataFileMeta& file,
   return true;
 }
 
-bool Table::PartitionFullyCovered(const TableInfo& info,
-                                  const std::string& partition,
-                                  const query::Conjunction& where) const {
+bool Table::FullyCovered(const TableInfo& info, const DataFileMeta& file,
+                         const query::Conjunction& where) const {
   if (where.empty()) return true;  // DELETE without WHERE kills everything
   if (!info.partition_spec.partitioned()) return false;
   format::Value pmin, pmax;
-  if (!PartitionRange(info.partition_spec, info.schema, partition, &pmin,
+  if (!PartitionRange(info.partition_spec, info.schema, file.partition, &pmin,
                       &pmax)) {
+    return false;
+  }
+  // The partition value speaks for the non-NULL rows only (a NULL key and
+  // the string 'NULL' share a partition), so the file's own stats must
+  // show the partition column holds no NULL.
+  auto stats = file.column_stats.find(info.partition_spec.column);
+  if (stats == file.column_stats.end() || !stats->second.has_extended ||
+      stats->second.null_count != 0) {
     return false;
   }
   for (const query::Predicate& predicate : where.predicates()) {
@@ -393,6 +400,21 @@ bool Table::PartitionFullyCovered(const TableInfo& info,
     if (!predicate.Matches(pmin) || !predicate.Matches(pmax)) return false;
   }
   return true;
+}
+
+std::vector<format::Row> ScannedGroup::Rows() const {
+  std::vector<format::Row> rows;
+  rows.reserve(selection.size());
+  for (uint32_t r : selection) {
+    format::Row row;
+    row.fields.resize(chunks.size(), format::Value(std::monostate{}));
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      if (chunks[c] != nullptr) row.fields[c] = chunks[c]->ValueAt(r);
+    }
+    rows.push_back(std::move(row));
+  }
+  if (metrics != nullptr) metrics->rows_materialized += rows.size();
+  return rows;
 }
 
 void SelectMetrics::Merge(const SelectMetrics& other) {
@@ -446,13 +468,12 @@ Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
       });
 }
 
-Status Table::ScanFileRows(const TableInfo& info,
-                           const query::Conjunction& where,
-                           const std::vector<DeleteRecord>& delete_records,
-                           const DataFileMeta& file,
-                           const ColumnSelection& required,
-                           const std::function<Status(ScannedGroup)>& consume,
-                           SelectMetrics* m) {
+Status Table::ScanFileRows(
+    const TableInfo& info, const query::Conjunction& where,
+    const std::vector<DeleteRecord>& delete_records, const DataFileMeta& file,
+    const ColumnSelection& required,
+    const std::function<Status(const ScannedGroup&)>& consume,
+    SelectMetrics* m) {
   CachedFileReader reader(objects_, block_cache_, file.path);
   SL_RETURN_NOT_OK(reader.Init());
 
@@ -530,7 +551,10 @@ Status Table::ScanFileRows(const TableInfo& info,
     ++m->row_groups_scanned;
 
     const size_t rows = group.num_rows;
-    std::vector<DecodedBlockCache::ColumnPtr> chunks(num_fields);
+    ScannedGroup batch;
+    batch.chunks.resize(num_fields);
+    batch.metrics = m;
+    std::vector<format::ColumnChunkPtr>& chunks = batch.chunks;
     auto chunk_at =
         [&](size_t c) -> Result<const format::ColumnChunkData*> {
       if (chunks[c] == nullptr) {
@@ -539,60 +563,41 @@ Status Table::ScanFileRows(const TableInfo& info,
       return chunks[c].get();
     };
 
-    // Merge-on-read: mask rows hit by deletes newer than this file.
-    // Cached chunks are pre-masking (masking depends on the query's
-    // snapshot), so this stays per-query.
+    // Merge-on-read: mask rows hit by deletes newer than this file, one
+    // delete at a time and column at a time: a row is masked when every
+    // predicate of the delete matches it. Cached chunks are pre-masking
+    // (masking depends on the query's snapshot), so this stays per-query.
     std::vector<char> visible(rows, 1);
     uint64_t visible_rows = rows;
     for (const ApplicableDelete& ad : applicable) {
       for (const auto& [p, idx] : ad.preds) {
         SL_RETURN_NOT_OK(chunk_at(idx).status());
       }
-      for (size_t r = 0; r < rows; ++r) {
-        if (!visible[r]) continue;
-        bool masked = true;
-        for (const auto& [p, idx] : ad.preds) {
-          if (!p->Matches(chunks[idx]->ValueAt(r))) {
-            masked = false;
-            break;
-          }
-        }
-        if (masked) {
-          visible[r] = 0;
-          --visible_rows;
-        }
+      std::vector<char> hit = visible;
+      uint64_t hits = visible_rows;
+      for (const auto& [p, idx] : ad.preds) {
+        if (hits == 0) break;
+        hits -= query::AndMatches(*p, *chunks[idx], &hit);
       }
+      if (hits == 0) continue;
+      for (size_t r = 0; r < rows; ++r) visible[r] &= hit[r] ^ 1;
+      visible_rows -= hits;
     }
 
     // Selection vector: AND each conjunct in, column at a time. Dictionary
     // chunks are evaluated in code space — |dict| predicate evaluations
     // instead of |rows|, and a literal absent from the dictionary
     // short-circuits the whole group without touching the value stream.
-    std::vector<char> selected = visible;
+    std::vector<char> selected = std::move(visible);
     uint64_t selected_rows = impossible ? 0 : visible_rows;
     for (const auto& [p, idx] : preds) {
       if (selected_rows == 0) break;
       SL_ASSIGN_OR_RETURN(const format::ColumnChunkData* chunk,
                           chunk_at(idx));
-      if (p->op == query::CompareOp::kIsNull) {
-        for (size_t r = 0; r < rows; ++r) {
-          if (selected[r] && !chunk->IsNullAt(r)) {
-            selected[r] = 0;
-            --selected_rows;
-          }
-        }
-      } else if (p->op == query::CompareOp::kIsNotNull) {
-        for (size_t r = 0; r < rows; ++r) {
-          if (selected[r] && chunk->IsNullAt(r)) {
-            selected[r] = 0;
-            --selected_rows;
-          }
-        }
-      } else if (chunk->dict_view) {
-        std::vector<char> match = DictMatchTable(*p, *chunk);
-        bool any = false;
-        for (char c : match) any |= (c != 0);
-        if (!any) {
+      if (chunk->dict_view && p->op != query::CompareOp::kIsNull &&
+          p->op != query::CompareOp::kIsNotNull) {
+        std::vector<char> match = query::DictMatchTable(*p, *chunk);
+        if (std::find(match.begin(), match.end(), 1) == match.end()) {
           // No dictionary entry satisfies the predicate: nothing in this
           // group can match. Equality/IN against an absent literal is the
           // textbook compute-on-compressed prune.
@@ -603,55 +608,33 @@ Status Table::ScanFileRows(const TableInfo& info,
           selected_rows = 0;
           break;
         }
-        for (size_t r = 0; r < rows; ++r) {
-          if (selected[r] &&
-              (chunk->IsNullAt(r) || !match[chunk->codes[r]])) {
-            selected[r] = 0;
-            --selected_rows;
-          }
-        }
+        selected_rows -= query::AndCodeMatches(match, *chunk, &selected);
       } else {
-        for (size_t r = 0; r < rows; ++r) {
-          if (selected[r] && !p->Matches(chunk->ValueAt(r))) {
-            selected[r] = 0;
-            --selected_rows;
-          }
-        }
+        selected_rows -= query::AndMatches(*p, *chunk, &selected);
       }
     }
 
     // Late materialization: only now, with the selection settled, decode
-    // the surviving output columns and build rows for the matches.
-    std::vector<format::Row> matched;
+    // the surviving output columns. Building rows is left to the consumer.
     if (selected_rows > 0) {
       for (size_t c = 0; c < num_fields; ++c) {
         if (output_col[c]) SL_RETURN_NOT_OK(chunk_at(c).status());
       }
-      matched.reserve(selected_rows);
+      batch.selection.reserve(selected_rows);
       for (size_t r = 0; r < rows; ++r) {
-        if (!selected[r]) continue;
-        format::Row row;
-        row.fields.resize(num_fields, format::Value(std::monostate{}));
-        for (size_t c = 0; c < num_fields; ++c) {
-          if (chunks[c] != nullptr && (output_col[c] || filter_col[c])) {
-            row.fields[c] = chunks[c]->ValueAt(r);
-          }
-        }
-        matched.push_back(std::move(row));
+        if (selected[r]) batch.selection.push_back(static_cast<uint32_t>(r));
       }
     }
-    m->rows_materialized += matched.size();
+    batch.visible_rows = visible_rows;
 
     // Actual average width of a delivered row from the footer stats, for
     // the caller's transfer charge.
-    double row_width = 0.0;
     for (size_t c = 0; c < num_fields; ++c) {
       if (!(output_col[c] || filter_col[c])) continue;
       const format::ColumnStats& cs = group.columns[c].stats;
-      row_width += cs.has_extended ? cs.avg_width : 8.0;
+      batch.row_width += cs.has_extended ? cs.avg_width : 8.0;
     }
-    SL_RETURN_NOT_OK(
-        consume(ScannedGroup{std::move(matched), visible_rows, row_width}));
+    SL_RETURN_NOT_OK(consume(batch));
   }
   m->data_bytes_read += reader.storage_bytes_read();
   m->bytes_decoded += reader.bytes_decoded();
@@ -751,19 +734,20 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
     }
     job.status = ScanFileRows(
         info, where, snapshot.deletes, file, required,
-        [&](ScannedGroup group) {
+        [&](const ScannedGroup& group) {
+          const uint64_t matched = group.selection.size();
           if (options.pushdown) {
             // Storage-side filter: only matched rows cross the network,
             // charged at their actual average width rather than a flat
             // per-row constant.
             uint64_t bytes = static_cast<uint64_t>(
-                group.row_width * static_cast<double>(group.rows.size()));
+                group.row_width * static_cast<double>(matched));
             compute_link_->ChargeTransfer(bytes);
             job.metrics.bytes_to_compute += bytes;
           }
           job.totals.rows_scanned += group.visible_rows;
-          job.totals.rows_matched += group.rows.size();
-          return sink->Consume(i, std::move(group.rows), group.visible_rows);
+          job.totals.rows_matched += matched;
+          return sink->Consume(i, group);
         },
         &job.metrics);
   });
@@ -859,7 +843,7 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
   std::vector<DataFileMeta> touched;
   for (const DataFileMeta& file : head.files) {
     if (!FileMayMatch(info, file, where)) continue;
-    if (PartitionFullyCovered(info, file.partition, where)) {
+    if (FullyCovered(info, file, where)) {
       metadata_only.removed.push_back(file);
       deleted_rows += file.record_count;
     } else {
@@ -874,14 +858,14 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
 
   if (options_.delete_mode == DeleteMode::kMergeOnRead) {
     // Count the visible rows the predicate will mask (a read-only scan
-    // that materializes only the filter columns), then record the delete;
-    // no data files are rewritten.
+    // that decodes only the filter columns and builds no rows), then
+    // record the delete; no data files are rewritten.
     SelectMetrics scan_metrics;
     for (const DataFileMeta& file : touched) {
       SL_RETURN_NOT_OK(ScanFileRows(
           info, where, head.deletes, file, ColumnSelection::Of({}),
-          [&](ScannedGroup group) {
-            deleted_rows += group.rows.size();
+          [&](const ScannedGroup& group) {
+            deleted_rows += group.selection.size();
             return Status::OK();
           },
           &scan_metrics));
@@ -936,9 +920,9 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
     s = ScanFileRows(
         info, query::Conjunction(), head.deletes, file,
         ColumnSelection::All(),
-        [&](ScannedGroup group) {
+        [&](const ScannedGroup& group) {
           visible += group.visible_rows;
-          for (format::Row& row : group.rows) {
+          for (format::Row& row : group.Rows()) {
             if (where.Matches(info.schema, row)) {
               ++matched;
               if (set_value == nullptr) continue;
@@ -1020,10 +1004,10 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
     s = ScanFileRows(
         info, query::Conjunction(), planned.deletes, file,
         ColumnSelection::All(),
-        [&](ScannedGroup group) {
-          bin_rows.insert(bin_rows.end(),
-                          std::make_move_iterator(group.rows.begin()),
-                          std::make_move_iterator(group.rows.end()));
+        [&](const ScannedGroup& group) {
+          std::vector<format::Row> rows = group.Rows();
+          bin_rows.insert(bin_rows.end(), std::make_move_iterator(rows.begin()),
+                          std::make_move_iterator(rows.end()));
           return Status::OK();
         },
         &scan_metrics);

@@ -74,7 +74,7 @@ struct SelectMetrics {
   // Late-materialization accounting (cache hits decode nothing):
   uint64_t bytes_decoded = 0;      // uncompressed chunk bytes decoded
   uint64_t columns_decoded = 0;    // column chunks decoded
-  uint64_t rows_materialized = 0;  // rows materialized after selection
+  uint64_t rows_materialized = 0;  // rows built by ScannedGroup::Rows
   uint64_t dict_code_prunes = 0;   // groups short-circuited in code space
 
   /// Fold in the scan counters of `other` (one scan job, or one ScanInto
@@ -114,6 +114,27 @@ struct ColumnFooterStats {
   double avg_width = 0.0;
 };
 
+/// One scanned row group as the scan hands it on: the decoded column
+/// chunks and a selection vector, not rows. Consumers that fold columns
+/// (the batch aggregate, the merge-on-read delete count) read the chunks
+/// through `selection`; consumers that need rows call Rows().
+struct ScannedGroup {
+  /// Decoded chunks by schema index, null where nothing was decoded. When
+  /// `selection` is non-empty every output and filter column is set.
+  std::vector<format::ColumnChunkPtr> chunks;
+  /// Ascending indices of the visible rows that match the filter.
+  std::vector<uint32_t> selection;
+  uint64_t visible_rows = 0;  // rows left after merge-on-read masking
+  double row_width = 0.0;     // footer-stats width of a selected row
+  /// The scan's metrics (Rows() counts into them); null counts nothing.
+  SelectMetrics* metrics = nullptr;
+
+  /// The one place scanned rows are built: one row per selected index, in
+  /// order, of full schema arity, carrying every decoded column and NULL
+  /// elsewhere. Adds the rows to `metrics->rows_materialized`.
+  std::vector<format::Row> Rows() const;
+};
+
 /// \brief Receiver of ScanInto's output. One fragment per pruned-in data
 /// file, identified by its deterministic file-order index.
 class RowSink {
@@ -122,13 +143,11 @@ class RowSink {
   /// Called once per ScanInto, before any Consume, with the number of
   /// fragments the scan will deliver.
   virtual void Open(size_t fragments) = 0;
-  /// One scanned row group of `fragment`: the rows that passed the filter,
-  /// out of `visible_rows` rows left after merge-on-read masking. A
-  /// fragment's calls come serially, in row-group order, from its scan
-  /// job; different fragments' calls run concurrently on the scan pool, so
-  /// an implementation touches only per-fragment state here.
-  virtual Status Consume(size_t fragment, std::vector<format::Row> rows,
-                         uint64_t visible_rows) = 0;
+  /// One scanned row group of `fragment`. A fragment's calls come
+  /// serially, in row-group order, from its scan job; different fragments'
+  /// calls run concurrently on the scan pool, so an implementation touches
+  /// only per-fragment state here.
+  virtual Status Consume(size_t fragment, const ScannedGroup& group) = 0;
 };
 
 /// Row counters of one ScanInto pass, merged in fragment order.
@@ -187,11 +206,11 @@ class Table {
   /// snapshot resolution (explicit id, time travel, or `info`'s head) ->
   /// snapshot replay -> partition/file-stats pruning -> one job per
   /// surviving data file, fanned out on the scan pool with ParallelFor ->
-  /// `sink`. Each job hands every row group's matched rows straight to the
-  /// sink. Totals and `m` (non-null; accumulated, not reset — callers own
-  /// per-query capture) merge in file order with first failure winning.
-  /// Only `required` columns (plus predicate columns) are decoded and
-  /// materialized; omitted fields of delivered rows are NULL.
+  /// `sink`. Each job hands every scanned row group straight to the sink
+  /// as a ScannedGroup batch. Totals and `m` (non-null; accumulated, not
+  /// reset — callers own per-query capture) merge in file order with first
+  /// failure winning. Only `required` columns (plus predicate columns) are
+  /// decoded.
   Result<ScanTotals> ScanInto(const TableInfo& info,
                               const query::Conjunction& where,
                               const SelectOptions& options,
@@ -309,10 +328,10 @@ class Table {
   static Result<uint64_t> ResolveSnapshotId(const TableInfo& info,
                                             const SelectOptions& options);
 
-  /// Does the partition value guarantee every row matches `where`?
-  bool PartitionFullyCovered(const TableInfo& info,
-                             const std::string& partition,
-                             const query::Conjunction& where) const;
+  /// Does every row of `file` match `where`, by its partition value and
+  /// its stats' null count of the partition column alone?
+  bool FullyCovered(const TableInfo& info, const DataFileMeta& file,
+                    const query::Conjunction& where) const;
 
   /// Rewrite the files that may hold rows matching `where`: matched rows
   /// take `set_column = *set_value` (UPDATE), or are dropped when
@@ -321,28 +340,23 @@ class Table {
                                    const std::string& set_column,
                                    const format::Value* set_value);
 
-  /// One row group's output of ScanFileRows.
-  struct ScannedGroup {
-    std::vector<format::Row> rows;  // visible rows that match `where`
-    uint64_t visible_rows = 0;      // rows left after merge-on-read masking
-    double row_width = 0.0;         // footer-stats width of a delivered row
-  };
-
   /// The one scan of one data file, shared by ScanInto jobs and the
   /// delete-count / rewrite / compaction paths: open the file through the
   /// per-column block cache, skip row groups by stats against `where`
   /// (checking only predicate-referenced columns), compose the
-  /// merge-on-read mask of `delete_records` newer than the file, evaluate
-  /// each conjunct column-at-a-time into a selection vector (dictionary
-  /// chunks compare codes without decoding values), decode only surviving
-  /// `required` columns, and hand each scanned group to `consume`. It has
-  /// no side effect beyond `m`, the block cache and storage reads: access
-  /// counts, compute-link charges and the memory budget are the caller's.
+  /// merge-on-read mask of `delete_records` newer than the file and
+  /// evaluate each conjunct column-at-a-time into a selection vector
+  /// (query::AndMatches: dictionary chunks compare codes, plain int64 and
+  /// double chunks run typed kernels), decode the `required` columns only
+  /// when some row survives, and hand each scanned group to `consume`. It
+  /// builds no rows. It has no side effect beyond `m`, the block cache and
+  /// storage reads: access counts, compute-link charges and the memory
+  /// budget are the caller's.
   Status ScanFileRows(const TableInfo& info, const query::Conjunction& where,
                       const std::vector<DeleteRecord>& delete_records,
                       const DataFileMeta& file,
                       const ColumnSelection& required,
-                      const std::function<Status(ScannedGroup)>& consume,
+                      const std::function<Status(const ScannedGroup&)>& consume,
                       SelectMetrics* m);
 
   const std::string name_;

@@ -154,6 +154,44 @@ TEST(ExecutorTest, AvgAggregate) {
   EXPECT_DOUBLE_EQ(std::get<double>(none->rows[0].fields[0]), 0.0);
 }
 
+TEST(ExecutorTest, AggregatesSkipNullInputs) {
+  // SQL: COUNT(col), SUM, AVG, MIN and MAX ignore NULL inputs; COUNT(*)
+  // counts rows; MIN/MAX over no non-NULL input is NULL.
+  format::Schema schema{{"g", format::DataType::kString},
+                        {"x", format::DataType::kInt64},
+                        {"s", format::DataType::kString}};
+  const format::Value null{std::monostate{}};
+  std::vector<format::Row> rows = {
+      {{format::Value(std::string("a")), format::Value(int64_t{10}), null}},
+      {{format::Value(std::string("a")), null, null}}};
+  QuerySpec spec;
+  spec.group_by = {"g"};
+  spec.aggregates = {AggregateSpec::CountStar("n"),
+                     {AggregateSpec::Func::kCount, "x", "cx"},
+                     AggregateSpec::Avg("x", "ax"),
+                     AggregateSpec::Min("s", "mins"),
+                     AggregateSpec::Max("x", "maxx"),
+                     AggregateSpec::Sum("x", "sx")};
+  auto result = Execute(schema, rows, spec);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(result->rows.size(), 1u);
+  const std::vector<format::Value>& r = result->rows[0].fields;
+  EXPECT_EQ(std::get<int64_t>(r[1]), 2);          // COUNT(*)
+  EXPECT_EQ(std::get<int64_t>(r[2]), 1);          // COUNT(x)
+  EXPECT_DOUBLE_EQ(std::get<double>(r[3]), 10.0);  // AVG(x)
+  EXPECT_TRUE(format::IsNull(r[4]));              // MIN(s): no input
+  EXPECT_EQ(std::get<int64_t>(r[5]), 10);         // MAX(x)
+  EXPECT_DOUBLE_EQ(std::get<double>(r[6]), 10.0);  // SUM(x)
+
+  // A global MIN/MAX over an empty input is NULL too.
+  QuerySpec empty;
+  empty.aggregates = {AggregateSpec::Min("x"), AggregateSpec::Max("s")};
+  auto none = Execute(schema, {}, empty);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(format::IsNull(none->rows[0].fields[0]));
+  EXPECT_TRUE(format::IsNull(none->rows[0].fields[1]));
+}
+
 TEST(ExecutorTest, OrderByAndLimit) {
   format::Schema schema = LogSchema();
   std::vector<format::Row> rows;

@@ -309,6 +309,161 @@ TEST(TableTest, MemoryBudgetOomWithoutAcceleration) {
   }
 }
 
+TEST(TableTest, SelectAggregatesSkipNullInputs) {
+  // The batch aggregate of Table::Select follows the same NULL rules as
+  // the row executor: COUNT(x) and AVG(x) see the non-NULL inputs only,
+  // and MIN of a column with no non-NULL input is NULL.
+  LakehouseFixture f;
+  const format::Schema schema{{"g", format::DataType::kString},
+                              {"x", format::DataType::kInt64},
+                              {"s", format::DataType::kString}};
+  auto table = f.lakehouse->CreateTable("nulls", schema, PartitionSpec::None());
+  ASSERT_TRUE(table.ok());
+  const format::Value null{std::monostate{}};
+  std::vector<format::Row> rows = {
+      {{format::Value(std::string("a")), format::Value(int64_t{10}), null}},
+      {{format::Value(std::string("a")), null, null}}};
+  ASSERT_TRUE((*table)->Insert(rows).ok());
+  query::QuerySpec spec;
+  spec.group_by = {"g"};
+  spec.aggregates = {{query::AggregateSpec::Func::kCount, "x", "cx"},
+                     query::AggregateSpec::Avg("x", "ax"),
+                     query::AggregateSpec::Min("s", "mins")};
+  auto result = (*table)->Select(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(std::get<int64_t>(result->rows[0].fields[1]), 1);
+  EXPECT_DOUBLE_EQ(std::get<double>(result->rows[0].fields[2]), 10.0);
+  EXPECT_TRUE(format::IsNull(result->rows[0].fields[3]));
+}
+
+TEST(TableTest, NullInt64PartitionKeyIsReadable) {
+  // An identity partition on an int64 column writes a NULL key as the
+  // partition "NULL"; reading it must neither abort nor prune it wrongly.
+  LakehouseFixture f;
+  const format::Schema schema{{"k", format::DataType::kInt64},
+                              {"v", format::DataType::kInt64}};
+  auto table =
+      f.lakehouse->CreateTable("t", schema, PartitionSpec::Identity("k"));
+  ASSERT_TRUE(table.ok());
+  std::vector<format::Row> rows = {
+      {{format::Value(int64_t{1}), format::Value(int64_t{10})}},
+      {{format::Value(std::monostate{}), format::Value(int64_t{20})}}};
+  ASSERT_TRUE((*table)->Insert(rows).ok());
+  query::QuerySpec spec;
+  spec.aggregates = {query::AggregateSpec::CountStar("n")};
+  auto all = (*table)->Select(spec);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(all->rows[0].fields[0]), 2);
+  spec.where.Add(query::Predicate::IsNull("k"));
+  auto nulls = (*table)->Select(spec);
+  ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
+  EXPECT_EQ(std::get<int64_t>(nulls->rows[0].fields[0]), 1);
+  auto deleted = (*table)->Delete({query::Predicate::Eq("k", int64_t{1})});
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(*deleted, 1u);
+}
+
+TEST(TableTest, DeletingTheStringNullKeepsNullKeyRows) {
+  // 'NULL' and a NULL key share the identity partition "NULL": a delete of
+  // k = 'NULL' must not drop the partition by metadata alone.
+  for (DeleteMode mode : {DeleteMode::kCopyOnWrite, DeleteMode::kMergeOnRead}) {
+    LakehouseFixture f;
+    TableOptions options;
+    options.delete_mode = mode;
+    const format::Schema schema{{"k", format::DataType::kString},
+                                {"v", format::DataType::kInt64}};
+    auto table = f.lakehouse->CreateTable(
+        "t", schema, PartitionSpec::Identity("k"), &options);
+    ASSERT_TRUE(table.ok());
+    std::vector<format::Row> rows = {
+        {{format::Value(std::string("NULL")), format::Value(int64_t{1})}},
+        {{format::Value(std::monostate{}), format::Value(int64_t{2})}}};
+    ASSERT_TRUE((*table)->Insert(rows).ok());
+    auto deleted = (*table)->Delete(
+        {query::Predicate::Eq("k", format::Value(std::string("NULL")))});
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(*deleted, 1u);
+    query::QuerySpec spec;
+    spec.projection = {"v"};
+    auto left = (*table)->Select(spec);
+    ASSERT_TRUE(left.ok()) << left.status().ToString();
+    ASSERT_EQ(left->rows.size(), 1u);
+    EXPECT_EQ(std::get<int64_t>(left->rows[0].fields[0]), 2);
+  }
+}
+
+TEST(TableTest, DayPartitionAtInt64MaxIsNotPrunedByAnOverflowedRange) {
+  // day(INT64_MAX)'s upper bound (day + 1) * 86400 - 1 overflows int64; the
+  // partition then gives no range, and the file is never pruned by it.
+  LakehouseFixture f;
+  const format::Schema schema{{"ts", format::DataType::kInt64}};
+  auto table = f.lakehouse->CreateTable("t", schema, PartitionSpec::Day("ts"));
+  ASSERT_TRUE(table.ok());
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  ASSERT_TRUE((*table)->Insert({{{format::Value(max)}}}).ok());
+  query::QuerySpec spec;
+  spec.where.Add(query::Predicate::Ge("ts", format::Value(int64_t{0})));
+  auto result = (*table)->Select(spec);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), 1u);
+  EXPECT_EQ(std::get<int64_t>(result->rows[0].fields[0]), max);
+}
+
+TEST(TableTest, MetadataMemoryIsTheStoredCommitBytes) {
+  // A scan's metadata working set (Fig. 15b) is the stored size of the
+  // head snapshot's commits: their sum for the file-based catalog, the
+  // largest for the accelerated one. It is taken from the bytes read and
+  // must equal the size of each commit's encoding.
+  for (MetadataMode mode :
+       {MetadataMode::kFileBased, MetadataMode::kAccelerated}) {
+    LakehouseFixture f(mode);
+    TableOptions options;
+    options.delete_mode = DeleteMode::kMergeOnRead;
+    options.target_file_bytes = 1 << 20;
+    auto created = f.lakehouse->CreateTable(
+        "t", DpiSchema(), PartitionSpec::Identity("province"), &options);
+    ASSERT_TRUE(created.ok());
+    Table* table = *created;
+    auto expect_memory = [&](const std::string& step) {
+      auto info = table->Info();
+      ASSERT_TRUE(info.ok());
+      auto snap = f.meta->GetSnapshot(info->path, info->current_snapshot_id);
+      ASSERT_TRUE(snap.ok());
+      uint64_t want = 0;
+      for (uint64_t seq : snap->commit_seqs) {
+        auto commit = f.meta->GetCommit(info->path, seq);
+        ASSERT_TRUE(commit.ok());
+        Bytes encoded;
+        commit->EncodeTo(&encoded);
+        want = mode == MetadataMode::kFileBased
+                   ? want + encoded.size()
+                   : std::max<uint64_t>(want, encoded.size());
+      }
+      query::QuerySpec spec;
+      spec.aggregates = {query::AggregateSpec::CountStar()};
+      SelectMetrics m;
+      ASSERT_TRUE(table->Select(spec, {}, &m).ok());
+      EXPECT_EQ(m.peak_memory_bytes, want) << step;
+      EXPECT_GT(want, 0u) << step;
+    };
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(table
+                      ->Insert({DpiRow("u" + std::to_string(i), i, "bj"),
+                                DpiRow("v", 100 + i, "sh")})
+                      .ok());
+    }
+    expect_memory("inserts");
+    ASSERT_TRUE(
+        table->Delete({query::Predicate::Eq("start_time", int64_t{3})}).ok());
+    expect_memory("merge-on-read delete");
+    ASSERT_TRUE(table->CompactPartition("bj").ok());
+    expect_memory("compaction");
+    ASSERT_TRUE(table->RewriteManifest().ok());
+    expect_memory("rewrite manifest");
+  }
+}
+
 TEST(TableTest, AccelerationReducesSmallMetadataIos) {
   // Fig. 15(a): without acceleration every commit is a small file read.
   auto run = [](MetadataMode mode) {
