@@ -7,13 +7,16 @@
 // that zero bytes of stream data moved.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/streamlake.h"
 
 using namespace streamlake;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::BenchReport report("fig14_scaling", &argc, argv);
   core::StreamLakeOptions options;
   core::StreamLake lake(options);
 
@@ -34,6 +37,7 @@ int main() {
   sim::DeviceStats before_io = lake.ssd_pool().AggregateStats();
   std::vector<uint32_t> targets = {2000, 4000, 6000, 8000, 10000};
   uint32_t current = 1000;
+  uint64_t data_moved = 0;
   for (uint32_t target : targets) {
     uint64_t t0 = lake.clock().NowNanos();
     if (!lake.dispatcher().AddStreams("scale", target - current).ok()) {
@@ -42,11 +46,13 @@ int main() {
     }
     uint64_t elapsed = lake.clock().NowNanos() - t0;
     sim::DeviceStats after_io = lake.ssd_pool().AggregateStats();
+    const uint64_t moved = after_io.bytes_written - before_io.bytes_written;
     std::printf("%10u -> %8u %16.3f %16llu %14s\n", current, target,
-                elapsed / 1e9,
-                static_cast<unsigned long long>(after_io.bytes_written -
-                                                before_io.bytes_written),
+                elapsed / 1e9, static_cast<unsigned long long>(moved),
                 "metadata-only");
+    report.Add("p" + std::to_string(target) + ".scale_ns",
+               static_cast<double>(elapsed));
+    data_moved += moved;
     before_io = after_io;
     current = target;
   }
@@ -54,15 +60,18 @@ int main() {
   // Worker scaling is equally metadata-only.
   uint64_t t0 = lake.clock().NowNanos();
   SL_CHECK_OK(lake.dispatcher().ResizeWorkers(24));
+  const uint64_t rebalance_ns = lake.clock().NowNanos() - t0;
   std::printf("\nworkers 3 -> 24 rebalanced %u streams in %.3f simulated s\n",
-              *lake.dispatcher().NumStreams("scale"),
-              (lake.clock().NowNanos() - t0) / 1e9);
+              *lake.dispatcher().NumStreams("scale"), rebalance_ns / 1e9);
 
   // Messages remain consumable across the resize.
   auto consumer = lake.NewConsumer("g");
   SL_CHECK_OK(consumer.Subscribe("scale"));
   auto polled = consumer.Poll(10000);
-  std::printf("post-scale consumption: %zu messages intact\n",
-              polled.ok() ? polled->size() : 0);
-  return 0;
+  const size_t intact = polled.ok() ? polled->size() : 0;
+  std::printf("post-scale consumption: %zu messages intact\n", intact);
+  report.Add("data_moved_bytes", static_cast<double>(data_moved));
+  report.Add("rebalance_ns", static_cast<double>(rebalance_ns));
+  report.Add("messages_intact", static_cast<double>(intact));
+  return report.WriteIfRequested() ? 0 : 1;
 }

@@ -1,11 +1,15 @@
 #ifndef STREAMLAKE_COMMON_CODING_H_
 #define STREAMLAKE_COMMON_CODING_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "common/bytes.h"
+#include "common/result.h"
 
 namespace streamlake {
 
@@ -93,6 +97,22 @@ inline bool GetLengthPrefixed(const uint8_t** p, const uint8_t* limit,
   *out = ByteView(*p, static_cast<size_t>(len));
   *p += len;
   return true;
+}
+
+/// The whole of `text` as a decimal integer of type `T`. Durable counters,
+/// ids and offsets are stored as decimal strings and parse only through
+/// here: empty text, a sign `T` cannot hold, stray bytes or a value out of
+/// `T`'s range is Corruption naming `key`, never an exception.
+template <typename T>
+Result<T> ParseDecimal(std::string_view text, std::string_view key) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Status::Corruption(std::string(key) + ": bad decimal \"" +
+                              std::string(text) + "\"");
+  }
+  return value;
 }
 
 /// Cursor that reads the primitives above with bounds checking; every

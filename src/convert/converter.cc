@@ -1,5 +1,6 @@
 #include "convert/converter.h"
 
+#include "common/coding.h"
 #include "common/metrics.h"
 #include "format/row_codec.h"
 #include "streaming/producer.h"
@@ -26,23 +27,31 @@ Result<ConversionService::RunStats> ConversionService::Run(
 
   SL_ASSIGN_OR_RETURN(uint32_t streams, dispatcher_->NumStreams(topic));
 
-  // Gather per-stream conversion frontiers and unconverted counts.
+  // Gather per-stream objects, conversion frontiers and unconverted counts.
+  std::vector<stream::StreamObject*> objects(streams, nullptr);
   std::vector<uint64_t> from(streams, 0);
   uint64_t unconverted = 0;
   for (uint32_t s = 0; s < streams; ++s) {
-    auto committed = meta_->Get(OffsetKey(topic, s));
-    if (committed.ok()) from[s] = std::stoull(*committed);
+    const std::string offset_key = OffsetKey(topic, s);
+    auto committed = meta_->Get(offset_key);
+    if (committed.ok()) {
+      SL_ASSIGN_OR_RETURN(from[s],
+                          ParseDecimal<uint64_t>(*committed, offset_key));
+    }
     SL_ASSIGN_OR_RETURN(uint64_t object_id, dispatcher_->StreamObjectId(topic, s));
-    stream::StreamObject* object = objects_->GetObject(object_id);
-    if (object == nullptr) return Status::NotFound("stream object gone");
-    unconverted += object->frontier() - from[s];
+    objects[s] = objects_->GetObject(object_id);
+    if (objects[s] == nullptr) return Status::NotFound("stream object gone");
+    unconverted += objects[s]->frontier() - from[s];
   }
 
   // Trigger evaluation: message-count threshold or elapsed time.
   int64_t now = static_cast<int64_t>(clock_->NowSeconds());
   int64_t last_run = 0;
   auto last = meta_->Get(LastRunKey(topic));
-  if (last.ok()) last_run = std::stoll(*last);
+  if (last.ok()) {
+    SL_ASSIGN_OR_RETURN(last_run,
+                        ParseDecimal<int64_t>(*last, LastRunKey(topic)));
+  }
   bool count_trigger = unconverted >= convert.split_offset;
   bool time_trigger =
       unconverted > 0 &&
@@ -73,9 +82,7 @@ Result<ConversionService::RunStats> ConversionService::Run(
   // Convert each stream's tail: decode message values as rows of the
   // topic's declared table schema.
   for (uint32_t s = 0; s < streams; ++s) {
-    SL_ASSIGN_OR_RETURN(uint64_t object_id,
-                        dispatcher_->StreamObjectId(topic, s));
-    stream::StreamObject* object = objects_->GetObject(object_id);
+    stream::StreamObject* object = objects[s];
     SL_ASSIGN_OR_RETURN(auto records, object->Read(from[s], SIZE_MAX));
     if (records.empty()) continue;
     std::vector<format::Row> rows;

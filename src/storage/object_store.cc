@@ -36,21 +36,29 @@ void ObjectStore::SetWormPrefix(const std::string& prefix) {
 }
 
 Status ObjectStore::AcquireFragment(const Fragment& fragment) {
-  auto count = index_->Get(RefKey(fragment.address));
-  uint64_t refs = count.ok() ? std::stoull(*count) : 1;
-  return index_->Put(RefKey(fragment.address), std::to_string(refs + 1));
+  const std::string key = RefKey(fragment.address);
+  auto count = index_->Get(key);
+  uint64_t refs = 1;
+  if (count.ok()) {
+    SL_ASSIGN_OR_RETURN(refs, ParseDecimal<uint64_t>(*count, key));
+  }
+  return index_->Put(key, std::to_string(refs + 1));
 }
 
 Status ObjectStore::ReleaseFragment(const Fragment& fragment) {
-  auto count = index_->Get(RefKey(fragment.address));
-  uint64_t refs = count.ok() ? std::stoull(*count) : 1;
+  const std::string key = RefKey(fragment.address);
+  auto count = index_->Get(key);
+  uint64_t refs = 1;
+  if (count.ok()) {
+    SL_ASSIGN_OR_RETURN(refs, ParseDecimal<uint64_t>(*count, key));
+  }
   if (refs <= 1) {
     if (count.ok()) {
-      SL_RETURN_NOT_OK(index_->Delete(RefKey(fragment.address)));
+      SL_RETURN_NOT_OK(index_->Delete(key));
     }
     return plogs_->MarkGarbage(fragment.address, fragment.length);
   }
-  return index_->Put(RefKey(fragment.address), std::to_string(refs - 1));
+  return index_->Put(key, std::to_string(refs - 1));
 }
 
 void ObjectStore::EncodeFragments(const std::vector<Fragment>& fragments,

@@ -2,6 +2,7 @@
 
 #include <set>
 
+#include "common/coding.h"
 #include "common/hash.h"
 
 namespace streamlake::storage {
@@ -14,14 +15,19 @@ RemoteReplicationService::Replicate(const std::string& prefix) {
     live.insert(path);
     SL_ASSIGN_OR_RETURN(Bytes data, primary_->Read(path));
     uint32_t crc = Crc32c(ByteView(data));
-    auto recorded = state_->Get(StateKey(path));
-    if (recorded.ok() && std::stoul(*recorded) == crc) {
-      ++stats.objects_unchanged;
-      continue;
+    // An unparsable recorded CRC counts as changed: the object ships again.
+    const std::string state_key = StateKey(path);
+    auto recorded = state_->Get(state_key);
+    if (recorded.ok()) {
+      auto recorded_crc = ParseDecimal<uint32_t>(*recorded, state_key);
+      if (recorded_crc.ok() && *recorded_crc == crc) {
+        ++stats.objects_unchanged;
+        continue;
+      }
     }
     wan_->ChargeTransfer(data.size());
     SL_RETURN_NOT_OK(remote_->Write(path, ByteView(data)));
-    SL_RETURN_NOT_OK(state_->Put(StateKey(path), std::to_string(crc)));
+    SL_RETURN_NOT_OK(state_->Put(state_key, std::to_string(crc)));
     ++stats.objects_shipped;
     stats.bytes_shipped += data.size();
   }

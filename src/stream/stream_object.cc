@@ -422,7 +422,10 @@ Status StreamObject::RecoverFromIndex() {
   for (const auto& [key, value] : index_->Scan(start, end)) {
     Decoder dec{ByteView(value)};
     SliceMeta meta;
-    meta.seq = std::stoull(key.substr(start.size()));
+    SL_ASSIGN_OR_RETURN(
+        meta.seq,
+        ParseDecimal<uint64_t>(std::string_view(key).substr(start.size()),
+                               key));
     uint64_t count, shard, plog_index;
     if (!dec.GetVarint(&meta.start_offset) || !dec.GetVarint(&count) ||
         !dec.GetVarint(&shard) || !dec.GetVarint(&plog_index) ||
@@ -521,7 +524,9 @@ Result<size_t> StreamObjectManager::RecoverAll() {
   for (const auto& [key, value] : index_->Scan("so/", "so0")) {
     // Keys: so/<id16>/meta and so/<id16>/slice/<seq16>.
     if (key.size() < 24 || key.compare(19, 5, "/meta") != 0) continue;
-    uint64_t id = std::stoull(key.substr(3, 16));
+    SL_ASSIGN_OR_RETURN(
+        uint64_t id,
+        ParseDecimal<uint64_t>(std::string_view(key).substr(3, 16), key));
     SL_ASSIGN_OR_RETURN(StreamObjectOptions options,
                         DecodeObjectOptions(ByteView(value)));
     ScmSliceCache* cache = options.use_scm_cache ? cache_.get() : nullptr;

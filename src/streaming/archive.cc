@@ -1,5 +1,6 @@
 #include "streaming/archive.h"
 
+#include "common/coding.h"
 #include "format/lakefile.h"
 #include "format/row_codec.h"
 
@@ -35,8 +36,11 @@ Result<ArchiveService::RunStats> ArchiveService::Run(const std::string& topic,
   std::vector<std::vector<stream::StreamRecord>> tails(streams);
   uint64_t unarchived_bytes = 0;
   for (uint32_t s = 0; s < streams; ++s) {
-    auto committed = meta_->Get(OffsetKey(topic, s));
-    if (committed.ok()) from[s] = std::stoull(*committed);
+    const std::string key = OffsetKey(topic, s);
+    auto committed = meta_->Get(key);
+    if (committed.ok()) {
+      SL_ASSIGN_OR_RETURN(from[s], ParseDecimal<uint64_t>(*committed, key));
+    }
     SL_ASSIGN_OR_RETURN(auto route, dispatcher_->RouteFetch(topic, s));
     SL_ASSIGN_OR_RETURN(tails[s],
                         route.worker->Fetch(route.stream_object_id, from[s],

@@ -1,5 +1,6 @@
 #include "streaming/consumer.h"
 
+#include "common/coding.h"
 #include "common/metrics.h"
 
 namespace streamlake::streaming {
@@ -11,14 +12,16 @@ std::string Consumer::OffsetKey(const std::string& topic,
 
 Status Consumer::Subscribe(const std::string& topic) {
   SL_ASSIGN_OR_RETURN(uint32_t streams, dispatcher_->NumStreams(topic));
-  std::vector<uint64_t>& positions = positions_[topic];
-  positions.assign(streams, 0);
+  std::vector<uint64_t> positions(streams, 0);
   for (uint32_t s = 0; s < streams; ++s) {
-    auto committed = offsets_->Get(OffsetKey(topic, s));
+    const std::string key = OffsetKey(topic, s);
+    auto committed = offsets_->Get(key);
     if (committed.ok()) {
-      positions[s] = std::stoull(*committed);
+      SL_ASSIGN_OR_RETURN(positions[s],
+                          ParseDecimal<uint64_t>(*committed, key));
     }
   }
+  positions_[topic] = std::move(positions);
   return Status::OK();
 }
 

@@ -1,8 +1,29 @@
 #include "streaming/dispatcher.h"
 
+#include "common/coding.h"
 #include "common/hash.h"
 
 namespace streamlake::streaming {
+
+namespace {
+
+// The durable records of a topic. Its config key is the commit record:
+// written after every other key of the topic and deleted before any, so
+// Recover, which restores exactly the topics that have one, never meets a
+// torn topic.
+std::string TopicKey(const std::string& topic, const char* field) {
+  return "topic/" + topic + "/" + field;
+}
+
+std::string StreamKey(const std::string& topic, uint32_t index) {
+  return "topic/" + topic + "/stream/" + std::to_string(index);
+}
+
+std::string AssignKey(uint64_t stream_object_id) {
+  return "assign/" + std::to_string(stream_object_id);
+}
+
+}  // namespace
 
 StreamDispatcher::StreamDispatcher(stream::StreamObjectManager* objects,
                                    kv::KvStore* meta, sim::NetworkModel* bus,
@@ -15,27 +36,76 @@ StreamDispatcher::StreamDispatcher(stream::StreamObjectManager* objects,
   }
 }
 
-Result<uint64_t> StreamDispatcher::CreateStreamObjectLocked(
-    const TopicConfig& config) {
-  stream::StreamObjectOptions options;
-  options.io_quota_records_per_sec = config.quota;
-  options.use_scm_cache = config.scm_cache;
-  return objects_->CreateObject(options);
+void StreamDispatcher::UnassignLocked(uint64_t stream_object_id) {
+  auto it = stream_to_worker_.find(stream_object_id);
+  if (it == stream_to_worker_.end()) return;
+  workers_[it->second]->UnassignStream(stream_object_id);
+  stream_to_worker_.erase(it);
 }
 
 Status StreamDispatcher::AssignStreamLocked(uint64_t stream_object_id,
                                             uint32_t worker_index) {
   auto it = stream_to_worker_.find(stream_object_id);
-  if (it != stream_to_worker_.end()) {
-    if (it->second == worker_index) return Status::OK();
-    workers_[it->second]->UnassignStream(stream_object_id);
+  if (it != stream_to_worker_.end() && it->second == worker_index) {
+    return Status::OK();
   }
+  UnassignLocked(stream_object_id);
   workers_[worker_index]->AssignStream(stream_object_id);
   stream_to_worker_[stream_object_id] = worker_index;
   // Topology change recorded in the fault-tolerant KV store; refreshing
   // this mapping is the whole cost of a scaling event.
-  return meta_->Put("assign/" + std::to_string(stream_object_id),
-                    std::to_string(worker_index));
+  return meta_->Put(AssignKey(stream_object_id), std::to_string(worker_index));
+}
+
+Status StreamDispatcher::GrowTopicLocked(const std::string& topic,
+                                         TopicState& state, uint32_t n) {
+  stream::StreamObjectOptions options;
+  options.io_quota_records_per_sec = state.config.quota;
+  options.use_scm_cache = state.config.scm_cache;
+  const uint32_t base = static_cast<uint32_t>(state.stream_object_ids.size());
+  std::vector<uint64_t> added;
+  Status s = Status::OK();
+  for (uint32_t i = base; s.ok() && i < base + n; ++i) {
+    auto id = objects_->CreateObject(options);
+    if (!id.ok()) {
+      s = id.status();
+      break;
+    }
+    added.push_back(*id);
+    // Round-robin placement "to ensure even distribution and workload
+    // balancing across the cluster".
+    s = AssignStreamLocked(*id, i % static_cast<uint32_t>(workers_.size()));
+    if (s.ok()) s = meta_->Put(StreamKey(topic, i), std::to_string(*id));
+  }
+  // Recover reads the stream keys through the count, so the count goes
+  // after them, and a new topic's commit record after the count.
+  bool counted = false;
+  if (s.ok()) {
+    s = meta_->Put(TopicKey(topic, "streams"), std::to_string(base + n));
+    counted = s.ok();
+  }
+  if (s.ok() && base == 0) {
+    Bytes encoded;
+    state.config.EncodeTo(&encoded);
+    s = meta_->Put(TopicKey(topic, "config"), BytesToString(encoded));
+  }
+  if (!s.ok()) {
+    // Retract what was written, count first. The fresh stream objects hold
+    // no records; destroying them takes a condition wait that must not run
+    // under mu_ (see DeleteTopic), so their ids are left unreferenced.
+    const char* why = "grow-topic rollback";
+    if (counted) meta_->Delete(TopicKey(topic, "streams")).LogIgnored(why);
+    for (uint32_t i = 0; i < added.size(); ++i) {
+      UnassignLocked(added[i]);
+      meta_->Delete(AssignKey(added[i])).LogIgnored(why);
+      meta_->Delete(StreamKey(topic, base + i)).LogIgnored(why);
+    }
+    return s;
+  }
+  state.stream_object_ids.insert(state.stream_object_ids.end(), added.begin(),
+                                 added.end());
+  state.config.stream_num = base + n;
+  return Status::OK();
 }
 
 Status StreamDispatcher::CreateTopic(const std::string& topic,
@@ -49,91 +119,43 @@ Status StreamDispatcher::CreateTopic(const std::string& topic,
   }
   TopicState state;
   state.config = config;
-  Status s = Status::OK();
-  for (uint32_t i = 0; s.ok() && i < config.stream_num; ++i) {
-    auto id = CreateStreamObjectLocked(config);
-    if (!id.ok()) {
-      s = id.status();
-      break;
-    }
-    state.stream_object_ids.push_back(*id);
-    // Round-robin placement "to ensure even distribution and workload
-    // balancing across the cluster".
-    s = AssignStreamLocked(*id, static_cast<uint32_t>(i % workers_.size()));
-    if (s.ok()) {
-      s = meta_->Put("topic/" + topic + "/stream/" + std::to_string(i),
-                     std::to_string(*id));
-    }
-  }
-  if (s.ok()) {
-    Bytes encoded;
-    config.EncodeTo(&encoded);
-    s = meta_->Put("topic/" + topic + "/config", BytesToString(encoded));
-  }
-  if (s.ok()) {
-    s = meta_->Put("topic/" + topic + "/streams",
-                   std::to_string(config.stream_num));
-  }
-  if (!s.ok()) {
-    // Roll back assignments and durable keys so a failed create leaves no
-    // trace. The fresh stream objects hold no records; destroying them
-    // takes a condition wait that must not run under mu_ (see
-    // DeleteTopic), so their ids are simply left unreferenced.
-    RetractTopicKeysLocked(topic, state, "create-topic rollback");
-    return s;
-  }
+  SL_RETURN_NOT_OK(GrowTopicLocked(topic, state, config.stream_num));
   // Publish last: the topic becomes routable only after every durable
   // write of the protocol has succeeded.
   topics_[topic] = std::move(state);
   return Status::OK();
 }
 
-void StreamDispatcher::RetractTopicKeysLocked(const std::string& topic,
-                                              const TopicState& state,
-                                              const char* why) {
-  for (size_t i = 0; i < state.stream_object_ids.size(); ++i) {
-    uint64_t id = state.stream_object_ids[i];
-    auto assigned = stream_to_worker_.find(id);
-    if (assigned != stream_to_worker_.end()) {
-      workers_[assigned->second]->UnassignStream(id);
-      stream_to_worker_.erase(assigned);
-    }
-    meta_->Delete("assign/" + std::to_string(id)).LogIgnored(why);
-    meta_->Delete("topic/" + topic + "/stream/" + std::to_string(i))
-        .LogIgnored(why);
-  }
-  meta_->Delete("topic/" + topic + "/config").LogIgnored(why);
-  meta_->Delete("topic/" + topic + "/streams").LogIgnored(why);
+Status StreamDispatcher::AddStreams(const std::string& topic,
+                                    uint32_t additional) {
+  MutexLock lock(&mu_);
+  auto it = topics_.find(topic);
+  if (it == topics_.end()) return Status::NotFound("topic " + topic);
+  return GrowTopicLocked(topic, it->second, additional);
 }
 
 Status StreamDispatcher::DeleteTopic(const std::string& topic) {
-  // Detach the topic and unassign its streams under the lock; destroy the
-  // stream objects outside it — DestroyObject drains in-flight appends (a
-  // condition wait) and must not park every other dispatcher operation.
+  // Retract the commit record first, then detach the topic and unassign
+  // its streams under the lock; destroy the stream objects outside it —
+  // DestroyObject drains in-flight appends (a condition wait) and must not
+  // park every other dispatcher operation.
   TopicState state;
   {
     MutexLock lock(&mu_);
     auto it = topics_.find(topic);
     if (it == topics_.end()) return Status::NotFound("topic " + topic);
+    SL_RETURN_NOT_OK(meta_->Delete(TopicKey(topic, "config")));
     state = std::move(it->second);
-    for (uint64_t id : state.stream_object_ids) {
-      auto assigned = stream_to_worker_.find(id);
-      if (assigned != stream_to_worker_.end()) {
-        workers_[assigned->second]->UnassignStream(id);
-        stream_to_worker_.erase(assigned);
-      }
-    }
     topics_.erase(it);
+    for (uint64_t id : state.stream_object_ids) UnassignLocked(id);
   }
-  for (size_t i = 0; i < state.stream_object_ids.size(); ++i) {
+  for (uint32_t i = 0; i < state.stream_object_ids.size(); ++i) {
     uint64_t id = state.stream_object_ids[i];
     SL_RETURN_NOT_OK(objects_->DestroyObject(id));
-    SL_RETURN_NOT_OK(meta_->Delete("assign/" + std::to_string(id)));
-    SL_RETURN_NOT_OK(
-        meta_->Delete("topic/" + topic + "/stream/" + std::to_string(i)));
+    SL_RETURN_NOT_OK(meta_->Delete(AssignKey(id)));
+    SL_RETURN_NOT_OK(meta_->Delete(StreamKey(topic, i)));
   }
-  SL_RETURN_NOT_OK(meta_->Delete("topic/" + topic + "/config"));
-  return meta_->Delete("topic/" + topic + "/streams");
+  return meta_->Delete(TopicKey(topic, "streams"));
 }
 
 Result<size_t> StreamDispatcher::Recover() {
@@ -150,18 +172,18 @@ Result<size_t> StreamDispatcher::Recover() {
       continue;
     }
     std::string topic = key.substr(6, key.size() - 6 - kSuffix.size());
-    SL_ASSIGN_OR_RETURN(TopicConfig config,
-                        TopicConfig::DecodeFrom(ByteView(value)));
     TopicState state;
-    state.config = config;
-    SL_ASSIGN_OR_RETURN(std::string count_str,
-                        meta_->Get("topic/" + topic + "/streams"));
-    uint32_t streams = static_cast<uint32_t>(std::stoul(count_str));
+    SL_ASSIGN_OR_RETURN(state.config, TopicConfig::DecodeFrom(ByteView(value)));
+    const std::string count_key = TopicKey(topic, "streams");
+    SL_ASSIGN_OR_RETURN(std::string count, meta_->Get(count_key));
+    SL_ASSIGN_OR_RETURN(uint32_t streams,
+                        ParseDecimal<uint32_t>(count, count_key));
+    if (streams == 0) return Status::Corruption(count_key + ": no streams");
     for (uint32_t i = 0; i < streams; ++i) {
-      SL_ASSIGN_OR_RETURN(
-          std::string id_str,
-          meta_->Get("topic/" + topic + "/stream/" + std::to_string(i)));
-      uint64_t id = std::stoull(id_str);
+      const std::string stream_key = StreamKey(topic, i);
+      SL_ASSIGN_OR_RETURN(std::string id_str, meta_->Get(stream_key));
+      SL_ASSIGN_OR_RETURN(uint64_t id,
+                          ParseDecimal<uint64_t>(id_str, stream_key));
       if (objects_->GetObject(id) == nullptr) {
         return Status::Corruption("stream object " + id_str +
                                   " missing; recover the object manager "
@@ -169,13 +191,14 @@ Result<size_t> StreamDispatcher::Recover() {
       }
       state.stream_object_ids.push_back(id);
       // Restore the recorded assignment, folding onto the live workers.
-      uint32_t worker = i % static_cast<uint32_t>(workers_.size());
-      auto assigned = meta_->Get("assign/" + id_str);
+      uint32_t worker = i;
+      auto assigned = meta_->Get(AssignKey(id));
       if (assigned.ok()) {
-        worker = static_cast<uint32_t>(std::stoul(*assigned)) %
-                 static_cast<uint32_t>(workers_.size());
+        SL_ASSIGN_OR_RETURN(worker,
+                            ParseDecimal<uint32_t>(*assigned, AssignKey(id)));
       }
-      SL_RETURN_NOT_OK(AssignStreamLocked(id, worker));
+      SL_RETURN_NOT_OK(AssignStreamLocked(
+          id, worker % static_cast<uint32_t>(workers_.size())));
     }
     state.config.stream_num = streams;
     topics_[topic] = std::move(state);
@@ -215,25 +238,21 @@ Result<uint64_t> StreamDispatcher::StreamObjectId(const std::string& topic,
   return it->second.stream_object_ids[index];
 }
 
+StreamDispatcher::Route StreamDispatcher::RouteLocked(const TopicState& state,
+                                                      uint32_t index) const {
+  const uint64_t id = state.stream_object_ids[index];
+  return Route{index, id, workers_[stream_to_worker_.at(id)].get()};
+}
+
 Result<StreamDispatcher::Route> StreamDispatcher::RouteProduce(
     const std::string& topic, const std::string& key) {
   MutexLock lock(&mu_);
   auto it = topics_.find(topic);
   if (it == topics_.end()) return Status::NotFound("topic " + topic);
   TopicState& state = it->second;
-  uint32_t index;
-  if (key.empty()) {
-    index = static_cast<uint32_t>(state.next_rr++ %
-                                  state.stream_object_ids.size());
-  } else {
-    index = static_cast<uint32_t>(Hash64(ByteView(key)) %
-                                  state.stream_object_ids.size());
-  }
-  Route route;
-  route.stream_index = index;
-  route.stream_object_id = state.stream_object_ids[index];
-  route.worker = workers_[stream_to_worker_.at(route.stream_object_id)].get();
-  return route;
+  const uint64_t pick = key.empty() ? state.next_rr++ : Hash64(ByteView(key));
+  return RouteLocked(
+      state, static_cast<uint32_t>(pick % state.stream_object_ids.size()));
 }
 
 Result<StreamDispatcher::Route> StreamDispatcher::RouteFetch(
@@ -244,11 +263,7 @@ Result<StreamDispatcher::Route> StreamDispatcher::RouteFetch(
   if (stream_index >= it->second.stream_object_ids.size()) {
     return Status::InvalidArgument("stream index out of range");
   }
-  Route route;
-  route.stream_index = stream_index;
-  route.stream_object_id = it->second.stream_object_ids[stream_index];
-  route.worker = workers_[stream_to_worker_.at(route.stream_object_id)].get();
-  return route;
+  return RouteLocked(it->second, stream_index);
 }
 
 Status StreamDispatcher::RebalanceLocked(uint32_t worker_count) {
@@ -324,59 +339,6 @@ Result<StreamDispatcher::HealthSweepStats> StreamDispatcher::SweepDeadWorkers(
     ++stats.streams_reassigned;
   }
   return stats;
-}
-
-Status StreamDispatcher::AddStreams(const std::string& topic,
-                                    uint32_t additional) {
-  MutexLock lock(&mu_);
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) return Status::NotFound("topic " + topic);
-  TopicState& state = it->second;
-  // Build the additions aside and commit them into the live TopicState
-  // only after every durable write succeeded, so a mid-loop failure never
-  // leaves the topic half-grown.
-  const uint32_t base = static_cast<uint32_t>(state.stream_object_ids.size());
-  std::vector<uint64_t> added;
-  Status s = Status::OK();
-  for (uint32_t i = 0; s.ok() && i < additional; ++i) {
-    auto id = CreateStreamObjectLocked(state.config);
-    if (!id.ok()) {
-      s = id.status();
-      break;
-    }
-    added.push_back(*id);
-    uint32_t index = base + i;
-    s = AssignStreamLocked(*id,
-                           index % static_cast<uint32_t>(workers_.size()));
-    if (s.ok()) {
-      s = meta_->Put("topic/" + topic + "/stream/" + std::to_string(index),
-                     std::to_string(*id));
-    }
-  }
-  if (s.ok()) {
-    s = meta_->Put("topic/" + topic + "/streams",
-                   std::to_string(base + additional));
-  }
-  if (!s.ok()) {
-    for (size_t i = 0; i < added.size(); ++i) {
-      uint64_t id = added[i];
-      auto assigned = stream_to_worker_.find(id);
-      if (assigned != stream_to_worker_.end()) {
-        workers_[assigned->second]->UnassignStream(id);
-        stream_to_worker_.erase(assigned);
-      }
-      meta_->Delete("assign/" + std::to_string(id))
-          .LogIgnored("add-streams rollback");
-      meta_->Delete("topic/" + topic + "/stream/" +
-                    std::to_string(base + static_cast<uint32_t>(i)))
-          .LogIgnored("add-streams rollback");
-    }
-    return s;
-  }
-  state.stream_object_ids.insert(state.stream_object_ids.end(),
-                                 added.begin(), added.end());
-  state.config.stream_num = base + additional;
-  return Status::OK();
 }
 
 uint32_t StreamDispatcher::num_workers() const {

@@ -78,7 +78,9 @@ class StreamDispatcher {
 
   /// Crash recovery: rebuild every topic and stream assignment from the
   /// fault-tolerant KV store. The stream object manager must have been
-  /// recovered first (RecoverAll). Returns the number of topics restored.
+  /// recovered first (RecoverAll). A topic exists iff its config key does:
+  /// CreateTopic writes it last and DeleteTopic deletes it first. Returns
+  /// the number of topics restored.
   Result<size_t> Recover();
 
  private:
@@ -90,14 +92,18 @@ class StreamDispatcher {
 
   Status AssignStreamLocked(uint64_t stream_object_id, uint32_t worker_index)
       REQUIRES(mu_);
-  Result<uint64_t> CreateStreamObjectLocked(const TopicConfig& config)
-      REQUIRES(mu_);
+  /// Drop a stream's in-memory assignment, if it has one.
+  void UnassignLocked(uint64_t stream_object_id) REQUIRES(mu_);
   Status RebalanceLocked(uint32_t worker_count) REQUIRES(mu_);
-  /// Best-effort undo of a failed CreateTopic: unassigns the topic's
-  /// streams and deletes every durable key the protocol wrote so far.
-  void RetractTopicKeysLocked(const std::string& topic,
-                              const TopicState& state,
-                              const char* why) REQUIRES(mu_);
+  /// Append `n` streams to `topic`: create their objects, assign them
+  /// round-robin, write their keys, then the count, then — for a new
+  /// topic — the config key. On failure retracts what it wrote and leaves
+  /// `state` unchanged.
+  Status GrowTopicLocked(const std::string& topic, TopicState& state,
+                         uint32_t n) REQUIRES(mu_);
+  /// Stream `index` of `state` and the worker it is assigned to.
+  Route RouteLocked(const TopicState& state, uint32_t index) const
+      REQUIRES(mu_);
 
   stream::StreamObjectManager* objects_;
   kv::KvStore* meta_;

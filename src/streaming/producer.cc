@@ -14,26 +14,6 @@ Status Producer::Gate(uint64_t ops, uint64_t bytes) {
   return ticket.status();
 }
 
-Result<uint64_t> Producer::Deliver(const std::string& topic,
-                                   StreamDispatcher::Route route,
-                                   const std::vector<Message>& messages,
-                                   uint64_t first_seq, bool flush) {
-  auto produce = [&] {
-    return route.worker->Produce(route.stream_object_id, messages,
-                                 producer_id_, first_seq, flush);
-  };
-  auto offset = produce();
-  for (int reroutes = 0; reroutes < kMaxReroutes && !offset.ok() &&
-                         offset.status().IsNotFound();
-       ++reroutes) {
-    auto fresh = dispatcher_->RouteFetch(topic, route.stream_index);
-    if (!fresh.ok()) break;  // report the refusal, not the lookup
-    route = *fresh;
-    offset = produce();
-  }
-  return offset;
-}
-
 Result<uint64_t> Producer::Send(const std::string& topic,
                                 const Message& message) {
   static Counter* sends =
@@ -44,7 +24,8 @@ Result<uint64_t> Producer::Send(const std::string& topic,
                       dispatcher_->RouteProduce(topic, message.key));
   uint64_t& next = next_seq_[route.stream_object_id];
   uint64_t seq = ++next;
-  auto offset = Deliver(topic, route, {message}, seq, /*flush=*/false);
+  auto offset = route.worker->Produce(route.stream_object_id, {message},
+                                      producer_id_, seq);
   if (offset.ok()) {
     last_ = LastSend{topic, message, seq};
     has_last_ = true;
@@ -84,8 +65,8 @@ Status Producer::SendBatch(const std::string& topic,
     next += group.messages.size();
     SL_ASSIGN_OR_RETURN(
         [[maybe_unused]] uint64_t offset,
-        Deliver(topic, group.route, group.messages, first_seq,
-                /*flush=*/true));
+        group.route.worker->Produce(object_id, group.messages, producer_id_,
+                                    first_seq, /*flush=*/true));
     sends->Increment(group.messages.size());
   }
   return Status::OK();
@@ -96,8 +77,8 @@ Result<uint64_t> Producer::ResendLast() {
   SL_ASSIGN_OR_RETURN(auto route,
                       dispatcher_->RouteProduce(last_.topic, last_.message.key));
   // Same (producer_id, seq): the stream object identifies the duplicate.
-  return Deliver(last_.topic, route, {last_.message}, last_.seq,
-                 /*flush=*/false);
+  return route.worker->Produce(route.stream_object_id, {last_.message},
+                               producer_id_, last_.seq);
 }
 
 }  // namespace streamlake::streaming

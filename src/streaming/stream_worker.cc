@@ -17,11 +17,6 @@ size_t StreamWorker::num_streams() const {
   return streams_.size();
 }
 
-bool StreamWorker::HandlesStream(uint64_t stream_object_id) const {
-  MutexLock lock(&mu_);
-  return streams_.count(stream_object_id) > 0;
-}
-
 namespace {
 
 // Wrap client messages in the stream object data format ("redirect them
@@ -49,11 +44,6 @@ uint64_t WrapMessages(const std::vector<Message>& messages,
 
 Result<stream::StreamObject*> StreamWorker::ObjectFor(
     uint64_t stream_object_id) const {
-  if (!HandlesStream(stream_object_id)) {
-    return Status::NotFound("worker " + std::to_string(id_) +
-                            " does not handle stream " +
-                            std::to_string(stream_object_id));
-  }
   stream::StreamObject* object = objects_->GetObject(stream_object_id);
   if (object == nullptr) return Status::NotFound("stream object gone");
   return object;

@@ -12,13 +12,15 @@
 
 namespace streamlake::streaming {
 
-/// \brief A stream worker of the data service layer (Fig. 6): handles the
-/// streams assigned to it and talks to their stream objects through a
-/// stream object client over the RDMA data bus.
+/// \brief A stream worker of the data service layer (Fig. 6): talks to
+/// stream objects through a stream object client over the RDMA data bus.
 ///
 /// Workers are stateless with respect to the stream data, which is what
 /// makes scaling "without data migration" possible: reassigning a stream
-/// to another worker only rewires metadata.
+/// to another worker only rewires metadata. The assignment is placement
+/// only — it decides where the dispatcher routes new requests — so a
+/// worker serves any live stream object, including one moved away between
+/// a caller's route and its call.
 class StreamWorker {
  public:
   StreamWorker(uint32_t id, stream::StreamObjectManager* objects,
@@ -30,7 +32,6 @@ class StreamWorker {
   void AssignStream(uint64_t stream_object_id);
   void UnassignStream(uint64_t stream_object_id);
   size_t num_streams() const;
-  bool HandlesStream(uint64_t stream_object_id) const;
 
   /// Publish messages into one stream object. Charges the data-bus
   /// transfer (client -> worker -> stream object) and appends; `flush`
@@ -50,8 +51,7 @@ class StreamWorker {
                                          int64_t timestamp);
 
  private:
-  /// The object of a stream this worker handles. NotFound otherwise, or
-  /// when the object is gone: Producer::Deliver re-routes on NotFound.
+  /// The live object `stream_object_id`; NotFound once it is destroyed.
   Result<stream::StreamObject*> ObjectFor(uint64_t stream_object_id) const;
 
   const uint32_t id_;

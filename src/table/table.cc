@@ -1,14 +1,13 @@
 #include "table/table.h"
 
 #include <algorithm>
-#include <charconv>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string_view>
 
+#include "common/coding.h"
 #include "common/metrics.h"
 #include "common/threadpool.h"
 #include "table/block_cache.h"
@@ -24,22 +23,13 @@ struct ApplicableDelete {
   std::vector<std::pair<const query::Predicate*, size_t>> preds;
 };
 
-/// The whole of `text` as a decimal int64, or nothing.
-std::optional<int64_t> ParseInt64(std::string_view text) {
-  int64_t v = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
-}
-
 /// The seconds [n * width, (n + 1) * width - 1] of bucket `n` of a
 /// `width`-second transform, when that range fits int64.
-bool BucketRange(std::optional<int64_t> n, int64_t width, format::Value* min,
+bool BucketRange(const Result<int64_t>& n, int64_t width, format::Value* min,
                  format::Value* max) {
   int64_t lo = 0;
   int64_t next = 0;
-  if (!n || __builtin_mul_overflow(*n, width, &lo) ||
+  if (!n.ok() || __builtin_mul_overflow(*n, width, &lo) ||
       __builtin_add_overflow(lo, width, &next)) {
     return false;
   }
@@ -67,8 +57,8 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
           *max = partition;
           return true;
         case format::DataType::kInt64: {
-          std::optional<int64_t> v = ParseInt64(text);
-          if (!v) return false;
+          Result<int64_t> v = ParseDecimal<int64_t>(text, "partition");
+          if (!v.ok()) return false;
           *min = *v;
           *max = *v;
           return true;
@@ -79,10 +69,12 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
     }
     case PartitionSpec::Transform::kDay:
       if (!text.starts_with("day=")) return false;
-      return BucketRange(ParseInt64(text.substr(4)), 86400, min, max);
+      return BucketRange(ParseDecimal<int64_t>(text.substr(4), "partition"),
+                         86400, min, max);
     case PartitionSpec::Transform::kMonth:
       if (!text.starts_with("month=")) return false;
-      return BucketRange(ParseInt64(text.substr(6)), 86400 * 30, min, max);
+      return BucketRange(ParseDecimal<int64_t>(text.substr(6), "partition"),
+                         86400 * 30, min, max);
     case PartitionSpec::Transform::kNone:
       return false;
   }

@@ -19,6 +19,7 @@
 #include "streaming/consumer.h"
 #include "streaming/dispatcher.h"
 #include "streaming/producer.h"
+#include "streaming/txn_manager.h"
 
 namespace streamlake {
 namespace {
@@ -177,6 +178,105 @@ TEST(StreamingConcurrencyTest, ResizeWorkersDuringProduce) {
   }
   resizer.join();
   for (auto& t : producers) t.join();
+}
+
+// A ResizeWorkers between a caller's route and its worker call moves the
+// stream to another worker. Workers serve any live stream object, so the
+// call made through the stale route still succeeds.
+TEST(StreamingConcurrencyTest, ResizeWorkersDuringConsume) {
+  StreamingFixture f(2);
+  streaming::TopicConfig config;
+  config.stream_num = 8;
+  ASSERT_TRUE(f.dispatcher->CreateTopic("scale", config).ok());
+  {
+    streaming::Producer producer(f.dispatcher.get());
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(producer
+                      .Send("scale", streaming::Message(
+                                         "k" + std::to_string(i), "v", i))
+                      .ok());
+    }
+  }
+
+  constexpr int kClients = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::thread resizer([&] {
+    while (started.load(std::memory_order_acquire) < kClients) {
+      std::this_thread::yield();
+    }
+    for (uint32_t round = 0; round < 500; ++round) {
+      EXPECT_TRUE(f.dispatcher->ResizeWorkers(2 + round % 6).ok());
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> consumers;
+  consumers.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    consumers.emplace_back([&, c] {
+      started.fetch_add(1, std::memory_order_release);
+      streaming::Consumer consumer(f.dispatcher.get(), &f.meta,
+                                   "g" + std::to_string(c));
+      ASSERT_TRUE(consumer.Subscribe("scale").ok());
+      int i = 0;
+      while (!stop.load(std::memory_order_acquire) || i < 100) {
+        Status seek = consumer.SeekToTimestamp("scale", i % 64);
+        ASSERT_TRUE(seek.ok()) << seek.ToString();
+        auto polled = consumer.Poll(16);
+        ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+        ++i;
+      }
+    });
+  }
+  resizer.join();
+  for (auto& t : consumers) t.join();
+}
+
+TEST(StreamingConcurrencyTest, ResizeWorkersDuringTxnCommit) {
+  StreamingFixture f(2);
+  streaming::TopicConfig config;
+  config.stream_num = 8;
+  ASSERT_TRUE(f.dispatcher->CreateTopic("scale", config).ok());
+
+  constexpr int kClients = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::thread resizer([&] {
+    while (started.load(std::memory_order_acquire) < kClients) {
+      std::this_thread::yield();
+    }
+    for (uint32_t round = 0; round < 500; ++round) {
+      EXPECT_TRUE(f.dispatcher->ResizeWorkers(2 + round % 6).ok());
+    }
+    stop.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::thread> coordinators;
+  coordinators.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    coordinators.emplace_back([&, c] {
+      started.fetch_add(1, std::memory_order_release);
+      kv::KvStore txn_log;
+      streaming::TransactionManager txns(f.dispatcher.get(), &txn_log);
+      int i = 0;
+      while (!stop.load(std::memory_order_acquire) || i < 100) {
+        auto txn = txns.Begin();
+        ASSERT_TRUE(txn.ok());
+        for (int m = 0; m < 4; ++m) {
+          std::string key = "c" + std::to_string(c) + "-" +
+                            std::to_string(i) + "-" + std::to_string(m);
+          ASSERT_TRUE(
+              txns.Send(*txn, "scale", streaming::Message(key, "v")).ok());
+        }
+        Status commit = txns.Commit(*txn);
+        ASSERT_TRUE(commit.ok()) << commit.ToString();
+        ++i;
+      }
+    });
+  }
+  resizer.join();
+  for (auto& t : coordinators) t.join();
 }
 
 TEST(StorageConcurrencyTest, ParallelPlogWritesToSameShard) {

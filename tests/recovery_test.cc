@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "streaming/consumer.h"
 #include "streaming/dispatcher.h"
 #include "streaming/producer.h"
@@ -264,6 +268,91 @@ TEST(RecoveryTest, LakehouseSurvivesRestartViaScmWalReplay) {
   count = (*table)->Select(spec);
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(std::get<int64_t>(count->rows[0].fields[0]), 6);
+}
+
+// Every crash point of a topic's records. One dispatcher call on topic `b`
+// runs next to a whole topic `a`; each byte prefix of the metadata WAL the
+// call wrote is replayed into a fresh KV store, and the services restart on
+// it. Recover must succeed every time, with `a` whole and `b` either absent
+// or holding all the streams of one of `b_counts`.
+enum class TopicOp { kCreate, kAddStreams, kDelete };
+
+void ExpectEveryCrashPointRecovers(TopicOp op,
+                                   std::vector<uint32_t> b_counts) {
+  CrashFixture f;
+  streaming::TopicConfig config;
+  config.stream_num = 3;
+  ASSERT_TRUE(f.dispatcher->CreateTopic("a", config).ok());
+  if (op != TopicOp::kCreate) {
+    ASSERT_TRUE(f.dispatcher->CreateTopic("b", config).ok());
+  }
+  const size_t call_start = f.meta.WalContents().size();
+  const Bytes index_before = f.index.WalContents();
+  Status s = op == TopicOp::kCreate ? f.dispatcher->CreateTopic("b", config)
+             : op == TopicOp::kAddStreams ? f.dispatcher->AddStreams("b", 2)
+                                          : f.dispatcher->DeleteTopic("b");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  const Bytes wal = f.meta.WalContents();
+  const Bytes index_after = f.index.WalContents();
+  ASSERT_GT(wal.size(), call_start);
+
+  size_t failures = 0;
+  std::string first_failure;
+  for (size_t len = call_start; len <= wal.size(); ++len) {
+    kv::KvStore meta;
+    ASSERT_TRUE(meta.Recover(ByteView(wal.data(), len)).ok());
+    // The index a crash at this point leaves: stream objects exist before
+    // any key names them, and DeleteTopic destroys none while `b`'s config
+    // key is still there.
+    const bool b_config = meta.Contains("topic/b/config");
+    kv::KvStore index;
+    ASSERT_TRUE(index
+                    .Recover(ByteView(op == TopicOp::kDelete && b_config
+                                          ? index_before
+                                          : index_after))
+                    .ok());
+    stream::StreamObjectManager objects(f.plogs.get(), &index, &f.clock,
+                                        nullptr, 0);
+    ASSERT_TRUE(objects.RecoverAll().ok());
+    streaming::StreamDispatcher dispatcher(&objects, &meta, &f.bus, &f.clock,
+                                           3);
+    auto recovered = dispatcher.Recover();
+    if (!recovered.ok()) {
+      if (failures++ == 0) {
+        first_failure = "prefix " + std::to_string(len - call_start) + ": " +
+                        recovered.status().ToString();
+      }
+      continue;
+    }
+    auto a_streams = dispatcher.NumStreams("a");
+    ASSERT_TRUE(a_streams.ok());
+    EXPECT_EQ(*a_streams, 3u);
+    if (dispatcher.HasTopic("b")) {
+      auto b_streams = dispatcher.NumStreams("b");
+      ASSERT_TRUE(b_streams.ok());
+      EXPECT_NE(std::find(b_counts.begin(), b_counts.end(), *b_streams),
+                b_counts.end())
+          << "prefix " << len - call_start << ": b has " << *b_streams
+          << " streams";
+      for (uint32_t i = 0; i < *b_streams; ++i) {
+        EXPECT_TRUE(dispatcher.RouteFetch("b", i).ok());
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0u) << "of " << wal.size() - call_start + 1
+                          << " prefixes; first: " << first_failure;
+}
+
+TEST(RecoveryTest, EveryCreateTopicCrashPointRecovers) {
+  ExpectEveryCrashPointRecovers(TopicOp::kCreate, {3});
+}
+
+TEST(RecoveryTest, EveryAddStreamsCrashPointRecovers) {
+  ExpectEveryCrashPointRecovers(TopicOp::kAddStreams, {3, 5});
+}
+
+TEST(RecoveryTest, EveryDeleteTopicCrashPointRecovers) {
+  ExpectEveryCrashPointRecovers(TopicOp::kDelete, {3});
 }
 
 TEST(RecoveryTest, RecoverRequiresEmptyServices) {

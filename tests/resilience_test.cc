@@ -147,6 +147,22 @@ TEST(ReplicationTest, IncrementalMirrorAndPrune) {
   EXPECT_TRUE(f.remote->Read("/t/b").status().IsNotFound());
 }
 
+TEST(ReplicationTest, UnparsableRecordedCrcShipsAgain) {
+  ReplicationFixture f;
+  ASSERT_TRUE(f.primary->Write("/t/a", ByteView("alpha")).ok());
+  ASSERT_TRUE(f.service->Replicate("/t/").ok());
+  for (const char* bad : {"x", "", "4294967296", "-1"}) {
+    ASSERT_TRUE(f.state.Put("repl//t/a", bad).ok());
+    auto run = f.service->Replicate("/t/");
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(run->objects_shipped, 1u) << bad;
+    // The re-ship records a good CRC again.
+    auto again = f.service->Replicate("/t/");
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->objects_unchanged, 1u) << bad;
+  }
+}
+
 TEST(ReplicationTest, DisasterRecoveryRestoresObject) {
   ReplicationFixture f;
   ASSERT_TRUE(f.primary->Write("/t/critical", ByteView("payload")).ok());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,11 +15,16 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "convert/converter.h"
 #include "core/streamlake.h"
 #include "format/lakefile.h"
 #include "format/row_codec.h"
 #include "kv/write_batch.h"
 #include "query/sql_parser.h"
+#include "storage/object_store.h"
+#include "streaming/archive.h"
+#include "streaming/consumer.h"
+#include "streaming/producer.h"
 #include "stream/stream_record.h"
 #include "table/metadata.h"
 
@@ -291,6 +298,98 @@ TEST(FuzzTest, SqlNeverCrashes) {
   // The mutations reach the planner and the runner, not just the parser.
   EXPECT_GT(planned, 1000);
   EXPECT_GT(succeeded, 500);
+}
+
+// Durable decimal integers — counts, ids, assignments, offsets, refcounts
+// and slice keys — that do not parse make the call that reads them fail
+// with a status. None of them may throw.
+TEST(CorruptDecimalTest, EveryDurableIntegerFailsWithoutThrowing) {
+  sim::SimClock clock;
+  storage::StoragePool pool{"ssd", sim::MediaType::kNvmeSsd, &clock};
+  pool.AddCluster(3, 2, 256 << 20);
+  sim::NetworkModel bus{sim::NetworkProfile::Rdma(), &clock};
+  storage::PlogStoreConfig plog_config;
+  plog_config.num_shards = 4;
+  plog_config.plog.capacity = 16 << 20;
+  plog_config.plog.redundancy = storage::RedundancyConfig::Replication(3);
+  storage::PlogStore plogs(&pool, plog_config, &clock);
+  kv::KvStore index;
+  kv::KvStore meta;
+  stream::StreamObjectManager objects(&plogs, &index, &clock, nullptr, 0);
+  streaming::StreamDispatcher dispatcher(&objects, &meta, &bus, &clock, 2);
+  storage::ObjectStore store(&plogs, &index);
+  kv::KvStore cache;
+  table::MetadataStore metadata(&store, &cache,
+                                table::MetadataMode::kAccelerated);
+  table::LakehouseService lakehouse(&metadata, &store, &clock, &bus);
+  convert::ConversionService converter(&dispatcher, &objects, &lakehouse,
+                                       &meta, &clock);
+  streaming::ArchiveService archive(&dispatcher, &store, &meta);
+
+  streaming::TopicConfig config;
+  config.stream_num = 1;
+  ASSERT_TRUE(dispatcher.CreateTopic("t", config).ok());
+  ASSERT_TRUE(streaming::Producer(&dispatcher)
+                  .SendBatch("t", {streaming::Message("k", "v")})
+                  .ok());
+  const uint64_t id = *dispatcher.StreamObjectId("t", 0);
+  ASSERT_TRUE(store.Write("/o", ByteView(std::string("payload"))).ok());
+  ASSERT_TRUE(store.Clone("/o", "/c").ok());
+  ASSERT_FALSE(index.Scan("ref/", "ref0").empty());  // the clone's refcounts
+
+  // Restart the stream services on `index` and `meta`, as after a crash.
+  auto recover = [&] {
+    stream::StreamObjectManager fresh(&plogs, &index, &clock, nullptr, 0);
+    SL_RETURN_NOT_OK(fresh.RecoverAll().status());
+    streaming::StreamDispatcher restarted(&fresh, &meta, &bus, &clock, 2);
+    return restarted.Recover().status();
+  };
+  ASSERT_TRUE(recover().ok());
+
+  // Sets `key` of `kv` to `bad`, expects `call` to fail without
+  // throwing, then restores the key.
+  auto expect_fails = [](kv::KvStore* kv, const std::string& key,
+                         const std::string& bad,
+                         const std::function<Status()>& call) {
+    auto old = kv->Get(key);
+    ASSERT_TRUE(kv->Put(key, bad).ok());
+    Status s;
+    EXPECT_NO_THROW(s = call()) << key;
+    EXPECT_FALSE(s.ok()) << key;
+    ASSERT_TRUE((old.ok() ? kv->Put(key, *old) : kv->Delete(key)).ok());
+  };
+  char id16[17];
+  std::snprintf(id16, sizeof(id16), "%016llu",
+                static_cast<unsigned long long>(id));
+  for (const char* bad : {"x", "", "-1", "12x", "99999999999999999999"}) {
+    expect_fails(&meta, "topic/t/streams", bad, recover);
+    expect_fails(&meta, "topic/t/stream/0", bad, recover);
+    expect_fails(&meta, "assign/" + std::to_string(id), bad, recover);
+    expect_fails(&meta, "offsets/g/t/0", bad, [&] {
+      streaming::Consumer consumer(&dispatcher, &meta, "g");
+      return consumer.Subscribe("t");
+    });
+    expect_fails(&meta, "convert/t/0", bad,
+                 [&] { return converter.Run("t", /*force=*/true).status(); });
+    expect_fails(&meta, "archive/t/0", bad,
+                 [&] { return archive.Run("t", /*force=*/true).status(); });
+    for (const auto& [ref_key, refs] : index.Scan("ref/", "ref0")) {
+      expect_fails(&index, ref_key, bad,
+                   [&] { return store.Clone("/o", "/d"); });
+    }
+  }
+  // A topic has at least one stream: a count of 0 would divide routing by
+  // zero.
+  expect_fails(&meta, "topic/t/streams", "0", recover);
+  // last_run is signed: "-1" parses, the rest must not.
+  for (const char* bad : {"x", "", "12x", "99999999999999999999"}) {
+    expect_fails(&meta, "convert/t/last_run", bad,
+                 [&] { return converter.Run("t", /*force=*/true).status(); });
+  }
+  expect_fails(&index, "so/" + std::string(id16) + "/slice/zz", "", recover);
+  expect_fails(&index, "so/0000000000zz0000/meta", "", recover);
+  // Every value is restored: the services come back whole.
+  EXPECT_TRUE(recover().ok());
 }
 
 TEST(ConcurrencyTest, ParallelInsertersAndReaders) {

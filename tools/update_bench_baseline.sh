@@ -18,6 +18,8 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 build-release/bench/bench_fig15_metadata "--json_out=$out/BENCH_fig15_metadata.json"
 build-release/bench/bench_fig14_throughput "--json_out=$out/BENCH_fig14_throughput.json"
+build-release/bench/bench_fig14_scaling "--json_out=$out/BENCH_fig14_scaling.json" \
+    >/dev/null
 build-release/bench/bench_table1 20000 "--json_out=$out/BENCH_table1.json" \
     >/dev/null
 build-release/bench/bench_ablation_mor \
