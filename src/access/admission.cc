@@ -83,70 +83,36 @@ AdmissionController::TenantState* AdmissionController::GetTenantLocked(
   return &tenants_.emplace(tenant, std::move(state)).first->second;
 }
 
-void AdmissionController::SetQuota(const std::string& tenant,
-                                   const TenantQuota& quota) {
-  MutexLock lock(&mu_);
-  TenantState* state = GetTenantLocked(tenant);
-  if (!config_.per_tenant_isolation) return;
-  state->ops_bucket =
-      std::make_unique<TokenBucket>(quota.ops_per_sec, quota.burst_ops);
-  state->bytes_bucket =
-      std::make_unique<TokenBucket>(quota.bytes_per_sec, quota.burst_bytes);
-  state->queue_ceiling_ns =
-      QueueCeilingNs(config_.max_queue_depth, quota.ops_per_sec);
+AdmissionController::Charges AdmissionController::ChargesLocked(
+    const TenantState* t, uint64_t ops, uint64_t bytes) const {
+  Charges charges;
+  auto add = [&](TokenBucket* bucket, uint64_t cost, uint64_t ceiling_ns) {
+    if (bucket != nullptr) {
+      charges.items[charges.size++] = {bucket, static_cast<double>(cost),
+                                       ceiling_ns};
+    }
+  };
+  add(t->ops_bucket.get(), ops, t->queue_ceiling_ns);
+  if (bytes > 0) add(t->bytes_bucket.get(), bytes, t->queue_ceiling_ns);
+  add(cluster_ops_.get(), ops, cluster_queue_ceiling_ns_);
+  if (bytes > 0) add(cluster_bytes_.get(), bytes, cluster_queue_ceiling_ns_);
+  return charges;
+}
+
+void AdmissionController::Charges::RefundFirst(size_t n) const {
+  for (size_t i = 0; i < n; ++i) items[i].bucket->Refund(items[i].cost);
 }
 
 uint64_t AdmissionController::ReserveAllLocked(TenantState* t, uint64_t ops,
                                                uint64_t bytes,
                                                uint64_t now_ns) {
+  const Charges charges = ChargesLocked(t, ops, bytes);
   uint64_t wait = 0;
-  // Reservation order mirrors rollback: tenant ops -> tenant bytes ->
-  // cluster ops -> cluster bytes; a refusal refunds everything reserved
-  // so far, so a shed consumes no quota at all.
-  if (t->ops_bucket != nullptr) {
-    uint64_t w = t->ops_bucket->Reserve(now_ns, static_cast<double>(ops),
-                                        t->queue_ceiling_ns);
-    if (w == TokenBucket::kNever) return TokenBucket::kNever;
-    wait = std::max(wait, w);
-  }
-  if (t->bytes_bucket != nullptr && bytes > 0) {
-    uint64_t w = t->bytes_bucket->Reserve(now_ns, static_cast<double>(bytes),
-                                          t->queue_ceiling_ns);
+  for (size_t i = 0; i < charges.size; ++i) {
+    const Charge& c = charges.items[i];
+    uint64_t w = c.bucket->Reserve(now_ns, c.cost, c.ceiling_ns);
     if (w == TokenBucket::kNever) {
-      if (t->ops_bucket != nullptr) {
-        t->ops_bucket->Refund(static_cast<double>(ops));
-      }
-      return TokenBucket::kNever;
-    }
-    wait = std::max(wait, w);
-  }
-  if (cluster_ops_ != nullptr) {
-    uint64_t w = cluster_ops_->Reserve(now_ns, static_cast<double>(ops),
-                                       cluster_queue_ceiling_ns_);
-    if (w == TokenBucket::kNever) {
-      if (t->ops_bucket != nullptr) {
-        t->ops_bucket->Refund(static_cast<double>(ops));
-      }
-      if (t->bytes_bucket != nullptr && bytes > 0) {
-        t->bytes_bucket->Refund(static_cast<double>(bytes));
-      }
-      return TokenBucket::kNever;
-    }
-    wait = std::max(wait, w);
-  }
-  if (cluster_bytes_ != nullptr && bytes > 0) {
-    uint64_t w = cluster_bytes_->Reserve(now_ns, static_cast<double>(bytes),
-                                         cluster_queue_ceiling_ns_);
-    if (w == TokenBucket::kNever) {
-      if (t->ops_bucket != nullptr) {
-        t->ops_bucket->Refund(static_cast<double>(ops));
-      }
-      if (t->bytes_bucket != nullptr && bytes > 0) {
-        t->bytes_bucket->Refund(static_cast<double>(bytes));
-      }
-      if (cluster_ops_ != nullptr) {
-        cluster_ops_->Refund(static_cast<double>(ops));
-      }
+      charges.RefundFirst(i);
       return TokenBucket::kNever;
     }
     wait = std::max(wait, w);
@@ -157,31 +123,13 @@ uint64_t AdmissionController::ReserveAllLocked(TenantState* t, uint64_t ops,
 bool AdmissionController::TryConsumeAllLocked(TenantState* t, uint64_t ops,
                                               uint64_t bytes,
                                               uint64_t now_ns) {
-  double ops_d = static_cast<double>(ops);
-  double bytes_d = static_cast<double>(bytes);
-  if (t->ops_bucket != nullptr && !t->ops_bucket->TryConsume(now_ns, ops_d)) {
-    return false;
-  }
-  if (t->bytes_bucket != nullptr && bytes > 0 &&
-      !t->bytes_bucket->TryConsume(now_ns, bytes_d)) {
-    if (t->ops_bucket != nullptr) t->ops_bucket->Refund(ops_d);
-    return false;
-  }
-  if (cluster_ops_ != nullptr && !cluster_ops_->TryConsume(now_ns, ops_d)) {
-    if (t->ops_bucket != nullptr) t->ops_bucket->Refund(ops_d);
-    if (t->bytes_bucket != nullptr && bytes > 0) {
-      t->bytes_bucket->Refund(bytes_d);
+  const Charges charges = ChargesLocked(t, ops, bytes);
+  for (size_t i = 0; i < charges.size; ++i) {
+    const Charge& c = charges.items[i];
+    if (!c.bucket->TryConsume(now_ns, c.cost)) {
+      charges.RefundFirst(i);
+      return false;
     }
-    return false;
-  }
-  if (cluster_bytes_ != nullptr && bytes > 0 &&
-      !cluster_bytes_->TryConsume(now_ns, bytes_d)) {
-    if (t->ops_bucket != nullptr) t->ops_bucket->Refund(ops_d);
-    if (t->bytes_bucket != nullptr && bytes > 0) {
-      t->bytes_bucket->Refund(bytes_d);
-    }
-    if (cluster_ops_ != nullptr) cluster_ops_->Refund(ops_d);
-    return false;
   }
   return true;
 }
@@ -256,21 +204,12 @@ Result<AdmitTicket> AdmissionController::AdmitBlocking(
   // A request no refill can ever back (cost above burst, or a rateless
   // empty bucket) must shed, not block until the wall timeout.
   uint64_t probe_ns = clock_->NowNanos();
-  double ops_d = static_cast<double>(ops);
-  double bytes_d = static_cast<double>(bytes);
-  bool never =
-      (state->ops_bucket != nullptr &&
-       state->ops_bucket->NanosUntilAvailable(probe_ns, ops_d) ==
-           TokenBucket::kNever) ||
-      (state->bytes_bucket != nullptr && bytes > 0 &&
-       state->bytes_bucket->NanosUntilAvailable(probe_ns, bytes_d) ==
-           TokenBucket::kNever) ||
-      (cluster_ops_ != nullptr &&
-       cluster_ops_->NanosUntilAvailable(probe_ns, ops_d) ==
-           TokenBucket::kNever) ||
-      (cluster_bytes_ != nullptr && bytes > 0 &&
-       cluster_bytes_->NanosUntilAvailable(probe_ns, bytes_d) ==
-           TokenBucket::kNever);
+  const Charges charges = ChargesLocked(state, ops, bytes);
+  bool never = false;
+  for (size_t i = 0; i < charges.size && !never; ++i) {
+    never = charges.items[i].bucket->NanosUntilAvailable(
+                probe_ns, charges.items[i].cost) == TokenBucket::kNever;
+  }
   if (never) {
     CountShedLocked(state, ops, bytes);
     return Status::ResourceExhausted("request exceeds quota burst: tenant '" +

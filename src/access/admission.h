@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_ACCESS_ADMISSION_H_
 #define STREAMLAKE_ACCESS_ADMISSION_H_
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,8 +31,7 @@ struct AdmissionConfig {
   /// Disabled: every request is admitted immediately with no accounting.
   bool enabled = false;
 
-  /// Quota applied to a tenant on first contact (override per tenant with
-  /// SetQuota before traffic starts).
+  /// Quota applied to every tenant on first contact.
   TenantQuota default_quota;
 
   /// When false, per-tenant buckets are bypassed and only the cluster
@@ -120,10 +120,6 @@ class AdmissionController : public AdmissionGate {
   /// after advancing the simulated clock past a throttle window).
   void Poll();
 
-  /// Install a non-default quota. Replaces the tenant's buckets, so call
-  /// before its traffic starts.
-  void SetQuota(const std::string& tenant, const TenantQuota& quota);
-
   /// Record one admitted request's end-to-end latency (queue wait plus
   /// service) against the tenant's tracked histogram, if tracked.
   void RecordLatency(const std::string& tenant, uint64_t latency_ns);
@@ -158,10 +154,28 @@ class AdmissionController : public AdmissionGate {
     Histogram* latency_metric = nullptr;
   };
 
+  /// One bucket a request draws from, with its cost and queue ceiling.
+  struct Charge {
+    TokenBucket* bucket = nullptr;
+    double cost = 0;
+    uint64_t ceiling_ns = 0;
+  };
+  /// The buckets a request draws from, in order: tenant ops, tenant bytes
+  /// (if bytes > 0), cluster ops, cluster bytes (if bytes > 0); absent
+  /// buckets are skipped.
+  struct Charges {
+    std::array<Charge, 4> items;
+    size_t size = 0;
+    /// Give back the first `n` charges (a refusal's reserved prefix).
+    void RefundFirst(size_t n) const;
+  };
+
   TenantState* GetTenantLocked(const std::string& tenant) REQUIRES(mu_);
-  /// Reserve from every applicable bucket (tenant ops/bytes, cluster
-  /// ops/bytes, in that order), rolling back on a queue-full refusal.
-  /// Returns kNever on refusal, else the max wait across buckets.
+  Charges ChargesLocked(const TenantState* t, uint64_t ops,
+                        uint64_t bytes) const REQUIRES(mu_);
+  /// Reserve from every charged bucket in order, rolling back on a
+  /// queue-full refusal. Returns kNever on refusal, else the max wait
+  /// across buckets.
   uint64_t ReserveAllLocked(TenantState* t, uint64_t ops, uint64_t bytes,
                             uint64_t now_ns) REQUIRES(mu_);
   /// All-or-nothing immediate consume (blocking path re-checks).

@@ -28,9 +28,7 @@ Status BlockService::DeleteVolume(const std::string& token, uint64_t lun) {
   MutexLock lock(&mu_);
   auto it = volumes_.find(lun);
   if (it == volumes_.end()) return Status::NotFound("lun " + std::to_string(lun));
-  for (auto& [chunk, extents] : it->second.chunks) {
-    for (const storage::Extent& extent : extents) pool_->FreeExtent(extent);
-  }
+  for (auto& [chunk, extents] : it->second.chunks) pool_->FreeExtents(extents);
   volumes_.erase(it);
   return Status::OK();
 }
@@ -40,14 +38,9 @@ Result<std::vector<storage::Extent>*> BlockService::EnsureChunk(
   auto it = volume->chunks.find(chunk);
   if (it != volume->chunks.end()) return &it->second;
   // First write to this chunk: allocate its extents now (thin provision).
-  auto extents = pool_->AllocateExtents(replication_, chunk_bytes_,
-                                        /*distinct_nodes=*/true);
-  if (!extents.ok()) {
-    extents = pool_->AllocateExtents(replication_, chunk_bytes_,
-                                     /*distinct_nodes=*/false);
-  }
-  if (!extents.ok()) return extents.status();
-  auto [inserted, ok] = volume->chunks.emplace(chunk, std::move(*extents));
+  SL_ASSIGN_OR_RETURN(auto extents,
+                      pool_->AllocateSpread(replication_, chunk_bytes_));
+  auto [inserted, ok] = volume->chunks.emplace(chunk, std::move(extents));
   return &inserted->second;
 }
 
@@ -70,10 +63,8 @@ Status BlockService::Write(const std::string& token, uint64_t lun,
     uint64_t len = std::min<uint64_t>(chunk_bytes_ - in_chunk,
                                       data.size() - pos);
     SL_ASSIGN_OR_RETURN(auto* extents, EnsureChunk(&volume, chunk));
-    for (const storage::Extent& extent : *extents) {
-      SL_RETURN_NOT_OK(extent.device->Write(extent.offset + in_chunk,
-                                            data.subview(pos, len)));
-    }
+    SL_RETURN_NOT_OK(
+        storage::WriteReplicas(*extents, in_chunk, data.subview(pos, len)));
     pos += len;
   }
   return Status::OK();
@@ -99,19 +90,9 @@ Result<Bytes> BlockService::Read(const std::string& token, uint64_t lun,
     uint64_t len = std::min<uint64_t>(chunk_bytes_ - in_chunk, length - pos);
     auto chunk_it = volume.chunks.find(chunk);
     if (chunk_it != volume.chunks.end()) {
-      // Read from the first healthy replica.
-      Status last = Status::IOError("no replicas");
-      bool done = false;
-      for (const storage::Extent& extent : chunk_it->second) {
-        auto data = extent.device->Read(extent.offset + in_chunk, len);
-        if (data.ok()) {
-          std::memcpy(out.data() + pos, data->data(), len);
-          done = true;
-          break;
-        }
-        last = data.status();
-      }
-      if (!done) return last;
+      SL_ASSIGN_OR_RETURN(Bytes data, storage::ReadReplica(chunk_it->second,
+                                                           in_chunk, len));
+      std::memcpy(out.data() + pos, data.data(), len);
     }
     // Unallocated chunks read as zeros (thin provisioning).
     pos += len;

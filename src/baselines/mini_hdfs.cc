@@ -18,35 +18,24 @@ Status MiniHdfs::WriteFile(const std::string& path, ByteView data) {
     Block block;
     block.size = len;
     // HDFS allocates per-replica extents on distinct nodes.
-    auto extents = pool_->AllocateExtents(options_.replication,
-                                          std::max<uint64_t>(len, 1),
-                                          /*distinct_nodes=*/true);
-    if (!extents.ok()) {
-      extents = pool_->AllocateExtents(options_.replication,
-                                       std::max<uint64_t>(len, 1),
-                                       /*distinct_nodes=*/false);
-    }
-    if (!extents.ok()) return extents.status();
-    block.replicas = std::move(*extents);
-    for (const storage::Extent& extent : block.replicas) {
-      SL_RETURN_NOT_OK(
-          extent.device->Write(extent.offset, data.subview(pos, len)));
-    }
+    SL_ASSIGN_OR_RETURN(block.replicas,
+                        pool_->AllocateSpread(options_.replication,
+                                              std::max<uint64_t>(len, 1)));
+    SL_RETURN_NOT_OK(
+        storage::WriteReplicas(block.replicas, 0, data.subview(pos, len)));
     inode.blocks.push_back(std::move(block));
     pos += len;
   } while (pos < data.size());
 
   MutexLock lock(&mu_);
   auto it = namespace_.find(path);
-  if (it != namespace_.end()) {
-    for (const Block& block : it->second.blocks) {
-      for (const storage::Extent& extent : block.replicas) {
-        pool_->FreeExtent(extent);
-      }
-    }
-  }
+  if (it != namespace_.end()) FreeBlocks(it->second);
   namespace_[path] = std::move(inode);
   return Status::OK();
+}
+
+void MiniHdfs::FreeBlocks(const Inode& inode) {
+  for (const Block& block : inode.blocks) pool_->FreeExtents(block.replicas);
 }
 
 Result<Bytes> MiniHdfs::ReadFile(const std::string& path) const {
@@ -62,19 +51,9 @@ Result<Bytes> MiniHdfs::ReadFile(const std::string& path) const {
   Bytes out;
   out.reserve(size);
   for (const Block& block : blocks) {
-    // Read from the first healthy replica.
-    Status last = Status::IOError("no replicas");
-    bool done = false;
-    for (const storage::Extent& extent : block.replicas) {
-      auto data = extent.device->Read(extent.offset, block.size);
-      if (data.ok()) {
-        AppendBytes(&out, ByteView(*data));
-        done = true;
-        break;
-      }
-      last = data.status();
-    }
-    if (!done) return last;
+    SL_ASSIGN_OR_RETURN(Bytes data,
+                        storage::ReadReplica(block.replicas, 0, block.size));
+    AppendBytes(&out, ByteView(data));
   }
   return out;
 }
@@ -83,11 +62,7 @@ Status MiniHdfs::DeleteFile(const std::string& path) {
   MutexLock lock(&mu_);
   auto it = namespace_.find(path);
   if (it == namespace_.end()) return Status::NotFound(path);
-  for (const Block& block : it->second.blocks) {
-    for (const storage::Extent& extent : block.replicas) {
-      pool_->FreeExtent(extent);
-    }
-  }
+  FreeBlocks(it->second);
   namespace_.erase(it);
   return Status::OK();
 }

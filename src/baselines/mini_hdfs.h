@@ -53,6 +53,9 @@ class MiniHdfs {
     uint64_t size = 0;
   };
 
+  /// Return every replica of `inode`'s blocks to the pool.
+  void FreeBlocks(const Inode& inode);
+
   storage::StoragePool* pool_;
   Options options_;
   mutable Mutex mu_{LockRank::kMiniHdfs, "baselines.mini_hdfs"};

@@ -60,9 +60,7 @@ Status MiniKafka::DeleteTopic(const std::string& topic) {
   if (it == topics_.end()) return Status::NotFound(topic);
   for (Partition& partition : it->second.partitions) {
     for (const auto& segment : partition.segments) {
-      for (const storage::Extent& extent : segment->replicas) {
-        pool_->FreeExtent(extent);
-      }
+      pool_->FreeExtents(segment->replicas);
     }
   }
   topics_.erase(it);
@@ -75,18 +73,22 @@ Result<MiniKafka::Segment*> MiniKafka::ActiveSegment(Partition* partition) {
   }
   auto segment = std::make_unique<Segment>();
   segment->base_offset = partition->next_offset;
-  auto extents = pool_->AllocateExtents(options_.replication,
-                                        options_.segment_bytes,
-                                        /*distinct_nodes=*/true);
-  if (!extents.ok()) {
-    extents = pool_->AllocateExtents(options_.replication,
-                                     options_.segment_bytes,
-                                     /*distinct_nodes=*/false);
-  }
-  if (!extents.ok()) return extents.status();
-  segment->replicas = std::move(*extents);
+  SL_ASSIGN_OR_RETURN(segment->replicas,
+                      pool_->AllocateSpread(options_.replication,
+                                            options_.segment_bytes));
   partition->segments.push_back(std::move(segment));
   return partition->segments.back().get();
+}
+
+Status MiniKafka::Writeback(Segment* segment) {
+  // Flush the dirty page-cache tail to every replica's log file.
+  uint64_t dirty = segment->page_cache.size() - segment->flushed_bytes;
+  if (dirty == 0) return Status::OK();
+  SL_RETURN_NOT_OK(storage::WriteReplicas(
+      segment->replicas, segment->flushed_bytes,
+      ByteView(segment->page_cache.data() + segment->flushed_bytes, dirty)));
+  segment->flushed_bytes = segment->page_cache.size();
+  return Status::OK();
 }
 
 Result<MiniKafka::ProduceResult> MiniKafka::Produce(
@@ -107,20 +109,8 @@ Result<MiniKafka::ProduceResult> MiniKafka::Produce(
   Bytes record;
   EncodeMessage(&record, message);
   SL_ASSIGN_OR_RETURN(Segment * segment, ActiveSegment(&partition));
-  auto writeback = [&](Segment* seg) -> Status {
-    // Flush the dirty page-cache tail to every replica's log file.
-    uint64_t dirty = seg->page_cache.size() - seg->flushed_bytes;
-    if (dirty == 0) return Status::OK();
-    ByteView tail(seg->page_cache.data() + seg->flushed_bytes, dirty);
-    for (const storage::Extent& extent : seg->replicas) {
-      SL_RETURN_NOT_OK(
-          extent.device->Write(extent.offset + seg->flushed_bytes, tail));
-    }
-    seg->flushed_bytes = seg->page_cache.size();
-    return Status::OK();
-  };
   if (segment->bytes + record.size() > options_.segment_bytes) {
-    SL_RETURN_NOT_OK(writeback(segment));
+    SL_RETURN_NOT_OK(Writeback(segment));
     segment->sealed = true;
     segment->page_cache.clear();  // evicted once the segment rolls
     segment->page_cache.shrink_to_fit();
@@ -135,7 +125,7 @@ Result<MiniKafka::ProduceResult> MiniKafka::Produce(
   segment->messages += 1;
   if (segment->page_cache.size() - segment->flushed_bytes >=
       options_.writeback_bytes) {
-    SL_RETURN_NOT_OK(writeback(segment));
+    SL_RETURN_NOT_OK(Writeback(segment));
   }
 
   ProduceResult result;
@@ -167,18 +157,8 @@ Result<std::vector<streaming::Message>> MiniKafka::Fetch(
     if (!segment->sealed && !segment->page_cache.empty()) {
       data = segment->page_cache;
     } else {
-      Status last = Status::IOError("no replicas");
-      bool done = false;
-      for (const storage::Extent& extent : segment->replicas) {
-        auto read = extent.device->Read(extent.offset, segment->bytes);
-        if (read.ok()) {
-          data = std::move(*read);
-          done = true;
-          break;
-        }
-        last = read.status();
-      }
-      if (!done) return last;
+      SL_ASSIGN_OR_RETURN(
+          data, storage::ReadReplica(segment->replicas, 0, segment->bytes));
     }
     for (uint64_t m = from;
          m < segment->messages && out.size() < max_messages; ++m) {
@@ -203,29 +183,12 @@ Result<uint64_t> MiniKafka::EndOffset(const std::string& topic,
   return it->second.partitions[partition].next_offset;
 }
 
-Result<uint32_t> MiniKafka::NumPartitions(const std::string& topic) const {
-  MutexLock lock(&mu_);
-  auto it = topics_.find(topic);
-  if (it == topics_.end()) return Status::NotFound(topic);
-  return static_cast<uint32_t>(it->second.partitions.size());
-}
-
 Status MiniKafka::Flush() {
   MutexLock lock(&mu_);
   for (auto& [name, topic] : topics_) {
     for (Partition& partition : topic.partitions) {
       for (auto& segment : partition.segments) {
-        if (segment->sealed) continue;
-        uint64_t dirty = segment->page_cache.size() - segment->flushed_bytes;
-        if (dirty == 0) continue;
-        ByteView tail(segment->page_cache.data() + segment->flushed_bytes,
-                      dirty);
-        for (const storage::Extent& extent : segment->replicas) {
-          SL_RETURN_NOT_OK(
-              extent.device->Write(extent.offset + segment->flushed_bytes,
-                                   tail));
-        }
-        segment->flushed_bytes = segment->page_cache.size();
+        if (!segment->sealed) SL_RETURN_NOT_OK(Writeback(segment.get()));
       }
     }
   }

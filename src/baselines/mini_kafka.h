@@ -56,7 +56,6 @@ class MiniKafka {
 
   Result<uint64_t> EndOffset(const std::string& topic,
                              uint32_t partition) const;
-  Result<uint32_t> NumPartitions(const std::string& topic) const;
 
   /// Force page-cache writeback of every active segment (fsync).
   Status Flush();
@@ -87,6 +86,8 @@ class MiniKafka {
   };
 
   Result<Segment*> ActiveSegment(Partition* partition) REQUIRES(mu_);
+  /// Write the segment's dirty page-cache tail to every replica.
+  Status Writeback(Segment* segment) REQUIRES(mu_);
 
   storage::StoragePool* pool_;
   Options options_;

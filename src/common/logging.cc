@@ -1,13 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstring>
 
 namespace streamlake {
 
 namespace {
-
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarn)};
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -30,13 +27,7 @@ const char* Basename(const char* path) {
 
 }  // namespace
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
+LogLevel GetLogLevel() { return LogLevel::kWarn; }
 
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& msg) {

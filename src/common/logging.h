@@ -10,9 +10,8 @@ namespace streamlake {
 
 enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-/// Process-wide minimum level; benches raise it to keep output clean.
+/// Process-wide minimum level (kWarn).
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 void LogMessage(LogLevel level, const char* file, int line,
                 const std::string& msg);

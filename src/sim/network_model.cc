@@ -55,10 +55,4 @@ NetworkStats NetworkModel::stats() const {
   return s;
 }
 
-void NetworkModel::ResetStats() {
-  messages_ = 0;
-  bytes_ = 0;
-  busy_ns_ = 0;
-}
-
 }  // namespace streamlake::sim

@@ -48,7 +48,6 @@ class NetworkModel {
 
   const NetworkProfile& profile() const { return profile_; }
   NetworkStats stats() const;
-  void ResetStats();
 
  private:
   NetworkProfile profile_;

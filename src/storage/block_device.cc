@@ -64,10 +64,4 @@ Result<Bytes> BlockDevice::Read(uint64_t offset, uint64_t length) const {
   return out;
 }
 
-void BlockDevice::Reset() {
-  MutexLock lock(&mu_);
-  pages_.clear();
-  failed_.store(false);
-}
-
 }  // namespace streamlake::storage

@@ -37,9 +37,6 @@ class BlockDevice {
   void SetFailed(bool failed) { failed_.store(failed); }
   bool failed() const { return failed_.load(); }
 
-  /// Wipe contents (models disk replacement after failure).
-  void Reset();
-
   const sim::DeviceModel& device_model() const { return model_; }
   sim::DeviceModel* mutable_device_model() { return &model_; }
 

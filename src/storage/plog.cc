@@ -27,20 +27,13 @@ uint64_t Plog::ExtentSize() const { return ExtentSizeFor(config_); }
 Result<std::unique_ptr<Plog>> Plog::Create(StoragePool* pool,
                                            PlogConfig config,
                                            uint64_t now_ns) {
-  const uint64_t extent_size = ExtentSizeFor(config);
-  // Spread across distinct nodes first; fall back to distinct disks when
-  // the cluster has fewer nodes than the redundancy width.
-  auto extents = pool->AllocateExtents(config.redundancy.Width(), extent_size,
-                                       /*distinct_nodes=*/true);
-  if (!extents.ok()) {
-    extents = pool->AllocateExtents(config.redundancy.Width(), extent_size,
-                                    /*distinct_nodes=*/false);
-  }
-  if (!extents.ok()) return extents.status();
+  SL_ASSIGN_OR_RETURN(auto extents,
+                      pool->AllocateSpread(config.redundancy.Width(),
+                                           ExtentSizeFor(config)));
   // Extents go in through the constructor: no member is ever written on
   // an object that might already be visible to another thread.
   return std::unique_ptr<Plog>(
-      new Plog(pool, config, std::move(*extents), now_ns));
+      new Plog(pool, config, std::move(extents), now_ns));
 }
 
 Plog::Plog(StoragePool* pool, PlogConfig config, std::vector<Extent> extents,
@@ -105,10 +98,6 @@ Result<uint64_t> Plog::Append(ByteView record) {
   return offset;
 }
 
-Status Plog::WriteStripeLocked(uint64_t stripe_index, ByteView data) {
-  return WriteStripesLocked(stripe_index, data);
-}
-
 Status Plog::WriteStripesLocked(uint64_t first_stripe, ByteView data) {
   // `data` holds one or more full stripes. Encode each stripe, then issue
   // ONE contiguous device write per shard covering all of them (shard j's
@@ -154,7 +143,7 @@ Status Plog::Flush() {
   uint64_t stripe_index = striped_bytes_ / stripe_data;
   Bytes padded = pending_;
   padded.resize(stripe_data, 0);
-  SL_RETURN_NOT_OK(WriteStripeLocked(stripe_index, ByteView(padded)));
+  SL_RETURN_NOT_OK(WriteStripesLocked(stripe_index, ByteView(padded)));
   striped_bytes_ += stripe_data;
   size_ = striped_bytes_;
   pending_.clear();
@@ -190,22 +179,12 @@ Result<Bytes> Plog::ReadRecord(uint64_t offset) const {
   return payload;
 }
 
-Result<Bytes> Plog::ReadRange(uint64_t offset, uint64_t length) const {
-  MutexLock lock(&mu_);
-  if (freed_) return Status::InvalidArgument("plog freed");
-  return ReadRangeLocked(offset, length);
-}
-
 Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
   if (offset + length > size_) {
     return Status::InvalidArgument("read past plog frontier");
   }
   if (config_.redundancy.scheme == RedundancyConfig::Scheme::kReplication) {
-    for (const Extent& extent : extents_) {
-      auto data = extent.device->Read(extent.offset + offset, length);
-      if (data.ok()) return data;
-    }
-    return Status::IOError("all replicas unreadable");
+    return ReadReplica(extents_, offset, length);
   }
 
   // EC path. Bytes may live in the pending buffer (not yet striped).
@@ -238,51 +217,45 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
         out.insert(out.end(), stripe.begin() + in_stripe,
                    stripe.begin() + in_stripe + striped_len);
       }
-      if (striped_len == length) return out;
-      uint64_t buf_off = offset + striped_len - striped_bytes_;
-      uint64_t tail = length - striped_len;
-      if (buf_off + tail > pending_.size()) {
-        return Status::InvalidArgument("read past pending tail");
+    } else {
+      // Bulk scatter-gather: ONE contiguous read per data shard covering
+      // every needed stripe, then reassemble the logical range. Failed
+      // shards fall back to per-stripe parity reconstruction.
+      std::vector<std::optional<Bytes>> shard_data(
+          config_.redundancy.ec_data);
+      for (int j = 0; j < config_.redundancy.ec_data; ++j) {
+        const Extent& extent = extents_[j];
+        auto data = extent.device->Read(extent.offset + first_stripe * unit,
+                                        num_stripes * unit);
+        if (data.ok()) shard_data[j] = std::move(*data);
       }
-      out.insert(out.end(), pending_.begin() + buf_off,
-                 pending_.begin() + buf_off + tail);
-      return out;
-    }
-    // Bulk scatter-gather: ONE contiguous read per data shard covering
-    // every needed stripe, then reassemble the logical range. Failed
-    // shards fall back to per-stripe parity reconstruction.
-    std::vector<std::optional<Bytes>> shard_data(config_.redundancy.ec_data);
-    for (int j = 0; j < config_.redundancy.ec_data; ++j) {
-      const Extent& extent = extents_[j];
-      auto data = extent.device->Read(extent.offset + first_stripe * unit,
-                                      num_stripes * unit);
-      if (data.ok()) shard_data[j] = std::move(*data);
-    }
-    std::map<uint64_t, Bytes> reconstructed;  // stripe -> logical bytes
-    uint64_t pos = offset;
-    uint64_t remaining = striped_len;
-    while (remaining > 0) {
-      uint64_t stripe_index = pos / stripe_data;
-      uint64_t in_stripe = pos % stripe_data;
-      uint64_t shard = in_stripe / unit;
-      uint64_t in_shard = in_stripe % unit;
-      uint64_t run = std::min({remaining, unit - in_shard});
-      if (shard_data[shard].has_value()) {
-        const Bytes& data = *shard_data[shard];
-        uint64_t base = (stripe_index - first_stripe) * unit + in_shard;
-        out.insert(out.end(), data.begin() + base, data.begin() + base + run);
-      } else {
-        auto it = reconstructed.find(stripe_index);
-        if (it == reconstructed.end()) {
-          SL_ASSIGN_OR_RETURN(Bytes stripe,
-                              ReconstructStripeLocked(stripe_index));
-          it = reconstructed.emplace(stripe_index, std::move(stripe)).first;
+      std::map<uint64_t, Bytes> reconstructed;  // stripe -> logical bytes
+      uint64_t pos = offset;
+      uint64_t remaining = striped_len;
+      while (remaining > 0) {
+        uint64_t stripe_index = pos / stripe_data;
+        uint64_t in_stripe = pos % stripe_data;
+        uint64_t shard = in_stripe / unit;
+        uint64_t in_shard = in_stripe % unit;
+        uint64_t run = std::min({remaining, unit - in_shard});
+        if (shard_data[shard].has_value()) {
+          const Bytes& data = *shard_data[shard];
+          uint64_t base = (stripe_index - first_stripe) * unit + in_shard;
+          out.insert(out.end(), data.begin() + base,
+                     data.begin() + base + run);
+        } else {
+          auto it = reconstructed.find(stripe_index);
+          if (it == reconstructed.end()) {
+            SL_ASSIGN_OR_RETURN(Bytes stripe,
+                                ReconstructStripeLocked(stripe_index));
+            it = reconstructed.emplace(stripe_index, std::move(stripe)).first;
+          }
+          out.insert(out.end(), it->second.begin() + in_stripe,
+                     it->second.begin() + in_stripe + run);
         }
-        out.insert(out.end(), it->second.begin() + in_stripe,
-                   it->second.begin() + in_stripe + run);
+        pos += run;
+        remaining -= run;
       }
-      pos += run;
-      remaining -= run;
     }
   }
   if (striped_len < length) {
@@ -324,19 +297,13 @@ Status Plog::MigrateTo(StoragePool* target) {
   if (freed_) return Status::InvalidArgument("plog freed");
   SL_ASSIGN_OR_RETURN(Bytes content, ReadRangeLocked(0, size_));
 
-  auto new_extents = target->AllocateExtents(config_.redundancy.Width(),
-                                             ExtentSize(),
-                                             /*distinct_nodes=*/true);
-  if (!new_extents.ok()) {
-    new_extents = target->AllocateExtents(config_.redundancy.Width(),
-                                          ExtentSize(),
-                                          /*distinct_nodes=*/false);
-  }
-  if (!new_extents.ok()) return new_extents.status();
+  SL_ASSIGN_OR_RETURN(auto new_extents,
+                      target->AllocateSpread(config_.redundancy.Width(),
+                                             ExtentSize()));
 
   std::vector<Extent> old_extents = std::move(extents_);
   StoragePool* old_pool = pool_;
-  extents_ = std::move(*new_extents);
+  extents_ = std::move(new_extents);
   pool_ = target;
 
   Status write_status = Status::OK();
@@ -351,23 +318,27 @@ Status Plog::MigrateTo(StoragePool* target) {
       uint64_t len = std::min(stripe_data, content.size() - pos);
       Bytes stripe(content.begin() + pos, content.begin() + pos + len);
       stripe.resize(stripe_data, 0);
-      Status s = WriteStripeLocked(pos / stripe_data, ByteView(stripe));
+      Status s = WriteStripesLocked(pos / stripe_data, ByteView(stripe));
       if (!s.ok()) write_status = s;
     }
   }
   if (!write_status.ok()) {
     // Roll back to the old extents; free the new ones.
-    for (const Extent& extent : extents_) target->FreeExtent(extent);
+    target->FreeExtents(extents_);
     extents_ = std::move(old_extents);
     pool_ = old_pool;
     return write_status;
   }
-  for (const Extent& extent : old_extents) old_pool->FreeExtent(extent);
+  old_pool->FreeExtents(old_extents);
   return Status::OK();
 }
 
 std::vector<int> Plog::FailedExtents() const {
   MutexLock lock(&mu_);
+  return FailedExtentsLocked();
+}
+
+std::vector<int> Plog::FailedExtentsLocked() const {
   std::vector<int> failed;
   for (size_t i = 0; i < extents_.size(); ++i) {
     if (extents_[i].device->failed()) failed.push_back(static_cast<int>(i));
@@ -378,10 +349,7 @@ std::vector<int> Plog::FailedExtents() const {
 Status Plog::RepairFailedExtents() {
   MutexLock lock(&mu_);
   if (freed_) return Status::InvalidArgument("plog freed");
-  std::vector<int> failed;
-  for (size_t i = 0; i < extents_.size(); ++i) {
-    if (extents_[i].device->failed()) failed.push_back(static_cast<int>(i));
-  }
+  std::vector<int> failed = FailedExtentsLocked();
   if (failed.empty()) return Status::OK();
   if (static_cast<int>(failed.size()) > config_.redundancy.FaultTolerance()) {
     return Status::IOError("losses exceed fault tolerance; data unrecoverable");
@@ -441,11 +409,6 @@ void Plog::AddGarbage(uint64_t bytes) {
   garbage_bytes_ += bytes;
 }
 
-uint64_t Plog::garbage_bytes() const {
-  MutexLock lock(&mu_);
-  return garbage_bytes_;
-}
-
 uint64_t Plog::live_bytes() const {
   MutexLock lock(&mu_);
   return payload_bytes_ - std::min(payload_bytes_, garbage_bytes_);
@@ -454,7 +417,7 @@ uint64_t Plog::live_bytes() const {
 Status Plog::Free() {
   MutexLock lock(&mu_);
   if (freed_) return Status::OK();
-  for (const Extent& extent : extents_) pool_->FreeExtent(extent);
+  pool_->FreeExtents(extents_);
   extents_.clear();
   freed_ = true;
   return Status::OK();

@@ -87,9 +87,6 @@ class Plog {
   /// Read the record at `offset` (as returned by Append).
   Result<Bytes> ReadRecord(uint64_t offset) const;
 
-  /// Raw logical-range read; used by migration and recovery.
-  Result<Bytes> ReadRange(uint64_t offset, uint64_t length) const;
-
   /// Persist any buffered (EC) stripe tail. Pads to a stripe boundary, so
   /// subsequent appends begin on the next stripe.
   Status Flush();
@@ -122,7 +119,6 @@ class Plog {
 
   /// Garbage accounting for the pool GC: bytes of deleted records.
   void AddGarbage(uint64_t bytes);
-  uint64_t garbage_bytes() const;
   /// Live payload bytes (appended payloads minus garbage).
   uint64_t live_bytes() const;
 
@@ -149,9 +145,9 @@ class Plog {
   static uint64_t ExtentSizeFor(const PlogConfig& config);
   uint64_t ExtentSize() const;
 
+  std::vector<int> FailedExtentsLocked() const REQUIRES(mu_);
+
   // EC internals (mu_ held):
-  Status WriteStripeLocked(uint64_t stripe_index, ByteView data)
-      REQUIRES(mu_);
   /// Encode and persist one or more consecutive full stripes with a
   /// single device write per shard.
   Status WriteStripesLocked(uint64_t first_stripe, ByteView data)

@@ -73,6 +73,30 @@ Result<PlogAddress> PlogStore::Append(uint32_t shard, ByteView record) {
   return Status::ResourceExhausted("record larger than plog capacity");
 }
 
+Result<Plog*> PlogStore::FindLocked(const Stripe& stripe, uint32_t shard,
+                                     uint32_t index) const {
+  if (shard >= config_.num_shards) {
+    return Status::InvalidArgument("shard out of range");
+  }
+  const Shard& s = stripe.shards[LocalIndex(shard)];
+  if (index >= s.chain.size()) {
+    return Status::NotFound("plog index out of range");
+  }
+  return s.chain[index].get();
+}
+
+template <typename Fn>
+uint64_t PlogStore::SumPlogs(Fn&& fn) const {
+  uint64_t total = 0;
+  for (const auto& stripe : stripes_) {
+    MutexLock lock(&stripe->mu);
+    for (const Shard& s : stripe->shards) {
+      for (const auto& plog : s.chain) total += fn(*plog);
+    }
+  }
+  return total;
+}
+
 Result<Bytes> PlogStore::Read(const PlogAddress& address) const {
   static Counter* read_ops =
       MetricsRegistry::Global().GetCounter("storage.plog.read_ops");
@@ -80,18 +104,13 @@ Result<Bytes> PlogStore::Read(const PlogAddress& address) const {
       MetricsRegistry::Global().GetCounter("storage.plog.read_bytes");
   static Counter* stripe_contention =
       MetricsRegistry::Global().GetCounter("storage.plog.stripe_contention");
-  if (address.shard >= config_.num_shards) {
-    return Status::InvalidArgument("shard out of range");
-  }
   Stripe& stripe = StripeFor(address.shard);
   bool contended = false;
   MutexLock lock(&stripe.mu, &contended);
   if (contended) stripe_contention->Increment();
-  const Shard& s = stripe.shards[LocalIndex(address.shard)];
-  if (address.plog_index >= s.chain.size()) {
-    return Status::NotFound("plog index out of range");
-  }
-  auto data = s.chain[address.plog_index]->ReadRecord(address.offset);
+  SL_ASSIGN_OR_RETURN(Plog * plog,
+                      FindLocked(stripe, address.shard, address.plog_index));
+  auto data = plog->ReadRecord(address.offset);
   if (data.ok()) {
     if (config_.io_read_delay_hook) config_.io_read_delay_hook(address.shard);
     read_ops->Increment();
@@ -104,22 +123,14 @@ Status PlogStore::MarkGarbage(const PlogAddress& address,
                               uint64_t payload_bytes) {
   static Counter* stripe_contention =
       MetricsRegistry::Global().GetCounter("storage.plog.stripe_contention");
-  if (address.shard >= config_.num_shards) {
-    return Status::InvalidArgument("shard out of range");
-  }
   Stripe& stripe = StripeFor(address.shard);
   bool contended = false;
   MutexLock lock(&stripe.mu, &contended);
   if (contended) stripe_contention->Increment();
-  Shard& s = stripe.shards[LocalIndex(address.shard)];
-  if (address.plog_index >= s.chain.size()) {
-    return Status::NotFound("plog index out of range");
-  }
-  Plog* plog = s.chain[address.plog_index].get();
+  SL_ASSIGN_OR_RETURN(Plog * plog,
+                      FindLocked(stripe, address.shard, address.plog_index));
   plog->AddGarbage(payload_bytes);
-  if (plog->sealed() && plog->live_bytes() == 0) {
-    SL_RETURN_NOT_OK(plog->Free());
-  }
+  if (plog->sealed() && plog->live_bytes() == 0) return plog->Free();
   return Status::OK();
 }
 
@@ -174,16 +185,11 @@ void PlogStore::ForEachPlog(
 
 Status PlogStore::MigratePlog(uint32_t shard, uint32_t index,
                               StoragePool* target) {
-  if (shard >= config_.num_shards) return Status::NotFound("no such plog");
   Plog* plog = nullptr;
   {
     Stripe& stripe = StripeFor(shard);
     MutexLock lock(&stripe.mu);
-    const Shard& s = stripe.shards[LocalIndex(shard)];
-    if (index >= s.chain.size()) {
-      return Status::NotFound("no such plog");
-    }
-    plog = s.chain[index].get();
+    SL_ASSIGN_OR_RETURN(plog, FindLocked(stripe, shard, index));
   }
   // Migration happens with no stripe lock held: only sealed (immutable)
   // plogs migrate, so concurrent appends to the same shard are unaffected.
@@ -194,25 +200,11 @@ Status PlogStore::MigratePlog(uint32_t shard, uint32_t index,
 }
 
 uint64_t PlogStore::TotalLogicalBytes() const {
-  uint64_t total = 0;
-  for (const auto& stripe : stripes_) {
-    MutexLock lock(&stripe->mu);
-    for (const Shard& s : stripe->shards) {
-      for (const auto& plog : s.chain) total += plog->size();
-    }
-  }
-  return total;
+  return SumPlogs([](const Plog& plog) { return plog.size(); });
 }
 
 uint64_t PlogStore::TotalLiveBytes() const {
-  uint64_t total = 0;
-  for (const auto& stripe : stripes_) {
-    MutexLock lock(&stripe->mu);
-    for (const Shard& s : stripe->shards) {
-      for (const auto& plog : s.chain) total += plog->live_bytes();
-    }
-  }
-  return total;
+  return SumPlogs([](const Plog& plog) { return plog.live_bytes(); });
 }
 
 uint64_t PlogStore::TotalLivePhysicalBytes() const {
@@ -221,12 +213,7 @@ uint64_t PlogStore::TotalLivePhysicalBytes() const {
 }
 
 uint64_t PlogStore::TotalPlogs() const {
-  uint64_t total = 0;
-  for (const auto& stripe : stripes_) {
-    MutexLock lock(&stripe->mu);
-    for (const Shard& s : stripe->shards) total += s.chain.size();
-  }
-  return total;
+  return SumPlogs([](const Plog&) { return uint64_t{1}; });
 }
 
 }  // namespace streamlake::storage

@@ -121,6 +121,16 @@ class PlogStore {
   uint32_t LocalIndex(uint32_t shard) const {
     return shard / static_cast<uint32_t>(stripes_.size());
   }
+  /// PLog `index` of `shard`'s chain, validating both. The caller holds
+  /// `stripe` = StripeFor(shard); StripeFor is total, so the shard check
+  /// can follow the lock. Callers keep their own lock scope, so slint sees
+  /// the I/O each one does under it.
+  Result<Plog*> FindLocked(const Stripe& stripe, uint32_t shard,
+                           uint32_t index) const REQUIRES(stripe.mu);
+  /// Sums `fn(plog)` over every PLog, one stripe lock at a time in
+  /// ascending stripe order.
+  template <typename Fn>
+  uint64_t SumPlogs(Fn&& fn) const;
 
   StoragePool* pool_;
   PlogStoreConfig config_;

@@ -4,6 +4,25 @@
 
 namespace streamlake::storage {
 
+Result<Bytes> ReadReplica(std::span<const Extent> replicas, uint64_t offset,
+                          uint64_t length) {
+  Status last = Status::IOError("no replicas");
+  for (const Extent& extent : replicas) {
+    auto data = extent.device->Read(extent.offset + offset, length);
+    if (data.ok()) return data;
+    last = data.status();
+  }
+  return last;
+}
+
+Status WriteReplicas(std::span<const Extent> replicas, uint64_t offset,
+                     ByteView data) {
+  for (const Extent& extent : replicas) {
+    SL_RETURN_NOT_OK(extent.device->Write(extent.offset + offset, data));
+  }
+  return Status::OK();
+}
+
 StoragePool::StoragePool(std::string name, sim::MediaType media,
                          sim::SimClock* clock)
     : name_(std::move(name)), media_(media), clock_(clock) {
@@ -106,6 +125,17 @@ Result<std::vector<Extent>> StoragePool::AllocateExtents(int count,
   alloc_bytes_->Increment(static_cast<uint64_t>(count) * size);
   allocated_gauge_->Set(static_cast<int64_t>(allocated_bytes_));
   return extents;
+}
+
+Result<std::vector<Extent>> StoragePool::AllocateSpread(int count,
+                                                        uint64_t size) {
+  auto extents = AllocateExtents(count, size, /*distinct_nodes=*/true);
+  if (extents.ok()) return extents;
+  return AllocateExtents(count, size, /*distinct_nodes=*/false);
+}
+
+void StoragePool::FreeExtents(std::span<const Extent> extents) {
+  for (const Extent& extent : extents) FreeExtent(extent);
 }
 
 void StoragePool::FreeExtent(const Extent& extent) {

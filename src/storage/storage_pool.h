@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,20 @@ struct Extent {
   uint64_t offset = 0;
   uint64_t size = 0;
 };
+
+/// The replica rules every replicated user of a pool shares: Plog's
+/// replication scheme, the block service's volumes and the HDFS and Kafka
+/// baselines. Each replica holds the same bytes at the same in-extent
+/// offset.
+///
+/// Reads `length` bytes at `offset` from the first replica whose device
+/// serves them, in replica order; fails with the last replica's error.
+Result<Bytes> ReadReplica(std::span<const Extent> replicas, uint64_t offset,
+                          uint64_t length);
+/// Writes `data` at `offset` to every replica in order, stopping at the
+/// first failure.
+Status WriteReplicas(std::span<const Extent> replicas, uint64_t offset,
+                     ByteView data);
 
 /// \brief One media tier of the store layer (the SSD pool or the HDD pool,
 /// Section III). Owns disks across cluster nodes and hands out extents.
@@ -43,8 +58,15 @@ class StoragePool {
   Result<std::vector<Extent>> AllocateExtents(int count, uint64_t size,
                                               bool distinct_nodes);
 
+  /// The placement rule of every redundancy group: `count` extents on
+  /// distinct nodes, falling back to distinct disks when no distinct-node
+  /// placement fits. Each attempt steps the round-robin cursor once.
+  Result<std::vector<Extent>> AllocateSpread(int count, uint64_t size);
+
   /// Return an extent's space to the pool.
   void FreeExtent(const Extent& extent);
+  /// Return every extent's space to the pool.
+  void FreeExtents(std::span<const Extent> extents);
 
   const std::string& name() const { return name_; }
   sim::MediaType media() const { return media_; }

@@ -8,8 +8,8 @@ namespace streamlake::stream {
 
 // ---------------- ScmSliceCache ----------------
 
-const std::vector<StreamRecord>* ScmSliceCache::Get(uint64_t object_id,
-                                                    uint64_t slice_seq) {
+ScmSliceCache::SlicePtr ScmSliceCache::Get(uint64_t object_id,
+                                           uint64_t slice_seq) {
   // Per-instance hits_/misses_ back the cache's own accessors; the
   // registry counters aggregate across instances for observability.
   static Counter* cache_hits =
@@ -27,18 +27,18 @@ const std::vector<StreamRecord>* ScmSliceCache::Get(uint64_t object_id,
   cache_hits->Increment();
   lru_.splice(lru_.begin(), lru_, it->second);  // move to front
   if (pmem_ != nullptr) pmem_->ChargeRead(it->second->bytes);
-  return &it->second->records;
+  return it->second->records;
 }
 
 void ScmSliceCache::Put(uint64_t object_id, uint64_t slice_seq,
-                        std::vector<StreamRecord> records) {
+                        SlicePtr records) {
   MutexLock lock(&mu_);
   Key key{object_id, slice_seq};
   if (index_.count(key)) return;
   Entry entry;
   entry.key = key;
   entry.bytes = 0;
-  for (const StreamRecord& r : records) entry.bytes += r.ByteSize();
+  for (const StreamRecord& r : *records) entry.bytes += r.ByteSize();
   entry.records = std::move(records);
   if (pmem_ != nullptr) pmem_->ChargeWrite(entry.bytes);
   lru_.push_front(std::move(entry));
@@ -274,7 +274,7 @@ Result<uint64_t> StreamObject::Append(std::vector<StreamRecord> records,
     if (cache_ != nullptr) {
       auto first = active_.begin() + static_cast<long>(committed_records);
       cache_->Put(id_, meta.seq,
-                  std::vector<StreamRecord>(
+                  std::make_shared<const std::vector<StreamRecord>>(
                       std::make_move_iterator(first),
                       std::make_move_iterator(first + meta.count)));
     }
@@ -330,18 +330,14 @@ Result<std::vector<StreamRecord>> StreamObject::Read(
         slices_.begin(), slices_.end(), pos,
         [](uint64_t v, const SliceMeta& s) { return v < s.start_offset; });
     const SliceMeta& slice = *(it - 1);
-    const std::vector<StreamRecord>* records = nullptr;
-    std::vector<StreamRecord> decoded;
-    if (cache_ != nullptr) {
-      records = cache_->Get(id_, slice.seq);
-    }
+    ScmSliceCache::SlicePtr records;
+    if (cache_ != nullptr) records = cache_->Get(id_, slice.seq);
     if (records == nullptr) {
       SL_ASSIGN_OR_RETURN(Bytes raw, plogs_->Read(slice.address));
-      SL_ASSIGN_OR_RETURN(decoded, DecodeSlice(ByteView(raw)));
-      if (cache_ != nullptr) {
-        cache_->Put(id_, slice.seq, decoded);
-      }
-      records = &decoded;
+      SL_ASSIGN_OR_RETURN(auto decoded, DecodeSlice(ByteView(raw)));
+      records = std::make_shared<const std::vector<StreamRecord>>(
+          std::move(decoded));
+      if (cache_ != nullptr) cache_->Put(id_, slice.seq, records);
     }
     for (uint64_t i = pos - slice.start_offset;
          i < records->size() && out.size() < max_records; ++i) {

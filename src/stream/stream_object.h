@@ -44,11 +44,14 @@ class ScmSliceCache {
   ScmSliceCache(sim::DeviceModel* pmem, size_t capacity_slices)
       : pmem_(pmem), capacity_(capacity_slices) {}
 
+  /// A cached slice. Shared, so an eviction by another object's Put never
+  /// frees records a reader still holds.
+  using SlicePtr = std::shared_ptr<const std::vector<StreamRecord>>;
+
   /// Returns the cached slice or nullptr; charges a PMEM read on hit.
-  const std::vector<StreamRecord>* Get(uint64_t object_id, uint64_t slice_seq);
+  SlicePtr Get(uint64_t object_id, uint64_t slice_seq);
   /// Insert a slice; charges a PMEM write and evicts LRU entries.
-  void Put(uint64_t object_id, uint64_t slice_seq,
-           std::vector<StreamRecord> records);
+  void Put(uint64_t object_id, uint64_t slice_seq, SlicePtr records);
 
   uint64_t hits() const {
     MutexLock lock(&mu_);
@@ -63,7 +66,7 @@ class ScmSliceCache {
   using Key = std::pair<uint64_t, uint64_t>;
   struct Entry {
     Key key;
-    std::vector<StreamRecord> records;
+    SlicePtr records;
     size_t bytes = 0;
   };
 

@@ -83,11 +83,4 @@ Status Consumer::SeekToTimestamp(const std::string& topic,
   return Status::OK();
 }
 
-uint64_t Consumer::position(const std::string& topic,
-                            uint32_t stream_index) const {
-  auto it = positions_.find(topic);
-  if (it == positions_.end() || stream_index >= it->second.size()) return 0;
-  return it->second[stream_index];
-}
-
 }  // namespace streamlake::streaming

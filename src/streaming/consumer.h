@@ -35,9 +35,6 @@ class Consumer {
   /// time >= `timestamp` (Kafka's offsetsForTimes + seek).
   Status SeekToTimestamp(const std::string& topic, int64_t timestamp);
 
-  /// Position of one stream (for tests and lag monitoring).
-  uint64_t position(const std::string& topic, uint32_t stream_index) const;
-
  private:
   std::string OffsetKey(const std::string& topic, uint32_t stream) const;
 

@@ -73,13 +73,19 @@ Result<Table*> LakehouseService::CreateTable(const std::string& name,
     return dirs;
   }
 
-  auto table = std::make_unique<Table>(
-      name, meta_, objects_, clock_, compute_link_,
-      options != nullptr ? *options : default_options_, scan_pool_,
-      block_cache_);
-  Table* ptr = table.get();
-  tables_[name] = std::move(table);
-  return ptr;
+  tables_.erase(name);  // a re-created name gets a fresh object
+  return TableLocked(name, options != nullptr ? *options : default_options_);
+}
+
+Table* LakehouseService::TableLocked(const std::string& name,
+                                     const TableOptions& options) {
+  std::unique_ptr<Table>& slot = tables_[name];
+  if (slot == nullptr) {
+    slot = std::make_unique<Table>(name, meta_, objects_, clock_,
+                                   compute_link_, options, scan_pool_,
+                                   block_cache_);
+  }
+  return slot.get();
 }
 
 Result<Table*> LakehouseService::GetTable(const std::string& name) {
@@ -91,14 +97,7 @@ Result<PinnedTable> LakehouseService::PinTable(const std::string& name) {
   MutexLock lock(&mu_);
   SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name));
   if (info.soft_deleted) return Status::NotFound("table " + name + " dropped");
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
-    auto table = std::make_unique<Table>(name, meta_, objects_, clock_,
-                                         compute_link_, default_options_,
-                                         scan_pool_, block_cache_);
-    it = tables_.emplace(name, std::move(table)).first;
-  }
-  return PinnedTable{it->second.get(), std::move(info)};
+  return PinnedTable{TableLocked(name, default_options_), std::move(info)};
 }
 
 Status LakehouseService::DropTableSoft(const std::string& name) {
@@ -107,9 +106,9 @@ Status LakehouseService::DropTableSoft(const std::string& name) {
   if (info.soft_deleted) return Status::NotFound("table already dropped");
   info.soft_deleted = true;
   info.modified_at = static_cast<int64_t>(clock_->NowSeconds());
-  SL_RETURN_NOT_OK(meta_->PutTableInfo(info));
-  tables_.erase(name);
-  return Status::OK();
+  // The Table object stays: PinTable refuses the name while it is dropped,
+  // and RestoreTable hands the same object, with its options, back.
+  return meta_->PutTableInfo(info);
 }
 
 Status LakehouseService::DropTableHard(const std::string& name) {
@@ -220,12 +219,7 @@ Result<Table*> LakehouseService::RestoreTable(const std::string& name) {
   info.soft_deleted = false;
   info.modified_at = static_cast<int64_t>(clock_->NowSeconds());
   SL_RETURN_NOT_OK(meta_->PutTableInfo(info));
-  auto table = std::make_unique<Table>(name, meta_, objects_, clock_,
-                                       compute_link_, default_options_,
-                                       scan_pool_, block_cache_);
-  Table* ptr = table.get();
-  tables_[name] = std::move(table);
-  return ptr;
+  return TableLocked(name, default_options_);
 }
 
 }  // namespace streamlake::table

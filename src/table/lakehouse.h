@@ -55,7 +55,8 @@ class LakehouseService {
                                    const SelectOptions& options = {},
                                    SelectMetrics* metrics = nullptr);
 
-  /// Drop table soft: unregister but keep data for restoration.
+  /// Drop table soft: unregister but keep the data and the Table object
+  /// (with its options) for restoration.
   Status DropTableSoft(const std::string& name);
 
   /// Drop table hard: delete /data and /metadata and clear the catalog
@@ -76,6 +77,9 @@ class LakehouseService {
  private:
   /// Resolve a live table and its catalog entry with one catalog read.
   Result<PinnedTable> PinTable(const std::string& name);
+  /// `name`'s Table object, built with `options` on first use.
+  Table* TableLocked(const std::string& name, const TableOptions& options)
+      REQUIRES(mu_);
 
   MetadataStore* meta_;
   storage::ObjectStore* objects_;

@@ -4,6 +4,9 @@
 #include <bit>
 #include <thread>
 
+#include "access/block_service.h"
+#include "baselines/mini_hdfs.h"
+#include "baselines/mini_kafka.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "storage/erasure_coding.h"
@@ -834,6 +837,169 @@ TEST(TieringTest, MigratesColdSealedPlogs) {
     EXPECT_EQ(read->size(), 400u);
   }
 }
+
+// ---------------- Replica rules, shared by every replicated pool user ----
+
+// One replicated user of a pool: writes one replica group of `data` and
+// reads it back.
+class ReplicaUser {
+ public:
+  virtual ~ReplicaUser() = default;
+  virtual Status Write(ByteView data) = 0;
+  virtual Result<Bytes> Read() = 0;
+};
+
+class BlockServiceUser : public ReplicaUser {
+ public:
+  explicit BlockServiceUser(StoragePool* pool)
+      : blocks_(pool, &acl_, /*chunk_bytes=*/64 << 10, /*replication=*/3) {
+    token_ = acl_.CreatePrincipal("vm");
+    EXPECT_TRUE(acl_.Grant("vm", "/block/", access::Permission::kAdmin).ok());
+  }
+  Status Write(ByteView data) override {
+    size_ = data.size();
+    SL_ASSIGN_OR_RETURN(lun_, blocks_.CreateVolume(token_, 1 << 20));
+    return blocks_.Write(token_, lun_, 0, data);
+  }
+  Result<Bytes> Read() override { return blocks_.Read(token_, lun_, 0, size_); }
+
+ private:
+  access::AccessController acl_;
+  access::BlockService blocks_;
+  std::string token_;
+  uint64_t lun_ = 0;
+  uint64_t size_ = 0;
+};
+
+class MiniHdfsUser : public ReplicaUser {
+ public:
+  explicit MiniHdfsUser(StoragePool* pool) : hdfs_(pool) {}
+  Status Write(ByteView data) override { return hdfs_.WriteFile("/f", data); }
+  Result<Bytes> Read() override { return hdfs_.ReadFile("/f"); }
+
+ private:
+  baselines::MiniHdfs hdfs_;
+};
+
+// Reads come from a sealed segment, which is served from the replicas
+// rather than the page cache.
+class MiniKafkaUser : public ReplicaUser {
+ public:
+  explicit MiniKafkaUser(StoragePool* pool) : kafka_(pool, Options()) {
+    EXPECT_TRUE(kafka_.CreateTopic("t", 1).ok());
+  }
+  Status Write(ByteView data) override {
+    streaming::Message message;
+    message.key = "k";
+    message.value.assign(reinterpret_cast<const char*>(data.data()),
+                         data.size());
+    SL_RETURN_NOT_OK(kafka_.Produce("t", message).status());
+    // A second message overflows the segment: the first one is written
+    // back to every replica and its segment seals.
+    return kafka_.Produce("t", message).status();
+  }
+  Result<Bytes> Read() override {
+    SL_ASSIGN_OR_RETURN(auto messages, kafka_.Fetch("t", 0, 0, 1));
+    if (messages.size() != 1) return Status::NotFound("message 0");
+    return ToBytes(messages[0].value);
+  }
+
+ private:
+  static baselines::MiniKafka::Options Options() {
+    baselines::MiniKafka::Options options;
+    options.segment_bytes = 6 << 10;
+    options.writeback_bytes = 1 << 20;  // only the roll writes back
+    return options;
+  }
+  baselines::MiniKafka kafka_;
+};
+
+class PlogUser : public ReplicaUser {
+ public:
+  explicit PlogUser(StoragePool* pool) : pool_(pool) {}
+  Status Write(ByteView data) override {
+    PlogConfig config;
+    config.capacity = 64 << 10;
+    config.redundancy = RedundancyConfig::Replication(3);
+    SL_ASSIGN_OR_RETURN(plog_, Plog::Create(pool_, config));
+    SL_ASSIGN_OR_RETURN(offset_, plog_->Append(data));
+    return Status::OK();
+  }
+  Result<Bytes> Read() override { return plog_->ReadRecord(offset_); }
+
+ private:
+  StoragePool* pool_;
+  std::unique_ptr<Plog> plog_;
+  uint64_t offset_ = 0;
+};
+
+struct ReplicaCase {
+  const char* name;
+  std::function<std::unique_ptr<ReplicaUser>(StoragePool*)> make;
+};
+
+class ReplicaRulesTest : public ::testing::TestWithParam<ReplicaCase> {
+ protected:
+  ReplicaRulesTest() {
+    // Two nodes for three replicas: no distinct-node placement exists.
+    // Disks alternate nodes, so consecutive disks span both of them.
+    for (uint32_t d = 0; d < 6; ++d) pool_.AddDevice(d % 2, 16 << 20);
+  }
+  sim::SimClock clock_;
+  StoragePool pool_{"ssd", sim::MediaType::kNvmeSsd, &clock_};
+};
+
+TEST_P(ReplicaRulesTest, FallsBackToDistinctDisksAndReadsPastAFailedNode) {
+  std::unique_ptr<ReplicaUser> user = GetParam().make(&pool_);
+  Bytes data(4000);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  ASSERT_TRUE(user->Write(ByteView(data)).ok());
+
+  // Three distinct disks each took one identical copy.
+  std::vector<uint64_t> written;
+  for (size_t d = 0; d < pool_.num_devices(); ++d) {
+    uint64_t bytes = pool_.device(d)->device_model().stats().bytes_written;
+    if (bytes > 0) written.push_back(bytes);
+  }
+  ASSERT_EQ(written.size(), 3u);
+  EXPECT_EQ(written[0], written[1]);
+  EXPECT_EQ(written[1], written[2]);
+
+  // Both nodes hold a replica; with either one down, every byte reads back.
+  for (uint32_t node = 0; node < 2; ++node) {
+    pool_.SetNodeFailed(node, true);
+    auto read = user->Read();
+    ASSERT_TRUE(read.ok()) << "node " << node << ": "
+                           << read.status().ToString();
+    EXPECT_EQ(*read, data) << "node " << node;
+    pool_.SetNodeFailed(node, false);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllUsers, ReplicaRulesTest,
+    ::testing::Values(
+        ReplicaCase{"BlockService",
+                    [](StoragePool* p) -> std::unique_ptr<ReplicaUser> {
+                      return std::make_unique<BlockServiceUser>(p);
+                    }},
+        ReplicaCase{"MiniHdfs",
+                    [](StoragePool* p) -> std::unique_ptr<ReplicaUser> {
+                      return std::make_unique<MiniHdfsUser>(p);
+                    }},
+        ReplicaCase{"MiniKafkaSealedSegment",
+                    [](StoragePool* p) -> std::unique_ptr<ReplicaUser> {
+                      return std::make_unique<MiniKafkaUser>(p);
+                    }},
+        ReplicaCase{"ReplicatedPlog",
+                    [](StoragePool* p) -> std::unique_ptr<ReplicaUser> {
+                      return std::make_unique<PlogUser>(p);
+                    }}),
+    [](const ::testing::TestParamInfo<ReplicaCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace streamlake::storage

@@ -415,6 +415,24 @@ TEST(StreamObjectTest, ScmCacheServesRepeatedReads) {
   EXPECT_GT(f.manager->cache()->hits(), 0u);
 }
 
+TEST(ScmSliceCacheTest, HitSurvivesEvictionByAnotherObjectsPut) {
+  // The cache is shared by every object of a manager: another object's
+  // Put may evict a slice while a reader is still copying from it.
+  ScmSliceCache cache(/*pmem=*/nullptr, /*capacity_slices=*/1);
+  cache.Put(1, 0,
+            std::make_shared<const std::vector<StreamRecord>>(
+                std::vector<StreamRecord>{MakeRecord("a", "first")}));
+  auto a = cache.Get(1, 0);
+  ASSERT_NE(a, nullptr);
+  cache.Put(2, 0,
+            std::make_shared<const std::vector<StreamRecord>>(
+                std::vector<StreamRecord>{MakeRecord("b", "second")}));
+  EXPECT_EQ(cache.Get(1, 0), nullptr);  // evicted
+  ASSERT_EQ(a->size(), 1u);
+  EXPECT_EQ((*a)[0].key, "a");
+  EXPECT_EQ(BytesToString((*a)[0].value), "first");
+}
+
 TEST(StreamObjectTest, FindOffsetByTimestamp) {
   StreamFixture f;
   StreamObjectOptions options;

@@ -628,6 +628,30 @@ TEST(MergeOnReadTest, DeleteMasksRowsWithoutRewritingFiles) {
   }
 }
 
+TEST(MergeOnReadTest, RestoredTableKeepsItsOptions) {
+  MorFixture f;
+  std::vector<format::Row> rows;
+  for (int i = 0; i < 100; ++i) rows.push_back(DpiRow("u", i, "beijing"));
+  ASSERT_TRUE(f.table->Insert(rows).ok());
+  ASSERT_TRUE(f.lakehouse->DropTableSoft("mor").ok());
+  auto restored = f.lakehouse->RestoreTable("mor");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  auto files_before = (*restored)->LiveFiles();
+  ASSERT_TRUE(files_before.ok());
+
+  auto deleted = (*restored)->Delete(query::Conjunction{
+      query::Predicate::Lt("start_time", format::Value(int64_t{30}))});
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(*deleted, 30u);
+  // Still merge-on-read after the restore: no data file was rewritten.
+  auto files_after = (*restored)->LiveFiles();
+  ASSERT_TRUE(files_after.ok());
+  ASSERT_EQ(files_after->size(), files_before->size());
+  for (size_t i = 0; i < files_after->size(); ++i) {
+    EXPECT_EQ((*files_after)[i].path, (*files_before)[i].path);
+  }
+}
+
 TEST(MergeOnReadTest, LaterInsertsAreNotMaskedByEarlierDeletes) {
   MorFixture f;
   ASSERT_TRUE(f.table->Insert({DpiRow("u", 5, "beijing")}).ok());

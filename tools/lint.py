@@ -44,6 +44,11 @@ Rules
       Prefer `.LogIgnored("reason")`, which logs a warning and bumps
       common.status.ignored — it needs no comment because it carries its
       reason in code.
+  R8  Outside src/storage/ and tests/, nothing calls
+      StoragePool::AllocateExtents directly. Redundancy groups are placed
+      through StoragePool::AllocateSpread, the one "distinct nodes, else
+      distinct disks" rule, so no caller grows its own copy of the
+      fallback.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -92,6 +97,10 @@ AD_HOC_COUNTER = re.compile(r"\b\w+_counter_\b|\bcounters\s*->")
 # status.h (`void IgnoreError() const`) is exempt by construction.
 IGNORE_CALL = re.compile(r"\.\s*IgnoreError\s*\(\s*\)")
 IGNORE_OK = re.compile(r"//\s*ignore-ok:\s*\S")
+
+# R8: direct extent allocation, allowed only in the store layer and tests.
+ALLOCATE_EXTENTS = re.compile(r"\bAllocateExtents\s*\(")
+PLACEMENT_DIRS = (os.path.join("src", "storage") + os.sep, "tests" + os.sep)
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -269,6 +278,13 @@ def lint_text(path, raw):
                     f"{path}:{lineno}: R7: .IgnoreError() without an "
                     "adjacent '// ignore-ok: <reason>' comment; justify "
                     "the drop or use .LogIgnored(\"reason\")")
+
+    if not path.startswith(PLACEMENT_DIRS):
+        for m in ALLOCATE_EXTENTS.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start())}: R8: direct "
+                "AllocateExtents call outside src/storage/; place replica "
+                "groups with StoragePool::AllocateSpread")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

@@ -233,6 +233,27 @@ class RuleTest(unittest.TestCase):
                               "void F(Status s) {\n  s.IgnoreError();\n}\n")
         self.assertFalse(any(": R7: " in e for e in errs), errs)
 
+    # R8 ------------------------------------------------------------------
+    def test_r8_allocate_extents_outside_storage(self):
+        self.assert_rule(
+            "R8",
+            "void F(StoragePool* pool) {\n"
+            "  auto e = pool->AllocateExtents(3, 4096, true);\n}\n",
+            path=src("src/access/block_service.cc"))
+
+    def test_r8_allowed_in_storage_and_tests(self):
+        text = ("void F(StoragePool* pool) {\n"
+                "  auto e = pool->AllocateExtents(1, 4096, false);\n}\n")
+        self.assert_clean(text, path=src("src/storage/plog.cc"))
+        self.assert_clean(text, path=os.path.join("tests", "t.cc"))
+
+    def test_r8_allocate_spread_and_prose_are_clean(self):
+        self.assert_clean(
+            "// never call AllocateExtents( here\n"
+            "void F(StoragePool* pool) {\n"
+            "  auto e = pool->AllocateSpread(3, 4096);\n}\n",
+            path=src("src/baselines/mini_hdfs.cc"))
+
 
 class RepoTest(unittest.TestCase):
     def test_whole_repo_is_clean(self):
