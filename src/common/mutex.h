@@ -126,6 +126,8 @@ enum class LockRank : uint16_t {
   kTableBlockCache = 41,  // decoded row-group LRU (leaf; commit/compaction/
                           // migration invalidate under their own locks)
   kTableAccess = 42,      // partition access counters (leaf)
+  kTableCatalog = 43,     // snapshot-read memo pointer (leaf; no I/O under
+                          // it, taken under the commit lock)
   kTableCommit = 44,      // commit protocol; held across metadata/KV/object IO
   kLakehouse = 46,        // catalog of open tables
 

@@ -1,6 +1,7 @@
 #include "storage/plog.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/coding.h"
 #include "common/hash.h"
@@ -41,6 +42,7 @@ Plog::Plog(StoragePool* pool, PlogConfig config, std::vector<Extent> extents,
     : pool_(pool),
       config_(config),
       extents_(std::move(extents)),
+      stale_(extents_.size(), 0),
       created_at_ns_(now_ns),
       last_append_ns_(now_ns) {
   if (config_.redundancy.scheme == RedundancyConfig::Scheme::kErasureCoding) {
@@ -68,14 +70,16 @@ Result<uint64_t> Plog::Append(ByteView record) {
 
   uint64_t offset = size_;
   if (config_.redundancy.scheme == RedundancyConfig::Scheme::kReplication) {
-    int ok_writes = 0;
-    for (const Extent& extent : extents_) {
+    std::vector<size_t> missed;
+    for (size_t i = 0; i < extents_.size(); ++i) {
+      const Extent& extent = extents_[i];
       Status s = extent.device->Write(extent.offset + offset, ByteView(frame));
-      if (s.ok()) ++ok_writes;
+      if (!s.ok()) missed.push_back(i);
     }
-    if (ok_writes == 0) {
+    if (missed.size() == extents_.size()) {
       return Status::IOError("all replicas failed");
     }
+    for (size_t i : missed) stale_[i] = 1;
   } else {
     // EC: buffer, then stripe out every full stripe. All ready stripes
     // flush in one scatter-gather write per shard (the data bus's
@@ -116,17 +120,20 @@ Status Plog::WriteStripesLocked(uint64_t first_stripe, ByteView data) {
       AppendBytes(&per_shard[i], ByteView(shards[i]));
     }
   }
-  int failures = 0;
+  std::vector<int> missed;
   for (int i = 0; i < width; ++i) {
     const Extent& extent = extents_[i];
     Status status = extent.device->Write(
         extent.offset + first_stripe * config_.stripe_unit,
         ByteView(per_shard[i]));
-    if (!status.ok()) ++failures;
+    if (!status.ok()) missed.push_back(i);
   }
-  if (failures > config_.redundancy.ec_parity) {
+  if (static_cast<int>(missed.size()) > config_.redundancy.ec_parity) {
+    // Not acknowledged, so no shard is marked: these stripes stay
+    // buffered and the next stripe write covers them in full.
     return Status::IOError("stripe write lost more shards than parity");
   }
+  for (int i : missed) stale_[i] = 1;
   return Status::OK();
 }
 
@@ -184,7 +191,14 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
     return Status::InvalidArgument("read past plog frontier");
   }
   if (config_.redundancy.scheme == RedundancyConfig::Scheme::kReplication) {
-    return ReadReplica(extents_, offset, length);
+    if (std::find(stale_.begin(), stale_.end(), 1) == stale_.end()) {
+      return ReadReplica(extents_, offset, length);
+    }
+    std::vector<Extent> fresh;
+    for (size_t i = 0; i < extents_.size(); ++i) {
+      if (!stale_[i]) fresh.push_back(extents_[i]);
+    }
+    return ReadReplica(fresh, offset, length);
   }
 
   // EC path. Bytes may live in the pending buffer (not yet striped).
@@ -205,9 +219,8 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
             ((offset + striped_len - 1) % stripe_data) / unit) {
       uint64_t shard = (offset % stripe_data) / unit;
       uint64_t in_shard = (offset % stripe_data) % unit;
-      const Extent& extent = extents_[shard];
-      auto data = extent.device->Read(
-          extent.offset + first_stripe * unit + in_shard, striped_len);
+      auto data = ReadExtentLocked(shard, first_stripe * unit + in_shard,
+                                   striped_len);
       if (data.ok()) {
         AppendBytes(&out, ByteView(*data));
       } else {
@@ -224,9 +237,8 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
       std::vector<std::optional<Bytes>> shard_data(
           config_.redundancy.ec_data);
       for (int j = 0; j < config_.redundancy.ec_data; ++j) {
-        const Extent& extent = extents_[j];
-        auto data = extent.device->Read(extent.offset + first_stripe * unit,
-                                        num_stripes * unit);
+        auto data =
+            ReadExtentLocked(j, first_stripe * unit, num_stripes * unit);
         if (data.ok()) shard_data[j] = std::move(*data);
       }
       std::map<uint64_t, Bytes> reconstructed;  // stripe -> logical bytes
@@ -271,15 +283,20 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
   return out;
 }
 
+Result<Bytes> Plog::ReadExtentLocked(size_t i, uint64_t offset,
+                                     uint64_t length) const {
+  if (stale_[i]) return Status::IOError("extent missed a write");
+  const Extent& extent = extents_[i];
+  return extent.device->Read(extent.offset + offset, length);
+}
+
 Result<Bytes> Plog::ReconstructStripeLocked(uint64_t stripe_index) const {
   const int width = config_.redundancy.Width();
   std::vector<std::optional<Bytes>> shards(width);
   int available = 0;
   for (int i = 0; i < width; ++i) {
-    const Extent& extent = extents_[i];
-    auto data = extent.device->Read(
-        extent.offset + stripe_index * config_.stripe_unit,
-        config_.stripe_unit);
+    auto data = ReadExtentLocked(i, stripe_index * config_.stripe_unit,
+                                 config_.stripe_unit);
     if (data.ok()) {
       shards[i] = std::move(*data);
       ++available;
@@ -302,6 +319,8 @@ Status Plog::MigrateTo(StoragePool* target) {
                                              ExtentSize()));
 
   std::vector<Extent> old_extents = std::move(extents_);
+  std::vector<char> old_stale =
+      std::exchange(stale_, std::vector<char>(new_extents.size(), 0));
   StoragePool* old_pool = pool_;
   extents_ = std::move(new_extents);
   pool_ = target;
@@ -326,6 +345,7 @@ Status Plog::MigrateTo(StoragePool* target) {
     // Roll back to the old extents; free the new ones.
     target->FreeExtents(extents_);
     extents_ = std::move(old_extents);
+    stale_ = std::move(old_stale);
     pool_ = old_pool;
     return write_status;
   }
@@ -341,7 +361,9 @@ std::vector<int> Plog::FailedExtents() const {
 std::vector<int> Plog::FailedExtentsLocked() const {
   std::vector<int> failed;
   for (size_t i = 0; i < extents_.size(); ++i) {
-    if (extents_[i].device->failed()) failed.push_back(static_cast<int>(i));
+    if (stale_[i] || extents_[i].device->failed()) {
+      failed.push_back(static_cast<int>(i));
+    }
   }
   return failed;
 }
@@ -390,6 +412,7 @@ Status Plog::RepairFailedExtents() {
     }
     pool_->FreeExtent(extents_[idx]);
     extents_[idx] = new_extent;
+    stale_[idx] = 0;
   }
   return Status::OK();
 }

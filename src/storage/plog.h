@@ -99,7 +99,8 @@ class Plog {
   /// Logical offsets are preserved; old extents are freed.
   Status MigrateTo(StoragePool* target);
 
-  /// Indices of extents whose device currently reports failure.
+  /// Indices of extents that cannot serve reads: their device reports
+  /// failure, or they missed a write that the PLog still acknowledged.
   std::vector<int> FailedExtents() const;
 
   /// Data reconstruction (Section III: the pools implement "data
@@ -146,6 +147,9 @@ class Plog {
   uint64_t ExtentSize() const;
 
   std::vector<int> FailedExtentsLocked() const REQUIRES(mu_);
+  /// Read extent `i` at `offset` within it; a stale extent is unreadable.
+  Result<Bytes> ReadExtentLocked(size_t i, uint64_t offset,
+                                 uint64_t length) const REQUIRES(mu_);
 
   // EC internals (mu_ held):
   /// Encode and persist one or more consecutive full stripes with a
@@ -162,6 +166,9 @@ class Plog {
   StoragePool* pool_ GUARDED_BY(mu_);
   PlogConfig config_;
   std::vector<Extent> extents_ GUARDED_BY(mu_);
+  // Per extent: it missed a write the PLog acknowledged (its device was
+  // down), so its bytes are stale until repair rebuilds it. Reads skip it.
+  std::vector<char> stale_ GUARDED_BY(mu_);
   std::unique_ptr<ReedSolomon> rs_;  // EC only
 
   mutable Mutex mu_{LockRank::kPlog, "storage.plog"};

@@ -62,10 +62,9 @@ class MetadataStore {
 
   // ---- commits ----
   Status PutCommit(const std::string& table_path, const CommitFile& commit);
-  /// Read commit `seq`; `encoded_bytes` (optional) receives the length of
-  /// its stored encoding.
-  Result<CommitFile> GetCommit(const std::string& table_path, uint64_t seq,
-                               uint64_t* encoded_bytes = nullptr);
+  /// Read commit `seq` as stored, undecoded: the catalog decodes it, or
+  /// reuses an identical earlier decode.
+  Result<Bytes> ReadCommit(const std::string& table_path, uint64_t seq);
   Status DeleteCommit(const std::string& table_path, uint64_t seq);
 
   // ---- snapshots ----

@@ -94,7 +94,8 @@ Table::Table(std::string name, MetadataStore* meta,
       compute_link_(compute_link),
       options_(options),
       scan_pool_(scan_pool),
-      block_cache_(block_cache) {}
+      block_cache_(block_cache),
+      catalog_(meta) {}
 
 Result<TableInfo> Table::Info() const {
   SL_ASSIGN_OR_RETURN(TableInfo info, meta_->GetTableInfo(name_));
@@ -150,37 +151,28 @@ Status Table::CommitChanges(const CommitRequest& request) {
     std::set<std::string> ours;
     for (const DataFileMeta& f : request.added) ours.insert(f.partition);
     for (const DataFileMeta& f : request.removed) ours.insert(f.partition);
-    // Find commits after the base snapshot.
-    SL_ASSIGN_OR_RETURN(
-        SnapshotMeta base,
-        meta_->GetSnapshot(info.path, request.base_snapshot_id));
-    SL_ASSIGN_OR_RETURN(
-        SnapshotMeta head,
-        meta_->GetSnapshot(info.path, info.current_snapshot_id));
-    std::set<uint64_t> base_commits(base.commit_seqs.begin(),
-                                    base.commit_seqs.end());
-    for (uint64_t seq : head.commit_seqs) {
-      if (base_commits.count(seq)) continue;
-      SL_ASSIGN_OR_RETURN(CommitFile commit,
-                          meta_->GetCommit(info.path, seq));
-      for (const std::string& p : commit.TouchedPartitions()) {
-        if (ours.count(p)) {
-          return Status::Conflict("partition '" + p +
-                                  "' changed since base snapshot");
-        }
-      }
-      // A merge-on-read delete touches no files, but rewriting a file it
-      // may match would copy its masked rows into a file newer than the
-      // delete, which then no longer masks them.
-      for (const DeleteRecord& d : commit.deletes) {
-        for (const DataFileMeta& f : request.removed) {
-          if (FileMayMatch(info, f, d.predicate)) {
-            return Status::Conflict("a delete since base snapshot may match " +
-                                    f.path);
+    SL_RETURN_NOT_OK(catalog_.VisitCommitsSince(
+        info, request.base_snapshot_id,
+        [&](const CommitFile& commit) -> Status {
+          for (const std::string& p : commit.TouchedPartitions()) {
+            if (ours.count(p)) {
+              return Status::Conflict("partition '" + p +
+                                      "' changed since base snapshot");
+            }
           }
-        }
-      }
-    }
+          // A merge-on-read delete touches no files, but rewriting a file
+          // it may match would copy its masked rows into a file newer than
+          // the delete, which then no longer masks them.
+          for (const DeleteRecord& d : commit.deletes) {
+            for (const DataFileMeta& f : request.removed) {
+              if (FileMayMatch(info, f, d.predicate)) {
+                return Status::Conflict(
+                    "a delete since base snapshot may match " + f.path);
+              }
+            }
+          }
+          return Status::OK();
+        }));
   }
 
   SnapshotMeta snap;
@@ -324,29 +316,6 @@ Status Table::Insert(const std::vector<format::Row>& rows) {
   return CommitOrDiscard(request, std::move(s));
 }
 
-Result<Table::SnapshotFiles> Table::ReadSnapshot(const TableInfo& info,
-                                                uint64_t snapshot_id) {
-  SnapshotFiles out;
-  if (snapshot_id == 0) return out;
-  SL_ASSIGN_OR_RETURN(SnapshotMeta snap,
-                      meta_->GetSnapshot(info.path, snapshot_id));
-  const bool file_based = meta_->mode() == MetadataMode::kFileBased;
-  std::map<std::string, DataFileMeta> live;
-  for (uint64_t seq : snap.commit_seqs) {
-    uint64_t bytes = 0;
-    SL_ASSIGN_OR_RETURN(CommitFile commit,
-                        meta_->GetCommit(info.path, seq, &bytes));
-    out.metadata_memory = file_based ? out.metadata_memory + bytes
-                                     : std::max(out.metadata_memory, bytes);
-    for (const DataFileMeta& f : commit.removed) live.erase(f.path);
-    for (DataFileMeta& f : commit.added) live[f.path] = std::move(f);
-    for (DeleteRecord& d : commit.deletes) out.deletes.push_back(std::move(d));
-  }
-  out.files.reserve(live.size());
-  for (auto& [path, meta] : live) out.files.push_back(std::move(meta));
-  return out;
-}
-
 bool Table::FileMayMatch(const TableInfo& info, const DataFileMeta& file,
                          const query::Conjunction& where) const {
   // Partition-range pruning.
@@ -462,7 +431,8 @@ Result<query::QueryResult> Table::Select(const query::QuerySpec& spec,
 
 Status Table::ScanFileRows(
     const TableInfo& info, const query::Conjunction& where,
-    const std::vector<DeleteRecord>& delete_records, const DataFileMeta& file,
+    const std::vector<const DeleteRecord*>& delete_records,
+    const DataFileMeta& file,
     const ColumnSelection& required,
     const std::function<Status(const ScannedGroup&)>& consume,
     SelectMetrics* m) {
@@ -491,11 +461,11 @@ Status Table::ScanFileRows(
   // columns resolved up front. A delete naming an unknown column masks
   // nothing; an empty delete conjunction masks every row.
   std::vector<ApplicableDelete> applicable;
-  for (const DeleteRecord& d : delete_records) {
-    if (d.seq <= file.added_seq) continue;
+  for (const DeleteRecord* d : delete_records) {
+    if (d->seq <= file.added_seq) continue;
     ApplicableDelete ad;
     bool unknown = false;
-    for (const query::Predicate& p : d.predicate.predicates()) {
+    for (const query::Predicate& p : d->predicate.predicates()) {
       int idx = schema.FieldIndex(p.column);
       if (idx < 0) {
         unknown = true;
@@ -662,8 +632,8 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
 
   // Snapshot + commits -> live file list + outstanding merge-on-read
   // deletes (none of either for an empty table).
-  SL_ASSIGN_OR_RETURN(SnapshotFiles snapshot,
-                      ReadSnapshot(info, snapshot_id));
+  SL_ASSIGN_OR_RETURN(SnapshotRead snapshot, catalog_.Read(info, snapshot_id));
+  const LiveSet& live = *snapshot.live;
   const uint64_t metadata_memory = snapshot.metadata_memory;
   m->peak_memory_bytes = std::max(m->peak_memory_bytes, metadata_memory);
   if (options.memory_budget_bytes > 0 &&
@@ -675,13 +645,13 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
 
   // Prune by partition + file stats.
   std::vector<const DataFileMeta*> scan_files;
-  for (const DataFileMeta& file : snapshot.files) {
-    if (!FileMayMatch(info, file, where)) {
+  for (const DataFileMeta* file : live.files) {
+    if (!FileMayMatch(info, *file, where)) {
       ++m->files_skipped;
-      m->data_bytes_skipped += file.file_bytes;
+      m->data_bytes_skipped += file->file_bytes;
       continue;
     }
-    scan_files.push_back(&file);
+    scan_files.push_back(file);
   }
   static Histogram* fanout =
       MetricsRegistry::Global().GetHistogram("table.select.fanout");
@@ -725,7 +695,7 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
       }
     }
     job.status = ScanFileRows(
-        info, where, snapshot.deletes, file, required,
+        info, where, live.deletes, file, required,
         [&](const ScannedGroup& group) {
           const uint64_t matched = group.selection.size();
           if (options.pushdown) {
@@ -775,13 +745,13 @@ Result<std::vector<ColumnFooterStats>> Table::AggregateFooterStats() {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
   std::vector<ColumnFooterStats> out(info.schema.num_fields());
   if (info.current_snapshot_id == 0) return out;
-  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
-                      ReadSnapshot(info, info.current_snapshot_id));
+  SL_ASSIGN_OR_RETURN(SnapshotRead head,
+                      catalog_.Read(info, info.current_snapshot_id));
   // Row-weighted avg_width merge: weight each chunk by its non-NULL rows.
   std::vector<double> width_sum(out.size(), 0.0);
   std::vector<uint64_t> width_rows(out.size(), 0);
-  for (const DataFileMeta& file : head.files) {
-    CachedFileReader reader(objects_, block_cache_, file.path);
+  for (const DataFileMeta* file : head.live->files) {
+    CachedFileReader reader(objects_, block_cache_, file->path);
     SL_RETURN_NOT_OK(reader.Init());
     for (size_t g = 0; g < reader.num_row_groups(); ++g) {
       const format::RowGroupMeta& group = reader.row_group(g);
@@ -815,15 +785,19 @@ std::map<std::string, uint64_t> Table::PartitionAccessCounts() const {
 
 Result<std::vector<DataFileMeta>> Table::LiveFiles() {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
-                      ReadSnapshot(info, info.current_snapshot_id));
-  return std::move(head.files);
+  SL_ASSIGN_OR_RETURN(SnapshotRead head,
+                      catalog_.Read(info, info.current_snapshot_id));
+  std::vector<DataFileMeta> files;
+  files.reserve(head.live->files.size());
+  for (const DataFileMeta* file : head.live->files) files.push_back(*file);
+  return files;
 }
 
 Result<uint64_t> Table::Delete(const query::Conjunction& where) {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
-  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
-                      ReadSnapshot(info, info.current_snapshot_id));
+  SL_ASSIGN_OR_RETURN(SnapshotRead head,
+                      catalog_.Read(info, info.current_snapshot_id));
+  const LiveSet& live = *head.live;
 
   // Split candidates: fully-covered partitions drop by metadata only; the
   // rest need the rewrite (copy-on-write) or delete-predicate
@@ -832,12 +806,12 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
   metadata_only.base_snapshot_id = info.current_snapshot_id;
   metadata_only.is_rewrite = true;
   uint64_t deleted_rows = 0;
-  std::vector<DataFileMeta> touched;
-  for (const DataFileMeta& file : head.files) {
-    if (!FileMayMatch(info, file, where)) continue;
-    if (FullyCovered(info, file, where)) {
-      metadata_only.removed.push_back(file);
-      deleted_rows += file.record_count;
+  std::vector<const DataFileMeta*> touched;
+  for (const DataFileMeta* file : live.files) {
+    if (!FileMayMatch(info, *file, where)) continue;
+    if (FullyCovered(info, *file, where)) {
+      metadata_only.removed.push_back(*file);
+      deleted_rows += file->record_count;
     } else {
       touched.push_back(file);
     }
@@ -853,9 +827,9 @@ Result<uint64_t> Table::Delete(const query::Conjunction& where) {
     // that decodes only the filter columns and builds no rows), then
     // record the delete; no data files are rewritten.
     SelectMetrics scan_metrics;
-    for (const DataFileMeta& file : touched) {
+    for (const DataFileMeta* file : touched) {
       SL_RETURN_NOT_OK(ScanFileRows(
-          info, where, head.deletes, file, ColumnSelection::Of({}),
+          info, where, live.deletes, *file, ColumnSelection::Of({}),
           [&](const ScannedGroup& group) {
             deleted_rows += group.selection.size();
             return Status::OK();
@@ -893,16 +867,17 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
       return Status::InvalidArgument("SET value type mismatch");
     }
   }
-  SL_ASSIGN_OR_RETURN(SnapshotFiles head,
-                      ReadSnapshot(info, info.current_snapshot_id));
+  SL_ASSIGN_OR_RETURN(SnapshotRead head,
+                      catalog_.Read(info, info.current_snapshot_id));
+  const LiveSet& live = *head.live;
   CommitRequest request;
   request.base_snapshot_id = info.current_snapshot_id;
   request.is_rewrite = true;
   uint64_t affected = 0;
   SelectMetrics scan_metrics;
   Status s = Status::OK();
-  for (const DataFileMeta& file : head.files) {
-    if (!FileMayMatch(info, file, where)) continue;
+  for (const DataFileMeta* file : live.files) {
+    if (!FileMayMatch(info, *file, where)) continue;
     // Rewriting physically applies outstanding merge-on-read deletes: the
     // scan delivers only visible rows, so masked rows are dropped, never
     // resurrected.
@@ -910,7 +885,7 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
     uint64_t visible = 0;
     uint64_t matched = 0;
     s = ScanFileRows(
-        info, query::Conjunction(), head.deletes, file,
+        info, query::Conjunction(), live.deletes, *file,
         ColumnSelection::All(),
         [&](const ScannedGroup& group) {
           visible += group.visible_rows;
@@ -926,13 +901,13 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
         },
         &scan_metrics);
     if (!s.ok()) break;
-    if (matched == 0 && visible == file.record_count) {
+    if (matched == 0 && visible == file->record_count) {
       continue;  // stats were conservative; file untouched
     }
     affected += matched;
-    request.removed.push_back(file);
+    request.removed.push_back(*file);
     if (!rewritten.empty()) {
-      auto meta = WriteDataFile(info, file.partition, rewritten);
+      auto meta = WriteDataFile(info, file->partition, rewritten);
       if (!meta.ok()) {
         s = meta.status();
         break;
@@ -952,14 +927,15 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
   uint64_t base = base_snapshot_id == 0 ? info.current_snapshot_id
                                         : base_snapshot_id;
-  SL_ASSIGN_OR_RETURN(SnapshotFiles planned, ReadSnapshot(info, base));
+  SL_ASSIGN_OR_RETURN(SnapshotRead planned, catalog_.Read(info, base));
+  const LiveSet& live = *planned.live;
 
   // Binpack: gather the partition's small files, largest first, into bins
   // of ~target_file_bytes.
-  std::vector<DataFileMeta> small;
-  for (const DataFileMeta& file : planned.files) {
-    if (file.partition == partition &&
-        file.file_bytes < options_.target_file_bytes) {
+  std::vector<const DataFileMeta*> small;
+  for (const DataFileMeta* file : live.files) {
+    if (file->partition == partition &&
+        file->file_bytes < options_.target_file_bytes) {
       small.push_back(file);
     }
   }
@@ -970,8 +946,8 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
     return result;  // nothing to gain
   }
   std::sort(small.begin(), small.end(),
-            [](const DataFileMeta& a, const DataFileMeta& b) {
-              return a.file_bytes > b.file_bytes;
+            [](const DataFileMeta* a, const DataFileMeta* b) {
+              return a->file_bytes > b->file_bytes;
             });
 
   CommitRequest request;
@@ -990,11 +966,11 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
   };
   SelectMetrics scan_metrics;
   Status s = Status::OK();
-  for (const DataFileMeta& file : small) {
+  for (const DataFileMeta* file : small) {
     // Compaction physically applies outstanding merge-on-read deletes: the
     // scan delivers only visible rows.
     s = ScanFileRows(
-        info, query::Conjunction(), planned.deletes, file,
+        info, query::Conjunction(), live.deletes, *file,
         ColumnSelection::All(),
         [&](const ScannedGroup& group) {
           std::vector<format::Row> rows = group.Rows();
@@ -1004,9 +980,9 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
         },
         &scan_metrics);
     if (!s.ok()) break;
-    result.bytes_rewritten += file.file_bytes;
-    bin_bytes += file.file_bytes;
-    request.removed.push_back(file);
+    result.bytes_rewritten += file->file_bytes;
+    bin_bytes += file->file_bytes;
+    request.removed.push_back(*file);
     if (bin_bytes >= options_.target_file_bytes) {
       s = flush_bin();
       if (!s.ok()) break;
@@ -1034,14 +1010,18 @@ Result<size_t> Table::RewriteManifest() {
   // Files keep their original added_seq and outstanding merge-on-read
   // deletes carry over with their original sequences, so read-time
   // masking is unchanged.
-  SL_ASSIGN_OR_RETURN(SnapshotFiles live,
-                      ReadSnapshot(info, info.current_snapshot_id));
+  SL_ASSIGN_OR_RETURN(SnapshotRead replayed,
+                      catalog_.Read(info, info.current_snapshot_id));
   const size_t squashed = head.commit_seqs.size();
   CommitFile consolidated;
   consolidated.commit_seq = info.next_commit_seq++;
   consolidated.timestamp = static_cast<int64_t>(clock_->NowSeconds());
-  consolidated.added = std::move(live.files);
-  consolidated.deletes = std::move(live.deletes);
+  for (const DataFileMeta* f : replayed.live->files) {
+    consolidated.added.push_back(*f);
+  }
+  for (const DeleteRecord* d : replayed.live->deletes) {
+    consolidated.deletes.push_back(*d);
+  }
   head.commit_seqs = {consolidated.commit_seq};
   head.added_files = 0;
   head.removed_files = 0;
@@ -1096,8 +1076,8 @@ Status Table::ExpireSnapshots(int64_t before_timestamp) {
   // where that space comes back).
   std::set<std::string> referenced;
   for (const auto& [id, ts] : info.snapshot_log) {
-    SL_ASSIGN_OR_RETURN(SnapshotFiles snap, ReadSnapshot(info, id));
-    for (const DataFileMeta& f : snap.files) referenced.insert(f.path);
+    SL_ASSIGN_OR_RETURN(SnapshotRead snap, catalog_.Read(info, id));
+    for (const DataFileMeta* f : snap.live->files) referenced.insert(f->path);
   }
   for (const std::string& path : objects_->List(info.path + "/data/")) {
     if (path.ends_with("/.dir")) continue;  // directory marker

@@ -13,6 +13,7 @@
 #include "sim/clock.h"
 #include "sim/network_model.h"
 #include "storage/object_store.h"
+#include "table/catalog.h"
 #include "table/metadata_store.h"
 
 namespace streamlake {
@@ -274,21 +275,6 @@ class Table {
     bool is_rewrite = false;
   };
 
-  /// What one snapshot's commit chain replays to.
-  struct SnapshotFiles {
-    std::vector<DataFileMeta> files;    // live data files, in path order
-    std::vector<DeleteRecord> deletes;  // outstanding merge-on-read deletes
-    /// Compute memory the replay needs (Fig. 15b): the file-based catalog
-    /// holds every commit at once (the sum of their bytes), acceleration
-    /// streams them (the largest).
-    uint64_t metadata_memory = 0;
-  };
-
-  /// The one snapshot reader: replay the commits of `snapshot_id` (0, an
-  /// empty table, replays nothing).
-  Result<SnapshotFiles> ReadSnapshot(const TableInfo& info,
-                                     uint64_t snapshot_id);
-
   /// Apply a commit with optimistic validation; advances the snapshot.
   Status CommitChanges(const CommitRequest& request);
 
@@ -353,7 +339,7 @@ class Table {
   /// storage reads: access counts, compute-link charges and the memory
   /// budget are the caller's.
   Status ScanFileRows(const TableInfo& info, const query::Conjunction& where,
-                      const std::vector<DeleteRecord>& delete_records,
+                      const std::vector<const DeleteRecord*>& delete_records,
                       const DataFileMeta& file,
                       const ColumnSelection& required,
                       const std::function<Status(const ScannedGroup&)>& consume,
@@ -367,6 +353,8 @@ class Table {
   TableOptions options_;
   ThreadPool* scan_pool_;           // may be nullptr: scans run serially
   DecodedBlockCache* block_cache_;  // may be nullptr: reads are uncached
+  // The one snapshot reader; its memo dies with this table object.
+  Catalog catalog_;
   // Per-table data-file sequence: with the sim-clock time it makes every
   // path this table writes unique, and the same inputs name the same files.
   std::atomic<uint64_t> next_file_seq_{0};

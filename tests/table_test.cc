@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <functional>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <set>
+#include <thread>
 #include <tuple>
 
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "format/lakefile.h"
 #include "table/lakehouse.h"
@@ -432,7 +437,9 @@ TEST(TableTest, MetadataMemoryIsTheStoredCommitBytes) {
       ASSERT_TRUE(snap.ok());
       uint64_t want = 0;
       for (uint64_t seq : snap->commit_seqs) {
-        auto commit = f.meta->GetCommit(info->path, seq);
+        auto stored = f.meta->ReadCommit(info->path, seq);
+        ASSERT_TRUE(stored.ok());
+        auto commit = CommitFile::DecodeFrom(ByteView(*stored));
         ASSERT_TRUE(commit.ok());
         Bytes encoded;
         commit->EncodeTo(&encoded);
@@ -1442,6 +1449,285 @@ TEST(TableTest, NanNeverHidesMatchingRows) {
     EXPECT_EQ(std::get<int64_t>(got->rows[0].fields[0]), unpruned)
         << p.ToString();
   }
+}
+
+// ---------------- Catalog memo ----------------
+
+// A Select after one Insert decodes only that Insert's commit: the rest of
+// the chain comes from the catalog memo. Every commit is still read, and
+// the memo gauge holds exactly the head chain's stored bytes.
+TEST(CatalogTest, SelectAfterOneInsertDecodesOneCommit) {
+  auto& registry = MetricsRegistry::Global();
+  Gauge* memo_bytes = registry.GetGauge("table.catalog.memo_bytes");
+  const int64_t gauge_before = memo_bytes->Value();
+  {
+    LakehouseFixture f;
+    Table* table = f.CreateDpiTable();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(table->Insert({DpiRow("u", i, "beijing")}).ok());
+    }
+    query::QuerySpec spec;
+    spec.aggregates = {query::AggregateSpec::CountStar()};
+    ASSERT_TRUE(table->Select(spec).ok());
+    ASSERT_TRUE(table->Insert({DpiRow("u", 5, "hubei")}).ok());
+
+    const uint64_t decoded_before =
+        registry.CounterValue("table.catalog.commits_decoded");
+    SelectMetrics m;
+    auto count = table->Select(spec, {}, &m);
+    ASSERT_TRUE(count.ok()) << count.status().ToString();
+    EXPECT_EQ(std::get<int64_t>(count->rows[0].fields[0]), 6);
+    EXPECT_EQ(registry.CounterValue("table.catalog.commits_decoded") -
+                  decoded_before,
+              1u);
+    // Catalog entry + snapshot record + all six commits.
+    EXPECT_EQ(m.metadata.reads, 8u);
+
+    // The same head again decodes nothing.
+    ASSERT_TRUE(table->Select(spec).ok());
+    EXPECT_EQ(registry.CounterValue("table.catalog.commits_decoded") -
+                  decoded_before,
+              1u);
+
+    auto info = table->Info();
+    ASSERT_TRUE(info.ok());
+    auto snap = f.meta->GetSnapshot(info->path, info->current_snapshot_id);
+    ASSERT_TRUE(snap.ok());
+    int64_t chain_bytes = 0;
+    for (uint64_t seq : snap->commit_seqs) {
+      auto bytes = f.meta->ReadCommit(info->path, seq);
+      ASSERT_TRUE(bytes.ok());
+      chain_bytes += static_cast<int64_t>(bytes->size());
+    }
+    EXPECT_EQ(memo_bytes->Value() - gauge_before, chain_bytes);
+  }
+  // The memo dies with its table.
+  EXPECT_EQ(memo_bytes->Value(), gauge_before);
+}
+
+// A memoized decode is reused only when the commit's stored bytes match,
+// never on its key alone: a second lakehouse over the same stores drops
+// the table and re-creates it, so commit 1 and snapshot 1 now describe
+// other files, and the first lakehouse's table object, memo intact, must
+// read the new ones.
+TEST(CatalogTest, MemoTrustsBytesNotKeys) {
+  LakehouseFixture f;
+  Table* table = f.CreateDpiTable();
+  ASSERT_TRUE(table->Insert({DpiRow("old", 1, "beijing")}).ok());
+  ASSERT_TRUE(table->LiveFiles().ok());
+
+  LakehouseService other(f.meta.get(), f.objects.get(), &f.clock,
+                         &f.compute_link);
+  ASSERT_TRUE(other.DropTableHard("dpi").ok());
+  auto recreated = other.CreateTable("dpi", DpiSchema(),
+                                     PartitionSpec::Identity("province"));
+  ASSERT_TRUE(recreated.ok());
+  f.clock.Advance(sim::kSecond);
+  ASSERT_TRUE((*recreated)
+                  ->Insert({DpiRow("new", 2, "hubei"),
+                            DpiRow("new", 3, "hubei")})
+                  .ok());
+
+  auto files = table->LiveFiles();
+  auto want = (*recreated)->LiveFiles();
+  ASSERT_TRUE(files.ok() && want.ok());
+  ASSERT_EQ(files->size(), 1u);
+  EXPECT_EQ((*files)[0].path, (*want)[0].path);
+  EXPECT_EQ((*files)[0].record_count, 2u);
+  auto rows = table->Select(query::QuerySpec());
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->rows.size(), 2u);
+  for (const format::Row& row : rows->rows) {
+    EXPECT_EQ(row.fields[0], format::Value(std::string("new")));
+  }
+}
+
+using SnapshotRows =
+    std::map<uint64_t, std::vector<std::vector<format::Value>>>;
+
+// Every retained snapshot's rows, read with explicit snapshot ids and
+// sorted so that file order does not matter.
+SnapshotRows ReadRetainedSnapshots(Table* table, const TableInfo& info) {
+  SnapshotRows out;
+  for (const auto& [id, ts] : info.snapshot_log) {
+    SelectOptions pinned;
+    pinned.snapshot_id = id;
+    auto result = table->Select(query::QuerySpec(), pinned);
+    EXPECT_TRUE(result.ok()) << "snapshot " << id << ": "
+                             << result.status().ToString();
+    if (!result.ok()) continue;
+    std::vector<std::vector<format::Value>>& rows = out[id];
+    for (format::Row& row : result->rows) rows.push_back(std::move(row.fields));
+    std::sort(rows.begin(), rows.end());
+  }
+  return out;
+}
+
+std::vector<std::tuple<std::string, uint64_t, uint64_t>> FileKeys(
+    const std::vector<DataFileMeta>& files) {
+  std::vector<std::tuple<std::string, uint64_t, uint64_t>> keys;
+  for (const DataFileMeta& f : files) {
+    keys.emplace_back(f.path, f.record_count, f.added_seq);
+  }
+  return keys;
+}
+
+// The memoized table must read exactly what a freshly opened lakehouse
+// over the same stores reads: its tables start with an empty memo, so
+// they replay every chain cold.
+void ExpectMatchesColdReplay(LakehouseFixture& f, Table* table,
+                             const std::string& step) {
+  auto info = table->Info();
+  ASSERT_TRUE(info.ok()) << step;
+  LakehouseService reopened(f.meta.get(), f.objects.get(), &f.clock,
+                            &f.compute_link);
+  auto cold = reopened.GetTable(info->name);
+  ASSERT_TRUE(cold.ok()) << step;
+  EXPECT_EQ(ReadRetainedSnapshots(table, *info),
+            ReadRetainedSnapshots(*cold, *info))
+      << step;
+  auto warm_files = table->LiveFiles();
+  auto cold_files = (*cold)->LiveFiles();
+  ASSERT_TRUE(warm_files.ok() && cold_files.ok()) << step;
+  EXPECT_EQ(FileKeys(*warm_files), FileKeys(*cold_files)) << step;
+}
+
+class MemoizedReadTest : public ::testing::TestWithParam<DeleteMode> {};
+
+// Property: the memo never changes what a read returns, through a seeded
+// mix of every operation that commits or reads a chain.
+TEST_P(MemoizedReadTest, EqualsColdReplayAfterEveryOperation) {
+  LakehouseFixture f(MetadataMode::kFileBased);
+  TableOptions options;
+  options.delete_mode = GetParam();
+  options.target_file_bytes = 1 << 20;
+  auto created = f.lakehouse->CreateTable(
+      "dpi", DpiSchema(), PartitionSpec::Identity("province"), &options);
+  ASSERT_TRUE(created.ok());
+  Table* table = *created;
+  Random rng(2207);
+  auto insert = [&] {
+    std::vector<format::Row> rows;
+    const size_t n = 1 + rng.Uniform(12);
+    for (size_t i = 0; i < n; ++i) {
+      rows.push_back(DpiRow("u" + std::to_string(rng.Uniform(5)),
+                            static_cast<int64_t>(rng.Uniform(1000)),
+                            rng.OneIn(2) ? "beijing" : "hubei"));
+    }
+    return table->Insert(rows);
+  };
+  auto cut = [&] {
+    return query::Conjunction{query::Predicate::Lt(
+        "start_time", format::Value(static_cast<int64_t>(rng.Uniform(400))))};
+  };
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    const std::string at = "cycle " + std::to_string(cycle) + ": ";
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(insert().ok());
+      f.clock.Advance(10 * sim::kSecond);
+      ExpectMatchesColdReplay(f, table, at + "insert");
+    }
+    const int64_t before_deletes = static_cast<int64_t>(f.clock.NowSeconds());
+    ASSERT_TRUE(table->Delete(cut()).ok());
+    ExpectMatchesColdReplay(f, table, at + "delete");
+    ASSERT_TRUE(table
+                    ->Update(cut(), "bytes",
+                             format::Value(static_cast<int64_t>(cycle)))
+                    .ok());
+    ExpectMatchesColdReplay(f, table, at + "update");
+    ASSERT_TRUE(table->CompactPartition("beijing").ok());
+    ExpectMatchesColdReplay(f, table, at + "compaction");
+
+    // A compaction planned before an insert into its partition conflicts.
+    auto planned = table->Info();
+    ASSERT_TRUE(planned.ok());
+    ASSERT_TRUE(table->Insert({DpiRow("late", 1, "hubei")}).ok());
+    ASSERT_TRUE(table->Insert({DpiRow("late", 2, "hubei")}).ok());
+    auto conflicted =
+        table->CompactPartition("hubei", planned->current_snapshot_id);
+    EXPECT_TRUE(conflicted.status().IsConflict())
+        << conflicted.status().ToString();
+    ExpectMatchesColdReplay(f, table, at + "conflicted compaction");
+
+    // Time travel to before this cycle's deletes.
+    SelectOptions as_of;
+    as_of.as_of_timestamp = before_deletes;
+    auto info = table->Info();
+    ASSERT_TRUE(info.ok());
+    LakehouseService reopened(f.meta.get(), f.objects.get(), &f.clock,
+                              &f.compute_link);
+    auto cold = reopened.GetTable("dpi");
+    ASSERT_TRUE(cold.ok());
+    auto warm_rows = table->Select(query::QuerySpec(), as_of);
+    auto cold_rows = (*cold)->Select(query::QuerySpec(), as_of);
+    ASSERT_TRUE(warm_rows.ok() && cold_rows.ok());
+    EXPECT_EQ(warm_rows->rows.size(), cold_rows->rows.size()) << at;
+
+    f.clock.Advance(10 * sim::kSecond);
+    ASSERT_TRUE(table->RewriteManifest().ok());
+    ExpectMatchesColdReplay(f, table, at + "rewrite manifest");
+    ASSERT_TRUE(insert().ok());
+    f.clock.Advance(10 * sim::kSecond);
+    ASSERT_TRUE(table->ExpireSnapshots(before_deletes).ok());
+    ExpectMatchesColdReplay(f, table, at + "expire snapshots");
+  }
+
+  // A failed commit (the catalog entry made immutable) retracts its
+  // records; its sequence number goes to no published commit.
+  f.objects->SetWormPrefix("/catalog/");
+  EXPECT_FALSE(insert().ok());
+  ExpectMatchesColdReplay(f, table, "failed commit");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeleteModes, MemoizedReadTest,
+    ::testing::Values(DeleteMode::kCopyOnWrite, DeleteMode::kMergeOnRead),
+    [](const ::testing::TestParamInfo<DeleteMode>& info) {
+      return std::string(info.param == DeleteMode::kCopyOnWrite
+                             ? "CopyOnWrite"
+                             : "MergeOnRead");
+    });
+
+// Readers racing a writer see whole commits only: every count is a
+// multiple of the batch size, and no reader's count ever goes back.
+TEST(CatalogTest, ConcurrentSelectsAndInsertsSeeWholeCommits) {
+  LakehouseFixture f;
+  Table* table = f.CreateDpiTable();
+  constexpr int kBatches = 40;
+  constexpr int kRows = 4;
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      query::QuerySpec spec;
+      spec.aggregates = {query::AggregateSpec::CountStar()};
+      int64_t last = 0;
+      while (!done.load()) {
+        auto count = table->Select(spec);
+        if (!count.ok() || count->rows.size() != 1) {
+          ++bad_reads;
+          continue;
+        }
+        const int64_t n = std::get<int64_t>(count->rows[0].fields[0]);
+        if (n % kRows != 0 || n < last) ++bad_reads;
+        last = n;
+      }
+    });
+  }
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<format::Row> rows;
+    for (int i = 0; i < kRows; ++i) {
+      rows.push_back(DpiRow("u", b * kRows + i, i % 2 ? "beijing" : "hubei"));
+    }
+    EXPECT_TRUE(table->Insert(rows).ok());
+  }
+  done = true;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad_reads.load(), 0);
+  auto files = table->LiveFiles();
+  ASSERT_TRUE(files.ok());
+  EXPECT_EQ(files->size(), 2u * kBatches);
 }
 
 }  // namespace

@@ -24,6 +24,8 @@ build-release/bench/bench_table1 20000 "--json_out=$out/BENCH_table1.json" \
     >/dev/null
 build-release/bench/bench_ablation_mor \
     "--json_out=$out/BENCH_ablation_mor.json" >/dev/null
+build-release/bench/bench_fig16_compaction \
+    "--json_out=$out/BENCH_fig16_compaction.json" >/dev/null
 build-release/bench/bench_micro "--json_out=$out/BENCH_micro.json" \
     --benchmark_min_time=0.01 >/dev/null
 
