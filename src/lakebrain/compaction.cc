@@ -37,35 +37,38 @@ std::vector<double> BuildStateVector(const GlobalFeatures& global,
   };
 }
 
-PartitionFeatures ComputePartitionFeatures(
-    const std::vector<table::DataFileMeta>& files, const std::string& partition,
-    uint64_t block_size, double access_frequency) {
-  PartitionFeatures features;
-  features.access_frequency = access_frequency;
+std::vector<uint64_t> PartitionFileSizes(const table::LiveFileList& files,
+                                         const std::string& partition) {
   std::vector<uint64_t> sizes;
   for (const table::DataFileMeta& f : files) {
-    if (f.partition != partition) continue;
-    features.file_count += 1;
-    if (f.file_bytes < block_size) features.small_file_count += 1;
-    sizes.push_back(f.file_bytes);
+    if (f.partition == partition) sizes.push_back(f.file_bytes);
   }
-  features.partition_utilization = BlockUtilization(sizes, block_size);
+  return sizes;
+}
+
+PartitionFeatures ComputePartitionFeatures(
+    const std::vector<uint64_t>& file_sizes, uint64_t block_size,
+    double access_frequency) {
+  PartitionFeatures features;
+  features.access_frequency = access_frequency;
+  for (uint64_t size : file_sizes) {
+    features.file_count += 1;
+    if (size < block_size) features.small_file_count += 1;
+  }
+  features.partition_utilization = BlockUtilization(file_sizes, block_size);
   return features;
 }
 
 double AutoCompactionAgent::ExpectedImprovement(
-    const std::vector<table::DataFileMeta>& files, const std::string& partition,
-    uint64_t block_size, uint64_t target_file_bytes) {
-  std::vector<uint64_t> before;
+    const std::vector<uint64_t>& file_sizes, uint64_t block_size,
+    uint64_t target_file_bytes) {
   uint64_t small_bytes = 0;
   std::vector<uint64_t> after;
-  for (const table::DataFileMeta& f : files) {
-    if (f.partition != partition) continue;
-    before.push_back(f.file_bytes);
-    if (f.file_bytes < target_file_bytes) {
-      small_bytes += f.file_bytes;
+  for (uint64_t size : file_sizes) {
+    if (size < target_file_bytes) {
+      small_bytes += size;
     } else {
-      after.push_back(f.file_bytes);
+      after.push_back(size);
     }
   }
   // Binpack estimate: small files merge into ceil(total/target) files.
@@ -75,7 +78,7 @@ double AutoCompactionAgent::ExpectedImprovement(
     small_bytes -= take;
   }
   return BlockUtilization(after, block_size) -
-         BlockUtilization(before, block_size);
+         BlockUtilization(file_sizes, block_size);
 }
 
 AutoCompactionAgent::AutoCompactionAgent(Options options)
@@ -86,8 +89,9 @@ Result<CompactionDecision> AutoCompactionAgent::Step(
     const GlobalFeatures& global, double access_frequency,
     uint64_t base_snapshot_id) {
   SL_ASSIGN_OR_RETURN(auto files, table->LiveFiles());
-  PartitionFeatures features = ComputePartitionFeatures(
-      files, partition, options_.block_size, access_frequency);
+  const std::vector<uint64_t> sizes = PartitionFileSizes(files, partition);
+  PartitionFeatures features =
+      ComputePartitionFeatures(sizes, options_.block_size, access_frequency);
   std::vector<double> state = BuildStateVector(global, features);
 
   static Counter* steps =
@@ -107,9 +111,9 @@ Result<CompactionDecision> AutoCompactionAgent::Step(
   CompactionDecision decision;
   decision.utilization_before = features.partition_utilization;
 
-  double expected = ExpectedImprovement(
-      files, partition, options_.block_size,
-      static_cast<uint64_t>(global.target_file_bytes));
+  double expected =
+      ExpectedImprovement(sizes, options_.block_size,
+                          static_cast<uint64_t>(global.target_file_bytes));
 
   if (action == 1) {
     decision.attempted = true;
@@ -121,8 +125,9 @@ Result<CompactionDecision> AutoCompactionAgent::Step(
       decision.files_merged = result->files_before;
       files_merged->Increment(result->files_before);
       SL_ASSIGN_OR_RETURN(auto new_files, table->LiveFiles());
-      PartitionFeatures after = ComputePartitionFeatures(
-          new_files, partition, options_.block_size, access_frequency);
+      PartitionFeatures after =
+          ComputePartitionFeatures(PartitionFileSizes(new_files, partition),
+                                   options_.block_size, access_frequency);
       decision.utilization_after = after.partition_utilization;
       // Reward: the utilization improvement, minus the fixed cost of
       // running a compaction.
@@ -146,8 +151,9 @@ Result<CompactionDecision> AutoCompactionAgent::Step(
 
   if (options_.training) {
     SL_ASSIGN_OR_RETURN(auto next_files, table->LiveFiles());
-    PartitionFeatures next_features = ComputePartitionFeatures(
-        next_files, partition, options_.block_size, access_frequency);
+    PartitionFeatures next_features =
+        ComputePartitionFeatures(PartitionFileSizes(next_files, partition),
+                                 options_.block_size, access_frequency);
     std::vector<double> next_state = BuildStateVector(global, next_features);
     agent_.Observe(state, action, decision.reward, next_state, false);
     agent_.TrainStep();

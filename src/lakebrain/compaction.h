@@ -39,10 +39,14 @@ struct PartitionFeatures {
 std::vector<double> BuildStateVector(const GlobalFeatures& global,
                                      const PartitionFeatures& partition);
 
-/// Compute partition features from live file metadata.
+/// Byte sizes of `partition`'s live files, in path order.
+std::vector<uint64_t> PartitionFileSizes(const table::LiveFileList& files,
+                                         const std::string& partition);
+
+/// Compute partition features from its live files' sizes.
 PartitionFeatures ComputePartitionFeatures(
-    const std::vector<table::DataFileMeta>& files, const std::string& partition,
-    uint64_t block_size, double access_frequency);
+    const std::vector<uint64_t>& file_sizes, uint64_t block_size,
+    double access_frequency);
 
 struct CompactionDecision {
   bool attempted = false;   // the agent chose to compact
@@ -81,10 +85,10 @@ class AutoCompactionAgent {
                                   uint64_t base_snapshot_id = 0);
 
   /// Estimated utilization gain of binpacking the partition's small files.
-  static double ExpectedImprovement(
-      const std::vector<table::DataFileMeta>& files,
-      const std::string& partition, uint64_t block_size,
-      uint64_t target_file_bytes);
+  /// `file_sizes` are the partition's live file sizes.
+  static double ExpectedImprovement(const std::vector<uint64_t>& file_sizes,
+                                    uint64_t block_size,
+                                    uint64_t target_file_bytes);
 
   void set_training(bool training) { options_.training = training; }
   DqnAgent& agent() { return agent_; }

@@ -28,6 +28,11 @@ uint64_t Plog::ExtentSize() const { return ExtentSizeFor(config_); }
 Result<std::unique_ptr<Plog>> Plog::Create(StoragePool* pool,
                                            PlogConfig config,
                                            uint64_t now_ns) {
+  // Reads name the replicas that missed a range in a 64-bit mask.
+  if (config.redundancy.scheme == RedundancyConfig::Scheme::kReplication &&
+      config.redundancy.replicas > 64) {
+    return Status::InvalidArgument("a PLog keeps at most 64 replicas");
+  }
   SL_ASSIGN_OR_RETURN(auto extents,
                       pool->AllocateSpread(config.redundancy.Width(),
                                            ExtentSizeFor(config)));
@@ -42,7 +47,7 @@ Plog::Plog(StoragePool* pool, PlogConfig config, std::vector<Extent> extents,
     : pool_(pool),
       config_(config),
       extents_(std::move(extents)),
-      stale_(extents_.size(), 0),
+      missed_(extents_.size()),
       created_at_ns_(now_ns),
       last_append_ns_(now_ns) {
   if (config_.redundancy.scheme == RedundancyConfig::Scheme::kErasureCoding) {
@@ -79,7 +84,7 @@ Result<uint64_t> Plog::Append(ByteView record) {
     if (missed.size() == extents_.size()) {
       return Status::IOError("all replicas failed");
     }
-    for (size_t i : missed) stale_[i] = 1;
+    for (size_t i : missed) MarkMissedLocked(i, offset, frame_size);
   } else {
     // EC: buffer, then stripe out every full stripe. All ready stripes
     // flush in one scatter-gather write per shard (the data bus's
@@ -133,7 +138,10 @@ Status Plog::WriteStripesLocked(uint64_t first_stripe, ByteView data) {
     // buffered and the next stripe write covers them in full.
     return Status::IOError("stripe write lost more shards than parity");
   }
-  for (int i : missed) stale_[i] = 1;
+  for (int i : missed) {
+    MarkMissedLocked(i, first_stripe * config_.stripe_unit,
+                     stripes * config_.stripe_unit);
+  }
   return Status::OK();
 }
 
@@ -191,14 +199,7 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
     return Status::InvalidArgument("read past plog frontier");
   }
   if (config_.redundancy.scheme == RedundancyConfig::Scheme::kReplication) {
-    if (std::find(stale_.begin(), stale_.end(), 1) == stale_.end()) {
-      return ReadReplica(extents_, offset, length);
-    }
-    std::vector<Extent> fresh;
-    for (size_t i = 0; i < extents_.size(); ++i) {
-      if (!stale_[i]) fresh.push_back(extents_[i]);
-    }
-    return ReadReplica(fresh, offset, length);
+    return ReadReplicatedLocked(offset, length);
   }
 
   // EC path. Bytes may live in the pending buffer (not yet striped).
@@ -283,9 +284,61 @@ Result<Bytes> Plog::ReadRangeLocked(uint64_t offset, uint64_t length) const {
   return out;
 }
 
+Result<Bytes> Plog::ReadReplicatedLocked(uint64_t offset,
+                                         uint64_t length) const {
+  const uint64_t end = offset + length;
+  Bytes out;
+  uint64_t begin = offset;
+  do {
+    // The piece ends where some replica's missed range next begins or
+    // ends, so every replica holds it whole or not at all. With no missed
+    // range the whole range is one piece.
+    uint64_t cut = end;
+    for (const std::vector<MissedRange>& ranges : missed_) {
+      for (const MissedRange& range : ranges) {
+        for (uint64_t edge : {range.begin, range.end}) {
+          if (edge > begin && edge < cut) cut = edge;
+        }
+      }
+    }
+    uint64_t missed = 0;  // replicas that lack the piece
+    for (size_t i = 0; i < extents_.size(); ++i) {
+      if (MissedLocked(i, begin, cut - begin)) missed |= uint64_t{1} << i;
+    }
+    SL_ASSIGN_OR_RETURN(Bytes piece,
+                        ReadReplica(extents_, begin, cut - begin, missed));
+    if (begin == offset) {
+      out = std::move(piece);
+    } else {
+      AppendBytes(&out, ByteView(piece));
+    }
+    begin = cut;
+  } while (begin < end);
+  return out;
+}
+
+void Plog::MarkMissedLocked(size_t i, uint64_t offset, uint64_t length) {
+  std::vector<MissedRange>& ranges = missed_[i];
+  // Writes missed during one outage are adjacent: keep them one range.
+  if (!ranges.empty() && ranges.back().end == offset) {
+    ranges.back().end = offset + length;
+  } else {
+    ranges.push_back({offset, offset + length});
+  }
+}
+
+bool Plog::MissedLocked(size_t i, uint64_t offset, uint64_t length) const {
+  for (const MissedRange& range : missed_[i]) {
+    if (range.begin < offset + length && offset < range.end) return true;
+  }
+  return false;
+}
+
 Result<Bytes> Plog::ReadExtentLocked(size_t i, uint64_t offset,
                                      uint64_t length) const {
-  if (stale_[i]) return Status::IOError("extent missed a write");
+  if (MissedLocked(i, offset, length)) {
+    return Status::IOError("extent missed a write");
+  }
   const Extent& extent = extents_[i];
   return extent.device->Read(extent.offset + offset, length);
 }
@@ -319,8 +372,8 @@ Status Plog::MigrateTo(StoragePool* target) {
                                              ExtentSize()));
 
   std::vector<Extent> old_extents = std::move(extents_);
-  std::vector<char> old_stale =
-      std::exchange(stale_, std::vector<char>(new_extents.size(), 0));
+  std::vector<std::vector<MissedRange>> old_missed = std::exchange(
+      missed_, std::vector<std::vector<MissedRange>>(new_extents.size()));
   StoragePool* old_pool = pool_;
   extents_ = std::move(new_extents);
   pool_ = target;
@@ -345,7 +398,7 @@ Status Plog::MigrateTo(StoragePool* target) {
     // Roll back to the old extents; free the new ones.
     target->FreeExtents(extents_);
     extents_ = std::move(old_extents);
-    stale_ = std::move(old_stale);
+    missed_ = std::move(old_missed);
     pool_ = old_pool;
     return write_status;
   }
@@ -361,7 +414,7 @@ std::vector<int> Plog::FailedExtents() const {
 std::vector<int> Plog::FailedExtentsLocked() const {
   std::vector<int> failed;
   for (size_t i = 0; i < extents_.size(); ++i) {
-    if (stale_[i] || extents_[i].device->failed()) {
+    if (!missed_[i].empty() || extents_[i].device->failed()) {
       failed.push_back(static_cast<int>(i));
     }
   }
@@ -373,46 +426,54 @@ Status Plog::RepairFailedExtents() {
   if (freed_) return Status::InvalidArgument("plog freed");
   std::vector<int> failed = FailedExtentsLocked();
   if (failed.empty()) return Status::OK();
-  if (static_cast<int>(failed.size()) > config_.redundancy.FaultTolerance()) {
+  // A range one extent missed is lost only if too many others lack it as
+  // well; rebuilding finds that. Whole devices down are counted up front.
+  const auto down = std::count_if(failed.begin(), failed.end(), [&](int idx) {
+    return extents_[idx].device->failed();
+  });
+  if (down > config_.redundancy.FaultTolerance()) {
     return Status::IOError("losses exceed fault tolerance; data unrecoverable");
   }
 
-  // Allocate replacements, avoiding failed devices (the allocator skips
-  // them implicitly only by capacity, so retry across the pool).
   for (int idx : failed) {
+    // Rebuild the extent's contents from the other extents first, so a
+    // range no survivor holds fails before anything is allocated.
+    Bytes content;
+    if (config_.redundancy.scheme == RedundancyConfig::Scheme::kReplication) {
+      // The full log range, each piece from a replica that holds it.
+      SL_ASSIGN_OR_RETURN(content, ReadRangeLocked(0, size_));
+    } else {
+      // This shard, stripe by stripe, from the survivors.
+      const uint64_t stripe_data = StripeDataSize();
+      const uint64_t stripes =
+          (striped_bytes_ + stripe_data - 1) / stripe_data;
+      content.reserve(stripes * config_.stripe_unit);
+      for (uint64_t s = 0; s < stripes; ++s) {
+        SL_ASSIGN_OR_RETURN(Bytes stripe, ReconstructStripeLocked(s));
+        std::vector<Bytes> shards = rs_->Encode(ByteView(stripe));
+        AppendBytes(&content, ByteView(shards[idx]));
+      }
+    }
+    // Allocate the replacement, avoiding failed devices (the allocator
+    // skips them implicitly only by capacity).
     SL_ASSIGN_OR_RETURN(auto replacement,
                         pool_->AllocateExtents(1, ExtentSize(),
                                                /*distinct_nodes=*/false));
     Extent new_extent = replacement[0];
     if (new_extent.device->failed()) {
-      // Allocator handed back a failed disk; keep it allocated (it will
-      // be freed) and report — a richer allocator would filter.
+      // A richer allocator would filter failed disks.
       pool_->FreeExtent(new_extent);
       return Status::IOError("no healthy disk available for repair");
     }
-    if (config_.redundancy.scheme == RedundancyConfig::Scheme::kReplication) {
-      // Copy the full log range from a healthy replica.
-      SL_ASSIGN_OR_RETURN(Bytes content, ReadRangeLocked(0, size_));
-      SL_RETURN_NOT_OK(new_extent.device->Write(new_extent.offset,
-                                                ByteView(content)));
-    } else {
-      // Rebuild this shard stripe-by-stripe from the survivors.
-      const uint64_t stripe_data = StripeDataSize();
-      const uint64_t stripes =
-          (striped_bytes_ + stripe_data - 1) / stripe_data;
-      Bytes shard_content;
-      shard_content.reserve(stripes * config_.stripe_unit);
-      for (uint64_t s = 0; s < stripes; ++s) {
-        SL_ASSIGN_OR_RETURN(Bytes stripe, ReconstructStripeLocked(s));
-        std::vector<Bytes> shards = rs_->Encode(ByteView(stripe));
-        AppendBytes(&shard_content, ByteView(shards[idx]));
-      }
-      SL_RETURN_NOT_OK(new_extent.device->Write(new_extent.offset,
-                                                ByteView(shard_content)));
+    Status written =
+        new_extent.device->Write(new_extent.offset, ByteView(content));
+    if (!written.ok()) {
+      pool_->FreeExtent(new_extent);
+      return written;
     }
     pool_->FreeExtent(extents_[idx]);
     extents_[idx] = new_extent;
-    stale_[idx] = 0;
+    missed_[idx].clear();
   }
   return Status::OK();
 }

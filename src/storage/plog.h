@@ -99,8 +99,9 @@ class Plog {
   /// Logical offsets are preserved; old extents are freed.
   Status MigrateTo(StoragePool* target);
 
-  /// Indices of extents that cannot serve reads: their device reports
-  /// failure, or they missed a write that the PLog still acknowledged.
+  /// Indices of extents that cannot serve every read: their device
+  /// reports failure, or they missed a write that the PLog still
+  /// acknowledged.
   std::vector<int> FailedExtents() const;
 
   /// Data reconstruction (Section III: the pools implement "data
@@ -147,9 +148,21 @@ class Plog {
   uint64_t ExtentSize() const;
 
   std::vector<int> FailedExtentsLocked() const REQUIRES(mu_);
-  /// Read extent `i` at `offset` within it; a stale extent is unreadable.
+  /// Record that extent `i` missed an acknowledged write of
+  /// [offset, offset + length) of its own address space.
+  void MarkMissedLocked(size_t i, uint64_t offset, uint64_t length)
+      REQUIRES(mu_);
+  /// Whether extent `i` missed any byte of [offset, offset + length).
+  bool MissedLocked(size_t i, uint64_t offset, uint64_t length) const
+      REQUIRES(mu_);
+  /// Read extent `i` at `offset` within it; a range it missed is
+  /// unreadable.
   Result<Bytes> ReadExtentLocked(size_t i, uint64_t offset,
                                  uint64_t length) const REQUIRES(mu_);
+  /// Replication: read the range piece by piece, each piece from the
+  /// replicas that hold all of it.
+  Result<Bytes> ReadReplicatedLocked(uint64_t offset, uint64_t length) const
+      REQUIRES(mu_);
 
   // EC internals (mu_ held):
   /// Encode and persist one or more consecutive full stripes with a
@@ -166,9 +179,15 @@ class Plog {
   StoragePool* pool_ GUARDED_BY(mu_);
   PlogConfig config_;
   std::vector<Extent> extents_ GUARDED_BY(mu_);
-  // Per extent: it missed a write the PLog acknowledged (its device was
-  // down), so its bytes are stale until repair rebuilds it. Reads skip it.
-  std::vector<char> stale_ GUARDED_BY(mu_);
+  // Per extent: the [begin, end) ranges of its address space that missed
+  // a write the PLog still acknowledged (its device was down). Those bytes
+  // are stale until repair rebuilds the extent; reads of them go to the
+  // other replicas or shards, and the rest of the extent still serves.
+  struct MissedRange {
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+  std::vector<std::vector<MissedRange>> missed_ GUARDED_BY(mu_);
   std::unique_ptr<ReedSolomon> rs_;  // EC only
 
   mutable Mutex mu_{LockRank::kPlog, "storage.plog"};

@@ -5,9 +5,11 @@
 namespace streamlake::storage {
 
 Result<Bytes> ReadReplica(std::span<const Extent> replicas, uint64_t offset,
-                          uint64_t length) {
+                          uint64_t length, uint64_t skip) {
   Status last = Status::IOError("no replicas");
-  for (const Extent& extent : replicas) {
+  for (size_t i = 0; i < replicas.size(); ++i) {
+    if (i < 64 && (skip >> i & 1) != 0) continue;
+    const Extent& extent = replicas[i];
     auto data = extent.device->Read(extent.offset + offset, length);
     if (data.ok()) return data;
     last = data.status();

@@ -27,8 +27,10 @@ struct Extent {
 ///
 /// Reads `length` bytes at `offset` from the first replica whose device
 /// serves them, in replica order; fails with the last replica's error.
+/// Replica i is passed over when bit i of `skip` is set (it is known not
+/// to hold the bytes).
 Result<Bytes> ReadReplica(std::span<const Extent> replicas, uint64_t offset,
-                          uint64_t length);
+                          uint64_t length, uint64_t skip = 0);
 /// Writes `data` at `offset` to every replica in order, stopping at the
 /// first failure.
 Status WriteReplicas(std::span<const Extent> replicas, uint64_t offset,

@@ -1,7 +1,9 @@
 #ifndef STREAMLAKE_TABLE_CATALOG_H_
 #define STREAMLAKE_TABLE_CATALOG_H_
 
+#include <cstddef>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +29,52 @@ struct LiveSet {
   std::vector<const DataFileMeta*> files;    // live data files, path order
   std::vector<const DeleteRecord*> deletes;  // outstanding MOR deletes
   std::vector<CommitPtr> commits;            // the chain, in order
+};
+
+/// A snapshot's live data files in path order, shared with the live set
+/// they come from rather than copied. Iterates as `const DataFileMeta&`.
+class LiveFileList {
+ public:
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = DataFileMeta;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const DataFileMeta*;
+    using reference = const DataFileMeta&;
+
+    Iterator() = default;
+    explicit Iterator(std::vector<const DataFileMeta*>::const_iterator it)
+        : it_(it) {}
+    reference operator*() const { return **it_; }
+    pointer operator->() const { return *it_; }
+    Iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator old = *this;
+      ++it_;
+      return old;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    std::vector<const DataFileMeta*>::const_iterator it_;
+  };
+
+  explicit LiveFileList(std::shared_ptr<const LiveSet> live)
+      : live_(std::move(live)) {}
+
+  size_t size() const { return live_->files.size(); }
+  bool empty() const { return live_->files.empty(); }
+  const DataFileMeta& operator[](size_t i) const { return *live_->files[i]; }
+  const DataFileMeta& front() const { return *live_->files.front(); }
+  Iterator begin() const { return Iterator(live_->files.begin()); }
+  Iterator end() const { return Iterator(live_->files.end()); }
+
+ private:
+  std::shared_ptr<const LiveSet> live_;
 };
 
 /// One snapshot read: the shared live set, and the compute memory the

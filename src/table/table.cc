@@ -783,14 +783,11 @@ std::map<std::string, uint64_t> Table::PartitionAccessCounts() const {
   return partition_access_;
 }
 
-Result<std::vector<DataFileMeta>> Table::LiveFiles() {
+Result<LiveFileList> Table::LiveFiles() {
   SL_ASSIGN_OR_RETURN(TableInfo info, Info());
   SL_ASSIGN_OR_RETURN(SnapshotRead head,
                       catalog_.Read(info, info.current_snapshot_id));
-  std::vector<DataFileMeta> files;
-  files.reserve(head.live->files.size());
-  for (const DataFileMeta* file : head.live->files) files.push_back(*file);
-  return files;
+  return LiveFileList(std::move(head.live));
 }
 
 Result<uint64_t> Table::Delete(const query::Conjunction& where) {

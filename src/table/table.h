@@ -227,9 +227,9 @@ class Table {
                           const std::string& column,
                           const format::Value& value);
 
-  /// Live data files of the head snapshot. LakeBrain's state features come
-  /// from here.
-  Result<std::vector<DataFileMeta>> LiveFiles();
+  /// Live data files of the head snapshot, shared with the catalog memo.
+  /// LakeBrain's state features come from here.
+  Result<LiveFileList> LiveFiles();
 
   /// Binpack-merge the files of `partition` smaller than the target file
   /// size into ~target-size files. `base_snapshot_id` is the snapshot the

@@ -105,23 +105,14 @@ TEST(BlockUtilizationTest, MergingSmallFilesImproves) {
 }
 
 TEST(CompactionFeaturesTest, ExpectedImprovementPositiveForSmallFiles) {
-  std::vector<table::DataFileMeta> files;
-  for (int i = 0; i < 10; ++i) {
-    table::DataFileMeta meta;
-    meta.partition = "p";
-    meta.file_bytes = 50 * 1024;
-    files.push_back(meta);
-  }
-  double improvement = AutoCompactionAgent::ExpectedImprovement(
-      files, "p", 1 << 20, 4 << 20);
+  std::vector<uint64_t> small(10, 50 * 1024);
+  double improvement =
+      AutoCompactionAgent::ExpectedImprovement(small, 1 << 20, 4 << 20);
   EXPECT_GT(improvement, 0.3);
   // One big file: nothing to merge.
-  std::vector<table::DataFileMeta> big(1);
-  big[0].partition = "p";
-  big[0].file_bytes = 8 << 20;
-  EXPECT_NEAR(AutoCompactionAgent::ExpectedImprovement(big, "p", 1 << 20,
-                                                       4 << 20),
-              0.0, 1e-9);
+  EXPECT_NEAR(
+      AutoCompactionAgent::ExpectedImprovement({8 << 20}, 1 << 20, 4 << 20),
+      0.0, 1e-9);
 }
 
 // ---------------- Auto-compaction end-to-end ----------------
@@ -185,14 +176,16 @@ TEST(AutoCompactionTest, CompactActionImprovesUtilizationAndRewards) {
   // or probing both actions: drive directly through the table instead.
   auto files = f.table->LiveFiles();
   ASSERT_TRUE(files.ok());
-  double before = ComputePartitionFeatures(*files, "hot", 4096, 0)
-                      .partition_utilization;
+  double before =
+      ComputePartitionFeatures(PartitionFileSizes(*files, "hot"), 4096, 0)
+          .partition_utilization;
   auto result = f.table->CompactPartition("hot");
   ASSERT_TRUE(result.ok());
   files = f.table->LiveFiles();
   ASSERT_TRUE(files.ok());
-  double after = ComputePartitionFeatures(*files, "hot", 4096, 0)
-                     .partition_utilization;
+  double after =
+      ComputePartitionFeatures(PartitionFileSizes(*files, "hot"), 4096, 0)
+          .partition_utilization;
   EXPECT_GT(after, before);
 }
 

@@ -316,6 +316,37 @@ TEST(PlogTest, ReplicationAppendRead) {
   EXPECT_EQ(BytesToString(*r2), "second record");
 }
 
+// A record whose one acknowledged copy went to a replica that had missed
+// an earlier record reads back from that replica.
+TEST(PlogTest, ReplicaThatMissedAWriteServesTheWritesItHolds) {
+  PoolFixture f;
+  f.pool.AddCluster(3, 1, 8 << 20);
+  auto plog = Plog::Create(&f.pool, SmallPlogConfig(
+      RedundancyConfig::Replication(3)));
+  ASSERT_TRUE(plog.ok());
+  f.pool.SetNodeFailed(0, true);
+  auto first = (*plog)->Append(ByteView("first"));
+  ASSERT_TRUE(first.ok());
+  f.pool.SetNodeFailed(0, false);
+  f.pool.SetNodeFailed(1, true);
+  f.pool.SetNodeFailed(2, true);
+  auto second = (*plog)->Append(ByteView("second"));
+  ASSERT_TRUE(second.ok());
+  f.pool.SetNodeFailed(1, false);
+  f.pool.SetNodeFailed(2, false);
+
+  auto read = (*plog)->ReadRecord(*first);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(BytesToString(*read), "first");
+  read = (*plog)->ReadRecord(*second);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(BytesToString(*read), "second");
+  ASSERT_TRUE((*plog)->RepairFailedExtents().ok());
+  read = (*plog)->ReadRecord(*second);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(BytesToString(*read), "second");
+}
+
 TEST(PlogTest, ReplicationSurvivesNodeFailures) {
   PoolFixture f;
   f.pool.AddCluster(3, 1, 8 << 20);
@@ -367,6 +398,41 @@ TEST_P(PlogStaleExtentTest, ExtentThatMissedAWriteIsNotReadAndIsRepaired) {
   read = (*plog)->ReadRecord(*off);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(BytesToString(*read), "payload");
+}
+
+// One node down at a time, a different one for each write: every write is
+// within fault tolerance, so every record stays readable even though each
+// extent missed one of them, and repair rebuilds all of the extents.
+TEST_P(PlogStaleExtentTest, RollingSingleNodeOutagesKeepEveryRecord) {
+  const RedundancyConfig redundancy = GetParam();
+  const int width = redundancy.Width();
+  PoolFixture f;
+  f.pool.AddCluster(static_cast<uint32_t>(width), 1, 8 << 20);
+  auto plog = Plog::Create(&f.pool, SmallPlogConfig(redundancy));
+  ASSERT_TRUE(plog.ok());
+  std::vector<std::pair<uint64_t, std::string>> records;
+  for (int node = 0; node < width; ++node) {
+    const std::string payload = "record " + std::to_string(node);
+    f.pool.SetNodeFailed(static_cast<uint32_t>(node), true);
+    auto off = (*plog)->Append(ByteView(payload));
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    ASSERT_TRUE((*plog)->Flush().ok());
+    f.pool.SetNodeFailed(static_cast<uint32_t>(node), false);
+    records.emplace_back(*off, payload);
+  }
+  auto read_all = [&] {
+    for (const auto& [off, payload] : records) {
+      auto read = (*plog)->ReadRecord(off);
+      ASSERT_TRUE(read.ok()) << payload << ": " << read.status().ToString();
+      EXPECT_EQ(BytesToString(*read), payload);
+    }
+  };
+  read_all();
+  EXPECT_EQ((*plog)->FailedExtents().size(), static_cast<size_t>(width));
+
+  ASSERT_TRUE((*plog)->RepairFailedExtents().ok());
+  EXPECT_TRUE((*plog)->FailedExtents().empty());
+  read_all();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1564,7 +1564,7 @@ SnapshotRows ReadRetainedSnapshots(Table* table, const TableInfo& info) {
 }
 
 std::vector<std::tuple<std::string, uint64_t, uint64_t>> FileKeys(
-    const std::vector<DataFileMeta>& files) {
+    const LiveFileList& files) {
   std::vector<std::tuple<std::string, uint64_t, uint64_t>> keys;
   for (const DataFileMeta& f : files) {
     keys.emplace_back(f.path, f.record_count, f.added_seq);
