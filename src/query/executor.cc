@@ -66,12 +66,6 @@ Result<QueryResult> Executor::Finalize() {
   QueryResult result;
   result.rows_scanned = rows_scanned_;
   result.rows_matched = rows_matched_;
-  static Counter* rows_scanned =
-      MetricsRegistry::Global().GetCounter("query.rows_scanned");
-  static Counter* rows_matched =
-      MetricsRegistry::Global().GetCounter("query.rows_matched");
-  rows_scanned->Increment(rows_scanned_);
-  rows_matched->Increment(rows_matched_);
 
   if (spec_.aggregates.empty()) {
     if (!project_.active()) {

@@ -1,5 +1,7 @@
 #include "query/predicate.h"
 
+#include <algorithm>
+
 namespace streamlake::query {
 
 namespace {
@@ -24,6 +26,21 @@ uint64_t AndTyped(const std::vector<T>& values,
       const char k = (keep(values[r]) && nulls[r] == 0) ? 1 : 0;
       dropped += static_cast<uint64_t>(sel[r] & (k ^ 1));
       sel[r] &= k;
+    }
+  }
+  return dropped;
+}
+
+/// Clear `(*selected)[r]` for every selected row r that `reject(r)` holds
+/// for, and return the number of rows it deselected.
+template <typename Reject>
+uint64_t Deselect(std::vector<char>* selected, Reject reject) {
+  std::vector<char>& sel = *selected;
+  uint64_t dropped = 0;
+  for (size_t r = 0; r < sel.size(); ++r) {
+    if (sel[r] && reject(r)) {
+      sel[r] = 0;
+      ++dropped;
     }
   }
   return dropped;
@@ -362,56 +379,35 @@ std::string Conjunction::ToString() const {
   return s;
 }
 
-std::vector<char> DictMatchTable(const Predicate& p,
-                                 const format::ColumnChunkData& chunk) {
-  std::vector<char> table;
-  if (chunk.type == format::DataType::kInt64) {
-    const auto& dict = std::get<std::vector<int64_t>>(chunk.dict);
-    table.resize(dict.size(), 0);
-    for (size_t i = 0; i < dict.size(); ++i) {
-      table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
-    }
-  } else {
-    const auto& dict = std::get<std::vector<std::string>>(chunk.dict);
-    table.resize(dict.size(), 0);
-    for (size_t i = 0; i < dict.size(); ++i) {
-      table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
-    }
-  }
-  return table;
-}
-
-uint64_t AndCodeMatches(const std::vector<char>& match,
-                        const format::ColumnChunkData& chunk,
-                        std::vector<char>* selected) {
-  std::vector<char>& sel = *selected;
-  uint64_t dropped = 0;
-  for (size_t r = 0; r < sel.size(); ++r) {
-    if (sel[r] && (chunk.IsNullAt(r) || !match[chunk.codes[r]])) {
-      sel[r] = 0;
-      ++dropped;
-    }
-  }
-  return dropped;
-}
-
 uint64_t AndMatches(const Predicate& p, const format::ColumnChunkData& chunk,
-                    std::vector<char>* selected) {
-  std::vector<char>& sel = *selected;
-  uint64_t dropped = 0;
+                    std::vector<char>* selected, uint64_t* dict_prunes) {
   if (p.op == CompareOp::kIsNull || p.op == CompareOp::kIsNotNull) {
     const bool want_null = p.op == CompareOp::kIsNull;
-    for (size_t r = 0; r < sel.size(); ++r) {
-      if (sel[r] && chunk.IsNullAt(r) != want_null) {
-        sel[r] = 0;
-        ++dropped;
-      }
-    }
-    return dropped;
+    return Deselect(selected,
+                    [&](size_t r) { return chunk.IsNullAt(r) != want_null; });
   }
   if (chunk.dict_view) {
-    return AndCodeMatches(DictMatchTable(p, chunk), chunk, selected);
+    // Compute on compressed data: evaluate `p` once per dictionary entry
+    // (|dict| evaluations, not |rows|), then compare codes to the table.
+    const std::vector<char> match = std::visit(
+        [&p](const auto& dict) {
+          std::vector<char> table(dict.size());
+          for (size_t i = 0; i < dict.size(); ++i) {
+            table[i] = p.Matches(format::Value(dict[i])) ? 1 : 0;
+          }
+          return table;
+        },
+        chunk.dict);
+    const bool none = std::find(match.begin(), match.end(), 1) == match.end();
+    if (none && dict_prunes != nullptr &&
+        (p.op == CompareOp::kEq || p.op == CompareOp::kIn)) {
+      ++*dict_prunes;
+    }
+    return Deselect(selected, [&](size_t r) {
+      return none || chunk.IsNullAt(r) || !match[chunk.codes[r]];
+    });
   }
+  uint64_t dropped = 0;
   if (chunk.type == format::DataType::kInt64 &&
       AndTypedMatches<int64_t>(p, chunk, selected, &dropped)) {
     return dropped;
@@ -420,13 +416,38 @@ uint64_t AndMatches(const Predicate& p, const format::ColumnChunkData& chunk,
       AndTypedMatches<double>(p, chunk, selected, &dropped)) {
     return dropped;
   }
-  for (size_t r = 0; r < sel.size(); ++r) {
-    if (sel[r] && !p.Matches(chunk.ValueAt(r))) {
-      sel[r] = 0;
-      ++dropped;
+  return Deselect(selected,
+                  [&](size_t r) { return !p.Matches(chunk.ValueAt(r)); });
+}
+
+BoundConjunction::BoundConjunction(const Conjunction& where,
+                                   const format::Schema& schema) {
+  for (const Predicate& p : where.predicates()) {
+    const int column = schema.FieldIndex(p.column);
+    if (column < 0) {
+      matches_none = true;
+      break;
     }
+    predicates.push_back({&p, static_cast<size_t>(column)});
   }
-  return dropped;
+}
+
+Result<uint64_t> BoundConjunction::AndInto(const ChunkAt& chunk_at,
+                                           std::vector<char>* selected,
+                                           uint64_t selected_rows,
+                                           uint64_t* dict_prunes) const {
+  if (matches_none) {
+    std::fill(selected->begin(), selected->end(), 0);
+    return 0;
+  }
+  for (const Bound& bound : predicates) {
+    if (selected_rows == 0) break;
+    SL_ASSIGN_OR_RETURN(const format::ColumnChunkData* chunk,
+                        chunk_at(bound.column));
+    selected_rows -= AndMatches(*bound.predicate, *chunk, selected,
+                                dict_prunes);
+  }
+  return selected_rows;
 }
 
 }  // namespace streamlake::query

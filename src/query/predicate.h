@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_QUERY_PREDICATE_H_
 #define STREAMLAKE_QUERY_PREDICATE_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -60,7 +61,8 @@ class Conjunction {
   const std::vector<Predicate>& predicates() const { return predicates_; }
   bool empty() const { return predicates_.empty(); }
 
-  /// Row-level evaluation.
+  /// Row-level evaluation, for the reference executor: the scan and the
+  /// rewrites evaluate a BoundConjunction over column chunks instead.
   bool Matches(const format::Schema& schema, const format::Row& row) const;
 
   /// Stats-level pruning: can any row with `column` in [min, max] match?
@@ -100,29 +102,50 @@ bool PredicateMayMatchRange(const Predicate& predicate,
                             const format::Value& min,
                             const format::Value& max);
 
-/// Evaluate `p` against every dictionary entry of a dict-view chunk:
-/// `table[code]` says whether rows carrying `code` match. This is the
-/// compute-on-compressed step — |dict| evaluations instead of |rows|.
-std::vector<char> DictMatchTable(const Predicate& p,
-                                 const format::ColumnChunkData& chunk);
-
-/// Clear `(*selected)[r]` (one 0/1 flag per row of a dict-view `chunk`)
-/// where row r is NULL or its code maps to 0 in `match` (DictMatchTable).
-/// Returns the number of rows it deselected.
-uint64_t AndCodeMatches(const std::vector<char>& match,
-                        const format::ColumnChunkData& chunk,
-                        std::vector<char>* selected);
-
 /// The column-at-a-time form of `p.Matches(chunk.ValueAt(r))`: clear
 /// `(*selected)[r]` for every selected row r of `chunk` that `p` rejects,
 /// and return the number of rows it deselected. IS [NOT] NULL reads the
-/// null mask, a dict-view chunk goes through DictMatchTable, and a plain
-/// int64 or double chunk compared against literals of its own type runs a
-/// typed kernel over the value vector with CompareValues' ordering (a NaN
-/// compares equal to everything, -0.0 equals 0.0). Anything else falls
-/// back to Predicate::Matches per row.
+/// null mask. A dict-view chunk evaluates `p` once per dictionary entry and
+/// compares each row's code against that table; when no entry matches, it
+/// clears every row without reading the codes, and `dict_prunes` (may be
+/// null) counts it if `p` is = or IN: the compute-on-compressed prune that
+/// min/max stats cannot make when the literal falls inside the range. A
+/// plain int64 or double chunk compared against literals of its own type
+/// runs a typed kernel over the value vector with CompareValues' ordering
+/// (a NaN compares equal to everything, -0.0 equals 0.0). Anything else
+/// falls back to Predicate::Matches per row.
 uint64_t AndMatches(const Predicate& p, const format::ColumnChunkData& chunk,
-                    std::vector<char>* selected);
+                    std::vector<char>* selected,
+                    uint64_t* dict_prunes = nullptr);
+
+/// A conjunction bound to one schema's columns, evaluated column at a time
+/// over decoded chunks: the one evaluator of WHERE, merge-on-read masks and
+/// the rewrites' match test. Binding stops at the first predicate naming a
+/// column the schema lacks; such a conjunction matches no row, and
+/// `predicates` keeps the ones bound before it.
+struct BoundConjunction {
+  struct Bound {
+    const Predicate* predicate;  // points into the bound Conjunction
+    size_t column;               // schema index
+  };
+  /// Decoded chunk of a schema column, decoding it on first use.
+  using ChunkAt =
+      std::function<Result<const format::ColumnChunkData*>(size_t column)>;
+
+  BoundConjunction(const Conjunction& where, const format::Schema& schema);
+
+  /// AND the conjunction into `*selected` (one 0/1 flag per row, of which
+  /// `selected_rows` are set) one predicate at a time through AndMatches,
+  /// and return the rows left set. It stops once none is, so no later
+  /// predicate's chunk is asked for. `dict_prunes` (may be null) counts
+  /// AndMatches' dictionary prunes.
+  Result<uint64_t> AndInto(const ChunkAt& chunk_at, std::vector<char>* selected,
+                           uint64_t selected_rows,
+                           uint64_t* dict_prunes) const;
+
+  std::vector<Bound> predicates;  // those bound before an unknown column
+  bool matches_none = false;      // an unknown column was named
+};
 
 }  // namespace streamlake::query
 

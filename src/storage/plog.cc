@@ -93,9 +93,13 @@ Result<uint64_t> Plog::Append(ByteView record) {
     const uint64_t stripe_data = StripeDataSize();
     uint64_t full_stripes = pending_.size() / stripe_data;
     if (full_stripes > 0) {
-      SL_RETURN_NOT_OK(WriteStripesLocked(
+      Status s = WriteStripesLocked(
           striped_bytes_ / stripe_data,
-          ByteView(pending_.data(), full_stripes * stripe_data)));
+          ByteView(pending_.data(), full_stripes * stripe_data));
+      // An unacknowledged frame must not stay buffered: the next append
+      // takes its offset.
+      if (!s.ok()) pending_.resize(pending_.size() - frame_size);
+      SL_RETURN_NOT_OK(s);
       pending_.erase(pending_.begin(),
                      pending_.begin() + full_stripes * stripe_data);
       striped_bytes_ += full_stripes * stripe_data;

@@ -274,6 +274,12 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
   }
   // The output stage saw joined rows; the query-level counters report what
   // the scans read and matched across every table of the query.
+  static Counter* rows_scanned =
+      MetricsRegistry::Global().GetCounter("query.rows_scanned");
+  static Counter* rows_matched =
+      MetricsRegistry::Global().GetCounter("query.rows_matched");
+  rows_scanned->Increment(total_scanned);
+  rows_matched->Increment(total_matched);
   result.rows_scanned = total_scanned;
   result.rows_matched = total_matched;
   return result;

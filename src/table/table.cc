@@ -17,12 +17,6 @@ namespace streamlake::table {
 
 namespace {
 
-/// One merge-on-read delete applicable to the file being scanned, with its
-/// predicate columns resolved to schema indices up front.
-struct ApplicableDelete {
-  std::vector<std::pair<const query::Predicate*, size_t>> preds;
-};
-
 /// The seconds [n * width, (n + 1) * width - 1] of bucket `n` of a
 /// `width`-second transform, when that range fits int64.
 bool BucketRange(const Result<int64_t>& n, int64_t width, format::Value* min,
@@ -81,6 +75,39 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
   return false;
 }
 
+/// One scanned group of a rewrite, appended to `rows` as its visible rows
+/// in order. With `match`, the rows it matches (tested over the chunks the
+/// scan decoded, every column) are added to `matched` and take `set_col =
+/// *set_value`, or are dropped when `set_value` is null.
+Status EditRows(const ScannedGroup& scanned,
+                const query::BoundConjunction* match, int set_col,
+                const format::Value* set_value, std::vector<format::Row>* rows,
+                uint64_t* matched) {
+  if (scanned.selection.empty()) return Status::OK();
+  std::vector<char> hit;
+  if (match != nullptr) {
+    hit.assign(scanned.chunks[0]->num_rows, 0);
+    for (uint32_t r : scanned.selection) hit[r] = 1;
+    SL_ASSIGN_OR_RETURN(
+        uint64_t hits,
+        match->AndInto(
+            [&](size_t c) -> Result<const format::ColumnChunkData*> {
+              return scanned.chunks[c].get();
+            },
+            &hit, scanned.selection.size(), nullptr));
+    *matched += hits;
+  }
+  std::vector<format::Row> scanned_rows = scanned.Rows();
+  for (size_t i = 0; i < scanned_rows.size(); ++i) {
+    if (!hit.empty() && hit[scanned.selection[i]]) {
+      if (set_value == nullptr) continue;
+      scanned_rows[i].fields[set_col] = *set_value;
+    }
+    rows->push_back(std::move(scanned_rows[i]));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Table::Table(std::string name, MetadataStore* meta,
@@ -105,36 +132,45 @@ Result<TableInfo> Table::Info() const {
   return info;
 }
 
-Result<DataFileMeta> Table::WriteDataFile(
-    const TableInfo& info, const std::string& partition,
-    const std::vector<format::Row>& rows) {
-  std::vector<const format::Row*> pointers;
-  pointers.reserve(rows.size());
-  for (const format::Row& row : rows) pointers.push_back(&row);
-  return PublishDataFile(
-      info, partition, rows.size(),
-      format::EncodeLakeFile(info.schema, pointers, options_.file_options));
-}
-
-Result<DataFileMeta> Table::PublishDataFile(const TableInfo& info,
-                                            const std::string& partition,
-                                            uint64_t record_count,
-                                            format::EncodedLakeFile file) {
-  DataFileMeta meta;
-  meta.partition = partition;
-  meta.record_count = record_count;
-  meta.file_bytes = file.bytes.size();
-  for (size_t c = 0; c < file.column_stats.size(); ++c) {
-    meta.column_stats[info.schema.field(c).name] =
-        std::move(file.column_stats[c]);
+Status Table::WriteFiles(const TableInfo& info,
+                         std::span<const FileRows> files,
+                         std::vector<DataFileMeta>* added) {
+  // The largest file bounds the parallel gain: when it holds over half the
+  // rows, the hand-off to the pool costs more than the overlap saves (a
+  // 450 + 50 row insert ran 12% slower at the median on a 4-core machine),
+  // so the calling thread encodes them all.
+  size_t rows = 0;
+  size_t largest = 0;
+  for (const FileRows& file : files) {
+    rows += file.rows.size();
+    largest = std::max(largest, file.rows.size());
   }
-  std::string dir = partition.empty() ? "" : partition + "/";
-  meta.path = info.path + "/data/" + dir + "f-" +
-              std::to_string(info.table_id) + "-" +
-              std::to_string(clock_->NowNanos()) + "-" +
-              std::to_string(next_file_seq_.fetch_add(1));
-  SL_RETURN_NOT_OK(objects_->Write(meta.path, ByteView(file.bytes)));
-  return meta;
+  std::vector<format::EncodedLakeFile> encoded(files.size());
+  ParallelFor(largest * 2 <= rows ? scan_pool_ : nullptr, files.size(),
+              [&](size_t i) {
+                encoded[i] = format::EncodeLakeFile(info.schema, files[i].rows,
+                                                    options_.file_options);
+              });
+  Status s = Status::OK();
+  for (size_t i = 0; s.ok() && i < files.size(); ++i) {
+    const std::string& partition = *files[i].partition;
+    DataFileMeta meta;
+    meta.partition = partition;
+    meta.record_count = files[i].rows.size();
+    meta.file_bytes = encoded[i].bytes.size();
+    for (size_t c = 0; c < encoded[i].column_stats.size(); ++c) {
+      meta.column_stats[info.schema.field(c).name] =
+          std::move(encoded[i].column_stats[c]);
+    }
+    std::string dir = partition.empty() ? "" : partition + "/";
+    meta.path = info.path + "/data/" + dir + "f-" +
+                std::to_string(info.table_id) + "-" +
+                std::to_string(clock_->NowNanos()) + "-" +
+                std::to_string(next_file_seq_.fetch_add(1));
+    s = objects_->Write(meta.path, ByteView(encoded[i].bytes));
+    if (s.ok()) added->push_back(std::move(meta));
+  }
+  return s;
 }
 
 Status Table::CommitChanges(const CommitRequest& request) {
@@ -269,51 +305,19 @@ Status Table::Insert(const std::vector<format::Row>& rows) {
                         info.partition_spec.PartitionOf(info.schema, row));
     by_partition[partition].push_back(&row);
   }
-  struct PendingFile {
-    const std::string* partition;
-    std::span<const format::Row* const> rows;
-    format::EncodedLakeFile encoded;
-  };
-  std::vector<PendingFile> files;
+  std::vector<FileRows> files;
   for (const auto& [partition, part_rows] : by_partition) {
     const std::span<const format::Row* const> all(part_rows);
     for (size_t begin = 0; begin < all.size();
          begin += options_.max_rows_per_file) {
       files.push_back(
-          {&partition,
-           all.subspan(begin, std::min(options_.max_rows_per_file,
-                                       all.size() - begin)),
-           {}});
+          {&partition, all.subspan(begin, std::min(options_.max_rows_per_file,
+                                                   all.size() - begin))});
     }
   }
-  // Encoding never touches the sim clock, so the files may encode in
-  // parallel; they are then named and written one at a time, in partition
-  // order, so paths, sim charges and the commit match a serial insert. The
-  // largest file bounds the gain: when it holds over half the rows, the
-  // hand-off to the pool costs more than the overlap saves (a 450 + 50 row
-  // insert ran 12% slower at the median on a 4-core machine), so the
-  // calling thread encodes them all.
-  size_t largest = 0;
-  for (const PendingFile& file : files) {
-    largest = std::max(largest, file.rows.size());
-  }
-  ThreadPool* pool = largest * 2 <= rows.size() ? scan_pool_ : nullptr;
-  ParallelFor(pool, files.size(), [&](size_t i) {
-    files[i].encoded = format::EncodeLakeFile(info.schema, files[i].rows,
-                                              options_.file_options);
-  });
   CommitRequest request;
-  Status s = Status::OK();
-  for (PendingFile& file : files) {
-    auto meta = PublishDataFile(info, *file.partition, file.rows.size(),
-                                std::move(file.encoded));
-    if (!meta.ok()) {
-      s = meta.status();
-      break;
-    }
-    request.added.push_back(std::move(*meta));
-  }
-  return CommitOrDiscard(request, std::move(s));
+  Status written = WriteFiles(info, files, &request.added);
+  return CommitOrDiscard(request, std::move(written));
 }
 
 bool Table::FileMayMatch(const TableInfo& info, const DataFileMeta& file,
@@ -442,49 +446,28 @@ Status Table::ScanFileRows(
   const format::Schema& schema = info.schema;
   const size_t num_fields = schema.num_fields();
 
-  // Resolve predicate-referenced column indices ONCE per file, not once
-  // per row group. A predicate on an unknown column makes the whole
-  // conjunction unsatisfiable (Conjunction::Matches semantics) — the scan
-  // still counts visible rows but matches none and decodes nothing.
-  bool impossible = false;
-  std::vector<std::pair<const query::Predicate*, size_t>> preds;
-  for (const query::Predicate& p : where.predicates()) {
-    int idx = schema.FieldIndex(p.column);
-    if (idx < 0) {
-      impossible = true;
-      break;
-    }
-    preds.emplace_back(&p, static_cast<size_t>(idx));
-  }
-
-  // Merge-on-read deletes newer than this file, with their referenced
-  // columns resolved up front. A delete naming an unknown column masks
-  // nothing; an empty delete conjunction masks every row.
-  std::vector<ApplicableDelete> applicable;
+  // Bind WHERE and the merge-on-read deletes newer than this file to the
+  // schema once per file, not once per row group. A WHERE naming an unknown
+  // column matches nothing: the scan still counts visible rows but decodes
+  // nothing for it. A delete naming one masks nothing; an empty delete
+  // conjunction masks every row.
+  const query::BoundConjunction filter(where, schema);
+  std::vector<query::BoundConjunction> masks;
   for (const DeleteRecord* d : delete_records) {
     if (d->seq <= file.added_seq) continue;
-    ApplicableDelete ad;
-    bool unknown = false;
-    for (const query::Predicate& p : d->predicate.predicates()) {
-      int idx = schema.FieldIndex(p.column);
-      if (idx < 0) {
-        unknown = true;
-        break;
-      }
-      ad.preds.emplace_back(&p, static_cast<size_t>(idx));
-    }
-    if (!unknown) applicable.push_back(std::move(ad));
+    query::BoundConjunction mask(d->predicate, schema);
+    if (!mask.matches_none) masks.push_back(std::move(mask));
   }
 
   // Filter columns (WHERE + delete predicates) drive the selection vector;
   // output columns are what materialized rows must carry. Everything else
   // stays encoded on the storage side.
   std::vector<char> filter_col(num_fields, 0);
-  if (!impossible) {
-    for (const auto& [p, idx] : preds) filter_col[idx] = 1;
+  if (!filter.matches_none) {
+    for (const auto& bound : filter.predicates) filter_col[bound.column] = 1;
   }
-  for (const ApplicableDelete& ad : applicable) {
-    for (const auto& [p, idx] : ad.preds) filter_col[idx] = 1;
+  for (const query::BoundConjunction& mask : masks) {
+    for (const auto& bound : mask.predicates) filter_col[bound.column] = 1;
   }
   std::vector<char> output_col(num_fields, required.all ? 1 : 0);
   if (!required.all) {
@@ -499,9 +482,10 @@ Status Table::ScanFileRows(
     // WHERE clause references (served from the cache on repeat queries,
     // so skipping costs no storage I/O at all).
     bool may_match = true;
-    for (const auto& [p, idx] : preds) {
-      if (!where.MayMatchStats(schema.field(idx).name,
-                               group.columns[idx].stats, group.num_rows)) {
+    for (const auto& bound : filter.predicates) {
+      if (!where.MayMatchStats(schema.field(bound.column).name,
+                               group.columns[bound.column].stats,
+                               group.num_rows)) {
         may_match = false;
         break;
       }
@@ -517,7 +501,7 @@ Status Table::ScanFileRows(
     batch.chunks.resize(num_fields);
     batch.metrics = m;
     std::vector<format::ColumnChunkPtr>& chunks = batch.chunks;
-    auto chunk_at =
+    const query::BoundConjunction::ChunkAt chunk_at =
         [&](size_t c) -> Result<const format::ColumnChunkData*> {
       if (chunks[c] == nullptr) {
         SL_ASSIGN_OR_RETURN(chunks[c], reader.ReadColumnChunk(g, c));
@@ -526,55 +510,32 @@ Status Table::ScanFileRows(
     };
 
     // Merge-on-read: mask rows hit by deletes newer than this file, one
-    // delete at a time and column at a time: a row is masked when every
-    // predicate of the delete matches it. Cached chunks are pre-masking
-    // (masking depends on the query's snapshot), so this stays per-query.
+    // delete at a time: a row is masked when every predicate of the delete
+    // matches it. A delete's columns all decode before it is evaluated.
+    // Cached chunks are pre-masking (masking depends on the query's
+    // snapshot), so this stays per-query.
     std::vector<char> visible(rows, 1);
     uint64_t visible_rows = rows;
-    for (const ApplicableDelete& ad : applicable) {
-      for (const auto& [p, idx] : ad.preds) {
-        SL_RETURN_NOT_OK(chunk_at(idx).status());
+    for (const query::BoundConjunction& mask : masks) {
+      for (const auto& bound : mask.predicates) {
+        SL_RETURN_NOT_OK(chunk_at(bound.column).status());
       }
       std::vector<char> hit = visible;
-      uint64_t hits = visible_rows;
-      for (const auto& [p, idx] : ad.preds) {
-        if (hits == 0) break;
-        hits -= query::AndMatches(*p, *chunks[idx], &hit);
-      }
+      SL_ASSIGN_OR_RETURN(
+          uint64_t hits, mask.AndInto(chunk_at, &hit, visible_rows, nullptr));
       if (hits == 0) continue;
       for (size_t r = 0; r < rows; ++r) visible[r] &= hit[r] ^ 1;
       visible_rows -= hits;
     }
 
-    // Selection vector: AND each conjunct in, column at a time. Dictionary
-    // chunks are evaluated in code space — |dict| predicate evaluations
-    // instead of |rows|, and a literal absent from the dictionary
+    // Selection vector: AND WHERE in, column at a time, decoding each
+    // column only if some row is still selected. Dictionary chunks are
+    // evaluated in code space, and a literal absent from the dictionary
     // short-circuits the whole group without touching the value stream.
     std::vector<char> selected = std::move(visible);
-    uint64_t selected_rows = impossible ? 0 : visible_rows;
-    for (const auto& [p, idx] : preds) {
-      if (selected_rows == 0) break;
-      SL_ASSIGN_OR_RETURN(const format::ColumnChunkData* chunk,
-                          chunk_at(idx));
-      if (chunk->dict_view && p->op != query::CompareOp::kIsNull &&
-          p->op != query::CompareOp::kIsNotNull) {
-        std::vector<char> match = query::DictMatchTable(*p, *chunk);
-        if (std::find(match.begin(), match.end(), 1) == match.end()) {
-          // No dictionary entry satisfies the predicate: nothing in this
-          // group can match. Equality/IN against an absent literal is the
-          // textbook compute-on-compressed prune.
-          if (p->op == query::CompareOp::kEq ||
-              p->op == query::CompareOp::kIn) {
-            ++m->dict_code_prunes;
-          }
-          selected_rows = 0;
-          break;
-        }
-        selected_rows -= query::AndCodeMatches(match, *chunk, &selected);
-      } else {
-        selected_rows -= query::AndMatches(*p, *chunk, &selected);
-      }
-    }
+    SL_ASSIGN_OR_RETURN(uint64_t selected_rows,
+                        filter.AndInto(chunk_at, &selected, visible_rows,
+                                       &m->dict_code_prunes));
 
     // Late materialization: only now, with the selection settled, decode
     // the surviving output columns. Building rows is left to the consumer.
@@ -866,57 +827,67 @@ Result<uint64_t> Table::RewriteMatching(const query::Conjunction& where,
   }
   SL_ASSIGN_OR_RETURN(SnapshotRead head,
                       catalog_.Read(info, info.current_snapshot_id));
-  const LiveSet& live = *head.live;
+  std::vector<FileGroup> groups;
+  for (const DataFileMeta* file : head.live->files) {
+    if (FileMayMatch(info, *file, where)) groups.push_back({file});
+  }
+  const query::BoundConjunction match(where, info.schema);
+  SL_ASSIGN_OR_RETURN(Rewritten rewritten,
+                      Rewrite(info, info.current_snapshot_id, *head.live,
+                              groups, &match, set_col, set_value));
+  return rewritten.rows_matched;
+}
+
+Result<Table::Rewritten> Table::Rewrite(const TableInfo& info,
+                                        uint64_t base_snapshot_id,
+                                        const LiveSet& live,
+                                        const std::vector<FileGroup>& groups,
+                                        const query::BoundConjunction* match,
+                                        int set_col,
+                                        const format::Value* set_value) {
   CommitRequest request;
-  request.base_snapshot_id = info.current_snapshot_id;
+  request.base_snapshot_id = base_snapshot_id;
   request.is_rewrite = true;
-  uint64_t affected = 0;
+  Rewritten rewritten;
   SelectMetrics scan_metrics;
   Status s = Status::OK();
-  for (const DataFileMeta* file : live.files) {
-    if (!FileMayMatch(info, *file, where)) continue;
-    // Rewriting physically applies outstanding merge-on-read deletes: the
-    // scan delivers only visible rows, so masked rows are dropped, never
-    // resurrected.
-    std::vector<format::Row> rewritten;
-    uint64_t visible = 0;
+  for (const FileGroup& group : groups) {
+    std::vector<format::Row> rows;
+    uint64_t records = 0;
     uint64_t matched = 0;
-    s = ScanFileRows(
-        info, query::Conjunction(), live.deletes, *file,
-        ColumnSelection::All(),
-        [&](const ScannedGroup& group) {
-          visible += group.visible_rows;
-          for (format::Row& row : group.Rows()) {
-            if (where.Matches(info.schema, row)) {
-              ++matched;
-              if (set_value == nullptr) continue;
-              row.fields[set_col] = *set_value;
-            }
-            rewritten.push_back(std::move(row));
-          }
-          return Status::OK();
-        },
-        &scan_metrics);
+    for (const DataFileMeta* file : group) {
+      records += file->record_count;
+      s = ScanFileRows(
+          info, query::Conjunction(), live.deletes, *file,
+          ColumnSelection::All(),
+          [&](const ScannedGroup& scanned) {
+            return EditRows(scanned, match, set_col, set_value, &rows,
+                            &matched);
+          },
+          &scan_metrics);
+      if (!s.ok()) break;
+    }
     if (!s.ok()) break;
-    if (matched == 0 && visible == file->record_count) {
-      continue;  // stats were conservative; file untouched
+    // With no row matched, every visible row is kept.
+    if (match != nullptr && matched == 0 && rows.size() == records) {
+      continue;  // stats were conservative; the files stay untouched
     }
-    affected += matched;
-    request.removed.push_back(*file);
-    if (!rewritten.empty()) {
-      auto meta = WriteDataFile(info, file->partition, rewritten);
-      if (!meta.ok()) {
-        s = meta.status();
-        break;
-      }
-      request.added.push_back(std::move(*meta));
-    }
+    rewritten.rows_matched += matched;
+    for (const DataFileMeta* file : group) request.removed.push_back(*file);
+    if (rows.empty()) continue;
+    std::vector<const format::Row*> pointers;
+    pointers.reserve(rows.size());
+    for (const format::Row& row : rows) pointers.push_back(&row);
+    const FileRows file{&group.front()->partition, pointers};
+    s = WriteFiles(info, {&file, 1}, &request.added);
+    if (!s.ok()) break;
   }
-  if (s.ok() && request.removed.empty()) return affected;
+  if (s.ok() && request.removed.empty()) return rewritten;
+  rewritten.files_written = request.added.size();
   // Replaced files stay on disk for time travel until snapshot expiration.
   s = CommitOrDiscard(request, std::move(s));
   if (!s.ok()) return s;
-  return affected;
+  return rewritten;
 }
 
 Result<CompactionResult> Table::CompactPartition(const std::string& partition,
@@ -925,12 +896,12 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
   uint64_t base = base_snapshot_id == 0 ? info.current_snapshot_id
                                         : base_snapshot_id;
   SL_ASSIGN_OR_RETURN(SnapshotRead planned, catalog_.Read(info, base));
-  const LiveSet& live = *planned.live;
 
   // Binpack: gather the partition's small files, largest first, into bins
-  // of ~target_file_bytes.
+  // that close once they reach ~target_file_bytes; each bin becomes one
+  // file.
   std::vector<const DataFileMeta*> small;
-  for (const DataFileMeta* file : live.files) {
+  for (const DataFileMeta* file : planned.live->files) {
     if (file->partition == partition &&
         file->file_bytes < options_.target_file_bytes) {
       small.push_back(file);
@@ -946,50 +917,22 @@ Result<CompactionResult> Table::CompactPartition(const std::string& partition,
             [](const DataFileMeta* a, const DataFileMeta* b) {
               return a->file_bytes > b->file_bytes;
             });
-
-  CommitRequest request;
-  request.base_snapshot_id = base;
-  request.is_rewrite = true;
-  std::vector<format::Row> bin_rows;
+  std::vector<FileGroup> bins(1);
   uint64_t bin_bytes = 0;
-  auto flush_bin = [&]() -> Status {
-    if (bin_rows.empty()) return Status::OK();
-    SL_ASSIGN_OR_RETURN(DataFileMeta meta,
-                        WriteDataFile(info, partition, bin_rows));
-    request.added.push_back(std::move(meta));
-    bin_rows.clear();
-    bin_bytes = 0;
-    return Status::OK();
-  };
-  SelectMetrics scan_metrics;
-  Status s = Status::OK();
   for (const DataFileMeta* file : small) {
-    // Compaction physically applies outstanding merge-on-read deletes: the
-    // scan delivers only visible rows.
-    s = ScanFileRows(
-        info, query::Conjunction(), live.deletes, *file,
-        ColumnSelection::All(),
-        [&](const ScannedGroup& group) {
-          std::vector<format::Row> rows = group.Rows();
-          bin_rows.insert(bin_rows.end(), std::make_move_iterator(rows.begin()),
-                          std::make_move_iterator(rows.end()));
-          return Status::OK();
-        },
-        &scan_metrics);
-    if (!s.ok()) break;
-    result.bytes_rewritten += file->file_bytes;
-    bin_bytes += file->file_bytes;
-    request.removed.push_back(*file);
     if (bin_bytes >= options_.target_file_bytes) {
-      s = flush_bin();
-      if (!s.ok()) break;
+      bins.emplace_back();
+      bin_bytes = 0;
     }
+    bins.back().push_back(file);
+    bin_bytes += file->file_bytes;
+    result.bytes_rewritten += file->file_bytes;
   }
-  if (s.ok()) s = flush_bin();
-  result.files_after = request.added.size();
-  // Merged-away files stay for time travel until snapshot expiration.
-  s = CommitOrDiscard(request, std::move(s));
-  if (!s.ok()) return s;
+  // Compaction physically applies outstanding merge-on-read deletes.
+  SL_ASSIGN_OR_RETURN(
+      Rewritten rewritten,
+      Rewrite(info, base, *planned.live, bins, nullptr, -1, nullptr));
+  result.files_after = rewritten.files_written;
   return result;
 }
 

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -291,19 +292,23 @@ class Table {
   /// them — and return the failure.
   Status CommitOrDiscard(const CommitRequest& request, Status written);
 
-  /// Encode `rows` (valid for the schema) as one data file and write it;
-  /// returns its metadata.
-  Result<DataFileMeta> WriteDataFile(const TableInfo& info,
-                                     const std::string& partition,
-                                     const std::vector<format::Row>& rows);
+  /// The rows of one data file to write.
+  struct FileRows {
+    const std::string* partition;
+    std::span<const format::Row* const> rows;  // valid for the schema
+  };
 
-  /// Name and write one encoded data file of `record_count` rows: the
-  /// sim-clock time and the table's file sequence make its path, and its
-  /// file-level stats become the metadata's column stats.
-  Result<DataFileMeta> PublishDataFile(const TableInfo& info,
-                                       const std::string& partition,
-                                       uint64_t record_count,
-                                       format::EncodedLakeFile file);
+  /// The one encode-and-publish path of data files, for inserts and
+  /// rewrites alike. Encoding never touches the sim clock, so `files`
+  /// encode in parallel on the scan pool unless one of them holds over half
+  /// the rows. They are then named and written one at a time, in order, so
+  /// paths and sim charges match a serial write: the sim-clock time and the
+  /// table's file sequence make each path, and its file-level stats become
+  /// its column stats. Each written file's metadata is appended to `added`.
+  /// The first failed write stops the rest; the files already written stay
+  /// in `added`, for the caller's CommitOrDiscard to delete.
+  Status WriteFiles(const TableInfo& info, std::span<const FileRows> files,
+                    std::vector<DataFileMeta>* added);
 
   /// Can a file possibly contain matching rows?
   bool FileMayMatch(const TableInfo& info, const DataFileMeta& file,
@@ -326,18 +331,43 @@ class Table {
                                    const std::string& set_column,
                                    const format::Value* set_value);
 
+  /// The input files of one rewritten data file.
+  using FileGroup = std::vector<const DataFileMeta*>;
+
+  /// What one Rewrite did.
+  struct Rewritten {
+    uint64_t rows_matched = 0;
+    size_t files_written = 0;
+  };
+
+  /// The one rewrite loop, behind Update, copy-on-write Delete and
+  /// CompactPartition. For each group in order, scan its files' visible
+  /// rows (`live`'s merge-on-read deletes apply, so masked rows are
+  /// dropped, never resurrected), then write the surviving rows as one file
+  /// in the first file's partition; finally commit every replaced and
+  /// written file against `base_snapshot_id` (CommitOrDiscard). With
+  /// `match`, the rows it matches take `set_col = *set_value`, or are
+  /// dropped when `set_value` is null, and a group that loses and changes
+  /// no row is left alone; without it (compaction) every row is kept and
+  /// every group rewritten. Nothing to replace commits nothing.
+  Result<Rewritten> Rewrite(const TableInfo& info, uint64_t base_snapshot_id,
+                            const LiveSet& live,
+                            const std::vector<FileGroup>& groups,
+                            const query::BoundConjunction* match, int set_col,
+                            const format::Value* set_value);
+
   /// The one scan of one data file, shared by ScanInto jobs and the
   /// delete-count / rewrite / compaction paths: open the file through the
   /// per-column block cache, skip row groups by stats against `where`
   /// (checking only predicate-referenced columns), compose the
-  /// merge-on-read mask of `delete_records` newer than the file and
-  /// evaluate each conjunct column-at-a-time into a selection vector
-  /// (query::AndMatches: dictionary chunks compare codes, plain int64 and
-  /// double chunks run typed kernels), decode the `required` columns only
-  /// when some row survives, and hand each scanned group to `consume`. It
-  /// builds no rows. It has no side effect beyond `m`, the block cache and
-  /// storage reads: access counts, compute-link charges and the memory
-  /// budget are the caller's.
+  /// merge-on-read mask of `delete_records` newer than the file and AND
+  /// `where` into a selection vector, both through
+  /// query::BoundConjunction::AndInto (dictionary chunks compare codes,
+  /// plain int64 and double chunks run typed kernels), decode the
+  /// `required` columns only when some row survives, and hand each scanned
+  /// group to `consume`. It builds no rows. It has no side effect beyond
+  /// `m`, the block cache and storage reads: access counts, compute-link
+  /// charges and the memory budget are the caller's.
   Status ScanFileRows(const TableInfo& info, const query::Conjunction& where,
                       const std::vector<const DeleteRecord*>& delete_records,
                       const DataFileMeta& file,

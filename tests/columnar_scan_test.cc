@@ -796,5 +796,44 @@ TEST(BatchAggregateTest, SelectMatchesRowExecutorByteForByte) {
   EXPECT_GT(nonempty, 75);
 }
 
+// The copy-on-write rewrites test matches over the scanned column chunks;
+// they must count exactly the rows a SELECT counts at the same head, over
+// dictionary, RLE and plain chunks and NULL, NaN, IN and absent literals.
+TEST(BatchAggregateTest, RewritesMatchWhatSelectCounts) {
+  ColumnarFixture f(/*scan_threads=*/2, /*cache_bytes=*/8ULL << 20,
+                    DeleteMode::kCopyOnWrite);
+  auto created =
+      f.lakehouse->CreateTable("cow", AggSchema(), PartitionSpec::None());
+  ASSERT_TRUE(created.ok());
+  Table* table = *created;
+  Random rng(77);
+  size_t next_id = 0;
+  int nonzero = 0;
+  for (int round = 0; round < 60; ++round) {
+    if (round % 10 == 0) {
+      ASSERT_TRUE(table->Insert(AggRows(300, next_id, &rng)).ok());
+      next_id += 300;
+    }
+    query::QuerySpec count;
+    for (uint64_t i = 1 + rng.Uniform(2); i > 0; --i) {
+      count.where.Add(AggPredicate(&rng));
+    }
+    count.aggregates.push_back(query::AggregateSpec::CountStar("n"));
+    auto expect = table->Select(count);
+    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+    const int64_t rows = std::get<int64_t>(expect->rows.at(0).fields.at(0));
+    const bool del = rng.OneIn(3);
+    const int column = static_cast<int>(rng.Uniform(7));
+    auto got = del ? table->Delete(count.where)
+                   : table->Update(count.where, AggSchema().field(column).name,
+                                   AggLiteral(column, &rng));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, static_cast<uint64_t>(rows))
+        << "round " << round << " WHERE " << count.where.ToString();
+    if (rows > 0) ++nonzero;
+  }
+  EXPECT_GT(nonzero, 20);
+}
+
 }  // namespace
 }  // namespace streamlake::table

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/threadpool.h"
 #include "query/plan.h"
 #include "query/row_less.h"
@@ -339,6 +340,24 @@ TEST(JoinTest, InnerJoinGoldenRows) {
   // Scan-level counters span both tables of the query.
   EXPECT_EQ(result->rows_scanned, logs.size() + users.size());
   EXPECT_EQ(result->rows_matched, logs.size() + users.size());
+}
+
+TEST(JoinTest, RegistryCountsTheRowsTheResultReports) {
+  JoinFixture f;
+  f.CreateAndFill();
+  Counter* scanned = MetricsRegistry::Global().GetCounter("query.rows_scanned");
+  Counter* matched = MetricsRegistry::Global().GetCounter("query.rows_matched");
+  for (const std::string sql :
+       {"SELECT l.url, u.name FROM logs l JOIN users u "
+        "ON l.user_id = u.user_id WHERE u.tier = 'gold'",
+        "SELECT url FROM logs WHERE province = 'beijing'"}) {
+    const uint64_t scanned_before = scanned->Value();
+    const uint64_t matched_before = matched->Value();
+    auto result = f.Sql(sql);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(scanned->Value() - scanned_before, result->rows_scanned) << sql;
+    EXPECT_EQ(matched->Value() - matched_before, result->rows_matched) << sql;
+  }
 }
 
 TEST(JoinTest, EmptyBuildSideYieldsNoRows) {

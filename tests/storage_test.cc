@@ -446,6 +446,31 @@ INSTANTIATE_TEST_SUITE_P(
                              : "ErasureCoding");
     });
 
+// An EC append whose stripe write loses more shards than parity is not
+// acknowledged, so its frame must not stay buffered: the next append takes
+// its offset and must read back as itself.
+TEST(PlogTest, FailedStripeWriteLeavesNoFrameBehind) {
+  PoolFixture f;
+  f.pool.AddCluster(5, 1, 8 << 20);
+  PlogConfig config = SmallPlogConfig(RedundancyConfig::ErasureCoding(4, 1));
+  config.stripe_unit = 64;
+  auto plog = Plog::Create(&f.pool, config);
+  ASSERT_TRUE(plog.ok());
+  f.pool.SetNodeFailed(0, true);
+  f.pool.SetNodeFailed(1, true);
+  EXPECT_TRUE((*plog)->Append(ByteView(std::string(300, 'x')))
+                  .status()
+                  .IsIOError());
+  f.pool.SetNodeFailed(0, false);
+  f.pool.SetNodeFailed(1, false);
+
+  auto off = (*plog)->Append(ByteView("second"));
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+  auto read = (*plog)->ReadRecord(*off);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(BytesToString(*read), "second");
+}
+
 TEST(PlogTest, ReplicationWriteAmplification) {
   PoolFixture f;
   f.pool.AddCluster(3, 1, 8 << 20);

@@ -49,6 +49,12 @@ Rules
       through StoragePool::AllocateSpread, the one "distinct nodes, else
       distinct disks" rule, so no caller grows its own copy of the
       fallback.
+  R9  Outside src/query/ and tests/, nothing evaluates a conjunction row
+      at a time with the two-argument Conjunction::Matches(schema, row),
+      which looks each column up by name on every row. Scans and rewrites
+      bind it once (query::BoundConjunction) and evaluate it over column
+      chunks; the reference executor under src/query/ and the tests'
+      oracles keep the row form.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -101,6 +107,11 @@ IGNORE_OK = re.compile(r"//\s*ignore-ok:\s*\S")
 # R8: direct extent allocation, allowed only in the store layer and tests.
 ALLOCATE_EXTENTS = re.compile(r"\bAllocateExtents\s*\(")
 PLACEMENT_DIRS = (os.path.join("src", "storage") + os.sep, "tests" + os.sep)
+
+# R9: row-at-a-time conjunction evaluation: a Matches call whose arguments
+# hold a comma outside nested parentheses (Predicate::Matches takes one).
+ROW_MATCHES = re.compile(r"(\.|->)Matches\s*\((?:[^()]|\([^()]*\))*?,")
+ROW_MATCHES_DIRS = (os.path.join("src", "query") + os.sep, "tests" + os.sep)
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -285,6 +296,13 @@ def lint_text(path, raw):
                 f"{path}:{lineno_at(code, m.start())}: R8: direct "
                 "AllocateExtents call outside src/storage/; place replica "
                 "groups with StoragePool::AllocateSpread")
+
+    if not path.startswith(ROW_MATCHES_DIRS):
+        for m in ROW_MATCHES.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start())}: R9: row-at-a-time "
+                "Conjunction::Matches(schema, row) outside src/query/; bind "
+                "it once with query::BoundConjunction and evaluate chunks")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

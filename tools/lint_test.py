@@ -254,6 +254,29 @@ class RuleTest(unittest.TestCase):
             "  auto e = pool->AllocateSpread(3, 4096);\n}\n",
             path=src("src/baselines/mini_hdfs.cc"))
 
+    # R9 ------------------------------------------------------------------
+    def test_r9_row_matches_outside_query(self):
+        self.assert_rule(
+            "R9",
+            "bool F(const Conjunction& where, const Schema& schema,\n"
+            "       const Row& row) {\n"
+            "  return where.Matches(schema,\n"
+            "                       row);\n}\n",
+            path=src("src/table/table.cc"))
+
+    def test_r9_allowed_in_query_and_tests(self):
+        text = ("bool F(const QuerySpec* spec, const Row& row) {\n"
+                "  return spec->where.Matches(schema_, row);\n}\n")
+        self.assert_clean(text, path=src("src/query/executor.cc"))
+        self.assert_clean(text, path=os.path.join("tests", "t.cc"))
+
+    def test_r9_one_argument_matches_and_prose_are_clean(self):
+        self.assert_clean(
+            "// where.Matches(schema, row) is the reference form\n"
+            "bool F(const Predicate& p, const Row& row, int col) {\n"
+            "  return p.Matches(row.fields[Index(col, 0)]);\n}\n",
+            path=src("src/lakebrain/qdtree.cc"))
+
 
 class RepoTest(unittest.TestCase):
     def test_whole_repo_is_clean(self):
