@@ -18,7 +18,9 @@ constexpr char kMagic[4] = {'L', 'K', 'F', '1'};
 constexpr uint8_t kStatsMinMax = 1;
 constexpr uint8_t kStatsExtended = 2;
 
-void EncodeStats(Bytes* dst, const ColumnStats& stats) {
+}  // namespace
+
+void EncodeColumnStats(Bytes* dst, const ColumnStats& stats) {
   uint8_t flag = 0;
   if (stats.min.has_value() && stats.max.has_value()) flag |= kStatsMinMax;
   if (stats.has_extended) flag |= kStatsExtended;
@@ -36,7 +38,7 @@ void EncodeStats(Bytes* dst, const ColumnStats& stats) {
   }
 }
 
-Result<ColumnStats> DecodeStats(Decoder* dec) {
+Result<ColumnStats> DecodeColumnStats(Decoder* dec) {
   ColumnStats stats;
   if (dec->Remaining() < 1) return Status::Corruption("stats flag");
   uint8_t flag = *dec->position();
@@ -61,6 +63,8 @@ Result<ColumnStats> DecodeStats(Decoder* dec) {
   }
   return stats;
 }
+
+namespace {
 
 /// How one column type is gathered and summarized. `Stored` is the element
 /// of the typed vector the codec encodes (NULL rows carry its default);
@@ -320,7 +324,7 @@ EncodedLakeFile EncodeLakeFile(const Schema& schema,
       PutFixed32(&file, Crc32c(ByteView(chunk.data)));
       PutVarint64(&footer, offset);
       PutVarint64(&footer, file.size() - offset);
-      EncodeStats(&footer, chunk.stats);
+      EncodeColumnStats(&footer, chunk.stats);
     }
   }
   AppendBytes(&file, ByteView(footer));
@@ -394,7 +398,7 @@ Result<LakeFileReader> LakeFileReader::Open(Bytes file) {
       if (chunk.offset + chunk.size > file.size()) {
         return Status::Corruption("lakefile: chunk out of bounds");
       }
-      SL_ASSIGN_OR_RETURN(chunk.stats, DecodeStats(&dec));
+      SL_ASSIGN_OR_RETURN(chunk.stats, DecodeColumnStats(&dec));
       group.columns.push_back(std::move(chunk));
     }
     groups.push_back(std::move(group));

@@ -44,6 +44,11 @@ struct ColumnStats {
   double avg_width = 0.0;  // mean plain-encoded width of non-NULL values
 };
 
+/// The one ColumnStats codec: a LakeFile footer's chunk stats and a commit
+/// file's DataFileMeta both use it.
+void EncodeColumnStats(Bytes* dst, const ColumnStats& stats);
+Result<ColumnStats> DecodeColumnStats(Decoder* dec);
+
 struct ChunkMeta {
   uint64_t offset = 0;  // file offset of the chunk
   uint64_t size = 0;    // total bytes including chunk header and crc

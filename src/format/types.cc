@@ -24,7 +24,10 @@ DataType TypeOf(const Value& v) {
   return static_cast<DataType>(v.index());
 }
 
-int CompareValues(const Value& a, const Value& b) {
+namespace {
+
+/// CompareValues, or with `keys` CompareKeys: they differ only on doubles.
+int Compare(const Value& a, const Value& b, bool keys) {
   if (IsNull(a) || IsNull(b)) {
     if (IsNull(a) && IsNull(b)) return 0;
     return IsNull(a) ? -1 : 1;
@@ -41,6 +44,7 @@ int CompareValues(const Value& a, const Value& b) {
     }
     case DataType::kDouble: {
       double x = std::get<double>(a), y = std::get<double>(b);
+      if (keys) return CompareDoubleKeys(x, y);
       return x < y ? -1 : (x > y ? 1 : 0);
     }
     case DataType::kString: {
@@ -50,6 +54,25 @@ int CompareValues(const Value& a, const Value& b) {
       return 0;  // unreachable: handled above
   }
   return 0;
+}
+
+}  // namespace
+
+int CompareValues(const Value& a, const Value& b) {
+  return Compare(a, b, /*keys=*/false);
+}
+
+int CompareKeys(const Value& a, const Value& b) {
+  return Compare(a, b, /*keys=*/true);
+}
+
+bool KeyLess::operator()(const std::vector<Value>& a,
+                         const std::vector<Value>& b) const {
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    int c = CompareKeys(a[i], b[i]);
+    if (c != 0) return c < 0;
+  }
+  return a.size() < b.size();
 }
 
 std::string ValueToString(const Value& v) {

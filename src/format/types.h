@@ -1,6 +1,7 @@
 #ifndef STREAMLAKE_FORMAT_TYPES_H_
 #define STREAMLAKE_FORMAT_TYPES_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -37,8 +38,34 @@ inline bool IsNull(const Value& v) {
 
 /// Three-way comparison for same-typed values: <0, 0, >0. NULL compares equal
 /// to NULL and sorts before every non-NULL value. Comparing two different
-/// non-NULL types is a programming error (checked).
+/// non-NULL types is a programming error (checked). These are WHERE's
+/// semantics: a NaN compares equal to every double.
 int CompareValues(const Value& a, const Value& b);
+
+/// The key rule: the one total order GROUP BY, joins, ORDER BY and MIN/MAX
+/// compare keys by. It equals CompareValues except on doubles, where
+/// -0.0 == 0.0, and NaN == NaN and sorts after every number (PostgreSQL's
+/// rule, and the distinct count a LakeFile's stats record). NULL equals
+/// NULL and sorts first.
+int CompareKeys(const Value& a, const Value& b);
+
+/// CompareKeys of two doubles.
+inline int CompareDoubleKeys(double x, double y) {
+  if (x < y) return -1;
+  if (x > y) return 1;
+  if (x == y) return 0;
+  return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
+}
+
+/// Strict weak ordering by CompareKeys, over one key or a composite key
+/// (lexicographic, a shorter prefix first).
+struct KeyLess {
+  bool operator()(const Value& a, const Value& b) const {
+    return CompareKeys(a, b) < 0;
+  }
+  bool operator()(const std::vector<Value>& a,
+                  const std::vector<Value>& b) const;
+};
 
 std::string ValueToString(const Value& v);
 

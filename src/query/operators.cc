@@ -105,7 +105,7 @@ struct AggregateOperator::Cell {
     *v = ToValue();
   }
 
-  /// format::CompareValues(ToValue(), v) without building the value.
+  /// format::CompareKeys(ToValue(), v) without building the value.
   int Compare(const format::Value& v) const {
     switch (type) {
       case format::DataType::kBool:
@@ -120,7 +120,7 @@ struct AggregateOperator::Cell {
         break;
       case format::DataType::kDouble:
         if (const double* y = std::get_if<double>(&v)) {
-          return d < *y ? -1 : (d > *y ? 1 : 0);
+          return format::CompareDoubleKeys(d, *y);
         }
         break;
       case format::DataType::kString:
@@ -131,7 +131,7 @@ struct AggregateOperator::Cell {
       case format::DataType::kNull:
         break;
     }
-    return format::CompareValues(ToValue(), v);
+    return format::CompareKeys(ToValue(), v);
   }
 };
 
@@ -299,12 +299,12 @@ void AggregateOperator::Merge(AggregateOperator&& other) {
       mine.sums[a] += theirs.sums[a];
       if (theirs.mins[a] &&
           (!mine.mins[a] ||
-           format::CompareValues(*theirs.mins[a], *mine.mins[a]) < 0)) {
+           format::CompareKeys(*theirs.mins[a], *mine.mins[a]) < 0)) {
         mine.mins[a] = std::move(theirs.mins[a]);
       }
       if (theirs.maxs[a] &&
           (!mine.maxs[a] ||
-           format::CompareValues(*theirs.maxs[a], *mine.maxs[a]) > 0)) {
+           format::CompareKeys(*theirs.maxs[a], *mine.maxs[a]) > 0)) {
         mine.maxs[a] = std::move(theirs.maxs[a]);
       }
     }
@@ -367,8 +367,8 @@ Status ApplySortLimit(const std::string& order_by, bool descending,
     }
     std::stable_sort(result->rows.begin(), result->rows.end(),
                      [&](const format::Row& a, const format::Row& b) {
-                       int cmp = format::CompareValues(a.fields[column],
-                                                       b.fields[column]);
+                       int cmp = format::CompareKeys(a.fields[column],
+                                                     b.fields[column]);
                        return descending ? cmp > 0 : cmp < 0;
                      });
   }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "format/schema.h"
-#include "query/row_less.h"
 #include "query/spec.h"
 
 namespace streamlake::query {
@@ -38,7 +37,9 @@ class ProjectOperator {
 ///
 /// SQL NULL semantics: COUNT(*) counts rows; COUNT(col), SUM, MIN, MAX and
 /// AVG skip NULL inputs. AVG divides by the non-NULL count (0 when there
-/// is none); MIN and MAX over no non-NULL input are NULL.
+/// is none); MIN and MAX over no non-NULL input are NULL. Group keys and
+/// MIN/MAX follow the key rule (format::CompareKeys): NULLs form one group,
+/// NaN is one group above every number, and -0.0 groups with 0.0.
 class AggregateOperator {
  public:
   Status Init(const format::Schema& schema,
@@ -91,14 +92,15 @@ class AggregateOperator {
   std::vector<AggregateSpec> aggregates_;
   std::vector<int> group_cols_;
   std::vector<int> agg_cols_;
-  std::map<std::vector<format::Value>, GroupState, RowLess> groups_;
+  std::map<std::vector<format::Value>, GroupState, format::KeyLess> groups_;
   std::vector<format::Value> key_;  // reused group-key buffer
   uint64_t rows_consumed_ = 0;
 };
 
 /// \brief Sort/limit operator: ORDER BY one output column (matched by
-/// result column name, so it applies to aggregate aliases too) followed by
-/// LIMIT. Applied once, after all fragments merged.
+/// result column name, so it applies to aggregate aliases too), under the
+/// key rule (format::CompareKeys), followed by LIMIT. Applied once, after
+/// all fragments merged.
 Status ApplySortLimit(const std::string& order_by, bool descending,
                       uint64_t limit, QueryResult* result);
 

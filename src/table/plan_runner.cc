@@ -7,7 +7,6 @@
 
 #include "common/metrics.h"
 #include "query/executor.h"
-#include "query/row_less.h"
 
 namespace streamlake::table {
 
@@ -109,8 +108,10 @@ class CollectSink : public RowSink {
   std::vector<std::vector<format::Row>> fragments;
 };
 
+/// Build rows by join key under the key rule. It holds no NULL key, so a
+/// NULL probe key never matches (SQL: NULL = anything is unknown).
 using BuildMap =
-    std::map<format::Value, std::vector<format::Row>, query::ValueLess>;
+    std::map<format::Value, std::vector<format::Row>, format::KeyLess>;
 
 /// Streams each probe row group through the join chain on the delivering
 /// pool thread, then feeds the joined rows to the output stage as its
@@ -229,6 +230,7 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
     for (std::vector<format::Row>& fragment : sink.fragments) {
       for (format::Row& row : fragment) {
         format::Value key = row.fields[joins[j].build_col];
+        if (format::IsNull(key)) continue;
         build_maps[j][std::move(key)].push_back(std::move(row));
       }
     }

@@ -31,9 +31,9 @@ struct OmbResult {
 };
 
 /// \brief Paced produce/consume driver measuring throughput and
-/// end-to-end latency percentiles on the simulated clock — the workload
-/// generator behind the Fig. 14 sweeps, exposed as a library so users can
-/// benchmark their own deployments.
+/// end-to-end latency percentiles on the simulated clock, exposed as a
+/// library so users can benchmark their own deployments. No bench runs it:
+/// the Fig. 14 benches model their own load and latency.
 class OmbDriver {
  public:
   OmbDriver(streaming::StreamDispatcher* dispatcher, kv::KvStore* offsets,

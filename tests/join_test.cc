@@ -5,16 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/random.h"
 #include "common/threadpool.h"
 #include "query/plan.h"
-#include "query/row_less.h"
 #include "query/sql_parser.h"
 #include "table/block_cache.h"
 #include "table/lakehouse.h"
@@ -94,7 +98,8 @@ struct JoinFixture {
   std::unique_ptr<LakehouseService> lakehouse;
 
   explicit JoinFixture(int scan_threads = 4,
-                       uint64_t cache_bytes = 64ULL << 20) {
+                       uint64_t cache_bytes = 64ULL << 20,
+                       size_t max_rows_per_file = 64) {
     pool.AddCluster(3, 2, 512 << 20);
     storage::PlogStoreConfig config;
     config.num_shards = 16;
@@ -113,7 +118,7 @@ struct JoinFixture {
       cache = std::make_unique<DecodedBlockCache>(cache_bytes);
     }
     TableOptions options;
-    options.max_rows_per_file = 64;
+    options.max_rows_per_file = max_rows_per_file;
     options.file_options.rows_per_group = 32;
     lakehouse = std::make_unique<LakehouseService>(
         meta.get(), objects.get(), &clock, &compute_link, options,
@@ -284,10 +289,10 @@ TEST(JoinParserTest, RejectsUnsupportedSubqueryShapes) {
 }
 
 // ---------------------------------------------------------------------
-// Shared row comparator.
+// The key rule.
 
-TEST(RowLessTest, LexicographicWithShortPrefixFirst) {
-  query::RowLess less;
+TEST(KeyLessTest, LexicographicWithShortPrefixFirst) {
+  format::KeyLess less;
   std::vector<format::Value> a{format::Value(int64_t{1}),
                                format::Value(std::string("b"))};
   std::vector<format::Value> b{format::Value(int64_t{1}),
@@ -299,9 +304,46 @@ TEST(RowLessTest, LexicographicWithShortPrefixFirst) {
   EXPECT_TRUE(less(prefix, a));
   EXPECT_FALSE(less(a, prefix));
 
-  query::ValueLess vless;
-  EXPECT_TRUE(vless(format::Value(int64_t{1}), format::Value(int64_t{2})));
-  EXPECT_FALSE(vless(format::Value(int64_t{2}), format::Value(int64_t{1})));
+  EXPECT_TRUE(less(format::Value(int64_t{1}), format::Value(int64_t{2})));
+  EXPECT_FALSE(less(format::Value(int64_t{2}), format::Value(int64_t{1})));
+}
+
+TEST(KeyLessTest, NanZerosAndNullFormOneTotalOrder) {
+  format::KeyLess less;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const format::Value null{std::monostate{}};
+  // NULL first, then the numbers, then NaN; each step strictly less.
+  const std::vector<format::Value> ascending{
+      null, format::Value(-std::numeric_limits<double>::infinity()),
+      format::Value(-1.5), format::Value(0.0),
+      format::Value(std::numeric_limits<double>::infinity()),
+      format::Value(nan)};
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    EXPECT_FALSE(less(ascending[i], ascending[i])) << i;
+    for (size_t j = i + 1; j < ascending.size(); ++j) {
+      EXPECT_TRUE(less(ascending[i], ascending[j])) << i << " < " << j;
+      EXPECT_FALSE(less(ascending[j], ascending[i])) << j << " < " << i;
+    }
+  }
+  // -0.0 == 0.0, every NaN is one key, NULL == NULL.
+  EXPECT_EQ(format::CompareKeys(format::Value(-0.0), format::Value(0.0)), 0);
+  EXPECT_EQ(format::CompareKeys(format::Value(nan), format::Value(-nan)), 0);
+  EXPECT_EQ(format::CompareKeys(null, null), 0);
+  EXPECT_LT(format::CompareKeys(null, format::Value(std::string())), 0);
+  // Composite keys order by the rule column by column.
+  const std::vector<format::Value> nan_key{format::Value(nan), null};
+  const std::vector<format::Value> one_key{format::Value(1.0),
+                                           format::Value(int64_t{9})};
+  EXPECT_TRUE(less(one_key, nan_key));
+  EXPECT_FALSE(less(nan_key, one_key));
+  EXPECT_FALSE(less((std::vector<format::Value>{format::Value(-0.0), null}),
+                    (std::vector<format::Value>{format::Value(0.0), null})));
+  // The distinct keys are what a LakeFile's stats count as its NDV.
+  std::set<format::Value, format::KeyLess> distinct;
+  for (double v : {nan, 10.0, -nan, 10.0, -0.0, 0.0}) {
+    distinct.insert(format::Value(v));
+  }
+  EXPECT_EQ(distinct.size(), 3u);
 }
 
 // ---------------------------------------------------------------------
@@ -416,6 +458,60 @@ TEST(JoinTest, SemiJoinsViaInAndExists) {
   ASSERT_EQ(exists_result->rows.size(), 1u);
   EXPECT_EQ(std::get<int64_t>(exists_result->rows[0].fields[0]),
             expected_silver);
+}
+
+// SQL three-valued logic: NULL = NULL is unknown, so a NULL key joins
+// nothing, in an inner join, IN and a correlated EXISTS alike. GROUP BY
+// still puts the NULLs in one group.
+TEST(JoinTest, NullKeysNeverMatch) {
+  JoinFixture f;
+  const format::Schema schema{{"k", format::DataType::kInt64},
+                              {"tag", format::DataType::kString}};
+  auto make = [](std::vector<std::pair<format::Value, std::string>> cells) {
+    std::vector<format::Row> rows;
+    for (auto& [k, tag] : cells) {
+      rows.push_back(format::Row{{k, format::Value(tag)}});
+    }
+    return rows;
+  };
+  const format::Value null{std::monostate{}};
+  for (const auto& [name, rows] :
+       {std::pair{"a", make({{format::Value(int64_t{1}), "a1"},
+                             {null, "anull"},
+                             {format::Value(int64_t{2}), "a2"},
+                             {null, "anull2"}})},
+        std::pair{"b", make({{null, "bnull"},
+                             {format::Value(int64_t{1}), "b1"},
+                             {format::Value(int64_t{3}), "b3"}})}}) {
+    auto table = f.lakehouse->CreateTable(name, schema, PartitionSpec::None());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)->Insert(rows).ok());
+  }
+  auto tags = [&](const std::string& sql) {
+    auto result = f.Sql(sql);
+    EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+    std::vector<std::vector<std::string>> out;
+    if (!result.ok()) return out;
+    for (const format::Row& row : result->rows) {
+      std::vector<std::string> cells;
+      for (const format::Value& v : row.fields) {
+        cells.push_back(format::ValueToString(v));
+      }
+      out.push_back(std::move(cells));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  using Rows = std::vector<std::vector<std::string>>;
+  EXPECT_EQ(tags("SELECT a.tag, b.tag FROM a JOIN b ON a.k = b.k"),
+            (Rows{{"a1", "b1"}}));
+  EXPECT_EQ(tags("SELECT a.tag FROM a WHERE k IN (SELECT k FROM b)"),
+            (Rows{{"a1"}}));
+  EXPECT_EQ(tags("SELECT a.tag FROM a WHERE EXISTS "
+                 "(SELECT * FROM b WHERE b.k = a.k)"),
+            (Rows{{"a1"}}));
+  EXPECT_EQ(tags("SELECT k, COUNT(*) AS c FROM a GROUP BY k"),
+            (Rows{{"1", "1"}, {"2", "1"}, {"NULL", "2"}}));
 }
 
 TEST(JoinTest, AggregateOverJoin) {
@@ -644,6 +740,219 @@ TEST(JoinTest, DirectPlanWithScanFilterAndToString) {
       f.Sql("SELECT url FROM logs WHERE province = 'beijing'");
   ASSERT_TRUE(via_sql.ok());
   EXPECT_EQ(result->rows, via_sql->rows);
+}
+
+// ---------------------------------------------------------------------
+// Keys with NaN, -0.0, 0.0, NULL and duplicates, in any order and any
+// file split: GROUP BY, ORDER BY, MIN/MAX, an equi-join and an IN
+// subquery give one result, the reference sorted by the key rule.
+
+using KeyRow = std::vector<format::Value>;
+
+/// `keys(k, j, v)`: every kind of double key three times; `j` has NULLs,
+/// `v` numbers the rows.
+std::vector<format::Row> KeyRows() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const format::Value null{std::monostate{}};
+  const KeyRow ks{format::Value(nan),  format::Value(1.5),
+                  format::Value(-0.0), null,
+                  format::Value(0.0),  format::Value(-2.0),
+                  format::Value(-nan), format::Value(1.5),
+                  null,                format::Value(3.0),
+                  format::Value(0.0),  format::Value(nan)};
+  std::vector<format::Row> rows;
+  for (int64_t i = 0; i < 36; ++i) {
+    const format::Value j = i % 4 == 3 ? null : format::Value(i % 3);
+    rows.push_back(format::Row{{ks[i % ks.size()], j, format::Value(i)}});
+  }
+  return rows;
+}
+
+/// `builds(k, tag)`: two zeros, a NaN, a NULL and a key no probe row has.
+std::vector<format::Row> BuildKeyRows() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const KeyRow ks{format::Value(nan), format::Value(-0.0),
+                  format::Value(std::monostate{}), format::Value(1.5),
+                  format::Value(7.0), format::Value(0.0)};
+  std::vector<format::Row> rows;
+  for (size_t i = 0; i < ks.size(); ++i) {
+    rows.push_back(
+        format::Row{{ks[i], format::Value("b" + std::to_string(i))}});
+  }
+  return rows;
+}
+
+/// One key under the key rule: -0.0 and 0.0 are the same key (either may
+/// stand for its group), and so are any two NaNs.
+bool SameKey(const format::Value& a, const format::Value& b) {
+  return a.index() == b.index() && format::CompareKeys(a, b) == 0;
+}
+
+void ExpectSameRows(const std::vector<format::Row>& got,
+                    const std::vector<KeyRow>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].fields.size(), want[r].size()) << what << " row " << r;
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_TRUE(SameKey(got[r].fields[c], want[r][c]))
+          << what << " row " << r << " col " << c << ": "
+          << format::ValueToString(got[r].fields[c]) << " vs "
+          << format::ValueToString(want[r][c]);
+    }
+  }
+}
+
+/// `rows` stable-sorted by columns `cols` under the key rule.
+std::vector<KeyRow> SortedBy(const std::vector<format::Row>& rows,
+                             const std::vector<int>& cols,
+                             bool descending = false) {
+  std::vector<KeyRow> sorted;
+  for (const format::Row& row : rows) sorted.push_back(row.fields);
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [&](const KeyRow& a, const KeyRow& b) {
+                     for (int c : cols) {
+                       const int cmp = format::CompareKeys(a[c], b[c]);
+                       if (cmp != 0) return descending ? cmp > 0 : cmp < 0;
+                     }
+                     return false;
+                   });
+  return sorted;
+}
+
+/// The runs of `sorted` equal on `cols`, in order.
+std::vector<std::vector<KeyRow>> Runs(const std::vector<KeyRow>& sorted,
+                                      const std::vector<int>& cols) {
+  std::vector<std::vector<KeyRow>> runs;
+  for (const KeyRow& row : sorted) {
+    const bool same =
+        !runs.empty() && std::all_of(cols.begin(), cols.end(), [&](int c) {
+          return format::CompareKeys(runs.back().front()[c], row[c]) == 0;
+        });
+    if (!same) runs.emplace_back();
+    runs.back().push_back(row);
+  }
+  return runs;
+}
+
+/// MIN and MAX of column `col` over `rows`: NULLs skipped, NULL if none.
+std::pair<format::Value, format::Value> MinMax(
+    const std::vector<KeyRow>& rows, int col) {
+  std::vector<format::Row> present;
+  for (const KeyRow& row : rows) {
+    if (!format::IsNull(row[col])) present.push_back(format::Row{row});
+  }
+  if (present.empty()) {
+    return {format::Value(std::monostate{}), format::Value(std::monostate{})};
+  }
+  const std::vector<KeyRow> sorted = SortedBy(present, {col});
+  return {sorted.front()[col], sorted.back()[col]};
+}
+
+TEST(KeyOrderTest, ResultsIgnoreInputOrderAndFileSplit) {
+  const std::vector<format::Row> probe = KeyRows();
+  const std::vector<format::Row> build = BuildKeyRows();
+  constexpr int kK = 0, kJ = 1, kV = 2;
+
+  // The reference, from the rows as listed.
+  std::map<std::string, std::vector<KeyRow>> want;
+  for (const auto& run : Runs(SortedBy(probe, {kK}), {kK})) {
+    double sum = 0;
+    for (const KeyRow& row : run) sum += std::get<int64_t>(row[kV]);
+    want["group_k"].push_back(
+        {run.front()[kK], format::Value(static_cast<int64_t>(run.size())),
+         format::Value(sum)});
+  }
+  for (const auto& run : Runs(SortedBy(probe, {kK, kJ}), {kK, kJ})) {
+    want["group_kj"].push_back(
+        {run.front()[kK], run.front()[kJ],
+         format::Value(static_cast<int64_t>(run.size()))});
+  }
+  for (const auto& run : Runs(SortedBy(probe, {kJ}), {kJ})) {
+    auto [lo, hi] = MinMax(run, kK);
+    want["minmax_by_j"].push_back({run.front()[kJ], lo, hi});
+  }
+  std::vector<KeyRow> all;
+  for (const format::Row& row : probe) all.push_back(row.fields);
+  auto [lo, hi] = MinMax(all, kK);
+  want["minmax"].push_back({lo, hi});
+  for (bool descending : {false, true}) {
+    for (const KeyRow& row : SortedBy(probe, {kK}, descending)) {
+      want[descending ? "order_desc" : "order_asc"].push_back({row[kK]});
+    }
+  }
+  for (const format::Row& p : probe) {
+    bool matched = false;
+    for (const format::Row& b : build) {
+      if (format::IsNull(p.fields[kK]) || format::IsNull(b.fields[0]) ||
+          format::CompareKeys(p.fields[kK], b.fields[0]) != 0) {
+        continue;
+      }
+      want["join"].push_back({p.fields[kV], b.fields[1]});
+      matched = true;
+    }
+    if (matched) want["in"].push_back({p.fields[kV]});
+  }
+  std::sort(want["join"].begin(), want["join"].end(), format::KeyLess());
+  std::sort(want["in"].begin(), want["in"].end(), format::KeyLess());
+  ASSERT_EQ(want["group_k"].size(), 6u);  // NULL -2 0 1.5 3 NaN
+  ASSERT_EQ(std::get<int64_t>(want["group_k"].back()[1]), 9);  // the NaNs
+  ASSERT_EQ(want["join"].size(), 33u);  // 9 zeros x 2, 9 NaNs, 6 x 1.5
+  ASSERT_EQ(want["in"].size(), 24u);
+
+  const std::map<std::string, std::string> queries{
+      {"group_k", "SELECT k, COUNT(*) AS c, SUM(v) AS s FROM keys GROUP BY k"},
+      {"group_kj", "SELECT k, j, COUNT(*) AS c FROM keys GROUP BY k, j"},
+      {"minmax_by_j",
+       "SELECT j, MIN(k) AS lo, MAX(k) AS hi FROM keys GROUP BY j"},
+      {"minmax", "SELECT MIN(k) AS lo, MAX(k) AS hi FROM keys"},
+      {"order_asc", "SELECT k FROM keys ORDER BY k"},
+      {"order_desc", "SELECT k FROM keys ORDER BY k DESC"},
+      {"join", "SELECT p.v, b.tag FROM keys p JOIN builds b ON p.k = b.k"},
+      {"in", "SELECT v FROM keys WHERE k IN (SELECT k FROM builds)"}};
+  Random rng(24);
+  for (int shuffle = 0; shuffle < 6; ++shuffle) {
+    std::vector<format::Row> p = probe;
+    std::vector<format::Row> b = build;
+    if (shuffle > 0) {  // shuffle 0 keeps the listed order
+      for (std::vector<format::Row>* rows : {&p, &b}) {
+        for (size_t i = rows->size(); i > 1; --i) {
+          std::swap((*rows)[i - 1], (*rows)[rng.Uniform(i)]);
+        }
+      }
+    }
+    for (size_t max_rows_per_file : {3, 7, 64}) {
+      JoinFixture f(/*scan_threads=*/4, /*cache_bytes=*/64ULL << 20,
+                    max_rows_per_file);
+      for (const auto& [name, schema, rows] :
+           {std::tuple{"keys",
+                       format::Schema{{"k", format::DataType::kDouble},
+                                      {"j", format::DataType::kInt64},
+                                      {"v", format::DataType::kInt64}},
+                       &p},
+            std::tuple{"builds",
+                       format::Schema{{"k", format::DataType::kDouble},
+                                      {"tag", format::DataType::kString}},
+                       &b}}) {
+        auto table =
+            f.lakehouse->CreateTable(name, schema, PartitionSpec::None());
+        ASSERT_TRUE(table.ok()) << table.status().ToString();
+        ASSERT_TRUE((*table)->Insert(*rows).ok());
+      }
+      for (const auto& [what, sql] : queries) {
+        auto result = f.Sql(sql);
+        ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+        if (what == "join" || what == "in") {  // no ORDER BY: sort here
+          std::sort(result->rows.begin(), result->rows.end(),
+                    [](const format::Row& x, const format::Row& y) {
+                      return format::KeyLess()(x.fields, y.fields);
+                    });
+        }
+        ExpectSameRows(result->rows, want[what],
+                       what + ", shuffle " + std::to_string(shuffle) +
+                           ", files of " + std::to_string(max_rows_per_file));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1408,6 +1408,45 @@ TEST(FileStatsTest, NanLeavesMinMaxOutAndCountsOnce) {
   EXPECT_EQ(zeros.ndv, 1u);
 }
 
+// A commit's DataFileMeta stores its column stats with the footer's codec,
+// byte for byte, and rejects the same unknown flag bits.
+TEST(FileStatsTest, CommitStatsUseTheFooterCodec) {
+  DataFileMeta meta;
+  meta.path = "/t/data/f-0";
+  meta.partition = "p0";
+  meta.record_count = 3;
+  meta.file_bytes = 100;
+  meta.added_seq = 1;
+  format::ColumnStats stats;
+  stats.min = format::Value(int64_t{-4});
+  stats.max = format::Value(int64_t{9});
+  stats.has_extended = true;
+  stats.null_count = 1;
+  stats.ndv = 2;
+  stats.avg_width = 8.0;
+  meta.column_stats["c"] = stats;
+  Bytes encoded;
+  meta.EncodeTo(&encoded);
+  Bytes footer;
+  format::EncodeColumnStats(&footer, stats);
+  ASSERT_GT(encoded.size(), footer.size());
+  const size_t flag_at = encoded.size() - footer.size();  // the last stats
+  EXPECT_TRUE(std::equal(footer.begin(), footer.end(),
+                         encoded.begin() + static_cast<ptrdiff_t>(flag_at)));
+
+  Decoder good{ByteView(encoded)};
+  auto decoded = DataFileMeta::DecodeFrom(&good);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->column_stats.at("c").ndv, 2u);
+
+  encoded[flag_at] |= 0x80;
+  Decoder bad{ByteView(encoded)};
+  auto rejected = DataFileMeta::DecodeFrom(&bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsCorruption())
+      << rejected.status().ToString();
+}
+
 // A double column whose values include NaN must never be pruned by a range
 // that NaN broke: every predicate returns what an unpruned scan (every row,
 // filtered one by one) returns.

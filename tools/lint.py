@@ -55,6 +55,12 @@ Rules
       bind it once (query::BoundConjunction) and evaluate it over column
       chunks; the reference executor under src/query/ and the tests'
       oracles keep the row form.
+  R10 A CompareValues call (WHERE's comparison, under which a NaN equals
+      every double) is allowed only under src/format/, in
+      src/query/predicate.cc, under src/lakebrain/ and under tests/.
+      GROUP BY, joins, ORDER BY and MIN/MAX compare keys by the one key
+      rule, format::CompareKeys / format::KeyLess, so no key structure
+      grows its own order.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -112,6 +118,14 @@ PLACEMENT_DIRS = (os.path.join("src", "storage") + os.sep, "tests" + os.sep)
 # hold a comma outside nested parentheses (Predicate::Matches takes one).
 ROW_MATCHES = re.compile(r"(\.|->)Matches\s*\((?:[^()]|\([^()]*\))*?,")
 ROW_MATCHES_DIRS = (os.path.join("src", "query") + os.sep, "tests" + os.sep)
+
+# R10: WHERE-semantics comparison, allowed only where WHERE and stats
+# pruning live (and in tests).
+COMPARE_VALUES = re.compile(r"\bCompareValues\s*\(")
+COMPARE_VALUES_PATHS = (os.path.join("src", "format") + os.sep,
+                        os.path.join("src", "query", "predicate.cc"),
+                        os.path.join("src", "lakebrain") + os.sep,
+                        "tests" + os.sep)
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -303,6 +317,13 @@ def lint_text(path, raw):
                 f"{path}:{lineno_at(code, m.start())}: R9: row-at-a-time "
                 "Conjunction::Matches(schema, row) outside src/query/; bind "
                 "it once with query::BoundConjunction and evaluate chunks")
+
+    if not path.startswith(COMPARE_VALUES_PATHS):
+        for m in COMPARE_VALUES.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start())}: R10: CompareValues "
+                "call outside WHERE and stats code; compare keys with "
+                "format::CompareKeys or format::KeyLess")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

@@ -277,6 +277,45 @@ class RuleTest(unittest.TestCase):
             "  return p.Matches(row.fields[Index(col, 0)]);\n}\n",
             path=src("src/lakebrain/qdtree.cc"))
 
+    # R10 -----------------------------------------------------------------
+    def test_r10_compare_values_outside_where_code(self):
+        self.assert_rule(
+            "R10",
+            "bool Less(const Row& a, const Row& b) {\n"
+            "  return format::CompareValues(a.fields[0],\n"
+            "                               b.fields[0]) < 0;\n}\n",
+            path=src("src/query/operators.cc"))
+
+    def test_r10_flags_table_layer(self):
+        self.assert_rule(
+            "R10",
+            "int F(const Value& a, const Value& b) {\n"
+            "  return CompareValues (a, b);\n}\n",
+            path=src("src/table/plan_runner.cc"))
+
+    def test_r10_allowed_in_where_stats_and_tests(self):
+        text = ("bool F(const Value& v, const Value& lit) {\n"
+                "  return format::CompareValues(v, lit) <= 0;\n}\n")
+        for path in (src("src/format/types.cc"),
+                     src("src/query/predicate.cc"),
+                     src("src/lakebrain/qdtree.cc"),
+                     os.path.join("tests", "t.cc")):
+            self.assert_clean(text, path=path)
+
+    def test_r10_predicate_header_and_prose_are_clean(self):
+        # Only predicate.cc holds WHERE's comparisons, not every file of
+        # src/query/; a comment naming the function is not a call.
+        self.assert_rule(
+            "R10",
+            "inline int F(const Value& a, const Value& b) {\n"
+            "  return format::CompareValues(a, b);\n}\n",
+            path=src("src/query/predicate.h"))
+        self.assert_clean(
+            "// format::CompareValues(a, b) is WHERE's rule\n"
+            "int F(const Value& a, const Value& b) {\n"
+            "  return format::CompareKeys(a, b);\n}\n",
+            path=src("src/query/operators.cc"))
+
 
 class RepoTest(unittest.TestCase):
     def test_whole_repo_is_clean(self):
