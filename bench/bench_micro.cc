@@ -1,10 +1,14 @@
 // Google-benchmark microbenchmarks of StreamLake's building blocks:
 // checksums, compression, encodings, erasure coding, KV, PLog appends,
-// stream-object appends, LakeFile scans, and a GROUP BY Select. These back
-// the cost-model calibration and catch performance regressions in the hot
-// paths.
+// stream-object appends, LakeFile scans, GROUP BY Selects and a hash join.
+// These back the cost-model calibration and catch performance regressions
+// in the hot paths.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_report.h"
 #include "codec/compression.h"
@@ -14,6 +18,7 @@
 #include "common/random.h"
 #include "format/lakefile.h"
 #include "kv/kv_store.h"
+#include "query/sql_parser.h"
 #include "storage/erasure_coding.h"
 #include "storage/plog_store.h"
 #include "stream/stream_object.h"
@@ -251,47 +256,153 @@ void BM_LakeFileWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_LakeFileWrite);
 
-// The per-query CPU of a warm aggregate Select: GROUP BY a dictionary
-// column over a 4-file TPC-H lineitem table whose decoded chunks all sit
-// in the block cache, so the time is filter + aggregate, not I/O.
-void BM_SelectGroupBy(benchmark::State& state) {
+// A lakehouse on one simulated cluster whose decoded chunks all fit its
+// 64 MiB block cache and whose scans run on the calling thread, so a warm
+// query's time is filter, join and aggregate CPU, not I/O.
+struct WarmLakehouse {
   sim::SimClock clock;
   storage::StoragePool pool{"ssd", sim::MediaType::kNvmeSsd, &clock};
-  pool.AddCluster(3, 2, 512 << 20);
   sim::NetworkModel compute_link{sim::NetworkProfile::Rdma(), &clock};
-  storage::PlogStoreConfig config;
-  config.num_shards = 8;
-  config.plog.capacity = 64 << 20;
-  config.plog.redundancy = storage::RedundancyConfig::Replication(3);
-  storage::PlogStore plogs(&pool, config, &clock);
+  std::unique_ptr<storage::PlogStore> plogs;
   kv::KvStore object_index;
   kv::KvStore meta_cache;
-  storage::ObjectStore objects(&plogs, &object_index);
-  table::MetadataStore meta(&objects, &meta_cache,
-                            table::MetadataMode::kAccelerated);
-  table::DecodedBlockCache cache(64ULL << 20);
-  table::TableOptions options;
-  options.max_rows_per_file = 4096;
-  table::LakehouseService lakehouse(&meta, &objects, &clock, &compute_link,
-                                    options, /*scan_pool=*/nullptr, &cache);
-  auto created = lakehouse.CreateTable(
-      "lineitem", workload::TpchLineitemGenerator::Schema(),
-      table::PartitionSpec::None());
-  SL_CHECK_OK(created.status());
+  std::unique_ptr<storage::ObjectStore> objects;
+  std::unique_ptr<table::MetadataStore> meta;
+  table::DecodedBlockCache cache{64ULL << 20};
+  std::unique_ptr<table::LakehouseService> lakehouse;
+
+  WarmLakehouse() {
+    pool.AddCluster(3, 2, 512 << 20);
+    storage::PlogStoreConfig config;
+    config.num_shards = 8;
+    config.plog.capacity = 64 << 20;
+    config.plog.redundancy = storage::RedundancyConfig::Replication(3);
+    plogs = std::make_unique<storage::PlogStore>(&pool, config, &clock);
+    objects =
+        std::make_unique<storage::ObjectStore>(plogs.get(), &object_index);
+    meta = std::make_unique<table::MetadataStore>(
+        objects.get(), &meta_cache, table::MetadataMode::kAccelerated);
+    table::TableOptions options;
+    options.max_rows_per_file = 4096;
+    lakehouse = std::make_unique<table::LakehouseService>(
+        meta.get(), objects.get(), &clock, &compute_link, options,
+        /*scan_pool=*/nullptr, &cache);
+  }
+
+  table::Table* Create(const std::string& name, const format::Schema& schema,
+                       const std::vector<format::Row>& rows) {
+    auto created = lakehouse->CreateTable(name, schema,
+                                          table::PartitionSpec::None());
+    SL_CHECK_OK(created.status());
+    SL_CHECK_OK((*created)->Insert(rows));
+    return *created;
+  }
+
+  /// Runs `sql` once to warm the cache; returns the parsed statement.
+  query::SqlStatement Warm(const std::string& sql) {
+    auto parsed = query::ParseSql(sql);
+    SL_CHECK_OK(parsed.status());
+    SL_CHECK_OK(lakehouse->Query(*parsed).status());
+    return *parsed;
+  }
+};
+
+// The per-query CPU of a warm aggregate Select: GROUP BY a dictionary
+// column over a 4-file TPC-H lineitem table.
+void BM_SelectGroupBy(benchmark::State& state) {
+  WarmLakehouse lake;
   workload::TpchLineitemGenerator gen;
-  SL_CHECK_OK((*created)->Insert(gen.NextBatch(4 * 4096)));
+  table::Table* lineitem = lake.Create(
+      "lineitem", workload::TpchLineitemGenerator::Schema(),
+      gen.NextBatch(4 * 4096));
   query::QuerySpec spec;
   spec.where.Add(query::Predicate::Le("l_discount", format::Value(0.05)));
   spec.group_by = {"l_shipmode"};
   spec.aggregates = {query::AggregateSpec::CountStar("c"),
                      query::AggregateSpec::Sum("l_quantity", "q")};
-  SL_CHECK_OK((*created)->Select(spec).status());  // warm the cache
+  SL_CHECK_OK(lineitem->Select(spec).status());  // warm the cache
   for (auto _ : state) {
-    benchmark::DoNotOptimize((*created)->Select(spec));
+    benchmark::DoNotOptimize(lineitem->Select(spec));
   }
   state.SetItemsProcessed(state.iterations() * 4 * 4096);
 }
 BENCHMARK(BM_SelectGroupBy);
+
+// GROUP BY over 100k groups of 200k rows: the many-group case a
+// dictionary key never reaches. Arg 0 groups by an int64 key, arg 1 by a
+// string key.
+void BM_GroupByHighCardinality(benchmark::State& state) {
+  constexpr int kRows = 200000;
+  constexpr int kGroups = 100000;
+  WarmLakehouse lake;
+  Random rng(11);
+  std::vector<format::Row> rows;
+  rows.reserve(kRows);
+  for (int i = 0; i < kRows; ++i) {
+    const int64_t k = static_cast<int64_t>(rng.Uniform(kGroups));
+    rows.push_back(format::Row{{format::Value(k),
+                                format::Value("key-" + std::to_string(k)),
+                                format::Value(static_cast<double>(i % 1000))}});
+  }
+  lake.Create("t",
+              format::Schema{{"ik", format::DataType::kInt64},
+                             {"sk", format::DataType::kString},
+                             {"x", format::DataType::kDouble}},
+              rows);
+  const std::string key = state.range(0) == 0 ? "ik" : "sk";
+  const query::SqlStatement statement = lake.Warm(
+      "SELECT " + key + ", COUNT(*) AS c, SUM(x) AS s FROM t GROUP BY " + key);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lake.lakehouse->Query(statement));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_GroupByHighCardinality)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
+
+// An aggregate over a join: 100k probe rows against a 20k-row build side,
+// half of the probe keys matching, grouped by a build column. Arg 0 joins
+// on an int64 key, arg 1 on a string key.
+void BM_HashJoinProbe(benchmark::State& state) {
+  constexpr int kFacts = 100000;
+  constexpr int kDims = 20000;
+  WarmLakehouse lake;
+  Random rng(12);
+  std::vector<format::Row> facts;
+  facts.reserve(kFacts);
+  for (int i = 0; i < kFacts; ++i) {
+    const int64_t k = static_cast<int64_t>(rng.Uniform(2 * kDims));
+    facts.push_back(format::Row{{format::Value(k),
+                                 format::Value("part-" + std::to_string(k)),
+                                 format::Value(int64_t{i % 50})}});
+  }
+  std::vector<format::Row> dims;
+  dims.reserve(kDims);
+  for (int64_t k = 0; k < 2 * kDims; k += 2) {
+    dims.push_back(format::Row{
+        {format::Value(k), format::Value("part-" + std::to_string(k)),
+         format::Value("brand-" + std::to_string(k % 25))}});
+  }
+  lake.Create("facts",
+              format::Schema{{"ik", format::DataType::kInt64},
+                             {"sk", format::DataType::kString},
+                             {"v", format::DataType::kInt64}},
+              facts);
+  lake.Create("dims",
+              format::Schema{{"ik", format::DataType::kInt64},
+                             {"sk", format::DataType::kString},
+                             {"brand", format::DataType::kString}},
+              dims);
+  const std::string key = state.range(0) == 0 ? "ik" : "sk";
+  const query::SqlStatement statement = lake.Warm(
+      "SELECT d.brand, COUNT(*) AS c, SUM(f.v) AS s FROM facts f JOIN dims d "
+      "ON f." + key + " = d." + key + " GROUP BY d.brand");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lake.lakehouse->Query(statement));
+  }
+  state.SetItemsProcessed(state.iterations() * kFacts);
+}
+BENCHMARK(BM_HashJoinProbe)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Uncontended lock/unlock round trip. The interesting comparison is the
 // default preset (lock-order checking on) against the release preset

@@ -49,6 +49,20 @@ Status Executor::ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
   return Status::OK();
 }
 
+Status Executor::ConsumeRows(const ChunkRows& rows, uint64_t scanned) {
+  SL_RETURN_NOT_OK(init_status_);
+  rows_scanned_ += scanned;
+  rows_matched_ += rows.size();
+  if (!spec_.aggregates.empty()) {
+    aggregate_.ConsumeRows(rows);
+    return Status::OK();
+  }
+  std::vector<format::Row> built = rows.Rows(project_.columns());
+  plain_rows_.insert(plain_rows_.end(), std::make_move_iterator(built.begin()),
+                     std::make_move_iterator(built.end()));
+  return Status::OK();
+}
+
 Status Executor::MergeFrom(Executor&& other) {
   SL_RETURN_NOT_OK(init_status_);
   SL_RETURN_NOT_OK(other.init_status_);

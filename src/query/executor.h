@@ -38,6 +38,12 @@ class Executor {
   Status ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
                       std::span<const uint32_t> selection, uint64_t scanned);
 
+  /// Consume rows held in place in column chunks (a scan's selected rows,
+  /// or joined rows): the `rows` matched out of `scanned`. An aggregate
+  /// folds them without building rows; a projection builds only its
+  /// columns, SELECT * every column.
+  Status ConsumeRows(const ChunkRows& rows, uint64_t scanned);
+
   /// Fold another executor's partial state into this one. Both must have
   /// been built from the same schema and spec; `other` is consumed. Used
   /// by the parallel Select path: each scan job runs its own fragment

@@ -1,139 +1,40 @@
 #include "query/operators.h"
 
 #include <algorithm>
-#include <string_view>
+#include <iterator>
 
 namespace streamlake::query {
 
-/// One aggregate input or group-key cell, read in place from a row's
-/// Value or from a decoded chunk's typed vectors.
-struct AggregateOperator::Cell {
-  format::DataType type = format::DataType::kNull;  // kNull: SQL NULL
-  int64_t i = 0;       // kInt64, and kBool as 0/1
-  double d = 0.0;      // kDouble
-  std::string_view s;  // kString
-
-  static Cell Of(const format::Value& v) {
-    Cell c;
-    c.type = format::TypeOf(v);
-    switch (c.type) {
-      case format::DataType::kBool:
-        c.i = std::get<bool>(v) ? 1 : 0;
-        break;
-      case format::DataType::kInt64:
-        c.i = std::get<int64_t>(v);
-        break;
-      case format::DataType::kDouble:
-        c.d = std::get<double>(v);
-        break;
-      case format::DataType::kString:
-        c.s = std::get<std::string>(v);
-        break;
-      case format::DataType::kNull:
-        break;
-    }
-    return c;
+std::vector<ColumnSource> OneSideSources(size_t arity) {
+  std::vector<ColumnSource> sources(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    sources[c].column = static_cast<uint32_t>(c);
   }
+  return sources;
+}
 
-  /// Row `r` of `chunk` (indexing through the dictionary of a dict view);
-  /// NULL when the chunk is absent.
-  static Cell At(const format::ColumnChunkData* chunk, size_t r) {
-    Cell c;
-    if (chunk == nullptr || chunk->IsNullAt(r)) return c;
-    const format::ColumnData& src =
-        chunk->dict_view ? chunk->dict : chunk->values;
-    const size_t idx = chunk->dict_view ? chunk->codes[r] : r;
-    c.type = chunk->type;
-    switch (chunk->type) {
-      case format::DataType::kBool:
-        c.i = std::get<std::vector<uint8_t>>(src)[idx] != 0 ? 1 : 0;
-        break;
-      case format::DataType::kInt64:
-        c.i = std::get<std::vector<int64_t>>(src)[idx];
-        break;
-      case format::DataType::kDouble:
-        c.d = std::get<std::vector<double>>(src)[idx];
-        break;
-      case format::DataType::kString:
-        c.s = std::get<std::vector<std::string>>(src)[idx];
-        break;
-      case format::DataType::kNull:
-        c.type = format::DataType::kNull;
-        break;
-    }
-    return c;
-  }
+format::Value ChunkRows::ValueAt(size_t t, size_t c) const {
+  const format::ColumnChunkData* ch = chunk(t, c);
+  return ch == nullptr ? format::Value(std::monostate{})
+                       : ch->ValueAt(row(t, c));
+}
 
-  /// The SUM/AVG input: numbers as doubles, bools as 0/1, strings as 0.
-  double ToDouble() const {
-    switch (type) {
-      case format::DataType::kInt64:
-        return static_cast<double>(i);
-      case format::DataType::kDouble:
-        return d;
-      case format::DataType::kBool:
-        return i != 0 ? 1.0 : 0.0;
-      default:
-        return 0.0;
-    }
-  }
-
-  format::Value ToValue() const {
-    switch (type) {
-      case format::DataType::kBool:
-        return format::Value(i != 0);
-      case format::DataType::kInt64:
-        return format::Value(i);
-      case format::DataType::kDouble:
-        return format::Value(d);
-      case format::DataType::kString:
-        return format::Value(std::string(s));
-      case format::DataType::kNull:
-        break;
-    }
-    return format::Value(std::monostate{});
-  }
-
-  /// Store the cell in `*v`, reusing its string buffer.
-  void AssignTo(format::Value* v) const {
-    if (type == format::DataType::kString) {
-      if (std::string* str = std::get_if<std::string>(v)) {
-        str->assign(s);
-        return;
+std::vector<format::Row> ChunkRows::Rows(std::span<const int> columns) const {
+  std::vector<format::Row> rows(size());
+  for (size_t t = 0; t < rows.size(); ++t) {
+    std::vector<format::Value>& fields = rows[t].fields;
+    if (columns.empty()) {
+      fields.reserve(sources.size());
+      for (size_t c = 0; c < sources.size(); ++c) {
+        fields.push_back(ValueAt(t, c));
       }
+    } else {
+      fields.reserve(columns.size());
+      for (int c : columns) fields.push_back(ValueAt(t, c));
     }
-    *v = ToValue();
   }
-
-  /// format::CompareKeys(ToValue(), v) without building the value.
-  int Compare(const format::Value& v) const {
-    switch (type) {
-      case format::DataType::kBool:
-        if (const bool* y = std::get_if<bool>(&v)) {
-          return static_cast<int>(i) - static_cast<int>(*y);
-        }
-        break;
-      case format::DataType::kInt64:
-        if (const int64_t* y = std::get_if<int64_t>(&v)) {
-          return i < *y ? -1 : (i > *y ? 1 : 0);
-        }
-        break;
-      case format::DataType::kDouble:
-        if (const double* y = std::get_if<double>(&v)) {
-          return format::CompareDoubleKeys(d, *y);
-        }
-        break;
-      case format::DataType::kString:
-        if (const std::string* y = std::get_if<std::string>(&v)) {
-          return s.compare(*y);
-        }
-        break;
-      case format::DataType::kNull:
-        break;
-    }
-    return format::CompareKeys(ToValue(), v);
-  }
-};
+  return rows;
+}
 
 Status ProjectOperator::Init(const format::Schema& schema,
                              const std::vector<std::string>& columns) {
@@ -183,43 +84,58 @@ Status AggregateOperator::Init(const format::Schema& schema,
       agg_cols_.push_back(idx);
     }
   }
+  states_.assign(aggregates_.size(), AggregateState{});
   return Status::OK();
 }
 
-AggregateOperator::GroupState& AggregateOperator::StateOf(
-    const std::vector<format::Value>& key) {
-  auto [it, inserted] = groups_.try_emplace(key);
-  GroupState& state = it->second;
-  if (inserted) {
-    state.counts.assign(aggregates_.size(), 0);
-    state.sums.assign(aggregates_.size(), 0.0);
-    state.mins.assign(aggregates_.size(), std::nullopt);
-    state.maxs.assign(aggregates_.size(), std::nullopt);
+void AggregateOperator::AddGroupState() {
+  for (size_t a = 0; a < aggregates_.size(); ++a) {
+    AggregateState& state = states_[a];
+    state.counts.push_back(0);
+    switch (aggregates_[a].func) {
+      case AggregateSpec::Func::kSum:
+      case AggregateSpec::Func::kAvg:
+        state.sums.push_back(0.0);
+        break;
+      case AggregateSpec::Func::kMin:
+      case AggregateSpec::Func::kMax:
+        state.extremes.emplace_back();
+        break;
+      case AggregateSpec::Func::kCount:
+        break;
+    }
   }
-  return state;
 }
 
-void AggregateOperator::Accumulate(GroupState& state, size_t a,
-                                   const Cell& cell) const {
-  if (agg_cols_[a] < 0) {  // COUNT(*)
-    ++state.counts[a];
-    return;
+template <typename CellAt>
+uint32_t AggregateOperator::GroupOf(size_t t, const CellAt& cell) {
+  key_.Clear();
+  for (int col : group_cols_) key_.Add(cell(t, col));
+  auto [g, inserted] = groups_.Insert(key_.bytes());
+  if (inserted) {
+    for (int col : group_cols_) group_keys_.push_back(cell(t, col).ToValue());
+    AddGroupState();
   }
+  return g;
+}
+
+void AggregateOperator::Accumulate(uint32_t g, size_t a, const Cell& cell) {
   if (cell.type == format::DataType::kNull) return;  // SQL: skip NULLs
-  ++state.counts[a];
+  AggregateState& state = states_[a];
+  ++state.counts[g];
   switch (aggregates_[a].func) {
     case AggregateSpec::Func::kSum:
     case AggregateSpec::Func::kAvg:
-      state.sums[a] += cell.ToDouble();
+      state.sums[g] += cell.ToDouble();
       break;
     case AggregateSpec::Func::kMin:
-      if (!state.mins[a] || cell.Compare(*state.mins[a]) < 0) {
-        state.mins[a] = cell.ToValue();
+      if (!state.extremes[g] || cell.Compare(*state.extremes[g]) < 0) {
+        state.extremes[g] = cell.ToValue();
       }
       break;
     case AggregateSpec::Func::kMax:
-      if (!state.maxs[a] || cell.Compare(*state.maxs[a]) > 0) {
-        state.maxs[a] = cell.ToValue();
+      if (!state.extremes[g] || cell.Compare(*state.extremes[g]) > 0) {
+        state.extremes[g] = cell.ToValue();
       }
       break;
     case AggregateSpec::Func::kCount:
@@ -227,85 +143,92 @@ void AggregateOperator::Accumulate(GroupState& state, size_t a,
   }
 }
 
+template <typename CellAt, typename GroupAt>
+void AggregateOperator::Fold(size_t n, const CellAt& cell,
+                             const GroupAt& group) {
+  rows_consumed_ += n;
+  group_ids_.resize(n);
+  for (size_t t = 0; t < n; ++t) group_ids_[t] = group(t);
+  // One aggregate at a time: each group still sees its rows in order.
+  for (size_t a = 0; a < agg_cols_.size(); ++a) {
+    if (agg_cols_[a] < 0) {  // COUNT(*)
+      std::vector<int64_t>& counts = states_[a].counts;
+      for (size_t t = 0; t < n; ++t) ++counts[group_ids_[t]];
+      continue;
+    }
+    for (size_t t = 0; t < n; ++t) {
+      Accumulate(group_ids_[t], a, cell(t, agg_cols_[a]));
+    }
+  }
+}
+
 void AggregateOperator::Consume(const format::Row& row) {
-  ++rows_consumed_;
-  key_.resize(group_cols_.size());
-  for (size_t i = 0; i < group_cols_.size(); ++i) {
-    key_[i] = row.fields[group_cols_[i]];
-  }
-  GroupState& state = StateOf(key_);
-  for (size_t a = 0; a < aggregates_.size(); ++a) {
-    Accumulate(state, a,
-               agg_cols_[a] < 0 ? Cell() : Cell::Of(row.fields[agg_cols_[a]]));
-  }
+  const auto cell = [&](size_t, int col) { return Cell::Of(row.fields[col]); };
+  Fold(1, cell, [&](size_t t) { return GroupOf(t, cell); });
 }
 
 void AggregateOperator::ConsumeBatch(
     std::span<const format::ColumnChunkPtr> columns,
     std::span<const uint32_t> selection) {
-  rows_consumed_ += selection.size();
-  if (selection.empty()) return;
-  std::vector<const format::ColumnChunkData*> inputs(agg_cols_.size(),
-                                                     nullptr);
-  for (size_t a = 0; a < agg_cols_.size(); ++a) {
-    if (agg_cols_[a] >= 0) inputs[a] = columns[agg_cols_[a]].get();
-  }
-  auto fold = [&](GroupState& state, uint32_t r) {
-    for (size_t a = 0; a < inputs.size(); ++a) {
-      Accumulate(state, a, Cell::At(inputs[a], r));
-    }
+  const auto cell = [&](size_t t, int col) {
+    return Cell::At(columns[col].get(), selection[t]);
   };
-  std::vector<const format::ColumnChunkData*> keys(group_cols_.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    keys[i] = columns[group_cols_[i]].get();
-  }
-  key_.resize(keys.size());
-  if (keys.size() == 1 && keys[0] != nullptr && keys[0]->dict_view) {
-    // One map lookup per dictionary code (and one for NULL) per batch.
-    const format::ColumnChunkData& dict_key = *keys[0];
-    std::vector<GroupState*> by_code(
-        std::visit([](const auto& dict) { return dict.size(); },
-                   dict_key.dict),
-        nullptr);
-    GroupState* null_state = nullptr;
-    for (uint32_t r : selection) {
-      GroupState*& state = dict_key.IsNullAt(r)
-                               ? null_state
-                               : by_code[dict_key.codes[r]];
-      if (state == nullptr) {
-        Cell::At(&dict_key, r).AssignTo(&key_[0]);
-        state = &StateOf(key_);
-      }
-      fold(*state, r);
-    }
+  const format::ColumnChunkData* dict_key =
+      group_cols_.size() == 1 ? columns[group_cols_[0]].get() : nullptr;
+  if (dict_key == nullptr || !dict_key->dict_view) {
+    Fold(selection.size(), cell, [&](size_t t) { return GroupOf(t, cell); });
     return;
   }
-  for (uint32_t r : selection) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      Cell::At(keys[i], r).AssignTo(&key_[i]);
-    }
-    fold(StateOf(key_), r);
-  }
+  // One table lookup per dictionary code (and one for NULL) per batch.
+  std::vector<uint32_t> by_code(
+      std::visit([](const auto& dict) { return dict.size(); }, dict_key->dict),
+      KeyTable::kNotFound);
+  uint32_t null_group = KeyTable::kNotFound;
+  Fold(selection.size(), cell, [&](size_t t) {
+    const uint32_t r = selection[t];
+    uint32_t& g = dict_key->IsNullAt(r) ? null_group
+                                        : by_code[dict_key->codes[r]];
+    if (g == KeyTable::kNotFound) g = GroupOf(t, cell);
+    return g;
+  });
+}
+
+void AggregateOperator::ConsumeRows(const ChunkRows& rows) {
+  const auto cell = [&](size_t t, int col) {
+    return Cell::At(rows.chunk(t, col), rows.row(t, col));
+  };
+  Fold(rows.size(), cell, [&](size_t t) { return GroupOf(t, cell); });
 }
 
 void AggregateOperator::Merge(AggregateOperator&& other) {
   rows_consumed_ += other.rows_consumed_;
-  for (auto& [key, theirs] : other.groups_) {
-    auto [it, inserted] = groups_.try_emplace(key, std::move(theirs));
-    if (inserted) continue;
-    GroupState& mine = it->second;
-    for (size_t a = 0; a < aggregates_.size(); ++a) {
-      mine.counts[a] += theirs.counts[a];
-      mine.sums[a] += theirs.sums[a];
-      if (theirs.mins[a] &&
-          (!mine.mins[a] ||
-           format::CompareKeys(*theirs.mins[a], *mine.mins[a]) < 0)) {
-        mine.mins[a] = std::move(theirs.mins[a]);
+  const size_t arity = group_cols_.size();
+  groups_.Reserve(groups_.size() + other.groups_.size());
+  for (uint32_t theirs = 0; theirs < other.groups_.size(); ++theirs) {
+    auto [g, inserted] = groups_.Insert(other.groups_.key(theirs),
+                                        other.groups_.hash(theirs));
+    if (inserted) {
+      for (size_t i = 0; i < arity; ++i) {
+        group_keys_.push_back(
+            std::move(other.group_keys_[theirs * arity + i]));
       }
-      if (theirs.maxs[a] &&
-          (!mine.maxs[a] ||
-           format::CompareKeys(*theirs.maxs[a], *mine.maxs[a]) > 0)) {
-        mine.maxs[a] = std::move(theirs.maxs[a]);
+      AddGroupState();
+    }
+    for (size_t a = 0; a < aggregates_.size(); ++a) {
+      AggregateState& mine = states_[a];
+      AggregateState& from = other.states_[a];
+      mine.counts[g] += from.counts[theirs];
+      if (!mine.sums.empty()) {
+        mine.sums[g] = inserted ? from.sums[theirs]
+                                : mine.sums[g] + from.sums[theirs];
+      }
+      if (mine.extremes.empty() || !from.extremes[theirs]) continue;
+      std::optional<format::Value>& have = mine.extremes[g];
+      const int sign =
+          aggregates_[a].func == AggregateSpec::Func::kMin ? -1 : 1;
+      if (!have || format::CompareKeys(*from.extremes[theirs], *have) * sign >
+                       0) {
+        have = std::move(from.extremes[theirs]);
       }
     }
   }
@@ -317,35 +240,35 @@ void AggregateOperator::Finalize(QueryResult* result) {
     result->column_names.push_back(agg.alias);
   }
   // SQL semantics: global aggregation over an empty input yields one row.
-  if (groups_.empty() && group_by_.empty()) {
-    groups_[{}] = GroupState{
-        std::vector<int64_t>(aggregates_.size(), 0),
-        std::vector<double>(aggregates_.size(), 0.0),
-        std::vector<std::optional<format::Value>>(aggregates_.size()),
-        std::vector<std::optional<format::Value>>(aggregates_.size())};
+  if (groups_.size() == 0 && group_by_.empty()) {
+    groups_.Insert("");
+    AddGroupState();
   }
-  for (const auto& [key, state] : groups_) {
+  const size_t arity = group_cols_.size();
+  for (uint32_t g : groups_.SortedIds()) {
     format::Row row;
-    row.fields = key;
+    row.fields.reserve(arity + aggregates_.size());
+    // Each group is emitted once, so its key cells move out.
+    std::move(group_keys_.begin() + g * arity,
+              group_keys_.begin() + (g + 1) * arity,
+              std::back_inserter(row.fields));
     for (size_t a = 0; a < aggregates_.size(); ++a) {
+      AggregateState& state = states_[a];
       switch (aggregates_[a].func) {
         case AggregateSpec::Func::kCount:
-          row.fields.emplace_back(state.counts[a]);
+          row.fields.emplace_back(state.counts[g]);
           break;
         case AggregateSpec::Func::kSum:
-          row.fields.emplace_back(state.sums[a]);
+          row.fields.emplace_back(state.sums[g]);
           break;
         case AggregateSpec::Func::kAvg:
           row.fields.emplace_back(
-              state.counts[a] == 0 ? 0.0 : state.sums[a] / state.counts[a]);
+              state.counts[g] == 0 ? 0.0 : state.sums[g] / state.counts[g]);
           break;
         case AggregateSpec::Func::kMin:
-          row.fields.push_back(
-              state.mins[a].value_or(format::Value(std::monostate{})));
-          break;
         case AggregateSpec::Func::kMax:
-          row.fields.push_back(
-              state.maxs[a].value_or(format::Value(std::monostate{})));
+          row.fields.push_back(std::move(state.extremes[g])
+                                   .value_or(format::Value(std::monostate{})));
           break;
       }
     }

@@ -1,16 +1,62 @@
 #ifndef STREAMLAKE_QUERY_OPERATORS_H_
 #define STREAMLAKE_QUERY_OPERATORS_H_
 
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "format/lakefile.h"
 #include "format/schema.h"
+#include "query/keys.h"
 #include "query/spec.h"
 
 namespace streamlake::query {
+
+/// Where column `c` of a ChunkRows batch is read: column `column` of the
+/// chunks on side `side`.
+struct ColumnSource {
+  uint32_t side = 0;
+  uint32_t column = 0;
+};
+
+/// One side of a ChunkRows row: row `row` of `chunks`, a scanned group's
+/// decoded chunks by schema index (a null chunk reads as all NULL).
+struct ChunkRef {
+  const format::ColumnChunkPtr* chunks = nullptr;
+  uint32_t row = 0;
+};
+
+/// \brief Rows held in place in decoded column chunks; Values are built
+/// only where a consumer needs them. A row is one ChunkRef per side: a
+/// probe row, then one build row per inner join it passed. Column `c` of a
+/// row reads `sources[c]`.
+struct ChunkRows {
+  std::span<const ColumnSource> sources;
+  size_t sides = 1;
+  std::vector<ChunkRef> refs;  // row t is refs[t * sides, (t + 1) * sides)
+
+  size_t size() const { return refs.size() / sides; }
+  /// The chunk and the row in it that column `c` of row `t` reads.
+  const format::ColumnChunkData* chunk(size_t t, size_t c) const {
+    return refs[t * sides + sources[c].side].chunks[sources[c].column].get();
+  }
+  uint32_t row(size_t t, size_t c) const {
+    return refs[t * sides + sources[c].side].row;
+  }
+  /// Column `c` of row `t` as a Value (NULL where no chunk was decoded).
+  format::Value ValueAt(size_t t, size_t c) const;
+
+  /// One row per ChunkRows row, in order: of arity `columns.size()`, cell
+  /// i is column `columns[i]`; with no columns, of arity `sources.size()`
+  /// carrying every column. The one place scanned and joined rows are
+  /// built.
+  std::vector<format::Row> Rows(std::span<const int> columns = {}) const;
+};
+
+/// The sources of one-sided rows of `arity` columns: column c reads
+/// column c.
+std::vector<ColumnSource> OneSideSources(size_t arity);
 
 /// \brief Projection operator: resolves the requested columns against a
 /// schema once, then maps rows. An empty column list is the identity
@@ -35,6 +81,11 @@ class ProjectOperator {
 /// floating-point SUM/AVG rounding, which is why the parallel Select path
 /// merges fragments in deterministic file order.
 ///
+/// Groups live in one KeyTable over the group key's normalized bytes
+/// (KeyEncoder); Finalize emits them sorted by those bytes, which is the
+/// key rule's order. Each group keeps the key cells of its first row, so
+/// -0.0 or a NaN payload shows as it was first seen.
+///
 /// SQL NULL semantics: COUNT(*) counts rows; COUNT(col), SUM, MIN, MAX and
 /// AVG skip NULL inputs. AVG divides by the non-NULL count (0 when there
 /// is none); MIN and MAX over no non-NULL input are NULL. Group keys and
@@ -46,20 +97,22 @@ class AggregateOperator {
               const std::vector<std::string>& group_by,
               const std::vector<AggregateSpec>& aggregates);
 
-  /// Accumulate one (already filtered) row. The row-at-a-time entry point:
-  /// joined rows come through here, and it is the oracle ConsumeBatch is
-  /// tested against.
+  /// Accumulate one (already filtered) row: the row-at-a-time reference
+  /// the batch entry points are tested against.
   void Consume(const format::Row& row);
 
   /// Accumulate the rows `selection` picks out of decoded column chunks
   /// (`columns` by schema index; a null chunk reads as all NULL), in
   /// selection order — the same group states, additions and comparisons,
   /// in the same order, as Consume over the rows those chunks make, so a
-  /// double SUM stays bit-identical. Group state is resolved once per
-  /// dictionary code for a single dictionary-encoded group column, and
-  /// through one reused key buffer otherwise.
+  /// double SUM stays bit-identical. A single dictionary-encoded group
+  /// column resolves its group once per code.
   void ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
                     std::span<const uint32_t> selection);
+
+  /// Accumulate joined rows in place, in order, as Consume would over the
+  /// rows they make.
+  void ConsumeRows(const ChunkRows& rows);
 
   /// Fold another operator's partial state into this one. Both must have
   /// been Init-ed from the same schema and specs; `other` is consumed.
@@ -74,26 +127,38 @@ class AggregateOperator {
   uint64_t rows_consumed() const { return rows_consumed_; }
 
  private:
-  struct GroupState {
+  /// One aggregate's running state, indexed by group id. `sums` is kept
+  /// for SUM and AVG, `extremes` for MIN or MAX.
+  struct AggregateState {
     std::vector<int64_t> counts;  // rows (COUNT(*)) or non-NULL inputs
     std::vector<double> sums;
-    std::vector<std::optional<format::Value>> mins;
-    std::vector<std::optional<format::Value>> maxs;
+    std::vector<std::optional<format::Value>> extremes;
   };
-  struct Cell;
 
-  /// The group state of `key`, created empty on first sight.
-  GroupState& StateOf(const std::vector<format::Value>& key);
-  /// The one accumulate step of both entry points: fold input `cell` of
-  /// aggregate `a` into `state`.
-  void Accumulate(GroupState& state, size_t a, const Cell& cell) const;
+  /// Append an empty group's aggregate state (its key cells are the
+  /// caller's).
+  void AddGroupState();
+  /// The id of input row t's group (group column i reads `cell(t, group
+  /// column i)`), created with row t's key cells on first sight.
+  template <typename CellAt>
+  uint32_t GroupOf(size_t t, const CellAt& cell);
+  /// The one accumulate step of every entry point but COUNT(*): fold
+  /// input `cell` of aggregate `a` into group `g`.
+  void Accumulate(uint32_t g, size_t a, const Cell& cell);
+  /// Fold `n` input rows, in order: row t joins group `group(t)`, and
+  /// aggregate a reads `cell(t, its column)` (COUNT(*) reads none).
+  template <typename CellAt, typename GroupAt>
+  void Fold(size_t n, const CellAt& cell, const GroupAt& group);
 
   std::vector<std::string> group_by_;
   std::vector<AggregateSpec> aggregates_;
   std::vector<int> group_cols_;
   std::vector<int> agg_cols_;
-  std::map<std::vector<format::Value>, GroupState, format::KeyLess> groups_;
-  std::vector<format::Value> key_;  // reused group-key buffer
+  KeyTable groups_;
+  std::vector<format::Value> group_keys_;  // group id * key arity + i
+  std::vector<AggregateState> states_;     // by aggregate
+  KeyEncoder key_;                         // reused group-key buffer
+  std::vector<uint32_t> group_ids_;        // reused: a batch's group ids
   uint64_t rows_consumed_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "table/plan_runner.h"
 
 #include <chrono>
-#include <map>
+#include <iterator>
 #include <set>
 #include <utility>
 
@@ -48,12 +48,14 @@ ColumnSelection RequiredColumns(const format::Schema& schema,
 /// fragment's scan job, folded with MergeFrom in file order by Finalize.
 /// ORDER BY / LIMIT run once after the merge and float SUMs fold in file
 /// order, so the result is byte-identical however the jobs were scheduled.
-/// Fed by a scan, an aggregate query folds each batch straight from its
-/// chunks and selection vector; a projection or SELECT * builds rows.
+/// An aggregate query folds each batch straight from its chunks; a
+/// projection or SELECT * builds rows of the columns it returns.
 class ExecutorSink : public RowSink {
  public:
   ExecutorSink(const format::Schema& schema, const query::QuerySpec& spec)
-      : schema_(schema), spec_(spec) {}
+      : schema_(schema),
+        spec_(spec),
+        sources_(query::OneSideSources(schema.num_fields())) {}
 
   void Open(size_t fragments) override {
     fragments_.reserve(fragments);
@@ -66,14 +68,19 @@ class ExecutorSink : public RowSink {
       return fragments_[fragment].ConsumeBatch(group.chunks, group.selection,
                                                group.visible_rows);
     }
-    return ConsumeRows(fragment, group.Rows(), group.visible_rows);
+    return ConsumeRows(fragment, group.Selected(sources_),
+                       group.visible_rows, group.metrics);
   }
 
   /// Rows that passed the filter (joined rows, from ProbeSink), out of
-  /// `scanned`.
-  Status ConsumeRows(size_t fragment, std::vector<format::Row> rows,
-                     uint64_t scanned) {
-    return fragments_[fragment].ConsumeFiltered(std::move(rows), scanned);
+  /// `scanned`. Rows a projection or SELECT * builds count into `metrics`
+  /// (when non-null) as materialized.
+  Status ConsumeRows(size_t fragment, const query::ChunkRows& rows,
+                     uint64_t scanned, SelectMetrics* metrics) {
+    if (spec_.aggregates.empty() && metrics != nullptr) {
+      metrics->rows_materialized += rows.size();
+    }
+    return fragments_[fragment].ConsumeRows(rows, scanned);
   }
 
   /// Merge the fragments in file order and produce the result.
@@ -88,71 +95,135 @@ class ExecutorSink : public RowSink {
  private:
   const format::Schema& schema_;
   const query::QuerySpec& spec_;
+  const std::vector<query::ColumnSource> sources_;
   std::vector<query::Executor> fragments_;
 };
 
-/// Collects a build-side scan per fragment. Each fragment's rows are
-/// written only by its own scan job, so no lock is needed; the caller reads
-/// them in file order once ScanInto has returned.
+/// One scanned group a build side keeps: its chunks and selected rows.
+struct BuildBatch {
+  std::vector<format::ColumnChunkPtr> chunks;
+  std::vector<uint32_t> selection;
+};
+
+/// Collects a build-side scan per fragment, as column batches. Each
+/// fragment's batches are written only by its own scan job, so no lock is
+/// needed; the caller reads them in file order once ScanInto has returned.
 class CollectSink : public RowSink {
  public:
   void Open(size_t n) override { fragments.assign(n, {}); }
   Status Consume(size_t fragment, const ScannedGroup& group) override {
-    std::vector<format::Row> rows = group.Rows();
-    std::vector<format::Row>& out = fragments[fragment];
-    out.insert(out.end(), std::make_move_iterator(rows.begin()),
-               std::make_move_iterator(rows.end()));
+    if (!group.selection.empty()) {
+      fragments[fragment].push_back({group.chunks, group.selection});
+    }
     return Status::OK();
   }
 
-  std::vector<std::vector<format::Row>> fragments;
+  std::vector<std::vector<BuildBatch>> fragments;
 };
 
-/// Build rows by join key under the key rule. It holds no NULL key, so a
-/// NULL probe key never matches (SQL: NULL = anything is unknown).
-using BuildMap =
-    std::map<format::Value, std::vector<format::Row>, format::KeyLess>;
+/// One join's build side, kept columnar: the build scan's batches in file
+/// order and, per distinct non-NULL key (a KeyTable id), the build rows
+/// holding it in that order. A NULL key is left out, so a NULL probe key
+/// never matches (SQL: NULL = anything is unknown). A semi join keeps only
+/// the keys.
+struct BuildSide {
+  std::vector<BuildBatch> batches;
+  query::KeyTable keys;
+  std::vector<uint32_t> starts;       // key id -> its first entry of rows
+  std::vector<query::ChunkRef> rows;  // build rows grouped by key id
+
+  /// Take `sink`'s batches in fragment order and index them by column
+  /// `key_col`; with `keep_rows`, also each key's rows.
+  void Build(CollectSink&& sink, int key_col, bool keep_rows) {
+    for (std::vector<BuildBatch>& fragment : sink.fragments) {
+      std::move(fragment.begin(), fragment.end(), std::back_inserter(batches));
+    }
+    std::vector<uint32_t> ids;  // per build row, kNotFound for a NULL key
+    query::KeyEncoder key;
+    for (const BuildBatch& batch : batches) {
+      const format::ColumnChunkData* chunk = batch.chunks[key_col].get();
+      for (uint32_t r : batch.selection) {
+        if (chunk == nullptr || chunk->IsNullAt(r)) {
+          ids.push_back(query::KeyTable::kNotFound);
+          continue;
+        }
+        key.Clear();
+        key.Add(chunk, r);
+        ids.push_back(keys.Insert(key.bytes()).first);
+      }
+    }
+    if (!keep_rows) return;
+    // A stable counting sort by key id keeps each key's rows in file order.
+    starts.assign(keys.size() + 1, 0);
+    for (uint32_t id : ids) {
+      if (id != query::KeyTable::kNotFound) ++starts[id + 1];
+    }
+    for (size_t id = 0; id < keys.size(); ++id) starts[id + 1] += starts[id];
+    rows.resize(starts.back());
+    std::vector<uint32_t> next(starts.begin(), starts.end() - 1);
+    size_t i = 0;
+    for (const BuildBatch& batch : batches) {
+      for (uint32_t r : batch.selection) {
+        const uint32_t id = ids[i++];
+        if (id != query::KeyTable::kNotFound) {
+          rows[next[id]++] = {batch.chunks.data(), r};
+        }
+      }
+    }
+  }
+};
 
 /// Streams each probe row group through the join chain on the delivering
 /// pool thread, then feeds the joined rows to the output stage as its
-/// scanned rows. It only reads the const build maps, so fragments run
-/// concurrently without locks.
+/// scanned rows. Rows stay references into the probe group's and the
+/// build sides' chunks: each join encodes a row's key cell in place and
+/// looks it up, and only the output stage reads the columns it needs. It
+/// only reads the const build sides, so fragments run concurrently
+/// without locks.
 class ProbeSink : public RowSink {
  public:
+  /// `sources[c]` is where column c of a joined row is read: side 0 is the
+  /// probe row, side s the build row of the s-th inner join.
   ProbeSink(const std::vector<query::Plan::Join>& joins,
-            const std::vector<BuildMap>& build_maps, ExecutorSink* out)
-      : joins_(joins), build_maps_(build_maps), out_(out) {}
+            const std::vector<BuildSide>& builds,
+            std::span<const query::ColumnSource> sources, ExecutorSink* out)
+      : joins_(joins), builds_(builds), sources_(sources), out_(out) {}
 
   void Open(size_t fragments) override { out_->Open(fragments); }
   Status Consume(size_t fragment, const ScannedGroup& group) override {
-    std::vector<format::Row> rows = group.Rows();
+    query::ChunkRows rows = group.Selected(sources_);
+    query::KeyEncoder key;
     for (size_t j = 0; j < joins_.size(); ++j) {
       const query::Plan::Join& join = joins_[j];
-      const BuildMap& map = build_maps_[j];
-      std::vector<format::Row> out;
-      for (format::Row& row : rows) {
-        auto it = map.find(row.fields[join.probe_col]);
-        if (it == map.end()) continue;
+      const BuildSide& build = builds_[j];
+      query::ChunkRows next{sources_, rows.sides + (join.semi ? 0 : 1), {}};
+      for (size_t t = 0; t < rows.size(); ++t) {
+        const format::ColumnChunkData* chunk = rows.chunk(t, join.probe_col);
+        const uint32_t r = rows.row(t, join.probe_col);
+        if (chunk == nullptr || chunk->IsNullAt(r)) continue;
+        key.Clear();
+        key.Add(chunk, r);
+        const uint32_t id = build.keys.Find(key.bytes());
+        if (id == query::KeyTable::kNotFound) continue;
+        const auto row = rows.refs.begin() + t * rows.sides;
         if (join.semi) {
-          out.push_back(std::move(row));
+          next.refs.insert(next.refs.end(), row, row + rows.sides);
           continue;
         }
-        for (const format::Row& build_row : it->second) {
-          format::Row joined = row;
-          joined.fields.insert(joined.fields.end(), build_row.fields.begin(),
-                               build_row.fields.end());
-          out.push_back(std::move(joined));
+        for (uint32_t b = build.starts[id]; b < build.starts[id + 1]; ++b) {
+          next.refs.insert(next.refs.end(), row, row + rows.sides);
+          next.refs.push_back(build.rows[b]);
         }
       }
-      rows = std::move(out);
+      rows = std::move(next);
     }
-    uint64_t joined_rows = rows.size();
-    return out_->ConsumeRows(fragment, std::move(rows), joined_rows);
+    return out_->ConsumeRows(fragment, rows, rows.size(), group.metrics);
   }
 
  private:
   const std::vector<query::Plan::Join>& joins_;
-  const std::vector<BuildMap>& build_maps_;
+  const std::vector<BuildSide>& builds_;
+  std::span<const query::ColumnSource> sources_;
   ExecutorSink* out_;
 };
 
@@ -169,13 +240,17 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
         "a plan needs one build scan per join and one pinned table per scan");
   }
 
-  // origin[i] = (scan, column) producing column i of a joined row: probe
-  // columns first, then each inner join's build columns in join order
+  // origin[i] = (scan, column) producing column i of a joined row, and
+  // sources[i] where the probe reads it: probe columns first (side 0), then
+  // each inner join's build columns in join order, one side per join
   // (semi joins do not extend the row).
   std::vector<std::pair<size_t, int>> origin;
+  std::vector<query::ColumnSource> sources;
   auto add_origin = [&](size_t scan) {
+    const uint32_t side = sources.empty() ? 0 : sources.back().side + 1;
     for (size_t c = 0; c < tables[scan].info.schema.num_fields(); ++c) {
       origin.emplace_back(scan, static_cast<int>(c));
+      sources.push_back({side, static_cast<uint32_t>(c)});
     }
   };
   add_origin(0);
@@ -211,10 +286,9 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
   uint64_t total_matched = 0;
 
   // Build phase: each build table scans through the pool into per-fragment
-  // buffers; the key map itself is built serially in fragment order so
-  // duplicate-key bucket order (hence inner-join output order) is
-  // deterministic.
-  std::vector<BuildMap> build_maps(joins.size());
+  // batches; its key table is built serially in fragment order so each
+  // key's build rows (hence inner-join output order) are deterministic.
+  std::vector<BuildSide> builds(joins.size());
   uint64_t build_start_ns = MonotonicNanos();
   uint64_t build_rows = 0;
   for (size_t j = 0; j < joins.size(); ++j) {
@@ -227,13 +301,7 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
     total_scanned += totals.rows_scanned;
     total_matched += totals.rows_matched;
     build_rows += totals.rows_matched;
-    for (std::vector<format::Row>& fragment : sink.fragments) {
-      for (format::Row& row : fragment) {
-        format::Value key = row.fields[joins[j].build_col];
-        if (format::IsNull(key)) continue;
-        build_maps[j][std::move(key)].push_back(std::move(row));
-      }
-    }
+    builds[j].Build(std::move(sink), joins[j].build_col, !joins[j].semi);
   }
   uint64_t build_ns = MonotonicNanos() - build_start_ns;
 
@@ -241,7 +309,7 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
   // into one output-stage executor per fragment, merged in file order by
   // Finalize. Without a join the scan feeds the output stage directly.
   ExecutorSink output(plan.row_schema, plan.output);
-  ProbeSink probe_sink(joins, build_maps, &output);
+  ProbeSink probe_sink(joins, builds, sources, &output);
   RowSink* sink = joins.empty() ? static_cast<RowSink*>(&output) : &probe_sink;
   const PinnedTable& probe = tables[0];
   uint64_t probe_start_ns = MonotonicNanos();

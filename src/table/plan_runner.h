@@ -21,11 +21,12 @@ struct PinnedTable {
 ///
 /// Every scan is Table::ScanInto against the pinned TableInfo, so no scan
 /// re-reads the catalog. Each build side is scanned into per-fragment
-/// buffers and its key map is built serially in fragment order
-/// (deterministic bucket order); the probe scan then streams each row group
-/// through the join chain on the pool threads into the output stage, one
-/// query::Executor per fragment merged in file order — so a parallel run
-/// is byte-identical to a serial one. A single-scan plan feeds the output
+/// column batches and its query::KeyTable is built serially in fragment
+/// order (each key's rows in file order); the probe scan then streams each
+/// row group through the join chain on the pool threads, as references
+/// into the chunks, into the output stage, one query::Executor per
+/// fragment merged in file order — so a parallel run is byte-identical to
+/// a serial one. A single-scan plan feeds the output
 /// stage straight from the scan. `m` (non-null) accumulates scan metrics
 /// across all tables and is not reset: the caller owns the per-query
 /// capture (see CaptureQuery).

@@ -367,17 +367,18 @@ bool Table::FullyCovered(const TableInfo& info, const DataFileMeta& file,
   return true;
 }
 
+query::ChunkRows ScannedGroup::Selected(
+    std::span<const query::ColumnSource> sources) const {
+  query::ChunkRows rows{sources, 1, {}};
+  rows.refs.reserve(selection.size());
+  for (uint32_t r : selection) rows.refs.push_back({chunks.data(), r});
+  return rows;
+}
+
 std::vector<format::Row> ScannedGroup::Rows() const {
-  std::vector<format::Row> rows;
-  rows.reserve(selection.size());
-  for (uint32_t r : selection) {
-    format::Row row;
-    row.fields.resize(chunks.size(), format::Value(std::monostate{}));
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      if (chunks[c] != nullptr) row.fields[c] = chunks[c]->ValueAt(r);
-    }
-    rows.push_back(std::move(row));
-  }
+  const std::vector<query::ColumnSource> sources =
+      query::OneSideSources(chunks.size());
+  std::vector<format::Row> rows = Selected(sources).Rows();
   if (metrics != nullptr) metrics->rows_materialized += rows.size();
   return rows;
 }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "query/spec.h"
+#include "query/operators.h"
 #include "sim/clock.h"
 #include "sim/network_model.h"
 #include "storage/object_store.h"
@@ -128,12 +128,17 @@ struct ScannedGroup {
   std::vector<uint32_t> selection;
   uint64_t visible_rows = 0;  // rows left after merge-on-read masking
   double row_width = 0.0;     // footer-stats width of a selected row
-  /// The scan's metrics (Rows() counts into them); null counts nothing.
+  /// The scan's metrics (rows built from the group count into them);
+  /// null counts nothing.
   SelectMetrics* metrics = nullptr;
 
-  /// The one place scanned rows are built: one row per selected index, in
-  /// order, of full schema arity, carrying every decoded column and NULL
-  /// elsewhere. Adds the rows to `metrics->rows_materialized`.
+  /// The selected rows, in order, held in place in `chunks` (one side) and
+  /// read through `sources`.
+  query::ChunkRows Selected(std::span<const query::ColumnSource> sources) const;
+
+  /// The selected rows built as Values (query::ChunkRows::Rows): of full
+  /// schema arity, carrying every decoded column and NULL elsewhere. Adds
+  /// the rows to `metrics->rows_materialized`.
   std::vector<format::Row> Rows() const;
 };
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <map>
 #include <memory>
@@ -950,6 +951,289 @@ TEST(KeyOrderTest, ResultsIgnoreInputOrderAndFileSplit) {
         ExpectSameRows(result->rows, want[what],
                        what + ", shuffle " + std::to_string(shuffle) +
                            ", files of " + std::to_string(max_rows_per_file));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// The hash join against a nested-loop reference: int64, double and string
+// keys with NULL, NaN and ±0.0, duplicate build keys spread over files,
+// and every join kind. Rows come in the reference's order: probe rows in
+// scan order, each followed by its build rows in scan order.
+
+/// The same cell, bit for bit (a double compares by its bits).
+bool SameCell(const format::Value& a, const format::Value& b) {
+  if (a.index() != b.index()) return false;
+  if (const double* x = std::get_if<double>(&a)) {
+    return std::bit_cast<uint64_t>(*x) ==
+           std::bit_cast<uint64_t>(std::get<double>(b));
+  }
+  return a == b;
+}
+
+void ExpectIdenticalRows(const std::vector<format::Row>& got,
+                         const std::vector<KeyRow>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(got[r].fields.size(), want[r].size()) << what << " row " << r;
+    for (size_t c = 0; c < want[r].size(); ++c) {
+      EXPECT_TRUE(SameCell(got[r].fields[c], want[r][c]))
+          << what << " row " << r << " col " << c << ": "
+          << format::ValueToString(got[r].fields[c]) << " vs "
+          << format::ValueToString(want[r][c]);
+    }
+  }
+}
+
+/// Join keys from small domains, so they repeat: column 0 int64, 1 double
+/// (NaN of either sign, ±0.0, inf), 2 string (with "" and an embedded
+/// zero); one cell in eight is NULL.
+KeyRow RandomKeys(Random& rng) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double doubles[] = {nan, -nan, -0.0, 0.0, 1.5, -2.0, inf};
+  const std::string strings[] = {"", "a", std::string("a\0", 2), "ab", "b"};
+  auto maybe_null = [&](format::Value v) {
+    return rng.OneIn(8) ? format::Value(std::monostate{}) : v;
+  };
+  return {maybe_null(format::Value(rng.UniformRange(-3, 3))),
+          maybe_null(format::Value(doubles[rng.Uniform(7)])),
+          maybe_null(format::Value(strings[rng.Uniform(5)]))};
+}
+
+/// Rows of `name` in its scan order, as SELECT * returns them.
+std::vector<KeyRow> ScanOrder(JoinFixture& f, const std::string& name) {
+  auto result = f.Sql("SELECT * FROM " + name);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<KeyRow> rows;
+  if (result.ok()) {
+    for (const format::Row& row : result->rows) rows.push_back(row.fields);
+  }
+  return rows;
+}
+
+bool KeysMatch(const format::Value& a, const format::Value& b) {
+  return !format::IsNull(a) && !format::IsNull(b) &&
+         format::CompareKeys(a, b) == 0;
+}
+
+TEST(JoinTest, HashJoinEqualsNestedLoopReference) {
+  const format::Schema facts_schema{{"ik", format::DataType::kInt64},
+                                    {"dk", format::DataType::kDouble},
+                                    {"sk", format::DataType::kString},
+                                    {"v", format::DataType::kInt64},
+                                    {"x", format::DataType::kDouble}};
+  const format::Schema dims_schema{{"ik", format::DataType::kInt64},
+                                   {"dk", format::DataType::kDouble},
+                                   {"sk", format::DataType::kString},
+                                   {"tag", format::DataType::kString}};
+  const format::Schema more_schema{{"sk", format::DataType::kString},
+                                   {"w", format::DataType::kInt64}};
+  const char* const kKeys[] = {"ik", "dk", "sk"};
+  for (uint64_t seed : {1, 2}) {
+    Random rng(seed);
+    // Each table is inserted in two commits, so duplicate build keys land
+    // in different files.
+    std::vector<std::vector<format::Row>> facts(2), dims(2), more(2);
+    for (int i = 0; i < 120; ++i) {
+      KeyRow row = RandomKeys(rng);
+      row.push_back(format::Value(int64_t{i}));
+      row.push_back(format::Value(static_cast<double>(rng.Uniform(100))));
+      facts[i % 2].push_back(format::Row{row});
+    }
+    for (int i = 0; i < 30; ++i) {
+      KeyRow row = RandomKeys(rng);
+      row.push_back(format::Value("d" + std::to_string(i)));
+      dims[i % 2].push_back(format::Row{row});
+    }
+    for (int i = 0; i < 12; ++i) {
+      more[i % 2].push_back(format::Row{
+          {RandomKeys(rng)[2], format::Value(int64_t{100 + i})}});
+    }
+    for (int scan_threads : {0, 4}) {
+      for (size_t max_rows_per_file : {5, 64}) {
+        JoinFixture f(scan_threads, /*cache_bytes=*/64ULL << 20,
+                      max_rows_per_file);
+        for (const auto& [name, schema, commits] :
+             {std::tuple{"facts", &facts_schema, &facts},
+              std::tuple{"dims", &dims_schema, &dims},
+              std::tuple{"more", &more_schema, &more}}) {
+          auto table =
+              f.lakehouse->CreateTable(name, *schema, PartitionSpec::None());
+          ASSERT_TRUE(table.ok()) << table.status().ToString();
+          for (const std::vector<format::Row>& rows : *commits) {
+            ASSERT_TRUE((*table)->Insert(rows).ok());
+          }
+        }
+        const std::vector<KeyRow> p = ScanOrder(f, "facts");
+        const std::vector<KeyRow> b = ScanOrder(f, "dims");
+        const std::vector<KeyRow> m = ScanOrder(f, "more");
+        ASSERT_EQ(p.size(), 120u);
+        ASSERT_EQ(b.size(), 30u);
+
+        std::map<std::string, std::vector<KeyRow>> want;
+        std::map<std::string, std::string> queries;
+        for (int k = 0; k < 3; ++k) {
+          const std::string key = kKeys[k];
+          queries["inner " + key] = "SELECT f.v, d.tag FROM facts f JOIN dims "
+                                    "d ON f." + key + " = d." + key;
+          queries["in " + key] = "SELECT v FROM facts WHERE " + key +
+                                 " IN (SELECT " + key + " FROM dims)";
+          queries["exists " + key] =
+              "SELECT f.v FROM facts f WHERE EXISTS (SELECT * FROM dims d "
+              "WHERE d." + key + " = f." + key + ")";
+          queries["star " + key] = "SELECT * FROM facts f JOIN dims d ON f." +
+                                   key + " = d." + key;
+          want["inner " + key];
+          want["in " + key];
+          want["exists " + key];
+          want["star " + key];
+          for (const KeyRow& pr : p) {
+            bool matched = false;
+            for (const KeyRow& br : b) {
+              if (!KeysMatch(pr[k], br[k])) continue;
+              matched = true;
+              want["inner " + key].push_back({pr[3], br[3]});
+              KeyRow star = pr;
+              star.insert(star.end(), br.begin(), br.end());
+              want["star " + key].push_back(star);
+            }
+            if (matched) {
+              want["in " + key].push_back({pr[3]});
+              want["exists " + key].push_back({pr[3]});
+            }
+          }
+        }
+        // A two-join chain whose second key comes from the first build
+        // side, projected out of order.
+        queries["chain"] =
+            "SELECT m.w, f.v, d.tag FROM facts f JOIN dims d ON f.dk = d.dk "
+            "JOIN more m ON d.sk = m.sk";
+        want["chain"];
+        for (const KeyRow& pr : p) {
+          for (const KeyRow& br : b) {
+            if (!KeysMatch(pr[1], br[1])) continue;
+            for (const KeyRow& mr : m) {
+              if (KeysMatch(br[2], mr[0])) {
+                want["chain"].push_back({mr[1], pr[3], br[3]});
+              }
+            }
+          }
+        }
+        // An aggregate over the join: integer-valued doubles, so every SUM
+        // is exact in any order.
+        queries["aggregate"] =
+            "SELECT d.tag, COUNT(*) AS c, SUM(f.x) AS s, MIN(f.dk) AS lo, "
+            "MAX(f.sk) AS hi FROM facts f JOIN dims d ON f.ik = d.ik "
+            "GROUP BY d.tag";
+        struct Agg {
+          int64_t count = 0;
+          double sum = 0;
+          std::vector<KeyRow> rows;
+        };
+        std::map<format::Value, Agg, format::KeyLess> groups;
+        for (const KeyRow& pr : p) {
+          for (const KeyRow& br : b) {
+            if (!KeysMatch(pr[0], br[0])) continue;
+            Agg& agg = groups[br[3]];
+            ++agg.count;
+            agg.sum += std::get<double>(pr[4]);
+            agg.rows.push_back(pr);
+          }
+        }
+        want["aggregate"];
+        for (const auto& [tag, agg] : groups) {
+          auto [lo, unused_hi] = MinMax(agg.rows, 1);
+          auto [unused_lo, hi] = MinMax(agg.rows, 2);
+          want["aggregate"].push_back({tag, format::Value(agg.count),
+                                       format::Value(agg.sum), lo, hi});
+        }
+        ASSERT_FALSE(want["inner dk"].empty());
+        ASSERT_FALSE(want["chain"].empty());
+
+        for (const auto& [what, sql] : queries) {
+          auto result = f.Sql(sql);
+          ASSERT_TRUE(result.ok()) << sql << ": "
+                                   << result.status().ToString();
+          const std::string where =
+              what + ", seed " + std::to_string(seed) + ", " +
+              std::to_string(scan_threads) + " threads, files of " +
+              std::to_string(max_rows_per_file);
+          if (what == "aggregate") {  // a group's MIN may be -0.0 or 0.0
+            ExpectSameRows(result->rows, want[what], where);
+          } else {
+            ExpectIdenticalRows(result->rows, want[what], where);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JoinTest, GroupByManyGroupsEqualsKeyLessReference) {
+  const format::Schema schema{{"k", format::DataType::kInt64},
+                              {"s", format::DataType::kString},
+                              {"x", format::DataType::kDouble}};
+  Random rng(25);
+  std::vector<format::Row> rows;
+  for (int i = 0; i < 40000; ++i) {
+    const int64_t k = static_cast<int64_t>(rng.Uniform(15000)) - 7000;
+    rows.push_back(format::Row{
+        {i % 97 == 0 ? format::Value(std::monostate{}) : format::Value(k),
+         format::Value("g" + std::to_string(k % 7)),
+         format::Value(static_cast<double>(rng.Uniform(1 << 20)) / 1024.0 +
+                       1e-7 * static_cast<double>(i))}});
+  }
+  const std::map<std::string, std::vector<int>> queries{
+      {"SELECT k, COUNT(*) AS c, SUM(x) AS t FROM grp GROUP BY k", {0}},
+      {"SELECT s, k, COUNT(*) AS c, SUM(x) AS t FROM grp GROUP BY s, k",
+       {1, 0}}};
+  std::map<std::string, std::vector<format::Row>> first;
+  for (int scan_threads : {1, 8}) {
+    JoinFixture f(scan_threads, /*cache_bytes=*/64ULL << 20,
+                  /*max_rows_per_file=*/4096);
+    auto table = f.lakehouse->CreateTable("grp", schema, PartitionSpec::None());
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ASSERT_TRUE((*table)->Insert(rows).ok());
+    for (const auto& [sql, cols] : queries) {
+      std::map<KeyRow, std::pair<int64_t, double>, format::KeyLess> want;
+      for (const format::Row& row : rows) {
+        KeyRow key;
+        for (int c : cols) key.push_back(row.fields[c]);
+        auto& [count, sum] = want[key];
+        ++count;
+        sum += std::get<double>(row.fields[2]);
+      }
+      ASSERT_GE(want.size(), 10000u);
+      auto result = f.Sql(sql);
+      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
+      ASSERT_EQ(result->rows.size(), want.size()) << sql;
+      size_t r = 0;
+      for (const auto& [key, agg] : want) {
+        const format::Row& got = result->rows[r++];
+        for (size_t c = 0; c < key.size(); ++c) {
+          ASSERT_TRUE(SameCell(got.fields[c], key[c])) << sql << " row " << r;
+        }
+        ASSERT_EQ(std::get<int64_t>(got.fields[key.size()]), agg.first);
+        ASSERT_NEAR(std::get<double>(got.fields[key.size() + 1]), agg.second,
+                    1e-9 * agg.second + 1e-9);
+      }
+      // The SUMs fold in file order, so they are bit-identical across
+      // thread counts.
+      if (first.count(sql) == 0) {
+        first[sql] = result->rows;
+      } else {
+        ExpectIdenticalRows(result->rows,
+                            [&] {
+                              std::vector<KeyRow> rows_of_1;
+                              for (const format::Row& row : first[sql]) {
+                                rows_of_1.push_back(row.fields);
+                              }
+                              return rows_of_1;
+                            }(),
+                            sql + ", 8 threads vs 1");
       }
     }
   }

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <limits>
+
+#include "common/random.h"
 #include "query/executor.h"
+#include "query/keys.h"
 #include "query/predicate.h"
 
 namespace streamlake::query {
@@ -283,6 +289,246 @@ TEST(ExecutorTest, IncrementalConsumeMatchesSingleShot) {
   ASSERT_EQ(inc->rows.size(), single->rows.size());
   for (size_t i = 0; i < inc->rows.size(); ++i) {
     EXPECT_EQ(inc->rows[i], single->rows[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Normalized key bytes: memcmp order is the key rule's order.
+
+std::string Encode(const std::vector<format::Value>& key) {
+  KeyEncoder enc;
+  for (const format::Value& v : key) enc.Add(v);
+  return std::string(enc.bytes());
+}
+
+int Sign(int x) { return (x > 0) - (x < 0); }
+
+/// memcmp of the encodings, as the KeyTable and its sort compare them.
+int ByteSign(const std::string& a, const std::string& b) {
+  int c = std::memcmp(a.data(), b.data(), std::min(a.size(), b.size()));
+  if (c == 0) c = a.size() < b.size() ? -1 : (a.size() > b.size() ? 1 : 0);
+  return Sign(c);
+}
+
+/// The key rule over composite keys: the first cell that differs decides.
+int KeySign(const std::vector<format::Value>& a,
+            const std::vector<format::Value>& b) {
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    const int c = format::CompareKeys(a[i], b[i]);
+    if (c != 0) return Sign(c);
+  }
+  return Sign(static_cast<int>(a.size()) - static_cast<int>(b.size()));
+}
+
+/// Every special value of each key type, then seeded random ones; NULL is
+/// in every pool (it compares with any type).
+std::vector<std::vector<format::Value>> KeyPools(uint64_t seed) {
+  Random rng(seed);
+  const format::Value null{std::monostate{}};
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<format::Value> doubles{
+      null, format::Value(0.0), format::Value(-0.0), format::Value(inf),
+      format::Value(-inf), format::Value(std::numeric_limits<double>::max()),
+      format::Value(std::numeric_limits<double>::lowest()),
+      format::Value(std::numeric_limits<double>::denorm_min()),
+      format::Value(-std::numeric_limits<double>::denorm_min()),
+      format::Value(1.5), format::Value(-1.5)};
+  for (int i = 0; i < 12; ++i) {
+    // NaNs with either sign and any payload.
+    uint64_t payload = 1 + rng.Uniform((uint64_t{1} << 52) - 1);
+    uint64_t bits = 0x7FF0000000000000ULL | payload;
+    if (rng.OneIn(2)) bits |= uint64_t{1} << 63;
+    doubles.push_back(format::Value(std::bit_cast<double>(bits)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    double d = std::bit_cast<double>(rng.Next());
+    if (std::isnan(d)) d = 0.25 * static_cast<double>(rng.Uniform(64)) - 8;
+    doubles.push_back(format::Value(rng.OneIn(2) ? d : std::round(d)));
+  }
+  std::vector<format::Value> ints{
+      null, format::Value(std::numeric_limits<int64_t>::min()),
+      format::Value(std::numeric_limits<int64_t>::max()),
+      format::Value(int64_t{-1}), format::Value(int64_t{0}),
+      format::Value(int64_t{1}), format::Value(int64_t{255}),
+      format::Value(int64_t{256})};
+  for (int i = 0; i < 40; ++i) {
+    ints.push_back(format::Value(static_cast<int64_t>(
+        rng.OneIn(2) ? rng.Next() : rng.Uniform(600) - 300)));
+  }
+  std::vector<format::Value> bools{null, format::Value(false),
+                                   format::Value(true)};
+  std::vector<format::Value> strings{null};
+  for (const char* s : {"", "a", "ab", "b", "\xff", "a\xff"}) {
+    strings.push_back(format::Value(std::string(s)));
+  }
+  for (const std::string& s :
+       {std::string(1, '\0'), std::string("a\0", 2), std::string("a\0b", 3),
+        std::string("a\0\0", 3), std::string("\0\xff", 2)}) {
+    strings.push_back(format::Value(s));
+  }
+  const char alphabet[] = {'\0', '\x01', 'a', '\xfe', '\xff'};
+  for (int i = 0; i < 40; ++i) {
+    std::string s;
+    for (uint64_t n = rng.Uniform(5); n > 0; --n) {
+      s.push_back(alphabet[rng.Uniform(sizeof(alphabet))]);
+    }
+    strings.push_back(format::Value(s));
+  }
+  return {doubles, ints, bools, strings};
+}
+
+TEST(KeyEncoderTest, MemcmpOrderEqualsKeyRule) {
+  for (uint64_t seed : {1, 2, 3}) {
+    for (const std::vector<format::Value>& pool : KeyPools(seed)) {
+      for (const format::Value& a : pool) {
+        for (const format::Value& b : pool) {
+          const int want = KeySign({a}, {b});
+          ASSERT_EQ(want, Sign(format::CompareKeys(a, b)));
+          ASSERT_EQ(ByteSign(Encode({a}), Encode({b})), want)
+              << format::ValueToString(a) << " vs "
+              << format::ValueToString(b);
+          // format::KeyLess agrees on one-cell keys.
+          ASSERT_EQ(format::KeyLess()(a, b), want < 0);
+        }
+      }
+    }
+  }
+}
+
+TEST(KeyEncoderTest, CompositeKeysWithStringFirstStayOrdered) {
+  const std::vector<std::vector<format::Value>> pools = KeyPools(4);
+  const std::vector<format::Value>& strings = pools[3];
+  Random rng(5);
+  for (size_t second = 0; second < 3; ++second) {
+    const std::vector<format::Value>& tail = pools[second];
+    std::vector<std::vector<format::Value>> keys;
+    for (int i = 0; i < 300; ++i) {
+      keys.push_back({strings[rng.Uniform(strings.size())],
+                      tail[rng.Uniform(tail.size())]});
+    }
+    for (const auto& a : keys) {
+      for (const auto& b : keys) {
+        const int want = KeySign(a, b);
+        ASSERT_EQ(format::KeyLess()(a, b), want < 0);
+        ASSERT_EQ(ByteSign(Encode(a), Encode(b)), want)
+            << format::ValueToString(a[0]) << "," << format::ValueToString(a[1])
+            << " vs " << format::ValueToString(b[0]) << ","
+            << format::ValueToString(b[1]);
+      }
+    }
+  }
+}
+
+TEST(KeyEncoderTest, ChunkCellsEncodeAsTheirValues) {
+  const std::vector<std::vector<format::Value>> pools = KeyPools(6);
+  Random rng(7);
+  const format::DataType types[] = {format::DataType::kDouble,
+                                    format::DataType::kInt64,
+                                    format::DataType::kBool,
+                                    format::DataType::kString};
+  for (size_t p = 0; p < pools.size(); ++p) {
+    // Rows drawn from the pool; the pool's non-NULL values double as the
+    // dictionary of the dict-view chunk.
+    std::vector<format::Value> dict_values(pools[p].begin() + 1,
+                                           pools[p].end());
+    const size_t n = 200;
+    std::vector<uint32_t> codes(n);
+    std::vector<uint8_t> nulls(n);
+    std::vector<format::Value> rows(n);
+    for (size_t r = 0; r < n; ++r) {
+      codes[r] = static_cast<uint32_t>(rng.Uniform(dict_values.size()));
+      nulls[r] = rng.OneIn(5) ? 1 : 0;
+      rows[r] = nulls[r] ? format::Value(std::monostate{})
+                         : dict_values[codes[r]];
+    }
+    // A NULL row carries the type's default in the value stream.
+    auto column_of = [](auto sample, const std::vector<format::Value>& vs) {
+      std::vector<decltype(sample)> out;
+      for (const format::Value& v : vs) {
+        if (format::IsNull(v)) {
+          out.push_back({});
+        } else if constexpr (std::is_same_v<decltype(sample), uint8_t>) {
+          out.push_back(std::get<bool>(v) ? 1 : 0);
+        } else {
+          out.push_back(std::get<decltype(sample)>(v));
+        }
+      }
+      return format::ColumnData(out);
+    };
+    auto typed = [&](const std::vector<format::Value>& vs) {
+      switch (types[p]) {
+        case format::DataType::kDouble:
+          return column_of(0.0, vs);
+        case format::DataType::kInt64:
+          return column_of(int64_t{0}, vs);
+        case format::DataType::kBool:
+          return column_of(uint8_t{0}, vs);
+        default:
+          return column_of(std::string(), vs);
+      }
+    };
+    format::ColumnChunkData plain;
+    plain.type = types[p];
+    plain.num_rows = n;
+    plain.values = typed(rows);
+    plain.null_mask = nulls;
+    format::ColumnChunkData dict;
+    dict.type = types[p];
+    dict.num_rows = n;
+    dict.dict_view = true;
+    dict.dict = typed(dict_values);
+    dict.codes = codes;
+    dict.null_mask = nulls;
+    for (size_t r = 0; r < n; ++r) {
+      const std::string want = Encode({rows[r]});
+      for (const format::ColumnChunkData* chunk : {&plain, &dict}) {
+        KeyEncoder enc;
+        enc.Add(chunk, r);
+        ASSERT_EQ(std::string(enc.bytes()), want)
+            << "type " << p << " row " << r << " dict " << chunk->dict_view;
+      }
+    }
+  }
+  // An absent chunk reads as NULL.
+  KeyEncoder enc;
+  enc.Add(nullptr, 3);
+  EXPECT_EQ(std::string(enc.bytes()),
+            Encode({format::Value(std::monostate{})}));
+}
+
+TEST(KeyTableTest, FindsEveryKeyAndSortsByBytes) {
+  Random rng(8);
+  KeyTable table;
+  std::vector<std::string> keys;
+  for (int i = 0; i < 5000; ++i) {
+    // Keys longer than SortedIds' 16-byte prefix, most sharing it.
+    KeyEncoder enc;
+    enc.Add(format::Value(std::string(10, 'p') +
+                          std::to_string(rng.Uniform(3))));
+    enc.Add(format::Value(static_cast<int64_t>(rng.Uniform(3000)) - 1500));
+    const std::string key(enc.bytes());
+    auto [id, inserted] = table.Insert(key);
+    const auto known = std::find(keys.begin(), keys.end(), key);
+    ASSERT_EQ(inserted, known == keys.end());
+    if (inserted) {
+      ASSERT_EQ(id, keys.size());
+      keys.push_back(key);
+    } else {
+      ASSERT_EQ(id, static_cast<uint32_t>(known - keys.begin()));
+    }
+  }
+  ASSERT_EQ(table.size(), keys.size());
+  for (uint32_t id = 0; id < keys.size(); ++id) {
+    EXPECT_EQ(table.Find(keys[id]), id);
+    EXPECT_EQ(table.key(id), keys[id]);
+  }
+  EXPECT_EQ(table.Find(Encode({format::Value(int64_t{99999})})),
+            KeyTable::kNotFound);
+  EXPECT_EQ(KeyTable().Find("x"), KeyTable::kNotFound);
+  const std::vector<uint32_t> sorted = table.SortedIds();
+  ASSERT_EQ(sorted.size(), keys.size());
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    EXPECT_LT(keys[sorted[i - 1]], keys[sorted[i]]);
   }
 }
 

@@ -61,6 +61,12 @@ Rules
       GROUP BY, joins, ORDER BY and MIN/MAX compare keys by the one key
       rule, format::CompareKeys / format::KeyLess, so no key structure
       grows its own order.
+  R11 Under src/query/ and src/table/, no ordered container (std::map,
+      std::set, std::multimap, std::multiset) is keyed by format::Value
+      (alone or in a std::vector) or ordered by format::KeyLess. GROUP BY
+      state and the join build side live in the one key table,
+      query::KeyTable over query::KeyEncoder's normalized key bytes, and
+      sorted output comes from its SortedIds.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -126,6 +132,17 @@ COMPARE_VALUES_PATHS = (os.path.join("src", "format") + os.sep,
                         os.path.join("src", "query", "predicate.cc"),
                         os.path.join("src", "lakebrain") + os.sep,
                         "tests" + os.sep)
+
+# R11: an ordered container keyed by Value (or a vector of them) or ordered
+# by KeyLess, under the query and table layers. The template arguments may
+# span lines, so this scans the whole stripped text.
+VALUE_KEYED_CONTAINER = re.compile(
+    r"\bstd::(multimap|multiset|map|set)\s*<\s*"
+    r"(?:(?:const\s+)?(?:format::)?Value\b"
+    r"|std::vector\s*<\s*(?:format::)?Value\s*>"
+    r"|[^;{}]*?\bKeyLess\b)")
+KEY_TABLE_DIRS = (os.path.join("src", "query") + os.sep,
+                  os.path.join("src", "table") + os.sep)
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -324,6 +341,13 @@ def lint_text(path, raw):
                 f"{path}:{lineno_at(code, m.start())}: R10: CompareValues "
                 "call outside WHERE and stats code; compare keys with "
                 "format::CompareKeys or format::KeyLess")
+
+    if path.startswith(KEY_TABLE_DIRS):
+        for m in VALUE_KEYED_CONTAINER.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start())}: R11: ordered "
+                f"std::{m.group(1)} keyed by format::Value or KeyLess; key "
+                "GROUP BY and join state with query::KeyTable")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

@@ -317,6 +317,47 @@ class RuleTest(unittest.TestCase):
             path=src("src/query/operators.cc"))
 
 
+    # R11 -----------------------------------------------------------------
+    def test_r11_group_state_map_keyed_by_value_vector(self):
+        # The shape of the group-state map the key table replaced.
+        self.assert_rule(
+            "R11",
+            "class A {\n"
+            "  std::map<std::vector<format::Value>, GroupState,\n"
+            "           format::KeyLess> groups_;\n};\n",
+            path=src("src/query/operators.h"))
+
+    def test_r11_build_map_keyed_by_value(self):
+        # The join build map the key table replaced, with its alias on the
+        # line above.
+        self.assert_rule(
+            "R11",
+            "using BuildMap =\n"
+            "    std::map<format::Value, std::vector<format::Row>, "
+            "format::KeyLess>;\n",
+            path=src("src/table/plan_runner.cc"))
+
+    def test_r11_sets_and_keyless_comparators(self):
+        for text in ("std::set<Value> seen;\n",
+                     "std::multiset<const format::Value> seen;\n",
+                     "std::multimap<int, Row, format::KeyLess> m;\n",
+                     "std::set < std::vector<Value> > keys;\n"):
+            self.assert_rule("R11", text, path=src("src/table/table.cc"))
+
+    def test_r11_allowed_elsewhere_and_for_other_keys(self):
+        keyed = "std::map<format::Value, int, format::KeyLess> m;\n"
+        for path in (src("src/format/types.cc"),
+                     src("src/lakebrain/spn.cc"),
+                     os.path.join("tests", "join_test.cc")):
+            self.assert_clean(keyed, path=path)
+        self.assert_clean(
+            "std::map<std::string, ValueRange> ranges;\n"
+            "std::set<int> cols;\n"
+            "// std::map<format::Value, Row, KeyLess> was the build map\n"
+            "std::sort(keys.begin(), keys.end(), format::KeyLess());\n",
+            path=src("src/query/plan.cc"))
+
+
 class RepoTest(unittest.TestCase):
     def test_whole_repo_is_clean(self):
         # The shipped tree must satisfy its own lint (same check as the
