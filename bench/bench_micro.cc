@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "codec/compression.h"
 #include "codec/encoding.h"
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/mutex.h"
 #include "common/random.h"
 #include "format/lakefile.h"
@@ -238,23 +240,51 @@ void BM_LakeFileWriteScan(benchmark::State& state) {
 }
 BENCHMARK(BM_LakeFileWriteScan);
 
-// One data file of a 500-row TPC-H lineitem batch, the shape of a
-// lakehouse_mixed insert: the bytes and the file-level stats, encoded from
-// the caller's rows in place.
+// One data file of an N-row TPC-H lineitem batch: 500 rows is the shape of
+// a lakehouse_mixed insert, 8192 one full row group. Each iteration
+// transposes the caller's rows once, as Table::Insert does, then encodes
+// the bytes and the file-level stats.
 void BM_LakeFileWrite(benchmark::State& state) {
   workload::TpchLineitemGenerator gen;
-  const std::vector<format::Row> rows = gen.NextBatch(500);
+  const std::vector<format::Row> rows =
+      gen.NextBatch(static_cast<size_t>(state.range(0)));
   std::vector<const format::Row*> pointers;
   pointers.reserve(rows.size());
   for (const format::Row& row : rows) pointers.push_back(&row);
   const format::Schema schema = workload::TpchLineitemGenerator::Schema();
   for (auto _ : state) {
+    format::ColumnBatch batch(schema);
+    batch.AppendRows(pointers);
     benchmark::DoNotOptimize(
-        format::EncodeLakeFile(schema, pointers, format::LakeFileOptions()));
+        format::EncodeLakeFile(schema, batch, format::LakeFileOptions()));
   }
   state.SetItemsProcessed(state.iterations() * rows.size());
 }
-BENCHMARK(BM_LakeFileWrite);
+BENCHMARK(BM_LakeFileWrite)->Arg(500)->Arg(8192);
+
+// One converter insert of the ingest workload: 1667 DPI rows (5000 messages
+// over 3 streams) cut into one file per province, each transposed once and
+// encoded on the calling thread.
+void BM_LakeFileWriteDpi(benchmark::State& state) {
+  workload::DpiLogGenerator gen;
+  const std::vector<format::Row> rows = gen.NextBatch(1667);
+  const format::Schema schema = workload::DpiLogGenerator::Schema();
+  const int province = schema.FieldIndex("province");
+  std::map<std::string, std::vector<const format::Row*>> files;
+  for (const format::Row& row : rows) {
+    files[std::get<std::string>(row.fields[province])].push_back(&row);
+  }
+  for (auto _ : state) {
+    for (const auto& [name, file] : files) {
+      format::ColumnBatch batch(schema);
+      batch.AppendRows(file);
+      benchmark::DoNotOptimize(
+          format::EncodeLakeFile(schema, batch, format::LakeFileOptions()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_LakeFileWriteDpi);
 
 // A lakehouse on one simulated cluster whose decoded chunks all fit its
 // 64 MiB block cache and whose scans run on the calling thread, so a warm
@@ -271,7 +301,8 @@ struct WarmLakehouse {
   table::DecodedBlockCache cache{64ULL << 20};
   std::unique_ptr<table::LakehouseService> lakehouse;
 
-  WarmLakehouse() {
+  explicit WarmLakehouse(
+      table::DeleteMode delete_mode = table::DeleteMode::kCopyOnWrite) {
     pool.AddCluster(3, 2, 512 << 20);
     storage::PlogStoreConfig config;
     config.num_shards = 8;
@@ -284,6 +315,7 @@ struct WarmLakehouse {
         objects.get(), &meta_cache, table::MetadataMode::kAccelerated);
     table::TableOptions options;
     options.max_rows_per_file = 4096;
+    options.delete_mode = delete_mode;
     lakehouse = std::make_unique<table::LakehouseService>(
         meta.get(), objects.get(), &clock, &compute_link, options,
         /*scan_pool=*/nullptr, &cache);
@@ -306,6 +338,44 @@ struct WarmLakehouse {
     return *parsed;
   }
 };
+
+// One lakehouse_mixed day change: CompactPartition over one day of 20
+// 500-row TPC-H lineitem inserts with one merge-on-read delete (one row in
+// fifty) outstanding. The set-up of each iteration is untimed.
+void BM_CompactPartition(benchmark::State& state) {
+  constexpr int64_t kDay = 86400;
+  const int64_t day = workload::TpchLineitemGenerator::kShipDateMin / kDay;
+  workload::TpchLineitemGenerator gen;
+  std::vector<std::vector<format::Row>> batches(20);
+  for (size_t b = 0; b < batches.size(); ++b) {
+    batches[b] = gen.NextBatch(500);
+    for (size_t i = 0; i < batches[b].size(); ++i) {
+      const auto slot = static_cast<int64_t>(b * 500 + i);
+      batches[b][i].fields[5] = format::Value(day * kDay + slot * kDay / 10000);
+    }
+  }
+  query::Conjunction where;
+  where.Add(query::Predicate::Eq("l_quantity", format::Value(int64_t{7})));
+  const std::string partition = "day=" + std::to_string(day);
+  for (auto _ : state) {
+    state.PauseTiming();
+    WarmLakehouse lake(table::DeleteMode::kMergeOnRead);
+    auto table = lake.lakehouse->CreateTable(
+        "lineitem", workload::TpchLineitemGenerator::Schema(),
+        table::PartitionSpec::Day("l_shipdate"));
+    SL_CHECK_OK(table.status());
+    for (const std::vector<format::Row>& batch : batches) {
+      SL_CHECK_OK((*table)->Insert(batch));
+    }
+    SL_CHECK_OK((*table)->Delete(where).status());
+    state.ResumeTiming();
+    auto compacted = (*table)->CompactPartition(partition);
+    SL_CHECK_OK(compacted.status());
+    SL_CHECK(compacted->files_before == 20 && compacted->files_after == 1);
+  }
+  state.SetItemsProcessed(state.iterations() * 10000);
+}
+BENCHMARK(BM_CompactPartition)->Unit(benchmark::kMillisecond);
 
 // The per-query CPU of a warm aggregate Select: GROUP BY a dictionary
 // column over a 4-file TPC-H lineitem table.

@@ -1,18 +1,17 @@
 #include "codec/encoding.h"
 
-#include <map>
-
+#include "codec/key_ids.h"
 #include "common/coding.h"
 
 namespace streamlake::codec {
 
 namespace {
 
-void EncodeInt64Plain(const std::vector<int64_t>& values, Bytes* dst) {
+void EncodeInt64Plain(std::span<const int64_t> values, Bytes* dst) {
   for (int64_t v : values) PutVarint64Signed(dst, v);
 }
 
-void EncodeInt64Delta(const std::vector<int64_t>& values, Bytes* dst) {
+void EncodeInt64Delta(std::span<const int64_t> values, Bytes* dst) {
   int64_t prev = 0;
   for (int64_t v : values) {
     PutVarint64Signed(dst, v - prev);
@@ -20,7 +19,7 @@ void EncodeInt64Delta(const std::vector<int64_t>& values, Bytes* dst) {
   }
 }
 
-void EncodeInt64Rle(const std::vector<int64_t>& values, Bytes* dst) {
+void EncodeInt64Rle(std::span<const int64_t> values, Bytes* dst) {
   size_t i = 0;
   while (i < values.size()) {
     size_t j = i;
@@ -31,38 +30,19 @@ void EncodeInt64Rle(const std::vector<int64_t>& values, Bytes* dst) {
   }
 }
 
-void EncodeStringsPlain(const std::vector<std::string>& values, Bytes* dst) {
+void EncodeStringsPlain(std::span<const std::string> values, Bytes* dst) {
   for (const std::string& s : values) {
     PutLengthPrefixed(dst, std::string_view(s));
   }
 }
 
-void EncodeStringsDict(const std::vector<std::string>& values, Bytes* dst) {
-  std::map<std::string, uint64_t> dict;
-  std::vector<const std::string*> ordered;
-  for (const std::string& s : values) {
-    if (dict.emplace(s, dict.size()).second) ordered.push_back(&s);
-  }
-  // Re-number dictionary entries in first-appearance order for determinism.
-  // (map iteration is sorted; we stored first-appearance ids at insert time.)
-  PutVarint64(dst, ordered.size());
-  for (const std::string* s : ordered) {
-    PutLengthPrefixed(dst, std::string_view(*s));
-  }
-  for (const std::string& s : values) {
-    PutVarint64(dst, dict[s]);
-  }
-}
-
-void EncodeInt64Dict(const std::vector<int64_t>& values, Bytes* dst) {
-  std::map<int64_t, uint64_t> dict;
-  std::vector<int64_t> ordered;
-  for (int64_t v : values) {
-    if (dict.emplace(v, dict.size()).second) ordered.push_back(v);
-  }
-  PutVarint64(dst, ordered.size());
-  for (int64_t v : ordered) PutVarint64Signed(dst, v);
-  for (int64_t v : values) PutVarint64(dst, dict[v]);
+/// Each value's id in `ids`, which numbers them in first-appearance order.
+template <typename Key, typename T>
+std::vector<uint32_t> DictCodes(std::span<const T> values, KeyIds<Key>* ids) {
+  std::vector<uint32_t> codes;
+  codes.reserve(values.size());
+  for (const T& v : values) codes.push_back(ids->Insert(Key(v)));
+  return codes;
 }
 
 /// Shared header parse for both dict decode paths: reads the code stream into
@@ -92,7 +72,14 @@ Status DecodeDictCodes(Decoder* dec, size_t count, const ReadEntry& read_entry,
 
 }  // namespace
 
-void EncodeInt64s(const std::vector<int64_t>& values, Encoding encoding,
+void EncodeInt64Dict(std::span<const int64_t> dict,
+                     std::span<const uint32_t> codes, Bytes* dst) {
+  PutVarint64(dst, dict.size());
+  for (int64_t v : dict) PutVarint64Signed(dst, v);
+  for (uint32_t code : codes) PutVarint64(dst, code);
+}
+
+void EncodeInt64s(std::span<const int64_t> values, Encoding encoding,
                   Bytes* dst) {
   switch (encoding) {
     case Encoding::kPlain:
@@ -104,9 +91,12 @@ void EncodeInt64s(const std::vector<int64_t>& values, Encoding encoding,
     case Encoding::kRle:
       EncodeInt64Rle(values, dst);
       return;
-    case Encoding::kDict:
-      EncodeInt64Dict(values, dst);
+    case Encoding::kDict: {
+      KeyIds<int64_t> ids;
+      const std::vector<uint32_t> codes = DictCodes(values, &ids);
+      EncodeInt64Dict(ids.keys(), codes, dst);
       return;
+    }
     default:
       EncodeInt64Plain(values, dst);
       return;
@@ -192,7 +182,7 @@ Result<Int64DictParts> DecodeInt64DictParts(ByteView data, size_t count) {
   return parts;
 }
 
-Encoding ChooseInt64Encoding(const std::vector<int64_t>& values, uint64_t ndv) {
+Encoding ChooseInt64Encoding(std::span<const int64_t> values, uint64_t ndv) {
   if (values.size() < 8) return Encoding::kPlain;
   size_t runs = 1;
   size_t sorted_pairs = 0;
@@ -208,7 +198,7 @@ Encoding ChooseInt64Encoding(const std::vector<int64_t>& values, uint64_t ndv) {
   return Encoding::kPlain;
 }
 
-void EncodeDoubles(const std::vector<double>& values, Bytes* dst) {
+void EncodeDoubles(std::span<const double> values, Bytes* dst) {
   for (double d : values) {
     uint64_t bits;
     std::memcpy(&bits, &d, 8);
@@ -229,12 +219,22 @@ Result<std::vector<double>> DecodeDoubles(ByteView data, size_t count) {
   return out;
 }
 
-void EncodeStrings(const std::vector<std::string>& values, Encoding encoding,
+void EncodeStringDict(std::span<const std::string_view> dict,
+                      std::span<const uint32_t> codes, Bytes* dst) {
+  PutVarint64(dst, dict.size());
+  for (std::string_view s : dict) PutLengthPrefixed(dst, s);
+  for (uint32_t code : codes) PutVarint64(dst, code);
+}
+
+void EncodeStrings(std::span<const std::string> values, Encoding encoding,
                    Bytes* dst) {
   switch (encoding) {
-    case Encoding::kDict:
-      EncodeStringsDict(values, dst);
+    case Encoding::kDict: {
+      KeyIds<std::string_view> ids;
+      const std::vector<uint32_t> codes = DictCodes(values, &ids);
+      EncodeStringDict(ids.keys(), codes, dst);
       return;
+    }
     default:
       EncodeStringsPlain(values, dst);
       return;
@@ -290,23 +290,20 @@ Result<StringDictParts> DecodeStringDictParts(ByteView data, size_t count) {
   return parts;
 }
 
-Encoding ChooseStringEncoding(const std::vector<std::string>& values,
+Encoding ChooseStringEncoding(std::span<const std::string> values,
                               uint64_t ndv) {
   if (values.size() < 16) return Encoding::kPlain;
   // Dictionary pays off below ~1/4 distinct ratio. A precomputed distinct
-  // count (footer stats) answers that directly; otherwise sample.
-  if (ndv != 0) {
-    return ndv * 4 <= values.size() ? Encoding::kDict : Encoding::kPlain;
+  // count (footer stats) answers that directly; otherwise count them.
+  if (ndv == 0) {
+    KeyIds<std::string_view> distinct;
+    for (const std::string& s : values) distinct.Insert(s);
+    ndv = distinct.size();
   }
-  std::map<std::string_view, int> distinct;
-  for (const std::string& s : values) {
-    distinct.emplace(s, 1);
-    if (distinct.size() * 4 > values.size()) return Encoding::kPlain;
-  }
-  return Encoding::kDict;
+  return ndv * 4 <= values.size() ? Encoding::kDict : Encoding::kPlain;
 }
 
-void EncodeBools(const std::vector<uint8_t>& values, Bytes* dst) {
+void EncodeBools(std::span<const uint8_t> values, Bytes* dst) {
   uint8_t acc = 0;
   int bit = 0;
   for (uint8_t v : values) {

@@ -2,7 +2,9 @@
 #define STREAMLAKE_CODEC_ENCODING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.h"
@@ -33,8 +35,13 @@ struct StringDictParts {
 };
 
 // ---- int64 columns ----
-void EncodeInt64s(const std::vector<int64_t>& values, Encoding encoding,
+/// kDict numbers the values with codec::KeyIds, then calls EncodeInt64Dict.
+void EncodeInt64s(std::span<const int64_t> values, Encoding encoding,
                   Bytes* dst);
+/// A kDict value stream from its parts: `dict` holds the distinct values in
+/// first-appearance order, `codes` each row's index into it.
+void EncodeInt64Dict(std::span<const int64_t> dict,
+                     std::span<const uint32_t> codes, Bytes* dst);
 Result<std::vector<int64_t>> DecodeInt64s(ByteView data, Encoding encoding,
                                           size_t count);
 /// Decodes a kDict chunk without materializing per-row values.
@@ -42,28 +49,32 @@ Result<Int64DictParts> DecodeInt64DictParts(ByteView data, size_t count);
 /// Picks RLE for runs, DICT for low cardinality (when the caller knows the
 /// distinct count), DELTA for near-sorted data, PLAIN otherwise. `ndv == 0`
 /// means "unknown" and disables the dictionary choice.
-Encoding ChooseInt64Encoding(const std::vector<int64_t>& values,
+Encoding ChooseInt64Encoding(std::span<const int64_t> values,
                              uint64_t ndv = 0);
 
 // ---- double columns ----
-void EncodeDoubles(const std::vector<double>& values, Bytes* dst);
+void EncodeDoubles(std::span<const double> values, Bytes* dst);
 Result<std::vector<double>> DecodeDoubles(ByteView data, size_t count);
 
 // ---- string columns ----
-void EncodeStrings(const std::vector<std::string>& values, Encoding encoding,
+/// kDict numbers the values with codec::KeyIds, then calls EncodeStringDict.
+void EncodeStrings(std::span<const std::string> values, Encoding encoding,
                    Bytes* dst);
+/// A kDict value stream from its parts, as EncodeInt64Dict.
+void EncodeStringDict(std::span<const std::string_view> dict,
+                      std::span<const uint32_t> codes, Bytes* dst);
 Result<std::vector<std::string>> DecodeStrings(ByteView data,
                                                Encoding encoding,
                                                size_t count);
 /// Decodes a kDict chunk without materializing per-row values.
 Result<StringDictParts> DecodeStringDictParts(ByteView data, size_t count);
 /// Picks DICT when distinct values are few (provinces, urls), else PLAIN.
-/// `ndv != 0` (a precomputed distinct count) skips the sampling pass.
-Encoding ChooseStringEncoding(const std::vector<std::string>& values,
+/// `ndv != 0` (a precomputed distinct count) skips counting them.
+Encoding ChooseStringEncoding(std::span<const std::string> values,
                               uint64_t ndv = 0);
 
 // ---- bool columns ----
-void EncodeBools(const std::vector<uint8_t>& values, Bytes* dst);
+void EncodeBools(std::span<const uint8_t> values, Bytes* dst);
 Result<std::vector<uint8_t>> DecodeBools(ByteView data, size_t count);
 
 }  // namespace streamlake::codec

@@ -132,6 +132,18 @@ Result<uint64_t> ConversionService::PlaybackToStream(
   table::SelectOptions options;
   options.as_of_timestamp = as_of_timestamp;
   SL_ASSIGN_OR_RETURN(query::QueryResult result, table->Select(all, options));
+  // A message encodes no NULL (format::EncodeRow), so a table holding one
+  // is refused before the first message is produced.
+  for (const format::Row& row : result.rows) {
+    for (size_t c = 0; c < row.fields.size(); ++c) {
+      if (format::IsNull(row.fields[c])) {
+        return Status::InvalidArgument(
+            "playback of " + table_name + ": column " +
+            info.schema.field(c).name + " holds a NULL, which a message "
+            "cannot carry");
+      }
+    }
+  }
 
   streaming::Producer producer(dispatcher_);
   uint64_t produced = 0;

@@ -44,7 +44,9 @@ class ConversionService {
   Result<RunStats> Run(const std::string& topic, bool force = false);
 
   /// Reverse conversion: publish the rows of `table_name` (optionally as
-  /// of a past timestamp) into `topic`. Returns messages produced.
+  /// of a past timestamp) into `topic`. Returns messages produced. A table
+  /// holding a NULL cell is refused with InvalidArgument naming its column,
+  /// before any message is produced: messages carry no NULL.
   Result<uint64_t> PlaybackToStream(const std::string& table_name,
                                     const std::string& topic,
                                     int64_t as_of_timestamp = -1);

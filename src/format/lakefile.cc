@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iterator>
+#include <cstring>
 #include <type_traits>
 
+#include "codec/key_ids.h"
 #include "common/hash.h"
 #include "common/logging.h"
 
@@ -66,84 +67,59 @@ Result<ColumnStats> DecodeColumnStats(Decoder* dec) {
 
 namespace {
 
-/// How one column type is gathered and summarized. `Stored` is the element
-/// of the typed vector the codec encodes (NULL rows carry its default);
-/// `Key` is how a non-NULL value is compared and counted — for strings a
-/// view into the caller's row, so a file's distinct set can span its row
-/// groups without copying a value.
+/// How a column of Value alternative `T` is stored, numbered and compared.
+/// `Stored` is the element of the typed vector the codec encodes (NULL rows
+/// carry its default; a kNull column, of std::monostate, has none). `Key` is
+/// what KeyIds numbers (KeyOf): the stored value, a view of a string (so a
+/// file's keys span its row groups without a copy), or a double's bits with
+/// -0.0 as 0.0 (the NDV's rule). `View` is what min/max compare.
+uint8_t KeyOf(uint8_t v) { return v; }
+int64_t KeyOf(int64_t v) { return v; }
+uint64_t KeyOf(double v) {
+  if (v == 0.0) return 0;  // -0.0 and 0.0 are one key
+  uint64_t bits;
+  std::memcpy(&bits, &v, 8);
+  return bits;
+}
+std::string_view KeyOf(const std::string& v) { return v; }
+uint8_t KeyOf(std::monostate) { return 0; }
+
 template <typename T>
 struct ColumnType {
-  using Stored = T;
-  using Key = T;
-};
-template <>
-struct ColumnType<bool> {
-  using Stored = uint8_t;
-  using Key = uint8_t;
-};
-template <>
-struct ColumnType<std::string> {
-  using Stored = std::string;
-  using Key = std::string_view;
+  using Stored = std::conditional_t<std::is_same_v<T, bool>, uint8_t, T>;
+  using Key = decltype(KeyOf(std::declval<const Stored&>()));
+  using View = std::conditional_t<std::is_same_v<T, std::string>,
+                                  std::string_view, Stored>;
 };
 
 // Plain-encoded width of a non-NULL value (the avg_width stat).
-uint64_t Width(bool) { return 1; }
+uint64_t Width(uint8_t) { return 1; }
 uint64_t Width(int64_t) { return 8; }
 uint64_t Width(double) { return 8; }
 uint64_t Width(const std::string& s) { return s.size(); }
-uint64_t Width(std::monostate) { return 0; }
 
-Value ToValue(uint8_t key) { return Value(key != 0); }  // bool keys
-Value ToValue(int64_t key) { return Value(key); }
-Value ToValue(double key) { return Value(key); }
-Value ToValue(std::string_view key) { return Value(std::string(key)); }
-Value ToValue(std::monostate key) { return Value(key); }
-
-codec::Encoding EncodeValues(const std::vector<uint8_t>& vals, uint64_t,
-                             Bytes* raw) {
-  codec::EncodeBools(vals, raw);
-  return codec::Encoding::kBitPack;
-}
-codec::Encoding EncodeValues(const std::vector<int64_t>& vals, uint64_t ndv,
-                             Bytes* raw) {
-  const codec::Encoding encoding = codec::ChooseInt64Encoding(vals, ndv);
-  codec::EncodeInt64s(vals, encoding, raw);
-  return encoding;
-}
-codec::Encoding EncodeValues(const std::vector<double>& vals, uint64_t,
-                             Bytes* raw) {
-  codec::EncodeDoubles(vals, raw);
-  return codec::Encoding::kPlain;
-}
-codec::Encoding EncodeValues(const std::vector<std::string>& vals,
-                             uint64_t ndv, Bytes* raw) {
-  const codec::Encoding encoding = codec::ChooseStringEncoding(vals, ndv);
-  codec::EncodeStrings(vals, encoding, raw);
-  return encoding;
-}
-codec::Encoding EncodeValues(const std::vector<std::monostate>&, uint64_t,
-                             Bytes*) {
-  return codec::Encoding::kPlain;  // a kNull field has no value stream
-}
+Value ToValue(uint8_t view) { return Value(view != 0); }  // bool views
+Value ToValue(int64_t view) { return Value(view); }
+Value ToValue(double view) { return Value(view); }
+Value ToValue(std::string_view view) { return Value(std::string(view)); }
+Value ToValue(std::monostate view) { return Value(view); }
 
 /// Stats of one column over consecutive rows: a chunk, then a whole file.
-template <typename Key>
+template <typename View>
 struct Summary {
   uint64_t rows = 0;
   uint64_t null_count = 0;
   uint64_t width = 0;  // summed plain-encoded width of the non-NULLs
+  uint64_t ndv = 0;    // distinct non-NULL values, NaN excluded
   bool has_nan = false;
   // Over non-NULL, non-NaN values; of equal values the first wins, as in a
   // linear scan (so -0.0 and +0.0 keep their order of arrival).
-  std::optional<Key> min;
-  std::optional<Key> max;
-  std::vector<Key> distinct;  // sorted, unique, NaN excluded
+  std::optional<View> min;
+  std::optional<View> max;
 
-  uint64_t ndv() const { return distinct.size() + (has_nan ? 1 : 0); }
-
-  /// Fold in the summary of the rows that follow these.
-  void Merge(Summary&& next) {
+  /// Fold in the summary of the rows that follow these (all but `ndv`,
+  /// which only the keys themselves can merge).
+  void Merge(const Summary& next) {
     rows += next.rows;
     null_count += next.null_count;
     width += next.width;
@@ -154,19 +130,10 @@ struct Summary {
     if (next.max.has_value() && (!max.has_value() || *max < *next.max)) {
       max = next.max;
     }
-    if (distinct.empty()) {
-      distinct = std::move(next.distinct);
-    } else if (!next.distinct.empty()) {
-      std::vector<Key> merged;
-      merged.reserve(distinct.size() + next.distinct.size());
-      std::set_union(distinct.begin(), distinct.end(), next.distinct.begin(),
-                     next.distinct.end(), std::back_inserter(merged));
-      distinct = std::move(merged);
-    }
   }
 
   /// A NaN leaves min/max out: every comparison with it is false, so no
-  /// range can bound it.
+  /// range can bound it. It counts as one distinct value.
   ColumnStats ToStats(bool with_min_max) const {
     ColumnStats stats;
     if (with_min_max && !has_nan && min.has_value()) {
@@ -175,7 +142,7 @@ struct Summary {
     }
     stats.has_extended = true;
     stats.null_count = null_count;
-    stats.ndv = ndv();
+    stats.ndv = ndv + (has_nan ? 1 : 0);
     const uint64_t non_null = rows - null_count;
     stats.avg_width = non_null > 0 ? static_cast<double>(width) /
                                          static_cast<double>(non_null)
@@ -183,6 +150,98 @@ struct Summary {
     return stats;
   }
 };
+
+/// The one pass over a chunk's typed vector: its stats, the ids of its
+/// stored values in first-appearance order (NULL defaults included, so they
+/// are the dictionary codes) and which ids some non-NULL row holds.
+template <typename T>
+struct ChunkPass {
+  using Traits = ColumnType<T>;
+  // Only int64 and string chunks may be dictionary-encoded.
+  static constexpr bool kCodes =
+      std::is_same_v<T, int64_t> || std::is_same_v<T, std::string>;
+
+  Summary<typename Traits::View> summary;
+  codec::KeyIds<typename Traits::Key> ids;
+  std::vector<uint32_t> codes;
+  std::vector<uint8_t> counted;  // by id; ids never outnumber rows
+
+  ChunkPass(std::span<const typename Traits::Stored> vals,
+            std::span<const uint8_t> nulls)
+      : ids(std::min<size_t>(nulls.size(), 1024)),
+        counted(nulls.size(), 0) {
+    summary.rows = nulls.size();
+    if constexpr (kCodes) codes.resize(nulls.size());
+    for (size_t i = 0; i < nulls.size(); ++i) {
+      if (nulls[i]) {
+        ++summary.null_count;
+        if constexpr (kCodes) codes[i] = ids.Insert(KeyOf(vals[i]));
+        continue;
+      }
+      if constexpr (!std::is_same_v<T, std::monostate>) {
+        const typename Traits::Stored& v = vals[i];
+        summary.width += Width(v);
+        if constexpr (std::is_same_v<T, double>) {
+          if (std::isnan(v)) {
+            summary.has_nan = true;
+            continue;
+          }
+        }
+        const uint32_t id = ids.Insert(KeyOf(v));
+        if constexpr (kCodes) codes[i] = id;
+        if (counted[id] != 0) continue;
+        // A key's first non-NULL row is the only one min/max must see:
+        // distinct keys never compare equal (-0.0 and 0.0 are one key).
+        counted[id] = 1;
+        ++summary.ndv;
+        const typename Traits::View view(v);
+        if (!summary.min.has_value() || view < *summary.min) {
+          summary.min = view;
+        }
+        if (!summary.max.has_value() || *summary.max < view) {
+          summary.max = view;
+        }
+      }
+    }
+  }
+};
+
+codec::Encoding EncodeValues(std::span<const uint8_t> vals,
+                             const ChunkPass<bool>&, Bytes* raw) {
+  codec::EncodeBools(vals, raw);
+  return codec::Encoding::kBitPack;
+}
+codec::Encoding EncodeValues(std::span<const int64_t> vals,
+                             const ChunkPass<int64_t>& pass, Bytes* raw) {
+  const codec::Encoding encoding =
+      codec::ChooseInt64Encoding(vals, pass.summary.ndv);
+  if (encoding == codec::Encoding::kDict) {
+    codec::EncodeInt64Dict(pass.ids.keys(), pass.codes, raw);
+  } else {
+    codec::EncodeInt64s(vals, encoding, raw);
+  }
+  return encoding;
+}
+codec::Encoding EncodeValues(std::span<const double> vals,
+                             const ChunkPass<double>&, Bytes* raw) {
+  codec::EncodeDoubles(vals, raw);
+  return codec::Encoding::kPlain;
+}
+codec::Encoding EncodeValues(std::span<const std::string> vals,
+                             const ChunkPass<std::string>& pass, Bytes* raw) {
+  const codec::Encoding encoding =
+      codec::ChooseStringEncoding(vals, pass.summary.ndv);
+  if (encoding == codec::Encoding::kDict) {
+    codec::EncodeStringDict(pass.ids.keys(), pass.codes, raw);
+  } else {
+    codec::EncodeStrings(vals, encoding, raw);
+  }
+  return encoding;
+}
+codec::Encoding EncodeValues(std::span<const std::monostate>,
+                             const ChunkPass<std::monostate>&, Bytes*) {
+  return codec::Encoding::kPlain;  // a kNull field has no value stream
+}
 
 /// One column chunk, encoded and compressed, waiting for its file offset.
 struct EncodedChunk {
@@ -193,61 +252,39 @@ struct EncodedChunk {
   ColumnStats stats;
 };
 
-/// Encodes column `col` of each `per_group`-row group of `rows` into
-/// `chunks`, one per group, and returns the column's file-level stats.
+/// Encodes `column` of a `num_rows`-row batch into `chunks`, one per
+/// `per_group`-row group, and returns the column's file-level stats.
 ///
 /// A chunk's raw payload is `[null_count][null bitmap iff null_count > 0]
-/// [encoded values]`. One pass over the group gathers the typed vector and
-/// the stats; the exact distinct count (sort + unique) also picks the
-/// encoding.
+/// [encoded values]`. One ChunkPass per group yields the stats and the
+/// dictionary codes; its exact distinct count also picks the encoding. With
+/// several groups, the file's distinct count unions their keys.
 template <typename T>
-ColumnStats EncodeColumn(std::span<const Row* const> rows, size_t col,
+ColumnStats EncodeColumn(const ColumnBatch::Column& column, size_t num_rows,
                          size_t per_group, const LakeFileOptions& options,
                          std::vector<EncodedChunk>* chunks) {
   using Stored = typename ColumnType<T>::Stored;
-  using Key = typename ColumnType<T>::Key;
-  Summary<Key> file;
-  for (size_t begin = 0; begin < rows.size(); begin += per_group) {
-    const std::span<const Row* const> group =
-        rows.subspan(begin, std::min(per_group, rows.size() - begin));
-    Summary<Key> chunk;
-    chunk.rows = group.size();
-    chunk.distinct.reserve(group.size());
-    std::vector<uint8_t> nulls(group.size(), 0);
-    std::vector<Stored> vals;
-    vals.reserve(group.size());
-    for (size_t i = 0; i < group.size(); ++i) {
-      const Value& cell = group[i]->fields[col];
-      if (IsNull(cell)) {
-        nulls[i] = 1;
-        ++chunk.null_count;
-        vals.emplace_back();
-        continue;
-      }
-      const T& v = std::get<T>(cell);
-      vals.push_back(static_cast<Stored>(v));
-      chunk.width += Width(v);
-      const Key key(v);
-      if constexpr (std::is_same_v<T, double>) {
-        if (std::isnan(key)) {
-          chunk.has_nan = true;
-          continue;
-        }
-      }
-      if (!chunk.min.has_value() || key < *chunk.min) chunk.min = key;
-      if (!chunk.max.has_value() || *chunk.max < key) chunk.max = key;
-      chunk.distinct.push_back(key);
-    }
-    std::sort(chunk.distinct.begin(), chunk.distinct.end());
-    chunk.distinct.erase(
-        std::unique(chunk.distinct.begin(), chunk.distinct.end()),
-        chunk.distinct.end());
+  std::span<const Stored> all;
+  if constexpr (!std::is_same_v<T, std::monostate>) {
+    all = std::get<std::vector<Stored>>(column.values);
+  }
+  const std::span<const uint8_t> nulls(column.null_mask);
+  Summary<typename ColumnType<T>::View> file;
+  codec::KeyIds<typename ColumnType<T>::Key> file_keys;
+  for (size_t begin = 0; begin < num_rows; begin += per_group) {
+    const size_t n = std::min(per_group, num_rows - begin);
+    const std::span<const Stored> vals =
+        all.empty() ? all : all.subspan(begin, n);
+    const ChunkPass<T> pass(vals, nulls.subspan(begin, n));
 
     EncodedChunk out;
     Bytes raw;
-    PutVarint64(&raw, chunk.null_count);
-    if (chunk.null_count > 0) codec::EncodeBools(nulls, &raw);
-    out.encoding = EncodeValues(vals, chunk.ndv(), &raw);
+    raw.reserve(16 + n / 8 + 2 * n + pass.summary.width);
+    PutVarint64(&raw, pass.summary.null_count);
+    if (pass.summary.null_count > 0) {
+      codec::EncodeBools(nulls.subspan(begin, n), &raw);
+    }
+    out.encoding = EncodeValues(vals, pass, &raw);
     out.raw_size = raw.size();
     out.compression = options.compression;
     out.data = codec::Compress(options.compression, ByteView(raw));
@@ -258,49 +295,169 @@ ColumnStats EncodeColumn(std::span<const Row* const> rows, size_t col,
     }
     // Bool chunks carry no min/max in the footer.
     if (options.enable_stats) {
-      out.stats = chunk.ToStats(/*with_min_max=*/!std::is_same_v<T, bool>);
+      out.stats =
+          pass.summary.ToStats(/*with_min_max=*/!std::is_same_v<T, bool>);
     }
     chunks->push_back(std::move(out));
-    file.Merge(std::move(chunk));
+    file.Merge(pass.summary);
+    if (n == num_rows) {
+      file.ndv = pass.summary.ndv;
+    } else {
+      for (uint32_t id = 0; id < pass.ids.size(); ++id) {
+        if (pass.counted[id] != 0) file_keys.Insert(pass.ids.keys()[id]);
+      }
+      file.ndv = file_keys.size();
+    }
   }
   return file.ToStats(/*with_min_max=*/true);
 }
 
+template <typename T>
+void AppendCells(std::span<const Row* const> rows, size_t col,
+                 ColumnBatch::Column* column) {
+  using Stored = typename ColumnType<T>::Stored;
+  auto& vals = std::get<std::vector<Stored>>(column->values);
+  const size_t base = vals.size();
+  vals.resize(base + rows.size());
+  column->null_mask.resize(base + rows.size(), 0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    // A valid cell holds a T or is NULL, which keeps the default.
+    if (const T* v = std::get_if<T>(&rows[i]->fields[col])) {
+      vals[base + i] = static_cast<Stored>(*v);
+    } else {
+      column->null_mask[base + i] = 1;
+    }
+  }
+}
+
+template <typename Stored>
+void GatherCells(const ColumnChunkData& chunk, std::span<const uint32_t> rows,
+                 std::vector<Stored>* vals) {
+  const auto& src =
+      std::get<std::vector<Stored>>(chunk.dict_view ? chunk.dict : chunk.values);
+  vals->reserve(vals->size() + rows.size());
+  for (uint32_t r : rows) {
+    vals->push_back(src[chunk.dict_view ? chunk.codes[r] : r]);
+  }
+}
+
 }  // namespace
 
-EncodedLakeFile EncodeLakeFile(const Schema& schema,
-                               std::span<const Row* const> rows,
+ColumnBatch::ColumnBatch(const Schema& schema) {
+  columns.resize(schema.num_fields());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    Column& column = columns[c];
+    column.type = schema.field(c).type;
+    switch (column.type) {
+      case DataType::kInt64:
+        column.values = std::vector<int64_t>();
+        break;
+      case DataType::kDouble:
+        column.values = std::vector<double>();
+        break;
+      case DataType::kString:
+        column.values = std::vector<std::string>();
+        break;
+      case DataType::kBool:
+      case DataType::kNull:  // a kNull column keeps its vector empty
+        break;
+    }
+  }
+}
+
+void ColumnBatch::AppendRows(std::span<const Row* const> rows) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    Column* column = &columns[c];
+    switch (column->type) {
+      case DataType::kBool:
+        AppendCells<bool>(rows, c, column);
+        break;
+      case DataType::kInt64:
+        AppendCells<int64_t>(rows, c, column);
+        break;
+      case DataType::kDouble:
+        AppendCells<double>(rows, c, column);
+        break;
+      case DataType::kString:
+        AppendCells<std::string>(rows, c, column);
+        break;
+      case DataType::kNull:
+        column->null_mask.insert(column->null_mask.end(), rows.size(), 1);
+        break;
+    }
+  }
+  num_rows += rows.size();
+}
+
+void ColumnBatch::AppendRows(std::span<const ColumnChunkPtr> chunks,
+                             std::span<const uint32_t> rows) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    Column& column = columns[c];
+    if (column.type == DataType::kNull) {
+      column.null_mask.insert(column.null_mask.end(), rows.size(), 1);
+      continue;
+    }
+    const ColumnChunkData& chunk = *chunks[c];
+    for (uint32_t r : rows) column.null_mask.push_back(chunk.IsNullAt(r));
+    std::visit([&](auto& vals) { GatherCells(chunk, rows, &vals); },
+               column.values);
+  }
+  num_rows += rows.size();
+}
+
+void ColumnBatch::Set(size_t column, size_t row, const Value& value) {
+  Column& col = columns[column];
+  col.null_mask[row] = IsNull(value) ? 1 : 0;
+  if (col.type == DataType::kNull) return;
+  std::visit(
+      [&](auto& vals) {
+        using Stored = typename std::decay_t<decltype(vals)>::value_type;
+        if (IsNull(value)) {
+          vals[row] = Stored();
+        } else if constexpr (std::is_same_v<Stored, uint8_t>) {
+          vals[row] = std::get<bool>(value) ? 1 : 0;
+        } else {
+          vals[row] = std::get<Stored>(value);
+        }
+      },
+      col.values);
+}
+
+EncodedLakeFile EncodeLakeFile(const Schema& schema, const ColumnBatch& batch,
                                const LakeFileOptions& options) {
   // Column-major: each column's chunks of every group, then laid out
   // group-major as [magic][g0c0][g0c1]...[g1c0]...[footer].
   const size_t num_fields = schema.num_fields();
+  SL_CHECK(batch.columns.size() == num_fields);
+  const size_t num_rows = batch.num_rows;
   const size_t per_group = std::max<size_t>(options.rows_per_group, 1);
-  const size_t num_groups = (rows.size() + per_group - 1) / per_group;
+  const size_t num_groups = (num_rows + per_group - 1) / per_group;
   std::vector<std::vector<EncodedChunk>> chunks(num_fields);
   EncodedLakeFile out;
   out.column_stats.reserve(num_fields);
   for (size_t col = 0; col < num_fields; ++col) {
+    const ColumnBatch::Column& column = batch.columns[col];
     ColumnStats stats;
     switch (schema.field(col).type) {
       case DataType::kBool:
-        stats = EncodeColumn<bool>(rows, col, per_group, options,
+        stats = EncodeColumn<bool>(column, num_rows, per_group, options,
                                    &chunks[col]);
         break;
       case DataType::kInt64:
-        stats = EncodeColumn<int64_t>(rows, col, per_group, options,
+        stats = EncodeColumn<int64_t>(column, num_rows, per_group, options,
                                       &chunks[col]);
         break;
       case DataType::kDouble:
-        stats = EncodeColumn<double>(rows, col, per_group, options,
+        stats = EncodeColumn<double>(column, num_rows, per_group, options,
                                      &chunks[col]);
         break;
       case DataType::kString:
-        stats = EncodeColumn<std::string>(rows, col, per_group, options,
-                                          &chunks[col]);
+        stats = EncodeColumn<std::string>(column, num_rows, per_group,
+                                          options, &chunks[col]);
         break;
       case DataType::kNull:  // only NULL cells validate against it
-        stats = EncodeColumn<std::monostate>(rows, col, per_group, options,
-                                             &chunks[col]);
+        stats = EncodeColumn<std::monostate>(column, num_rows, per_group,
+                                             options, &chunks[col]);
         break;
     }
     out.column_stats.push_back(std::move(stats));
@@ -312,7 +469,7 @@ EncodedLakeFile EncodeLakeFile(const Schema& schema,
   schema.EncodeTo(&footer);
   PutVarint64(&footer, num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
-    PutVarint64(&footer, std::min(per_group, rows.size() - g * per_group));
+    PutVarint64(&footer, std::min(per_group, num_rows - g * per_group));
     for (size_t col = 0; col < num_fields; ++col) {
       const EncodedChunk& chunk = chunks[col][g];
       const uint64_t offset = file.size();
@@ -334,12 +491,13 @@ EncodedLakeFile EncodeLakeFile(const Schema& schema,
 }
 
 LakeFileWriter::LakeFileWriter(Schema schema, LakeFileOptions options)
-    : schema_(std::move(schema)), options_(options) {}
+    : schema_(std::move(schema)), options_(options), batch_(schema_) {}
 
 Status LakeFileWriter::Append(const Row& row) {
   if (finished_) return Status::InvalidArgument("writer already finished");
   SL_RETURN_NOT_OK(schema_.ValidateRow(row));
-  rows_.push_back(row);
+  const Row* pointer = &row;
+  batch_.AppendRows({&pointer, 1});
   return Status::OK();
 }
 
@@ -351,11 +509,8 @@ Status LakeFileWriter::AppendBatch(const std::vector<Row>& rows) {
 Result<Bytes> LakeFileWriter::Finish() {
   if (finished_) return Status::InvalidArgument("writer already finished");
   finished_ = true;
-  std::vector<const Row*> rows;
-  rows.reserve(rows_.size());
-  for (const Row& row : rows_) rows.push_back(&row);
-  Bytes file = EncodeLakeFile(schema_, rows, options_).bytes;
-  rows_ = std::vector<Row>();
+  Bytes file = EncodeLakeFile(schema_, batch_, options_).bytes;
+  batch_ = ColumnBatch(schema_);
   return file;
 }
 
@@ -540,39 +695,14 @@ Result<ColumnData> LakeFileReader::ReadColumn(size_t group,
   if (!chunk.dict_view) return std::move(chunk.values);
   // Expand dictionary codes into plain values (NULL rows already carry the
   // dictionary entry their default code points at).
-  switch (chunk.type) {
-    case DataType::kBool: {
-      std::vector<uint8_t> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<uint8_t>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kInt64: {
-      std::vector<int64_t> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<int64_t>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kDouble: {
-      std::vector<double> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<double>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kString: {
-      std::vector<std::string> vals;
-      vals.reserve(chunk.codes.size());
-      const auto& dict = std::get<std::vector<std::string>>(chunk.dict);
-      for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-      return ColumnData(std::move(vals));
-    }
-    case DataType::kNull:
-      break;
-  }
-  return Status::Corruption("chunk: unknown column type");
+  return std::visit(
+      [&](const auto& dict) {
+        std::remove_cvref_t<decltype(dict)> vals;
+        vals.reserve(chunk.codes.size());
+        for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
+        return ColumnData(std::move(vals));
+      },
+      chunk.dict);
 }
 
 Result<std::vector<Row>> LakeFileReader::ReadRowGroup(size_t group) const {

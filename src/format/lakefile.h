@@ -105,16 +105,44 @@ struct EncodedLakeFile {
   std::vector<ColumnStats> column_stats;
 };
 
-/// Encodes `rows` as one LakeFile, cutting a row group every
-/// `options.rows_per_group` rows. Rows are read in place, never copied, and
-/// must already be valid for `schema` (Schema::ValidateRow). A chunk holding
+/// The one input of EncodeLakeFile: a table slice in columns. Each column
+/// holds its field type's typed vector (a ColumnData alternative; a kNull
+/// column keeps its vector empty) and a null mask of one byte per row.
+/// NULL rows hold the type's default value (false, 0, 0.0, "") in the
+/// vector, as every LakeFile stores them.
+struct ColumnBatch {
+  struct Column {
+    DataType type = DataType::kNull;
+    ColumnData values;
+    std::vector<uint8_t> null_mask;  // 1 = NULL at row
+  };
+
+  /// No rows, one empty column per field of `schema`.
+  explicit ColumnBatch(const Schema& schema);
+
+  /// Appends `rows`, valid for the schema (Schema::ValidateRow), one column
+  /// at a time.
+  void AppendRows(std::span<const Row* const> rows);
+  /// Appends rows `rows` of decoded chunks, one per column (plain or
+  /// dictionary views alike), as stored: a NULL row keeps the default.
+  void AppendRows(std::span<const ColumnChunkPtr> chunks,
+                  std::span<const uint32_t> rows);
+  /// Overwrites one cell with `value`, of the column's type or NULL.
+  void Set(size_t column, size_t row, const Value& value);
+
+  uint64_t num_rows = 0;
+  std::vector<Column> columns;
+};
+
+/// Encodes `batch` (of `schema`'s columns) as one LakeFile, cutting a row
+/// group every `options.rows_per_group` rows. One pass over each chunk's
+/// typed vector gathers its stats and its dictionary codes. A chunk holding
 /// a NaN records no min/max in the footer either, so it is never pruned.
-EncodedLakeFile EncodeLakeFile(const Schema& schema,
-                               std::span<const Row* const> rows,
+EncodedLakeFile EncodeLakeFile(const Schema& schema, const ColumnBatch& batch,
                                const LakeFileOptions& options);
 
-/// Buffering writer: validates and keeps each appended row, then Finish()
-/// encodes them all with EncodeLakeFile.
+/// Row-at-a-time front end of EncodeLakeFile: validates each appended row
+/// into a ColumnBatch, then Finish() encodes it.
 class LakeFileWriter {
  public:
   LakeFileWriter(Schema schema, LakeFileOptions options = LakeFileOptions());
@@ -129,7 +157,7 @@ class LakeFileWriter {
  private:
   Schema schema_;
   LakeFileOptions options_;
-  std::vector<Row> rows_;
+  ColumnBatch batch_;
   bool finished_ = false;
 };
 

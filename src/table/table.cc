@@ -75,36 +75,42 @@ bool PartitionRange(const PartitionSpec& spec, const format::Schema& schema,
   return false;
 }
 
-/// One scanned group of a rewrite, appended to `rows` as its visible rows
-/// in order. With `match`, the rows it matches (tested over the chunks the
-/// scan decoded, every column) are added to `matched` and take `set_col =
-/// *set_value`, or are dropped when `set_value` is null.
-Status EditRows(const ScannedGroup& scanned,
-                const query::BoundConjunction* match, int set_col,
-                const format::Value* set_value, std::vector<format::Row>* rows,
-                uint64_t* matched) {
+/// One scanned group of a rewrite, appended to `batch` as its visible rows
+/// in order, gathered from the decoded chunks. With `match`, the rows it
+/// matches (tested over the chunks the scan decoded, every column) are
+/// added to `matched` and take `set_col = *set_value`, or are dropped when
+/// `set_value` is null.
+Status GatherRows(const ScannedGroup& scanned,
+                  const query::BoundConjunction* match, int set_col,
+                  const format::Value* set_value, format::ColumnBatch* batch,
+                  uint64_t* matched) {
   if (scanned.selection.empty()) return Status::OK();
-  std::vector<char> hit;
-  if (match != nullptr) {
-    hit.assign(scanned.chunks[0]->num_rows, 0);
-    for (uint32_t r : scanned.selection) hit[r] = 1;
-    SL_ASSIGN_OR_RETURN(
-        uint64_t hits,
-        match->AndInto(
-            [&](size_t c) -> Result<const format::ColumnChunkData*> {
-              return scanned.chunks[c].get();
-            },
-            &hit, scanned.selection.size(), nullptr));
-    *matched += hits;
+  if (match == nullptr) {
+    batch->AppendRows(scanned.chunks, scanned.selection);
+    return Status::OK();
   }
-  std::vector<format::Row> scanned_rows = scanned.Rows();
-  for (size_t i = 0; i < scanned_rows.size(); ++i) {
-    if (!hit.empty() && hit[scanned.selection[i]]) {
+  std::vector<char> hit(scanned.chunks[0]->num_rows, 0);
+  for (uint32_t r : scanned.selection) hit[r] = 1;
+  SL_ASSIGN_OR_RETURN(
+      uint64_t hits,
+      match->AndInto(
+          [&](size_t c) -> Result<const format::ColumnChunkData*> {
+            return scanned.chunks[c].get();
+          },
+          &hit, scanned.selection.size(), nullptr));
+  *matched += hits;
+  std::vector<uint32_t> kept;
+  std::vector<size_t> set_rows;  // batch rows that take the SET value
+  kept.reserve(scanned.selection.size());
+  for (uint32_t r : scanned.selection) {
+    if (hit[r]) {
       if (set_value == nullptr) continue;
-      scanned_rows[i].fields[set_col] = *set_value;
+      set_rows.push_back(batch->num_rows + kept.size());
     }
-    rows->push_back(std::move(scanned_rows[i]));
+    kept.push_back(r);
   }
+  batch->AppendRows(scanned.chunks, kept);
+  for (size_t row : set_rows) batch->Set(set_col, row, *set_value);
   return Status::OK();
 }
 
@@ -142,13 +148,20 @@ Status Table::WriteFiles(const TableInfo& info,
   size_t rows = 0;
   size_t largest = 0;
   for (const FileRows& file : files) {
-    rows += file.rows.size();
-    largest = std::max(largest, file.rows.size());
+    rows += file.num_rows();
+    largest = std::max(largest, file.num_rows());
   }
   std::vector<format::EncodedLakeFile> encoded(files.size());
   ParallelFor(largest * 2 <= rows ? scan_pool_ : nullptr, files.size(),
               [&](size_t i) {
-                encoded[i] = format::EncodeLakeFile(info.schema, files[i].rows,
+                if (files[i].batch != nullptr) {
+                  encoded[i] = format::EncodeLakeFile(
+                      info.schema, *files[i].batch, options_.file_options);
+                  return;
+                }
+                format::ColumnBatch batch(info.schema);
+                batch.AppendRows(files[i].rows);
+                encoded[i] = format::EncodeLakeFile(info.schema, batch,
                                                     options_.file_options);
               });
   Status s = Status::OK();
@@ -156,7 +169,7 @@ Status Table::WriteFiles(const TableInfo& info,
     const std::string& partition = *files[i].partition;
     DataFileMeta meta;
     meta.partition = partition;
-    meta.record_count = files[i].rows.size();
+    meta.record_count = files[i].num_rows();
     meta.file_bytes = encoded[i].bytes.size();
     for (size_t c = 0; c < encoded[i].column_stats.size(); ++c) {
       meta.column_stats[info.schema.field(c).name] =
@@ -372,14 +385,6 @@ query::ChunkRows ScannedGroup::Selected(
   query::ChunkRows rows{sources, 1, {}};
   rows.refs.reserve(selection.size());
   for (uint32_t r : selection) rows.refs.push_back({chunks.data(), r});
-  return rows;
-}
-
-std::vector<format::Row> ScannedGroup::Rows() const {
-  const std::vector<query::ColumnSource> sources =
-      query::OneSideSources(chunks.size());
-  std::vector<format::Row> rows = Selected(sources).Rows();
-  if (metrics != nullptr) metrics->rows_materialized += rows.size();
   return rows;
 }
 
@@ -853,7 +858,7 @@ Result<Table::Rewritten> Table::Rewrite(const TableInfo& info,
   SelectMetrics scan_metrics;
   Status s = Status::OK();
   for (const FileGroup& group : groups) {
-    std::vector<format::Row> rows;
+    format::ColumnBatch batch(info.schema);
     uint64_t records = 0;
     uint64_t matched = 0;
     for (const DataFileMeta* file : group) {
@@ -862,24 +867,21 @@ Result<Table::Rewritten> Table::Rewrite(const TableInfo& info,
           info, query::Conjunction(), live.deletes, *file,
           ColumnSelection::All(),
           [&](const ScannedGroup& scanned) {
-            return EditRows(scanned, match, set_col, set_value, &rows,
-                            &matched);
+            return GatherRows(scanned, match, set_col, set_value, &batch,
+                              &matched);
           },
           &scan_metrics);
       if (!s.ok()) break;
     }
     if (!s.ok()) break;
     // With no row matched, every visible row is kept.
-    if (match != nullptr && matched == 0 && rows.size() == records) {
+    if (match != nullptr && matched == 0 && batch.num_rows == records) {
       continue;  // stats were conservative; the files stay untouched
     }
     rewritten.rows_matched += matched;
     for (const DataFileMeta* file : group) request.removed.push_back(*file);
-    if (rows.empty()) continue;
-    std::vector<const format::Row*> pointers;
-    pointers.reserve(rows.size());
-    for (const format::Row& row : rows) pointers.push_back(&row);
-    const FileRows file{&group.front()->partition, pointers};
+    if (batch.num_rows == 0) continue;
+    const FileRows file{&group.front()->partition, {}, &batch};
     s = WriteFiles(info, {&file, 1}, &request.added);
     if (!s.ok()) break;
   }

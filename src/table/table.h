@@ -76,7 +76,7 @@ struct SelectMetrics {
   // Late-materialization accounting (cache hits decode nothing):
   uint64_t bytes_decoded = 0;      // uncompressed chunk bytes decoded
   uint64_t columns_decoded = 0;    // column chunks decoded
-  uint64_t rows_materialized = 0;  // rows built by ScannedGroup::Rows
+  uint64_t rows_materialized = 0;  // rows a projection or SELECT * built
   uint64_t dict_code_prunes = 0;   // groups short-circuited in code space
 
   /// Fold in the scan counters of `other` (one scan job, or one ScanInto
@@ -118,8 +118,9 @@ struct ColumnFooterStats {
 
 /// One scanned row group as the scan hands it on: the decoded column
 /// chunks and a selection vector, not rows. Consumers that fold columns
-/// (the batch aggregate, the merge-on-read delete count) read the chunks
-/// through `selection`; consumers that need rows call Rows().
+/// (the batch aggregate, the merge-on-read delete count, the rewrites'
+/// gather into a format::ColumnBatch) read the chunks through `selection`;
+/// the projection builds rows from Selected().
 struct ScannedGroup {
   /// Decoded chunks by schema index, null where nothing was decoded. When
   /// `selection` is non-empty every output and filter column is set.
@@ -128,18 +129,13 @@ struct ScannedGroup {
   std::vector<uint32_t> selection;
   uint64_t visible_rows = 0;  // rows left after merge-on-read masking
   double row_width = 0.0;     // footer-stats width of a selected row
-  /// The scan's metrics (rows built from the group count into them);
-  /// null counts nothing.
+  /// The scan's metrics (rows a consumer builds from the group count into
+  /// them); null counts nothing.
   SelectMetrics* metrics = nullptr;
 
   /// The selected rows, in order, held in place in `chunks` (one side) and
   /// read through `sources`.
   query::ChunkRows Selected(std::span<const query::ColumnSource> sources) const;
-
-  /// The selected rows built as Values (query::ChunkRows::Rows): of full
-  /// schema arity, carrying every decoded column and NULL elsewhere. Adds
-  /// the rows to `metrics->rows_materialized`.
-  std::vector<format::Row> Rows() const;
 };
 
 /// \brief Receiver of ScanInto's output. One fragment per pruned-in data
@@ -297,10 +293,16 @@ class Table {
   /// them — and return the failure.
   Status CommitOrDiscard(const CommitRequest& request, Status written);
 
-  /// The rows of one data file to write.
+  /// The rows of one data file to write: an insert's rows, transposed
+  /// into a column batch on the encoding thread, or a rewrite's batch.
   struct FileRows {
     const std::string* partition;
     std::span<const format::Row* const> rows;  // valid for the schema
+    const format::ColumnBatch* batch = nullptr;  // when set, `rows` is unused
+
+    size_t num_rows() const {
+      return batch != nullptr ? batch->num_rows : rows.size();
+    }
   };
 
   /// The one encode-and-publish path of data files, for inserts and
@@ -348,8 +350,9 @@ class Table {
   /// The one rewrite loop, behind Update, copy-on-write Delete and
   /// CompactPartition. For each group in order, scan its files' visible
   /// rows (`live`'s merge-on-read deletes apply, so masked rows are
-  /// dropped, never resurrected), then write the surviving rows as one file
-  /// in the first file's partition; finally commit every replaced and
+  /// dropped, never resurrected), gather the surviving rows from the
+  /// decoded chunks into one column batch, building no row, then write it
+  /// as one file in the first file's partition; finally commit every replaced and
   /// written file against `base_snapshot_id` (CommitOrDiscard). With
   /// `match`, the rows it matches take `set_col = *set_value`, or are
   /// dropped when `set_value` is null, and a group that loses and changes

@@ -187,6 +187,38 @@ TEST(ConvertTest, PlaybackTableToStream) {
   EXPECT_TRUE(row.ok());
 }
 
+// A message encodes no NULL, so playback of a table holding one is refused
+// before any message is produced, naming the column.
+TEST(ConvertTest, PlaybackRefusesNullCells) {
+  ConvertFixture f;
+  const format::Schema schema{{"id", format::DataType::kInt64},
+                              {"name", format::DataType::kString}};
+  auto table = f.lakehouse->CreateTable("people", schema,
+                                        table::PartitionSpec::None());
+  ASSERT_TRUE(table.ok());
+  std::vector<format::Row> rows(3);
+  rows[0].fields = {int64_t{1}, std::string("a")};
+  rows[1].fields = {int64_t{2}, format::Value(std::monostate{})};
+  rows[2].fields = {int64_t{3}, std::string("c")};
+  ASSERT_TRUE((*table)->Insert(rows).ok());
+
+  streaming::TopicConfig replay_config;
+  replay_config.stream_num = 2;
+  ASSERT_TRUE(f.dispatcher->CreateTopic("replay", replay_config).ok());
+  auto produced = f.converter->PlaybackToStream("people", "replay");
+  ASSERT_FALSE(produced.ok());
+  EXPECT_TRUE(produced.status().IsInvalidArgument());
+  EXPECT_NE(produced.status().message().find("column name"),
+            std::string::npos)
+      << produced.status().ToString();
+
+  streaming::Consumer consumer(f.dispatcher.get(), &f.meta, "g");
+  ASSERT_TRUE(consumer.Subscribe("replay").ok());
+  auto polled = consumer.Poll(1000);
+  ASSERT_TRUE(polled.ok());
+  EXPECT_TRUE(polled->empty());
+}
+
 TEST(ConvertTest, MalformedMessagesCountedNotFatal) {
   ConvertFixture f;
   ASSERT_TRUE(f.dispatcher->CreateTopic("t", f.DpiTopicConfig(1, 999999)).ok());

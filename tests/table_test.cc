@@ -1209,12 +1209,15 @@ std::map<std::string, format::ColumnStats> OracleStats(
   return stats;
 }
 
-std::vector<const format::Row*> PointersTo(
-    const std::vector<format::Row>& rows) {
-  std::vector<const format::Row*> out;
-  out.reserve(rows.size());
-  for (const format::Row& row : rows) out.push_back(&row);
-  return out;
+/// `rows` (valid for `schema`) as the encoder's input.
+format::ColumnBatch BatchOf(const format::Schema& schema,
+                            const std::vector<format::Row>& rows) {
+  std::vector<const format::Row*> pointers;
+  pointers.reserve(rows.size());
+  for (const format::Row& row : rows) pointers.push_back(&row);
+  format::ColumnBatch batch(schema);
+  batch.AppendRows(pointers);
+  return batch;
 }
 
 /// The metadata a table records for `file`, named `path`.
@@ -1299,7 +1302,7 @@ TEST(FileStatsTest, WriterStatsMatchTwoPassOracle) {
     options.rows_per_group = 1 + rng.Uniform(trial % 2 == 0 ? 50 : 8192);
     options.enable_stats = !rng.OneIn(4);
     const format::EncodedLakeFile file =
-        format::EncodeLakeFile(schema, PointersTo(rows), options);
+        format::EncodeLakeFile(schema, BatchOf(schema, rows), options);
     DataFileMeta got = MetaOf(schema, file, rows.size());
     DataFileMeta want = got;
     want.column_stats = OracleStats(schema, rows);
@@ -1357,6 +1360,74 @@ std::vector<format::Row> GoldenStatsRows() {
   return rows;
 }
 
+/// Seeded rows over every encoding choice and every edge the one-pass
+/// summary must keep: int64 RLE / delta / dictionary (with and without a
+/// real 0 beside the NULL default) / plain, string dictionary (with and
+/// without a real "" beside it) / plain (embedded NUL bytes, values over
+/// 1 KiB), bit-packed bools, ±0.0 in both orders, NaN of both signs, a
+/// kNull column (left out with `null_column` false) and all-NULL int64 and
+/// string columns.
+format::Schema EveryEncodingSchema(bool null_column = true) {
+  std::vector<format::Field> fields = {{"rle", format::DataType::kInt64},
+                        {"delta", format::DataType::kInt64},
+                        {"dict_zero", format::DataType::kInt64},
+                        {"dict", format::DataType::kInt64},
+                        {"plain", format::DataType::kInt64},
+                        {"s_dict_empty", format::DataType::kString},
+                        {"s_dict", format::DataType::kString},
+                        {"s_plain", format::DataType::kString},
+                        {"b", format::DataType::kBool},
+                        {"zeros", format::DataType::kDouble},
+                        {"nans", format::DataType::kDouble},
+                        {"n", format::DataType::kNull},
+                        {"i_null", format::DataType::kInt64},
+                        {"s_null", format::DataType::kString}};
+  if (!null_column) fields.erase(fields.begin() + 11);
+  return format::Schema(fields);
+}
+
+std::vector<format::Row> EveryEncodingRows(size_t num_rows,
+                                           bool null_column = true) {
+  Random rng(4242);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const format::Value null{std::monostate{}};
+  std::vector<format::Row> rows(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) {
+    std::vector<format::Value>& f = rows[i].fields;
+    const int64_t k = static_cast<int64_t>(i);
+    f.emplace_back(k / 50);
+    f.emplace_back(k * 3 + static_cast<int64_t>(rng.Uniform(3)));
+    const int64_t code = static_cast<int64_t>(rng.Uniform(10));
+    f.push_back(i % 7 == 3 ? null : format::Value((code - 4) * 1000));
+    f.push_back(i % 5 == 1 ? null : format::Value(code * 1000 + 7));
+    f.emplace_back(static_cast<int64_t>(rng.Next()));
+    const std::string city = "city-" + std::to_string(rng.Uniform(12));
+    f.push_back(i % 9 == 2   ? null
+                : i % 11 == 0 ? format::Value(std::string())
+                              : format::Value(city));
+    f.push_back(i % 6 == 5 ? null : format::Value(city + "x"));
+    std::string text = "t" + std::to_string(rng.Next());
+    if (i % 13 == 4) text += std::string("\0mid\0", 5);
+    if (i % 97 == 10) text += std::string(1500, static_cast<char>('a' + i % 26));
+    f.push_back(i % 17 == 8 ? null : format::Value(text));
+    f.push_back(i % 4 == 2 ? null : format::Value(rng.OneIn(3)));
+    // Non-negative, so a zero is the min: -0.0 arrives first in the first
+    // row group and +0.0 first in the last one.
+    double zero = static_cast<double>(rng.Uniform(1000)) / 8 + 1;
+    if (i == 5 || i == num_rows - 3) zero = -0.0;
+    if (i == 6 || i == num_rows - 4) zero = 0.0;
+    f.push_back(i % 10 == 9 ? null : format::Value(zero));
+    double wild = static_cast<double>(rng.Uniform(64)) - 32;
+    if (i % 31 == 3) wild = nan;
+    if (i % 37 == 4) wild = -nan;
+    f.push_back(i % 8 == 7 ? null : format::Value(wild));
+    if (null_column) f.push_back(null);
+    f.push_back(null);
+    f.push_back(null);
+  }
+  return rows;
+}
+
 TEST(FileStatsTest, EncodingIsFrozen) {
   // Data files are stored, and their metadata is committed, so both
   // encodings must never drift: (size, CRC-32C) of a LakeFile of fixed rows
@@ -1370,12 +1441,88 @@ TEST(FileStatsTest, EncodingIsFrozen) {
   format::LakeFileOptions options;
   options.rows_per_group = 16;
   const format::EncodedLakeFile file =
-      format::EncodeLakeFile(schema, PointersTo(rows), options);
+      format::EncodeLakeFile(schema, BatchOf(schema, rows), options);
   EXPECT_EQ(file.bytes.size(), 1716u);
   EXPECT_EQ(Crc32c(ByteView(file.bytes)), 0x54f17f7du);
   const Bytes meta = Encoded(MetaOf(schema, file, rows.size()));
   EXPECT_EQ(meta.size(), 110u);
   EXPECT_EQ(Crc32c(ByteView(meta)), 0xb5fe87b5u);
+
+  // The same for EveryEncodingRows(10000) at 7 and 8192 rows per group.
+  const format::Schema every = EveryEncodingSchema();
+  const std::vector<format::Row> every_rows = EveryEncodingRows(10000);
+  struct Golden {
+    size_t rows_per_group;
+    size_t file_size;
+    uint32_t file_crc;
+    size_t meta_size;
+    uint32_t meta_crc;
+  };
+  for (const Golden& golden :
+       {Golden{7, 1348408, 0x3f034324, 413, 0xa8916eb3},
+        Golden{8192, 440232, 0xeab2bc0d, 413, 0xdcd39f3c}}) {
+    format::LakeFileOptions every_options;
+    every_options.rows_per_group = golden.rows_per_group;
+    const format::EncodedLakeFile every_file = format::EncodeLakeFile(
+        every, BatchOf(every, every_rows), every_options);
+    const Bytes every_meta =
+        Encoded(MetaOf(every, every_file, every_rows.size()));
+    EXPECT_EQ(every_file.bytes.size(), golden.file_size)
+        << golden.rows_per_group;
+    EXPECT_EQ(Crc32c(ByteView(every_file.bytes)), golden.file_crc)
+        << golden.rows_per_group;
+    EXPECT_EQ(every_meta.size(), golden.meta_size) << golden.rows_per_group;
+    EXPECT_EQ(Crc32c(ByteView(every_meta)), golden.meta_crc)
+        << golden.rows_per_group;
+  }
+}
+
+TEST(FileStatsTest, EveryEncodingChoiceIsCovered) {
+  // EncodingIsFrozen freezes what it means to: at 8192 rows per group
+  // its first row group holds each encoding choice named in the schema. (A
+  // kNull column is written but cannot be read back: Schema::DecodeFrom
+  // refuses its type tag, so this file leaves it out.)
+  const format::Schema schema = EveryEncodingSchema(/*null_column=*/false);
+  const std::vector<format::Row> rows =
+      EveryEncodingRows(10000, /*null_column=*/false);
+  const format::EncodedLakeFile file =
+      format::EncodeLakeFile(schema, BatchOf(schema, rows), {});
+  auto reader = format::LakeFileReader::Open(file.bytes);
+  ASSERT_TRUE(reader.ok());
+  const std::vector<codec::Encoding> want = {
+      codec::Encoding::kRle,   codec::Encoding::kDelta,
+      codec::Encoding::kDict,  codec::Encoding::kDict,
+      codec::Encoding::kPlain, codec::Encoding::kDict,
+      codec::Encoding::kDict,  codec::Encoding::kPlain,
+      codec::Encoding::kBitPack, codec::Encoding::kPlain,
+      codec::Encoding::kPlain, codec::Encoding::kRle,
+      codec::Encoding::kDict};
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    const format::ChunkMeta& chunk = reader->row_group(0).columns[c];
+    EXPECT_EQ(static_cast<codec::Encoding>(file.bytes[chunk.offset]), want[c])
+        << schema.field(c).name;
+  }
+  // The NULL defaults share an entry with a real 0 or "" (dictionary size
+  // = NDV) or add one (NDV + 1); the NDV never counts them.
+  for (const char* column : {"dict_zero", "dict", "s_dict_empty", "s_dict"}) {
+    const int c = schema.FieldIndex(column);
+    auto chunk = reader->ReadColumnChunk(0, c);
+    ASSERT_TRUE(chunk.ok());
+    ASSERT_TRUE(chunk->dict_view) << column;
+    const size_t dict_size = std::visit(
+        [](const auto& dict) { return dict.size(); }, chunk->dict);
+    const bool shares = std::string(column).find("zero") != std::string::npos ||
+                        std::string(column).find("empty") != std::string::npos;
+    EXPECT_EQ(dict_size, reader->row_group(0).columns[c].stats.ndv +
+                             (shares ? 0 : 1))
+        << column;
+  }
+  const format::ColumnStats& zeros = file.column_stats[schema.FieldIndex("zeros")];
+  ASSERT_TRUE(zeros.min.has_value());
+  EXPECT_TRUE(std::signbit(std::get<double>(*zeros.min)));  // first wins
+  EXPECT_FALSE(file.column_stats[schema.FieldIndex("nans")].min.has_value());
+  EXPECT_EQ(file.column_stats[schema.FieldIndex("i_null")].ndv, 0u);
+  EXPECT_EQ(file.column_stats[schema.FieldIndex("s_null")].ndv, 0u);
 }
 
 TEST(FileStatsTest, NanLeavesMinMaxOutAndCountsOnce) {
@@ -1389,7 +1536,7 @@ TEST(FileStatsTest, NanLeavesMinMaxOutAndCountsOnce) {
   format::LakeFileOptions options;
   options.rows_per_group = 4;  // groups [nan 10 nan 10] and [-0 +0]
   const format::EncodedLakeFile file =
-      format::EncodeLakeFile(schema, PointersTo(rows), options);
+      format::EncodeLakeFile(schema, BatchOf(schema, rows), options);
   const format::ColumnStats& stats = file.column_stats[0];
   EXPECT_FALSE(stats.min.has_value());
   EXPECT_FALSE(stats.max.has_value());

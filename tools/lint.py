@@ -67,6 +67,11 @@ Rules
       state and the join build side live in the one key table,
       query::KeyTable over query::KeyEncoder's normalized key bytes, and
       sorted output comes from its SortedIds.
+  R12 Under src/format/ and src/codec/, no ordered container (std::map,
+      std::set, std::multimap, std::multiset) and no std::set_union. The
+      encoder numbers dictionary entries and counts distinct values in one
+      pass over each chunk through codec::KeyIds, a flat hash table, and
+      unions a file's row groups through the same kind of table.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -143,6 +148,12 @@ VALUE_KEYED_CONTAINER = re.compile(
     r"|[^;{}]*?\bKeyLess\b)")
 KEY_TABLE_DIRS = (os.path.join("src", "query") + os.sep,
                   os.path.join("src", "table") + os.sep)
+
+# R12: ordered containers and set_union, under the format and codec layers.
+ORDERED_CONTAINER = re.compile(
+    r"\bstd::(multimap|multiset|map|set|set_union)\b")
+ENCODER_DIRS = (os.path.join("src", "format") + os.sep,
+                os.path.join("src", "codec") + os.sep)
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -348,6 +359,13 @@ def lint_text(path, raw):
                 f"{path}:{lineno_at(code, m.start())}: R11: ordered "
                 f"std::{m.group(1)} keyed by format::Value or KeyLess; key "
                 "GROUP BY and join state with query::KeyTable")
+
+    if path.startswith(ENCODER_DIRS):
+        for m in ORDERED_CONTAINER.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start())}: R12: std::{m.group(1)} "
+                "in the format/codec layers; number and count keys with "
+                "codec::KeyIds")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

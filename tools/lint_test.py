@@ -346,16 +346,49 @@ class RuleTest(unittest.TestCase):
 
     def test_r11_allowed_elsewhere_and_for_other_keys(self):
         keyed = "std::map<format::Value, int, format::KeyLess> m;\n"
-        for path in (src("src/format/types.cc"),
-                     src("src/lakebrain/spn.cc"),
+        for path in (src("src/lakebrain/spn.cc"),
                      os.path.join("tests", "join_test.cc")):
             self.assert_clean(keyed, path=path)
+        # Under src/format/ R12 bans every ordered container; R11 stays out.
+        self.assertFalse(any(": R11: " in e for e in self.errors(
+            keyed, src("src/format/types.cc"))))
         self.assert_clean(
             "std::map<std::string, ValueRange> ranges;\n"
             "std::set<int> cols;\n"
             "// std::map<format::Value, Row, KeyLess> was the build map\n"
             "std::sort(keys.begin(), keys.end(), format::KeyLess());\n",
             path=src("src/query/plan.cc"))
+
+
+    # R12 -----------------------------------------------------------------
+    def test_r12_dictionary_maps_in_codec(self):
+        # The shapes of the dictionary encoders' maps the key ids replaced.
+        for text in ("std::map<std::string, uint64_t> dict;\n",
+                     "std::map<int64_t, uint64_t> dict;\n",
+                     "std::map<std::string_view, int> distinct;\n"):
+            self.assert_rule("R12", text, path=src("src/codec/encoding.cc"))
+
+    def test_r12_set_union_and_sets_in_format(self):
+        for text in ("std::set_union(a.begin(), a.end(), b.begin(),\n"
+                     "               b.end(), std::back_inserter(c));\n",
+                     "std::set<std::string_view> seen;\n",
+                     "std::multiset<int64_t> keys;\n",
+                     "std::multimap<int, int> m;\n"):
+            self.assert_rule("R12", text, path=src("src/format/lakefile.cc"))
+        self.assert_rule("R12", GUARD + "std::set<int> s;\n",
+                         path=src("src/format/types.h"))
+
+    def test_r12_allowed_elsewhere_and_in_prose(self):
+        text = "std::map<std::string, int> m;\nstd::set<int> s;\n"
+        for path in (src("src/table/table.cc"), src("src/query/plan.cc"),
+                     os.path.join("tests", "format_test.cc")):
+            self.assert_clean(text, path=path)
+        self.assert_clean(
+            "// std::map<int64_t, uint64_t> numbered entries once\n"
+            "#include <map>\n"
+            "std::vector<int> set_union_of(int a);\n"
+            "codec::KeyIds<int64_t> ids;\n",
+            path=src("src/codec/encoding.cc"))
 
 
 class RepoTest(unittest.TestCase):
