@@ -21,9 +21,9 @@
 //   * identical == 1 (cached and uncached runs agree byte-for-byte), and
 //   * for SELECT tag, COUNT(*), SUM(ts) WHERE ts >= 1000 GROUP BY tag,
 //     aggregate_identical == 1 (the batch aggregate, folded from decoded
-//     chunks through the selection vector, equals query::Execute over the
-//     decoded rows) and aggregate_rows_materialized == 0 (no row is
-//     built for it).
+//     chunks through the selection vector, equals oracle::Execute, the
+//     row-at-a-time reference, over the decoded rows) and
+//     aggregate_rows_materialized == 0 (no row is built for it).
 
 #include <cstdio>
 #include <memory>
@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "bench_report.h"
-#include "query/executor.h"
+#include "oracle/oracle.h"
 #include "table/block_cache.h"
 #include "table/lakehouse.h"
 
@@ -184,15 +184,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(warm_m.bytes_decoded),
               identical);
 
-  // GROUP BY over the same fixture: the batch aggregate against the row
-  // executor over the decoded rows of the SELECT * above.
+  // GROUP BY over the same fixture: the batch aggregate against the
+  // row-at-a-time reference over the decoded rows of the SELECT * above.
   table::SelectMetrics agg_m;
   auto agg = plain.table->Select(GroupBySpec(), {}, &agg_m);
   SL_CHECK_OK(agg.status());
-  auto oracle = query::Execute(WideSchema(), all->rows, GroupBySpec());
-  SL_CHECK_OK(oracle.status());
-  bool agg_identical = agg->rows == oracle->rows &&
-                       agg->column_names == oracle->column_names;
+  auto reference = oracle::Execute(WideSchema(), all->rows, GroupBySpec());
+  SL_CHECK_OK(reference.status());
+  bool agg_identical = agg->rows == reference->rows &&
+                       agg->column_names == reference->column_names;
   std::printf("group by tag: groups=%zu rows_materialized=%llu "
               "identical=%d\n",
               agg->rows.size(),

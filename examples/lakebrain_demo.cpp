@@ -2,8 +2,9 @@
 //   1. train the DQN auto-compaction agent on a live ingestion workload
 //      and watch it learn to compact cold fragmented partitions while
 //      skipping the ingestion-hot one;
-//   2. learn an SPN cardinality estimator from a data sample and build a
-//      predicate-aware QD-tree partitioning from a query workload.
+//   2. learn an SPN cardinality estimator from a data sample, build a
+//      predicate-aware QD-tree partitioning from a query workload, and
+//      repartition the table by it.
 //
 // Run: ./build/examples/lakebrain_demo
 
@@ -12,7 +13,7 @@
 
 #include "core/streamlake.h"
 #include "lakebrain/compaction.h"
-#include "lakebrain/qdtree.h"
+#include "lakebrain/partition_advisor.h"
 #include "workload/tpch.h"
 
 using namespace streamlake;
@@ -121,42 +122,65 @@ int main() {
               table->PartitionAccessCounts().size());
 
   // ---------------- Part 2: SPN + QD-tree partitioning ----------------
+  // The partition advisor samples the table to train an SPN cardinality
+  // estimator, builds a QD-tree from the workload's predicates, and
+  // rewrites the rows into a new table grouped by the tree's leaves.
   std::printf("=== LakeBrain predicate-aware partitioning ===\n");
+  core::StreamLake lake;
   workload::TpchOptions tpch;
   tpch.rows_per_sf = 20000;
   workload::TpchLineitemGenerator lineitem(tpch);
-  std::vector<format::Row> rows = lineitem.GenerateAll();
-  format::Schema schema = workload::TpchLineitemGenerator::Schema();
-
-  auto spn = lakebrain::SumProductNetwork::Train(schema, rows);
-  if (!spn.ok()) return 1;
-  query::Conjunction probe{
-      query::Predicate::Le("l_quantity", format::Value(int64_t{10}))};
-  std::printf("SPN (%zu nodes): P(l_quantity <= 10) ~= %.3f (truth 0.20)\n",
-              spn->num_nodes(), spn->EstimateSelectivity(probe));
+  auto source = lake.lakehouse().CreateTable(
+      "lineitem", workload::TpchLineitemGenerator::Schema(),
+      table::PartitionSpec::None());
+  if (!source.ok() || !(*source)->Insert(lineitem.GenerateAll()).ok()) {
+    return 1;
+  }
 
   workload::TpchQueryGenerator queries(3);
   std::vector<query::Conjunction> workload_predicates;
   for (const auto& spec : queries.Generate(50)) {
     workload_predicates.push_back(spec.where);
   }
-  auto tree = lakebrain::QdTree::Build(schema, workload_predicates, *spn,
-                                       rows.size());
-  if (!tree.ok()) return 1;
+  lakebrain::PartitionAdvisor::Options advisor_options;
+  advisor_options.sample_fraction = 0.05;
+  advisor_options.tree.min_partition_rows = 500;
+  advisor_options.tree.max_leaves = 24;
+  lakebrain::PartitionAdvisor advisor(advisor_options);
+  auto plan = advisor.Advise(*source, workload_predicates);
+  if (!plan.ok()) return 1;
+  query::Conjunction probe{
+      query::Predicate::Le("l_quantity", format::Value(int64_t{10}))};
+  std::printf("SPN (%zu nodes): P(l_quantity <= 10) ~= %.3f (truth 0.20)\n",
+              plan->estimator.num_nodes(),
+              plan->estimator.EstimateSelectivity(probe));
   std::printf("QD-tree: %zu partitions built from 50 workload queries\n",
-              tree->num_leaves());
-  // How much would a fresh query skip?
+              plan->tree.num_leaves());
+  auto moved =
+      advisor.Repartition(&lake.lakehouse(), *source, "lineitem_qd", *plan);
+  auto target = lake.lakehouse().GetTable("lineitem_qd");
+  if (!moved.ok() || !target.ok()) return 1;
+  std::printf("repartitioned %llu rows into %zu partitions\n",
+              static_cast<unsigned long long>(moved->rows_moved),
+              moved->partitions);
+  // How much does a fresh query skip, before and after?
   query::QuerySpec fresh = queries.NextQuery();
-  auto matching = tree->MatchingLeaves(fresh.where);
-  uint64_t scanned = 0, total = 0;
-  for (size_t leaf = 0; leaf < tree->num_leaves(); ++leaf) {
-    total += tree->leaf_cardinalities()[leaf];
+  std::printf("query '%s' reads %zu of %zu partitions\n",
+              fresh.where.ToString().c_str(),
+              plan->tree.MatchingLeaves(fresh.where).size(),
+              plan->tree.num_leaves());
+  table::SelectMetrics before, after;
+  auto before_result = (*source)->Select(fresh, {}, &before);
+  auto after_result = (*target)->Select(fresh, {}, &after);
+  if (!before_result.ok() || !after_result.ok() ||
+      before_result->rows != after_result->rows) {
+    return 1;
   }
-  for (int leaf : matching) scanned += tree->leaf_cardinalities()[leaf];
-  std::printf("query '%s':\n  reads %zu of %zu partitions (~%.0f%% of rows "
-              "skipped)\n",
-              fresh.where.ToString().c_str(), matching.size(),
-              tree->num_leaves(),
-              total == 0 ? 0.0 : 100.0 * (total - scanned) / total);
+  auto skipped = [](const table::SelectMetrics& m) {
+    const uint64_t total = m.data_bytes_skipped + m.data_bytes_read;
+    return total == 0 ? 0.0 : 100.0 * m.data_bytes_skipped / total;
+  };
+  std::printf("  same answer; %.0f%% of bytes skipped before, %.0f%% after\n",
+              skipped(before), skipped(after));
   return 0;
 }

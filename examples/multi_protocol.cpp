@@ -1,7 +1,8 @@
 // The data access layer and enterprise resilience features (Section III):
 // one piece of data reached through S3, NAS, and block protocols, guarded
-// by authentication + ACLs; then disk failure -> data reconstruction, and
-// remote-site replication -> disaster recovery.
+// by authentication + ACLs; the storage pool's zero-copy clones, namespace
+// snapshots and WORM retention; then disk failure -> data reconstruction,
+// remote-site replication -> disaster recovery, and revocation.
 //
 // Run: ./build/examples/multi_protocol
 
@@ -37,6 +38,13 @@ int main() {
   auto denied = s3.PutObject(analyst, "reports", "q2.csv", ByteView("tamper"));
   std::printf("S3: analyst write denied as expected: %s\n",
               denied.ToString().c_str());
+  auto keys = s3.ListObjects(analyst, "reports");
+  SL_CHECK_OK(keys.status());
+  auto head = s3.HeadObject(analyst, "reports", "q2.csv");
+  SL_CHECK_OK(head.status());
+  std::printf("S3: LIST s3://reports/ -> %zu key(s); HEAD q2.csv -> %llu "
+              "bytes\n",
+              keys->size(), static_cast<unsigned long long>(*head));
 
   // --- NAS protocol over the same object namespace ---
   access::NasService nas(&lake.objects(), &acl, &lake.clock());
@@ -47,6 +55,23 @@ int main() {
   auto attrs = nas.GetAttributes(admin, "/shared/notes.txt");
   std::printf("NAS: /shared/notes.txt is %llu bytes\n",
               static_cast<unsigned long long>(attrs->size));
+  auto reader = nas.Open(analyst, "/shared/notes.txt", /*for_write=*/false);
+  std::printf("NAS: analyst open without a grant denied: %s\n",
+              reader.status().ToString().c_str());
+  reader = nas.Open(admin, "/shared/notes.txt", /*for_write=*/false);
+  SL_CHECK_OK(reader.status());
+  auto word = nas.ReadAt(*reader, 12, 3);
+  SL_CHECK_OK(word.status());
+  SL_CHECK_OK(nas.Close(*reader));
+  auto listing = nas.ReadDirectory(admin, "/shared");
+  SL_CHECK_OK(listing.status());
+  std::printf("NAS: read '%s' at offset 12; /shared lists %zu entr%s\n",
+              BytesToString(*word).c_str(), listing->size(),
+              listing->size() == 1 ? "y" : "ies");
+  SL_CHECK_OK(nas.Remove(admin, "/shared/notes.txt"));
+  std::printf("NAS: removed /shared/notes.txt: %s\n",
+              nas.GetAttributes(admin, "/shared/notes.txt").ok() ? "no"
+                                                                 : "yes");
 
   // --- Block protocol (iSCSI LUN, thin-provisioned) ---
   access::BlockService blocks(&lake.ssd_pool(), &acl);
@@ -59,6 +84,24 @@ int main() {
               BytesToString(*sector).c_str(),
               static_cast<unsigned long long>(
                   *blocks.AllocatedBytes(admin, *lun)));
+  auto scratch_lun = blocks.CreateVolume(admin, 64ULL << 20);
+  SL_CHECK_OK(blocks.DeleteVolume(admin, *scratch_lun));
+  std::printf("Block: scratch LUN %llu deleted; reads now fail: %s\n",
+              static_cast<unsigned long long>(*scratch_lun),
+              blocks.Read(admin, *scratch_lun, 0, 1).ok() ? "no" : "yes");
+
+  // --- Storage pool: zero-copy clone, namespace snapshot, WORM ---
+  storage::ObjectStore& objects = lake.objects();
+  SL_CHECK_OK(objects.Clone("/s3/reports/q2.csv", "/archive/q2-clone.csv"));
+  auto snapped = objects.SnapshotPrefix("/s3/reports/", "/snapshots/day1/");
+  SL_CHECK_OK(snapped.status());
+  objects.SetWormPrefix("/snapshots/");
+  auto tamper = objects.Write("/snapshots/day1/q2.csv", ByteView("tamper"));
+  std::printf("Pool: clone shares q2.csv's fragments (%llu bytes); snapshot "
+              "of %zu object(s) under WORM, overwrite rejected: %s\n",
+              static_cast<unsigned long long>(
+                  *objects.Size("/archive/q2-clone.csv")),
+              *snapped, tamper.ToString().c_str());
 
   // --- Disk failure -> data reconstruction ---
   lake.ssd_pool().SetNodeFailed(0, true);
@@ -86,5 +129,14 @@ int main() {
   auto restored = s3.GetObject(admin, "reports", "q2.csv");
   std::printf("Disaster recovery: object restored from site B (%zu bytes)\n",
               restored.ok() ? restored->size() : 0);
+
+  // --- Revocation: a grant, then the principal itself ---
+  SL_CHECK_OK(acl.Revoke("analyst", "/s3/reports/", access::Permission::kRead));
+  auto revoked_read = s3.GetObject(analyst, "reports", "q2.csv");
+  std::printf("ACL: analyst read after revoking the grant: %s\n",
+              revoked_read.status().ToString().c_str());
+  SL_CHECK_OK(acl.RevokePrincipal("analyst"));
+  std::printf("ACL: analyst token after removing the principal: %s\n",
+              acl.Authenticate(analyst).status().ToString().c_str());
   return 0;
 }

@@ -1,6 +1,8 @@
 // Streaming ETL with enterprise features: exactly-once transactional
-// produce (2PC), elastic scaling of stream workers and partitions without
-// data migration, columnar archiving, and SSD->HDD tiering.
+// produce (2PC) and idempotent retries, consumer-group offsets and replay
+// by event time, elastic scaling of stream workers and partitions without
+// data migration, worker failover, an OpenMessaging-style benchmark run,
+// columnar archiving, and SSD->HDD tiering.
 //
 // Run: ./build/examples/streaming_etl
 
@@ -8,6 +10,7 @@
 
 #include "core/streamlake.h"
 #include "workload/dpi_log.h"
+#include "workload/openmessaging.h"
 
 using namespace streamlake;
 
@@ -50,6 +53,31 @@ int main() {
   std::printf("consumer sees %zu messages (only committed batches: %d)\n",
               polled->size(), committed * 100);
 
+  // --- Idempotent retry: a re-send after a timeout is dropped ---
+  auto producer = lake.NewProducer();
+  SL_CHECK_OK(producer.Send("payments", gen.NextMessage()).status());
+  SL_CHECK_OK(producer.ResendLast().status());
+  auto after_retry = consumer.Poll(100000);
+  std::printf("one send + one retry: consumer sees %zu new message\n",
+              after_retry->size());
+
+  // --- Consumer groups: committed offsets outlive the consumer ---
+  SL_CHECK_OK(consumer.CommitOffsets());
+  auto restarted = lake.NewConsumer("etl");
+  if (!restarted.Subscribe("payments").ok()) return 1;
+  std::printf("a restarted 'etl' consumer resumes at the commit: %zu new "
+              "messages\n",
+              restarted.Poll(100000)->size());
+
+  // --- Replay by event time (offsetsForTimes + seek) ---
+  const int64_t midpoint = (*polled)[polled->size() / 2].message.timestamp;
+  auto audit = lake.NewConsumer("audit");
+  if (!audit.Subscribe("payments").ok()) return 1;
+  SL_CHECK_OK(audit.SeekToTimestamp("payments", midpoint));
+  std::printf("audit consumer seeks to event time %lld: replays %zu "
+              "messages\n",
+              static_cast<long long>(midpoint), audit.Poll(100000)->size());
+
   // --- Elastic scaling: metadata-only, measured on the simulated clock ---
   uint64_t before_ns = lake.clock().NowNanos();
   SL_CHECK_OK(lake.dispatcher().ResizeWorkers(12));
@@ -57,6 +85,35 @@ int main() {
   uint64_t scale_ns = lake.clock().NowNanos() - before_ns;
   std::printf("scaled 4->64 partitions, 3->12 workers in %.3f simulated ms "
               "(no data migration)\n", scale_ns / 1e6);
+
+  // --- Failover: worker 0 stops heartbeating, its streams move ---
+  lake.clock().Advance(30 * sim::kSecond);
+  for (uint32_t w = 1; w < lake.dispatcher().num_workers(); ++w) {
+    lake.dispatcher().Heartbeat(w);
+  }
+  auto sweep = lake.dispatcher().SweepDeadWorkers(10 * sim::kSecond);
+  SL_CHECK_OK(sweep.status());
+  std::printf("health sweep: %u dead worker, %u streams reassigned; worker 0 "
+              "now serves %zu\n",
+              sweep->dead_workers, sweep->streams_reassigned,
+              lake.dispatcher().worker(0)->num_streams());
+
+  // --- OpenMessaging-style paced run on its own topic ---
+  kv::KvStore omb_offsets;
+  workload::OmbDriver omb(&lake.dispatcher(), &omb_offsets, &lake.clock());
+  workload::OmbConfig omb_config;
+  omb_config.partitions = 8;
+  omb_config.total_messages = 5000;
+  auto omb_result = omb.Run(omb_config);
+  SL_CHECK_OK(omb_result.status());
+  std::printf("OMB: %llu msgs at %.0f msg/s, end-to-end p50 %.0f us, p99 "
+              "%.0f us (simulated)\n",
+              static_cast<unsigned long long>(omb_result->messages_consumed),
+              omb_result->produce_throughput, omb_result->end_to_end_p50_us,
+              omb_result->end_to_end_p99_us);
+  SL_CHECK_OK(lake.dispatcher().DeleteTopic(omb_config.topic));
+  std::printf("deleted topic '%s': exists=%d\n", omb_config.topic.c_str(),
+              lake.dispatcher().HasTopic(omb_config.topic));
 
   // --- Columnar archive ---
   auto archived = lake.archive().Run("payments", /*force=*/true);

@@ -1,5 +1,6 @@
 // Lakehouse ACID features: snapshot isolation, time travel, job re-runs
-// from historical snapshots, UPDATE/DELETE, and drop-soft / restore.
+// from historical snapshots, UPDATE/DELETE, drop-soft / restore, and
+// drop-hard.
 //
 // Run: ./build/examples/time_travel
 
@@ -87,5 +88,11 @@ int main() {
   std::printf("time travel after expiration: %s\n",
               expired.ok() ? "still available (unexpected)"
                            : expired.status().ToString().c_str());
-  return 0;
+
+  // Drop table hard: data and metadata are deleted; nothing to restore.
+  SL_CHECK_OK(lake.lakehouse().DropTableHard("orders"));
+  auto gone = lake.lakehouse().RestoreTable("orders");
+  std::printf("after drop hard: restore -> %s\n",
+              gone.status().ToString().c_str());
+  return gone.ok() ? 1 : 0;
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-command verify: static lint, clang-tidy, tier-1 build+tests, and both
-# sanitizer tiers. Mirrors what CI runs; any failure fails the script, and a
+# One-command verify: static lint, clang-tidy, the link audit, tier-1
+# build+tests, and both sanitizer tiers. Mirrors what CI runs; any failure fails the script, and a
 # per-tier summary prints at the end either way.
 #
 # Usage: scripts/check.sh [--fast] [--no-tidy] [--no-slint]
@@ -87,6 +87,8 @@ if [[ "$tidy" == 1 ]]; then
 else
   summary+=("SKIP  clang-tidy (--no-tidy)")
 fi
+
+run_step link-audit python3 tools/link_audit.py --jobs "$jobs"
 
 run_tier default
 

@@ -194,30 +194,6 @@ void AppendJsonKey(std::string* out, const std::string& name) {
 
 }  // namespace
 
-std::string MetricsRegistry::TextReport() const {
-  MetricsSnapshot snapshot = Snapshot();
-  std::string out;
-  char buf[160];
-  for (const auto& [name, value] : snapshot.counters) {
-    std::snprintf(buf, sizeof(buf), "%s = %" PRIu64 "\n", name.c_str(), value);
-    out += buf;
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::snprintf(buf, sizeof(buf), "%s = %" PRId64 "\n", name.c_str(), value);
-    out += buf;
-  }
-  for (const auto& [name, h] : snapshot.histograms) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s: count=%" PRIu64 " sum=%" PRIu64 " min=%" PRIu64
-                  " p50=%" PRIu64 " p90=%" PRIu64 " p99=%" PRIu64
-                  " max=%" PRIu64 "\n",
-                  name.c_str(), h.count, h.sum, h.min, h.p50, h.p90, h.p99,
-                  h.max);
-    out += buf;
-  }
-  return out;
-}
-
 std::string MetricsRegistry::JsonReport() const {
   MetricsSnapshot snapshot = Snapshot();
   std::string out = "{\n  \"counters\": {";

@@ -134,8 +134,6 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Human-readable one-line-per-metric dump.
-  std::string TextReport() const;
   /// JSON object {"counters": {...}, "gauges": {...}, "histograms":
   /// {name: {count, sum, min, max, p50, p90, p99}}} — the "registry"
   /// section of every BENCH_<name>.json report.

@@ -36,11 +36,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.NotifyOne();
 }
 
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  while (!queue_.empty() || active_ != 0) idle_cv_.Wait(&mu_);
-}
-
 void ThreadPool::Shutdown() {
   {
     MutexLock lock(&mu_);
@@ -65,14 +60,8 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      MutexLock lock(&mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.NotifyAll();
-    }
   }
 }
 

@@ -29,9 +29,6 @@ class ThreadPool {
   /// named misuse report instead of silently dropping or deadlocking.
   void Submit(std::function<void()> task);
 
-  /// Block until all tasks submitted so far have finished.
-  void Wait();
-
   /// Drain the queue, then stop and join all workers. Idempotent.
   void Shutdown();
 
@@ -43,18 +40,16 @@ class ThreadPool {
 
   const char* const name_;
   Mutex mu_{LockRank::kThreadPool, "common.threadpool"};
-  CondVar work_cv_;   // signals workers
-  CondVar idle_cv_;   // signals Wait()
+  CondVar work_cv_;  // signals workers
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);
   std::vector<std::thread> threads_;
-  int active_ GUARDED_BY(mu_) = 0;
   bool shutdown_ GUARDED_BY(mu_) = false;
 };
 
 /// Run fn(0) .. fn(n - 1) and return once every call has finished. With a
 /// pool and more than one index, each call is a task on `pool` and the
-/// caller waits on a barrier private to this call — not ThreadPool::Wait,
-/// which on a shared pool would also wait for other callers' tasks.
+/// caller waits on a barrier private to this call, so callers sharing a
+/// pool wait only for their own tasks.
 /// Without a pool, or for n <= 1, the calls run inline on the calling
 /// thread in index order. Calls may run concurrently, so `fn` must only
 /// touch per-index state or synchronize itself. Must not be called from a

@@ -294,10 +294,8 @@ ColumnStats EncodeColumn(const ColumnBatch::Column& column, size_t num_rows,
       out.compression = codec::Compression::kNone;
     }
     // Bool chunks carry no min/max in the footer.
-    if (options.enable_stats) {
-      out.stats =
-          pass.summary.ToStats(/*with_min_max=*/!std::is_same_v<T, bool>);
-    }
+    out.stats =
+        pass.summary.ToStats(/*with_min_max=*/!std::is_same_v<T, bool>);
     chunks->push_back(std::move(out));
     file.Merge(pass.summary);
     if (n == num_rows) {
@@ -683,26 +681,14 @@ Result<ColumnChunkData> LakeFileReader::ReadColumnChunk(size_t group,
       out.values = std::move(decoded);
       return out;
     }
-    case DataType::kNull:
-      break;
+    case DataType::kNull:  // no value stream: every row is NULL
+      if (null_count != num_rows) {
+        return Status::Corruption("chunk: non-NULL row in a kNull column");
+      }
+      out.null_mask.assign(num_rows, 1);
+      return out;
   }
   return Status::Corruption("chunk: unknown column type");
-}
-
-Result<ColumnData> LakeFileReader::ReadColumn(size_t group,
-                                              size_t column) const {
-  SL_ASSIGN_OR_RETURN(ColumnChunkData chunk, ReadColumnChunk(group, column));
-  if (!chunk.dict_view) return std::move(chunk.values);
-  // Expand dictionary codes into plain values (NULL rows already carry the
-  // dictionary entry their default code points at).
-  return std::visit(
-      [&](const auto& dict) {
-        std::remove_cvref_t<decltype(dict)> vals;
-        vals.reserve(chunk.codes.size());
-        for (uint32_t c : chunk.codes) vals.push_back(dict[c]);
-        return ColumnData(std::move(vals));
-      },
-      chunk.dict);
 }
 
 Result<std::vector<Row>> LakeFileReader::ReadRowGroup(size_t group) const {

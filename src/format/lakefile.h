@@ -30,11 +30,11 @@ namespace streamlake::format {
 struct LakeFileOptions {
   size_t rows_per_group = 8192;
   codec::Compression compression = codec::Compression::kLz;
-  bool enable_stats = true;
 };
 
-/// Per-column statistics of one row group (min/max plus, when written by a
-/// stats-enabled writer, null count / exact distinct count / average width).
+/// Per-column statistics of one row group: min/max plus null count / exact
+/// distinct count / average width, which every writer records (a reader
+/// still accepts stats without them, `has_extended` false).
 struct ColumnStats {
   std::optional<Value> min;  // over non-NULL values
   std::optional<Value> max;
@@ -97,8 +97,7 @@ using ColumnChunkPtr = std::shared_ptr<const ColumnChunkData>;
 struct EncodedLakeFile {
   Bytes bytes;
   /// One entry per schema column, from the same pass that builds the
-  /// chunks, whatever `enable_stats` says (that flag governs the footer's
-  /// per-chunk stats only): null_count, ndv exact across every row group
+  /// chunks: null_count, ndv exact across every row group
   /// (a NaN counts as one value), avg_width, and min/max over the non-NULL
   /// values — absent when there are none, or when a double column holds a
   /// NaN, which no range can bound.
@@ -171,10 +170,6 @@ class LakeFileReader {
   size_t num_row_groups() const { return groups_.size(); }
   uint64_t num_rows() const;
   const RowGroupMeta& row_group(size_t i) const { return groups_[i]; }
-
-  /// Decode one column chunk of one row group (NULL rows become type
-  /// defaults; use ReadColumnChunk for NULL-aware access).
-  Result<ColumnData> ReadColumn(size_t group, size_t column) const;
 
   /// Decode one column chunk into its scannable form: dictionary chunks stay
   /// as dict + codes (compute-on-compressed), others as plain values.

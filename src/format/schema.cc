@@ -48,7 +48,7 @@ Result<Schema> Schema::DecodeFrom(Decoder* dec) {
     if (dec->Remaining() < 1) return Status::Corruption("schema: type");
     f.type = static_cast<DataType>(*dec->position());
     dec->Skip(1);
-    if (f.type > DataType::kString) {
+    if (f.type > DataType::kNull) {
       return Status::Corruption("schema: bad type tag");
     }
     fields.push_back(std::move(f));

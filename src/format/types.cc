@@ -66,15 +66,6 @@ int CompareKeys(const Value& a, const Value& b) {
   return Compare(a, b, /*keys=*/true);
 }
 
-bool KeyLess::operator()(const std::vector<Value>& a,
-                         const std::vector<Value>& b) const {
-  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-    int c = CompareKeys(a[i], b[i]);
-    if (c != 0) return c < 0;
-  }
-  return a.size() < b.size();
-}
-
 std::string ValueToString(const Value& v) {
   switch (TypeOf(v)) {
     case DataType::kBool:

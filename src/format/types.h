@@ -14,8 +14,8 @@
 namespace streamlake::format {
 
 /// Column types supported by table objects. Timestamps are kInt64 seconds
-/// (matching the paper's start_time predicates in Fig. 13). kNull is a
-/// value-only tag: cells may be NULL, but a schema field never has type kNull.
+/// (matching the paper's start_time predicates in Fig. 13). kNull tags a
+/// NULL cell; a field of type kNull holds only NULLs.
 enum class DataType : uint8_t {
   kBool = 0,
   kInt64 = 1,
@@ -56,16 +56,6 @@ inline int CompareDoubleKeys(double x, double y) {
   if (x == y) return 0;
   return static_cast<int>(std::isnan(x)) - static_cast<int>(std::isnan(y));
 }
-
-/// Strict weak ordering by CompareKeys, over one key or a composite key
-/// (lexicographic, a shorter prefix first).
-struct KeyLess {
-  bool operator()(const Value& a, const Value& b) const {
-    return CompareKeys(a, b) < 0;
-  }
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const;
-};
 
 std::string ValueToString(const Value& v);
 

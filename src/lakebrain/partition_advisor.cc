@@ -4,8 +4,6 @@
 
 namespace streamlake::lakebrain {
 
-PartitionAdvisor::PartitionAdvisor() : PartitionAdvisor(Options()) {}
-
 PartitionAdvisor::PartitionAdvisor(Options options) : options_(options) {}
 
 Result<PartitionAdvisor::Plan> PartitionAdvisor::Advise(

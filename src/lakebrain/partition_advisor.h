@@ -21,7 +21,6 @@ class PartitionAdvisor {
     uint64_t seed = 97;
   };
 
-  PartitionAdvisor();
   explicit PartitionAdvisor(Options options);
 
   struct Plan {

@@ -1,5 +1,8 @@
 #include "query/executor.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/metrics.h"
 
 namespace streamlake::query {
@@ -7,57 +10,42 @@ namespace streamlake::query {
 Executor::Executor(const format::Schema& schema, const QuerySpec& spec)
     : schema_(schema), spec_(spec) {
   init_status_ = aggregate_.Init(schema_, spec_.group_by, spec_.aggregates);
-  if (!init_status_.ok()) return;
-  init_status_ = project_.Init(schema_, spec_.projection);
-}
-
-Status Executor::Consume(const std::vector<format::Row>& rows) {
-  std::vector<format::Row> matched;
-  for (const format::Row& row : rows) {
-    if (spec_.where.Matches(schema_, row)) matched.push_back(row);
+  for (const std::string& column : spec_.projection) {
+    int idx = schema_.FieldIndex(column);
+    if (idx < 0 && init_status_.ok()) {
+      init_status_ =
+          Status::InvalidArgument("unknown projection column " + column);
+    }
+    columns_.push_back(idx);
   }
-  return ConsumeFiltered(std::move(matched), rows.size());
 }
 
-Status Executor::ConsumeFiltered(std::vector<format::Row> rows,
-                                 uint64_t scanned) {
-  SL_RETURN_NOT_OK(init_status_);
-  rows_scanned_ += scanned;
-  rows_matched_ += rows.size();
-  for (format::Row& row : rows) {
-    if (!spec_.aggregates.empty()) {
-      aggregate_.Consume(row);
-    } else if (project_.active()) {
-      plain_rows_.push_back(project_.Apply(row));
-    } else {
-      plain_rows_.push_back(std::move(row));
+std::optional<std::vector<int>> Executor::InputColumns() const {
+  std::vector<int> cols;
+  if (spec_.aggregates.empty()) {
+    if (columns_.empty()) return std::nullopt;
+    cols = columns_;
+  } else {
+    cols = aggregate_.group_columns();
+    for (int col : aggregate_.aggregate_columns()) {
+      if (col >= 0) cols.push_back(col);
     }
   }
-  return Status::OK();
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
 }
 
-Status Executor::ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
-                              std::span<const uint32_t> selection,
-                              uint64_t scanned) {
+Status Executor::Consume(const ChunkRows& rows, uint64_t scanned) {
   SL_RETURN_NOT_OK(init_status_);
-  if (spec_.aggregates.empty()) {
-    return Status::InvalidArgument("only an aggregate query folds batches");
-  }
-  rows_scanned_ += scanned;
-  rows_matched_ += selection.size();
-  aggregate_.ConsumeBatch(columns, selection);
-  return Status::OK();
-}
-
-Status Executor::ConsumeRows(const ChunkRows& rows, uint64_t scanned) {
-  SL_RETURN_NOT_OK(init_status_);
+  rows.CheckSideZero();
   rows_scanned_ += scanned;
   rows_matched_ += rows.size();
   if (!spec_.aggregates.empty()) {
-    aggregate_.ConsumeRows(rows);
+    aggregate_.Consume(rows);
     return Status::OK();
   }
-  std::vector<format::Row> built = rows.Rows(project_.columns());
+  std::vector<format::Row> built = rows.Rows(columns_);
   plain_rows_.insert(plain_rows_.end(), std::make_move_iterator(built.begin()),
                      std::make_move_iterator(built.end()));
   return Status::OK();
@@ -82,7 +70,7 @@ Result<QueryResult> Executor::Finalize() {
   result.rows_matched = rows_matched_;
 
   if (spec_.aggregates.empty()) {
-    if (!project_.active()) {
+    if (columns_.empty()) {
       for (const format::Field& f : schema_.fields()) {
         result.column_names.push_back(f.name);
       }
@@ -90,7 +78,7 @@ Result<QueryResult> Executor::Finalize() {
       static Counter* project_rows =
           MetricsRegistry::Global().GetCounter("query.op.project.rows");
       project_rows->Increment(plain_rows_.size());
-      for (int col : project_.columns()) {
+      for (int col : columns_) {
         result.column_names.push_back(schema_.field(col).name);
       }
     }
@@ -109,14 +97,6 @@ Result<QueryResult> Executor::Finalize() {
   SL_RETURN_NOT_OK(ApplySortLimit(spec_.order_by, spec_.order_descending,
                                   spec_.limit, &result));
   return result;
-}
-
-Result<QueryResult> Execute(const format::Schema& schema,
-                            const std::vector<format::Row>& rows,
-                            const QuerySpec& spec) {
-  Executor executor(schema, spec);
-  SL_RETURN_NOT_OK(executor.Consume(rows));
-  return executor.Finalize();
 }
 
 }  // namespace streamlake::query

@@ -1,7 +1,7 @@
 #ifndef STREAMLAKE_QUERY_EXECUTOR_H_
 #define STREAMLAKE_QUERY_EXECUTOR_H_
 
-#include <span>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -11,38 +11,30 @@
 namespace streamlake::query {
 
 /// \brief In-memory relational executor used both at the "compute engine"
-/// side and storage-side when computation pushdown is enabled. A thin
-/// facade over the composable operators (project | aggregate ->
-/// sort/limit): it keeps the scan-fragment contract the scan pipeline
-/// relies on (ConsumeFiltered or ConsumeBatch per fragment, MergeFrom in
-/// deterministic file order, Finalize once).
+/// side and storage-side when computation pushdown is enabled: the output
+/// stage of every query (aggregate or projection, then sort/limit). It
+/// keeps the scan-fragment contract the scan pipeline relies on (Consume
+/// per scanned or joined batch of a fragment, MergeFrom in deterministic
+/// file order, Finalize once). WHERE is the scan's: Consume sees only
+/// matched rows.
 class Executor {
  public:
-  /// Executes `spec` over the rows consumed (once per file/fragment, then
-  /// Finalize).
+  /// Executes `spec` over the rows consumed, resolving its columns
+  /// against `schema` once; status() reports a column the schema lacks.
   Executor(const format::Schema& schema, const QuerySpec& spec);
 
-  /// The row-at-a-time reference: evaluate `spec.where` on every row, then
-  /// ConsumeFiltered the matches.
-  Status Consume(const std::vector<format::Row>& rows);
+  Status status() const { return init_status_; }
 
-  /// Consume rows the scan already filtered column-at-a-time: `rows` are
-  /// the matches out of `scanned` visible rows, so the WHERE clause is not
-  /// re-evaluated (late-materialized rows only carry the required columns).
-  Status ConsumeFiltered(std::vector<format::Row> rows, uint64_t scanned);
-
-  /// Consume a scanned batch without building rows: the rows `selection`
-  /// picks out of `columns` (decoded chunks by schema index) matched, out
-  /// of `scanned` visible rows. Only an aggregate query folds batches
-  /// (AggregateOperator::ConsumeBatch); any other spec is InvalidArgument.
-  Status ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
-                      std::span<const uint32_t> selection, uint64_t scanned);
+  /// The schema columns the output stage reads, ascending: the GROUP BY
+  /// and aggregate inputs, or the projection. nullopt for SELECT * (no
+  /// aggregate, no projection), which reads every column.
+  std::optional<std::vector<int>> InputColumns() const;
 
   /// Consume rows held in place in column chunks (a scan's selected rows,
   /// or joined rows): the `rows` matched out of `scanned`. An aggregate
   /// folds them without building rows; a projection builds only its
   /// columns, SELECT * every column.
-  Status ConsumeRows(const ChunkRows& rows, uint64_t scanned);
+  Status Consume(const ChunkRows& rows, uint64_t scanned);
 
   /// Fold another executor's partial state into this one. Both must have
   /// been built from the same schema and spec; `other` is consumed. Used
@@ -60,18 +52,13 @@ class Executor {
  private:
   const format::Schema schema_;
   const QuerySpec spec_;
-  ProjectOperator project_;
+  std::vector<int> columns_;  // the projection's schema indices
   AggregateOperator aggregate_;
   std::vector<format::Row> plain_rows_;
   uint64_t rows_scanned_ = 0;
   uint64_t rows_matched_ = 0;
   Status init_status_;
 };
-
-/// Convenience single-shot execution.
-Result<QueryResult> Execute(const format::Schema& schema,
-                            const std::vector<format::Row>& rows,
-                            const QuerySpec& spec);
 
 }  // namespace streamlake::query
 

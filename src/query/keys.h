@@ -60,7 +60,7 @@ struct Cell {
 /// \brief Writes key cells as order-preserving normalized bytes: for two
 /// keys whose cells have the same column types, memcmp of their encodings
 /// has the sign of format::CompareKeys (lexicographic over the cells of a
-/// composite key, like format::KeyLess), and the encodings are equal
+/// composite key, a shorter prefix first), and the encodings are equal
 /// exactly when the keys compare equal. The one key format of GROUP BY and
 /// of the join build side (KeyTable).
 ///

@@ -1,6 +1,7 @@
 #include "query/operators.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 
 namespace streamlake::query {
@@ -19,6 +20,19 @@ format::Value ChunkRows::ValueAt(size_t t, size_t c) const {
                        : ch->ValueAt(row(t, c));
 }
 
+void ChunkRows::CheckSideZero() const {
+#ifndef NDEBUG
+  uint64_t group_rows = UINT64_MAX;
+  for (const format::ColumnChunkPtr& chunk : chunks) {
+    if (chunk == nullptr) continue;
+    assert(group_rows == UINT64_MAX || chunk->num_rows == group_rows);
+    group_rows = chunk->num_rows;
+  }
+  for (uint32_t r : rows) assert(r < group_rows);
+  assert(builds.size() == rows.size() * (sides - 1));
+#endif
+}
+
 std::vector<format::Row> ChunkRows::Rows(std::span<const int> columns) const {
   std::vector<format::Row> rows(size());
   for (size_t t = 0; t < rows.size(); ++t) {
@@ -34,28 +48,6 @@ std::vector<format::Row> ChunkRows::Rows(std::span<const int> columns) const {
     }
   }
   return rows;
-}
-
-Status ProjectOperator::Init(const format::Schema& schema,
-                             const std::vector<std::string>& columns) {
-  columns_.clear();
-  for (const std::string& column : columns) {
-    int idx = schema.FieldIndex(column);
-    if (idx < 0) {
-      return Status::InvalidArgument("unknown projection column " + column);
-    }
-    columns_.push_back(idx);
-  }
-  return Status::OK();
-}
-
-format::Row ProjectOperator::Apply(const format::Row& row) const {
-  format::Row projected;
-  projected.fields.reserve(columns_.size());
-  for (int col : columns_) {
-    projected.fields.push_back(row.fields[col]);
-  }
-  return projected;
 }
 
 Status AggregateOperator::Init(const format::Schema& schema,
@@ -162,21 +154,16 @@ void AggregateOperator::Fold(size_t n, const CellAt& cell,
   }
 }
 
-void AggregateOperator::Consume(const format::Row& row) {
-  const auto cell = [&](size_t, int col) { return Cell::Of(row.fields[col]); };
-  Fold(1, cell, [&](size_t t) { return GroupOf(t, cell); });
-}
-
-void AggregateOperator::ConsumeBatch(
-    std::span<const format::ColumnChunkPtr> columns,
-    std::span<const uint32_t> selection) {
+void AggregateOperator::Consume(const ChunkRows& rows) {
   const auto cell = [&](size_t t, int col) {
-    return Cell::At(columns[col].get(), selection[t]);
+    return Cell::At(rows.chunk(t, col), rows.row(t, col));
   };
   const format::ColumnChunkData* dict_key =
-      group_cols_.size() == 1 ? columns[group_cols_[0]].get() : nullptr;
+      group_cols_.size() == 1 && rows.sources[group_cols_[0]].side == 0
+          ? rows.chunk(0, group_cols_[0])
+          : nullptr;
   if (dict_key == nullptr || !dict_key->dict_view) {
-    Fold(selection.size(), cell, [&](size_t t) { return GroupOf(t, cell); });
+    Fold(rows.size(), cell, [&](size_t t) { return GroupOf(t, cell); });
     return;
   }
   // One table lookup per dictionary code (and one for NULL) per batch.
@@ -184,20 +171,13 @@ void AggregateOperator::ConsumeBatch(
       std::visit([](const auto& dict) { return dict.size(); }, dict_key->dict),
       KeyTable::kNotFound);
   uint32_t null_group = KeyTable::kNotFound;
-  Fold(selection.size(), cell, [&](size_t t) {
-    const uint32_t r = selection[t];
+  Fold(rows.size(), cell, [&](size_t t) {
+    const uint32_t r = rows.rows[t];
     uint32_t& g = dict_key->IsNullAt(r) ? null_group
                                         : by_code[dict_key->codes[r]];
     if (g == KeyTable::kNotFound) g = GroupOf(t, cell);
     return g;
   });
-}
-
-void AggregateOperator::ConsumeRows(const ChunkRows& rows) {
-  const auto cell = [&](size_t t, int col) {
-    return Cell::At(rows.chunk(t, col), rows.row(t, col));
-  };
-  Fold(rows.size(), cell, [&](size_t t) { return GroupOf(t, cell); });
 }
 
 void AggregateOperator::Merge(AggregateOperator&& other) {

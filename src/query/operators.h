@@ -20,29 +20,41 @@ struct ColumnSource {
   uint32_t column = 0;
 };
 
-/// One side of a ChunkRows row: row `row` of `chunks`, a scanned group's
-/// decoded chunks by schema index (a null chunk reads as all NULL).
+/// One build side of a ChunkRows row: row `row` of `chunks`, a scanned
+/// group's decoded chunks by schema index (a null chunk reads as all NULL).
 struct ChunkRef {
   const format::ColumnChunkPtr* chunks = nullptr;
   uint32_t row = 0;
 };
 
 /// \brief Rows held in place in decoded column chunks; Values are built
-/// only where a consumer needs them. A row is one ChunkRef per side: a
-/// probe row, then one build row per inner join it passed. Column `c` of a
-/// row reads `sources[c]`.
+/// only where a consumer needs them. A row has one side per table: side 0
+/// (the probe row, or the scanned row without a join), then one build row
+/// per inner join it passed. Column `c` of a row reads `sources[c]`.
+///
+/// Invariant: side 0 of every row reads one scanned group's chunks, so it
+/// is held as that group's chunk array plus a row index per row, and a
+/// side-0 column is one chunk (one dictionary) for the whole batch. Only
+/// build sides, whose rows come from any build file, carry a ChunkRef per
+/// row. CheckSideZero asserts it in debug builds.
 struct ChunkRows {
   std::span<const ColumnSource> sources;
+  std::span<const format::ColumnChunkPtr> chunks;  // side 0, by schema index
+  std::span<const uint32_t> rows;                  // side-0 row of row t
   size_t sides = 1;
-  std::vector<ChunkRef> refs;  // row t is refs[t * sides, (t + 1) * sides)
+  std::span<const ChunkRef> builds;  // row t: [t * (sides - 1), ...)
 
-  size_t size() const { return refs.size() / sides; }
+  size_t size() const { return rows.size(); }
   /// The chunk and the row in it that column `c` of row `t` reads.
   const format::ColumnChunkData* chunk(size_t t, size_t c) const {
-    return refs[t * sides + sources[c].side].chunks[sources[c].column].get();
+    const ColumnSource& s = sources[c];
+    return s.side == 0
+               ? chunks[s.column].get()
+               : builds[t * (sides - 1) + s.side - 1].chunks[s.column].get();
   }
   uint32_t row(size_t t, size_t c) const {
-    return refs[t * sides + sources[c].side].row;
+    const ColumnSource& s = sources[c];
+    return s.side == 0 ? rows[t] : builds[t * (sides - 1) + s.side - 1].row;
   }
   /// Column `c` of row `t` as a Value (NULL where no chunk was decoded).
   format::Value ValueAt(size_t t, size_t c) const;
@@ -52,28 +64,15 @@ struct ChunkRows {
   /// carrying every column. The one place scanned and joined rows are
   /// built.
   std::vector<format::Row> Rows(std::span<const int> columns = {}) const;
+
+  /// Debug builds: abort unless side 0 is one group's chunks (every
+  /// decoded chunk of the same length) and every side-0 row lies in them.
+  void CheckSideZero() const;
 };
 
 /// The sources of one-sided rows of `arity` columns: column c reads
 /// column c.
 std::vector<ColumnSource> OneSideSources(size_t arity);
-
-/// \brief Projection operator: resolves the requested columns against a
-/// schema once, then maps rows. An empty column list is the identity
-/// projection (all columns pass through).
-class ProjectOperator {
- public:
-  Status Init(const format::Schema& schema,
-              const std::vector<std::string>& columns);
-
-  bool active() const { return !columns_.empty(); }
-  const std::vector<int>& columns() const { return columns_; }
-
-  format::Row Apply(const format::Row& row) const;
-
- private:
-  std::vector<int> columns_;
-};
 
 /// \brief Grouped-aggregation operator: accumulates per-group running
 /// state (COUNT/SUM/MIN/MAX/AVG) and merges partial states produced by
@@ -97,22 +96,11 @@ class AggregateOperator {
               const std::vector<std::string>& group_by,
               const std::vector<AggregateSpec>& aggregates);
 
-  /// Accumulate one (already filtered) row: the row-at-a-time reference
-  /// the batch entry points are tested against.
-  void Consume(const format::Row& row);
-
-  /// Accumulate the rows `selection` picks out of decoded column chunks
-  /// (`columns` by schema index; a null chunk reads as all NULL), in
-  /// selection order — the same group states, additions and comparisons,
-  /// in the same order, as Consume over the rows those chunks make, so a
-  /// double SUM stays bit-identical. A single dictionary-encoded group
-  /// column resolves its group once per code.
-  void ConsumeBatch(std::span<const format::ColumnChunkPtr> columns,
-                    std::span<const uint32_t> selection);
-
-  /// Accumulate joined rows in place, in order, as Consume would over the
-  /// rows they make.
-  void ConsumeRows(const ChunkRows& rows);
+  /// Accumulate `rows` (already filtered), in order. A single group
+  /// column read from side 0 of a dictionary chunk resolves its group once
+  /// per code: every row of the batch reads that one chunk. Any other
+  /// group key is encoded per row.
+  void Consume(const ChunkRows& rows);
 
   /// Fold another operator's partial state into this one. Both must have
   /// been Init-ed from the same schema and specs; `other` is consumed.
@@ -125,6 +113,10 @@ class AggregateOperator {
 
   /// Rows consumed so far (feeds the per-operator row counters).
   uint64_t rows_consumed() const { return rows_consumed_; }
+  /// The schema columns it reads: the group columns, then each
+  /// aggregate's input column (-1 for COUNT(*)).
+  const std::vector<int>& group_columns() const { return group_cols_; }
+  const std::vector<int>& aggregate_columns() const { return agg_cols_; }
 
  private:
   /// One aggregate's running state, indexed by group id. `sums` is kept
@@ -142,8 +134,8 @@ class AggregateOperator {
   /// column i)`), created with row t's key cells on first sight.
   template <typename CellAt>
   uint32_t GroupOf(size_t t, const CellAt& cell);
-  /// The one accumulate step of every entry point but COUNT(*): fold
-  /// input `cell` of aggregate `a` into group `g`.
+  /// The one accumulate step but COUNT(*): fold input `cell` of
+  /// aggregate `a` into group `g`.
   void Accumulate(uint32_t g, size_t a, const Cell& cell);
   /// Fold `n` input rows, in order: row t joins group `group(t)`, and
   /// aggregate a reads `cell(t, its column)` (COUNT(*) reads none).

@@ -162,12 +162,6 @@ Predicate Predicate::In(std::string column,
   if (!p.in_list.empty()) p.literal = p.in_list.front();
   return p;
 }
-Predicate Predicate::IsNull(std::string column) {
-  return Predicate{std::move(column), CompareOp::kIsNull, {}, {}};
-}
-Predicate Predicate::IsNotNull(std::string column) {
-  return Predicate{std::move(column), CompareOp::kIsNotNull, {}, {}};
-}
 
 bool Predicate::Matches(const format::Value& v) const {
   if (op == CompareOp::kIsNull) return format::IsNull(v);
@@ -328,16 +322,6 @@ bool PredicateMayMatchRange(const Predicate& predicate,
     case CompareOp::kIsNull:
     case CompareOp::kIsNotNull:
       return true;  // a value range says nothing about NULLs
-  }
-  return true;
-}
-
-bool Conjunction::Matches(const format::Schema& schema,
-                          const format::Row& row) const {
-  for (const Predicate& predicate : predicates_) {
-    int col = schema.FieldIndex(predicate.column);
-    if (col < 0) return false;  // unknown column matches nothing
-    if (!predicate.Matches(row.fields[col])) return false;
   }
   return true;
 }

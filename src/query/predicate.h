@@ -35,8 +35,6 @@ struct Predicate {
   static Predicate Eq(std::string column, format::Value v);
   static Predicate Ne(std::string column, format::Value v);
   static Predicate In(std::string column, std::vector<format::Value> values);
-  static Predicate IsNull(std::string column);
-  static Predicate IsNotNull(std::string column);
 
   /// Evaluate against one value of the predicate's column.
   bool Matches(const format::Value& v) const;
@@ -60,10 +58,6 @@ class Conjunction {
   void Add(Predicate predicate) { predicates_.push_back(std::move(predicate)); }
   const std::vector<Predicate>& predicates() const { return predicates_; }
   bool empty() const { return predicates_.empty(); }
-
-  /// Row-level evaluation, for the reference executor: the scan and the
-  /// rewrites evaluate a BoundConjunction over column chunks instead.
-  bool Matches(const format::Schema& schema, const format::Row& row) const;
 
   /// Stats-level pruning: can any row with `column` in [min, max] match?
   /// Conservative — returns true when unsure. `row_count` (the number of

@@ -17,6 +17,9 @@ struct AggregateSpec {
   std::string alias;
 
   static AggregateSpec CountStar(std::string alias = "count");
+  /// COUNT(column), SUM, MIN, MAX and AVG; an empty alias names the result
+  /// `func(column)`, as SQL does.
+  static AggregateSpec Count(std::string column, std::string alias = "");
   static AggregateSpec Sum(std::string column, std::string alias = "");
   static AggregateSpec Min(std::string column, std::string alias = "");
   static AggregateSpec Max(std::string column, std::string alias = "");

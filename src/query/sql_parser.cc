@@ -305,25 +305,18 @@ class Parser {
       where->Add(Predicate::Le(column, std::move(hi)));
       return Status::OK();
     }
-    CompareOp op;
-    if (AcceptSymbol("=")) {
-      op = CompareOp::kEq;
-    } else if (AcceptSymbol("!=") || AcceptSymbol("<>")) {
-      op = CompareOp::kNe;
-    } else if (AcceptSymbol("<=")) {
-      op = CompareOp::kLe;
-    } else if (AcceptSymbol(">=")) {
-      op = CompareOp::kGe;
-    } else if (AcceptSymbol("<")) {
-      op = CompareOp::kLt;
-    } else if (AcceptSymbol(">")) {
-      op = CompareOp::kGt;
-    } else {
-      return ErrorHere("expected comparison operator");
+    using Make = Predicate (*)(std::string, format::Value);
+    static const std::pair<std::string_view, Make> kOps[] = {
+        {"=", Predicate::Eq},  {"!=", Predicate::Ne}, {"<>", Predicate::Ne},
+        {"<=", Predicate::Le}, {">=", Predicate::Ge}, {"<", Predicate::Lt},
+        {">", Predicate::Gt}};
+    for (const auto& [symbol, make] : kOps) {
+      if (!AcceptSymbol(symbol)) continue;
+      SL_ASSIGN_OR_RETURN(format::Value literal, ParseLiteral());
+      where->Add(make(column, std::move(literal)));
+      return Status::OK();
     }
-    SL_ASSIGN_OR_RETURN(format::Value literal, ParseLiteral());
-    where->Add(Predicate{column, op, std::move(literal), {}});
-    return Status::OK();
+    return ErrorHere("expected comparison operator");
   }
 
   /// `col IN (SELECT col FROM t [alias] [WHERE literal-preds])`, the
@@ -446,31 +439,26 @@ class Parser {
     QuerySpec& spec = statement->select;
     if (AcceptSymbol("*")) return Status::OK();  // all columns
 
-    static const std::pair<std::string_view, AggregateSpec::Func> kAggs[] = {
-        {"COUNT", AggregateSpec::Func::kCount},
-        {"SUM", AggregateSpec::Func::kSum},
-        {"MIN", AggregateSpec::Func::kMin},
-        {"MAX", AggregateSpec::Func::kMax},
-        {"AVG", AggregateSpec::Func::kAvg},
+    using Make = AggregateSpec (*)(std::string, std::string);
+    static const std::pair<std::string_view, Make> kAggs[] = {
+        {"COUNT", AggregateSpec::Count}, {"SUM", AggregateSpec::Sum},
+        {"MIN", AggregateSpec::Min},     {"MAX", AggregateSpec::Max},
+        {"AVG", AggregateSpec::Avg},
     };
-    for (const auto& [name, func] : kAggs) {
+    for (const auto& [name, make] : kAggs) {
       if (Peek().kind == TokenKind::kIdent && Peek().text == name &&
           Peek(1).kind == TokenKind::kSymbol && Peek(1).text == "(") {
         Next();  // agg name
         Next();  // (
         AggregateSpec agg;
-        agg.func = func;
         if (AcceptSymbol("*")) {
-          if (func != AggregateSpec::Func::kCount) {
+          if (name != "COUNT") {
             return Status::InvalidArgument("only COUNT accepts *");
           }
-          agg.alias = "count";
+          agg = AggregateSpec::CountStar();
         } else {
-          SL_ASSIGN_OR_RETURN(agg.column, ParseColumnRef());
-          std::string lower_name(name);
-          std::transform(lower_name.begin(), lower_name.end(),
-                         lower_name.begin(), ::tolower);
-          agg.alias = lower_name + "(" + agg.column + ")";
+          SL_ASSIGN_OR_RETURN(std::string column, ParseColumnRef());
+          agg = make(std::move(column), "");
         }
         SL_RETURN_NOT_OK(ExpectSymbol(")"));
         if (Accept("AS")) {

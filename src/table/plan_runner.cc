@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <iterator>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -19,56 +20,31 @@ uint64_t MonotonicNanos() {
           .count());
 }
 
-/// Columns the output stage `spec` reads from rows of `schema`: group-by +
-/// aggregate inputs, or the projection; SELECT * (no aggregates, no
-/// projection) needs every column. Unknown names are dropped — the
-/// executor reports them as errors.
-ColumnSelection RequiredColumns(const format::Schema& schema,
-                                const query::QuerySpec& spec) {
-  if (spec.aggregates.empty() && spec.projection.empty()) {
-    return ColumnSelection::All();
-  }
-  std::set<int> cols;
-  auto add = [&](const std::string& name) {
-    int idx = schema.FieldIndex(name);
-    if (idx >= 0) cols.insert(idx);
-  };
-  if (spec.aggregates.empty()) {
-    for (const std::string& c : spec.projection) add(c);
-  } else {
-    for (const std::string& c : spec.group_by) add(c);
-    for (const query::AggregateSpec& agg : spec.aggregates) {
-      if (!agg.column.empty()) add(agg.column);
-    }
-  }
-  return ColumnSelection::Of(std::vector<int>(cols.begin(), cols.end()));
-}
-
 /// The output stage: one query::Executor per fragment, fed by that
 /// fragment's scan job, folded with MergeFrom in file order by Finalize.
 /// ORDER BY / LIMIT run once after the merge and float SUMs fold in file
 /// order, so the result is byte-identical however the jobs were scheduled.
 /// An aggregate query folds each batch straight from its chunks; a
-/// projection or SELECT * builds rows of the columns it returns.
+/// projection or SELECT * builds rows of the columns it returns. Every
+/// fragment starts as a copy of the merge target, so the spec's columns
+/// are resolved once.
 class ExecutorSink : public RowSink {
  public:
   ExecutorSink(const format::Schema& schema, const query::QuerySpec& spec)
-      : schema_(schema),
-        spec_(spec),
+      : merged_(schema, spec),
+        aggregate_(!spec.aggregates.empty()),
         sources_(query::OneSideSources(schema.num_fields())) {}
+
+  /// The merge target, before any fragment folded into it.
+  const query::Executor& target() const { return merged_; }
 
   void Open(size_t fragments) override {
     fragments_.reserve(fragments);
-    for (size_t i = 0; i < fragments; ++i) {
-      fragments_.emplace_back(schema_, spec_);
-    }
+    for (size_t i = 0; i < fragments; ++i) fragments_.push_back(merged_);
   }
   Status Consume(size_t fragment, const ScannedGroup& group) override {
-    if (!spec_.aggregates.empty()) {
-      return fragments_[fragment].ConsumeBatch(group.chunks, group.selection,
-                                               group.visible_rows);
-    }
-    return ConsumeRows(fragment, group.Selected(sources_),
+    return ConsumeRows(fragment,
+                       {sources_, group.chunks, group.selection, 1, {}},
                        group.visible_rows, group.metrics);
   }
 
@@ -77,24 +53,23 @@ class ExecutorSink : public RowSink {
   /// (when non-null) as materialized.
   Status ConsumeRows(size_t fragment, const query::ChunkRows& rows,
                      uint64_t scanned, SelectMetrics* metrics) {
-    if (spec_.aggregates.empty() && metrics != nullptr) {
+    if (!aggregate_ && metrics != nullptr) {
       metrics->rows_materialized += rows.size();
     }
-    return fragments_[fragment].ConsumeRows(rows, scanned);
+    return fragments_[fragment].Consume(rows, scanned);
   }
 
   /// Merge the fragments in file order and produce the result.
   Result<query::QueryResult> Finalize() {
-    query::Executor executor(schema_, spec_);
     for (query::Executor& fragment : fragments_) {
-      SL_RETURN_NOT_OK(executor.MergeFrom(std::move(fragment)));
+      SL_RETURN_NOT_OK(merged_.MergeFrom(std::move(fragment)));
     }
-    return executor.Finalize();
+    return merged_.Finalize();
   }
 
  private:
-  const format::Schema& schema_;
-  const query::QuerySpec& spec_;
+  query::Executor merged_;
+  const bool aggregate_;
   const std::vector<query::ColumnSource> sources_;
   std::vector<query::Executor> fragments_;
 };
@@ -191,12 +166,20 @@ class ProbeSink : public RowSink {
 
   void Open(size_t fragments) override { out_->Open(fragments); }
   Status Consume(size_t fragment, const ScannedGroup& group) override {
-    query::ChunkRows rows = group.Selected(sources_);
+    // Side 0 stays the group's chunks; each join keeps, per row that
+    // passed it, its side-0 row and its build rows.
+    std::span<const uint32_t> probe = group.selection;
+    std::vector<uint32_t> probe_rows, next_probe;
+    std::vector<query::ChunkRef> builds, next_builds;
+    size_t sides = 1;
     query::KeyEncoder key;
     for (size_t j = 0; j < joins_.size(); ++j) {
       const query::Plan::Join& join = joins_[j];
       const BuildSide& build = builds_[j];
-      query::ChunkRows next{sources_, rows.sides + (join.semi ? 0 : 1), {}};
+      const query::ChunkRows rows{sources_, group.chunks, probe, sides,
+                                  builds};
+      next_probe.clear();
+      next_builds.clear();
       for (size_t t = 0; t < rows.size(); ++t) {
         const format::ColumnChunkData* chunk = rows.chunk(t, join.probe_col);
         const uint32_t r = rows.row(t, join.probe_col);
@@ -205,19 +188,28 @@ class ProbeSink : public RowSink {
         key.Add(chunk, r);
         const uint32_t id = build.keys.Find(key.bytes());
         if (id == query::KeyTable::kNotFound) continue;
-        const auto row = rows.refs.begin() + t * rows.sides;
+        const auto row = builds.begin() + t * (sides - 1);
+        const auto keep = [&] {
+          next_probe.push_back(probe[t]);
+          next_builds.insert(next_builds.end(), row, row + (sides - 1));
+        };
         if (join.semi) {
-          next.refs.insert(next.refs.end(), row, row + rows.sides);
+          keep();
           continue;
         }
         for (uint32_t b = build.starts[id]; b < build.starts[id + 1]; ++b) {
-          next.refs.insert(next.refs.end(), row, row + rows.sides);
-          next.refs.push_back(build.rows[b]);
+          keep();
+          next_builds.push_back(build.rows[b]);
         }
       }
-      rows = std::move(next);
+      if (!join.semi) ++sides;
+      probe_rows.swap(next_probe);
+      builds.swap(next_builds);
+      probe = probe_rows;
     }
-    return out_->ConsumeRows(fragment, rows, rows.size(), group.metrics);
+    return out_->ConsumeRows(fragment,
+                             {sources_, group.chunks, probe, sides, builds},
+                             probe.size(), group.metrics);
   }
 
  private:
@@ -258,16 +250,20 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
     if (!joins[j].semi) add_origin(j + 1);
   }
 
+  // The output stage resolves its columns before any file is read: an
+  // unknown one fails the query here.
+  ExecutorSink output(plan.row_schema, plan.output);
+  SL_RETURN_NOT_OK(output.target().status());
+
   // Late materialization: each scan decodes only the columns the pipeline
   // above it touches — the output stage's inputs and the join keys. The
   // scans add their own filter columns.
-  const ColumnSelection output_required =
-      RequiredColumns(plan.row_schema, plan.output);
+  const std::optional<std::vector<int>> inputs =
+      output.target().InputColumns();
   std::vector<ColumnSelection> required(plan.scans.size(),
                                         ColumnSelection::All());
-  if (!output_required.all) {
-    std::set<int> joined_cols(output_required.columns.begin(),
-                              output_required.columns.end());
+  if (inputs.has_value()) {
+    std::set<int> joined_cols(inputs->begin(), inputs->end());
     std::vector<std::set<int>> cols(plan.scans.size());
     for (size_t j = 0; j < joins.size(); ++j) {
       joined_cols.insert(joins[j].probe_col);
@@ -308,7 +304,6 @@ Result<query::QueryResult> RunPlan(std::span<const PinnedTable> tables,
   // Probe phase: row groups stream through the chain on the pool threads
   // into one output-stage executor per fragment, merged in file order by
   // Finalize. Without a join the scan feeds the output stage directly.
-  ExecutorSink output(plan.row_schema, plan.output);
   ProbeSink probe_sink(joins, builds, sources, &output);
   RowSink* sink = joins.empty() ? static_cast<RowSink*>(&output) : &probe_sink;
   const PinnedTable& probe = tables[0];

@@ -380,14 +380,6 @@ bool Table::FullyCovered(const TableInfo& info, const DataFileMeta& file,
   return true;
 }
 
-query::ChunkRows ScannedGroup::Selected(
-    std::span<const query::ColumnSource> sources) const {
-  query::ChunkRows rows{sources, 1, {}};
-  rows.refs.reserve(selection.size());
-  for (uint32_t r : selection) rows.refs.push_back({chunks.data(), r});
-  return rows;
-}
-
 void SelectMetrics::Merge(const SelectMetrics& other) {
   files_scanned += other.files_scanned;
   files_skipped += other.files_skipped;

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/mutex.h"
-#include "query/operators.h"
+#include "query/spec.h"
 #include "sim/clock.h"
 #include "sim/network_model.h"
 #include "storage/object_store.h"
@@ -119,8 +119,8 @@ struct ColumnFooterStats {
 /// One scanned row group as the scan hands it on: the decoded column
 /// chunks and a selection vector, not rows. Consumers that fold columns
 /// (the batch aggregate, the merge-on-read delete count, the rewrites'
-/// gather into a format::ColumnBatch) read the chunks through `selection`;
-/// the projection builds rows from Selected().
+/// gather into a format::ColumnBatch) read the chunks through `selection`,
+/// and so does the output stage: side 0 of a query::ChunkRows batch.
 struct ScannedGroup {
   /// Decoded chunks by schema index, null where nothing was decoded. When
   /// `selection` is non-empty every output and filter column is set.
@@ -132,10 +132,6 @@ struct ScannedGroup {
   /// The scan's metrics (rows a consumer builds from the group count into
   /// them); null counts nothing.
   SelectMetrics* metrics = nullptr;
-
-  /// The selected rows, in order, held in place in `chunks` (one side) and
-  /// read through `sources`.
-  query::ChunkRows Selected(std::span<const query::ColumnSource> sources) const;
 };
 
 /// \brief Receiver of ScanInto's output. One fragment per pruned-in data

@@ -19,7 +19,8 @@
 #include "common/random.h"
 #include "common/threadpool.h"
 #include "format/lakefile.h"
-#include "query/executor.h"
+#include "oracle/oracle.h"
+#include "query/operators.h"
 #include "table/block_cache.h"
 #include "table/lakehouse.h"
 
@@ -278,6 +279,30 @@ TEST(ColumnarScanTest, NarrowSelectDecodesOnlyRequiredColumns) {
   }
 }
 
+TEST(ColumnarScanTest, UnknownOutputColumnFailsBeforeAnyFileIsRead) {
+  ColumnarFixture f;
+  auto table = f.lakehouse->CreateTable("wide", WideSchema(),
+                                        PartitionSpec::None());
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->Insert(RandomRows(300, /*seed=*/3,
+                                          /*distinct_tags=*/4)).ok());
+  query::QuerySpec projection;
+  projection.projection = {"id", "nope"};
+  query::QuerySpec group;
+  group.group_by = {"nope"};
+  group.aggregates = {query::AggregateSpec::CountStar()};
+  query::QuerySpec aggregate;
+  aggregate.aggregates = {query::AggregateSpec::Sum("nope")};
+  for (const query::QuerySpec& spec : {projection, group, aggregate}) {
+    SelectMetrics m;
+    auto result = (*table)->Select(spec, {}, &m);
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+    EXPECT_EQ(m.data_bytes_read, 0u);
+    EXPECT_EQ(m.files_scanned, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The selection vector composes with merge-on-read delete masks: a deleted
 // row must neither match nor be counted as visible.
@@ -452,8 +477,8 @@ std::vector<query::Predicate> KernelPredicates(
     out.push_back(query::Predicate::Eq("c", lit));
     out.push_back(query::Predicate::Ne("c", lit));
   }
-  out.push_back(query::Predicate::IsNull("c"));
-  out.push_back(query::Predicate::IsNotNull("c"));
+  out.push_back(query::Predicate{"c", query::CompareOp::kIsNull, {}, {}});
+  out.push_back(query::Predicate{"c", query::CompareOp::kIsNotNull, {}, {}});
   out.push_back(query::Predicate::In("c", literals));
   std::vector<format::Value> with_null = {format::Value(std::monostate{})};
   with_null.insert(with_null.end(), literals.begin(), literals.begin() + 2);
@@ -585,8 +610,9 @@ TEST(FilterKernelDeathTest, MismatchedLiteralTakesTheRowFallback) {
 // ---------------------------------------------------------------------------
 // Batch aggregation: Table::Select folds scanned batches into the group
 // state without building rows. Its result must equal, byte for byte, the
-// row executor (query::Executor::Consume, WHERE evaluated per row) run over
-// the same visible rows, one executor per data file merged in file order.
+// row-at-a-time reference (oracle::RowExecutor, WHERE evaluated per row)
+// run over the same visible rows, one fragment per data file merged in
+// file order.
 
 format::Schema AggSchema() {
   return format::Schema{{"g", format::DataType::kString},   // dictionary
@@ -675,8 +701,11 @@ query::Predicate AggPredicate(Random* rng) {
           name, {AggLiteral(column, rng), AggLiteral(column, rng),
                  format::Value(std::monostate{})});
     case 6:
-      return rng->OneIn(2) ? query::Predicate::IsNull(name)
-                           : query::Predicate::IsNotNull(name);
+      return query::Predicate{name,
+                              rng->OneIn(2) ? query::CompareOp::kIsNull
+                                            : query::CompareOp::kIsNotNull,
+                              {},
+                              {}};
     default:
       return query::Predicate::Eq(name, AggLiteral(column, rng));
   }
@@ -742,7 +771,9 @@ class FragmentRows : public RowSink {
   Status Consume(size_t fragment, const ScannedGroup& group) override {
     const std::vector<query::ColumnSource> sources =
         query::OneSideSources(group.chunks.size());
-    for (format::Row& row : group.Selected(sources).Rows()) {
+    const query::ChunkRows selected{sources, group.chunks, group.selection,
+                                    1, {}};
+    for (format::Row& row : selected.Rows()) {
       fragments[fragment].push_back(std::move(row));
     }
     return Status::OK();
@@ -781,13 +812,11 @@ TEST(BatchAggregateTest, SelectMatchesRowExecutorByteForByte) {
   int nonempty = 0;
   for (int q = 0; q < 150; ++q) {
     const query::QuerySpec spec = AggSpec(&rng);
-    query::Executor oracle(info->schema, spec);
+    oracle::RowExecutor reference(info->schema, spec);
     for (const std::vector<format::Row>& rows : visible.fragments) {
-      query::Executor fragment(info->schema, spec);
-      ASSERT_TRUE(fragment.Consume(rows).ok());
-      ASSERT_TRUE(oracle.MergeFrom(std::move(fragment)).ok());
+      reference.ConsumeFragment(rows);
     }
-    auto expect = oracle.Finalize();
+    auto expect = reference.Finalize();
     ASSERT_TRUE(expect.ok());
     SelectMetrics m;
     auto got = table->Select(spec, {}, &m);

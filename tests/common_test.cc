@@ -274,7 +274,7 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   for (int i = 0; i < 100; ++i) {
     pool.Submit([&counter] { counter.fetch_add(1); });
   }
-  pool.Wait();
+  pool.Shutdown();  // drains the queue
   EXPECT_EQ(counter.load(), 100);
 }
 

@@ -196,14 +196,13 @@ TEST(LakeFileTest, ReadSingleColumn) {
   auto reader = LakeFileReader::Open(std::move(*file));
   ASSERT_TRUE(reader.ok());
 
-  auto col = reader->ReadColumn(0, 1);  // start_time
+  auto col = reader->ReadColumnChunk(0, 1);  // start_time
   ASSERT_TRUE(col.ok());
-  const auto& times = std::get<std::vector<int64_t>>(*col);
-  ASSERT_EQ(times.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(times[i], i);
+  ASSERT_EQ(col->num_rows, 50u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(col->ValueAt(i), Value(int64_t{i}));
 
-  EXPECT_TRUE(reader->ReadColumn(0, 99).status().IsInvalidArgument());
-  EXPECT_TRUE(reader->ReadColumn(9, 0).status().IsInvalidArgument());
+  EXPECT_TRUE(reader->ReadColumnChunk(0, 99).status().IsInvalidArgument());
+  EXPECT_TRUE(reader->ReadColumnChunk(9, 0).status().IsInvalidArgument());
 }
 
 TEST(LakeFileTest, ColumnarBeatsRowFormatOnSize) {
@@ -255,7 +254,7 @@ TEST(LakeFileTest, ChunkCrcDetectsPayloadCorruption) {
   corrupted[20] ^= 0xFF;
   auto reader = LakeFileReader::Open(std::move(corrupted));
   ASSERT_TRUE(reader.ok());  // footer still parses
-  EXPECT_TRUE(reader->ReadColumn(0, 0).status().IsCorruption());
+  EXPECT_TRUE(reader->ReadColumnChunk(0, 0).status().IsCorruption());
 }
 
 TEST(LakeFileTest, WriterCannotBeReusedAfterFinish) {

@@ -19,6 +19,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/threadpool.h"
+#include "oracle/oracle.h"
 #include "query/plan.h"
 #include "query/sql_parser.h"
 #include "table/block_cache.h"
@@ -293,7 +294,7 @@ TEST(JoinParserTest, RejectsUnsupportedSubqueryShapes) {
 // The key rule.
 
 TEST(KeyLessTest, LexicographicWithShortPrefixFirst) {
-  format::KeyLess less;
+  oracle::KeyLess less;
   std::vector<format::Value> a{format::Value(int64_t{1}),
                                format::Value(std::string("b"))};
   std::vector<format::Value> b{format::Value(int64_t{1}),
@@ -310,7 +311,7 @@ TEST(KeyLessTest, LexicographicWithShortPrefixFirst) {
 }
 
 TEST(KeyLessTest, NanZerosAndNullFormOneTotalOrder) {
-  format::KeyLess less;
+  oracle::KeyLess less;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const format::Value null{std::monostate{}};
   // NULL first, then the numbers, then NaN; each step strictly less.
@@ -340,7 +341,7 @@ TEST(KeyLessTest, NanZerosAndNullFormOneTotalOrder) {
   EXPECT_FALSE(less((std::vector<format::Value>{format::Value(-0.0), null}),
                     (std::vector<format::Value>{format::Value(0.0), null})));
   // The distinct keys are what a LakeFile's stats count as its NDV.
-  std::set<format::Value, format::KeyLess> distinct;
+  std::set<format::Value, oracle::KeyLess> distinct;
   for (double v : {nan, 10.0, -nan, 10.0, -0.0, 0.0}) {
     distinct.insert(format::Value(v));
   }
@@ -893,8 +894,8 @@ TEST(KeyOrderTest, ResultsIgnoreInputOrderAndFileSplit) {
     }
     if (matched) want["in"].push_back({p.fields[kV]});
   }
-  std::sort(want["join"].begin(), want["join"].end(), format::KeyLess());
-  std::sort(want["in"].begin(), want["in"].end(), format::KeyLess());
+  std::sort(want["join"].begin(), want["join"].end(), oracle::KeyLess());
+  std::sort(want["in"].begin(), want["in"].end(), oracle::KeyLess());
   ASSERT_EQ(want["group_k"].size(), 6u);  // NULL -2 0 1.5 3 NaN
   ASSERT_EQ(std::get<int64_t>(want["group_k"].back()[1]), 9);  // the NaNs
   ASSERT_EQ(want["join"].size(), 33u);  // 9 zeros x 2, 9 NaNs, 6 x 1.5
@@ -945,7 +946,7 @@ TEST(KeyOrderTest, ResultsIgnoreInputOrderAndFileSplit) {
         if (what == "join" || what == "in") {  // no ORDER BY: sort here
           std::sort(result->rows.begin(), result->rows.end(),
                     [](const format::Row& x, const format::Row& y) {
-                      return format::KeyLess()(x.fields, y.fields);
+                      return oracle::KeyLess()(x.fields, y.fields);
                     });
         }
         ExpectSameRows(result->rows, want[what],
@@ -1133,7 +1134,7 @@ TEST(JoinTest, HashJoinEqualsNestedLoopReference) {
           double sum = 0;
           std::vector<KeyRow> rows;
         };
-        std::map<format::Value, Agg, format::KeyLess> groups;
+        std::map<format::Value, Agg, oracle::KeyLess> groups;
         for (const KeyRow& pr : p) {
           for (const KeyRow& br : b) {
             if (!KeysMatch(pr[0], br[0])) continue;
@@ -1172,6 +1173,108 @@ TEST(JoinTest, HashJoinEqualsNestedLoopReference) {
   }
 }
 
+// GROUP BY over a join resolves a single dictionary group column once per
+// code only when it reads side 0, the probe row, whose chunks are one
+// scanned group's. A build-side column reads chunks of any build file, and
+// here two build files hold different dictionaries, so one code means
+// different values. Every query must equal the row-at-a-time reference
+// over the nested-loop join rows, byte for byte: the first row's key cells
+// (NaN payloads, -0.0) and the first of equal MIN/MAX values included.
+TEST(JoinTest, GroupByOverJoinEqualsOracleOnEitherSide) {
+  const format::Schema facts_schema{{"ftag", format::DataType::kString},
+                                    {"fk", format::DataType::kInt64},
+                                    {"fx", format::DataType::kDouble},
+                                    {"fv", format::DataType::kInt64}};
+  const format::Schema dims_schema{{"dk", format::DataType::kInt64},
+                                   {"dtag", format::DataType::kString},
+                                   {"dx", format::DataType::kDouble}};
+  std::vector<format::Field> joined_fields = facts_schema.fields();
+  for (const format::Field& f : dims_schema.fields()) {
+    joined_fields.push_back(f);
+  }
+  const format::Schema joined(joined_fields);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double doubles[] = {nan, -nan, -0.0, 0.0, 1.5, -2.0};
+  Random rng(27);
+  auto maybe_null = [&](format::Value v, uint64_t one_in) {
+    return rng.OneIn(one_in) ? format::Value(std::monostate{}) : v;
+  };
+  std::vector<format::Row> facts;
+  for (int64_t i = 0; i < 128; ++i) {
+    const char* tags[] = {"p", "q", "r"};
+    facts.push_back(format::Row{
+        {maybe_null(format::Value(std::string(tags[rng.Uniform(3)])), 10),
+         maybe_null(format::Value(rng.UniformRange(0, 5)), 12),
+         format::Value(doubles[rng.Uniform(6)]), format::Value(i)}});
+  }
+  // Two build commits, so two files, over different tag sets: their
+  // dictionaries disagree on what each code means.
+  std::vector<std::vector<format::Row>> dims(2);
+  const std::vector<std::vector<std::string>> dim_tags = {{"b", "a"},
+                                                          {"c", "b"}};
+  for (size_t commit = 0; commit < 2; ++commit) {
+    for (int i = 0; i < 40; ++i) {
+      const std::vector<std::string>& tags = dim_tags[commit];
+      dims[commit].push_back(format::Row{
+          {format::Value(rng.UniformRange(0, 5)),
+           maybe_null(format::Value(tags[rng.Uniform(tags.size())]), 10),
+           format::Value(doubles[rng.Uniform(6)])}});
+    }
+  }
+
+  const std::string from =
+      " FROM facts f JOIN dims d ON f.fk = d.dk GROUP BY ";
+  const std::string aggregates =
+      ", COUNT(*) AS c, SUM(f.fv) AS s, MIN(f.fx) AS lo, MAX(d.dx) AS hi";
+  for (int scan_threads : {0, 4}) {
+    JoinFixture f(scan_threads, /*cache_bytes=*/64ULL << 20,
+                  /*max_rows_per_file=*/64);
+    auto facts_table =
+        f.lakehouse->CreateTable("facts", facts_schema, PartitionSpec::None());
+    ASSERT_TRUE(facts_table.ok()) << facts_table.status().ToString();
+    ASSERT_TRUE((*facts_table)->Insert(facts).ok());
+    auto dims_table =
+        f.lakehouse->CreateTable("dims", dims_schema, PartitionSpec::None());
+    ASSERT_TRUE(dims_table.ok()) << dims_table.status().ToString();
+    for (const std::vector<format::Row>& rows : dims) {
+      ASSERT_TRUE((*dims_table)->Insert(rows).ok());
+    }
+    // The join rows in the executor's order: probe rows in scan order,
+    // each followed by its build rows in scan order.
+    std::vector<format::Row> join_rows;
+    for (const KeyRow& pr : ScanOrder(f, "facts")) {
+      for (const KeyRow& br : ScanOrder(f, "dims")) {
+        if (!KeysMatch(pr[1], br[0])) continue;
+        KeyRow row = pr;
+        row.insert(row.end(), br.begin(), br.end());
+        join_rows.push_back(format::Row{row});
+      }
+    }
+    ASSERT_GT(join_rows.size(), 200u);
+    for (const auto& [qualified, column] :
+         {std::pair{"f.ftag", "ftag"}, std::pair{"d.dtag", "dtag"},
+          std::pair{"f.fx", "fx"}, std::pair{"d.dx", "dx"}}) {
+      const std::string sql = std::string("SELECT ") + qualified + aggregates +
+                              from + qualified;
+      query::QuerySpec spec;
+      spec.group_by = {column};
+      spec.aggregates = {query::AggregateSpec::CountStar("c"),
+                         query::AggregateSpec::Sum("fv", "s"),
+                         query::AggregateSpec::Min("fx", "lo"),
+                         query::AggregateSpec::Max("dx", "hi")};
+      auto want = oracle::Execute(joined, join_rows, spec);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      auto got = f.Sql(sql);
+      ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+      std::vector<KeyRow> want_rows;
+      for (const format::Row& row : want->rows) want_rows.push_back(row.fields);
+      ExpectIdenticalRows(got->rows, want_rows,
+                          sql + ", " + std::to_string(scan_threads) +
+                              " threads");
+    }
+  }
+}
+
 TEST(JoinTest, GroupByManyGroupsEqualsKeyLessReference) {
   const format::Schema schema{{"k", format::DataType::kInt64},
                               {"s", format::DataType::kString},
@@ -1198,7 +1301,7 @@ TEST(JoinTest, GroupByManyGroupsEqualsKeyLessReference) {
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     ASSERT_TRUE((*table)->Insert(rows).ok());
     for (const auto& [sql, cols] : queries) {
-      std::map<KeyRow, std::pair<int64_t, double>, format::KeyLess> want;
+      std::map<KeyRow, std::pair<int64_t, double>, oracle::KeyLess> want;
       for (const format::Row& row : rows) {
         KeyRow key;
         for (int c : cols) key.push_back(row.fields[c]);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "lakebrain/compaction.h"
+#include "oracle/oracle.h"
 #include "table/lakehouse.h"
 #include "lakebrain/dqn.h"
 #include "lakebrain/mlp.h"
@@ -293,7 +294,7 @@ TEST(SpnTest, ConjunctionsOfIndependentColumnsMultiply) {
   // True joint ~ 0.5 * 6/11 = 0.27.
   double truth = 0;
   for (const format::Row& row : rows) {
-    if (combo.Matches(schema, row)) truth += 1;
+    if (oracle::Matches(combo, schema, row)) truth += 1;
   }
   truth /= rows.size();
   EXPECT_NEAR(spn->EstimateSelectivity(combo), truth, 0.08);
@@ -340,7 +341,7 @@ TEST(SpnTest, WorkloadAccuracySweep) {
     query::QuerySpec spec = queries.NextQuery();
     double truth = 0;
     for (const format::Row& row : rows) {
-      if (spec.where.Matches(schema, row)) truth += 1;
+      if (oracle::Matches(spec.where, schema, row)) truth += 1;
     }
     truth /= rows.size();
     total_abs_error += std::fabs(spn->EstimateSelectivity(spec.where) - truth);
@@ -381,7 +382,8 @@ TEST(SpnTest, FooterPriorsSmoothZeroEstimates) {
   EXPECT_LE(sel, 1.0 / 1000 + 1e-12);
 
   // IS NULL: the sample has no NULLs, so only the prior can answer.
-  query::Conjunction isnull{query::Predicate::IsNull("x")};
+  query::Conjunction isnull{
+      query::Predicate{"x", query::CompareOp::kIsNull, {}, {}}};
   EXPECT_EQ(plain->EstimateSelectivity(isnull), 0.0);
   double null_sel = smoothed->EstimateSelectivity(isnull);
   EXPECT_GT(null_sel, 0.0);
@@ -460,7 +462,7 @@ TEST(QdTreeTest, PartitionsRoutesAndSkips) {
     std::vector<int> matching = tree->MatchingLeaves(where);
     std::set<int> matching_set(matching.begin(), matching.end());
     for (const format::Row& row : rows) {
-      if (where.Matches(schema, row)) {
+      if (oracle::Matches(where, schema, row)) {
         ASSERT_TRUE(matching_set.count(tree->AssignRow(row)))
             << "row matched query but its leaf was skipped";
       }
@@ -539,7 +541,7 @@ TEST(PartitionAdvisorTest, EmptyTableRejected) {
       "empty", workload::TpchLineitemGenerator::Schema(),
       table::PartitionSpec::None());
   ASSERT_TRUE(created.ok());
-  PartitionAdvisor advisor;
+  PartitionAdvisor advisor{PartitionAdvisor::Options()};
   EXPECT_TRUE(advisor.Advise(*created, {}).status().IsInvalidArgument());
 }
 

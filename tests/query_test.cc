@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "common/random.h"
+#include "format/lakefile.h"
+#include "oracle/oracle.h"
 #include "query/executor.h"
 #include "query/keys.h"
 #include "query/predicate.h"
@@ -23,6 +25,72 @@ format::Row LogRow(const std::string& url, int64_t t,
   format::Row row;
   row.fields = {format::Value(url), format::Value(t), format::Value(province)};
   return row;
+}
+
+/// `rows` as a scan hands them on: written as one LakeFile of
+/// `rows_per_group`-row groups, then each group's chunks decoded.
+std::vector<std::vector<format::ColumnChunkPtr>> Groups(
+    const format::Schema& schema, const std::vector<format::Row>& rows,
+    size_t rows_per_group) {
+  std::vector<const format::Row*> pointers;
+  for (const format::Row& row : rows) pointers.push_back(&row);
+  format::ColumnBatch batch(schema);
+  batch.AppendRows(pointers);
+  format::LakeFileOptions options;
+  options.rows_per_group = rows_per_group;
+  auto reader = format::LakeFileReader::Open(
+      format::EncodeLakeFile(schema, batch, options).bytes);
+  EXPECT_TRUE(reader.ok());
+  std::vector<std::vector<format::ColumnChunkPtr>> groups;
+  for (size_t g = 0; reader.ok() && g < reader->num_row_groups(); ++g) {
+    std::vector<format::ColumnChunkPtr>& chunks = groups.emplace_back();
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      auto chunk = reader->ReadColumnChunk(g, c);
+      EXPECT_TRUE(chunk.ok());
+      chunks.push_back(
+          std::make_shared<const format::ColumnChunkData>(std::move(*chunk)));
+    }
+  }
+  return groups;
+}
+
+/// The rows of one group's `chunks` that `where` matches, evaluated column
+/// at a time as the scan does.
+std::vector<uint32_t> Selection(
+    const Conjunction& where, const format::Schema& schema,
+    const std::vector<format::ColumnChunkPtr>& chunks) {
+  const size_t n = chunks.at(0)->num_rows;
+  std::vector<char> selected(n, 1);
+  auto left = BoundConjunction(where, schema)
+                  .AndInto(
+                      [&](size_t c) -> Result<const format::ColumnChunkData*> {
+                        return chunks[c].get();
+                      },
+                      &selected, n, nullptr);
+  EXPECT_TRUE(left.ok());
+  std::vector<uint32_t> selection;
+  for (uint32_t r = 0; r < n; ++r) {
+    if (selected[r]) selection.push_back(r);
+  }
+  return selection;
+}
+
+/// The product Executor over `rows`, fed the way a scan feeds it: each row
+/// group of their LakeFile is one batch, filtered by `spec.where`.
+Result<QueryResult> Execute(const format::Schema& schema,
+                            const std::vector<format::Row>& rows,
+                            const QuerySpec& spec,
+                            size_t rows_per_group = 8192) {
+  Executor executor(schema, spec);
+  const std::vector<ColumnSource> sources =
+      OneSideSources(schema.num_fields());
+  for (const auto& chunks : Groups(schema, rows, rows_per_group)) {
+    const std::vector<uint32_t> selection =
+        Selection(spec.where, schema, chunks);
+    SL_RETURN_NOT_OK(executor.Consume({sources, chunks, selection, 1, {}},
+                                      chunks[0]->num_rows));
+  }
+  return executor.Finalize();
 }
 
 TEST(PredicateTest, AllOperators) {
@@ -45,10 +113,15 @@ TEST(PredicateTest, ConjunctionSemantics) {
       Predicate::Eq("url", format::Value(std::string("http://a"))),
       Predicate::Ge("start_time", format::Value(int64_t{100})),
       Predicate::Lt("start_time", format::Value(int64_t{200}))};
-  EXPECT_TRUE(where.Matches(schema, LogRow("http://a", 150, "bj")));
-  EXPECT_FALSE(where.Matches(schema, LogRow("http://b", 150, "bj")));
-  EXPECT_FALSE(where.Matches(schema, LogRow("http://a", 200, "bj")));
-  EXPECT_TRUE(Conjunction().Matches(schema, LogRow("x", 1, "y")));
+  const std::vector<format::ColumnChunkPtr> chunks =
+      Groups(schema,
+             {LogRow("http://a", 150, "bj"), LogRow("http://b", 150, "bj"),
+              LogRow("http://a", 200, "bj"), LogRow("x", 1, "y")},
+             8192)
+          .at(0);
+  EXPECT_EQ(Selection(where, schema, chunks), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(Selection(Conjunction(), schema, chunks),
+            (std::vector<uint32_t>{0, 1, 2, 3}));
 }
 
 TEST(PredicateTest, RangePruning) {
@@ -277,13 +350,8 @@ TEST(ExecutorTest, IncrementalConsumeMatchesSingleShot) {
   spec.group_by = {"province"};
   spec.aggregates = {AggregateSpec::CountStar()};
 
-  Executor incremental(schema, spec);
-  for (size_t i = 0; i < all.size(); i += 7) {
-    std::vector<format::Row> chunk(
-        all.begin() + i, all.begin() + std::min(i + 7, all.size()));
-    ASSERT_TRUE(incremental.Consume(chunk).ok());
-  }
-  auto inc = incremental.Finalize();
+  // 7-row groups: one Consume call each into the same executor.
+  auto inc = Execute(schema, all, spec, /*rows_per_group=*/7);
   auto single = Execute(schema, all, spec);
   ASSERT_TRUE(inc.ok() && single.ok());
   ASSERT_EQ(inc->rows.size(), single->rows.size());
@@ -387,8 +455,8 @@ TEST(KeyEncoderTest, MemcmpOrderEqualsKeyRule) {
           ASSERT_EQ(ByteSign(Encode({a}), Encode({b})), want)
               << format::ValueToString(a) << " vs "
               << format::ValueToString(b);
-          // format::KeyLess agrees on one-cell keys.
-          ASSERT_EQ(format::KeyLess()(a, b), want < 0);
+          // oracle::KeyLess agrees on one-cell keys.
+          ASSERT_EQ(oracle::KeyLess()(a, b), want < 0);
         }
       }
     }
@@ -409,7 +477,7 @@ TEST(KeyEncoderTest, CompositeKeysWithStringFirstStayOrdered) {
     for (const auto& a : keys) {
       for (const auto& b : keys) {
         const int want = KeySign(a, b);
-        ASSERT_EQ(format::KeyLess()(a, b), want < 0);
+        ASSERT_EQ(oracle::KeyLess()(a, b), want < 0);
         ASSERT_EQ(ByteSign(Encode(a), Encode(b)), want)
             << format::ValueToString(a[0]) << "," << format::ValueToString(a[1])
             << " vs " << format::ValueToString(b[0]) << ","

@@ -15,6 +15,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "format/lakefile.h"
+#include "oracle/oracle.h"
 #include "table/lakehouse.h"
 
 namespace streamlake::table {
@@ -360,7 +361,7 @@ TEST(TableTest, NullInt64PartitionKeyIsReadable) {
   auto all = (*table)->Select(spec);
   ASSERT_TRUE(all.ok()) << all.status().ToString();
   EXPECT_EQ(std::get<int64_t>(all->rows[0].fields[0]), 2);
-  spec.where.Add(query::Predicate::IsNull("k"));
+  spec.where.Add(query::Predicate{"k", query::CompareOp::kIsNull, {}, {}});
   auto nulls = (*table)->Select(spec);
   ASSERT_TRUE(nulls.ok()) << nulls.status().ToString();
   EXPECT_EQ(std::get<int64_t>(nulls->rows[0].fields[0]), 1);
@@ -1300,7 +1301,6 @@ TEST(FileStatsTest, WriterStatsMatchTwoPassOracle) {
         RandomStatsRows(&rng, schema, 1 + rng.Uniform(400));
     format::LakeFileOptions options;
     options.rows_per_group = 1 + rng.Uniform(trial % 2 == 0 ? 50 : 8192);
-    options.enable_stats = !rng.OneIn(4);
     const format::EncodedLakeFile file =
         format::EncodeLakeFile(schema, BatchOf(schema, rows), options);
     DataFileMeta got = MetaOf(schema, file, rows.size());
@@ -1365,10 +1365,9 @@ std::vector<format::Row> GoldenStatsRows() {
 /// real 0 beside the NULL default) / plain, string dictionary (with and
 /// without a real "" beside it) / plain (embedded NUL bytes, values over
 /// 1 KiB), bit-packed bools, ±0.0 in both orders, NaN of both signs, a
-/// kNull column (left out with `null_column` false) and all-NULL int64 and
-/// string columns.
-format::Schema EveryEncodingSchema(bool null_column = true) {
-  std::vector<format::Field> fields = {{"rle", format::DataType::kInt64},
+/// kNull column and all-NULL int64 and string columns.
+format::Schema EveryEncodingSchema() {
+  return format::Schema{{"rle", format::DataType::kInt64},
                         {"delta", format::DataType::kInt64},
                         {"dict_zero", format::DataType::kInt64},
                         {"dict", format::DataType::kInt64},
@@ -1382,12 +1381,9 @@ format::Schema EveryEncodingSchema(bool null_column = true) {
                         {"n", format::DataType::kNull},
                         {"i_null", format::DataType::kInt64},
                         {"s_null", format::DataType::kString}};
-  if (!null_column) fields.erase(fields.begin() + 11);
-  return format::Schema(fields);
 }
 
-std::vector<format::Row> EveryEncodingRows(size_t num_rows,
-                                           bool null_column = true) {
+std::vector<format::Row> EveryEncodingRows(size_t num_rows) {
   Random rng(4242);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const format::Value null{std::monostate{}};
@@ -1421,7 +1417,7 @@ std::vector<format::Row> EveryEncodingRows(size_t num_rows,
     if (i % 31 == 3) wild = nan;
     if (i % 37 == 4) wild = -nan;
     f.push_back(i % 8 == 7 ? null : format::Value(wild));
-    if (null_column) f.push_back(null);
+    f.push_back(null);
     f.push_back(null);
     f.push_back(null);
   }
@@ -1479,12 +1475,9 @@ TEST(FileStatsTest, EncodingIsFrozen) {
 
 TEST(FileStatsTest, EveryEncodingChoiceIsCovered) {
   // EncodingIsFrozen freezes what it means to: at 8192 rows per group
-  // its first row group holds each encoding choice named in the schema. (A
-  // kNull column is written but cannot be read back: Schema::DecodeFrom
-  // refuses its type tag, so this file leaves it out.)
-  const format::Schema schema = EveryEncodingSchema(/*null_column=*/false);
-  const std::vector<format::Row> rows =
-      EveryEncodingRows(10000, /*null_column=*/false);
+  // its first row group holds each encoding choice named in the schema.
+  const format::Schema schema = EveryEncodingSchema();
+  const std::vector<format::Row> rows = EveryEncodingRows(10000);
   const format::EncodedLakeFile file =
       format::EncodeLakeFile(schema, BatchOf(schema, rows), {});
   auto reader = format::LakeFileReader::Open(file.bytes);
@@ -1495,8 +1488,8 @@ TEST(FileStatsTest, EveryEncodingChoiceIsCovered) {
       codec::Encoding::kPlain, codec::Encoding::kDict,
       codec::Encoding::kDict,  codec::Encoding::kPlain,
       codec::Encoding::kBitPack, codec::Encoding::kPlain,
-      codec::Encoding::kPlain, codec::Encoding::kRle,
-      codec::Encoding::kDict};
+      codec::Encoding::kPlain, codec::Encoding::kPlain,
+      codec::Encoding::kRle,   codec::Encoding::kDict};
   for (size_t c = 0; c < schema.num_fields(); ++c) {
     const format::ChunkMeta& chunk = reader->row_group(0).columns[c];
     EXPECT_EQ(static_cast<codec::Encoding>(file.bytes[chunk.offset]), want[c])
@@ -1523,6 +1516,49 @@ TEST(FileStatsTest, EveryEncodingChoiceIsCovered) {
   EXPECT_FALSE(file.column_stats[schema.FieldIndex("nans")].min.has_value());
   EXPECT_EQ(file.column_stats[schema.FieldIndex("i_null")].ndv, 0u);
   EXPECT_EQ(file.column_stats[schema.FieldIndex("s_null")].ndv, 0u);
+}
+
+TEST(FileStatsTest, FrozenFilesReadBackEveryCell) {
+  // The files EncodingIsFrozen freezes, kNull column included, open and
+  // read back the rows written, bit for bit (NaN payloads, -0.0).
+  const format::Schema schema = EveryEncodingSchema();
+  const std::vector<format::Row> rows = EveryEncodingRows(10000);
+  for (size_t rows_per_group : {7, 8192}) {
+    format::LakeFileOptions options;
+    options.rows_per_group = rows_per_group;
+    const format::EncodedLakeFile file =
+        format::EncodeLakeFile(schema, BatchOf(schema, rows), options);
+    auto reader = format::LakeFileReader::Open(file.bytes);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    EXPECT_EQ(reader->schema(), schema);
+    auto read = reader->ReadAll();
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    ASSERT_EQ(read->size(), rows.size());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      for (size_t c = 0; c < schema.num_fields(); ++c) {
+        Bytes want, got;
+        format::EncodeValue(&want, rows[r].fields[c]);
+        format::EncodeValue(&got, (*read)[r].fields[c]);
+        ASSERT_EQ(got, want) << rows_per_group << " row " << r << " "
+                             << schema.field(c).name;
+      }
+    }
+  }
+}
+
+TEST(FileStatsTest, NullFieldSchemaRoundTripsThroughTableInfo) {
+  TableInfo info;
+  info.name = "every";
+  info.schema = EveryEncodingSchema();
+  Bytes encoded;
+  info.EncodeTo(&encoded);
+  auto decoded = TableInfo::DecodeFrom(ByteView(encoded));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->schema, info.schema);
+  EXPECT_EQ(decoded->schema.field(11).type, format::DataType::kNull);
+  Bytes again;
+  decoded->EncodeTo(&again);
+  EXPECT_EQ(again, encoded);
 }
 
 TEST(FileStatsTest, NanLeavesMinMaxOutAndCountsOnce) {
@@ -1630,7 +1666,7 @@ TEST(TableTest, NanNeverHidesMatchingRows) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     int64_t unpruned = 0;
     for (const format::Row& row : all->rows) {
-      if (spec.where.Matches(schema, row)) ++unpruned;
+      if (oracle::Matches(spec.where, schema, row)) ++unpruned;
     }
     EXPECT_EQ(std::get<int64_t>(got->rows[0].fields[0]), unpruned)
         << p.ToString();

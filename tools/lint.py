@@ -49,21 +49,20 @@ Rules
       through StoragePool::AllocateSpread, the one "distinct nodes, else
       distinct disks" rule, so no caller grows its own copy of the
       fallback.
-  R9  Outside src/query/ and tests/, nothing evaluates a conjunction row
-      at a time with the two-argument Conjunction::Matches(schema, row),
-      which looks each column up by name on every row. Scans and rewrites
-      bind it once (query::BoundConjunction) and evaluate it over column
-      chunks; the reference executor under src/query/ and the tests'
-      oracles keep the row form.
+  R9  Outside tests/, nothing evaluates a conjunction row at a time with a
+      two-argument Matches(schema, row), which looks each column up by name
+      on every row. Scans and rewrites bind it once
+      (query::BoundConjunction) and evaluate it over column chunks; only
+      the tests' row-at-a-time reference (tests/oracle, oracle::Matches)
+      keeps the row form.
   R10 A CompareValues call (WHERE's comparison, under which a NaN equals
       every double) is allowed only under src/format/, in
       src/query/predicate.cc, under src/lakebrain/ and under tests/.
       GROUP BY, joins, ORDER BY and MIN/MAX compare keys by the one key
-      rule, format::CompareKeys / format::KeyLess, so no key structure
-      grows its own order.
+      rule, format::CompareKeys, so no key structure grows its own order.
   R11 Under src/query/ and src/table/, no ordered container (std::map,
       std::set, std::multimap, std::multiset) is keyed by format::Value
-      (alone or in a std::vector) or ordered by format::KeyLess. GROUP BY
+      (alone or in a std::vector) or ordered by a KeyLess. GROUP BY
       state and the join build side live in the one key table,
       query::KeyTable over query::KeyEncoder's normalized key bytes, and
       sorted output comes from its SortedIds.
@@ -72,6 +71,11 @@ Rules
       encoder numbers dictionary entries and counts distinct values in one
       pass over each chunk through codec::KeyIds, a flat hash table, and
       unions a file's row groups through the same kind of table.
+  R13 No header under src/query/ declares a function that takes a
+      format::Row or a std::vector<format::Row>. The operators consume
+      column batches (query::ChunkRows) through one entry point each; rows
+      are built only as a result's output, and the row-at-a-time reference
+      lives in tests/oracle.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -128,7 +132,7 @@ PLACEMENT_DIRS = (os.path.join("src", "storage") + os.sep, "tests" + os.sep)
 # R9: row-at-a-time conjunction evaluation: a Matches call whose arguments
 # hold a comma outside nested parentheses (Predicate::Matches takes one).
 ROW_MATCHES = re.compile(r"(\.|->)Matches\s*\((?:[^()]|\([^()]*\))*?,")
-ROW_MATCHES_DIRS = (os.path.join("src", "query") + os.sep, "tests" + os.sep)
+ROW_MATCHES_DIRS = ("tests" + os.sep,)
 
 # R10: WHERE-semantics comparison, allowed only where WHERE and stats
 # pruning live (and in tests).
@@ -154,6 +158,14 @@ ORDERED_CONTAINER = re.compile(
     r"\bstd::(multimap|multiset|map|set|set_union)\b")
 ENCODER_DIRS = (os.path.join("src", "format") + os.sep,
                 os.path.join("src", "codec") + os.sep)
+
+# R13: a parameter of type format::Row or std::vector<format::Row> (by
+# value, reference or pointer): the type right after a '(' or ','. The
+# match's group marks the line to report.
+ROW_PARAMETER = re.compile(
+    r"[(,]\s*(?:const\s+)?"
+    r"((?:std::vector\s*<\s*(?:const\s+)?)?(?:format::)?Row\b)")
+ROW_API_DIR = os.path.join("src", "query") + os.sep
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -343,15 +355,15 @@ def lint_text(path, raw):
         for m in ROW_MATCHES.finditer(code):
             errors.append(
                 f"{path}:{lineno_at(code, m.start())}: R9: row-at-a-time "
-                "Conjunction::Matches(schema, row) outside src/query/; bind "
-                "it once with query::BoundConjunction and evaluate chunks")
+                "Matches(schema, row) outside tests/; bind the conjunction "
+                "once with query::BoundConjunction and evaluate chunks")
 
     if not path.startswith(COMPARE_VALUES_PATHS):
         for m in COMPARE_VALUES.finditer(code):
             errors.append(
                 f"{path}:{lineno_at(code, m.start())}: R10: CompareValues "
                 "call outside WHERE and stats code; compare keys with "
-                "format::CompareKeys or format::KeyLess")
+                "format::CompareKeys")
 
     if path.startswith(KEY_TABLE_DIRS):
         for m in VALUE_KEYED_CONTAINER.finditer(code):
@@ -366,6 +378,14 @@ def lint_text(path, raw):
                 f"{path}:{lineno_at(code, m.start())}: R12: std::{m.group(1)} "
                 "in the format/codec layers; number and count keys with "
                 "codec::KeyIds")
+
+    if path.startswith(ROW_API_DIR) and path.endswith(".h"):
+        for m in ROW_PARAMETER.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start(1))}: R13: query-layer "
+                "function takes a format::Row; consume column batches "
+                "(query::ChunkRows) and keep row-at-a-time references in "
+                "tests/oracle")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

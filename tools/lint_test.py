@@ -264,11 +264,14 @@ class RuleTest(unittest.TestCase):
             "                       row);\n}\n",
             path=src("src/table/table.cc"))
 
-    def test_r9_allowed_in_query_and_tests(self):
+    def test_r9_allowed_only_in_tests(self):
+        # The reference executor left src/query/ for tests/oracle.
         text = ("bool F(const QuerySpec* spec, const Row& row) {\n"
                 "  return spec->where.Matches(schema_, row);\n}\n")
-        self.assert_clean(text, path=src("src/query/executor.cc"))
+        self.assert_rule("R9", text, path=src("src/query/executor.cc"))
         self.assert_clean(text, path=os.path.join("tests", "t.cc"))
+        self.assert_clean(text, path=os.path.join("tests", "oracle",
+                                                  "oracle.cc"))
 
     def test_r9_one_argument_matches_and_prose_are_clean(self):
         self.assert_clean(
@@ -389,6 +392,44 @@ class RuleTest(unittest.TestCase):
             "std::vector<int> set_union_of(int a);\n"
             "codec::KeyIds<int64_t> ids;\n",
             path=src("src/codec/encoding.cc"))
+
+    # R13 -----------------------------------------------------------------
+    def test_r13_row_entry_points_in_query_headers(self):
+        # The row entry points the one batch entry point replaced.
+        for text in ("Status Consume(const std::vector<format::Row>& rows);\n",
+                     "Status ConsumeFiltered(std::vector<format::Row> rows,\n"
+                     "                       uint64_t scanned);\n",
+                     "format::Row Apply(const format::Row& row) const;\n",
+                     "void Consume(const format::Row& row);\n",
+                     "bool Matches(const format::Schema& schema,\n"
+                     "             const format::Row* row) const;\n"):
+            self.assert_rule("R13", text,
+                             path=src("src/query/executor.h"))
+
+    def test_r13_reports_the_parameter_line(self):
+        errors = self.errors(
+            "Result<QueryResult> Execute(const format::Schema& s,\n"
+            "                            const std::vector<format::Row>& r,\n"
+            "                            const QuerySpec& spec);\n",
+            src("src/query/executor.h"))
+        self.assertEqual([e.split(": R13")[0] for e in errors
+                          if ": R13: " in e], ["src/query/executor.h:3"])
+
+    def test_r13_allows_rows_as_output_and_elsewhere(self):
+        # Returning rows, holding them and batch types are fine; so are
+        # row parameters outside the query layer's headers.
+        self.assert_clean(
+            "std::vector<format::Row> Rows(std::span<const int> c) const;\n"
+            "std::vector<format::Row> rows;\n"
+            "void Consume(const ChunkRows& rows);\n"
+            "void Open(RowSink* sink, format::RowGroupMeta g);\n"
+            "// void Consume(const format::Row& row);\n",
+            path=src("src/query/operators.h"))
+        text = "Status Append(const format::Row& row);\n"
+        for path in (src("src/query/executor.cc"),
+                     src("src/format/lakefile.h"),
+                     os.path.join("tests", "oracle", "oracle.h")):
+            self.assert_clean(text, path=path)
 
 
 class RepoTest(unittest.TestCase):
