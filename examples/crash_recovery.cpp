@@ -2,7 +2,7 @@
 // PLog store, the fault-tolerant KV store holding the PLog index and the
 // dispatcher's topology, consumer offsets) survives a crash of the stream
 // object manager and the dispatcher, which restart and recover from it.
-// First the KV store itself: MVCC snapshot reads, version release, and a
+// First the KV store itself: latest-value reads, prefix scans, and a
 // rebuild from its write-ahead log.
 //
 // Run: ./build/examples/crash_recovery
@@ -19,27 +19,26 @@
 using namespace streamlake;
 
 int main() {
-  // --- The KV store: snapshots, version release, WAL recovery ---
+  // --- The KV store: latest values, prefix scans, WAL recovery ---
   kv::KvStore catalog;
   SL_CHECK_OK(catalog.Put("table/orders", "v1"));
-  const kv::Snapshot before = catalog.GetSnapshot();
   SL_CHECK_OK(catalog.Put("table/orders", "v2"));
   SL_CHECK_OK(catalog.Put("table/users", "v1"));
-  std::printf("KV: snapshot @%llu reads '%s', latest @%llu reads '%s'\n",
-              static_cast<unsigned long long>(before.sequence),
-              catalog.Get("table/orders", before)->c_str(),
+  SL_CHECK_OK(catalog.Put("view/daily", "v1"));
+  SL_CHECK_OK(catalog.Delete("view/daily"));
+  std::printf("KV: @%llu 'table/orders' reads '%s', 'view/daily' reads %s, "
+              "prefix 'table/' holds %zu keys\n",
               static_cast<unsigned long long>(catalog.LatestSequence()),
-              catalog.Get("table/orders")->c_str());
-  catalog.ReleaseVersionsBefore(catalog.LatestSequence());
-  std::printf("KV: versions before @%llu released; the old snapshot now "
-              "reads: %s\n",
-              static_cast<unsigned long long>(catalog.LatestSequence()),
-              catalog.Get("table/orders", before).status().ToString().c_str());
+              catalog.Get("table/orders")->c_str(),
+              catalog.Get("view/daily").status().ToString().c_str(),
+              catalog.Scan("table/").size());
   kv::KvStore replayed;
   auto batches = replayed.Recover(ByteView(catalog.WalContents()));
   SL_CHECK_OK(batches.status());
-  std::printf("KV: WAL replay applied %zu batches -> %zu live keys\n\n",
-              *batches, replayed.LiveKeyCount());
+  std::printf("KV: WAL replay applied %zu batches -> %zu live keys, "
+              "'table/orders' reads '%s'\n\n",
+              *batches, replayed.LiveKeyCount(),
+              replayed.Get("table/orders")->c_str());
 
   // --- The durable substrate ---
   sim::SimClock clock;

@@ -142,17 +142,18 @@ inline const Status& StatusOf(const Status& s) { return s; }
 
 /// Abort if a Status/Result expression is not OK. For benches, examples,
 /// and test harness code where a failure means the setup itself is broken
-/// and there is no caller to propagate to.
-#define SL_CHECK_OK(expr)                                             \
-  do {                                                                \
-    const auto& _sl_ok = (expr);                                      \
-    if (!_sl_ok.ok()) {                                               \
-      std::fprintf(                                                   \
-          stderr, "%s:%d: CHECK_OK failed: %s -> %s\n", __FILE__,     \
-          __LINE__, #expr,                                            \
-          ::streamlake::internal::StatusOf(_sl_ok).ToString().c_str()); \
-      std::abort();                                                   \
-    }                                                                 \
+/// and there is no caller to propagate to. The Status is copied: `expr`
+/// may be `Foo().status()`, a reference into a temporary that dies at the
+/// end of the declaration.
+#define SL_CHECK_OK(expr)                                                \
+  do {                                                                   \
+    const ::streamlake::Status _sl_ok =                                  \
+        ::streamlake::internal::StatusOf(expr);                          \
+    if (!_sl_ok.ok()) {                                                  \
+      std::fprintf(stderr, "%s:%d: CHECK_OK failed: %s -> %s\n",         \
+                   __FILE__, __LINE__, #expr, _sl_ok.ToString().c_str()); \
+      std::abort();                                                      \
+    }                                                                    \
   } while (0)
 
 }  // namespace streamlake

@@ -9,9 +9,8 @@
 namespace streamlake::kv {
 
 KvStore::KvStore(KvOptions options) : options_(options) {
-  size_t stripes = options_.num_stripes == 0 ? 1 : options_.num_stripes;
-  stripes_.reserve(stripes);
-  for (size_t i = 0; i < stripes; ++i) {
+  stripes_.reserve(kStripes);
+  for (size_t i = 0; i < kStripes; ++i) {
     stripes_.push_back(std::make_unique<Stripe>(static_cast<uint32_t>(i)));
   }
 }
@@ -53,17 +52,16 @@ Status KvStore::Write(const WriteBatch& batch) NO_THREAD_SAFETY_ANALYSIS {
   for (size_t si : touched) {
     if (stripes_[si]->mu.LockCounted()) stripe_contention->Increment();
   }
-  // Sequence assignment happens while every touched stripe is writer-held
-  // and ops are applied before release (see the Stripe invariant in the
-  // header), so snapshots never observe a partial batch.
+  // Every op is applied while every touched stripe is writer-held (see
+  // the Stripe invariant in the header), so scans never observe a partial
+  // batch.
   const uint64_t seq = sequence_.fetch_add(1) + 1;
   for (const WriteBatch::Op& op : batch.ops()) {
     Stripe& stripe = *stripes_[StripeOf(op.key)];
-    auto& versions = stripe.table[op.key];
     if (op.is_delete) {
-      versions.push_back(Version{seq, std::nullopt});
+      stripe.table.erase(op.key);
     } else {
-      versions.push_back(Version{seq, op.value});
+      stripe.table.insert_or_assign(op.key, op.value);
     }
   }
   // The whole batch is one WAL record, segmented onto the lowest touched
@@ -91,8 +89,7 @@ Status KvStore::Delete(std::string_view key) {
   return Write(batch);
 }
 
-Result<std::string> KvStore::GetAtSequence(std::string_view key,
-                                           uint64_t sequence) const {
+Result<std::string> KvStore::Get(std::string_view key) const {
   static Counter* gets = MetricsRegistry::Global().GetCounter("kv.get.ops");
   static Counter* hits = MetricsRegistry::Global().GetCounter("kv.get.hits");
   static Counter* misses =
@@ -112,76 +109,34 @@ Result<std::string> KvStore::GetAtSequence(std::string_view key,
     misses->Increment();
     return Status::NotFound(std::string(key));
   }
-  // Versions are appended in sequence order; find the last one <= sequence.
-  const auto& versions = it->second;
-  for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
-    if (rit->sequence <= sequence) {
-      if (!rit->value.has_value()) {
-        misses->Increment();
-        return Status::NotFound(std::string(key));
-      }
-      hits->Increment();
-      return *rit->value;
-    }
-  }
-  misses->Increment();
-  return Status::NotFound(std::string(key));
+  hits->Increment();
+  return it->second;
 }
 
-Result<std::string> KvStore::Get(std::string_view key) const {
-  return GetAtSequence(key, UINT64_MAX);
-}
-
-Result<std::string> KvStore::Get(std::string_view key,
-                                 const Snapshot& snap) const {
-  return GetAtSequence(key, snap.sequence);
-}
-
+// Dynamic lock set (every stripe's reader lock, ascending index order), as
+// in Write: validated at runtime by the ranked-mutex checker.
 std::vector<std::pair<std::string, std::string>> KvStore::Scan(
-    std::string_view start, std::string_view end, size_t limit) const {
-  // Pin a snapshot first so the per-stripe collection below is one
-  // consistent cut even while writers commit between stripe visits.
-  return Scan(start, end, GetSnapshot(), limit);
-}
-
-std::vector<std::pair<std::string, std::string>> KvStore::Scan(
-    std::string_view start, std::string_view end, const Snapshot& snap,
-    size_t limit) const {
+    std::string_view prefix, size_t limit) const NO_THREAD_SAFETY_ANALYSIS {
   static Counter* scans = MetricsRegistry::Global().GetCounter("kv.scan.ops");
   static Counter* rows = MetricsRegistry::Global().GetCounter("kv.scan.rows");
   scans->Increment();
-  // Collect up to `limit` visible rows from each stripe's ordered range,
-  // then merge: every key lives in exactly one stripe, and any key in the
-  // global first-`limit` is necessarily in its own stripe's first-`limit`.
-  // With a real limit the merge buffer is pre-reserved and pruned back to
-  // the `limit` smallest keys whenever it doubles, so a limited scan holds
-  // O(limit) rows, not stripes x limit.
+  // Every key lives in exactly one stripe, so the global first-`limit` keys
+  // are among the stripes' first-`limit` keys: collect those, then sort.
+  // All reader locks are held until the collection ends, so a batch that
+  // spans stripes is seen whole or not at all.
   std::vector<std::pair<std::string, std::string>> out;
-  bool bounded = limit < SIZE_MAX / 2;
-  if (bounded) out.reserve(std::min<size_t>(limit, 1024) * 2);
-  auto prune_to_limit = [&] {
-    if (out.size() <= limit) return;
-    std::nth_element(out.begin(), out.begin() + limit, out.end());
-    out.resize(limit);
-  };
+  for (const auto& stripe : stripes_) stripe->mu.LockShared();
   for (const auto& stripe : stripes_) {
-    ReaderMutexLock lock(&stripe->mu);
     size_t taken = 0;
-    auto it = stripe->table.lower_bound(start);
-    for (; it != stripe->table.end() && taken < limit; ++it) {
-      if (!end.empty() && it->first >= end) break;
-      const auto& versions = it->second;
-      for (auto rit = versions.rbegin(); rit != versions.rend(); ++rit) {
-        if (rit->sequence <= snap.sequence) {
-          if (rit->value.has_value()) {
-            out.emplace_back(it->first, *rit->value);
-            ++taken;
-          }
-          break;
-        }
-      }
+    for (auto it = stripe->table.lower_bound(prefix);
+         it != stripe->table.end() && it->first.starts_with(prefix) &&
+         taken < limit;
+         ++it, ++taken) {
+      out.emplace_back(it->first, it->second);
     }
-    if (bounded && out.size() > 2 * limit) prune_to_limit();
+  }
+  for (auto it = stripes_.rbegin(); it != stripes_.rend(); ++it) {
+    (*it)->mu.UnlockShared();
   }
   std::sort(out.begin(), out.end());
   if (out.size() > limit) out.resize(limit);
@@ -198,44 +153,13 @@ size_t KvStore::LiveKeyCount() const {
   size_t count = 0;
   for (const auto& stripe : stripes_) {
     ReaderMutexLock lock(&stripe->mu);
-    for (const auto& [key, versions] : stripe->table) {
-      if (!versions.empty() && versions.back().value.has_value()) ++count;
-    }
+    count += stripe->table.size();
   }
   return count;
 }
 
-Snapshot KvStore::GetSnapshot() const {
-  return Snapshot{sequence_.load(std::memory_order_acquire)};
-}
-
 uint64_t KvStore::LatestSequence() const {
   return sequence_.load(std::memory_order_acquire);
-}
-
-void KvStore::ReleaseVersionsBefore(uint64_t sequence) {
-  for (const auto& stripe : stripes_) {
-    WriterMutexLock lock(&stripe->mu);
-    auto it = stripe->table.begin();
-    while (it != stripe->table.end()) {
-      auto& versions = it->second;
-      // Keep the newest version with sequence < `sequence` (it is still
-      // the visible version at `sequence`), drop everything older.
-      size_t keep_from = 0;
-      for (size_t i = 0; i < versions.size(); ++i) {
-        if (versions[i].sequence < sequence) keep_from = i;
-      }
-      versions.erase(versions.begin(), versions.begin() + keep_from);
-      // Fully-deleted keys whose only surviving version is an old
-      // tombstone can be garbage-collected.
-      if (versions.size() == 1 && !versions[0].value.has_value() &&
-          versions[0].sequence < sequence) {
-        it = stripe->table.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
 }
 
 Bytes KvStore::WalContents() const {
@@ -257,11 +181,10 @@ Bytes KvStore::WalContents() const {
 }
 
 Result<size_t> KvStore::Recover(ByteView wal) {
-  for (const auto& stripe : stripes_) {
-    ReaderMutexLock lock(&stripe->mu);
-    if (!stripe->table.empty()) {
-      return Status::InvalidArgument("Recover requires an empty store");
-    }
+  // Checked by sequence, not by contents: a store whose keys were all
+  // deleted is empty but has committed batches.
+  if (LatestSequence() != 0) {
+    return Status::InvalidArgument("Recover requires an empty store");
   }
   size_t applied = 0;
   size_t offset = 0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,11 +15,6 @@
 
 namespace streamlake::kv {
 
-/// A consistent point-in-time view of a KvStore (MVCC sequence number).
-struct Snapshot {
-  uint64_t sequence = 0;
-};
-
 struct KvOptions {
   /// Simulated device the write-ahead log is persisted to; nullptr keeps
   /// the store purely in memory (no durability cost charged).
@@ -28,26 +22,26 @@ struct KvOptions {
   /// Device charged on point reads; models the SCM/RDMA-resident catalog
   /// engine of Section IV-B. nullptr charges nothing.
   sim::DeviceModel* read_device = nullptr;
-  /// Lock-striped sub-stores the keyspace is hashed over. Point ops touch
-  /// one stripe; Scan merges per-stripe ordered ranges; batch commits lock
-  /// only the stripes they touch, in ascending index order. Clamped to
-  /// >= 1.
-  size_t num_stripes = 16;
 };
 
-/// \brief Embedded, ordered, multi-version key-value store.
+/// \brief Embedded, ordered key-value store holding the latest value of
+/// each key.
 ///
 /// This is the "fault-tolerant key-value store" used throughout StreamLake:
-/// the PLog record index (Fig. 4), the stream dispatcher topology, the
-/// lakehouse catalog, and the metadata-acceleration write cache. It offers:
+/// the PLog record index (Fig. 4), the stream dispatcher topology, consumer
+/// offsets, and the metadata-acceleration catalog cache. It offers:
 ///  * atomic WriteBatch commits with a monotonic sequence number,
-///  * MVCC snapshots (readers never block writers),
-///  * ordered range scans,
+///  * ordered prefix scans that never show part of a batch,
 ///  * a CRC-protected WAL encoding for crash recovery.
 ///
-/// Thread-safe. Old versions are retained until ReleaseVersionsBefore().
+/// Thread-safe. A delete erases its key; no older value is kept.
 class KvStore {
  public:
+  /// Lock stripes the keyspace is hashed over. Point ops touch one stripe;
+  /// batch commits lock only the stripes they touch, in ascending index
+  /// order; Scan holds every stripe's reader lock.
+  static constexpr size_t kStripes = 16;
+
   explicit KvStore(KvOptions options = KvOptions());
 
   KvStore(const KvStore&) = delete;
@@ -59,75 +53,57 @@ class KvStore {
   Status Put(std::string_view key, std::string_view value);
   Status Delete(std::string_view key);
 
-  /// Read the latest visible version of `key`.
+  /// Read the latest value of `key`.
   Result<std::string> Get(std::string_view key) const;
-  /// Read `key` as of `snap`.
-  Result<std::string> Get(std::string_view key, const Snapshot& snap) const;
 
   bool Contains(std::string_view key) const { return Get(key).ok(); }
 
-  /// Ordered scan of live keys in [start, end); empty `end` means "to the
-  /// last key". Pass a snapshot for a consistent historical view.
+  /// The first `limit` keys that start with `prefix`, in key order, with
+  /// their values. An empty prefix scans every key.
   std::vector<std::pair<std::string, std::string>> Scan(
-      std::string_view start, std::string_view end,
-      size_t limit = SIZE_MAX) const;
-  std::vector<std::pair<std::string, std::string>> Scan(
-      std::string_view start, std::string_view end, const Snapshot& snap,
-      size_t limit = SIZE_MAX) const;
+      std::string_view prefix, size_t limit = SIZE_MAX) const;
 
-  /// Number of live (non-tombstone) keys at the latest sequence.
+  /// Number of keys that hold a value.
   size_t LiveKeyCount() const;
 
-  Snapshot GetSnapshot() const;
+  /// Sequence of the last committed batch; 0 if none was ever committed.
   uint64_t LatestSequence() const;
-
-  /// Drop versions that no snapshot at or after `sequence` can observe.
-  void ReleaseVersionsBefore(uint64_t sequence);
 
   /// Serialized WAL of every batch committed so far, in commit order.
   /// Replay with Recover() to reconstruct the store after a crash.
   Bytes WalContents() const;
 
-  /// Rebuild state by replaying a WAL byte stream. The store must be empty.
+  /// Rebuild state by replaying a WAL byte stream. The store must never
+  /// have committed a batch (replaying on top would fork the sequence).
   /// Stops at the first corrupt record (torn tail) and reports how many
   /// batches were applied.
   Result<size_t> Recover(ByteView wal);
 
  private:
-  struct Version {
-    uint64_t sequence;
-    std::optional<std::string> value;  // nullopt == tombstone
-  };
-
   /// One lock-striped sub-store. Keys hash to a stripe (StripeOf); each
   /// stripe owns an ordered sub-map and a WAL segment of (sequence,
   /// encoded batch) pairs. All stripe mutexes share LockRank::kKvStore and
   /// carry their array index as the stripe sub-rank, so the runtime
-  /// checker enforces that multi-stripe commits acquire in ascending
+  /// checker enforces that multi-stripe locking acquires in ascending
   /// stripe-index order.
   ///
-  /// Snapshot-consistency invariant: Write assigns its sequence from the
-  /// global atomic WHILE HOLDING every touched stripe's writer lock and
-  /// applies all ops before releasing, so a reader whose snapshot S
-  /// includes that sequence either sees the batch or blocks on the stripe
-  /// lock until it is applied — never a partial batch.
+  /// Whole-batch invariant: Write applies every op while holding each
+  /// touched stripe's writer lock, and Scan collects while holding every
+  /// stripe's reader lock, so a scan sees a batch entirely or not at all.
   struct Stripe {
     explicit Stripe(uint32_t index)
         : mu(LockRank::kKvStore, "kv.store.stripe", index) {}
     mutable SharedMutex mu{LockRank::kKvStore, "kv.store.stripe"};
-    std::map<std::string, std::vector<Version>, std::less<>> table
-        GUARDED_BY(mu);
+    std::map<std::string, std::string, std::less<>> table GUARDED_BY(mu);
     std::vector<std::pair<uint64_t, Bytes>> wal GUARDED_BY(mu);
   };
 
   size_t StripeOf(std::string_view key) const;
-  Result<std::string> GetAtSequence(std::string_view key,
-                                    uint64_t sequence) const;
 
   KvOptions options_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  /// Global commit sequence; see the Stripe invariant above for why a
-  /// plain atomic suffices.
+  /// Global commit sequence, assigned while the batch's stripes are
+  /// writer-held so WAL segments merge back into commit order.
   std::atomic<uint64_t> sequence_{0};
 };
 

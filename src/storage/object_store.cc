@@ -242,10 +242,7 @@ Result<uint64_t> ObjectStore::Size(const std::string& path) const {
 
 std::vector<std::string> ObjectStore::List(const std::string& prefix,
                                            size_t limit) const {
-  std::string start = IndexKey(prefix);
-  std::string end = start;
-  end.back() = end.back() + 1;  // next prefix; safe for ASCII paths
-  auto rows = index_->Scan(start, end, limit);
+  auto rows = index_->Scan(IndexKey(prefix), limit);
   std::vector<std::string> paths;
   paths.reserve(rows.size());
   for (const auto& [key, value] : rows) {
@@ -255,9 +252,7 @@ std::vector<std::string> ObjectStore::List(const std::string& prefix,
 }
 
 uint64_t ObjectStore::num_objects() const {
-  return index_->Scan(std::string(kIndexPrefix),
-                      std::string(kIndexPrefix) + "\xff")
-      .size();
+  return index_->Scan(kIndexPrefix).size();
 }
 
 }  // namespace streamlake::storage

@@ -408,19 +408,17 @@ Status StreamObject::RecoverFromIndex() {
   if (!slices_.empty() || frontier_ != 0) {
     return Status::InvalidArgument("recovery requires a fresh object");
   }
-  char prefix[64];
-  std::snprintf(prefix, sizeof(prefix), "so/%016llu/slice/",
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "so/%016llu/slice/",
                 static_cast<unsigned long long>(id_));
-  std::string start(prefix);
-  std::string end = start;
-  end.back() = end.back() + 1;
+  const std::string_view prefix(buf);
   // Slice keys are zero-padded, so the scan returns them in append order.
-  for (const auto& [key, value] : index_->Scan(start, end)) {
+  for (const auto& [key, value] : index_->Scan(prefix)) {
     Decoder dec{ByteView(value)};
     SliceMeta meta;
     SL_ASSIGN_OR_RETURN(
         meta.seq,
-        ParseDecimal<uint64_t>(std::string_view(key).substr(start.size()),
+        ParseDecimal<uint64_t>(std::string_view(key).substr(prefix.size()),
                                key));
     uint64_t count, shard, plog_index;
     if (!dec.GetVarint(&meta.start_offset) || !dec.GetVarint(&count) ||
@@ -517,7 +515,7 @@ Result<size_t> StreamObjectManager::RecoverAll() {
     return Status::InvalidArgument("recovery requires an empty manager");
   }
   size_t recovered = 0;
-  for (const auto& [key, value] : index_->Scan("so/", "so0")) {
+  for (const auto& [key, value] : index_->Scan("so/")) {
     // Keys: so/<id16>/meta and so/<id16>/slice/<seq16>.
     if (key.size() < 24 || key.compare(19, 5, "/meta") != 0) continue;
     SL_ASSIGN_OR_RETURN(

@@ -164,7 +164,7 @@ Result<size_t> StreamDispatcher::Recover() {
     return Status::InvalidArgument("recovery requires an empty dispatcher");
   }
   size_t recovered = 0;
-  for (const auto& [key, value] : meta_->Scan("topic/", "topic0")) {
+  for (const auto& [key, value] : meta_->Scan("topic/")) {
     constexpr std::string_view kSuffix = "/config";
     if (key.size() <= 6 + kSuffix.size() ||
         key.compare(key.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=

@@ -171,7 +171,7 @@ Status MetadataStore::DeleteTableInfo(const std::string& name) {
 std::vector<std::string> MetadataStore::ListTables() const {
   std::vector<std::string> names;
   if (mode_ == MetadataMode::kAccelerated) {
-    for (const auto& [key, value] : cache_->Scan("catalog/", "catalog0")) {
+    for (const auto& [key, value] : cache_->Scan("catalog/")) {
       names.push_back(key.substr(8));
     }
   } else {

@@ -105,6 +105,21 @@ TEST(S3GatewayTest, BucketLifecycleWithAuth) {
                   .IsNotFound());
 }
 
+TEST(S3GatewayTest, ListObjectsPrefixEndingInFF) {
+  AccessFixture f;
+  S3Gateway s3(f.objects.get(), &f.acl, &f.network);
+  std::string admin = f.acl.CreatePrincipal("admin");
+  ASSERT_TRUE(f.acl.Grant("admin", "/s3/", Permission::kAdmin).ok());
+  ASSERT_TRUE(s3.CreateBucket(admin, "b").ok());
+  for (std::string key : {std::string("x\xff" "1"), std::string("plain")}) {
+    ASSERT_TRUE(s3.PutObject(admin, "b", key, ByteView("v")).ok());
+  }
+  auto keys = s3.ListObjects(admin, "b", "x\xff");
+  ASSERT_TRUE(keys.ok());
+  ASSERT_EQ(keys->size(), 1u);
+  EXPECT_EQ((*keys)[0], "x\xff" "1");
+}
+
 TEST(S3GatewayTest, UnauthorizedRequestsRejected) {
   AccessFixture f;
   S3Gateway s3(f.objects.get(), &f.acl, &f.network);

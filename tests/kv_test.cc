@@ -48,7 +48,12 @@ TEST(KvStoreTest, PutGetDelete) {
   EXPECT_EQ(*got, "v1");
   ASSERT_TRUE(store.Delete("k1").ok());
   EXPECT_TRUE(store.Get("k1").status().IsNotFound());
+  EXPECT_TRUE(store.Scan("k1").empty());
+  EXPECT_EQ(store.LiveKeyCount(), 0u);
   EXPECT_TRUE(store.Get("never").status().IsNotFound());
+  // A put after the delete starts the key afresh.
+  ASSERT_TRUE(store.Put("k1", "v2").ok());
+  EXPECT_EQ(*store.Get("k1"), "v2");
 }
 
 TEST(KvStoreTest, OverwriteKeepsLatest) {
@@ -70,51 +75,47 @@ TEST(KvStoreTest, BatchIsAtomicAndSingleSequence) {
   EXPECT_EQ(*store.Get("b"), "2");
 }
 
-TEST(KvStoreTest, SnapshotIsolatesReaders) {
-  KvStore store;
-  ASSERT_TRUE(store.Put("k", "v1").ok());
-  Snapshot snap = store.GetSnapshot();
-  ASSERT_TRUE(store.Put("k", "v2").ok());
-  ASSERT_TRUE(store.Put("new", "x").ok());
-
-  EXPECT_EQ(*store.Get("k", snap), "v1");
-  EXPECT_TRUE(store.Get("new", snap).status().IsNotFound());
-  EXPECT_EQ(*store.Get("k"), "v2");
-}
-
-TEST(KvStoreTest, SnapshotSeesThroughLaterDelete) {
-  KvStore store;
-  ASSERT_TRUE(store.Put("k", "v").ok());
-  Snapshot snap = store.GetSnapshot();
-  ASSERT_TRUE(store.Delete("k").ok());
-  EXPECT_EQ(*store.Get("k", snap), "v");
-  EXPECT_TRUE(store.Get("k").status().IsNotFound());
-}
-
 TEST(KvStoreTest, ScanOrderedRange) {
   KvStore store;
-  for (std::string k : {"b", "a", "d", "c", "e"}) {
+  for (std::string k : {"p/b", "p/a", "p/d", "p/c", "p", "q/a", "o"}) {
     ASSERT_TRUE(store.Put(k, "v" + k).ok());
   }
-  ASSERT_TRUE(store.Delete("c").ok());
-  auto rows = store.Scan("a", "e");
-  ASSERT_EQ(rows.size(), 3u);  // a, b, d (c deleted, e excluded)
-  EXPECT_EQ(rows[0].first, "a");
-  EXPECT_EQ(rows[1].first, "b");
-  EXPECT_EQ(rows[2].first, "d");
+  ASSERT_TRUE(store.Delete("p/c").ok());
+  auto rows = store.Scan("p/");
+  ASSERT_EQ(rows.size(), 3u);  // p/a, p/b, p/d (p/c deleted)
+  EXPECT_EQ(rows[0].first, "p/a");
+  EXPECT_EQ(rows[0].second, "vp/a");
+  EXPECT_EQ(rows[1].first, "p/b");
+  EXPECT_EQ(rows[2].first, "p/d");
 
-  auto all = store.Scan("", "");
-  EXPECT_EQ(all.size(), 4u);
+  EXPECT_TRUE(store.Scan("r").empty());  // no key has the prefix
+  EXPECT_TRUE(store.Scan("p/c").empty());  // its only key was deleted
+  // A prefix that is itself a key matches that key and its extensions.
+  auto p_rows = store.Scan("p");
+  ASSERT_EQ(p_rows.size(), 4u);
+  EXPECT_EQ(p_rows[0].first, "p");
+  EXPECT_EQ(p_rows[3].first, "p/d");
 
-  auto limited = store.Scan("", "", 2);
-  EXPECT_EQ(limited.size(), 2u);
+  EXPECT_EQ(store.Scan("").size(), 6u);
+  auto limited = store.Scan("p/", 2);
+  ASSERT_EQ(limited.size(), 2u);
+  EXPECT_EQ(limited[1].first, "p/b");
+
+  // A prefix ending in 0xFF has no "next prefix" of the same length; its
+  // scan still finds the keys that extend it, and only those.
+  ASSERT_TRUE(store.Put("x\xff", "v").ok());
+  ASSERT_TRUE(store.Put("x\xff" "1", "v").ok());
+  ASSERT_TRUE(store.Put("x\xfe", "v").ok());
+  auto ff_rows = store.Scan("x\xff");
+  ASSERT_EQ(ff_rows.size(), 2u);
+  EXPECT_EQ(ff_rows[0].first, "x\xff");
+  EXPECT_EQ(ff_rows[1].first, "x\xff" "1");
 }
 
 TEST(KvStoreTest, ScanLimitAcrossManyStripes) {
   // A small limit over many striped keys must return exactly the
-  // first-`limit` keys in global order — the merge buffer is pruned to
-  // O(limit) between stripes, which must never drop a key that belongs
-  // in the answer.
+  // first-`limit` keys in global order, however the keys hash over the
+  // stripes.
   KvStore store;
   constexpr int kKeys = 500;
   for (int i = 0; i < kKeys; ++i) {
@@ -122,12 +123,10 @@ TEST(KvStoreTest, ScanLimitAcrossManyStripes) {
     std::snprintf(key, sizeof(key), "k%04d", i);
     ASSERT_TRUE(store.Put(key, std::to_string(i)).ok());
   }
-  Snapshot snap = store.GetSnapshot();
-  // More keys after the snapshot: they must stay invisible to it.
-  ASSERT_TRUE(store.Put("k0000a", "late").ok());
+  ASSERT_TRUE(store.Put("other", "x").ok());
 
   for (size_t limit : {1u, 7u, 64u, 499u}) {
-    auto rows = store.Scan("", "", snap, limit);
+    auto rows = store.Scan("k", limit);
     ASSERT_EQ(rows.size(), limit);
     for (size_t i = 0; i < limit; ++i) {
       char want[16];
@@ -136,25 +135,11 @@ TEST(KvStoreTest, ScanLimitAcrossManyStripes) {
       EXPECT_EQ(rows[i].second, std::to_string(i));
     }
   }
-  // Limit larger than the live set returns everything, still ordered.
-  auto all = store.Scan("", "", snap, 10000);
+  // Limit larger than the matching set returns all of it, still ordered.
+  auto all = store.Scan("k", 10000);
   ASSERT_EQ(all.size(), static_cast<size_t>(kKeys));
   EXPECT_EQ(all.front().first, "k0000");
   EXPECT_EQ(all.back().first, "k0499");
-}
-
-TEST(KvStoreTest, ScanWithSnapshot) {
-  KvStore store;
-  ASSERT_TRUE(store.Put("p/1", "a").ok());
-  ASSERT_TRUE(store.Put("p/2", "b").ok());
-  Snapshot snap = store.GetSnapshot();
-  ASSERT_TRUE(store.Put("p/3", "c").ok());
-  ASSERT_TRUE(store.Delete("p/1").ok());
-
-  auto rows = store.Scan("p/", "p0", snap);
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_EQ(rows[0].first, "p/1");
-  EXPECT_EQ(rows[1].first, "p/2");
 }
 
 TEST(KvStoreTest, LiveKeyCount) {
@@ -162,27 +147,6 @@ TEST(KvStoreTest, LiveKeyCount) {
   ASSERT_TRUE(store.Put("a", "1").ok());
   ASSERT_TRUE(store.Put("b", "2").ok());
   ASSERT_TRUE(store.Delete("a").ok());
-  EXPECT_EQ(store.LiveKeyCount(), 1u);
-}
-
-TEST(KvStoreTest, ReleaseVersionsKeepsVisibleVersion) {
-  KvStore store;
-  ASSERT_TRUE(store.Put("k", "v1").ok());  // seq 1
-  ASSERT_TRUE(store.Put("k", "v2").ok());  // seq 2
-  ASSERT_TRUE(store.Put("k", "v3").ok());  // seq 3
-  store.ReleaseVersionsBefore(3);
-  // Version at seq >= 3 plus the visible-at-3 version remain.
-  EXPECT_EQ(*store.Get("k"), "v3");
-  EXPECT_EQ(*store.Get("k", Snapshot{3}), "v3");
-}
-
-TEST(KvStoreTest, ReleaseVersionsCollectsDeadKeys) {
-  KvStore store;
-  ASSERT_TRUE(store.Put("gone", "v").ok());
-  ASSERT_TRUE(store.Delete("gone").ok());  // seq 2
-  ASSERT_TRUE(store.Put("kept", "v").ok());
-  store.ReleaseVersionsBefore(10);
-  EXPECT_TRUE(store.Get("gone").status().IsNotFound());
   EXPECT_EQ(store.LiveKeyCount(), 1u);
 }
 
@@ -222,6 +186,15 @@ TEST(KvStoreTest, RecoverRequiresEmptyStore) {
   ASSERT_TRUE(store.Put("a", "1").ok());
   EXPECT_TRUE(
       store.Recover(ByteView(store.WalContents())).status().IsInvalidArgument());
+  // Every key deleted leaves no key, but the store has committed batches:
+  // replaying on top of them would fork the sequence.
+  KvStore emptied;
+  ASSERT_TRUE(emptied.Put("a", "1").ok());
+  ASSERT_TRUE(emptied.Delete("a").ok());
+  ASSERT_EQ(emptied.LiveKeyCount(), 0u);
+  EXPECT_TRUE(emptied.Recover(ByteView(emptied.WalContents()))
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST(KvStoreTest, WalDeviceIsCharged) {
@@ -257,13 +230,11 @@ TEST(KvStoreTest, ConcurrentWritersDoNotLoseUpdates) {
 }
 
 // Property: a randomized interleaving of puts/deletes matches a reference
-// std::map, both at head and via a snapshot taken mid-way.
+// std::map.
 TEST(KvStoreProperty, MatchesReferenceModel) {
   Random rng(2024);
   KvStore store;
   std::map<std::string, std::string> model;
-  std::map<std::string, std::string> model_at_snap;
-  Snapshot snap{};
   constexpr int kOps = 3000;
   for (int i = 0; i < kOps; ++i) {
     std::string key = "k" + std::to_string(rng.Uniform(100));
@@ -275,25 +246,14 @@ TEST(KvStoreProperty, MatchesReferenceModel) {
       ASSERT_TRUE(store.Put(key, value).ok());
       model[key] = value;
     }
-    if (i == kOps / 2) {
-      snap = store.GetSnapshot();
-      model_at_snap = model;
-    }
   }
-  auto rows = store.Scan("", "");
+  auto rows = store.Scan("");
   ASSERT_EQ(rows.size(), model.size());
+  EXPECT_EQ(store.LiveKeyCount(), model.size());
   size_t idx = 0;
   for (const auto& [k, v] : model) {
     EXPECT_EQ(rows[idx].first, k);
     EXPECT_EQ(rows[idx].second, v);
-    ++idx;
-  }
-  auto snap_rows = store.Scan("", "", snap);
-  ASSERT_EQ(snap_rows.size(), model_at_snap.size());
-  idx = 0;
-  for (const auto& [k, v] : model_at_snap) {
-    EXPECT_EQ(snap_rows[idx].first, k);
-    EXPECT_EQ(snap_rows[idx].second, v);
     ++idx;
   }
 }

@@ -355,6 +355,93 @@ TEST(RecoveryTest, EveryDeleteTopicCrashPointRecovers) {
   ExpectEveryCrashPointRecovers(TopicOp::kDelete, {3});
 }
 
+// Every crash point of a consumer-offset commit. A consumer group commits,
+// reads more and commits again; each byte prefix of the metadata WAL the
+// second commit wrote is replayed into a fresh KV store. A consumer of the
+// group that subscribes there must resume at every position of one commit,
+// never at a mix of both.
+TEST(RecoveryTest, EveryCommitOffsetsCrashPointResumesAtOneCommit) {
+  CrashFixture f;
+  constexpr uint32_t kStreams = 3;
+  streaming::TopicConfig config;
+  config.stream_num = kStreams;
+  ASSERT_TRUE(f.dispatcher->CreateTopic("events", config).ok());
+  streaming::Producer producer(f.dispatcher.get());
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(
+        producer.Send("events", streaming::Message("k" + std::to_string(i),
+                                                   "v" + std::to_string(i)))
+            .ok());
+  }
+  for (uint32_t s = 0; s < kStreams; ++s) {
+    auto id = f.dispatcher->StreamObjectId("events", s);
+    ASSERT_TRUE(f.objects->GetObject(*id)->Flush().ok());
+  }
+  // Where a consumer subscribed on `meta` resumes, per stream: the stream's
+  // length minus the messages it still reads.
+  std::vector<uint64_t> lengths(kStreams, 0);
+  auto resume_positions = [&](streaming::StreamDispatcher* dispatcher,
+                              kv::KvStore* meta) {
+    std::vector<uint64_t> positions = lengths;
+    streaming::Consumer consumer(dispatcher, meta, "g");
+    EXPECT_TRUE(consumer.Subscribe("events").ok());
+    auto rest = consumer.Poll(1000);
+    EXPECT_TRUE(rest.ok()) << rest.status().ToString();
+    if (rest.ok()) {
+      for (const auto& m : *rest) --positions[m.stream_index];
+    }
+    return positions;
+  };
+  {
+    streaming::Consumer all(f.dispatcher.get(), &f.meta, "all");
+    ASSERT_TRUE(all.Subscribe("events").ok());
+    auto messages = all.Poll(1000);
+    ASSERT_TRUE(messages.ok());
+    ASSERT_EQ(messages->size(), 300u);
+    for (const auto& m : *messages) ++lengths[m.stream_index];
+  }
+
+  streaming::Consumer consumer(f.dispatcher.get(), &f.meta, "g");
+  ASSERT_TRUE(consumer.Subscribe("events").ok());
+  ASSERT_TRUE(consumer.Poll(50).ok());
+  ASSERT_TRUE(consumer.CommitOffsets().ok());
+  const std::vector<uint64_t> first =
+      resume_positions(f.dispatcher.get(), &f.meta);
+  const size_t call_start = f.meta.WalContents().size();
+  ASSERT_TRUE(consumer.Poll(120).ok());
+  ASSERT_TRUE(consumer.CommitOffsets().ok());
+  const std::vector<uint64_t> second =
+      resume_positions(f.dispatcher.get(), &f.meta);
+  const Bytes wal = f.meta.WalContents();
+  const Bytes index_wal = f.index.WalContents();
+  ASSERT_GT(wal.size(), call_start);
+  // A mix is only visible if the commits differ on two streams or more.
+  size_t differing = 0;
+  for (uint32_t s = 0; s < kStreams; ++s) differing += first[s] != second[s];
+  ASSERT_GE(differing, 2u);
+
+  size_t at_first = 0;
+  for (size_t len = call_start; len <= wal.size(); ++len) {
+    kv::KvStore meta;
+    ASSERT_TRUE(meta.Recover(ByteView(wal.data(), len)).ok());
+    kv::KvStore index;
+    ASSERT_TRUE(index.Recover(ByteView(index_wal)).ok());
+    stream::StreamObjectManager objects(f.plogs.get(), &index, &f.clock,
+                                        nullptr, 0);
+    ASSERT_TRUE(objects.RecoverAll().ok());
+    streaming::StreamDispatcher dispatcher(&objects, &meta, &f.bus, &f.clock,
+                                           3);
+    ASSERT_TRUE(dispatcher.Recover().ok());
+    const std::vector<uint64_t> resumed = resume_positions(&dispatcher, &meta);
+    EXPECT_TRUE(resumed == first || resumed == second)
+        << "prefix " << len - call_start << " resumes at a mix of commits";
+    at_first += resumed == first;
+  }
+  // Every torn prefix resumes at the first commit; only the whole record
+  // reaches the second.
+  EXPECT_EQ(at_first, wal.size() - call_start);
+}
+
 TEST(RecoveryTest, RecoverRequiresEmptyServices) {
   CrashFixture f;
   streaming::TopicConfig config;

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/mutex.h"
 #include "kv/kv_store.h"
 #include "storage/plog_store.h"
@@ -95,15 +96,32 @@ TEST(ShardParallelTest, PlogStoreStripedMixedWorkload) {
 }
 
 TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
-  kv::KvOptions options;
-  options.num_stripes = 8;
-  kv::KvStore store(options);
+  kv::KvStore store;
+  // Pair batches put one counter into "pair/a" and "pair/b", which live on
+  // different stripes: a scan that released one stripe before locking the
+  // next could see half of a batch. The fillers spread over every stripe
+  // so such a scan has work to do between the two.
+  ASSERT_NE(Hash64(ByteView("pair/a")) % kv::KvStore::kStripes,
+            Hash64(ByteView("pair/b")) % kv::KvStore::kStripes);
+  constexpr size_t kFillers = 256;
+  for (size_t i = 0; i < kFillers; ++i) {
+    ASSERT_TRUE(store.Put("pair/f" + std::to_string(i), "filler").ok());
+  }
+  auto commit_pair = [&store](const std::string& counter) {
+    kv::WriteBatch pair;
+    pair.Put("pair/a", counter);
+    pair.Put("pair/b", counter);
+    return store.Write(pair);
+  };
+  ASSERT_TRUE(commit_pair("start").ok());
 
   constexpr int kWriters = 4;
   constexpr int kOpsEach = 200;
+  constexpr int kPairScans = 200;
   std::atomic<bool> stop{false};
+  std::atomic<bool> pair_scans_done{false};
   std::vector<std::thread> threads;
-  threads.reserve(kWriters + 2);
+  threads.reserve(kWriters + 3);
 
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
@@ -120,19 +138,34 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
         }
         ASSERT_TRUE(store.Write(batch).ok());
       }
+      // Pair batches race the pair scanner for as long as it runs.
+      for (int i = 0; !pair_scans_done.load(std::memory_order_acquire); ++i) {
+        ASSERT_TRUE(
+            commit_pair(std::to_string(w) + "/" + std::to_string(i)).ok());
+      }
     });
   }
-  // Snapshot scanner: merged cross-stripe range reads while writes land.
+  // Scanners: merged cross-stripe prefix reads while writes land.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      auto snap = store.GetSnapshot();
-      auto rows = store.Scan("shared/", "shared0", snap, 64);
+      auto rows = store.Scan("shared/", 64);
       // Scan output must be sorted despite per-stripe collection.
       for (size_t i = 1; i < rows.size(); ++i) {
         ASSERT_LT(rows[i - 1].first, rows[i].first);
       }
       std::this_thread::yield();
     }
+  });
+  std::atomic<int> torn_scans{0};
+  threads.emplace_back([&] {
+    for (int n = 0; n < kPairScans; ++n) {
+      // "pair/a" and "pair/b" sort first; each batch is seen whole.
+      auto rows = store.Scan("pair/");
+      if (rows.size() != kFillers + 2 || rows[0].second != rows[1].second) {
+        torn_scans.fetch_add(1);
+      }
+    }
+    pair_scans_done.store(true, std::memory_order_release);
   });
   // Point reader on the hot shared keys.
   threads.emplace_back([&] {
@@ -150,6 +183,7 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
   for (int w = 0; w < kWriters; ++w) threads[w].join();
   stop.store(true, std::memory_order_release);
   for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
+  EXPECT_EQ(torn_scans.load(), 0) << "of " << kPairScans << " pair scans";
 
   // Every writer's surviving keys are all visible at the end.
   for (int w = 0; w < kWriters; ++w) {
@@ -171,9 +205,7 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
 // Batches whose sequences interleave across stripes must recover to the
 // exact same state: the per-stripe WALs are merged by sequence.
 TEST(ShardParallelTest, ConcurrentBatchesRecoverExactly) {
-  kv::KvOptions options;
-  options.num_stripes = 4;
-  kv::KvStore store(options);
+  kv::KvStore store;
 
   constexpr int kWriters = 4;
   std::vector<std::thread> writers;
@@ -190,15 +222,13 @@ TEST(ShardParallelTest, ConcurrentBatchesRecoverExactly) {
   }
   for (auto& t : writers) t.join();
 
-  kv::KvOptions replay_options;
-  replay_options.num_stripes = 4;
-  kv::KvStore replayed(replay_options);
+  kv::KvStore replayed;
   Bytes wal = store.WalContents();
   auto applied = replayed.Recover(ByteView(wal));
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_EQ(replayed.LiveKeyCount(), store.LiveKeyCount());
   EXPECT_EQ(replayed.LatestSequence(), store.LatestSequence());
-  auto rows = store.Scan("a/", "c", store.GetSnapshot());
+  auto rows = store.Scan("");
   for (const auto& [key, value] : rows) {
     auto got = replayed.Get(key);
     ASSERT_TRUE(got.ok()) << key;

@@ -878,6 +878,21 @@ TEST(ObjectStoreTest, ListByPrefix) {
   EXPECT_EQ(f.objects->num_objects(), 4u);
 }
 
+TEST(ObjectStoreTest, ListPrefixEndingInFF) {
+  // Paths are bytes: a prefix ending in 0xFF and a path starting with it
+  // must be listed and counted like any other.
+  ObjectStoreFixture f;
+  for (std::string path : {std::string("/b/x\xff" "1"), std::string("/b/plain"),
+                           std::string("\xffz")}) {
+    ASSERT_TRUE(f.objects->Write(path, ByteView("x")).ok());
+  }
+  auto listed = f.objects->List("/b/x\xff");
+  ASSERT_EQ(listed.size(), 1u);
+  EXPECT_EQ(listed[0], "/b/x\xff" "1");
+  EXPECT_EQ(f.objects->List("\xff").size(), 1u);
+  EXPECT_EQ(f.objects->num_objects(), 3u);
+}
+
 TEST(ObjectStoreTest, WormPrefixBlocksOverwriteAndDelete) {
   ObjectStoreFixture f;
   f.objects->SetWormPrefix("/archive/");
