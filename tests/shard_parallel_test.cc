@@ -119,6 +119,7 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
   constexpr int kOpsEach = 200;
   constexpr int kPairScans = 200;
   std::atomic<bool> stop{false};
+  std::atomic<int> pair_commits{0};
   std::atomic<bool> pair_scans_done{false};
   std::vector<std::thread> threads;
   threads.reserve(kWriters + 3);
@@ -142,6 +143,7 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
       for (int i = 0; !pair_scans_done.load(std::memory_order_acquire); ++i) {
         ASSERT_TRUE(
             commit_pair(std::to_string(w) + "/" + std::to_string(i)).ok());
+        pair_commits.fetch_add(1, std::memory_order_release);
       }
     });
   }
@@ -157,13 +159,20 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
     }
   });
   std::atomic<int> torn_scans{0};
+  std::atomic<int> raced_scans{0};
   threads.emplace_back([&] {
+    // Start once a writer is in its pair loop: it stays there until the
+    // last scan, so every scan below races pair batches.
+    while (pair_commits.load(std::memory_order_acquire) == 0) {
+      std::this_thread::yield();
+    }
     for (int n = 0; n < kPairScans; ++n) {
       // "pair/a" and "pair/b" sort first; each batch is seen whole.
       auto rows = store.Scan("pair/");
       if (rows.size() != kFillers + 2 || rows[0].second != rows[1].second) {
         torn_scans.fetch_add(1);
       }
+      if (!rows.empty() && rows[0].second != "start") raced_scans.fetch_add(1);
     }
     pair_scans_done.store(true, std::memory_order_release);
   });
@@ -184,6 +193,7 @@ TEST(ShardParallelTest, KvStoreStripedWritersReadersAndScans) {
   stop.store(true, std::memory_order_release);
   for (size_t i = kWriters; i < threads.size(); ++i) threads[i].join();
   EXPECT_EQ(torn_scans.load(), 0) << "of " << kPairScans << " pair scans";
+  EXPECT_EQ(raced_scans.load(), kPairScans) << "scans that saw a pair batch";
 
   // Every writer's surviving keys are all visible at the end.
   for (int w = 0; w < kWriters; ++w) {
