@@ -14,6 +14,7 @@
 #include "bench_report.h"
 #include "codec/compression.h"
 #include "codec/encoding.h"
+#include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/mutex.h"
@@ -48,7 +49,7 @@ void BM_Crc32c(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }
-BENCHMARK(BM_Crc32c)->Arg(1024)->Arg(64 << 10);
+BENCHMARK(BM_Crc32c)->Arg(1024)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_Hash64(benchmark::State& state) {
   Bytes data = RandomBytes(state.range(0));
@@ -97,6 +98,29 @@ void BM_LzCompressRandomText(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * data.size());
 }
 BENCHMARK(BM_LzCompressRandomText)->Arg(64 << 10);
+
+void BM_LzCompressDpiPayload(benchmark::State& state) {
+  // One province's payload column chunk of a 5000-message conversion (the
+  // ingest path's largest chunks): the null count, then the plain-encoded
+  // payloads of the rows whose province is the first row's.
+  workload::DpiLogGenerator gen;
+  const std::vector<format::Row> rows = gen.NextBatch(5000);
+  std::vector<std::string> payloads;
+  for (const format::Row& row : rows) {
+    if (row.fields[2] == rows.front().fields[2]) {
+      payloads.push_back(std::get<std::string>(row.fields[5]));
+    }
+  }
+  Bytes data;
+  PutVarint64(&data, 0);
+  codec::EncodeStrings(payloads, codec::Encoding::kPlain, &data);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        codec::Compress(codec::Compression::kLz, ByteView(data)));
+  }
+  state.SetBytesProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_LzCompressDpiPayload);
 
 void BM_LzDecompress(benchmark::State& state) {
   Bytes data = LogText(state.range(0));

@@ -14,7 +14,9 @@ namespace streamlake::codec {
 /// lever of the TCO story. Its parse is fixed: candidates are rejected with
 /// one 4-byte compare and matches extended 8 bytes at a time, but the token
 /// stream is byte-for-byte what a byte-at-a-time matcher emits, so stored
-/// files never change with the kernel.
+/// files never change with the kernel. On a CPU that reports AVX-512
+/// F/VL/CD/BW/VBMI the parse looks at eight positions per step; elsewhere
+/// it runs internal::LzCompressPortable. Both return the same bytes.
 enum class Compression : uint8_t {
   kNone = 0,
   kLz = 1,
@@ -31,6 +33,14 @@ Bytes Compress(Compression codec, ByteView input);
 /// input can expand to, so a forged size cannot exhaust memory.
 Result<Bytes> Decompress(Compression codec, ByteView input,
                          size_t uncompressed_size);
+
+namespace internal {
+
+/// The LZ parse one position per step: the fallback of Compress(kLz, ...)
+/// and the reference the tests hold the eight-position parse to.
+Bytes LzCompressPortable(ByteView input);
+
+}  // namespace internal
 
 }  // namespace streamlake::codec
 

@@ -14,8 +14,9 @@ uint64_t Hash64(ByteView data, uint64_t seed = 0);
 
 /// CRC-32C (Castagnoli); guards every PLog record and LakeFile block.
 /// Chains: Crc32c(b, Crc32c(a)) == Crc32c(a‖b). On a CPU that reports
-/// SSE4.2 it runs the crc32 instruction over 8-byte words; elsewhere it
-/// runs internal::Crc32cPortable. Both return the same value.
+/// SSE4.2 it runs the crc32 instruction over 8-byte words, three streams at
+/// a time over 3x8192- and 3x256-byte blocks; elsewhere it runs
+/// internal::Crc32cPortable. Both return the same value.
 uint32_t Crc32c(ByteView data, uint32_t seed = 0);
 
 namespace internal {

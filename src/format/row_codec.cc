@@ -28,6 +28,8 @@ void EncodeRow(const Schema& schema, const Row& row, Bytes* dst) {
       case DataType::kString:
         PutLengthPrefixed(dst, std::string_view(std::get<std::string>(v)));
         break;
+      case DataType::kNull:
+        break;  // a NULL field takes no bytes
     }
   }
 }
@@ -63,6 +65,9 @@ Result<Row> DecodeRow(const Schema& schema, Decoder* dec) {
         row.fields.emplace_back(std::move(s));
         break;
       }
+      case DataType::kNull:
+        row.fields.emplace_back(std::monostate{});
+        break;
     }
   }
   return row;

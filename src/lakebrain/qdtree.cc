@@ -32,6 +32,8 @@ bool NegateRange(const query::Predicate& p, query::Predicate* out) {
       return true;
     case query::CompareOp::kEq:
     case query::CompareOp::kIn:
+    case query::CompareOp::kIsNull:
+    case query::CompareOp::kIsNotNull:
       return false;
   }
   return false;
@@ -123,6 +125,10 @@ void ApplyPredicate(const query::Predicate& p, bool positive,
       }
       case query::CompareOp::kNe:
         // Excludes a single point: no interval bound to tighten.
+        return;
+      case query::CompareOp::kIsNull:
+      case query::CompareOp::kIsNotNull:
+        // NULL tests bound no interval of values.
         return;
     }
     return;

@@ -29,6 +29,8 @@ double Numeric(const format::Value& v) {
       }
       return acc;
     }
+    case format::DataType::kNull:
+      return 0;
   }
   return 0;
 }

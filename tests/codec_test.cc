@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "codec/compression.h"
@@ -8,6 +11,8 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/random.h"
+#include "workload/dpi_log.h"
+#include "workload/tpch.h"
 
 namespace streamlake::codec {
 namespace {
@@ -275,6 +280,144 @@ TEST(LzTest, OutputIsIndependentOfCallHistory) {
   for (std::thread& thread : threads) thread.join();
   for (size_t t = 0; t < mismatches.size(); ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+// One province's payload column chunk of a conversion of `rows` DPI
+// messages, as a LakeFile group holds it before compression: the null
+// count, then the plain-encoded payloads of the rows whose province is the
+// first row's.
+Bytes DpiPayloadChunk(size_t rows) {
+  workload::DpiLogGenerator gen;
+  const std::vector<format::Row> batch = gen.NextBatch(rows);
+  const format::Value& province = batch.front().fields[2];
+  std::vector<std::string> payloads;
+  for (const format::Row& row : batch) {
+    if (row.fields[2] == province) {
+      payloads.push_back(std::get<std::string>(row.fields[5]));
+    }
+  }
+  Bytes chunk;
+  PutVarint64(&chunk, 0);
+  EncodeStrings(payloads, Encoding::kPlain, &chunk);
+  return chunk;
+}
+
+// The columns of 450 TPC-H lineitem rows, each plain-encoded as a chunk.
+std::vector<Bytes> TpchColumnChunks() {
+  workload::TpchLineitemGenerator gen;
+  const std::vector<format::Row> rows = gen.NextBatch(450);
+  const format::Schema schema = workload::TpchLineitemGenerator::Schema();
+  std::vector<Bytes> chunks;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    Bytes chunk;
+    PutVarint64(&chunk, 0);
+    switch (schema.field(c).type) {
+      case format::DataType::kInt64: {
+        std::vector<int64_t> values;
+        for (const format::Row& row : rows) {
+          values.push_back(std::get<int64_t>(row.fields[c]));
+        }
+        EncodeInt64s(values, Encoding::kPlain, &chunk);
+        break;
+      }
+      case format::DataType::kDouble: {
+        std::vector<double> values;
+        for (const format::Row& row : rows) {
+          values.push_back(std::get<double>(row.fields[c]));
+        }
+        EncodeDoubles(values, &chunk);
+        break;
+      }
+      case format::DataType::kString: {
+        std::vector<std::string> values;
+        for (const format::Row& row : rows) {
+          values.push_back(std::get<std::string>(row.fields[c]));
+        }
+        EncodeStrings(values, Encoding::kPlain, &chunk);
+        break;
+      }
+      case format::DataType::kBool:
+      case format::DataType::kNull:
+        ADD_FAILURE() << "lineitem has no column of type "
+                      << format::DataTypeName(schema.field(c).type);
+        break;
+    }
+    chunks.push_back(std::move(chunk));
+  }
+  return chunks;
+}
+
+// Whether Compress runs the eight-position parse on this CPU.
+bool CpuRunsVectorParse() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") &&
+         __builtin_cpu_supports("avx512vl") &&
+         __builtin_cpu_supports("avx512cd") &&
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512vbmi");
+#else
+  return false;
+#endif
+}
+
+TEST(LzTest, VectorParseEqualsPortable) {
+  std::printf("LZ parse under test: %s\n",
+              CpuRunsVectorParse()
+                  ? "eight positions per step (AVX-512)"
+                  : "one position per step (no AVX-512 VBMI: both calls "
+                    "run the portable loop)");
+  std::vector<std::pair<std::string, Bytes>> inputs;
+  Random rng(41);
+  Bytes random(100000);
+  for (uint8_t& b : random) b = static_cast<uint8_t>(rng.Uniform(256));
+  inputs.emplace_back("random", std::move(random));
+  inputs.emplace_back("printable", GoldenPrintableText());
+  Bytes two_letters(70000);
+  for (uint8_t& b : two_letters) b = rng.OneIn(2) ? 'a' : 'b';
+  inputs.emplace_back("two letters", std::move(two_letters));
+  inputs.emplace_back("runs", GoldenLongRuns());
+  Bytes period3(20000);
+  for (size_t i = 0; i < period3.size(); ++i) period3[i] = "xyz"[i % 3];
+  inputs.emplace_back("period 3", std::move(period3));
+  inputs.emplace_back("dpi payload", DpiPayloadChunk(5000));
+  const std::vector<Bytes> tpch = TpchColumnChunks();
+  for (size_t c = 0; c < tpch.size(); ++c) {
+    inputs.emplace_back("tpch column " + std::to_string(c), tpch[c]);
+  }
+
+  // Every length 0-64, and the whole input and 15-17 bytes short of it, so
+  // that the last 16 bytes, where the vector steps stop and the
+  // one-position loop takes over, start on different content.
+  size_t calls = 0;
+  for (const auto& [name, data] : inputs) {
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 64 && len <= data.size(); ++len) {
+      lengths.push_back(len);
+    }
+    for (size_t back : {17, 16, 15, 0}) {
+      if (data.size() >= back + 65) lengths.push_back(data.size() - back);
+    }
+    for (size_t len : lengths) {
+      const ByteView view(data.data(), len);
+      // Both parses share the thread's table; alternating which runs
+      // first gives each call a different table history.
+      Bytes vector;
+      Bytes portable;
+      if (++calls % 2 == 0) {
+        vector = Compress(Compression::kLz, view);
+        portable = internal::LzCompressPortable(view);
+      } else {
+        portable = internal::LzCompressPortable(view);
+        vector = Compress(Compression::kLz, view);
+      }
+      ASSERT_EQ(vector, portable) << name << ", length " << len;
+    }
+    const Bytes full = Compress(Compression::kLz, ByteView(data));
+    auto out = Decompress(Compression::kLz, ByteView(full), data.size());
+    ASSERT_TRUE(out.ok()) << name << ": " << out.status().ToString();
+    EXPECT_EQ(*out, data) << name;
   }
 }
 

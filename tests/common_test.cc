@@ -224,6 +224,31 @@ TEST(HashTest, Crc32cMatchesPortableAtEveryLengthAndOffset) {
   }
 }
 
+TEST(HashTest, Crc32cMatchesPortablePastTheInterleavedBlocks) {
+  // The kernel runs three streams over 3x8192- then 3x256-byte blocks:
+  // lengths on both sides of each block size and of their sum, and long
+  // inputs of many blocks, at every misalignment and over several seeds.
+  const size_t kLengths[] = {767,   768,   769,    24575, 24576,
+                             24577, 25343, 25344,  25345, 100000,
+                             size_t{1} << 20};
+  for (uint64_t seed : {31, 32, 33}) {
+    Random rng(seed);
+    Bytes data((size_t{1} << 20) + 8);
+    for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Uniform(256));
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len : kLengths) {
+        ByteView view(data.data() + offset, len);
+        const uint32_t crc_seed = static_cast<uint32_t>(rng.Next());
+        ASSERT_EQ(Crc32c(view), internal::Crc32cPortable(view))
+            << "seed " << seed << " offset " << offset << " len " << len;
+        ASSERT_EQ(Crc32c(view, crc_seed),
+                  internal::Crc32cPortable(view, crc_seed))
+            << "seed " << seed << " offset " << offset << " len " << len;
+      }
+    }
+  }
+}
+
 TEST(HashTest, Crc32cChains) {
   Random rng(22);
   Bytes data(777);
@@ -234,6 +259,20 @@ TEST(HashTest, Crc32cChains) {
     ByteView a(data.data(), split);
     ByteView b(data.data() + split, data.size() - split);
     EXPECT_EQ(Crc32c(b, Crc32c(a)), whole) << "split " << split;
+  }
+
+  // Splits across the interleaved blocks: each side starts or ends inside
+  // a 3x8192- or 3x256-byte block of the whole.
+  Bytes big(2 * 24576 + 768 + 100);
+  for (uint8_t& b : big) b = static_cast<uint8_t>(rng.Uniform(256));
+  const uint32_t big_whole = Crc32c(ByteView(big));
+  ASSERT_EQ(big_whole, internal::Crc32cPortable(ByteView(big)));
+  for (size_t split : {size_t{100}, size_t{767}, size_t{769}, size_t{8192},
+                       size_t{24575}, size_t{24577}, size_t{25344},
+                       size_t{30000}, size_t{49153}}) {
+    ByteView a(big.data(), split);
+    ByteView b(big.data() + split, big.size() - split);
+    EXPECT_EQ(Crc32c(b, Crc32c(a)), big_whole) << "split " << split;
   }
 }
 
