@@ -325,8 +325,7 @@ struct WarmLakehouse {
   table::DecodedBlockCache cache{64ULL << 20};
   std::unique_ptr<table::LakehouseService> lakehouse;
 
-  explicit WarmLakehouse(
-      table::DeleteMode delete_mode = table::DeleteMode::kCopyOnWrite) {
+  WarmLakehouse() {
     pool.AddCluster(3, 2, 512 << 20);
     storage::PlogStoreConfig config;
     config.num_shards = 8;
@@ -339,7 +338,6 @@ struct WarmLakehouse {
         objects.get(), &meta_cache, table::MetadataMode::kAccelerated);
     table::TableOptions options;
     options.max_rows_per_file = 4096;
-    options.delete_mode = delete_mode;
     lakehouse = std::make_unique<table::LakehouseService>(
         meta.get(), objects.get(), &clock, &compute_link, options,
         /*scan_pool=*/nullptr, &cache);
@@ -363,30 +361,38 @@ struct WarmLakehouse {
   }
 };
 
-// One lakehouse_mixed day change: CompactPartition over one day of 20
-// 500-row TPC-H lineitem inserts with one merge-on-read delete (one row in
-// fifty) outstanding. The set-up of each iteration is untimed.
+// CompactPartition over one day of N 256-row TPC-H lineitem files, with
+// one merge-on-read delete (one row in fifty) outstanding, into one file:
+// the rewrite gathers every file's surviving rows into one column batch.
+// Reported per input row; the set-up of each iteration is untimed.
 void BM_CompactPartition(benchmark::State& state) {
   constexpr int64_t kDay = 86400;
+  constexpr size_t kRowsPerFile = 256;
+  const auto files = static_cast<size_t>(state.range(0));
+  const int64_t rows = static_cast<int64_t>(files * kRowsPerFile);
   const int64_t day = workload::TpchLineitemGenerator::kShipDateMin / kDay;
   workload::TpchLineitemGenerator gen;
-  std::vector<std::vector<format::Row>> batches(20);
+  std::vector<std::vector<format::Row>> batches(files);
   for (size_t b = 0; b < batches.size(); ++b) {
-    batches[b] = gen.NextBatch(500);
+    batches[b] = gen.NextBatch(kRowsPerFile);
     for (size_t i = 0; i < batches[b].size(); ++i) {
-      const auto slot = static_cast<int64_t>(b * 500 + i);
-      batches[b][i].fields[5] = format::Value(day * kDay + slot * kDay / 10000);
+      const auto slot = static_cast<int64_t>(b * kRowsPerFile + i);
+      batches[b][i].fields[5] = format::Value(day * kDay + slot * kDay / rows);
     }
   }
   query::Conjunction where;
   where.Add(query::Predicate::Eq("l_quantity", format::Value(int64_t{7})));
   const std::string partition = "day=" + std::to_string(day);
+  table::TableOptions options;
+  options.max_rows_per_file = 4096;
+  options.delete_mode = table::DeleteMode::kMergeOnRead;
+  options.target_file_bytes = 1ULL << 30;  // one bin takes every file
   for (auto _ : state) {
     state.PauseTiming();
-    WarmLakehouse lake(table::DeleteMode::kMergeOnRead);
+    WarmLakehouse lake;
     auto table = lake.lakehouse->CreateTable(
         "lineitem", workload::TpchLineitemGenerator::Schema(),
-        table::PartitionSpec::Day("l_shipdate"));
+        table::PartitionSpec::Day("l_shipdate"), &options);
     SL_CHECK_OK(table.status());
     for (const std::vector<format::Row>& batch : batches) {
       SL_CHECK_OK((*table)->Insert(batch));
@@ -395,11 +401,18 @@ void BM_CompactPartition(benchmark::State& state) {
     state.ResumeTiming();
     auto compacted = (*table)->CompactPartition(partition);
     SL_CHECK_OK(compacted.status());
-    SL_CHECK(compacted->files_before == 20 && compacted->files_after == 1);
+    SL_CHECK(compacted->files_before == files && compacted->files_after == 1);
   }
-  state.SetItemsProcessed(state.iterations() * 10000);
+  // Time per input row, printed with an SI prefix (e.g. 550ns).
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(rows), benchmark::Counter::kIsIterationInvariantRate |
+                                     benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_CompactPartition)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CompactPartition)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 // The per-query CPU of a warm aggregate Select: GROUP BY a dictionary
 // column over a 4-file TPC-H lineitem table.

@@ -333,7 +333,8 @@ void GatherCells(const ColumnChunkData& chunk, std::span<const uint32_t> rows,
                  std::vector<Stored>* vals) {
   const auto& src =
       std::get<std::vector<Stored>>(chunk.dict_view ? chunk.dict : chunk.values);
-  vals->reserve(vals->size() + rows.size());
+  // push_back grows geometrically; an exact reserve here would reallocate
+  // (and move every gathered value) on each appended group.
   for (uint32_t r : rows) {
     vals->push_back(src[chunk.dict_view ? chunk.codes[r] : r]);
   }
@@ -360,6 +361,14 @@ ColumnBatch::ColumnBatch(const Schema& schema) {
       case DataType::kNull:  // a kNull column keeps its vector empty
         break;
     }
+  }
+}
+
+void ColumnBatch::Reserve(size_t rows) {
+  for (Column& column : columns) {
+    column.null_mask.reserve(rows);
+    if (column.type == DataType::kNull) continue;
+    std::visit([rows](auto& vals) { vals.reserve(rows); }, column.values);
   }
 }
 

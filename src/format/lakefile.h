@@ -119,6 +119,8 @@ struct ColumnBatch {
   /// No rows, one empty column per field of `schema`.
   explicit ColumnBatch(const Schema& schema);
 
+  /// Reserves room for `rows` rows in every column.
+  void Reserve(size_t rows);
   /// Appends `rows`, valid for the schema (Schema::ValidateRow), one column
   /// at a time.
   void AppendRows(std::span<const Row* const> rows);

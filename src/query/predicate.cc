@@ -109,6 +109,34 @@ bool AndTypedMatches(const Predicate& p, const format::ColumnChunkData& chunk,
   }
 }
 
+/// May some row of a `row_count`-row chunk with `stats` match `p`? The
+/// test Conjunction::MayMatchStats makes for each predicate on the column.
+bool PredicateMayMatchStats(const Predicate& p,
+                            const format::ColumnStats& stats,
+                            uint64_t row_count) {
+  const bool all_null = stats.has_extended && row_count > 0 &&
+                        stats.null_count == row_count;
+  if (p.op == CompareOp::kIsNull) {
+    return !(stats.has_extended && stats.null_count == 0);
+  }
+  if (p.op == CompareOp::kIsNotNull) return !all_null;
+  if (all_null) return false;  // comparisons never match NULL
+  if (!stats.min.has_value() || !stats.max.has_value()) return true;
+  if (format::TypeOf(*stats.min) != format::TypeOf(p.literal)) {
+    return true;  // mismatched type: cannot prune safely
+  }
+  return PredicateMayMatchRange(p, *stats.min, *stats.max);
+}
+
+/// Does every row of a chunk with `stats` satisfy `p`? Only a chunk with
+/// no NULL and a min/max (a double chunk holding a NaN has none) can say.
+bool PredicateHoldsForStats(const Predicate& p,
+                            const format::ColumnStats& stats) {
+  return stats.has_extended && stats.null_count == 0 &&
+         stats.min.has_value() && stats.max.has_value() &&
+         PredicateHoldsForRange(p, *stats.min, *stats.max);
+}
+
 }  // namespace
 
 const char* CompareOpName(CompareOp op) {
@@ -326,27 +354,43 @@ bool PredicateMayMatchRange(const Predicate& predicate,
   return true;
 }
 
+bool PredicateHoldsForRange(const Predicate& predicate,
+                            const format::Value& min,
+                            const format::Value& max) {
+  const format::Value& literal = predicate.literal;
+  if (format::TypeOf(min) != format::TypeOf(literal) ||
+      format::TypeOf(max) != format::TypeOf(literal)) {
+    return false;
+  }
+  switch (predicate.op) {
+    case CompareOp::kLe:
+      return format::CompareValues(max, literal) <= 0;
+    case CompareOp::kLt:
+      return format::CompareValues(max, literal) < 0;
+    case CompareOp::kGe:
+      return format::CompareValues(min, literal) >= 0;
+    case CompareOp::kGt:
+      return format::CompareValues(min, literal) > 0;
+    case CompareOp::kEq:
+      return format::CompareValues(min, literal) == 0 &&
+             format::CompareValues(max, literal) == 0;
+    case CompareOp::kNe:
+      return format::CompareValues(max, literal) < 0 ||
+             format::CompareValues(min, literal) > 0;
+    case CompareOp::kIn:
+    case CompareOp::kIsNull:
+    case CompareOp::kIsNotNull:
+      return false;
+  }
+  return false;
+}
+
 bool Conjunction::MayMatchStats(const std::string& column,
                                 const format::ColumnStats& stats,
                                 uint64_t row_count) const {
-  const bool all_null = stats.has_extended && row_count > 0 &&
-                        stats.null_count == row_count;
   for (const Predicate& predicate : predicates_) {
-    if (predicate.column != column) continue;
-    if (predicate.op == CompareOp::kIsNull) {
-      if (stats.has_extended && stats.null_count == 0) return false;
-      continue;
-    }
-    if (predicate.op == CompareOp::kIsNotNull) {
-      if (all_null) return false;
-      continue;
-    }
-    if (all_null) return false;  // comparisons never match NULL
-    if (!stats.min.has_value() || !stats.max.has_value()) continue;
-    if (format::TypeOf(*stats.min) != format::TypeOf(predicate.literal)) {
-      continue;  // mismatched type: cannot prune safely
-    }
-    if (!PredicateMayMatchRange(predicate, *stats.min, *stats.max)) {
+    if (predicate.column == column &&
+        !PredicateMayMatchStats(predicate, stats, row_count)) {
       return false;
     }
   }
@@ -416,18 +460,42 @@ BoundConjunction::BoundConjunction(const Conjunction& where,
   }
 }
 
+bool BoundConjunction::MayMatch(const format::RowGroupMeta& group,
+                                uint64_t* settled) const {
+  if (matches_none) return false;
+  for (const Bound& bound : predicates) {
+    if (!PredicateMayMatchStats(*bound.predicate,
+                                group.columns[bound.column].stats,
+                                group.num_rows)) {
+      if (settled != nullptr) ++*settled;
+      return false;
+    }
+  }
+  return true;
+}
+
 Result<uint64_t> BoundConjunction::AndInto(const ChunkAt& chunk_at,
+                                           const format::RowGroupMeta* group,
                                            std::vector<char>* selected,
                                            uint64_t selected_rows,
-                                           uint64_t* dict_prunes) const {
+                                           uint64_t* dict_prunes,
+                                           uint64_t* settled) const {
   if (matches_none) {
     std::fill(selected->begin(), selected->end(), 0);
     return 0;
   }
   for (const Bound& bound : predicates) {
     if (selected_rows == 0) break;
+    // The chunk decodes even when the stats settle the predicate, so a
+    // scan decodes (and caches) the same chunks either way.
     SL_ASSIGN_OR_RETURN(const format::ColumnChunkData* chunk,
                         chunk_at(bound.column));
+    if (group != nullptr &&
+        PredicateHoldsForStats(*bound.predicate,
+                               group->columns[bound.column].stats)) {
+      if (settled != nullptr) ++*settled;
+      continue;
+    }
     selected_rows -= AndMatches(*bound.predicate, *chunk, selected,
                                 dict_prunes);
   }

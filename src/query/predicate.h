@@ -96,6 +96,14 @@ bool PredicateMayMatchRange(const Predicate& predicate,
                             const format::Value& min,
                             const format::Value& max);
 
+/// Does every value in [min, max] satisfy `predicate`? Conservative: false
+/// when unsure. It answers only for min/max of the literal's type and for
+/// <, <=, >, >=, = and a != whose literal lies outside the range; NULLs
+/// are the caller's to rule out (no comparison matches a NULL).
+bool PredicateHoldsForRange(const Predicate& predicate,
+                            const format::Value& min,
+                            const format::Value& max);
+
 /// The column-at-a-time form of `p.Matches(chunk.ValueAt(r))`: clear
 /// `(*selected)[r]` for every selected row r of `chunk` that `p` rejects,
 /// and return the number of rows it deselected. IS [NOT] NULL reads the
@@ -117,6 +125,10 @@ uint64_t AndMatches(const Predicate& p, const format::ColumnChunkData& chunk,
 /// the rewrites' match test. Binding stops at the first predicate naming a
 /// column the schema lacks; such a conjunction matches no row, and
 /// `predicates` keeps the ones bound before it.
+///
+/// A row group's footer stats settle a predicate when they show that no
+/// row can match it (MayMatch) or that every row does (AndInto skips its
+/// evaluation); only the predicates they leave open touch rows.
 struct BoundConjunction {
   struct Bound {
     const Predicate* predicate;  // points into the bound Conjunction
@@ -128,14 +140,22 @@ struct BoundConjunction {
 
   BoundConjunction(const Conjunction& where, const format::Schema& schema);
 
+  /// May some row of `group` match, by its footer stats (the test
+  /// Conjunction::MayMatchStats makes)? When one predicate rules the group
+  /// out, it counts one in `settled` (may be null).
+  bool MayMatch(const format::RowGroupMeta& group, uint64_t* settled) const;
+
   /// AND the conjunction into `*selected` (one 0/1 flag per row, of which
   /// `selected_rows` are set) one predicate at a time through AndMatches,
   /// and return the rows left set. It stops once none is, so no later
-  /// predicate's chunk is asked for. `dict_prunes` (may be null) counts
-  /// AndMatches' dictionary prunes.
-  Result<uint64_t> AndInto(const ChunkAt& chunk_at, std::vector<char>* selected,
-                           uint64_t selected_rows,
-                           uint64_t* dict_prunes) const;
+  /// predicate's chunk is asked for. Each predicate's chunk is asked for at
+  /// its turn even when `group` (the rows' footer stats; may be null) shows
+  /// that every row satisfies it; such a predicate then skips AndMatches
+  /// and counts one in `settled`. `dict_prunes` and `settled` may be null.
+  Result<uint64_t> AndInto(const ChunkAt& chunk_at,
+                           const format::RowGroupMeta* group,
+                           std::vector<char>* selected, uint64_t selected_rows,
+                           uint64_t* dict_prunes, uint64_t* settled) const;
 
   std::vector<Bound> predicates;  // those bound before an unknown column
   bool matches_none = false;      // an unknown column was named

@@ -85,7 +85,7 @@ Status GatherRows(const ScannedGroup& scanned,
                   const format::Value* set_value, format::ColumnBatch* batch,
                   uint64_t* matched) {
   if (scanned.selection.empty()) return Status::OK();
-  if (match == nullptr) {
+  if (match == nullptr || !match->MayMatch(*scanned.meta, nullptr)) {
     batch->AppendRows(scanned.chunks, scanned.selection);
     return Status::OK();
   }
@@ -97,7 +97,7 @@ Status GatherRows(const ScannedGroup& scanned,
           [&](size_t c) -> Result<const format::ColumnChunkData*> {
             return scanned.chunks[c].get();
           },
-          &hit, scanned.selection.size(), nullptr));
+          scanned.meta, &hit, scanned.selection.size(), nullptr, nullptr));
   *matched += hits;
   std::vector<uint32_t> kept;
   std::vector<size_t> set_rows;  // batch rows that take the SET value
@@ -369,13 +369,13 @@ bool Table::FullyCovered(const TableInfo& info, const DataFileMeta& file,
       stats->second.null_count != 0) {
     return false;
   }
+  // Every value in [pmin, pmax] must satisfy every predicate: the rule
+  // that also spares a scan the predicates a row group's stats settle.
   for (const query::Predicate& predicate : where.predicates()) {
-    if (predicate.column != info.partition_spec.column) return false;
-    if (format::TypeOf(pmin) != format::TypeOf(predicate.literal)) {
+    if (predicate.column != info.partition_spec.column ||
+        !query::PredicateHoldsForRange(predicate, pmin, pmax)) {
       return false;
     }
-    // Every value in [pmin, pmax] must satisfy the predicate.
-    if (!predicate.Matches(pmin) || !predicate.Matches(pmax)) return false;
   }
   return true;
 }
@@ -393,6 +393,7 @@ void SelectMetrics::Merge(const SelectMetrics& other) {
   columns_decoded += other.columns_decoded;
   rows_materialized += other.rows_materialized;
   dict_code_prunes += other.dict_code_prunes;
+  predicates_settled += other.predicates_settled;
 }
 
 Result<query::QueryResult> CaptureQuery(
@@ -497,6 +498,7 @@ Status Table::ScanFileRows(
     const size_t rows = group.num_rows;
     ScannedGroup batch;
     batch.chunks.resize(num_fields);
+    batch.meta = &group;
     batch.metrics = m;
     std::vector<format::ColumnChunkPtr>& chunks = batch.chunks;
     const query::BoundConjunction::ChunkAt chunk_at =
@@ -509,7 +511,8 @@ Status Table::ScanFileRows(
 
     // Merge-on-read: mask rows hit by deletes newer than this file, one
     // delete at a time: a row is masked when every predicate of the delete
-    // matches it. A delete's columns all decode before it is evaluated.
+    // matches it. A delete's columns all decode before it is evaluated,
+    // and before the group's stats may show it masks nothing here.
     // Cached chunks are pre-masking (masking depends on the query's
     // snapshot), so this stays per-query.
     std::vector<char> visible(rows, 1);
@@ -518,9 +521,13 @@ Status Table::ScanFileRows(
       for (const auto& bound : mask.predicates) {
         SL_RETURN_NOT_OK(chunk_at(bound.column).status());
       }
+      if (visible_rows == 0 || !mask.MayMatch(group, &m->predicates_settled)) {
+        continue;
+      }
       std::vector<char> hit = visible;
-      SL_ASSIGN_OR_RETURN(
-          uint64_t hits, mask.AndInto(chunk_at, &hit, visible_rows, nullptr));
+      SL_ASSIGN_OR_RETURN(uint64_t hits,
+                          mask.AndInto(chunk_at, &group, &hit, visible_rows,
+                                       nullptr, &m->predicates_settled));
       if (hits == 0) continue;
       for (size_t r = 0; r < rows; ++r) visible[r] &= hit[r] ^ 1;
       visible_rows -= hits;
@@ -529,11 +536,14 @@ Status Table::ScanFileRows(
     // Selection vector: AND WHERE in, column at a time, decoding each
     // column only if some row is still selected. Dictionary chunks are
     // evaluated in code space, and a literal absent from the dictionary
-    // short-circuits the whole group without touching the value stream.
+    // short-circuits the whole group without touching the value stream. A
+    // predicate the group's stats show every row satisfies is not
+    // evaluated, though its column still decodes at its turn.
     std::vector<char> selected = std::move(visible);
-    SL_ASSIGN_OR_RETURN(uint64_t selected_rows,
-                        filter.AndInto(chunk_at, &selected, visible_rows,
-                                       &m->dict_code_prunes));
+    SL_ASSIGN_OR_RETURN(
+        uint64_t selected_rows,
+        filter.AndInto(chunk_at, &group, &selected, visible_rows,
+                       &m->dict_code_prunes, &m->predicates_settled));
 
     // Late materialization: only now, with the selection settled, decode
     // the surviving output columns. Building rows is left to the consumer.
@@ -693,10 +703,13 @@ Result<ScanTotals> Table::ScanInto(const TableInfo& info,
       MetricsRegistry::Global().GetCounter("table.select.rows_materialized");
   static Counter* dict_code_prunes =
       MetricsRegistry::Global().GetCounter("table.select.dict_code_prunes");
+  static Counter* predicates_settled =
+      MetricsRegistry::Global().GetCounter("table.select.predicates_settled");
   bytes_decoded->Increment(delta.bytes_decoded);
   columns_decoded->Increment(delta.columns_decoded);
   rows_materialized->Increment(delta.rows_materialized);
   dict_code_prunes->Increment(delta.dict_code_prunes);
+  predicates_settled->Increment(delta.predicates_settled);
   return totals;
 }
 
@@ -850,11 +863,12 @@ Result<Table::Rewritten> Table::Rewrite(const TableInfo& info,
   SelectMetrics scan_metrics;
   Status s = Status::OK();
   for (const FileGroup& group : groups) {
-    format::ColumnBatch batch(info.schema);
     uint64_t records = 0;
+    for (const DataFileMeta* file : group) records += file->record_count;
+    format::ColumnBatch batch(info.schema);
+    batch.Reserve(records);  // at most every record stays visible
     uint64_t matched = 0;
     for (const DataFileMeta* file : group) {
-      records += file->record_count;
       s = ScanFileRows(
           info, query::Conjunction(), live.deletes, *file,
           ColumnSelection::All(),

@@ -78,6 +78,10 @@ struct SelectMetrics {
   uint64_t columns_decoded = 0;    // column chunks decoded
   uint64_t rows_materialized = 0;  // rows a projection or SELECT * built
   uint64_t dict_code_prunes = 0;   // groups short-circuited in code space
+  /// Row group x predicate pairs (WHERE and merge-on-read masks) that
+  /// footer stats decided without touching a row: a predicate every row
+  /// satisfies, or one no row can match, which skips its mask.
+  uint64_t predicates_settled = 0;
 
   /// Fold in the scan counters of `other` (one scan job, or one ScanInto
   /// pass): counts add, peak memory takes the max. `metadata` and
@@ -125,6 +129,8 @@ struct ScannedGroup {
   /// Decoded chunks by schema index, null where nothing was decoded. When
   /// `selection` is non-empty every output and filter column is set.
   std::vector<format::ColumnChunkPtr> chunks;
+  /// The group's footer entry: its row count and per-column stats.
+  const format::RowGroupMeta* meta = nullptr;
   /// Ascending indices of the visible rows that match the filter.
   std::vector<uint32_t> selection;
   uint64_t visible_rows = 0;  // rows left after merge-on-read masking

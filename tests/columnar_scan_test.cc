@@ -1016,5 +1016,309 @@ TEST(RewriteGatherTest, RewritesWriteTheFrozenFiles) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Residual evaluation: a row group's footer stats settle a predicate when
+// they show that no row can match it (its merge-on-read mask is skipped,
+// its WHERE group skipped) or that every row does (it is not evaluated).
+// The results must be the row-at-a-time reference's, and every decode,
+// storage read and sim charge must stay where full evaluation had them.
+
+format::Schema ResidualSchema() {
+  return format::Schema{{"g", format::DataType::kInt64},    // group number
+                        {"k", format::DataType::kInt64},    // row number
+                        {"x", format::DataType::kDouble},
+                        {"s", format::DataType::kString}};  // dictionary
+}
+
+/// 512 rows, eight 64-row groups in four 128-row files. `g` is constant
+/// per group (min == max). By group, `x` is: 1..64; halves with NULLs;
+/// negatives with a NaN (no min/max); alternating -0.0 and 0.0 from -0.0
+/// (bounds -0.0/-0.0); 100..163; -32..31 with NULLs; all 0.0; 1000..1002.
+/// `s` cycles a/b/c, is all "b" in groups 4-5, "c" with NULLs in group 6,
+/// and "d" in group 7.
+std::vector<format::Row> ResidualRows() {
+  const format::Value null{std::monostate{}};
+  std::vector<format::Row> rows;
+  for (int64_t i = 0; i < 512; ++i) {
+    const int64_t g = i / 64;
+    const int64_t j = i % 64;
+    format::Value x;
+    switch (g) {
+      case 0: x = format::Value(static_cast<double>(j + 1)); break;
+      case 1: x = j % 8 == 0 ? null : format::Value(0.5 * j); break;
+      case 2:
+        x = format::Value(j == 10 ? std::nan("")
+                                  : -1.0 - static_cast<double>(j));
+        break;
+      case 3: x = format::Value(j % 2 == 0 ? -0.0 : 0.0); break;
+      case 4: x = format::Value(100.0 + static_cast<double>(j)); break;
+      case 5:
+        x = j % 5 == 0 ? null : format::Value(static_cast<double>(j) - 32);
+        break;
+      case 6: x = format::Value(0.0); break;
+      default: x = format::Value(1000.0 + static_cast<double>(j % 3)); break;
+    }
+    const char* tags[] = {"a", "b", "c"};
+    format::Value tag = format::Value(std::string(tags[j % 3]));
+    if (g == 4 || g == 5) tag = format::Value(std::string("b"));
+    if (g == 6) tag = j % 4 == 0 ? null : format::Value(std::string("c"));
+    if (g == 7) tag = format::Value(std::string("d"));
+    rows.push_back({{format::Value(g), format::Value(i), x, tag}});
+  }
+  return rows;
+}
+
+/// The merge-on-read deletes, issued in order after every insert.
+std::vector<query::Conjunction> ResidualDeletes() {
+  using query::Predicate;
+  return {{Predicate::Lt("x", 0.0)},
+          {Predicate::Eq("g", int64_t{5}), Predicate::Ne("k", int64_t{330})},
+          {Predicate::Eq("s", std::string("d")), Predicate::Gt("x", 1000.5)},
+          {Predicate::Gt("k", int64_t{100000})},
+          {Predicate::In("x", {format::Value(2.0), format::Value(3.0)}),
+           Predicate::Ne("s", std::string("b"))}};
+}
+
+/// WHERE clauses whose predicates are settled true, settled false or left
+/// open by different groups.
+std::vector<query::Conjunction> ResidualWheres() {
+  using query::Predicate;
+  return {{},
+          {Predicate::Ge("k", int64_t{0})},
+          {Predicate::Ge("x", 0.0)},
+          {Predicate::Eq("x", 0.0)},
+          {Predicate::Ne("x", 0.0)},
+          {Predicate::In("g", {format::Value(int64_t{1}),
+                               format::Value(int64_t{2}),
+                               format::Value(int64_t{3})}),
+           Predicate::Le("x", 1e9)},
+          {Predicate::Eq("s", std::string("b")), Predicate::Ne("g", int64_t{4})},
+          {Predicate::In("s", {format::Value(std::string("a")),
+                               format::Value(std::string("c"))}),
+           Predicate::Lt("k", int64_t{250})},
+          {Predicate::Eq("g", int64_t{7}), Predicate::Eq("s", std::string("d"))},
+          {Predicate::Gt("x", -0.0)},
+          {Predicate::Ne("k", int64_t{5}), Predicate::Lt("x", 64.0)},
+          // Inside groups 0-3's [a, c] but in no dictionary: a code prune.
+          {Predicate::Eq("s", std::string("bb"))}};
+}
+
+/// The residual table under merge-on-read and serial scans, with a block
+/// cache of `cache_bytes` (0: none).
+struct ResidualTable {
+  ColumnarFixture f;
+  Table* table = nullptr;
+
+  explicit ResidualTable(uint64_t cache_bytes)
+      : f(/*scan_threads=*/0, cache_bytes, DeleteMode::kMergeOnRead) {
+    auto created = f.lakehouse->CreateTable("residual", ResidualSchema(),
+                                            PartitionSpec::None());
+    EXPECT_TRUE(created.ok());
+    table = *created;
+    const std::vector<format::Row> rows = ResidualRows();
+    for (size_t begin = 0; begin < rows.size(); begin += 128) {
+      EXPECT_TRUE(table
+                      ->Insert({rows.begin() + static_cast<ptrdiff_t>(begin),
+                                rows.begin() +
+                                    static_cast<ptrdiff_t>(begin + 128)})
+                      .ok());
+    }
+  }
+};
+
+/// `rows` minus those a delete in `deletes` matches.
+std::vector<format::Row> Surviving(const std::vector<format::Row>& rows,
+                                   const std::vector<query::Conjunction>& deletes) {
+  std::vector<format::Row> kept;
+  for (const format::Row& row : rows) {
+    bool masked = false;
+    for (const query::Conjunction& d : deletes) {
+      masked = masked || oracle::Matches(d, ResidualSchema(), row);
+    }
+    if (!masked) kept.push_back(row);
+  }
+  return kept;
+}
+
+/// Every ResidualWheres() query, ordered by k, equals the reference over
+/// `visible`.
+void ExpectResidualSelects(Table* table,
+                           const std::vector<format::Row>& visible,
+                           const std::string& step) {
+  for (const query::Conjunction& where : ResidualWheres()) {
+    query::QuerySpec spec;
+    spec.where = where;
+    spec.order_by = "k";
+    auto expect = oracle::Execute(ResidualSchema(), visible, spec);
+    ASSERT_TRUE(expect.ok());
+    auto got = table->Select(spec);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectSameResult(*got, *expect, step + ", WHERE " + where.ToString());
+  }
+}
+
+TEST(ResidualEvalTest, SettledPredicatesGiveTheReferenceResults) {
+  ResidualTable t(/*cache_bytes=*/8ULL << 20);
+  std::vector<format::Row> rows = ResidualRows();
+  std::vector<query::Conjunction> applied;
+  for (const query::Conjunction& d : ResidualDeletes()) {
+    const size_t before = Surviving(rows, applied).size();
+    applied.push_back(d);
+    const size_t after = Surviving(rows, applied).size();
+    auto deleted = t.table->Delete(d);
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(*deleted, before - after) << "DELETE WHERE " << d.ToString();
+  }
+  ExpectResidualSelects(t.table, Surviving(rows, applied), "masked");
+
+  // Compaction applies the masks physically through the same evaluator.
+  ASSERT_TRUE(t.table->CompactPartition("").ok());
+  rows = Surviving(rows, applied);
+  ExpectResidualSelects(t.table, rows, "compacted");
+
+  // An UPDATE's match: `g = 0` settles per group, `x > 32.0` is open in
+  // group 0.
+  const query::Conjunction where{query::Predicate::Eq("g", int64_t{0}),
+                                 query::Predicate::Gt("x", 32.0)};
+  auto updated = t.table->Update(where, "s", std::string("zz"));
+  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+  uint64_t expect_updated = 0;
+  for (format::Row& row : rows) {
+    if (oracle::Matches(where, ResidualSchema(), row)) {
+      row.fields[3] = format::Value(std::string("zz"));
+      ++expect_updated;
+    }
+  }
+  EXPECT_EQ(*updated, expect_updated);
+  EXPECT_GT(expect_updated, 0u);
+  ExpectResidualSelects(t.table, rows, "updated");
+}
+
+// Settling a predicate moves no decode: every query decodes, reads and
+// charges exactly what evaluating each predicate over every row did. The
+// figures were taken from full evaluation, per query without a block
+// cache and per stage with one, where each query's decodes fill the cache
+// the next one reads.
+struct Pinned {
+  uint64_t bytes_decoded = 0;
+  uint64_t columns_decoded = 0;
+  uint64_t data_bytes_read = 0;
+  uint64_t dict_code_prunes = 0;
+  uint64_t elapsed_ns = 0;
+  bool operator==(const Pinned&) const = default;
+};
+
+/// Every ResidualWheres() query (projecting k) before any delete, after
+/// all of them and after compaction, one entry per query, or with `totals`
+/// one per stage.
+std::vector<Pinned> ResidualStages(uint64_t cache_bytes, bool totals) {
+  ResidualTable t(cache_bytes);
+  std::vector<Pinned> got;
+  auto run_queries = [&] {
+    if (totals) got.emplace_back();
+    for (const query::Conjunction& where : ResidualWheres()) {
+      query::QuerySpec spec;
+      spec.where = where;
+      spec.projection = {"k"};
+      SelectMetrics m;
+      EXPECT_TRUE(t.table->Select(spec, {}, &m).ok());
+      if (!totals) got.emplace_back();
+      Pinned& p = got.back();
+      p.bytes_decoded += m.bytes_decoded;
+      p.columns_decoded += m.columns_decoded;
+      p.data_bytes_read += m.data_bytes_read;
+      p.dict_code_prunes += m.dict_code_prunes;
+      p.elapsed_ns += m.elapsed_ns;
+    }
+  };
+  run_queries();
+  for (const query::Conjunction& d : ResidualDeletes()) {
+    EXPECT_TRUE(t.table->Delete(d).ok());
+  }
+  run_queries();
+  EXPECT_TRUE(t.table->CompactPartition("").ok());
+  run_queries();
+  return got;
+}
+
+void ExpectPinned(const std::vector<Pinned>& got,
+                  const std::vector<Pinned>& golden, const std::string& what) {
+  EXPECT_EQ(got.size(), golden.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const Pinned& g = got[i];
+    EXPECT_EQ(g, i < golden.size() ? golden[i] : Pinned{})
+        << what << " " << i << ": {" << g.bytes_decoded << ", "
+        << g.columns_decoded << ", " << g.data_bytes_read << ", "
+        << g.dict_code_prunes << ", " << g.elapsed_ns << "}";
+  }
+}
+
+TEST(ResidualEvalTest, SettlingMovesNoDecode) {
+  const std::vector<Pinned> cold = {
+      // before any delete
+      {527, 8, 2690, 0, 660175}, {527, 8, 2690, 0, 660175},
+      {4647, 16, 2690, 0, 662058}, {2324, 8, 1812, 0, 490271},
+      {3489, 12, 2690, 0, 657522}, {1754, 9, 1488, 0, 330030},
+      {700, 15, 2339, 0, 492794}, {551, 8, 1488, 0, 329706},
+      {137, 3, 351, 0, 162989}, {3423, 11, 2690, 0, 656396},
+      {3489, 12, 2690, 0, 657508}, {288, 4, 1488, 4, 328499},
+      // after every delete
+      {5240, 32, 2690, 0, 663743}, {5240, 32, 2690, 0, 663743},
+      {5240, 32, 2690, 0, 663563}, {2625, 16, 1812, 0, 491189},
+      {3927, 24, 2690, 0, 656983}, {1970, 12, 1488, 0, 328899},
+      {3281, 20, 2339, 0, 492084}, {2623, 16, 1488, 0, 330959},
+      {650, 4, 351, 0, 162559}, {3927, 24, 2690, 0, 656983},
+      {3940, 24, 2690, 0, 657783}, {2623, 16, 1488, 4, 328499},
+      // after compaction
+      {355, 6, 1825, 0, 174795}, {355, 6, 1825, 0, 174795},
+      {3121, 12, 1825, 0, 176870}, {1746, 6, 1825, 0, 168260},
+      {1963, 8, 1825, 0, 171219}, {2296, 11, 1825, 0, 170913},
+      {569, 12, 1825, 0, 169492}, {414, 6, 1825, 0, 167494},
+      {53, 3, 1825, 0, 162909}, {1963, 8, 1825, 0, 171219},
+      {2920, 10, 1825, 0, 173732}, {216, 3, 1825, 3, 166610}};
+  ExpectPinned(ResidualStages(/*cache_bytes=*/0, /*totals=*/false), cold,
+               "query");
+  const std::vector<Pinned> warm = {
+      // before any delete, after every delete, after compaction
+      {5089, 28, 9558, 4, 2402904}, {151, 4, 1202, 4, 488964},
+      {3454, 22, 9125, 3, 924038}};
+  ExpectPinned(ResidualStages(/*cache_bytes=*/8ULL << 20, /*totals=*/true),
+               warm, "stage");
+}
+
+// predicates_settled counts the (row group, predicate) pairs the stats
+// decided: WHERE predicates every row satisfies, and merge-on-read masks
+// skipped because one of their predicates can match no row. A WHERE
+// predicate that rules a group out skips the group, which
+// row_groups_skipped counts instead.
+TEST(ResidualEvalTest, CountsSettledPredicates) {
+  const Counter* registry =
+      MetricsRegistry::Global().GetCounter("table.select.predicates_settled");
+  ResidualTable t(/*cache_bytes=*/0);
+  auto settled = [&](const query::Conjunction& where) -> uint64_t {
+    query::QuerySpec spec;
+    spec.where = where;
+    spec.projection = {"k"};
+    SelectMetrics m;
+    const uint64_t before = registry->Value();
+    EXPECT_TRUE(t.table->Select(spec, {}, &m).ok());
+    EXPECT_EQ(registry->Value() - before, m.predicates_settled);
+    return m.predicates_settled;
+  };
+  using query::Predicate;
+  // Every row satisfies x >= 0.0 in groups 0, 3 (-0.0 >= 0.0), 4, 6 and 7;
+  // groups 1 and 5 hold NULLs, and group 2's NaN leaves it no min/max.
+  EXPECT_EQ(settled({Predicate::Ge("x", 0.0)}), 5u);
+  // 0.0 lies outside groups 0, 4 and 7; groups 3 and 6 are skipped.
+  EXPECT_EQ(settled({Predicate::Ne("x", 0.0)}), 3u);
+
+  ASSERT_TRUE(t.table->Delete({Predicate::Lt("x", 0.0)}).ok());
+  // The mask x < 0.0 can match no row of groups 0, 1, 3, 4, 6 and 7 (6),
+  // and k >= 0 holds in all 8 groups, each with a row left visible.
+  EXPECT_EQ(settled({Predicate::Ge("k", int64_t{0})}), 14u);
+  // Without WHERE only the six skipped masks count.
+  EXPECT_EQ(settled({}), 6u);
+}
+
 }  // namespace
 }  // namespace streamlake::table

@@ -295,6 +295,61 @@ TEST(LakeFileTest, EmptyFileRoundTrips) {
   EXPECT_TRUE(all->empty());
 }
 
+// The rewrites gather one scanned group after another into one batch, so
+// its vectors must grow geometrically: an exact reserve per call would
+// reallocate, and move every value gathered so far, on each of them.
+TEST(ColumnBatchTest, GatherGrowsGeometrically) {
+  const Schema schema{{"id", DataType::kInt64},
+                      {"score", DataType::kDouble},
+                      {"tag", DataType::kString},
+                      {"flag", DataType::kBool}};
+  LakeFileWriter writer(schema);
+  for (int64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(writer
+                    .Append(Row{{Value(i), Value(0.5 * static_cast<double>(i)),
+                                 Value(std::string(i % 2 ? "even" : "odd")),
+                                 Value(i % 3 == 0)}})
+                    .ok());
+  }
+  auto file = writer.Finish();
+  ASSERT_TRUE(file.ok());
+  auto reader = LakeFileReader::Open(std::move(*file));
+  ASSERT_TRUE(reader.ok());
+  std::vector<ColumnChunkPtr> chunks;
+  for (size_t c = 0; c < schema.num_fields(); ++c) {
+    auto chunk = reader->ReadColumnChunk(0, c);
+    ASSERT_TRUE(chunk.ok());
+    chunks.push_back(std::make_shared<const ColumnChunkData>(*chunk));
+  }
+
+  ColumnBatch batch(schema);
+  constexpr uint32_t kAppends = 20000;
+  std::vector<const void*> last(2 * schema.num_fields(), nullptr);
+  std::vector<int> moves(last.size(), 0);
+  for (uint32_t i = 0; i < kAppends; ++i) {
+    const uint32_t row = i % 8;
+    batch.AppendRows(chunks, {&row, 1});
+    for (size_t c = 0; c < schema.num_fields(); ++c) {
+      const ColumnBatch::Column& column = batch.columns[c];
+      const void* values = std::visit(
+          [](const auto& vals) -> const void* { return vals.data(); },
+          column.values);
+      const void* now[2] = {values, column.null_mask.data()};
+      for (size_t k = 0; k < 2; ++k) {
+        if (now[k] != last[2 * c + k]) ++moves[2 * c + k];
+        last[2 * c + k] = now[k];
+      }
+    }
+  }
+  ASSERT_EQ(batch.num_rows, kAppends);
+  for (size_t v = 0; v < moves.size(); ++v) {
+    EXPECT_LT(moves[v], 40) << schema.field(v / 2).name
+                            << (v % 2 ? " null mask" : " values");
+  }
+  EXPECT_EQ(std::get<std::vector<std::string>>(batch.columns[2].values)[3],
+            "even");
+}
+
 // Parameterized sweep: every (compression, rows_per_group) combination
 // round-trips and keeps correct stats.
 class LakeFileParam

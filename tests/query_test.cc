@@ -66,7 +66,7 @@ std::vector<uint32_t> Selection(
                       [&](size_t c) -> Result<const format::ColumnChunkData*> {
                         return chunks[c].get();
                       },
-                      &selected, n, nullptr);
+                      nullptr, &selected, n, nullptr, nullptr);
   EXPECT_TRUE(left.ok());
   std::vector<uint32_t> selection;
   for (uint32_t r = 0; r < n; ++r) {

@@ -800,6 +800,147 @@ TEST(MergeOnReadTest, RewritePlannedBeforeADeleteConflicts) {
   EXPECT_EQ(f.Count(), 3);
 }
 
+// A delete drops a whole partition by metadata only when every value of
+// the partition's range satisfies it. For a day or month partition, `!=`
+// and IN hold for some of its rows only, so those go through the row path
+// (rewrite or mask) and the rows they spare stay.
+class PartitionDropTest : public ::testing::TestWithParam<DeleteMode> {
+ protected:
+  struct Case {
+    std::string what;
+    std::function<query::Conjunction(int64_t base, int64_t width)> where;
+    std::vector<int64_t> kept;  // offsets from the bucket start that stay
+  };
+
+  /// A `spec` table holding `ts = base + {0, 100, 200}`, for `base` the
+  /// start of a bucket `width` seconds wide.
+  Table* Create(LakehouseFixture* f, const PartitionSpec& spec,
+                int64_t base) {
+    TableOptions options;
+    options.delete_mode = GetParam();
+    const format::Schema schema{{"ts", format::DataType::kInt64},
+                                {"v", format::DataType::kInt64}};
+    auto table = f->lakehouse->CreateTable("t", schema, spec, &options);
+    EXPECT_TRUE(table.ok()) << table.status().ToString();
+    std::vector<format::Row> rows;
+    for (int64_t offset : {0, 100, 200}) {
+      rows.push_back({{format::Value(base + offset), format::Value(offset)}});
+    }
+    EXPECT_TRUE((*table)->Insert(rows).ok());
+    return *table;
+  }
+
+  /// The `v` (offset) of every row left, ascending.
+  static std::vector<int64_t> Kept(Table* table) {
+    query::QuerySpec spec;
+    spec.projection = {"v"};
+    auto rows = table->Select(spec);
+    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
+    std::vector<int64_t> kept;
+    for (const format::Row& row : rows->rows) {
+      kept.push_back(std::get<int64_t>(row.fields[0]));
+    }
+    std::sort(kept.begin(), kept.end());
+    return kept;
+  }
+};
+
+TEST_P(PartitionDropTest, DayAndMonthDropOnlyTheRowsThatMatch) {
+  using query::Predicate;
+  const std::vector<Case> cases = {
+      {"!= a middle value",
+       [](int64_t base, int64_t) {
+         return query::Conjunction{Predicate::Ne("ts", base + 100)};
+       },
+       {100}},
+      {"IN the bucket's two ends",
+       [](int64_t base, int64_t width) {
+         return query::Conjunction{Predicate::In(
+             "ts", {format::Value(base), format::Value(base + width - 1)})};
+       },
+       {100, 200}},
+      {"!= outside the rows but inside the bucket",
+       [](int64_t base, int64_t) {
+         return query::Conjunction{Predicate::Ne("ts", base + 50)};
+       },
+       {}},
+      {"the whole bucket",
+       [](int64_t base, int64_t width) {
+         return query::Conjunction{Predicate::Ge("ts", base),
+                                   Predicate::Le("ts", base + width - 1)};
+       },
+       {}}};
+  for (const bool month : {false, true}) {
+    const int64_t width = month ? 30 * 86400 : 86400;
+    const int64_t base = 700 * width;
+    const PartitionSpec spec =
+        month ? PartitionSpec::Month("ts") : PartitionSpec::Day("ts");
+    for (const Case& c : cases) {
+      const std::string what = (month ? "month, " : "day, ") + c.what;
+      LakehouseFixture f;
+      Table* table = Create(&f, spec, base);
+      auto deleted = table->Delete(c.where(base, width));
+      ASSERT_TRUE(deleted.ok()) << what << ": " << deleted.status().ToString();
+      EXPECT_EQ(*deleted, 3 - c.kept.size()) << what;
+      EXPECT_EQ(Kept(table), c.kept) << what;
+    }
+    // SQL DELETE runs the same Table::Delete.
+    LakehouseFixture f;
+    Table* table = Create(&f, spec, base);
+    auto deleted = f.lakehouse->Query(*query::ParseSql(
+        "DELETE FROM t WHERE ts != " + std::to_string(base + 100)));
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(std::get<int64_t>(deleted->rows.at(0).fields.at(0)), 2);
+    EXPECT_EQ(Kept(table), std::vector<int64_t>{100});
+  }
+}
+
+TEST_P(PartitionDropTest, IdentityPartitionStillDropsByMetadata) {
+  // An identity partition's range is [v, v]: `!= w` holds for every row,
+  // so the file leaves the live set whole, as the whole-bucket delete's
+  // does. Merge-on-read shows it: the row path would keep the file live
+  // and mask its rows.
+  const struct {
+    PartitionSpec spec;
+    query::Conjunction where;
+  } drops[] = {
+      {PartitionSpec::Identity("v"),
+       {query::Predicate::Ne("v", int64_t{7})}},
+      {PartitionSpec::Day("ts"),
+       {query::Predicate::Ge("ts", int64_t{700 * 86400}),
+        query::Predicate::Lt("ts", int64_t{701 * 86400})}}};
+  for (const auto& drop : drops) {
+    LakehouseFixture f;
+    TableOptions options;
+    options.delete_mode = GetParam();
+    const format::Schema schema{{"ts", format::DataType::kInt64},
+                                {"v", format::DataType::kInt64}};
+    auto table = f.lakehouse->CreateTable("t", schema, drop.spec, &options);
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*table)
+                    ->Insert({{{format::Value(int64_t{700 * 86400}),
+                                format::Value(int64_t{5})}},
+                              {{format::Value(int64_t{700 * 86400 + 9}),
+                                format::Value(int64_t{5})}}})
+                    .ok());
+    auto deleted = (*table)->Delete(drop.where);
+    ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+    EXPECT_EQ(*deleted, 2u) << drop.where.ToString();
+    auto live = (*table)->LiveFiles();
+    ASSERT_TRUE(live.ok());
+    EXPECT_EQ(live->size(), 0u) << drop.where.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DeleteModes, PartitionDropTest,
+    ::testing::Values(DeleteMode::kCopyOnWrite, DeleteMode::kMergeOnRead),
+    [](const ::testing::TestParamInfo<DeleteMode>& info) {
+      return std::string(info.param == DeleteMode::kCopyOnWrite
+                             ? "CopyOnWrite"
+                             : "MergeOnRead");
+    });
+
 TEST(TableTest, RewriteManifestSquashesCommitChain) {
   LakehouseFixture f;
   Table* table = f.CreateDpiTable();

@@ -76,6 +76,12 @@ Rules
       column batches (query::ChunkRows) through one entry point each; rows
       are built only as a result's output, and the row-at-a-time reference
       lives in tests/oracle.
+  R14 Under src/, no vector grows by an exact reserve of its own size plus
+      more: `x.reserve(x.size() + n)` or `x->reserve(x->size() + n)`. On
+      a vector that is appended to again, each such call reallocates and
+      moves every element so far (it made the rewrites' gather
+      quadratic); push_back and resize grow geometrically. A reserve of a
+      fresh vector from other sizes is fine.
 
 Run from the repo root:  python3 tools/lint.py
 Registered as the `lint` ctest, so tier-1 verify runs it automatically;
@@ -166,6 +172,12 @@ ROW_PARAMETER = re.compile(
     r"[(,]\s*(?:const\s+)?"
     r"((?:std::vector\s*<\s*(?:const\s+)?)?(?:format::)?Row\b)")
 ROW_API_DIR = os.path.join("src", "query") + os.sep
+
+# R14: `x.reserve(x.size() + ...)` / `x->reserve(x->size() + ...)`, the same
+# receiver on both sides (a backreference), possibly across lines.
+SELF_GROWTH_RESERVE = re.compile(
+    r"(?<![\w.])(?<!->)((?:\w+\s*(?:\.|->)\s*)*\w+)\s*(\.|->)\s*reserve\s*"
+    r"\(\s*\1\s*\2\s*size\s*\(\s*\)\s*\+")
 
 # R5: lock-scope openers and the blocking calls banned inside them.
 LOCK_SCOPE = re.compile(
@@ -386,6 +398,14 @@ def lint_text(path, raw):
                 "function takes a format::Row; consume column batches "
                 "(query::ChunkRows) and keep row-at-a-time references in "
                 "tests/oracle")
+
+    if path.startswith("src" + os.sep):
+        for m in SELF_GROWTH_RESERVE.finditer(code):
+            errors.append(
+                f"{path}:{lineno_at(code, m.start())}: R14: "
+                f"{m.group(1)}{m.group(2)}reserve({m.group(1)}{m.group(2)}"
+                "size() + ...) reallocates on every call; let push_back or "
+                "resize grow the vector, or reserve the final size once")
 
     if not path.startswith("src" + os.sep):
         check_blocking_under_lock(path, code, errors)

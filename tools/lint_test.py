@@ -431,6 +431,36 @@ class RuleTest(unittest.TestCase):
                      os.path.join("tests", "oracle", "oracle.h")):
             self.assert_clean(text, path=path)
 
+    # R14 -----------------------------------------------------------------
+    def test_r14_exact_growth_reserve_under_src(self):
+        # The gather's old reserve, and its member and multi-line forms.
+        for text in ("vals->reserve(vals->size() + rows.size());\n",
+                     "out.reserve(out.size() + 1);\n",
+                     "batch.col->reserve(batch.col->size() + n);\n",
+                     "keys.reserve(\n    keys.size() +\n    more.size());\n"):
+            self.assert_rule("R14", text, path=src("src/format/lakefile.cc"))
+
+    def test_r14_reports_the_call_line(self):
+        errors = self.errors("int a;\nv.reserve(v.size() + 2);\n",
+                             src("src/table/table.cc"))
+        self.assertEqual([e.split(": R14")[0] for e in errors
+                          if ": R14: " in e], ["src/table/table.cc:3"])
+
+    def test_r14_allows_fresh_vectors_prose_and_other_dirs(self):
+        # The catalog's reserves size a fresh vector from other vectors.
+        self.assert_clean(
+            "out->commits.reserve(base.commits.size() + commits.size());\n"
+            "out->files.reserve(base.files.size() + delta.size());\n"
+            "out.reserve(std::min<size_t>(count, data.size() + 1));\n"
+            "a.vals.reserve(vals.size() + n);\n"
+            "v.reserve(v.size());\n"
+            "// vals->reserve(vals->size() + rows.size()) was quadratic\n",
+            path=src("src/table/catalog.cc"))
+        text = "v.reserve(v.size() + n);\n"
+        for path in (os.path.join("tests", "format_test.cc"),
+                     os.path.join("bench", "bench_micro.cc")):
+            self.assert_clean(text, path=path)
+
 
 class RepoTest(unittest.TestCase):
     def test_whole_repo_is_clean(self):
